@@ -126,7 +126,7 @@ std::vector<RackKvParams> AllCells(const fault::FaultPlan& plan,
   cells.push_back(FailoverPoint());
   cells.push_back(MemPoint(1000000));
   cells.push_back(MemPoint(100000));
-  // A --trace plan rides every cell: rate via the fleets' peak-rate
+  // A --load-trace plan rides every cell: rate via the fleets' peak-rate
   // thinning, churn as a draw-free rank rotation, scan upgrades at issue.
   // An empty plan leaves every cell byte-identical to a trace-free build
   // (tests/topo/rack_kv_test.cc pins the flat-trace case too).

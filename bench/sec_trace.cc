@@ -66,7 +66,7 @@ constexpr double kBaseMops = 4.0;
 // Night (0.3x serving, 3x background compaction) ramps through morning
 // into a midday plateau with a hot-key churn phase, a 1.6x flash crowd, a
 // scan burst (half the gets forced to the largest class), then back down
-// into night. Override with --trace.
+// into night. Override with --load-trace.
 trace::TracePlan DefaultTrace() {
   trace::TracePlan plan;
   std::string error;

@@ -1,19 +1,9 @@
 #include "src/fault/injector.h"
 
+#include "src/common/spec.h"
+
 namespace snicsim {
 namespace fault {
-
-namespace {
-
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h = (h ^ static_cast<uint64_t>(static_cast<unsigned char>(c))) * 1099511628211ULL;
-  }
-  return h;
-}
-
-}  // namespace
 
 Rng& FaultInjector::LinkRng(const std::string& link) {
   auto it = rngs_.find(link);

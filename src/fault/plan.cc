@@ -1,307 +1,19 @@
 #include "src/fault/plan.h"
 
-#include <cctype>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
-
-#include "src/common/json_scan.h"
+#include "src/common/spec.h"
 
 namespace snicsim {
 namespace fault {
 
 namespace {
 
-// Splits on ',' and ';' (both accepted so window lists read naturally).
-std::vector<std::string> SplitEntries(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == ',' || c == ';') {
-      if (!cur.empty()) {
-        out.push_back(cur);
-        cur.clear();
-      }
-    } else if (!std::isspace(static_cast<unsigned char>(c))) {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) {
-    out.push_back(cur);
-  }
-  return out;
-}
-
-std::vector<std::string> SplitFields(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-bool ParseNumber(const std::string& s, double* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
-bool ParseWindowTimes(const std::string& start_s, const std::string& end_s,
-                      SimTime* start, SimTime* end, std::string* error) {
-  double start_us = 0.0;
-  double end_us = 0.0;
-  if (!ParseNumber(start_s, &start_us) || !ParseNumber(end_s, &end_us) ||
-      start_us < 0.0 || end_us < start_us) {
-    *error = "bad window times '" + start_s + ":" + end_s + "' (want END >= START >= 0, in us)";
-    return false;
-  }
-  *start = FromMicros(start_us);
-  *end = FromMicros(end_us);
-  return true;
-}
-
-// ---------------------------------------------------------------------------
-// JSON schedule-file form, read through the shared minimal scanner
-// (src/common/json_scan.h). Unknown keys are errors (a typo'd schedule must
-// not silently run fault-free).
-
-bool ParseJsonPlan(const std::string& text, FaultPlan* out, std::string* error) {
-  JsonScanner s(text, error);
-  if (!s.Expect('{')) {
-    return false;
-  }
-  bool more = !s.Peek('}');
-  if (!more) {
-    ++s.pos;
-  }
-  while (more) {
-    std::string key;
-    if (!s.ReadString(&key) || !s.Expect(':')) {
-      return false;
-    }
-    if (key == "drop") {
-      double v = 0.0;
-      if (!s.ReadNumber(&v)) {
-        return false;
-      }
-      if (v < 0.0 || v > 1.0) {
-        return s.Fail("drop not in [0, 1]");
-      }
-      out->drop_rate = v;
-    } else if (key == "seed") {
-      double v = 0.0;
-      if (!s.ReadNumber(&v)) {
-        return false;
-      }
-      if (v < 0.0) {
-        return s.Fail("bad seed");
-      }
-      out->seed = static_cast<uint64_t>(v);
-    } else if (key == "flaps" || key == "stalls") {
-      const bool is_flap = key == "flaps";
-      const bool ok = s.ReadArray([&] {
-        std::string name;
-        double su = -1.0;
-        double eu = -1.0;
-        const char* name_key = is_flap ? "link" : "domain";
-        if (!s.ReadFlatObject([&](const std::string& k, const std::string& sv,
-                                  double nv, bool is_string) {
-              if (k == name_key && is_string) {
-                name = sv;
-                return true;
-              }
-              if (k == "start_us" && !is_string) {
-                su = nv;
-                return true;
-              }
-              if (k == "end_us" && !is_string) {
-                eu = nv;
-                return true;
-              }
-              return s.Fail("unknown window field '" + k + "'");
-            })) {
-          return false;
-        }
-        if (name.empty() || su < 0.0 || eu < su) {
-          return s.Fail("incomplete window (need " + std::string(name_key) +
-                        ", start_us <= end_us)");
-        }
-        if (is_flap) {
-          out->flaps.push_back(FlapWindow{name, FromMicros(su), FromMicros(eu)});
-        } else {
-          out->stalls.push_back(StallWindow{name, FromMicros(su), FromMicros(eu)});
-        }
-        return true;
-      });
-      if (!ok) {
-        return false;
-      }
-    } else if (key == "crashes") {
-      const bool ok = s.ReadArray([&] {
-        CrashWindow w;
-        double su = -1.0;
-        double eu = -1.0;
-        double rw = 0.0;
-        if (!s.ReadFlatObject([&](const std::string& k, const std::string& sv,
-                                  double nv, bool is_string) {
-              if (k == "domain" && is_string) {
-                w.domain = sv;
-                return true;
-              }
-              if (k == "start_us" && !is_string) {
-                su = nv;
-                return true;
-              }
-              if (k == "end_us" && !is_string) {
-                eu = nv;
-                return true;
-              }
-              if (k == "rewarm_us" && !is_string) {
-                rw = nv;
-                return true;
-              }
-              return s.Fail("unknown crash field '" + k + "'");
-            })) {
-          return false;
-        }
-        if (w.domain.empty() || su < 0.0 || eu < su || rw < 0.0) {
-          return s.Fail("incomplete crash (need domain, start_us <= end_us, rewarm_us >= 0)");
-        }
-        w.start = FromMicros(su);
-        w.end = FromMicros(eu);
-        w.rewarm = FromMicros(rw);
-        out->crashes.push_back(w);
-        return true;
-      });
-      if (!ok) {
-        return false;
-      }
-    } else if (key == "permlosses") {
-      const bool ok = s.ReadArray([&] {
-        PermLossEvent ev;
-        double au = -1.0;
-        if (!s.ReadFlatObject([&](const std::string& k, const std::string& sv,
-                                  double nv, bool is_string) {
-              if (k == "domain" && is_string) {
-                ev.domain = sv;
-                return true;
-              }
-              if (k == "at_us" && !is_string) {
-                au = nv;
-                return true;
-              }
-              return s.Fail("unknown permloss field '" + k + "'");
-            })) {
-          return false;
-        }
-        if (ev.domain.empty() || au < 0.0) {
-          return s.Fail("incomplete permloss (need domain, at_us >= 0)");
-        }
-        ev.at = FromMicros(au);
-        out->permlosses.push_back(ev);
-        return true;
-      });
-      if (!ok) {
-        return false;
-      }
-    } else if (key == "corrupts") {
-      const bool ok = s.ReadArray([&] {
-        CorruptEvent ev;
-        double au = -1.0;
-        if (!s.ReadFlatObject([&](const std::string& k, const std::string& sv,
-                                  double nv, bool is_string) {
-              if (k == "domain" && is_string) {
-                ev.domain = sv;
-                return true;
-              }
-              if (k == "at_us" && !is_string) {
-                au = nv;
-                return true;
-              }
-              if (k == "fraction" && !is_string) {
-                ev.fraction = nv;
-                return true;
-              }
-              return s.Fail("unknown corrupt field '" + k + "'");
-            })) {
-          return false;
-        }
-        if (ev.domain.empty() || au < 0.0 || ev.fraction <= 0.0 ||
-            ev.fraction > 1.0) {
-          return s.Fail("incomplete corrupt (need domain, at_us >= 0, fraction in (0, 1])");
-        }
-        ev.at = FromMicros(au);
-        out->corrupts.push_back(ev);
-        return true;
-      });
-      if (!ok) {
-        return false;
-      }
-    } else if (key == "degrades") {
-      const bool ok = s.ReadArray([&] {
-        DegradeWindow w;
-        double su = -1.0;
-        double eu = -1.0;
-        double factor = 0.0;
-        if (!s.ReadFlatObject([&](const std::string& k, const std::string& sv,
-                                  double nv, bool is_string) {
-              if (k == "link" && is_string) {
-                w.link = sv;
-                return true;
-              }
-              if (k == "start_us" && !is_string) {
-                su = nv;
-                return true;
-              }
-              if (k == "end_us" && !is_string) {
-                eu = nv;
-                return true;
-              }
-              if (k == "factor" && !is_string) {
-                factor = nv;
-                return true;
-              }
-              return s.Fail("unknown degrade field '" + k + "'");
-            })) {
-          return false;
-        }
-        if (w.link.empty() || su < 0.0 || eu < su || factor < 1.0) {
-          return s.Fail("incomplete degrade (need link, start_us <= end_us, factor >= 1)");
-        }
-        w.start = FromMicros(su);
-        w.end = FromMicros(eu);
-        w.factor = factor;
-        out->degrades.push_back(w);
-        return true;
-      });
-      if (!ok) {
-        return false;
-      }
-    } else {
-      return s.Fail("unknown schedule key '" + key + "'");
-    }
-    if (s.Peek(',')) {
-      ++s.pos;
-      continue;
-    }
-    if (!s.Expect('}')) {
-      return false;
-    }
-    more = false;
-  }
-  s.SkipWs();
-  if (s.pos != text.size()) {
-    return s.Fail("trailing characters after schedule object");
+// Checks one window record: a non-empty target and END >= START >= 0 (us),
+// both on the simulated clock.
+bool Window(spec::Value& v, const std::string& target, double start_us,
+            double end_us, SimTime* start, SimTime* end) {
+  if (target.empty() || end_us < start_us || !spec::MicrosToTime(start_us, start) ||
+      !spec::MicrosToTime(end_us, end)) {
+    return v.Fail("want a name and END >= START >= 0 (us)");
   }
   return true;
 }
@@ -327,166 +39,126 @@ bool DomainMatches(const std::string& plan_domain, const std::string& query) {
   return query.compare(0, pd, plan_domain) == 0 && query[pd] == '.';
 }
 
-bool ParseFaultPlan(const std::string& spec, FaultPlan* out, std::string* error) {
+bool ParseFaultPlan(const std::string& text, FaultPlan* out, std::string* error) {
   *out = FaultPlan();
   error->clear();
-  if (spec.empty()) {
-    return true;
-  }
-  if (spec[0] == '@') {
-    const std::string path = spec.substr(1);
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) {
-      *error = "cannot read fault schedule file '" + path + "'";
-      return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return ParseJsonPlan(buf.str(), out, error);
-  }
   // Bare-number shorthand: "--faults=0.02" means "drop=0.02". Only when the
   // whole spec is one number — a key-less entry inside a longer spec is
   // still an error.
-  if (spec.find('=') == std::string::npos) {
-    double rate = 0.0;
-    if (ParseNumber(spec, &rate) && rate >= 0.0 && rate <= 1.0) {
-      out->drop_rate = rate;
-      return true;
-    }
+  double rate = 0.0;
+  if (spec::ParseNumber(text, &rate) && rate >= 0.0 && rate <= 1.0) {
+    out->drop_rate = rate;
+    return true;
   }
-  for (const std::string& entry : SplitEntries(spec)) {
-    const size_t eq = entry.find('=');
-    if (eq == std::string::npos) {
-      *error = "fault entry '" + entry + "' is not key=value";
+  // One reader per record kind, shared by the inline tuple and the JSON
+  // object form; times arrive in microseconds (-1 marks a missing field).
+  const auto flap = [out](spec::Value& v) {
+    FlapWindow w;
+    double su = -1.0;
+    double eu = -1.0;
+    if (!v.ReadRecord({{"link", &w.link}, {"start_us", &su}, {"end_us", &eu}}, 3) ||
+        !Window(v, w.link, su, eu, &w.start, &w.end)) {
       return false;
     }
-    const std::string key = entry.substr(0, eq);
-    const std::string value = entry.substr(eq + 1);
-    if (key == "drop") {
-      if (!ParseNumber(value, &out->drop_rate) || out->drop_rate < 0.0 ||
-          out->drop_rate > 1.0) {
-        *error = "drop rate '" + value + "' not in [0, 1]";
-        return false;
-      }
-    } else if (key == "seed") {
-      double v = 0.0;
-      if (!ParseNumber(value, &v) || v < 0.0) {
-        *error = "bad seed '" + value + "'";
-        return false;
-      }
-      out->seed = static_cast<uint64_t>(v);
-    } else if (key == "flap") {
-      const auto f = SplitFields(value, ':');
-      FlapWindow w;
-      if (f.size() != 3 || f[0].empty()) {
-        *error = "flap wants LINK:START:END, got '" + value + "'";
-        return false;
-      }
-      w.link = f[0];
-      if (!ParseWindowTimes(f[1], f[2], &w.start, &w.end, error)) {
-        return false;
-      }
-      out->flaps.push_back(w);
-    } else if (key == "degrade") {
-      const auto f = SplitFields(value, ':');
-      DegradeWindow w;
-      if (f.size() != 4 || f[0].empty()) {
-        *error = "degrade wants LINK:START:END:FACTOR, got '" + value + "'";
-        return false;
-      }
-      w.link = f[0];
-      if (!ParseWindowTimes(f[1], f[2], &w.start, &w.end, error)) {
-        return false;
-      }
-      if (!ParseNumber(f[3], &w.factor) || w.factor < 1.0) {
-        *error = "degrade factor '" + f[3] + "' must be >= 1";
-        return false;
-      }
-      out->degrades.push_back(w);
-    } else if (key == "stall") {
-      const auto f = SplitFields(value, ':');
-      StallWindow w;
-      if (f.size() != 3 || f[0].empty()) {
-        *error = "stall wants DOMAIN:START:END, got '" + value + "'";
-        return false;
-      }
-      w.domain = f[0];
-      if (!ParseWindowTimes(f[1], f[2], &w.start, &w.end, error)) {
-        return false;
-      }
-      out->stalls.push_back(w);
-    } else if (key == "crash") {
-      const auto f = SplitFields(value, ':');
-      CrashWindow w;
-      if ((f.size() != 3 && f.size() != 4) || f[0].empty()) {
-        *error = "crash wants DOMAIN:START:END[:REWARM], got '" + value + "'";
-        return false;
-      }
-      w.domain = f[0];
-      if (!ParseWindowTimes(f[1], f[2], &w.start, &w.end, error)) {
-        return false;
-      }
-      if (f.size() == 4) {
-        double rw = 0.0;
-        if (!ParseNumber(f[3], &rw) || rw < 0.0) {
-          *error = "crash rewarm '" + f[3] + "' must be >= 0 (us)";
-          return false;
-        }
-        w.rewarm = FromMicros(rw);
-      }
-      out->crashes.push_back(w);
-    } else if (key == "permloss") {
-      const auto f = SplitFields(value, ':');
-      PermLossEvent ev;
-      double au = -1.0;
-      if (f.size() != 2 || f[0].empty() || !ParseNumber(f[1], &au) ||
-          au < 0.0) {
-        *error = "permloss wants DOMAIN:AT (us), got '" + value + "'";
-        return false;
-      }
-      ev.domain = f[0];
-      ev.at = FromMicros(au);
-      out->permlosses.push_back(ev);
-    } else if (key == "corrupt") {
-      const auto f = SplitFields(value, ':');
-      CorruptEvent ev;
-      double au = -1.0;
-      if ((f.size() != 2 && f.size() != 3) || f[0].empty() ||
-          !ParseNumber(f[1], &au) || au < 0.0) {
-        *error = "corrupt wants DOMAIN:AT[:FRACTION] (us), got '" + value + "'";
-        return false;
-      }
-      if (f.size() == 3 &&
-          (!ParseNumber(f[2], &ev.fraction) || ev.fraction <= 0.0 ||
-           ev.fraction > 1.0)) {
-        *error = "corrupt fraction '" + f[2] + "' not in (0, 1]";
-        return false;
-      }
-      ev.domain = f[0];
-      ev.at = FromMicros(au);
-      out->corrupts.push_back(ev);
-    } else {
-      *error = "unknown fault key '" + key + "'";
+    out->flaps.push_back(w);
+    return true;
+  };
+  const auto degrade = [out](spec::Value& v) {
+    DegradeWindow w;
+    double su = -1.0;
+    double eu = -1.0;
+    w.factor = 0.0;
+    if (!v.ReadRecord(
+            {{"link", &w.link}, {"start_us", &su}, {"end_us", &eu}, {"factor", &w.factor}}, 4) ||
+        !Window(v, w.link, su, eu, &w.start, &w.end)) {
       return false;
     }
+    if (w.factor < 1.0) {
+      return v.Fail("factor must be >= 1");
+    }
+    out->degrades.push_back(w);
+    return true;
+  };
+  const auto stall = [out](spec::Value& v) {
+    StallWindow w;
+    double su = -1.0;
+    double eu = -1.0;
+    if (!v.ReadRecord({{"domain", &w.domain}, {"start_us", &su}, {"end_us", &eu}}, 3) ||
+        !Window(v, w.domain, su, eu, &w.start, &w.end)) {
+      return false;
+    }
+    out->stalls.push_back(w);
+    return true;
+  };
+  const auto crash = [out](spec::Value& v) {
+    CrashWindow w;
+    double su = -1.0;
+    double eu = -1.0;
+    double rw = 0.0;
+    if (!v.ReadRecord(
+            {{"domain", &w.domain}, {"start_us", &su}, {"end_us", &eu}, {"rewarm_us", &rw}}, 3) ||
+        !Window(v, w.domain, su, eu, &w.start, &w.end)) {
+      return false;
+    }
+    if (!spec::MicrosToTime(rw, &w.rewarm)) {
+      return v.Fail("rewarm must be >= 0 (us)");
+    }
+    out->crashes.push_back(w);
+    return true;
+  };
+  const auto permloss = [out](spec::Value& v) {
+    PermLossEvent ev;
+    double au = -1.0;
+    if (!v.ReadRecord({{"domain", &ev.domain}, {"at_us", &au}}, 2)) {
+      return false;
+    }
+    if (ev.domain.empty() || !spec::MicrosToTime(au, &ev.at)) {
+      return v.Fail("want a domain and AT >= 0 (us)");
+    }
+    out->permlosses.push_back(ev);
+    return true;
+  };
+  const auto corrupt = [out](spec::Value& v) {
+    CorruptEvent ev;
+    double au = -1.0;
+    if (!v.ReadRecord({{"domain", &ev.domain}, {"at_us", &au}, {"fraction", &ev.fraction}}, 2)) {
+      return false;
+    }
+    if (ev.domain.empty() || !spec::MicrosToTime(au, &ev.at) || ev.fraction <= 0.0 ||
+        ev.fraction > 1.0) {
+      return v.Fail("want a domain, AT >= 0 (us) and FRACTION in (0, 1]");
+    }
+    out->corrupts.push_back(ev);
+    return true;
+  };
+  const spec::Grammar grammar{"fault",
+                              "schedule",
+                              {spec::Scalar("drop", &out->drop_rate),
+                               spec::Scalar("seed", &out->seed),
+                               spec::Records("flap", "flaps", flap),
+                               spec::Records("degrade", "degrades", degrade),
+                               spec::Records("stall", "stalls", stall),
+                               spec::Records("crash", "crashes", crash),
+                               spec::Records("permloss", "permlosses", permloss),
+                               spec::Records("corrupt", "corrupts", corrupt)}};
+  if (!spec::Parse(text, grammar, error)) {
+    return false;
+  }
+  if (out->drop_rate < 0.0 || out->drop_rate > 1.0) {
+    *error = "drop rate " + FmtDouble(out->drop_rate) + " not in [0, 1]";
+    return false;
   }
   return true;
 }
 
 FaultPlan FaultsFlag(Flags& flags) {
-  const std::string spec = flags.GetString(
-      "faults", "",
+  return spec::ParseFlag<FaultPlan>(
+      flags, "faults",
       "fault schedule: drop=P,seed=S,flap=LINK:START:END,"
       "degrade=LINK:START:END:FACTOR,stall=DOMAIN:START:END,"
       "crash=DOMAIN:START:END[:REWARM],permloss=DOMAIN:AT,"
-      "corrupt=DOMAIN:AT[:FRACTION] (us), a bare drop rate, or @file.json");
-  FaultPlan plan;
-  std::string error;
-  if (!ParseFaultPlan(spec, &plan, &error)) {
-    std::fprintf(stderr, "--faults: %s\n", error.c_str());
-    std::exit(2);
-  }
-  return plan;
+      "corrupt=DOMAIN:AT[:FRACTION] (us), a bare drop rate, or @file.json",
+      ParseFaultPlan);
 }
 
 }  // namespace fault

@@ -135,7 +135,9 @@ bool DomainMatches(const std::string& plan_domain, const std::string& query);
 //                          "rewarm_us":30}],
 //              "permlosses":[{"domain":"rack.s1","at_us":80}],
 //              "corrupts":[{"domain":"rack.s2","at_us":120,"fraction":0.1}]}
-// Returns false (and sets `*error`) on malformed input.
+// Returns false (and sets `*error`) on malformed input: an unknown key or
+// field, or a number that is non-finite or does not fit its field (the
+// spec core, src/common/spec.h).
 bool ParseFaultPlan(const std::string& spec, FaultPlan* out, std::string* error);
 
 // Registers `--faults` on `flags` and returns the parsed plan (empty when

@@ -1,28 +1,12 @@
 #include "src/governor/autoscaler.h"
 
 #include <algorithm>
-#include <cstdio>
 
 #include "src/common/log.h"
+#include "src/common/spec.h"
 
 namespace snicsim {
 namespace governor {
-
-namespace {
-
-void AppendU(std::string* s, uint64_t v) {
-  s->append(std::to_string(v));
-  s->push_back('|');
-}
-
-void AppendD(std::string* s, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  s->append(buf);
-  s->push_back('|');
-}
-
-}  // namespace
 
 std::string TraceRunResult::Fingerprint() const {
   std::string s;

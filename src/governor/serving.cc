@@ -1,10 +1,10 @@
 #include "src/governor/serving.h"
 
-#include <cstdio>
 #include <memory>
 #include <utility>
 
 #include "src/common/log.h"
+#include "src/common/spec.h"
 #include "src/fault/injector.h"
 #include "src/sim/meter.h"
 #include "src/sim/timer_wheel.h"
@@ -12,22 +12,6 @@
 
 namespace snicsim {
 namespace governor {
-
-namespace {
-
-void AppendU(std::string* s, uint64_t v) {
-  s->append(std::to_string(v));
-  s->push_back('|');
-}
-
-void AppendD(std::string* s, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  s->append(buf);
-  s->push_back('|');
-}
-
-}  // namespace
 
 std::string ServingResult::Fingerprint() const {
   std::string s = policy;

@@ -1,9 +1,9 @@
 #include "src/offload/tenancy.h"
 
-#include <cstdio>
 #include <utility>
 
 #include "src/common/log.h"
+#include "src/common/spec.h"
 #include "src/nic/verb.h"
 
 namespace snicsim {
@@ -20,27 +20,6 @@ constexpr double kBucketDepth = 4.0;
 // Tenants carry two value classes, alternating by item seq; class 0 is shed
 // first when the tenant's own standing queue grows.
 constexpr int kValueClasses = 2;
-
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ULL;
-  }
-  return h;
-}
-
-void AppendU(std::string* out, uint64_t v) {
-  *out += std::to_string(v);
-  out->push_back('|');
-}
-
-void AppendD(std::string* out, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  *out += buf;
-  out->push_back('|');
-}
 
 }  // namespace
 

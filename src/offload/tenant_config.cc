@@ -1,12 +1,8 @@
 #include "src/offload/tenant_config.h"
 
 #include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
-#include "src/common/json_scan.h"
+#include "src/common/spec.h"
 
 namespace snicsim {
 namespace offload {
@@ -58,55 +54,6 @@ Placement EntryPlacement(const TenantSpec& spec) {
 
 namespace {
 
-std::string FmtDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::vector<std::string> SplitEntries(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == ',' || c == ';') {
-      if (!cur.empty()) {
-        out.push_back(cur);
-        cur.clear();
-      }
-    } else if (!std::isspace(static_cast<unsigned char>(c))) {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) {
-    out.push_back(cur);
-  }
-  return out;
-}
-
-std::vector<std::string> SplitFields(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-bool ParseNumber(const std::string& s, double* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
 bool ParseKind(const std::string& s, TenantKind* out) {
   if (s == "kv") {
     *out = TenantKind::kKv;
@@ -137,12 +84,6 @@ bool ValidId(const std::string& id) {
 
 // Structural checks shared by both grammar forms.
 bool Validate(TenantSetConfig* cfg, std::string* error) {
-  if (cfg->tenants.empty()) {
-    return true;
-  }
-  if (cfg->pools.empty()) {
-    cfg->pools = {2};  // one shared 2-core pool unless declared
-  }
   for (int c : cfg->pools) {
     if (c < 1) {
       *error = "pool core counts must be >= 1";
@@ -156,6 +97,12 @@ bool Validate(TenantSetConfig* cfg, std::string* error) {
   if (cfg->slo_budget < 0.0 || cfg->slo_budget > 1.0) {
     *error = "budget not in [0, 1]";
     return false;
+  }
+  if (cfg->tenants.empty()) {
+    return true;
+  }
+  if (cfg->pools.empty()) {
+    cfg->pools = {2};  // one shared 2-core pool unless declared
   }
   for (size_t i = 0; i < cfg->tenants.size(); ++i) {
     const TenantSpec& t = cfg->tenants[i];
@@ -177,6 +124,13 @@ bool Validate(TenantSetConfig* cfg, std::string* error) {
       *error = "tenant '" + t.id + "': rates and SLO must be >= 0";
       return false;
     }
+    // The SLO and the open-loop inter-arrival gap become SimTime.
+    SimTime as_time = 0;
+    if (!spec::MicrosToTime(t.slo_us, &as_time) ||
+        (t.mops > 0.0 && !spec::MicrosToTime(1.0 / t.mops, &as_time))) {
+      *error = "tenant '" + t.id + "': SLO or 1/MOPS overflows the simulated clock";
+      return false;
+    }
     if (t.item_bytes < 1) {
       *error = "tenant '" + t.id + "': bytes must be >= 1";
       return false;
@@ -187,169 +141,6 @@ bool Validate(TenantSetConfig* cfg, std::string* error) {
                " pools)";
       return false;
     }
-  }
-  return true;
-}
-
-bool ParseInlineTenant(const std::string& value, TenantSpec* t,
-                       std::string* error) {
-  const auto f = SplitFields(value, ':');
-  if (f.size() < 6 || f.size() > 8) {
-    *error = "tenant wants ID:KIND:WEIGHT:MOPS:BYTES:SLO_US[:CAP_MOPS[:POOL]], got '" +
-             value + "'";
-    return false;
-  }
-  t->id = f[0];
-  if (!ParseKind(f[1], &t->kind)) {
-    *error = "unknown tenant kind '" + f[1] + "' (want kv|filter|compress|sketch)";
-    return false;
-  }
-  double w = 0.0;
-  double mops = 0.0;
-  double bytes = 0.0;
-  double slo = 0.0;
-  if (!ParseNumber(f[2], &w) || !ParseNumber(f[3], &mops) ||
-      !ParseNumber(f[4], &bytes) || !ParseNumber(f[5], &slo)) {
-    *error = "bad tenant numbers in '" + value + "'";
-    return false;
-  }
-  t->weight = static_cast<int>(w);
-  t->mops = mops;
-  t->item_bytes = static_cast<uint32_t>(bytes);
-  t->slo_us = slo;
-  if (f.size() >= 7) {
-    double cap = 0.0;
-    if (!ParseNumber(f[6], &cap)) {
-      *error = "bad tenant cap_mops '" + f[6] + "'";
-      return false;
-    }
-    t->cap_mops = cap;
-  }
-  if (f.size() == 8) {
-    double pool = 0.0;
-    if (!ParseNumber(f[7], &pool)) {
-      *error = "bad tenant pool '" + f[7] + "'";
-      return false;
-    }
-    t->pool = static_cast<int>(pool);
-  }
-  return true;
-}
-
-// @file.json form, via the shared scanner (src/common/json_scan.h).
-bool ParseJsonTenants(const std::string& text, TenantSetConfig* out,
-                      std::string* error) {
-  JsonScanner s(text, error);
-  if (!s.Expect('{')) {
-    return false;
-  }
-  bool more = !s.Peek('}');
-  if (!more) {
-    ++s.pos;
-  }
-  while (more) {
-    std::string key;
-    if (!s.ReadString(&key) || !s.Expect(':')) {
-      return false;
-    }
-    if (key == "cores") {
-      const bool ok = s.ReadArray([&] {
-        double v = 0.0;
-        if (!s.ReadNumber(&v)) {
-          return false;
-        }
-        out->pools.push_back(static_cast<int>(v));
-        return true;
-      });
-      if (!ok) {
-        return false;
-      }
-    } else if (key == "host_cores") {
-      double v = 0.0;
-      if (!s.ReadNumber(&v)) {
-        return false;
-      }
-      out->host_cores = static_cast<int>(v);
-    } else if (key == "seed") {
-      double v = 0.0;
-      if (!s.ReadNumber(&v)) {
-        return false;
-      }
-      if (v < 0.0) {
-        return s.Fail("bad seed");
-      }
-      out->seed = static_cast<uint64_t>(v);
-    } else if (key == "budget") {
-      if (!s.ReadNumber(&out->slo_budget)) {
-        return false;
-      }
-    } else if (key == "tenants") {
-      const bool ok = s.ReadArray([&] {
-        TenantSpec t;
-        std::string kind;
-        if (!s.ReadFlatObject([&](const std::string& k, const std::string& sv,
-                                  double nv, bool is_string) {
-              if (k == "id" && is_string) {
-                t.id = sv;
-                return true;
-              }
-              if (k == "kind" && is_string) {
-                kind = sv;
-                return true;
-              }
-              if (k == "weight" && !is_string) {
-                t.weight = static_cast<int>(nv);
-                return true;
-              }
-              if (k == "mops" && !is_string) {
-                t.mops = nv;
-                return true;
-              }
-              if (k == "bytes" && !is_string) {
-                t.item_bytes = static_cast<uint32_t>(nv);
-                return true;
-              }
-              if (k == "slo_us" && !is_string) {
-                t.slo_us = nv;
-                return true;
-              }
-              if (k == "cap_mops" && !is_string) {
-                t.cap_mops = nv;
-                return true;
-              }
-              if (k == "pool" && !is_string) {
-                t.pool = static_cast<int>(nv);
-                return true;
-              }
-              return s.Fail("unknown tenant field '" + k + "'");
-            })) {
-          return false;
-        }
-        if (kind.empty() || !ParseKind(kind, &t.kind)) {
-          return s.Fail("tenant '" + t.id + "': unknown kind '" + kind +
-                        "' (want kv|filter|compress|sketch)");
-        }
-        out->tenants.push_back(t);
-        return true;
-      });
-      if (!ok) {
-        return false;
-      }
-    } else {
-      return s.Fail("unknown tenant-set key '" + key + "'");
-    }
-    if (s.Peek(',')) {
-      ++s.pos;
-      continue;
-    }
-    if (!s.Expect('}')) {
-      return false;
-    }
-    more = false;
-  }
-  s.SkipWs();
-  if (s.pos != text.size()) {
-    return s.Fail("trailing characters after tenant-set object");
   }
   return true;
 }
@@ -379,88 +170,46 @@ std::string TenantSetConfig::Serialize() const {
   return out;
 }
 
-bool ParseTenantSet(const std::string& spec, TenantSetConfig* out,
-                    std::string* error) {
+bool ParseTenantSet(const std::string& text, TenantSetConfig* out, std::string* error) {
   *out = TenantSetConfig();
   error->clear();
-  if (spec.empty()) {
+  const auto tenant = [out](spec::Value& v) {
+    TenantSpec t;
+    std::string kind;
+    if (!v.ReadRecord({{"id", &t.id},
+                       {"kind", &kind},
+                       {"weight", &t.weight},
+                       {"mops", &t.mops},
+                       {"bytes", &t.item_bytes},
+                       {"slo_us", &t.slo_us},
+                       {"cap_mops", &t.cap_mops},
+                       {"pool", &t.pool}},
+                      6)) {
+      return false;
+    }
+    if (!ParseKind(kind, &t.kind)) {
+      return v.Fail("unknown tenant kind '" + kind + "' (want kv|filter|compress|sketch)");
+    }
+    out->tenants.push_back(t);
     return true;
-  }
-  if (spec[0] == '@') {
-    const std::string path = spec.substr(1);
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) {
-      *error = "cannot read tenant-set file '" + path + "'";
-      return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return ParseJsonTenants(buf.str(), out, error) && Validate(out, error);
-  }
-  for (const std::string& entry : SplitEntries(spec)) {
-    const size_t eq = entry.find('=');
-    if (eq == std::string::npos) {
-      *error = "tenant entry '" + entry + "' is not key=value";
-      return false;
-    }
-    const std::string key = entry.substr(0, eq);
-    const std::string value = entry.substr(eq + 1);
-    if (key == "cores") {
-      out->pools.clear();
-      for (const std::string& f : SplitFields(value, ':')) {
-        double v = 0.0;
-        if (!ParseNumber(f, &v) || v < 1.0) {
-          *error = "bad pool core count '" + f + "' (want integers >= 1)";
-          return false;
-        }
-        out->pools.push_back(static_cast<int>(v));
-      }
-    } else if (key == "host_cores") {
-      double v = 0.0;
-      if (!ParseNumber(value, &v) || v < 1.0) {
-        *error = "bad host_cores '" + value + "'";
-        return false;
-      }
-      out->host_cores = static_cast<int>(v);
-    } else if (key == "seed") {
-      double v = 0.0;
-      if (!ParseNumber(value, &v) || v < 0.0) {
-        *error = "bad seed '" + value + "'";
-        return false;
-      }
-      out->seed = static_cast<uint64_t>(v);
-    } else if (key == "budget") {
-      if (!ParseNumber(value, &out->slo_budget)) {
-        *error = "bad budget '" + value + "'";
-        return false;
-      }
-    } else if (key == "tenant") {
-      TenantSpec t;
-      if (!ParseInlineTenant(value, &t, error)) {
-        return false;
-      }
-      out->tenants.push_back(t);
-    } else {
-      *error = "unknown tenant key '" + key + "'";
-      return false;
-    }
-  }
-  return Validate(out, error);
+  };
+  const spec::Grammar grammar{"tenant",
+                              "tenant-set",
+                              {spec::List("cores", &out->pools),
+                               spec::Scalar("host_cores", &out->host_cores),
+                               spec::Scalar("seed", &out->seed),
+                               spec::Scalar("budget", &out->slo_budget),
+                               spec::Records("tenant", "tenants", tenant)}};
+  return spec::Parse(text, grammar, error) && Validate(out, error);
 }
 
 TenantSetConfig TenantsFlag(Flags& flags) {
-  const std::string spec = flags.GetString(
-      "tenants", "",
+  return spec::ParseFlag<TenantSetConfig>(
+      flags, "tenants",
       "tenant set: cores=C[:C...],host_cores=N,seed=S,budget=F,"
       "tenant=ID:KIND:WEIGHT:MOPS:BYTES:SLO_US[:CAP_MOPS[:POOL]] "
-      "(KIND: kv|filter|compress|sketch), or @file.json");
-  TenantSetConfig cfg;
-  std::string error;
-  if (!ParseTenantSet(spec, &cfg, &error)) {
-    std::fprintf(stderr, "--tenants: %s\n", error.c_str());
-    std::exit(2);
-  }
-  return cfg;
+      "(KIND: kv|filter|compress|sketch), or @file.json",
+      ParseTenantSet);
 }
 
 }  // namespace offload

@@ -1,9 +1,10 @@
 // Declarative tenant-set description for the multi-tenant offload control
 // plane (src/offload/tenancy.h), plus its --tenants flag grammar.
 //
-// Mirrors the --faults idiom (src/fault/plan.h): an inline key=value form
-// for quick sweeps and an @file.json form for checked-in scenarios, with
-// unknown keys and malformed entries failing loudly — a typo'd tenant spec
+// Built on the spec core shared with --faults and --load-trace
+// (src/common/spec.h): an inline key=value form for quick sweeps and an
+// @file.json form for checked-in scenarios, with unknown keys, malformed
+// entries and out-of-range numbers failing loudly — a typo'd tenant spec
 // must not silently run single-tenant.
 //
 //   inline:  cores=2:4,host_cores=2,seed=7,budget=0.05,

@@ -1,7 +1,6 @@
 #include "src/topo/rack_kv.h"
 
 #include <algorithm>
-#include <cstdio>
 #include <memory>
 #include <string>
 #include <utility>
@@ -9,6 +8,7 @@
 
 #include "src/common/histogram.h"
 #include "src/common/log.h"
+#include "src/common/spec.h"
 #include "src/fault/injector.h"
 #include "src/governor/governor.h"
 #include "src/governor/policy.h"
@@ -292,15 +292,6 @@ uint64_t Mix64(uint64_t x) {
   x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
   x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
   return x ^ (x >> 31);
-}
-
-uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : s) {
-    h = (h ^ static_cast<uint64_t>(static_cast<unsigned char>(c))) *
-        1099511628211ULL;
-  }
-  return h;
 }
 
 // The per-value FNV checksum over (rank, version) — what a clean store
@@ -1305,18 +1296,6 @@ void FinishRepair(RackKv& r, DomainId d, RepairOp* rp, uint64_t gen, bool ok) {
       SettleServe(r, d, ctx, /*ok=*/false, dom.sim->now());
     }
   }
-}
-
-void AppendU(std::string* s, uint64_t v) {
-  s->append(std::to_string(v));
-  s->push_back('|');
-}
-
-void AppendD(std::string* s, double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  s->append(buf);
-  s->push_back('|');
 }
 
 }  // namespace

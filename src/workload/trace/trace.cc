@@ -1,190 +1,12 @@
 #include "src/workload/trace/trace.h"
 
 #include <algorithm>
-#include <cctype>
-#include <cstdio>
-#include <cstdlib>
-#include <fstream>
-#include <sstream>
 
-#include "src/common/json_scan.h"
 #include "src/common/log.h"
+#include "src/common/spec.h"
 
 namespace snicsim {
 namespace trace {
-
-namespace {
-
-std::string FmtDouble(double v) {
-  char buf[64];
-  std::snprintf(buf, sizeof(buf), "%.17g", v);
-  return buf;
-}
-
-std::vector<std::string> SplitEntries(const std::string& s) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == ',' || c == ';') {
-      if (!cur.empty()) {
-        out.push_back(cur);
-        cur.clear();
-      }
-    } else if (!std::isspace(static_cast<unsigned char>(c))) {
-      cur.push_back(c);
-    }
-  }
-  if (!cur.empty()) {
-    out.push_back(cur);
-  }
-  return out;
-}
-
-std::vector<std::string> SplitFields(const std::string& s, char sep) {
-  std::vector<std::string> out;
-  std::string cur;
-  for (char c : s) {
-    if (c == sep) {
-      out.push_back(cur);
-      cur.clear();
-    } else {
-      cur.push_back(c);
-    }
-  }
-  out.push_back(cur);
-  return out;
-}
-
-bool ParseNumber(const std::string& s, double* out) {
-  if (s.empty()) {
-    return false;
-  }
-  char* end = nullptr;
-  *out = std::strtod(s.c_str(), &end);
-  return end == s.c_str() + s.size();
-}
-
-bool ParseInlineSegment(const std::string& value, TraceSegment* seg,
-                        std::string* error) {
-  const auto f = SplitFields(value, ':');
-  if (f.size() < 2 || f.size() > 5) {
-    *error = "seg wants START_US:RATE[:CHURN[:SCAN[:BG]]], got '" + value + "'";
-    return false;
-  }
-  double start = 0.0;
-  double rate = 0.0;
-  if (!ParseNumber(f[0], &start) || !ParseNumber(f[1], &rate)) {
-    *error = "bad seg numbers in '" + value + "'";
-    return false;
-  }
-  seg->start_us = start;
-  seg->rate = rate;
-  if (f.size() >= 3) {
-    double churn = 0.0;
-    if (!ParseNumber(f[2], &churn) || churn < 0.0) {
-      *error = "bad seg churn '" + f[2] + "'";
-      return false;
-    }
-    seg->churn = static_cast<uint64_t>(churn);
-  }
-  if (f.size() >= 4 && !ParseNumber(f[3], &seg->scan)) {
-    *error = "bad seg scan '" + f[3] + "'";
-    return false;
-  }
-  if (f.size() == 5 && !ParseNumber(f[4], &seg->bg)) {
-    *error = "bad seg bg '" + f[4] + "'";
-    return false;
-  }
-  return true;
-}
-
-// @file.json form, via the shared scanner (src/common/json_scan.h).
-bool ParseJsonTrace(const std::string& text, TracePlan* out,
-                    std::string* error) {
-  JsonScanner s(text, error);
-  if (!s.Expect('{')) {
-    return false;
-  }
-  bool more = !s.Peek('}');
-  if (!more) {
-    ++s.pos;
-  }
-  while (more) {
-    std::string key;
-    if (!s.ReadString(&key) || !s.Expect(':')) {
-      return false;
-    }
-    if (key == "version") {
-      double v = 0.0;
-      if (!s.ReadNumber(&v)) {
-        return false;
-      }
-      out->version = static_cast<int>(v);
-    } else if (key == "duration_us") {
-      if (!s.ReadNumber(&out->duration_us)) {
-        return false;
-      }
-    } else if (key == "segments") {
-      const bool ok = s.ReadArray([&] {
-        TraceSegment seg;
-        if (!s.ReadFlatObject([&](const std::string& k, const std::string&,
-                                  double nv, bool is_string) {
-              if (is_string) {
-                return s.Fail("segment field '" + k + "' must be a number");
-              }
-              if (k == "start_us") {
-                seg.start_us = nv;
-                return true;
-              }
-              if (k == "rate") {
-                seg.rate = nv;
-                return true;
-              }
-              if (k == "churn") {
-                if (nv < 0.0) {
-                  return s.Fail("bad segment churn");
-                }
-                seg.churn = static_cast<uint64_t>(nv);
-                return true;
-              }
-              if (k == "scan") {
-                seg.scan = nv;
-                return true;
-              }
-              if (k == "bg") {
-                seg.bg = nv;
-                return true;
-              }
-              return s.Fail("unknown segment field '" + k + "'");
-            })) {
-          return false;
-        }
-        out->segments.push_back(seg);
-        return true;
-      });
-      if (!ok) {
-        return false;
-      }
-    } else {
-      return s.Fail("unknown trace key '" + key + "'");
-    }
-    if (s.Peek(',')) {
-      ++s.pos;
-      continue;
-    }
-    if (!s.Expect('}')) {
-      return false;
-    }
-    more = false;
-  }
-  s.SkipWs();
-  if (s.pos != text.size()) {
-    return s.Fail("trailing characters after trace object");
-  }
-  return true;
-}
-
-}  // namespace
 
 bool TracePlan::Validate(std::string* error) const {
   if (empty()) {
@@ -195,8 +17,9 @@ bool TracePlan::Validate(std::string* error) const {
              " (want 1)";
     return false;
   }
-  if (duration_us <= 0.0) {
-    *error = "trace duration must be > 0";
+  SimTime end = 0;
+  if (duration_us <= 0.0 || !spec::MicrosToTime(duration_us, &end)) {
+    *error = "trace duration must be > 0 and fit the simulated clock";
     return false;
   }
   if (segments.front().start_us != 0.0) {
@@ -247,70 +70,36 @@ std::string TracePlan::Serialize() const {
   return out;
 }
 
-bool ParseTracePlan(const std::string& spec, TracePlan* out,
-                    std::string* error) {
+bool ParseTracePlan(const std::string& text, TracePlan* out, std::string* error) {
   *out = TracePlan();
   error->clear();
-  if (spec.empty()) {
+  const auto seg = [out](spec::Value& v) {
+    TraceSegment g;
+    if (!v.ReadRecord({{"start_us", &g.start_us},
+                       {"rate", &g.rate},
+                       {"churn", &g.churn},
+                       {"scan", &g.scan},
+                       {"bg", &g.bg}},
+                      2)) {
+      return false;
+    }
+    out->segments.push_back(g);
     return true;
-  }
-  if (spec[0] == '@') {
-    const std::string path = spec.substr(1);
-    std::ifstream in(path, std::ios::binary);
-    if (!in.good()) {
-      *error = "cannot read trace file '" + path + "'";
-      return false;
-    }
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return ParseJsonTrace(buf.str(), out, error) && out->Validate(error);
-  }
-  for (const std::string& entry : SplitEntries(spec)) {
-    const size_t eq = entry.find('=');
-    if (eq == std::string::npos) {
-      *error = "trace entry '" + entry + "' is not key=value";
-      return false;
-    }
-    const std::string key = entry.substr(0, eq);
-    const std::string value = entry.substr(eq + 1);
-    if (key == "version") {
-      double v = 0.0;
-      if (!ParseNumber(value, &v)) {
-        *error = "bad trace version '" + value + "'";
-        return false;
-      }
-      out->version = static_cast<int>(v);
-    } else if (key == "duration") {
-      if (!ParseNumber(value, &out->duration_us)) {
-        *error = "bad trace duration '" + value + "'";
-        return false;
-      }
-    } else if (key == "seg") {
-      TraceSegment seg;
-      if (!ParseInlineSegment(value, &seg, error)) {
-        return false;
-      }
-      out->segments.push_back(seg);
-    } else {
-      *error = "unknown trace key '" + key + "'";
-      return false;
-    }
-  }
-  return out->Validate(error);
+  };
+  const spec::Grammar grammar{"trace",
+                              "trace",
+                              {spec::Scalar("version", &out->version),
+                               spec::Scalar("duration", &out->duration_us, "duration_us"),
+                               spec::Records("seg", "segments", seg, "segment")}};
+  return spec::Parse(text, grammar, error) && out->Validate(error);
 }
 
 TracePlan TraceFlag(Flags& flags) {
-  const std::string spec = flags.GetString(
-      "trace", "",
+  return spec::ParseFlag<TracePlan>(
+      flags, "load-trace",
       "non-stationary load trace: version=1,duration=US,"
-      "seg=START_US:RATE[:CHURN[:SCAN[:BG]]],... or @file.json");
-  TracePlan plan;
-  std::string error;
-  if (!ParseTracePlan(spec, &plan, &error)) {
-    std::fprintf(stderr, "--trace: %s\n", error.c_str());
-    std::exit(2);
-  }
-  return plan;
+      "seg=START_US:RATE[:CHURN[:SCAN[:BG]]],... or @file.json",
+      ParseTracePlan);
 }
 
 TraceDriver::TraceDriver(const TracePlan& plan) {

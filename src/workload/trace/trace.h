@@ -27,13 +27,13 @@
 //          path ③). Scales the deterministic inter-arrival spacing; no
 //          draws.
 //
-// Grammar, mirroring --faults / --tenants (inline + @file.json via the
-// shared JsonScanner; unknown keys fail loudly; Serialize() is a parse
-// fixed point):
+// Grammar, the `--load-trace` flag, over the spec core shared with
+// --faults / --tenants (src/common/spec.h: inline + @file.json, strict keys
+// and numbers; Serialize() is a parse fixed point):
 //
 //   inline:  version=1,duration=1200,
 //            seg=START_US:RATE[:CHURN[:SCAN[:BG]]],...
-//   file:    --trace=@trace.json with
+//   file:    --load-trace=@trace.json with
 //            {"version":1,"duration_us":1200,
 //             "segments":[{"start_us":0,"rate":0.3,"churn":0,
 //                          "scan":0,"bg":3}]}
@@ -81,8 +81,9 @@ struct TracePlan {
   // Parse(Serialize(p)) == p, pinned by the grammar round-trip test.
   std::string Serialize() const;
 
-  // Structural checks both grammar forms share: version 1, first segment at
-  // 0, strictly increasing starts, last start < duration, fields in range.
+  // Structural checks both grammar forms share: version 1, a duration that
+  // fits the simulated clock, first segment at 0, strictly increasing
+  // starts, last start < duration, fields in range.
   bool Validate(std::string* error) const;
 
   friend bool operator==(const TracePlan& a, const TracePlan& b) {
@@ -97,8 +98,9 @@ struct TracePlan {
 bool ParseTracePlan(const std::string& spec, TracePlan* out,
                     std::string* error);
 
-// Registers --trace and parses it; exits(2) on malformed input, like
-// fault::FaultsFlag and offload::TenantsFlag.
+// Registers --load-trace and parses it; exits(2) on malformed input, like
+// fault::FaultsFlag and offload::TenantsFlag. (`--trace` is the Chrome-trace
+// output sink of the figure benches.)
 TracePlan TraceFlag(Flags& flags);
 
 // Point-in-time lookup over a validated, non-empty plan. All queries are

@@ -104,6 +104,15 @@ TEST(FaultPlan, InlineRejectsMalformedSpecs) {
   MustFail("crash=soc:80");               // missing END
   MustFail("crash=soc:80:140:-5");        // negative rewarm
   MustFail("crash=soc:80:140:20:extra");  // too many fields
+  // Non-finite numbers, and numbers that overflow the field they land in.
+  MustFail("drop=nan");
+  MustFail("seed=nan");
+  MustFail("seed=1e30");                  // past uint64_t
+  MustFail("flap=l0:0:inf");
+  MustFail("crash=soc:0:10:nan");
+  MustFail("corrupt=rack.s1:5:nan");
+  MustFail("stall=soc:0:1e13");           // 1e13 us overflows the ps clock
+  MustFail("nan");                        // not a bare drop rate either
 }
 
 TEST(FaultPlan, JsonScheduleFile) {
@@ -254,6 +263,21 @@ TEST(FaultPlan, JsonRejectsUnknownKeysAndMissingFile) {
     out << R"({"flaps": [{"link": "x", "start_us": 5}]})";  // no end_us
   }
   MustFail("@" + incomplete);
+
+  // The strict-number reproducers in the JSON form.
+  const std::string strict = ::testing::TempDir() + "/fault_plan_test_strict.json";
+  for (const char* body : {
+           R"({"drop": nan})",
+           R"({"seed": nan})",
+           R"({"seed": 1e30})",
+           R"({"flaps": [{"link": "l0", "start_us": 0, "end_us": inf}]})",
+           R"({"crashes": [{"domain": "soc", "start_us": 0, "end_us": 10, "rewarm_us": nan}]})",
+           R"({"corrupts": [{"domain": "rack.s1", "at_us": 5, "fraction": nan}]})",
+           R"({"stalls": [{"domain": "soc", "start_us": 0, "end_us": 1e13}]})",
+       }) {
+    std::ofstream(strict, std::ios::binary) << body;
+    MustFail("@" + strict);
+  }
 }
 
 }  // namespace

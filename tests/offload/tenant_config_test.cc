@@ -137,6 +137,14 @@ TEST(TenantConfig, StructuralErrorsRejected) {
   MustFail("tenant=bad/id:sketch:1:1:512:0");      // id charset
   MustFail("tenant=:sketch:1:1:512:0");            // empty id
   MustFail("@/nonexistent/tenants.json");          // unreadable file
+  // Non-finite numbers, and numbers that overflow the field they land in.
+  MustFail("tenant=t0:sketch:1:nan:512:0");         // mops
+  MustFail("tenant=t0:sketch:1:1:512:nan");         // slo_us
+  MustFail("tenant=t0:sketch:1:1:1e12:0");          // bytes past uint32_t
+  MustFail("tenant=t0:sketch:1e10:1:512:0");        // weight past int
+  MustFail("tenant=t0:sketch:1:1:512:1e13");        // SLO overflows the ps clock
+  MustFail("seed=1e30,tenant=t0:sketch:1:1:512:0");  // seed past uint64_t
+  MustFail("cores=1e10,tenant=t0:sketch:1:1:512:0"); // pool size past int
 }
 
 TEST(TenantConfig, JsonNegativeSpace) {
@@ -152,6 +160,14 @@ TEST(TenantConfig, JsonNegativeSpace) {
             std::string::npos);
   json_fail(R"({"tenants":[{"id":"a"}]})");  // missing kind
   json_fail(R"({"cores":[2]} trailing)");    // trailing characters
+  // The strict-number reproducers in the JSON form.
+  json_fail(R"({"tenants":[{"id":"a","kind":"sketch","mops":nan}]})");
+  json_fail(R"({"tenants":[{"id":"a","kind":"sketch","slo_us":nan}]})");
+  json_fail(R"({"tenants":[{"id":"a","kind":"sketch","bytes":1e12}]})");
+  json_fail(R"({"tenants":[{"id":"a","kind":"sketch","weight":1e10}]})");
+  json_fail(R"({"tenants":[{"id":"a","kind":"sketch","slo_us":1e13}]})");
+  json_fail(R"({"seed":1e30,"tenants":[{"id":"a","kind":"sketch"}]})");
+  json_fail(R"({"cores":[1e10],"tenants":[{"id":"a","kind":"sketch"}]})");
 }
 
 TEST(TenantConfig, DefaultStagesMatchKinds) {

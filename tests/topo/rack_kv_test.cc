@@ -240,7 +240,7 @@ TEST(RackKv, QuietMembershipIsByteIdenticalToDisabled) {
 
 TEST(RackKv, FlatTraceIsByteIdenticalToTraceFree) {
   // A flat trace (rate 1, churn 0, scan 0, bg 1) consumes zero extra draws
-  // by construction, so wiring --trace through the rack must not move a
+  // by construction, so wiring --load-trace through the rack must not move a
   // single byte of the fingerprint.
   RackKvParams p = SmallRack();
   const RackKvResult bare = RunRackKv(p);

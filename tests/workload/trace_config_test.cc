@@ -150,6 +150,26 @@ TEST(TraceConfig, RangeViolationsFail) {
             std::string::npos);
   EXPECT_NE(MustFail("duration=100,seg=0:1:-3").find("churn"),
             std::string::npos);
+  // Non-finite numbers, and numbers that overflow the field they land in,
+  // in both forms.
+  MustFail("version=1,duration=nan,seg=0:1");
+  MustFail("version=1,duration=inf,seg=0:1");
+  MustFail("duration=100,seg=0:nan");
+  EXPECT_NE(MustFail("duration=100,seg=0:1:1e30").find("churn"), std::string::npos);
+  MustFail("duration=1e13,seg=0:1");  // overflows the ps clock
+  MustFail("version=1e10,duration=100,seg=0:1");
+  const std::string path = ::testing::TempDir() + "/trace_strict.json";
+  for (const char* body : {
+           R"({"version":1,"duration_us":nan,"segments":[{"start_us":0,"rate":1}]})",
+           R"({"version":1,"duration_us":inf,"segments":[{"start_us":0,"rate":1}]})",
+           R"({"duration_us":100,"segments":[{"start_us":0,"rate":nan}]})",
+           R"({"duration_us":100,"segments":[{"start_us":0,"rate":1,"churn":1e30}]})",
+           R"({"duration_us":1e13,"segments":[{"start_us":0,"rate":1}]})",
+           R"({"version":1e10,"duration_us":100,"segments":[{"start_us":0}]})",
+       }) {
+    std::ofstream(path, std::ios::binary) << body;
+    MustFail("@" + path);
+  }
 }
 
 TEST(TraceConfig, MissingFileFails) {
