@@ -13,7 +13,6 @@
 #include "src/runtime/sweep_runner.h"
 #include "src/sim/server.h"
 #include "src/sim/simulator.h"
-#include "src/topo/rack.h"
 #include "src/topo/rack_kv.h"
 #include "src/workload/harness.h"
 
@@ -113,75 +112,17 @@ void BM_DramAccess(benchmark::State& state) {
 }
 BENCHMARK(BM_DramAccess);
 
-// The parallel DES core on the multi-domain rack workload: per-server
-// domains sharded across worker threads vs the same workload on one event
-// core. The CI perf gate (BENCH_simcore.json "parallel_vs_serial",
+// The parallel DES core on the rack-scale sharded KV (src/topo/rack_kv.h):
+// per-server domains, each running the full per-server stack — SmartNIC
+// model, governor, resilience, replication — sharded across worker threads
+// vs the same workload on one event core. The CI perf gate
+// (BENCH_simcore.json "rack_sharded_parallel_vs_serial",
 // scripts/check_bench.py) requires the same-run parallel/serial speedup to
 // hold on the 8-domain point whenever the runner has the cores to show it
 // (the gate carries min_cores; a starved runner skips it loudly instead of
 // failing on scheduler noise). Fingerprints are byte-identical at any
 // thread count per the §12 determinism contract — asserted here once
-// before the timed loop, and continuously by tests/sim/parallel_sim_test.
-RackParams BenchRack(int servers) {
-  RackParams p;
-  p.servers = servers;
-  p.clients_per_server = 32;
-  p.requests_per_client = 40;
-  p.burst = 32;
-  return p;
-}
-
-uint64_t RackOps(const RackParams& p) {
-  return static_cast<uint64_t>(p.servers) * p.clients_per_server *
-         p.requests_per_client;
-}
-
-void BM_RackSerial(benchmark::State& state) {
-  RackParams p = BenchRack(static_cast<int>(state.range(0)));
-  p.sim_threads = 1;
-  for (auto _ : state) {
-    const RackResult r = RunRack(p);
-    benchmark::DoNotOptimize(r.completed);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(RackOps(p)));
-}
-// UseRealTime on both rack benchmarks: the parallel run does its work on
-// pool threads while the timed thread sleeps at the round barrier, so
-// CPU-time-based items/s would be meaningless there. Wall clock is the
-// quantity the speedup gate is about.
-BENCHMARK(BM_RackSerial)->Arg(8)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-void BM_RackParallel(benchmark::State& state) {
-  RackParams p = BenchRack(static_cast<int>(state.range(0)));
-  // One worker per domain when the machine has them; never fewer than two,
-  // so the measurement always exercises the cross-thread barrier path.
-  p.sim_threads = std::max(2, std::min(p.servers, runtime::DefaultJobs()));
-  {
-    RackParams serial = p;
-    serial.sim_threads = 1;
-    const std::string par = RunRack(p).Fingerprint();
-    const std::string ser = RunRack(serial).Fingerprint();
-    if (par != ser) {
-      state.SkipWithError("parallel fingerprint diverged from serial run");
-      return;
-    }
-  }
-  for (auto _ : state) {
-    const RackResult r = RunRack(p);
-    benchmark::DoNotOptimize(r.completed);
-  }
-  state.SetItemsProcessed(state.iterations() *
-                          static_cast<int64_t>(RackOps(p)));
-}
-BENCHMARK(BM_RackParallel)->Arg(8)->UseRealTime()->Unit(benchmark::kMillisecond);
-
-// The rack-scale sharded KV (src/topo/rack_kv.h): the full per-server
-// stack — SmartNIC model, governor, resilience, replication — in every
-// domain, which is the heaviest per-event workload the parallel core
-// carries. Gated exactly like the plain rack pair (BENCH_simcore.json
-// "rack_sharded_parallel_vs_serial", min_cores-guarded), with the same
-// fingerprint byte-equality pre-assert before the timed loop.
+// before the timed loop, and continuously by tests/topo/rack_kv_test.
 RackKvParams BenchShardedRack(int servers) {
   RackKvParams p;
   p.servers = servers;
@@ -208,6 +149,10 @@ void BM_RackShardedSerial(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(ops));
 }
+// UseRealTime on both rack benchmarks: the parallel run does its work on
+// pool threads while the timed thread sleeps at the round barrier, so
+// CPU-time-based items/s would be meaningless there. Wall clock is the
+// quantity the speedup gate is about.
 BENCHMARK(BM_RackShardedSerial)
     ->Arg(8)
     ->UseRealTime()

@@ -11,11 +11,12 @@ same-run speedup must stay above that gate's min_speedup.
 Gates in the baseline today:
   * event_core — the optimized event heap (BM_EventQueueThroughput) vs the
     pre-optimization core compiled in as BM_EventQueueThroughputLegacy.
-  * parallel_vs_serial — the multi-domain rack workload on the parallel DES
-    core (BM_RackParallel) vs the same workload on one event core
-    (BM_RackSerial). This gate carries min_cores: a runner without enough
-    CPUs cannot show a parallel speedup, so the gate is skipped (loudly)
-    there instead of failing on scheduler noise.
+  * rack_sharded_parallel_vs_serial — the rack-scale sharded KV, one full
+    per-server stack per domain, on the parallel DES core
+    (BM_RackShardedParallel) vs the same workload on one event core
+    (BM_RackShardedSerial). This gate carries min_cores: a runner without
+    enough CPUs cannot show a parallel speedup, so the gate is skipped
+    (loudly) there instead of failing on scheduler noise.
 
 Absolute numbers vs the recorded dev-machine baseline are reported for
 information only — they never fail the build.

@@ -1,15 +1,26 @@
 #include "src/common/flags.h"
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+
+#include "src/common/spec.h"
 
 namespace snicsim {
 
 namespace {
 
-bool ParseBoolValue(const std::string& v) {
-  return v.empty() || v == "1" || v == "true" || v == "yes" || v == "on";
+// Values are read strictly, like the spec grammars: the whole text must
+// parse, or the flag exits 2 with "--name: <error>" (spec::ExitBadFlag).
+bool ParseBoolValue(const std::string& name, const std::string& v) {
+  if (v.empty() || v == "1" || v == "true" || v == "yes" || v == "on") {
+    return true;
+  }
+  if (v == "0" || v == "false" || v == "no" || v == "off") {
+    return false;
+  }
+  spec::ExitBadFlag(name, "'" + v + "' is not a bool");
 }
 
 }  // namespace
@@ -38,7 +49,7 @@ Flags::Flags(int argc, char** argv) {
       help_ = true;
     }
     if (name == "csv") {
-      csv_ = ParseBoolValue(value);
+      csv_ = ParseBoolValue(name, value);
     }
   }
   consumed_.push_back("help");
@@ -63,7 +74,7 @@ bool Flags::GetBool(const std::string& name, bool def, const std::string& help) 
     if (n == "no-" + name) {
       def = false;
     } else if (n == name) {
-      def = ParseBoolValue(v);
+      def = ParseBoolValue(name, v);
     }
   }
   consumed_.push_back(name);
@@ -73,13 +84,27 @@ bool Flags::GetBool(const std::string& name, bool def, const std::string& help) 
 int64_t Flags::GetInt(const std::string& name, int64_t def, const std::string& help) {
   known_.push_back({name, help, std::to_string(def)});
   const std::string* v = Find(name);
-  return v != nullptr ? std::strtoll(v->c_str(), nullptr, 0) : def;
+  if (v == nullptr) {
+    return def;
+  }
+  // Base 0 keeps hex (0x100) and octal spellings.
+  char* end = nullptr;
+  errno = 0;
+  const long long n = std::strtoll(v->c_str(), &end, 0);
+  if (v->empty() || *end != '\0' || errno == ERANGE) {
+    spec::ExitBadFlag(name, "'" + *v + "' is not an integer");
+  }
+  return n;
 }
 
 double Flags::GetDouble(const std::string& name, double def, const std::string& help) {
   known_.push_back({name, help, std::to_string(def)});
   const std::string* v = Find(name);
-  return v != nullptr ? std::strtod(v->c_str(), nullptr) : def;
+  double d = def;
+  if (v != nullptr && !spec::ParseNumber(*v, &d)) {
+    spec::ExitBadFlag(name, "'" + *v + "' is not a finite number");
+  }
+  return d;
 }
 
 std::string Flags::GetString(const std::string& name, const std::string& def,

@@ -2,7 +2,8 @@
 //
 // Supports --name=value, --name value, and boolean --name / --no-name.
 // Unknown flags abort with a usage listing so that typos in sweep scripts
-// fail fast instead of silently running the default configuration.
+// fail fast instead of silently running the default configuration; so does
+// a value its getter cannot read in full ("--name: <error>", exit 2).
 #ifndef SRC_COMMON_FLAGS_H_
 #define SRC_COMMON_FLAGS_H_
 

@@ -10,17 +10,29 @@
 
 namespace snicsim {
 
+// One splitmix64 step: a draw-free, full-avalanche 64-bit mixer.
+inline uint64_t SplitMix64(uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
+}
+
+// Folds the 8 bytes of `v`, low byte first, into the FNV-1a state `h`.
+inline uint64_t FnvMix(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h = (h ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ULL;
+  }
+  return h;
+}
+
 class Rng {
  public:
   explicit Rng(uint64_t seed = 0x5eed5eed5eed5eedULL) {
     // splitmix64 expansion of the seed into the xoshiro state.
-    uint64_t z = seed;
     for (auto& s : state_) {
-      z += 0x9e3779b97f4a7c15ULL;
-      uint64_t x = z;
-      x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-      x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-      s = x ^ (x >> 31);
+      s = SplitMix64(seed);
+      seed += 0x9e3779b97f4a7c15ULL;
     }
   }
 

@@ -5,10 +5,8 @@
 
 #include "src/common/log.h"
 #include "src/common/spec.h"
-#include "src/fault/injector.h"
+#include "src/governor/server_stack.h"
 #include "src/sim/meter.h"
-#include "src/sim/timer_wheel.h"
-#include "src/topo/server.h"
 
 namespace snicsim {
 namespace governor {
@@ -75,9 +73,6 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   config.fleet.machine = config.client;
 
   Simulator sim;
-  Fabric fabric(&sim, config.testbed.network_link_propagation,
-                config.testbed.network_switch_forward);
-  BluefieldServer bf(&sim, &fabric, config.testbed);
   kv::ServingConfig serving =
       kv::ServingConfig::FromTestbed(config.testbed, config.layout);
   if (config.host_cores > 0) {
@@ -86,32 +81,18 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   if (config.soc_cores > 0) {
     serving.soc_cores = config.soc_cores;
   }
-  kv::ServingExecutor exec(&sim, &bf, serving);
-
-  std::unique_ptr<fault::FaultInjector> injector;
-  if (!config.faults.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(config.faults);
-    sim.set_faults(injector.get());
-  }
   // The governor's epoch clock and the fleet's retry timers arm through the
-  // wheel; firing order is heap-equivalent (src/sim/timer_wheel.h), and the
-  // §12 determinism contract is unaffected because the wheel lives entirely
-  // inside this domain.
-  TimerWheel wheel(&sim);
-  sim.set_timer_wheel(&wheel);
+  // stack's wheel; firing order is heap-equivalent (src/sim/timer_wheel.h),
+  // and the §12 determinism contract is unaffected because the wheel lives
+  // entirely inside this domain.
+  ServerStack stack(&sim, config.testbed, serving, config.faults, config.resil);
+  kv::ServingExecutor& exec = stack.exec;
+  fault::FaultInjector* const injector = stack.injector.get();
+  resilience::ResilienceManager* const resil = stack.resil.get();
   std::unique_ptr<Tracer> tracer;
   if (!config.trace_path.empty()) {
     tracer = std::make_unique<Tracer>(config.trace_capacity);
     sim.set_tracer(tracer.get());
-  }
-
-  // The resilience layer only exists when asked for: an empty config keeps
-  // the fleet's issue path, the governor's routing, and every metric dump
-  // byte-identical to a resilience-free build.
-  std::unique_ptr<resilience::ResilienceManager> resil;
-  if (!config.resil.empty()) {
-    resil = std::make_unique<resilience::ResilienceManager>(config.resil);
-    exec.BindResilience(resil.get());
   }
 
   // Tenant control plane: only exists when tenants are declared, so a
@@ -120,14 +101,14 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   std::unique_ptr<offload::TenantManager> tenant_mgr;
   if (!config.tenants.empty()) {
     tenant_mgr = std::make_unique<offload::TenantManager>(
-        &sim, &bf, injector.get(), config.tenants, serving.host_domain,
+        &sim, &stack.bf, injector, config.tenants, serving.host_domain,
         serving.soc_domain);
     exec.SetServeObserver([tm = tenant_mgr.get()](int ep, uint32_t bytes) {
       tm->OnKvServed(ep, bytes);
     });
   }
 
-  ClientFleet fleet(&sim, &fabric, config.fleet);
+  ClientFleet fleet(&sim, &stack.fabric, config.fleet);
   const ZipfDist zipf(config.layout.keys, config.zipf_theta);
 
   // Trace layer: the driver only exists when a plan is declared, so a
@@ -147,7 +128,6 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   // the fleet's conservation counters — the task-level fault signal.
   std::unique_ptr<RoutePolicy> policy;
   AdaptiveGovernor* gov = nullptr;
-  MetricsRegistry live_reg;  // sampled by the governor's tick, not dumped
   switch (config.policy) {
     case PolicyKind::kStaticHost:
       policy = std::make_unique<StaticPolicy>(kPathHost);
@@ -161,19 +141,12 @@ ServingResult RunServing(const ServingRunConfig& raw) {
           PathPriors::Compute(config.layout.class_bytes, config.testbed,
                               config.client, serving));
       break;
-    case PolicyKind::kGovernor: {
-      auto g = std::make_unique<AdaptiveGovernor>(&sim, config.governor,
-                                                  &exec.config().layout, serving,
-                                                  config.testbed, config.client,
-                                                  config.layout.class_bytes);
-      gov = g.get();
-      policy = std::move(g);
-      exec.RegisterMetrics(&live_reg);
+    case PolicyKind::kGovernor:
       if (tenant_mgr != nullptr) {
         // The governor's path-③ budget must see tenant crossings too.
-        tenant_mgr->RegisterMetrics(&live_reg);
+        tenant_mgr->RegisterMetrics(&stack.live_reg);
       }
-      gov->BindMetrics(live_reg);
+      gov = stack.AttachGovernor(config.governor, config.testbed, config.client);
       for (int p = 0; p < kPathCount; ++p) {
         gov->BindQpHealth(p, [&fleet, p] {
           rdma::QpHealth h;
@@ -188,12 +161,9 @@ ServingResult RunServing(const ServingRunConfig& raw) {
         });
       }
       break;
-    }
   }
-  SNIC_CHECK(policy != nullptr);
-  if (resil != nullptr && gov != nullptr) {
-    gov->BindResilience(resil.get());
-  }
+  RoutePolicy* const pol = gov != nullptr ? gov : policy.get();
+  SNIC_CHECK(pol != nullptr);
 
   // Epoch SLO accounting + (optionally) the autoscaler, both riding the
   // governor's epoch tick so scaling and violation ledgers share the same
@@ -231,10 +201,10 @@ ServingResult RunServing(const ServingRunConfig& raw) {
       };
       act.pool_busy = [tm = tenant_mgr.get()] { return tm->PoolBusy(0); };
       if (resil != nullptr) {
-        act.set_bucket_mops = [rp = resil.get()](double mops) {
+        act.set_bucket_mops = [rp = resil](double mops) {
           rp->SetBucketMops(mops);
         };
-        act.set_hedge_max_bytes = [rp = resil.get()](uint32_t bytes) {
+        act.set_hedge_max_bytes = [rp = resil](uint32_t bytes) {
           rp->SetHedgeMaxBytes(bytes);
         };
       }
@@ -262,17 +232,16 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   std::vector<TargetSpec> paths(static_cast<size_t>(kPathCount));
   for (int p = 0; p < kPathCount; ++p) {
     TargetSpec& t = paths[static_cast<size_t>(p)];
-    t.engine = &bf.nic();
-    t.endpoint = p == kPathHost ? bf.host_ep() : bf.soc_ep();
-    t.server_port = bf.port();
+    t.engine = &stack.bf.nic();
+    t.endpoint = p == kPathHost ? stack.bf.host_ep() : stack.bf.soc_ep();
+    t.server_port = stack.bf.port();
     t.verb = Verb::kSend;
   }
 
   const kv::ServingLayout layout = config.layout;
-  RoutePolicy* const pol = policy.get();
   const SimTime deadline_budget = config.resil.deadline;
   if (resil != nullptr) {
-    fleet.SetResilience(resil.get());
+    fleet.SetResilience(resil);
     fleet.SetShedObserver(
         [pol](int path, const KvRequest& req) { pol->OnShed(path, req); });
   }
@@ -420,7 +389,7 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   }
   if (!config.metrics_path.empty()) {
     MetricsRegistry dump;
-    bf.RegisterMetrics(&dump);
+    stack.bf.RegisterMetrics(&dump);
     exec.RegisterMetrics(&dump);
     fleet.RegisterMetrics(&dump);
     if (injector != nullptr) {

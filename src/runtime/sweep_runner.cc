@@ -1,6 +1,10 @@
 #include "src/runtime/sweep_runner.h"
 
+#include <limits>
+#include <string>
+
 #include "src/common/log.h"
+#include "src/common/spec.h"
 
 namespace snicsim::runtime {
 
@@ -9,18 +13,31 @@ int DefaultJobs() {
   return hw == 0 ? 1 : static_cast<int>(hw);
 }
 
+namespace {
+
+// An int-typed flag rejects a value outside int instead of truncating it.
+int IntFlag(Flags& flags, const std::string& name, int def,
+            const std::string& help) {
+  const int64_t v = flags.GetInt(name, def, help);
+  if (v < std::numeric_limits<int>::min() || v > std::numeric_limits<int>::max()) {
+    spec::ExitBadFlag(name, std::to_string(v) + " does not fit an int");
+  }
+  return static_cast<int>(v);
+}
+
+}  // namespace
+
 int JobsFlag(Flags& flags) {
-  return static_cast<int>(flags.GetInt(
-      "jobs", DefaultJobs(),
-      "experiments to run concurrently (sweep points are independent; "
-      "output is byte-identical for any value)"));
+  return IntFlag(flags, "jobs", DefaultJobs(),
+                 "experiments to run concurrently (sweep points are independent; "
+                 "output is byte-identical for any value)");
 }
 
 int SimThreadsFlag(Flags& flags) {
-  const int n = static_cast<int>(flags.GetInt(
-      "sim-threads", 1,
+  const int n = IntFlag(
+      flags, "sim-threads", 1,
       "event cores per simulation (multi-domain sims shard per-server "
-      "domains across them; output is byte-identical for any value)"));
+      "domains across them; output is byte-identical for any value)");
   return n < 1 ? 1 : n;
 }
 

@@ -5,20 +5,12 @@
 #include <utility>
 
 #include "src/common/log.h"
+#include "src/common/rng.h"
 
 namespace snicsim {
 namespace {
 
 constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-constexpr uint64_t kFnvPrime = 1099511628211ull;
-
-uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h ^= (v >> (8 * i)) & 0xffu;
-    h *= kFnvPrime;
-  }
-  return h;
-}
 
 }  // namespace
 

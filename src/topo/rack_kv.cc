@@ -8,22 +8,20 @@
 
 #include "src/common/histogram.h"
 #include "src/common/log.h"
+#include "src/common/rng.h"
 #include "src/common/spec.h"
-#include "src/fault/injector.h"
 #include "src/governor/governor.h"
 #include "src/governor/policy.h"
+#include "src/governor/server_stack.h"
 #include "src/kvstore/serving.h"
 #include "src/obs/metrics.h"
 #include "src/sim/parallel.h"
 #include "src/sim/pool.h"
 #include "src/sim/timer_wheel.h"
-#include "src/topo/fabric.h"
-#include "src/topo/server.h"
 #include "src/topo/shard.h"
 #include "src/workload/addr_gen.h"
 #include "src/workload/aggregate_fleet.h"
 #include "src/workload/client.h"
-#include "src/workload/fleet.h"
 
 namespace snicsim {
 namespace {
@@ -130,17 +128,19 @@ struct IntegrityStore {
 // Everything one server domain owns — serving machine, home-side fleet and
 // failover state. Touched only by the thread currently running the domain.
 struct KvDomain {
+  KvDomain(DomainId d, Simulator* sim, const RackKvParams& p,
+           const kv::ServingConfig& serving)
+      : id(d),
+        stack(sim, p.testbed, serving, p.faults, p.resil,
+              "rack.s" + std::to_string(d)),
+        uplink(stack.fabric.AddPort("rack.s" + std::to_string(d) + ".up",
+                                    p.testbed.client_port_bandwidth)),
+        host_domain(serving.host_domain),
+        soc_domain(serving.soc_domain) {}
+
   DomainId id = 0;
-  Simulator* sim = nullptr;
-  std::unique_ptr<Fabric> fabric;
-  std::unique_ptr<BluefieldServer> bf;
-  std::unique_ptr<kv::ServingExecutor> exec;
-  PcieLink* uplink = nullptr;  // client-proxy port: the reply's wire leg
-  std::unique_ptr<TimerWheel> wheel;
-  std::unique_ptr<fault::FaultInjector> injector;
-  std::unique_ptr<MetricsRegistry> live_reg;
-  std::unique_ptr<governor::AdaptiveGovernor> gov;
-  std::unique_ptr<resilience::ResilienceManager> resil;
+  governor::ServerStack stack;  // the serving machine (src/governor/server_stack.h)
+  PcieLink* uplink = nullptr;   // client-proxy port: the reply's wire leg
   std::unique_ptr<AggregateFleet> fleet;
   std::string host_domain;
   std::string soc_domain;
@@ -271,9 +271,9 @@ void FinishRepair(RackKv& r, DomainId d, RepairOp* rp, uint64_t gen, bool ok);
 // Whole-server liveness: the rack treats a server as reachable while either
 // endpoint domain is up; the whole-shard crash scenario kills both.
 bool ServerDeadNow(const KvDomain& dom) {
-  return dom.injector != nullptr &&
-         dom.injector->CrashedAt(dom.host_domain, dom.sim->now()) &&
-         dom.injector->CrashedAt(dom.soc_domain, dom.sim->now());
+  return dom.stack.injector != nullptr &&
+         dom.stack.injector->CrashedAt(dom.host_domain, dom.stack.sim->now()) &&
+         dom.stack.injector->CrashedAt(dom.soc_domain, dom.stack.sim->now());
 }
 
 // The ring a domain routes by: its own mutable copy under the membership
@@ -286,21 +286,10 @@ bool LiveInMask(const KvDomain& dom, int s) {
   return ((dom.live_mask >> s) & 1u) != 0;
 }
 
-// splitmix64 finalizer — the draw-free mixer corruption selection uses.
-uint64_t Mix64(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
 // The per-value FNV checksum over (rank, version) — what a clean store
 // holds. Corruption XORs noise into `stored`, so any verify catches it.
 uint64_t ValueChecksum(uint64_t rank, uint32_t version) {
-  uint64_t h = 1469598103934665603ULL;
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((rank >> (8 * i)) & 0xffu)) * 1099511628211ULL;
-  }
+  uint64_t h = FnvMix(1469598103934665603ULL, rank);
   for (int i = 0; i < 4; ++i) {
     h = (h ^ ((static_cast<uint64_t>(version) >> (8 * i)) & 0xffu)) *
         1099511628211ULL;
@@ -362,7 +351,7 @@ void ApplyCorruption(RackKv& r, DomainId d, double fraction, uint64_t salt) {
       fraction >= 1.0 ? ~0ULL
                       : static_cast<uint64_t>(fraction * 18446744073709551616.0);
   for (uint64_t rank = 0; rank < r.p->layout.keys; ++rank) {
-    if (!StoredHere(r, dom, rank) || Mix64(salt ^ rank) >= thresh ||
+    if (!StoredHere(r, dom, rank) || SplitMix64(salt ^ rank) >= thresh ||
         IsCorrupt(dom, rank)) {
       continue;
     }
@@ -388,9 +377,9 @@ void IssueNew(RackKv& r, DomainId d, int cls, uint64_t user) {
     // Working-set churn: a draw-free rank rotation — the trace shifts which
     // physical keys are hot without touching the draw stream (a zero-churn
     // trace is byte-identical to no trace at all).
-    rank = (rank + r.trace->ChurnAt(dom.sim->now())) % r.p->layout.keys;
+    rank = (rank + r.trace->ChurnAt(dom.stack.sim->now())) % r.p->layout.keys;
     if (r.trace->has_scan() &&
-        dom.fleet->Draw(cls) < r.trace->ScanAt(dom.sim->now())) {
+        dom.fleet->Draw(cls) < r.trace->ScanAt(dom.stack.sim->now())) {
       // Scan burst: the request is upgraded to the largest value class.
       // `cls` (the fleet population bucket) is untouched — OnComplete must
       // return the user to the bucket it was drawn from.
@@ -402,7 +391,7 @@ void IssueNew(RackKv& r, DomainId d, int cls, uint64_t user) {
   HomeOp* op = dom.ops.Alloc();
   op->gen = ++dom.op_gen;
   op->token = 0;
-  op->start = dom.sim->now();
+  op->start = dom.stack.sim->now();
   op->cls = cls;
   op->serve_cls = serve_cls;
   op->rank = rank;
@@ -432,7 +421,7 @@ void Dispatch(RackKv& r, DomainId d, HomeOp* op) {
   const uint64_t gen = op->gen;
   const uint64_t token = ++op->token;
   RackKv* rk = &r;
-  op->timer = dom.wheel->In(r.p->request_timeout, [rk, d, op, gen, token] {
+  op->timer = dom.stack.wheel.In(r.p->request_timeout, [rk, d, op, gen, token] {
     OnTimeout(*rk, d, op, gen, token);
   });
   const DomainId src = d;
@@ -443,7 +432,7 @@ void Dispatch(RackKv& r, DomainId d, HomeOp* op) {
   const uint32_t mep = dom.member_epoch;
   const uint64_t mmask = dom.live_mask;
   r.psim->Post(
-      d, static_cast<DomainId>(target), dom.sim->now() + r.p->rack_link_latency,
+      d, static_cast<DomainId>(target), dom.stack.sim->now() + r.p->rack_link_latency,
       [rk, target, src, op, gen, token, rank, cls, bytes, write, mep, mmask] {
         ServeArrival(*rk, static_cast<DomainId>(target), src, op, gen, token,
                      rank, cls, bytes, write, mep, mmask);
@@ -471,7 +460,7 @@ void RetryOrFail(RackKv& r, DomainId d, HomeOp* op) {
   RackKv* rk = &r;
   const uint64_t gen = op->gen;
   const uint64_t token = op->token;
-  dom.wheel->In(r.p->retry_backoff, [rk, d, op, gen, token] {
+  dom.stack.wheel.In(r.p->retry_backoff, [rk, d, op, gen, token] {
     if (op->gen != gen || op->token != token) {
       return;  // freed or re-dispatched while backing off (cannot happen
                // today — the op is quiescent during backoff — but cheap)
@@ -485,10 +474,10 @@ void FinishHome(RackKv& r, DomainId d, HomeOp* op, ReplyStatus status) {
   switch (status) {
     case ReplyStatus::kOk: {
       ++dom.completed;
-      dom.latency.Record(dom.sim->now() - op->start);
+      dom.latency.Record(dom.stack.sim->now() - op->start);
       // Settle-time epoch bucket: the goodput-during-migration series.
       const size_t idx =
-          static_cast<size_t>(dom.sim->now() / r.p->governor_epoch);
+          static_cast<size_t>(dom.stack.sim->now() / r.p->governor_epoch);
       if (dom.completed_by_epoch.size() <= idx) {
         dom.completed_by_epoch.resize(idx + 1, 0);
       }
@@ -519,7 +508,7 @@ void ReplyHome(RackKv& r, DomainId d, HomeOp* op, uint64_t gen, uint64_t token,
     return;
   }
   if (op->timer != TimerWheel::kNoTimer) {
-    dom.wheel->Cancel(op->timer);
+    dom.stack.wheel.Cancel(op->timer);
     op->timer = TimerWheel::kNoTimer;
   }
   ++op->token;  // no later message can settle this attempt again
@@ -533,7 +522,7 @@ void ReplyHome(RackKv& r, DomainId d, HomeOp* op, uint64_t gen, uint64_t token,
         v.down = false;
         ++dom.rehomed;
         if (dom.first_rehome_at < 0) {
-          dom.first_rehome_at = dom.sim->now();
+          dom.first_rehome_at = dom.stack.sim->now();
         }
       }
       FinishHome(r, d, op, ReplyStatus::kOk);
@@ -564,17 +553,17 @@ void Evidence(RackKv& r, DomainId d, int target) {
     return;
   }
   if (v.consec_fail == 0) {
-    v.first_evidence = dom.sim->now();
+    v.first_evidence = dom.stack.sim->now();
   }
   ++v.consec_fail;
   if (v.consec_fail >= r.p->promote_after) {
     v.down = true;
     v.consec_fail = 0;
     ++dom.promotions;
-    const SimTime gap = dom.sim->now() - v.first_evidence;
+    const SimTime gap = dom.stack.sim->now() - v.first_evidence;
     dom.max_promote_gap = std::max(dom.max_promote_gap, gap);
     if (dom.first_promote_at < 0) {
-      dom.first_promote_at = dom.sim->now();
+      dom.first_promote_at = dom.stack.sim->now();
     }
   }
 }
@@ -587,7 +576,7 @@ void ServeArrival(RackKv& r, DomainId t, DomainId src, HomeOp* op,
   if (ServerDeadNow(dom)) {
     ++dom.crash_refused;
     // Nack home: faster failure evidence than waiting out the timeout.
-    r.psim->Post(t, src, dom.sim->now() + r.p->rack_link_latency,
+    r.psim->Post(t, src, dom.stack.sim->now() + r.p->rack_link_latency,
                  [rk, src, op, op_gen, op_token] {
                    ReplyHome(*rk, src, op, op_gen, op_token, ReplyStatus::kNack);
                  });
@@ -601,7 +590,7 @@ void ServeArrival(RackKv& r, DomainId t, DomainId src, HomeOp* op,
       ++dom.stale_epoch_bounces;
       const uint32_t e = dom.member_epoch;
       const uint64_t m = dom.live_mask;
-      r.psim->Post(t, src, dom.sim->now() + r.p->rack_link_latency,
+      r.psim->Post(t, src, dom.stack.sim->now() + r.p->rack_link_latency,
                    [rk, src, op, op_gen, op_token, e, m] {
                      AdoptMembership(*rk, src, e, m);
                      ReplyHome(*rk, src, op, op_gen, op_token,
@@ -623,12 +612,12 @@ void ServeArrival(RackKv& r, DomainId t, DomainId src, HomeOp* op,
   req.size_class = cls;
   req.bytes = bytes;
   req.hdr = r.p->layout.Pack(rank, cls);
-  const int path = dom.gov->Route(req);
-  if (dom.resil != nullptr &&
-      !dom.resil->Admit(path, cls, /*deadline=*/0, dom.sim->now())) {
-    dom.gov->OnShed(path, req);
+  const int path = dom.stack.gov->Route(req);
+  if (dom.stack.resil != nullptr &&
+      !dom.stack.resil->Admit(path, cls, /*deadline=*/0, dom.stack.sim->now())) {
+    dom.stack.gov->OnShed(path, req);
     ++dom.shed_srv;
-    r.psim->Post(t, src, dom.sim->now() + r.p->rack_link_latency,
+    r.psim->Post(t, src, dom.stack.sim->now() + r.p->rack_link_latency,
                  [rk, src, op, op_gen, op_token] {
                    ReplyHome(*rk, src, op, op_gen, op_token, ReplyStatus::kShed);
                  });
@@ -639,7 +628,7 @@ void ServeArrival(RackKv& r, DomainId t, DomainId src, HomeOp* op,
   ctx->settled = false;
   ctx->retry_on_fail = false;
   ctx->path = path;
-  ctx->arrived = dom.sim->now();
+  ctx->arrived = dom.stack.sim->now();
   ctx->req = req;
   ctx->write = write;
   ctx->src = src;
@@ -651,13 +640,13 @@ void ServeArrival(RackKv& r, DomainId t, DomainId src, HomeOp* op,
   // evaporates with the endpoint); the watchdog turns that silence into a
   // deterministic failed-serve + nack so the governor's in-flight
   // accounting and the home ledger both stay closed.
-  dom.wheel->In(r.p->serve_timeout, [rk, t, ctx, sgen] {
+  dom.stack.wheel.In(r.p->serve_timeout, [rk, t, ctx, sgen] {
     KvDomain& here = *rk->doms[static_cast<size_t>(t)];
     if (ctx->gen != sgen || ctx->settled) {
       return;
     }
     ++here.serve_timeouts;
-    SettleServe(*rk, t, ctx, /*ok=*/false, here.sim->now());
+    SettleServe(*rk, t, ctx, /*ok=*/false, here.stack.sim->now());
   });
   // Integrity: verify the stored checksum before serving a read. A corrupt
   // value never reaches the client — the serve parks on a replica-read
@@ -671,7 +660,7 @@ void ServeArrival(RackKv& r, DomainId t, DomainId src, HomeOp* op,
       if (dom.integ->repairing[static_cast<size_t>(rank)] != 0) {
         // A repair for this rank is already in flight; bounce rather than
         // queue (the retry lands after the heal).
-        SettleServe(r, t, ctx, /*ok=*/false, dom.sim->now());
+        SettleServe(r, t, ctx, /*ok=*/false, dom.stack.sim->now());
       } else {
         StartRepair(r, t, rank, /*from_scrub=*/false, ctx, sgen);
       }
@@ -689,10 +678,10 @@ void LaunchServe(RackKv& r, DomainId t, ServeCtx* ctx) {
   // (ServingExecutor via the registered SendHandler) -> response over the
   // uplink. The request SEND is one header frame; the reply carries the
   // value and pays the wire.
-  NicEndpoint* const ep = ctx->path == governor::kPathHost ? dom.bf->host_ep()
-                                                           : dom.bf->soc_ep();
-  PciePath back = dom.fabric->Route(dom.bf->port(), dom.uplink);
-  dom.bf->nic().HandleRequest(
+  NicEndpoint* const ep = ctx->path == governor::kPathHost ? dom.stack.bf.host_ep()
+                                                           : dom.stack.bf.soc_ep();
+  PciePath back = dom.stack.fabric.Route(dom.stack.bf.port(), dom.uplink);
+  dom.stack.bf.nic().HandleRequest(
       ep, Verb::kSend, ctx->req.hdr, r.p->request_bytes, /*fe_units=*/1.0,
       std::move(back),
       [rk, t, ctx, sgen](SimTime delivered) {
@@ -730,10 +719,10 @@ void SettleServe(RackKv& r, DomainId t, ServeCtx* ctx, bool ok, SimTime done) {
     }
   }
   const SimTime latency = done - ctx->arrived;
-  dom.gov->OnComplete(ctx->path, ctx->req, latency, ok);
-  if (dom.resil != nullptr) {
-    dom.resil->OnOutcome(ctx->path, latency, ok, /*deadline_met=*/ok,
-                         dom.sim->now());
+  dom.stack.gov->OnComplete(ctx->path, ctx->req, latency, ok);
+  if (dom.stack.resil != nullptr) {
+    dom.stack.resil->OnOutcome(ctx->path, latency, ok, /*deadline_met=*/ok,
+                         dom.stack.sim->now());
   }
   if (ok) {
     ++dom.server_completed;
@@ -750,7 +739,7 @@ void SettleServe(RackKv& r, DomainId t, ServeCtx* ctx, bool ok, SimTime done) {
   const ReplyStatus status =
       ok ? ReplyStatus::kOk
          : (ctx->retry_on_fail ? ReplyStatus::kRetry : ReplyStatus::kNack);
-  r.psim->Post(t, src, dom.sim->now() + r.p->rack_link_latency,
+  r.psim->Post(t, src, dom.stack.sim->now() + r.p->rack_link_latency,
                [rk, src, op, op_gen, op_token, status] {
                  ReplyHome(*rk, src, op, op_gen, op_token, status);
                });
@@ -782,19 +771,19 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
   // The replication engine runs on the primary's SoC; a crashed SoC fails
   // the push outright (the restart path re-replicates by application-level
   // means outside this model).
-  if (dom.injector != nullptr &&
-      dom.injector->CrashedAt(dom.soc_domain, dom.sim->now())) {
+  if (dom.stack.injector != nullptr &&
+      dom.stack.injector->CrashedAt(dom.soc_domain, dom.stack.sim->now())) {
     ++dom.repl_failed;
     rep->gen = 0;
     dom.reps.Free(rep);
     return;
   }
-  const SimTime fetch_start = dom.sim->now();
+  const SimTime fetch_start = dom.stack.sim->now();
   // Path ③: the SoC pulls the freshly-written value out of host DRAM
   // through the NIC engine (double PCIe1 crossing) before pushing it to the
   // follower over the wire.
-  dom.bf->nic().ExecuteLocalOp(
-      dom.bf->soc_ep(), dom.bf->host_ep(), Verb::kRead,
+  dom.stack.bf.nic().ExecuteLocalOp(
+      dom.stack.bf.soc_ep(), dom.stack.bf.host_ep(), Verb::kRead,
       r.p->layout.Pack(rep->rank, rep->cls), rep->bytes,
       [rk, t, rep, gen, token, fetch_start](SimTime done) {
         KvDomain& here = *rk->doms[static_cast<size_t>(t)];
@@ -802,8 +791,8 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
           ++here.repl_stale;
           return;
         }
-        if (here.injector != nullptr &&
-            here.injector->CrashKills(here.soc_domain, fetch_start, done)) {
+        if (here.stack.injector != nullptr &&
+            here.stack.injector->CrashKills(here.soc_domain, fetch_start, done)) {
           ++here.repl_failed;
           rep->gen = 0;
           here.reps.Free(rep);
@@ -813,7 +802,7 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
         const uint64_t rank = rep->rank;
         const int cls = rep->cls;
         const uint32_t bytes = rep->bytes;
-        rep->timer = here.wheel->In(rk->p->repl_timeout, [rk, t, rep, gen, token] {
+        rep->timer = here.stack.wheel.In(rk->p->repl_timeout, [rk, t, rep, gen, token] {
           KvDomain& h = *rk->doms[static_cast<size_t>(t)];
           if (rep->gen != gen || rep->token != token) {
             return;
@@ -826,7 +815,7 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
             h.reps.Free(rep);
             return;
           }
-          h.wheel->In(rk->p->retry_backoff, [rk, t, rep, gen] {
+          h.stack.wheel.In(rk->p->retry_backoff, [rk, t, rep, gen] {
             if (rep->gen != gen) {
               return;
             }
@@ -835,24 +824,24 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
         });
         rk->psim->Post(
             t, static_cast<DomainId>(peer),
-            here.sim->now() + rk->p->rack_link_latency,
+            here.stack.sim->now() + rk->p->rack_link_latency,
             [rk, t, peer, rep, gen, token, rank, cls, bytes] {
               // Follower side: apply into SoC memory, then ack.
               KvDomain& f = *rk->doms[static_cast<size_t>(peer)];
-              if (f.injector != nullptr &&
-                  f.injector->CrashedAt(f.soc_domain, f.sim->now())) {
+              if (f.stack.injector != nullptr &&
+                  f.stack.injector->CrashedAt(f.soc_domain, f.stack.sim->now())) {
                 return;  // dead follower: the primary's timer retries
               }
-              const SimTime applied = f.bf->soc_memory().Access(
-                  f.sim->now(), rk->p->layout.Pack(rank, cls), bytes,
+              const SimTime applied = f.stack.bf.soc_memory().Access(
+                  f.stack.sim->now(), rk->p->layout.Pack(rank, cls), bytes,
                   /*is_write=*/true);
-              f.sim->At(applied, [rk, t, peer, rep, gen, token, rank] {
+              f.stack.sim->At(applied, [rk, t, peer, rep, gen, token, rank] {
                 KvDomain& ff = *rk->doms[static_cast<size_t>(peer)];
                 ++ff.repl_applied;
                 InstallValue(ff, rank, /*bad=*/false);
                 rk->psim->Post(
                     static_cast<DomainId>(peer), t,
-                    ff.sim->now() + rk->p->rack_link_latency,
+                    ff.stack.sim->now() + rk->p->rack_link_latency,
                     [rk, t, rep, gen, token] {
                       KvDomain& h = *rk->doms[static_cast<size_t>(t)];
                       if (rep->gen != gen || rep->token != token) {
@@ -860,7 +849,7 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
                         return;
                       }
                       if (rep->timer != TimerWheel::kNoTimer) {
-                        h.wheel->Cancel(rep->timer);
+                        h.stack.wheel.Cancel(rep->timer);
                         rep->timer = TimerWheel::kNoTimer;
                       }
                       ++h.repl_acked;
@@ -901,13 +890,13 @@ void EpochTick(RackKv& r, DomainId d) {
     }
     ++dom.probes;
     r.psim->Post(d, static_cast<DomainId>(s),
-                 dom.sim->now() + r.p->rack_link_latency, [rk, d, s] {
+                 dom.stack.sim->now() + r.p->rack_link_latency, [rk, d, s] {
                    KvDomain& there = *rk->doms[static_cast<size_t>(s)];
                    if (ServerDeadNow(there)) {
                      return;  // the probe dies with the server
                    }
                    rk->psim->Post(static_cast<DomainId>(s), d,
-                                  there.sim->now() + rk->p->rack_link_latency,
+                                  there.stack.sim->now() + rk->p->rack_link_latency,
                                   [rk, d, s] {
                                     KvDomain& home = *rk->doms[static_cast<size_t>(d)];
                                     ServerView& v = home.views[static_cast<size_t>(s)];
@@ -919,7 +908,7 @@ void EpochTick(RackKv& r, DomainId d) {
                                     v.consec_fail = 0;
                                     ++home.rehomed;
                                     if (home.first_rehome_at < 0) {
-                                      home.first_rehome_at = home.sim->now();
+                                      home.first_rehome_at = home.stack.sim->now();
                                     }
                                   });
                  });
@@ -928,8 +917,8 @@ void EpochTick(RackKv& r, DomainId d) {
       r.p->membership.scrub_keys_per_epoch > 0 && !ServerDeadNow(dom)) {
     ScrubTick(r, d);
   }
-  if (dom.sim->now() + r.p->governor_epoch < r.p->window) {
-    dom.wheel->In(r.p->governor_epoch, [rk, d] { EpochTick(*rk, d); });
+  if (dom.stack.sim->now() + r.p->governor_epoch < r.p->window) {
+    dom.stack.wheel.In(r.p->governor_epoch, [rk, d] { EpochTick(*rk, d); });
   }
 }
 
@@ -982,7 +971,7 @@ void ApplyRemoval(RackKv& r, DomainId d, int s) {
   ++dom.member_epoch;
   ++dom.removals;
   if (dom.membership_change_at < 0) {
-    dom.membership_change_at = dom.sim->now();
+    dom.membership_change_at = dom.stack.sim->now();
   }
   dom.mring->RemoveServer(s);
   // The removed server is gone for good: clear the failover view so the
@@ -1059,12 +1048,12 @@ void PushNextKey(RackKv& r, DomainId d, MigOp* m) {
   ++m->next;
   const SimTime wait = dom.mig_bucket.TakeAmount(
       dom.mig_rate_bpus, r.p->membership.migration_burst_bytes,
-      static_cast<double>(bytes), dom.sim->now());
+      static_cast<double>(bytes), dom.stack.sim->now());
   if (wait > 0) {
     ++dom.migration_waits;
     RackKv* rk = &r;
     const uint64_t gen = m->gen;
-    dom.wheel->In(wait, [rk, d, m, gen, rank, cls, bytes] {
+    dom.stack.wheel.In(wait, [rk, d, m, gen, rank, cls, bytes] {
       if (m->gen != gen) {
         return;
       }
@@ -1082,8 +1071,8 @@ void PushKey(RackKv& r, DomainId d, MigOp* m, uint64_t rank, int cls,
              uint32_t bytes) {
   KvDomain& dom = *r.doms[static_cast<size_t>(d)];
   RackKv* rk = &r;
-  if (dom.injector != nullptr &&
-      dom.injector->CrashedAt(dom.soc_domain, dom.sim->now())) {
+  if (dom.stack.injector != nullptr &&
+      dom.stack.injector->CrashedAt(dom.soc_domain, dom.stack.sim->now())) {
     RangeFailed(r, d, m);  // the streaming engine runs on the survivor's SoC
     return;
   }
@@ -1093,9 +1082,9 @@ void PushKey(RackKv& r, DomainId d, MigOp* m, uint64_t rank, int cls,
   const int dest = m->dest;
   const uint32_t mep = dom.member_epoch;
   const uint64_t mmask = dom.live_mask;
-  const SimTime fetch_start = dom.sim->now();
-  dom.bf->nic().ExecuteLocalOp(
-      dom.bf->soc_ep(), dom.bf->host_ep(), Verb::kRead,
+  const SimTime fetch_start = dom.stack.sim->now();
+  dom.stack.bf.nic().ExecuteLocalOp(
+      dom.stack.bf.soc_ep(), dom.stack.bf.host_ep(), Verb::kRead,
       r.p->layout.Pack(rank, cls), bytes,
       [rk, d, m, gen, dest, rank, cls, bytes, src_bad, mep, mmask,
        fetch_start](SimTime done) {
@@ -1103,36 +1092,36 @@ void PushKey(RackKv& r, DomainId d, MigOp* m, uint64_t rank, int cls,
         if (m->gen != gen) {
           return;
         }
-        if (here.injector != nullptr &&
-            here.injector->CrashKills(here.soc_domain, fetch_start, done)) {
+        if (here.stack.injector != nullptr &&
+            here.stack.injector->CrashKills(here.soc_domain, fetch_start, done)) {
           RangeFailed(*rk, d, m);
           return;
         }
         rk->psim->Post(
             d, static_cast<DomainId>(dest),
-            here.sim->now() + rk->p->rack_link_latency,
+            here.stack.sim->now() + rk->p->rack_link_latency,
             [rk, d, m, gen, dest, rank, cls, bytes, src_bad, mep, mmask] {
               KvDomain& f = *rk->doms[static_cast<size_t>(dest)];
               if (ServerDeadNow(f)) {
                 // Post is reliable, so an explicit nack (not a timer) keeps
                 // the per-key ledger exact: every push resolves.
                 rk->psim->Post(static_cast<DomainId>(dest), d,
-                               f.sim->now() + rk->p->rack_link_latency,
+                               f.stack.sim->now() + rk->p->rack_link_latency,
                                [rk, d, m, gen] {
                                  OnPushNack(*rk, d, m, gen);
                                });
                 return;
               }
               AdoptMembership(*rk, static_cast<DomainId>(dest), mep, mmask);
-              const SimTime applied = f.bf->soc_memory().Access(
-                  f.sim->now(), rk->p->layout.Pack(rank, cls), bytes,
+              const SimTime applied = f.stack.bf.soc_memory().Access(
+                  f.stack.sim->now(), rk->p->layout.Pack(rank, cls), bytes,
                   /*is_write=*/true);
-              f.sim->At(applied, [rk, d, m, gen, dest, rank, src_bad] {
+              f.stack.sim->At(applied, [rk, d, m, gen, dest, rank, src_bad] {
                 KvDomain& ff = *rk->doms[static_cast<size_t>(dest)];
                 ++ff.keys_installed;
                 InstallValue(ff, rank, src_bad);
                 rk->psim->Post(static_cast<DomainId>(dest), d,
-                               ff.sim->now() + rk->p->rack_link_latency,
+                               ff.stack.sim->now() + rk->p->rack_link_latency,
                                [rk, d, m, gen] { OnPushAck(*rk, d, m, gen); });
               });
             });
@@ -1149,7 +1138,7 @@ void OnPushAck(RackKv& r, DomainId d, MigOp* m, uint64_t gen) {
   ++m->acked;
   if (m->acked == m->ranks.size()) {
     ++dom.ranges_completed;
-    dom.repair_done_at = std::max(dom.repair_done_at, dom.sim->now());
+    dom.repair_done_at = std::max(dom.repair_done_at, dom.stack.sim->now());
     m->gen = 0;
     dom.migs.Free(m);
     return;
@@ -1169,7 +1158,7 @@ void OnPushNack(RackKv& r, DomainId d, MigOp* m, uint64_t gen) {
   ++m->attempts;
   m->next = static_cast<size_t>(m->acked);  // rewind to the unacked tail
   RackKv* rk = &r;
-  dom.wheel->In(r.p->governor_epoch, [rk, d, m, gen] {
+  dom.stack.wheel.In(r.p->governor_epoch, [rk, d, m, gen] {
     if (m->gen != gen) {
       return;
     }
@@ -1233,26 +1222,26 @@ void StartRepair(RackKv& r, DomainId d, uint64_t rank, bool from_scrub,
   const uint64_t gen = rp->gen;
   RackKv* rk = &r;
   r.psim->Post(
-      d, static_cast<DomainId>(peer), dom.sim->now() + r.p->rack_link_latency,
+      d, static_cast<DomainId>(peer), dom.stack.sim->now() + r.p->rack_link_latency,
       [rk, d, rp, gen, peer, rank, cls, bytes] {
         KvDomain& p = *rk->doms[static_cast<size_t>(peer)];
         const bool have = !ServerDeadNow(p) &&
                           !(p.integ != nullptr && IsCorrupt(p, rank));
         if (!have) {
           rk->psim->Post(static_cast<DomainId>(peer), d,
-                         p.sim->now() + rk->p->rack_link_latency,
+                         p.stack.sim->now() + rk->p->rack_link_latency,
                          [rk, d, rp, gen] {
                            FinishRepair(*rk, d, rp, gen, /*ok=*/false);
                          });
           return;
         }
-        const SimTime read_done = p.bf->soc_memory().Access(
-            p.sim->now(), rk->p->layout.Pack(rank, cls), bytes,
+        const SimTime read_done = p.stack.bf.soc_memory().Access(
+            p.stack.sim->now(), rk->p->layout.Pack(rank, cls), bytes,
             /*is_write=*/false);
-        p.sim->At(read_done, [rk, d, rp, gen, peer] {
+        p.stack.sim->At(read_done, [rk, d, rp, gen, peer] {
           KvDomain& pp = *rk->doms[static_cast<size_t>(peer)];
           rk->psim->Post(static_cast<DomainId>(peer), d,
-                         pp.sim->now() + rk->p->rack_link_latency,
+                         pp.stack.sim->now() + rk->p->rack_link_latency,
                          [rk, d, rp, gen] {
                            FinishRepair(*rk, d, rp, gen, /*ok=*/true);
                          });
@@ -1293,7 +1282,7 @@ void FinishRepair(RackKv& r, DomainId d, RepairOp* rp, uint64_t gen, bool ok) {
     if (ok) {
       LaunchServe(r, d, ctx);
     } else {
-      SettleServe(r, d, ctx, /*ok=*/false, dom.sim->now());
+      SettleServe(r, d, ctx, /*ok=*/false, dom.stack.sim->now());
     }
   }
 }
@@ -1415,50 +1404,17 @@ RackKvResult RunRackKv(const RackKvParams& params) {
   rack.doms.reserve(static_cast<size_t>(params.servers));
   const ClientParams client_params;  // governor latency priors only
   for (int d = 0; d < params.servers; ++d) {
-    auto dom = std::make_unique<KvDomain>();
-    dom->id = d;
-    dom->sim = psim.domain(d);
-    dom->host_domain = RackKvHostDomain(d);
-    dom->soc_domain = RackKvSocDomain(d);
-    dom->fabric = std::make_unique<Fabric>(
-        dom->sim, params.testbed.network_link_propagation,
-        params.testbed.network_switch_forward);
-    dom->bf = std::make_unique<BluefieldServer>(
-        dom->sim, dom->fabric.get(), params.testbed,
-        "rack.s" + std::to_string(d));
-    dom->uplink = dom->fabric->AddPort("rack.s" + std::to_string(d) + ".up",
-                                       params.testbed.client_port_bandwidth);
     kv::ServingConfig serving =
         kv::ServingConfig::FromTestbed(params.testbed, params.layout);
-    serving.host_domain = dom->host_domain;
-    serving.soc_domain = dom->soc_domain;
-    dom->exec = std::make_unique<kv::ServingExecutor>(dom->sim, dom->bf.get(),
-                                                      serving);
-    dom->wheel = std::make_unique<TimerWheel>(dom->sim);
-    dom->sim->set_timer_wheel(dom->wheel.get());
-    if (!params.faults.empty()) {
-      dom->injector = std::make_unique<fault::FaultInjector>(params.faults);
-      dom->sim->set_faults(dom->injector.get());
-    }
-    if (!params.resil.empty()) {
-      dom->resil =
-          std::make_unique<resilience::ResilienceManager>(params.resil);
-      dom->exec->BindResilience(dom->resil.get());
-    }
-    governor::GovernorConfig gcfg;
-    gcfg.seed = params.seed ^ (0x9e3779b97f4a7c15ull * (d + 1));
-    gcfg.epoch = params.governor_epoch;
-    dom->gov = std::make_unique<governor::AdaptiveGovernor>(
-        dom->sim, gcfg, &dom->exec->config().layout, serving, params.testbed,
-        client_params, params.layout.class_bytes);
-    dom->live_reg = std::make_unique<MetricsRegistry>();
-    dom->exec->RegisterMetrics(dom->live_reg.get());
+    serving.host_domain = RackKvHostDomain(d);
+    serving.soc_domain = RackKvSocDomain(d);
+    auto dom = std::make_unique<KvDomain>(d, psim.domain(d), params, serving);
     if (params.membership.enabled) {
-      // Registered before BindMetrics so the governor's path-③ budget gate
-      // samples migration traffic: repair bytes spend the same
+      // Registered before the governor binds the registry so its path-③
+      // budget gate samples migration traffic: repair bytes spend the same
       // SafePath3BudgetGbps serving misses do (DESIGN.md §16).
       KvDomain* dp = dom.get();
-      dom->live_reg->Register(
+      dom->stack.live_reg.Register(
           "repair", "path3_bytes", "bytes",
           "migration-fetch bytes pulled over path 3 by the repair plane",
           [dp] { return static_cast<double>(dp->repair_path3_bytes); });
@@ -1477,17 +1433,17 @@ RackKvResult RunRackKv(const RackKvParams& params) {
         dom->integ->stored[static_cast<size_t>(rank)] = ValueChecksum(rank, 0);
       }
     }
-    dom->gov->BindMetrics(*dom->live_reg);
-    if (dom->resil != nullptr) {
-      dom->gov->BindResilience(dom->resil.get());
-    }
+    governor::GovernorConfig gcfg;
+    gcfg.seed = params.seed ^ (0x9e3779b97f4a7c15ull * (d + 1));
+    gcfg.epoch = params.governor_epoch;
+    dom->stack.AttachGovernor(gcfg, params.testbed, client_params);
     AggregateFleetParams fp;
     fp.users_per_class =
         AggregateFleet::Partition(per_server[static_cast<size_t>(d)], params.mix);
     fp.think_mean_us = params.think_mean_us;
     fp.seed = params.seed ^ (0xd1b54a32d192ed03ull * (d + 1));
     fp.materialize = params.materialize_fleet;
-    dom->fleet = std::make_unique<AggregateFleet>(dom->sim, std::move(fp));
+    dom->fleet = std::make_unique<AggregateFleet>(dom->stack.sim, std::move(fp));
     if (rack.trace != nullptr) {
       dom->fleet->SetTrace(rack.trace);
     }
@@ -1502,7 +1458,7 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     KvDomain& dom = *rack.doms[static_cast<size_t>(d)];
     AggregateFleet* fleet = dom.fleet.get();
     KvDomain* dp = &dom;
-    dom.sim->At(0, [rk, d, fleet] {
+    dom.stack.sim->At(0, [rk, d, fleet] {
       fleet->Start([rk, d](int cls, uint64_t user) { IssueNew(*rk, d, cls, user); });
       EpochTick(*rk, d);
     });
@@ -1515,14 +1471,14 @@ RackKvResult RunRackKv(const RackKvParams& params) {
       }
       const double frac = ev.fraction;
       const uint64_t salt = params.faults.seed ^ Fnv1a(dom.soc_domain) ^
-                            Mix64(static_cast<uint64_t>(ev.at));
-      dom.sim->At(ev.at, [rk, d, frac, salt] {
+                            SplitMix64(static_cast<uint64_t>(ev.at));
+      dom.stack.sim->At(ev.at, [rk, d, frac, salt] {
         ApplyCorruption(*rk, d, frac, salt);
       });
     }
-    dom.sim->At(params.window, [fleet, dp] {
+    dom.stack.sim->At(params.window, [fleet, dp] {
       fleet->Stop();
-      dp->gov->StopTicking();
+      dp->stack.gov->StopTicking();
     });
   }
   psim.Run();
@@ -1534,13 +1490,6 @@ RackKvResult RunRackKv(const RackKvParams& params) {
   uint64_t digest = psim.merge_digest();
   Histogram latency;
   out.server_completed.reserve(static_cast<size_t>(params.servers));
-  constexpr uint64_t kPrime = 1099511628211ull;
-  auto mix = [&digest](uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      digest ^= (v >> (8 * i)) & 0xffu;
-      digest *= kPrime;
-    }
-  };
   for (const auto& domp : rack.doms) {
     const KvDomain& dom = *domp;
     // Every record resolved before quiesce: the O(in-flight) claim and the
@@ -1561,30 +1510,30 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     out.crash_refused += dom.crash_refused;
     out.serve_timeouts += dom.serve_timeouts;
     out.late_serves += dom.late_serves;
-    out.host_gets += dom.exec->host_gets();
-    out.soc_gets += dom.exec->soc_gets();
-    out.soc_hits += dom.exec->soc_hits();
-    out.soc_misses += dom.exec->soc_misses();
-    out.path3_bytes += dom.exec->path3_bytes();
-    out.crash_drops += dom.exec->crash_drops();
-    out.rewarm_misses += dom.exec->rewarm_misses();
+    out.host_gets += dom.stack.exec.host_gets();
+    out.soc_gets += dom.stack.exec.soc_gets();
+    out.soc_hits += dom.stack.exec.soc_hits();
+    out.soc_misses += dom.stack.exec.soc_misses();
+    out.path3_bytes += dom.stack.exec.path3_bytes();
+    out.crash_drops += dom.stack.exec.crash_drops();
+    out.rewarm_misses += dom.stack.exec.rewarm_misses();
     out.writes += dom.writes;
     out.repl_pushed += dom.repl_pushed;
     out.repl_acked += dom.repl_acked;
     out.repl_failed += dom.repl_failed;
     out.repl_applied += dom.repl_applied;
     out.repl_stale += dom.repl_stale;
-    out.routed_host += dom.gov->routed(governor::kPathHost);
-    out.routed_soc += dom.gov->routed(governor::kPathSoc);
-    out.hol_gated += dom.gov->hol_gated();
-    out.budget_spills += dom.gov->budget_spills();
-    out.explored += dom.gov->explored();
-    out.gov_draws += dom.gov->draws();
-    out.breaker_denied += dom.gov->breaker_denied();
-    if (dom.resil != nullptr) {
-      out.shed_codel += dom.resil->shed_codel();
-      out.shed_bucket += dom.resil->shed_bucket();
-      out.resil_draws += dom.resil->draws();
+    out.routed_host += dom.stack.gov->routed(governor::kPathHost);
+    out.routed_soc += dom.stack.gov->routed(governor::kPathSoc);
+    out.hol_gated += dom.stack.gov->hol_gated();
+    out.budget_spills += dom.stack.gov->budget_spills();
+    out.explored += dom.stack.gov->explored();
+    out.gov_draws += dom.stack.gov->draws();
+    out.breaker_denied += dom.stack.gov->breaker_denied();
+    if (dom.stack.resil != nullptr) {
+      out.shed_codel += dom.stack.resil->shed_codel();
+      out.shed_bucket += dom.stack.resil->shed_bucket();
+      out.resil_draws += dom.stack.resil->draws();
     }
     out.promotions += dom.promotions;
     out.rehomed += dom.rehomed;
@@ -1672,13 +1621,13 @@ RackKvResult RunRackKv(const RackKvParams& params) {
          {dom.generated, dom.completed, dom.failed, dom.shed, dom.timeouts,
           dom.nacks, dom.stale_replies, dom.crash_refused, dom.serve_timeouts,
           dom.writes, dom.repl_acked, dom.promotions, dom.rehomed,
-          dom.server_completed, dom.fleet->draws(), dom.gov->draws(),
-          dom.sim->processed(), static_cast<uint64_t>(dom.sim->now()),
+          dom.server_completed, dom.fleet->draws(), dom.stack.gov->draws(),
+          dom.stack.sim->processed(), static_cast<uint64_t>(dom.stack.sim->now()),
           dom.removals, static_cast<uint64_t>(dom.member_epoch),
           dom.stale_epoch_bounces, dom.ranges_completed, dom.keys_migrated,
           dom.keys_installed, dom.scrub_detected, dom.repaired_read,
           dom.repaired_scrub, dom.scan_forced}) {
-      mix(v);
+      digest = FnvMix(digest, v);
     }
   }
   out.digest = digest;

@@ -26,6 +26,7 @@
 #include <vector>
 
 #include "src/common/log.h"
+#include "src/common/rng.h"
 
 namespace snicsim {
 
@@ -43,7 +44,7 @@ class HashRing {
     // `seed ^ v` would let seeds differing only in the vnode-index bits
     // produce the same input *set* (vnodes permuted within each server),
     // i.e. the identical ring.
-    keyed_ = Mix(seed);
+    keyed_ = SplitMix64(seed);
     for (int s = 0; s < servers; ++s) {
       for (int v = 0; v < vnodes_; ++v) {
         points_.push_back(Point{PointHash(s, v), s});
@@ -123,17 +124,9 @@ class HashRing {
     int server = 0;
   };
 
-  // splitmix64 finalizer: a keyed full-avalanche 64-bit mixer.
-  static uint64_t Mix(uint64_t x) {
-    x += 0x9e3779b97f4a7c15ULL;
-    x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-    return x ^ (x >> 31);
-  }
-
   uint64_t PointHash(int s, int v) const {
-    return Mix(keyed_ ^
-               (static_cast<uint64_t>(s) << 32 | static_cast<uint64_t>(v)));
+    return SplitMix64(keyed_ ^ (static_cast<uint64_t>(s) << 32 |
+                                static_cast<uint64_t>(v)));
   }
 
   void SortPoints() {
@@ -148,7 +141,7 @@ class HashRing {
 
   // First ring point at or clockwise after hash(key), wrapping.
   size_t Lookup(uint64_t key) const {
-    const uint64_t h = Mix(key);
+    const uint64_t h = SplitMix64(key);
     auto it = std::lower_bound(
         points_.begin(), points_.end(), h,
         [](const Point& p, uint64_t v) { return p.hash < v; });

@@ -6,20 +6,9 @@
 #include <utility>
 
 #include "src/common/log.h"
+#include "src/common/rng.h"
 
 namespace snicsim {
-
-namespace {
-
-// splitmix64 finalizer — decorrelates the per-class stream seeds.
-uint64_t MixSeed(uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
 
 AggregateFleet::AggregateFleet(Simulator* sim, AggregateFleetParams params)
     : sim_(sim), params_(std::move(params)) {
@@ -28,7 +17,8 @@ AggregateFleet::AggregateFleet(Simulator* sim, AggregateFleetParams params)
   for (size_t c = 0; c < cls_.size(); ++c) {
     ClassState& s = cls_[c];
     s.users = params_.users_per_class[c];
-    s.rng = Rng(MixSeed(params_.seed ^ (c + 1)));
+    // splitmix64 decorrelates the per-class stream seeds.
+    s.rng = Rng(SplitMix64(params_.seed ^ (c + 1)));
     users_total_ += s.users;
     if (params_.materialize && s.users > 0) {
       SNIC_CHECK_LE(s.users, (1ull << 32));

@@ -67,7 +67,7 @@ struct HarnessConfig {
   // parallel DES to shard — so any value is accepted and the run is
   // byte-identical to sim_threads=1; the determinism contract (DESIGN.md
   // §12) makes the same promise for genuinely multi-domain workloads
-  // (src/topo/rack.h). Composes with --jobs multiplicatively: a sweep runs
+  // (src/topo/rack_kv.h). Composes with --jobs multiplicatively: a sweep runs
   // up to jobs × sim_threads worker threads.
   int sim_threads = 1;
 

@@ -41,6 +41,12 @@ TEST(Flags, BoolForms) {
   EXPECT_FALSE(nf.GetBool("verbose", true));
   Flags explicit_false = Make({"--verbose=false"});
   EXPECT_FALSE(explicit_false.GetBool("verbose", true));
+  for (const char* on : {"--b=1", "--b=true", "--b=yes", "--b=on"}) {
+    EXPECT_TRUE(Make({on}).GetBool("b", false)) << on;
+  }
+  for (const char* off : {"--b=0", "--b=false", "--b=no", "--b=off"}) {
+    EXPECT_FALSE(Make({off}).GetBool("b", true)) << off;
+  }
 }
 
 TEST(Flags, CsvToggle) {
@@ -56,6 +62,36 @@ TEST(Flags, LastOccurrenceWins) {
 TEST(Flags, HexIntegers) {
   Flags f = Make({"--addr=0x100"});
   EXPECT_EQ(f.GetInt("addr", 0), 256);
+}
+
+// A value the getter cannot read in full exits 2 with "--name: <error>",
+// the spec grammars' wording, instead of running a default or a prefix.
+TEST(FlagsDeathTest, RejectsTrailingJunkInInts) {
+  EXPECT_EXIT(Make({"--n=2x"}).GetInt("n", 1), testing::ExitedWithCode(2),
+              "--n: '2x' is not an integer");
+  EXPECT_EXIT(Make({"--n=junk"}).GetInt("n", 1), testing::ExitedWithCode(2),
+              "--n: 'junk'");
+  EXPECT_EXIT(Make({"--n="}).GetInt("n", 1), testing::ExitedWithCode(2), "--n:");
+}
+
+TEST(FlagsDeathTest, RejectsOutOfRangeInts) {
+  EXPECT_EXIT(Make({"--n=99999999999999999999"}).GetInt("n", 1),
+              testing::ExitedWithCode(2), "--n: ");
+}
+
+TEST(FlagsDeathTest, RejectsNonFiniteAndJunkDoubles) {
+  EXPECT_EXIT(Make({"--d=1.5x"}).GetDouble("d", 0), testing::ExitedWithCode(2),
+              "--d: '1.5x' is not a finite number");
+  EXPECT_EXIT(Make({"--d=nan"}).GetDouble("d", 0), testing::ExitedWithCode(2),
+              "--d: ");
+  EXPECT_EXIT(Make({"--d=inf"}).GetDouble("d", 0), testing::ExitedWithCode(2),
+              "--d: ");
+}
+
+TEST(FlagsDeathTest, RejectsUnknownBoolSpellings) {
+  EXPECT_EXIT(Make({"--check=maybe"}).GetBool("check", false),
+              testing::ExitedWithCode(2), "--check: 'maybe' is not a bool");
+  EXPECT_EXIT(Make({"--csv=maybe"}), testing::ExitedWithCode(2), "--csv: ");
 }
 
 }  // namespace

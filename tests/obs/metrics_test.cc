@@ -7,12 +7,11 @@
 #include <sstream>
 #include <string>
 
-#include "src/fault/injector.h"
+#include "src/governor/server_stack.h"
 #include "src/kvstore/serving.h"
 #include "src/offload/tenancy.h"
 #include "src/offload/tenant_config.h"
 #include "src/resilience/resilience.h"
-#include "src/topo/fabric.h"
 #include "src/topo/server.h"
 #include "src/topo/testbed_params.h"
 #include "src/workload/client.h"
@@ -73,34 +72,28 @@ TEST(MetricsRegistry, JsonIsDeterministicAndParsesAsObject) {
 // Observability chapter. Adding a metric without documenting it fails here.
 TEST(MetricsCatalog, EveryRegisteredLeafIsDocumented) {
   Simulator sim;
-  Fabric fabric(&sim);
   const TestbedParams tp;
-  RnicServer rnic(&sim, &fabric, tp);
-  BluefieldServer bf(&sim, &fabric, tp);
-  ClientMachine cli(&sim, &fabric, ClientParams(), "cli0");
-  LocalRequester req(&sim, &bf.nic(), bf.host_ep(), bf.soc_ep(),
-                     LocalRequesterParams::Host(), "h2s");
   // Attach a fault injector so the conditional counters (client reliability
   // layer + the faults. component) are part of the audited catalog too.
   fault::FaultPlan plan;
   plan.drop_rate = 0.01;
   plan.crashes.push_back({"soc", FromMicros(10), FromMicros(20), FromMicros(5)});
-  fault::FaultInjector faults(plan);
-  sim.set_faults(&faults);
   // The serving/resilience stack registers more conditional leaves: the
   // executor's crash counters (faults set), the fleet's shed/deadline
   // ledger (manager set), and the manager's own "resil" component.
-  kv::ServingExecutor exec(&sim, &bf,
-                           kv::ServingConfig::FromTestbed(tp, kv::ServingLayout()));
   resilience::ResilienceConfig rc;
   rc.deadline = FromMicros(40);
   rc.shedding = true;
   rc.hedging = true;
   rc.breakers = true;
-  resilience::ResilienceManager resil(rc);
-  exec.BindResilience(&resil);
-  ClientFleet fleet(&sim, &fabric, FleetParams());
-  fleet.SetResilience(&resil);
+  governor::ServerStack stack(
+      &sim, tp, kv::ServingConfig::FromTestbed(tp, kv::ServingLayout()), plan, rc);
+  RnicServer rnic(&sim, &stack.fabric, tp);
+  ClientMachine cli(&sim, &stack.fabric, ClientParams(), "cli0");
+  LocalRequester req(&sim, &stack.bf.nic(), stack.bf.host_ep(), stack.bf.soc_ep(),
+                     LocalRequesterParams::Host(), "h2s");
+  ClientFleet fleet(&sim, &stack.fabric, FleetParams());
+  fleet.SetResilience(stack.resil.get());
   // Attaching a trace driver pulls the conditional "trace" component
   // (thinning / forced-scan counters) into the audited catalog.
   trace::TracePlan tplan;
@@ -114,17 +107,17 @@ TEST(MetricsCatalog, EveryRegisteredLeafIsDocumented) {
   std::string terr;
   ASSERT_TRUE(offload::ParseTenantSet("tenant=t0:sketch:1:1:512:0", &tcfg, &terr))
       << terr;
-  offload::TenantManager tenants(&sim, &bf, &faults, tcfg, "host", "soc");
+  offload::TenantManager tenants(&sim, &stack.bf, stack.injector.get(), tcfg, "host", "soc");
 
   MetricsRegistry reg;
   rnic.RegisterMetrics(&reg);
-  bf.RegisterMetrics(&reg);
+  stack.bf.RegisterMetrics(&reg);
   cli.RegisterMetrics(&reg);
   req.RegisterMetrics(&reg);
-  faults.RegisterMetrics(&reg);
-  exec.RegisterMetrics(&reg);
+  stack.injector->RegisterMetrics(&reg);
+  stack.exec.RegisterMetrics(&reg);
   fleet.RegisterMetrics(&reg);
-  resil.RegisterMetrics(&reg);
+  stack.resil->RegisterMetrics(&reg);
   tenants.RegisterMetrics(&reg);
   ASSERT_GT(reg.entries().size(), 30u);  // the graph is fully instrumented
 

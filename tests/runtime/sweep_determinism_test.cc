@@ -17,7 +17,7 @@
 #include "src/common/table.h"
 #include "src/fault/plan.h"
 #include "src/runtime/sweep_runner.h"
-#include "src/topo/rack.h"
+#include "src/topo/rack_kv.h"
 #include "src/workload/harness.h"
 
 namespace snicsim {
@@ -182,11 +182,14 @@ std::string RackSweepFingerprints(int jobs, int sim_threads,
   runtime::SweepQueue<std::string> sweep(jobs);
   for (const int servers : {2, 4}) {
     for (const uint64_t seed : {1ull, 7ull}) {
-      RackParams p;
+      RackKvParams p;
       p.servers = servers;
-      p.clients_per_server = 4;
-      p.requests_per_client = 8;
-      p.burst = 2;
+      p.users = 400 * static_cast<uint64_t>(servers);
+      p.think_mean_us = 500.0;
+      p.layout.keys = 2048;
+      p.layout.cached_keys = 512;
+      p.layout.class_bytes = {64, 512, 2048};
+      p.window = FromMicros(120);
       p.seed = seed;
       p.sim_threads = sim_threads;
       if (!faults_spec.empty()) {
@@ -194,7 +197,7 @@ std::string RackSweepFingerprints(int jobs, int sim_threads,
         EXPECT_TRUE(fault::ParseFaultPlan(faults_spec, &p.faults, &error))
             << error;
       }
-      sweep.Add([p] { return RunRack(p).Fingerprint(); });
+      sweep.Add([p] { return RunRackKv(p).Fingerprint(); });
     }
   }
   std::string joined;
@@ -205,8 +208,8 @@ std::string RackSweepFingerprints(int jobs, int sim_threads,
   return joined;
 }
 
-constexpr char kRackFaultSpec[] = "drop=0.05,seed=7,flap=rack.l0.1:5:15";
-constexpr char kRackCrashSpec[] = "drop=0.02,seed=9,crash=soc:5:40:10";
+constexpr char kRackFaultSpec[] = "drop=0.05,seed=7,flap=rack.s0.up:20:60";
+constexpr char kRackCrashSpec[] = "drop=0.02,seed=9,crash=soc:40:90:10";
 
 TEST(SweepDeterminism, RackSweepInvariantAcrossJobsAndSimThreads) {
   const std::string base = RackSweepFingerprints(1, 1);
@@ -227,6 +230,7 @@ TEST(SweepDeterminism, CrashWindowRackSweepInvariantAcrossJobsAndSimThreads) {
   const std::string base = RackSweepFingerprints(1, 1, kRackCrashSpec);
   EXPECT_EQ(base, RackSweepFingerprints(8, 4, kRackCrashSpec));
   EXPECT_EQ(base, RackSweepFingerprints(2, 8, kRackCrashSpec));
+  EXPECT_NE(base, RackSweepFingerprints(1, 1));  // the window actually bit
 }
 
 }  // namespace

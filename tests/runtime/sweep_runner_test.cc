@@ -22,6 +22,25 @@ TEST(SweepRunner, JobsDefaultsToHardwareConcurrency) {
   EXPECT_EQ(three.jobs(), 3);
 }
 
+int ParseWith(int (*flag)(Flags&), const char* arg) {
+  const char* argv[] = {"prog", arg};
+  Flags flags(2, const_cast<char**>(argv));
+  return flag(flags);
+}
+
+// The shared int flags read their value in full and refuse to truncate it
+// into an int: a typo exits 2 instead of running with a default or a prefix.
+TEST(SweepFlagsDeathTest, JobsAndSimThreadsRejectBadValues) {
+  EXPECT_EQ(ParseWith(JobsFlag, "--jobs=3"), 3);
+  EXPECT_EQ(ParseWith(SimThreadsFlag, "--sim-threads=0"), 1);  // clamps
+  EXPECT_EXIT(ParseWith(JobsFlag, "--jobs=junk"), testing::ExitedWithCode(2),
+              "--jobs: 'junk' is not an integer");
+  EXPECT_EXIT(ParseWith(JobsFlag, "--jobs=4294967297"),
+              testing::ExitedWithCode(2), "--jobs: 4294967297 does not fit an int");
+  EXPECT_EXIT(ParseWith(SimThreadsFlag, "--sim-threads=2x"),
+              testing::ExitedWithCode(2), "--sim-threads: '2x' is not an integer");
+}
+
 TEST(SweepRunner, RunSweepPreservesSubmissionOrder) {
   std::vector<std::function<int()>> points;
   for (int i = 0; i < 200; ++i) {

@@ -2,8 +2,8 @@
 // --sim-threads count — serial included — produces byte-identical results,
 // because domains only interact through the (time, src, seq)-ordered merge
 // at lookahead horizons. These tests drive the contract directly on
-// ParallelSimulator and end-to-end through the multi-domain rack workload,
-// fault-free and under drop/flap/crash plans.
+// ParallelSimulator; tests/topo/rack_kv_test.cc carries it end-to-end
+// through the multi-domain rack, fault-free and under drop/flap/crash plans.
 #include "src/sim/parallel.h"
 
 #include <gtest/gtest.h>
@@ -13,11 +13,9 @@
 #include <vector>
 
 #include "src/common/units.h"
-#include "src/fault/plan.h"
 #include "src/obs/metrics.h"
 #include "src/sim/pool.h"
 #include "src/sim/simulator.h"
-#include "src/topo/rack.h"
 
 namespace snicsim {
 namespace {
@@ -101,79 +99,6 @@ TEST(ParallelSimulator, RegistersSimMetrics) {
   const std::vector<std::string> expect = {"domains", "rounds",
                                            "merged_events", "lookahead_us"};
   EXPECT_EQ(leaves, expect);
-}
-
-RackParams SmallRack() {
-  RackParams p;
-  p.servers = 4;
-  p.clients_per_server = 4;
-  p.requests_per_client = 8;
-  p.burst = 2;
-  return p;
-}
-
-std::string RackFingerprint(RackParams p, int sim_threads,
-                            const std::string& faults = "") {
-  p.sim_threads = sim_threads;
-  if (!faults.empty()) {
-    std::string error;
-    EXPECT_TRUE(fault::ParseFaultPlan(faults, &p.faults, &error)) << error;
-  }
-  return RunRack(p).Fingerprint();
-}
-
-TEST(RackDeterminism, FingerprintInvariantAcrossSimThreads) {
-  const std::string serial = RackFingerprint(SmallRack(), 1);
-  EXPECT_EQ(serial, RackFingerprint(SmallRack(), 2));
-  EXPECT_EQ(serial, RackFingerprint(SmallRack(), 4));
-  EXPECT_EQ(serial, RackFingerprint(SmallRack(), 8));
-}
-
-constexpr char kDropSpec[] = "drop=0.05,seed=7,flap=rack.l0.1:5:15";
-
-TEST(RackDeterminism, FingerprintInvariantUnderFaults) {
-  const std::string serial = RackFingerprint(SmallRack(), 1, kDropSpec);
-  EXPECT_EQ(serial, RackFingerprint(SmallRack(), 2, kDropSpec));
-  EXPECT_EQ(serial, RackFingerprint(SmallRack(), 8, kDropSpec));
-}
-
-constexpr char kCrashSpec[] = "drop=0.02,seed=9,crash=soc:5:40:10";
-
-TEST(RackDeterminism, FingerprintInvariantUnderCrashWindow) {
-  RackParams p = SmallRack();
-  p.requests_per_client = 12;  // long enough to straddle the crash window
-  const std::string serial = RackFingerprint(p, 1, kCrashSpec);
-  EXPECT_EQ(serial, RackFingerprint(p, 2, kCrashSpec));
-  EXPECT_EQ(serial, RackFingerprint(p, 8, kCrashSpec));
-
-  RackParams probe = p;
-  std::string error;
-  ASSERT_TRUE(fault::ParseFaultPlan(kCrashSpec, &probe.faults, &error));
-  probe.sim_threads = 4;
-  const RackResult r = RunRack(probe);
-  EXPECT_GT(r.crash_refused, 0u);  // the window actually bit
-  EXPECT_GT(r.retried, 0u);
-}
-
-TEST(RackDeterminism, FaultedRunDiffersFromCleanRun) {
-  EXPECT_NE(RackFingerprint(SmallRack(), 1),
-            RackFingerprint(SmallRack(), 1, kDropSpec));
-}
-
-TEST(RackWorkload, ConservesOpsAndReportsRounds) {
-  RackParams p = SmallRack();
-  p.sim_threads = 4;
-  const RackResult r = RunRack(p);
-  EXPECT_EQ(r.issued,
-            static_cast<uint64_t>(p.servers) * p.clients_per_server *
-                p.requests_per_client);
-  EXPECT_EQ(r.completed + r.failed, r.issued);
-  EXPECT_EQ(r.failed, 0u);  // no faults, nothing can fail
-  EXPECT_GT(r.rounds, 0u);
-  // Request + reply cross the fabric at least once each.
-  EXPECT_GE(r.merged, 2 * r.completed);
-  EXPECT_GT(r.p50_ps, 0);
-  EXPECT_GE(r.p99_ps, r.p50_ps);
 }
 
 TEST(SlabPool, RecyclesRecordsWithoutGrowth) {

@@ -3,8 +3,8 @@
 //  - HashRing: primary/follower are distinct, the pair relation is
 //    symmetric, and the map is a pure function of (seed, servers).
 //  - Replay: the rack fingerprint is byte-identical run-to-run and across
-//    --sim-threads — the determinism contract of DESIGN.md §12 lifted to
-//    the full rack.
+//    --sim-threads ∈ {1,2,4,8}, clean and under drop/flap/crash plans —
+//    the determinism contract of DESIGN.md §12 lifted to the full rack.
 //  - Aggregate == materialized: the O(users) reference fleet produces a
 //    byte-identical rack run (same draws, same arrivals, same everything).
 //  - Conservation: both ledgers (home requests, replication) close across
@@ -160,6 +160,33 @@ TEST(RackKv, ReplayAndSimThreadsAreByteIdentical) {
   EXPECT_GT(a.repl_acked, 0u);  // replication exercised
   EXPECT_EQ(a.rounds, c.rounds);
   EXPECT_EQ(a.digest, c.digest);
+}
+
+// The DESIGN.md §12 thread-invariance grid: every sim_threads level
+// reproduces the serial fingerprint byte for byte — fault-free, under
+// frame drops plus a flap of server 0's uplink (the reply wire leg), and
+// under the legacy `soc` crash alias, which hits every server's SoC.
+std::string GridFingerprint(const std::string& faults, int sim_threads) {
+  RackKvParams p = SmallRack();
+  p.sim_threads = sim_threads;
+  std::string error;
+  EXPECT_TRUE(fault::ParseFaultPlan(faults, &p.faults, &error)) << error;
+  return RunRackKv(p).Fingerprint();
+}
+
+TEST(RackKv, FingerprintGridIsSimThreadsInvariant) {
+  const std::string clean = GridFingerprint("", 1);
+  for (const std::string plan :
+       {"", "drop=0.05,seed=7,flap=rack.s0.up:20:60", "crash=soc:40:90:10"}) {
+    const std::string serial = plan.empty() ? clean : GridFingerprint(plan, 1);
+    for (const int threads : {2, 4, 8}) {
+      EXPECT_EQ(serial, GridFingerprint(plan, threads))
+          << "plan '" << plan << "' at sim_threads=" << threads;
+    }
+    if (!plan.empty()) {
+      EXPECT_NE(serial, clean) << "plan '" << plan << "' never bit";
+    }
+  }
 }
 
 TEST(RackKv, MaterializedFleetIsByteIdentical) {
