@@ -9,6 +9,7 @@
 #include <string>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/mem/memory.h"
 #include "src/runtime/sweep_runner.h"
 #include "src/sim/server.h"
@@ -32,6 +33,46 @@ void BM_EventQueueThroughput(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * state.range(0));
 }
 BENCHMARK(BM_EventQueueThroughput)->Arg(1000)->Arg(100000);
+
+// The classic hold model: `range(0)` events stay pending while each step
+// pops the earliest and schedules one successor — a quarter of them at
+// zero delay (token grants, hand-offs), the rest 1..1000 ns out. Unlike
+// BM_EventQueueThroughput (fill, then drain) the queue holds a steady
+// depth, which is how every experiment drives the core.
+class HoldModel {
+ public:
+  HoldModel(Simulator* sim, int64_t steps) : sim_(sim), steps_(steps) {}
+
+  void Fire() {
+    if (steps_-- > 0) {
+      sim_->In(Delay(), [this] { Fire(); });
+    }
+  }
+  SimTime Delay() {
+    return rng_.Next() % 4 == 0 ? 0 : FromNanos(1 + static_cast<int64_t>(rng_.Next() % 1000));
+  }
+
+ private:
+  Simulator* sim_;
+  int64_t steps_;
+  Rng rng_{7};
+};
+
+void BM_EventQueueHold(benchmark::State& state) {
+  constexpr int64_t kSteps = 200000;
+  const int64_t depth = state.range(0);
+  for (auto _ : state) {
+    Simulator sim;
+    HoldModel hold(&sim, kSteps);
+    for (int64_t i = 0; i < depth; ++i) {
+      sim.In(hold.Delay(), [&hold] { hold.Fire(); });
+    }
+    sim.Run();
+    benchmark::DoNotOptimize(sim.processed());
+  }
+  state.SetItemsProcessed(state.iterations() * (kSteps + depth));
+}
+BENCHMARK(BM_EventQueueHold)->Arg(64)->Arg(4096)->Arg(100000);
 
 // The pre-optimization event core (std::function payloads ordered directly
 // in a binary heap of full event records, 64-bit seq), kept alive as the

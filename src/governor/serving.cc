@@ -294,6 +294,7 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   sim.Run();
 
   ServingResult r;
+  r.live_records = stack.bf.nic().live_records() + fleet.live_records();
   r.policy = pol->name();
   r.mreqs = meter.MReqsPerSec();
   r.gbps = meter.Gbps();

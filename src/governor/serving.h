@@ -187,9 +187,16 @@ struct ServingResult {
   // replay comparisons join trace.Fingerprint() too.
   TraceRunResult trace;
 
-  // Canonical digest of every field above except `tenants` ("%.17g"
-  // doubles): two runs are replay-equal iff their fingerprints are
-  // string-equal (tenant runs additionally compare tenants.Fingerprint()).
+  // Per-request records (NIC engine, endpoint DMA ops, client flights and
+  // fleet copies) still held after the drain: 0 unless some terminal path
+  // (a drop, a crash, a timeout) failed to release its record. Outside
+  // Fingerprint(), like the two above.
+  uint64_t live_records = 0;
+
+  // Canonical digest of every field above except `tenants`, `trace` and
+  // `live_records` ("%.17g" doubles): two runs are replay-equal iff their
+  // fingerprints are string-equal (tenant runs additionally compare
+  // tenants.Fingerprint()).
   std::string Fingerprint() const;
 };
 

@@ -66,18 +66,18 @@ SocOffloadKvServer::SocOffloadKvServer(Simulator* sim, BluefieldServer* server,
         }
         if (!config_.values_on_host) {
           // Value lives in SoC DRAM: fetch it locally before replying.
-          sim_->At(cpu_done, [this, lookup, vbytes, reply = std::move(reply)]() mutable {
+          sim_->At(cpu_done, [this, value_addr = lookup.value_addr, vbytes, reply] {
             const SimTime v = server_->soc_memory().Access(
-                sim_->now(), lookup.value_addr, vbytes, /*is_write=*/false);
+                sim_->now(), value_addr, vbytes, /*is_write=*/false);
             sim_->At(v, [v, vbytes, reply = std::move(reply)] { reply(v, vbytes); });
           });
           return;
         }
         // Value lives in host DRAM: the SoC reads it over path ③ (S2H READ).
-        sim_->At(cpu_done, [this, lookup, vbytes, reply = std::move(reply)]() mutable {
+        sim_->At(cpu_done, [this, value_addr = lookup.value_addr, vbytes, reply] {
           server_->nic().ExecuteLocalOp(
-              server_->soc_ep(), server_->host_ep(), Verb::kRead, lookup.value_addr,
-              vbytes, [vbytes, reply = std::move(reply)](SimTime done) {
+              server_->soc_ep(), server_->host_ep(), Verb::kRead, value_addr,
+              vbytes, [vbytes, reply](SimTime done) {
                 reply(done, vbytes);
               });
         });

@@ -39,6 +39,7 @@ void ServingExecutor::ServeHost(uint64_t hdr, ReplyCallback reply) {
   const SimTime arrived = sim_->now();
   if (inj != nullptr && inj->CrashedAt(config_.host_domain, arrived)) {
     ++crash_drops_;  // dead endpoint: no reply, the client transport times out
+    reply.Discard();
     return;
   }
   ++host_gets_;
@@ -57,6 +58,7 @@ void ServingExecutor::ServeHost(uint64_t hdr, ReplyCallback reply) {
       // the reply evaporates with the endpoint's state.
       if (inj != nullptr && inj->CrashKills(config_.host_domain, arrived, v)) {
         ++crash_drops_;
+        reply.Discard();
         return;
       }
       reply(v, bytes);
@@ -69,6 +71,7 @@ void ServingExecutor::ServeSoc(uint64_t hdr, ReplyCallback reply) {
   const SimTime arrived = sim_->now();
   if (inj != nullptr && inj->CrashedAt(config_.soc_domain, arrived)) {
     ++crash_drops_;
+    reply.Discard();
     return;
   }
   ++soc_gets_;
@@ -95,6 +98,7 @@ void ServingExecutor::ServeSoc(uint64_t hdr, ReplyCallback reply) {
       sim_->At(v, [this, v, bytes, arrived, inj, reply = std::move(reply)] {
         if (inj != nullptr && inj->CrashKills(config_.soc_domain, arrived, v)) {
           ++crash_drops_;
+          reply.Discard();
           return;
         }
         reply(v, bytes);
@@ -114,6 +118,7 @@ void ServingExecutor::ServeSoc(uint64_t hdr, ReplyCallback reply) {
         [this, bytes, arrived, inj, reply = std::move(reply)](SimTime done) {
           if (inj != nullptr && inj->CrashKills(config_.soc_domain, arrived, done)) {
             ++crash_drops_;
+            reply.Discard();
             return;
           }
           reply(done, bytes);

@@ -30,9 +30,12 @@ NicEndpoint::NicEndpoint(Simulator* sim, const NicParams& nic, const EndpointPar
 SimTime NicEndpoint::ControlRtt() const { return 2 * to_mem_.BaseLatency(); }
 
 void NicEndpoint::DmaRead(uint64_t addr, uint64_t len, DmaCallback cb, uint64_t req_id) {
-  auto op = std::make_shared<ReadOp>();
+  ReadOp* op = read_ops_.Alloc();
   op->addr = addr;
   op->len = std::max<uint64_t>(len, 1);
+  op->issued = 0;
+  op->completed = 0;
+  op->in_flight = 0;
   op->rid = req_id;
   op->cb = std::move(cb);
   op->window = nic_.read_credits;
@@ -44,16 +47,15 @@ void NicEndpoint::DmaRead(uint64_t addr, uint64_t len, DmaCallback cb, uint64_t 
     op->window = nic_.hol_degraded_credits;
     ++hol_events_;
   }
-  read_queue_.push_back(std::move(op));
+  read_queue_.Push(op);
   PumpReads();
 }
 
 void NicEndpoint::PumpReads() {
-  while (!read_queue_.empty()) {
-    const std::shared_ptr<ReadOp>& head = read_queue_.front();
+  while (ReadOp* const head = read_queue_.head) {
     if (head->issued >= head->len) {
       // Fully issued: the next op may start streaming behind it.
-      read_queue_.pop_front();
+      read_queue_.Pop();
       continue;
     }
     if (head->in_flight >= head->window) {
@@ -63,7 +65,7 @@ void NicEndpoint::PumpReads() {
   }
 }
 
-void NicEndpoint::IssueOneSubRead(const std::shared_ptr<ReadOp>& op) {
+void NicEndpoint::IssueOneSubRead(ReadOp* op) {
   const uint64_t chunk = std::min<uint64_t>(nic_.max_read_request, op->len - op->issued);
   const uint64_t chunk_addr = op->addr + op->issued;
   op->issued += chunk;
@@ -90,8 +92,13 @@ void NicEndpoint::IssueOneSubRead(const std::shared_ptr<ReadOp>& op) {
       op->in_flight -= 1;
       op->completed += chunk;
       op->last_done = sim_->now();
-      if (op->completed >= op->len && op->cb) {
-        op->cb(op->last_done);
+      // A fully arrived op has long left the issue FIFO (it was popped as
+      // soon as its last sub-read issued), so it can go back to the pool.
+      if (op->completed >= op->len) {
+        if (op->cb) {
+          op->cb.CallOnce(op->last_done);
+        }
+        read_ops_.Free(op);
       }
       PumpReads();
     }, op->rid);
@@ -100,9 +107,14 @@ void NicEndpoint::IssueOneSubRead(const std::shared_ptr<ReadOp>& op) {
 
 void NicEndpoint::DmaWrite(uint64_t addr, uint64_t len, DmaCallback posted_cb,
                            bool single_descriptor, uint64_t req_id) {
-  auto op = std::make_shared<WriteOp>();
+  WriteOp* op = write_ops_.Alloc();
   op->addr = addr;
   op->len = std::max<uint64_t>(len, 1);
+  op->issued = 0;
+  op->delivered = 0;
+  op->in_flight = 0;
+  op->commits_pending = 0;
+  op->gate_on_commit = false;
   op->rid = req_id;
   op->cb = std::move(posted_cb);
   op->window = nic_.write_credits;
@@ -117,15 +129,14 @@ void NicEndpoint::DmaWrite(uint64_t addr, uint64_t len, DmaCallback posted_cb,
     ++hol_events_;
   }
   ++writes_issued_;
-  write_queue_.push_back(std::move(op));
+  write_queue_.Push(op);
   PumpWrites();
 }
 
 void NicEndpoint::PumpWrites() {
-  while (!write_queue_.empty()) {
-    const std::shared_ptr<WriteOp>& head = write_queue_.front();
+  while (WriteOp* const head = write_queue_.head) {
     if (head->issued >= head->len) {
-      write_queue_.pop_front();
+      write_queue_.Pop();
       continue;
     }
     if (head->in_flight >= head->window) {
@@ -135,7 +146,7 @@ void NicEndpoint::PumpWrites() {
   }
 }
 
-void NicEndpoint::IssueOneSubWrite(const std::shared_ptr<WriteOp>& op) {
+void NicEndpoint::IssueOneSubWrite(WriteOp* op) {
   const uint64_t chunk = std::min<uint64_t>(nic_.max_read_request, op->len - op->issued);
   const uint64_t chunk_addr = op->addr + op->issued;
   op->issued += chunk;
@@ -158,23 +169,32 @@ void NicEndpoint::IssueOneSubWrite(const std::shared_ptr<WriteOp>& op) {
                    TraceCat::kAsync);
         }
       }
+      op->commits_pending += 1;
       memory_->Access(served, chunk_addr, static_cast<uint32_t>(chunk),
                       /*is_write=*/true, [this, op] {
         write_credits_.Release();
+        op->commits_pending -= 1;
         if (op->gate_on_commit) {
           op->in_flight -= 1;
           PumpWrites();
         }
+        MaybeFreeWrite(op);
       }, op->rid);
       if (!op->gate_on_commit) {
         op->in_flight -= 1;
         PumpWrites();
       }
       if (op->delivered >= op->len && op->cb) {
-        op->cb(op->last_posted);
+        op->cb.CallOnce(op->last_posted);
       }
     }, op->rid);
   });
+}
+
+void NicEndpoint::MaybeFreeWrite(WriteOp* op) {
+  if (op->delivered >= op->len && op->commits_pending == 0) {
+    write_ops_.Free(op);
+  }
 }
 
 void NicEndpoint::RegisterMetrics(MetricsRegistry* reg) {

@@ -15,7 +15,6 @@
 #define SRC_NIC_ENDPOINT_H_
 
 #include <cstdint>
-#include <deque>
 #include <functional>
 #include <memory>
 #include <string>
@@ -25,6 +24,7 @@
 #include "src/nic/params.h"
 #include "src/pcie/path.h"
 #include "src/sim/callback.h"
+#include "src/sim/pool.h"
 #include "src/sim/server.h"
 #include "src/sim/simulator.h"
 
@@ -95,7 +95,13 @@ class NicEndpoint {
   // separately (they are shared between endpoints).
   void RegisterMetrics(MetricsRegistry* reg);
 
+  // DMA ops currently in flight; zero once a run has drained.
+  size_t live_ops() const { return read_ops_.live() + write_ops_.live(); }
+
  private:
+  // DMA ops are pooled records: sub-op closures capture (this, op) and the
+  // op returns to its pool when its last sub-op has finished. `next` links
+  // the op into its issue FIFO.
   struct ReadOp {
     uint64_t addr = 0;
     uint64_t len = 0;
@@ -105,6 +111,7 @@ class NicEndpoint {
     int in_flight = 0;
     SimTime last_done = 0;
     uint64_t rid = 0;
+    ReadOp* next = nullptr;
     DmaCallback cb;
   };
 
@@ -115,22 +122,46 @@ class NicEndpoint {
     uint64_t delivered = 0;
     int window = 0;
     int in_flight = 0;
+    int commits_pending = 0;      // bursts delivered but not yet absorbed
     bool gate_on_commit = false;  // HoL mode: next chunk waits for absorb
     SimTime last_posted = 0;
     uint64_t rid = 0;
+    WriteOp* next = nullptr;
     DmaCallback cb;
+  };
+
+  // Intrusive FIFO over pooled ops: no allocation per push or pop.
+  template <typename Op>
+  struct OpQueue {
+    Op* head = nullptr;
+    Op* tail = nullptr;
+    void Push(Op* op) {
+      op->next = nullptr;
+      (tail == nullptr ? head : tail->next) = op;
+      tail = op;
+    }
+    void Pop() {
+      head = head->next;
+      if (head == nullptr) {
+        tail = nullptr;
+      }
+    }
   };
 
   // Ops issue sub-requests strictly in FIFO order: the head op must be
   // fully issued before the next op may start. A degraded-window head op
   // therefore blocks the whole line — the paper's head-of-line anomaly.
   void PumpReads();
-  void IssueOneSubRead(const std::shared_ptr<ReadOp>& op);
+  void IssueOneSubRead(ReadOp* op);
   void PumpWrites();
-  void IssueOneSubWrite(const std::shared_ptr<WriteOp>& op);
+  void IssueOneSubWrite(WriteOp* op);
+  // Frees a write op once it is fully delivered and fully absorbed.
+  void MaybeFreeWrite(WriteOp* op);
 
-  std::deque<std::shared_ptr<ReadOp>> read_queue_;
-  std::deque<std::shared_ptr<WriteOp>> write_queue_;
+  SlabPool<ReadOp> read_ops_;
+  SlabPool<WriteOp> write_ops_;
+  OpQueue<ReadOp> read_queue_;
+  OpQueue<WriteOp> write_queue_;
 
   Simulator* sim_;
   const NicParams& nic_;

@@ -38,38 +38,45 @@ void NicEngine::SetSendHandler(NicEndpoint* ep, SendHandler handler) {
   send_handlers_[static_cast<size_t>(ep->fe_id)] = std::move(handler);
 }
 
-void NicEngine::AcquirePu(NicEndpoint* ep, SmallFunction<void(Simulator::Callback)> cb) {
+TokenPool* NicEngine::AcquirePu(NicEndpoint* ep, Simulator::Callback granted) {
   TokenPool* dedicated = dedicated_pus_[static_cast<size_t>(ep->fe_id)].get();
   if (dedicated != nullptr && dedicated->TryAcquire()) {
-    sim_->In(0, [dedicated, cb = std::move(cb)] {
-      cb([dedicated] { dedicated->Release(); });
-    });
-    return;
+    sim_->In(0, std::move(granted));
+    return dedicated;
   }
-  pus_.Acquire([this, cb = std::move(cb)] {
-    cb([this] { pus_.Release(); });
-  });
+  pus_.Acquire(std::move(granted));
+  return &pus_;
 }
 
-void NicEngine::SendResponse(NicEndpoint* ep, uint64_t bytes, SimTime ready, PciePath path,
-                             ResponseCallback done, uint64_t req_id) {
+void NicEngine::SendResponse(Remote* rq, uint64_t bytes, SimTime ready) {
   // The first response frame's pipeline slot is accounted in the request's
   // fe_units; only additional frames of a multi-frame response cost extra.
   const uint64_t frames = bytes == 0 ? 1 : CeilDiv(bytes, params_.network_mtu);
   SimTime t = ready;
   if (frames > 1) {
-    t = frontend_.Process(ready, ep->fe_id, static_cast<double>(frames - 1));
+    t = frontend_.Process(ready, rq->ep->fe_id, static_cast<double>(frames - 1));
     if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
-      tr->Span(params_.name + ".fe", "respond", ready, t, req_id);
+      tr->Span(params_.name + ".fe", "respond", ready, t, rq->req_id);
     }
   }
+  // A response lost on the wire ends the request here: the requester
+  // learns of it only through its own timeout.
+  auto delivered = WithDiscard([this, rq] { FinishRemote(rq); },
+                               [this, rq] {
+                                 rq->done.Discard();
+                                 remotes_.Free(rq);
+                               });
   if (bytes == 0) {
-    path.TransferControlAt(sim_, t, [this, done = std::move(done)] { done(sim_->now()); },
-                           req_id);
+    rq->response_path.TransferControlAt(sim_, t, std::move(delivered), rq->req_id);
   } else {
-    path.TransferAt(sim_, t, bytes, params_.network_mtu,
-                    [this, done = std::move(done)] { done(sim_->now()); }, req_id);
+    rq->response_path.TransferAt(sim_, t, bytes, params_.network_mtu, std::move(delivered),
+                                 rq->req_id);
   }
+}
+
+void NicEngine::FinishRemote(Remote* rq) {
+  rq->done.CallOnce(sim_->now());
+  remotes_.Free(rq);
 }
 
 void NicEngine::HandleRequest(NicEndpoint* ep, Verb verb, uint64_t addr, uint32_t len,
@@ -80,96 +87,97 @@ void NicEngine::HandleRequest(NicEndpoint* ep, Verb verb, uint64_t addr, uint32_
   if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
     tr->Span(params_.name + ".fe", "parse", sim_->now(), parsed, req_id);
   }
-  sim_->At(parsed, [this, ep, verb, addr, len, req_id,
-                    response_path = std::move(response_path),
-                    done = std::move(done)]() mutable {
-    AcquirePu(ep, [this, ep, verb, addr, len, req_id,
-                   response_path = std::move(response_path),
-                   done = std::move(done)](Simulator::Callback release) mutable {
-      switch (verb) {
-        case Verb::kRead: {
-          if (len == 0) {
-            // Zero-byte ops never reach PCIe (paper §4's microbenchmark).
-            SendResponse(ep, 0, sim_->now(), std::move(response_path), std::move(done),
-                         req_id);
-            release();
-            return;
-          }
-          ep->DmaRead(addr, len, [this, ep, len, req_id, release = std::move(release),
-                                  response_path = std::move(response_path),
-                                  done = std::move(done)](SimTime data_at_nic) mutable {
-            SendResponse(ep, len, data_at_nic, std::move(response_path), std::move(done),
-                         req_id);
-            sim_->At(data_at_nic + params_.read_pipeline_overhead, std::move(release));
-          }, req_id);
-          return;
-        }
-        case Verb::kWrite: {
-          if (len == 0) {
-            SendResponse(ep, 0, sim_->now(), std::move(response_path), std::move(done),
-                         req_id);
-            release();
-            return;
-          }
-          ep->DmaWrite(addr, len, [this, ep, req_id, release = std::move(release),
-                                   response_path = std::move(response_path),
-                                   done = std::move(done)](SimTime posted) mutable {
-            // The ack departs as soon as the burst is accepted; the write
-            // commits to memory asynchronously (Fig. 3).
-            SendResponse(ep, 0, posted, std::move(response_path), std::move(done), req_id);
-            sim_->At(posted + params_.write_pipeline_overhead, std::move(release));
-          }, /*single_descriptor=*/false, req_id);
-          return;
-        }
-        case Verb::kSend: {
-          // Deliver payload + CQE into the receive ring, then hand off to
-          // the endpoint CPU.
-          const uint64_t ring_bytes = static_cast<uint64_t>(len) + params_.cqe_bytes;
-          ep->DmaWrite(addr, ring_bytes, [this, ep, addr, len, req_id,
-                                          release = std::move(release),
-                                          response_path = std::move(response_path),
-                                          done = std::move(done)](SimTime posted) mutable {
-            sim_->At(posted + params_.write_pipeline_overhead, std::move(release));
-            SendHandler& handler = send_handlers_[static_cast<size_t>(ep->fe_id)];
-            SNIC_CHECK(handler != nullptr);
-            handler(addr, len, [this, ep, req_id, response_path = std::move(response_path),
-                          done = std::move(done)](SimTime ready, uint32_t reply_len) mutable {
-              const SimTime t = frontend_.Process(ready, ep->fe_id, 1.0);
-              if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
-                tr->Span(params_.name + ".fe", "reply_post", ready, t, req_id);
-              }
-              if (reply_len <= params_.max_inline_bytes) {
-                // Small replies are posted inline: the CPU pushed WQE + data
-                // through the doorbell MMIO (cost already in the handler's
-                // per-message service), so no gather DMA is needed.
-                sim_->At(t, [this, ep, reply_len, req_id,
-                             response_path = std::move(response_path),
-                             done = std::move(done)]() mutable {
-                  SendResponse(ep, std::max<uint32_t>(reply_len, 1), sim_->now(),
-                               std::move(response_path), std::move(done), req_id);
-                });
-                return;
-              }
-              // Larger replies fetch their payload from the endpoint memory
-              // (WQE + data gather) before hitting the wire.
-              sim_->At(t, [this, ep, reply_len, req_id,
-                           response_path = std::move(response_path),
-                           done = std::move(done)]() mutable {
-                ep->DmaRead(0x7ef0'0000 + params_.wqe_bytes, reply_len + params_.wqe_bytes,
-                            [this, ep, reply_len, req_id,
-                             response_path = std::move(response_path),
-                             done = std::move(done)](SimTime data) mutable {
-                  SendResponse(ep, std::max<uint32_t>(reply_len, 1), data,
-                               std::move(response_path), std::move(done), req_id);
-                }, req_id);
-              });
-            });
-          }, /*single_descriptor=*/false, req_id);
-          return;
-        }
-      }
-    });
+  Remote* rq = remotes_.Alloc();
+  rq->ep = ep;
+  rq->verb = verb;
+  rq->addr = addr;
+  rq->len = len;
+  rq->req_id = req_id;
+  rq->response_path = response_path;
+  rq->done = std::move(done);
+  sim_->At(parsed, [this, rq] {
+    rq->pu = AcquirePu(rq->ep, [this, rq] { ServeRemote(rq); });
   });
+}
+
+// Runs with a processing-unit context held. Anything that may end the
+// record (SendResponse can drop it, a handler can reply or discard at once)
+// comes last, after every read of it.
+void NicEngine::ServeRemote(Remote* rq) {
+  NicEndpoint* const ep = rq->ep;
+  TokenPool* const pu = rq->pu;
+  switch (rq->verb) {
+    case Verb::kRead: {
+      if (rq->len == 0) {
+        // Zero-byte ops never reach PCIe (paper §4's microbenchmark).
+        SendResponse(rq, 0, sim_->now());
+        pu->Release();
+        return;
+      }
+      ep->DmaRead(rq->addr, rq->len, [this, rq](SimTime data_at_nic) {
+        TokenPool* const held = rq->pu;
+        SendResponse(rq, rq->len, data_at_nic);
+        ReleaseAt(held, data_at_nic + params_.read_pipeline_overhead);
+      }, rq->req_id);
+      return;
+    }
+    case Verb::kWrite: {
+      if (rq->len == 0) {
+        SendResponse(rq, 0, sim_->now());
+        pu->Release();
+        return;
+      }
+      ep->DmaWrite(rq->addr, rq->len, [this, rq](SimTime posted) {
+        // The ack departs as soon as the burst is accepted; the write
+        // commits to memory asynchronously (Fig. 3).
+        TokenPool* const held = rq->pu;
+        SendResponse(rq, 0, posted);
+        ReleaseAt(held, posted + params_.write_pipeline_overhead);
+      }, /*single_descriptor=*/false, rq->req_id);
+      return;
+    }
+    case Verb::kSend: {
+      // Deliver payload + CQE into the receive ring, then hand off to
+      // the endpoint CPU.
+      const uint64_t ring_bytes = static_cast<uint64_t>(rq->len) + params_.cqe_bytes;
+      ep->DmaWrite(rq->addr, ring_bytes, [this, rq](SimTime posted) {
+        ReleaseAt(rq->pu, posted + params_.write_pipeline_overhead);
+        SendHandler& handler = send_handlers_[static_cast<size_t>(rq->ep->fe_id)];
+        SNIC_CHECK(handler != nullptr);
+        handler(rq->addr, rq->len, ReplyCallback(this, rq));
+      }, /*single_descriptor=*/false, rq->req_id);
+      return;
+    }
+  }
+}
+
+void NicEngine::Reply(void* req, SimTime ready, uint32_t reply_len) {
+  Remote* const rq = static_cast<Remote*>(req);
+  const SimTime t = frontend_.Process(ready, rq->ep->fe_id, 1.0);
+  if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
+    tr->Span(params_.name + ".fe", "reply_post", ready, t, rq->req_id);
+  }
+  rq->reply_len = std::max<uint32_t>(reply_len, 1);
+  if (reply_len <= params_.max_inline_bytes) {
+    // Small replies are posted inline: the CPU pushed WQE + data through
+    // the doorbell MMIO (cost already in the handler's per-message
+    // service), so no gather DMA is needed.
+    sim_->At(t, [this, rq] { SendResponse(rq, rq->reply_len, sim_->now()); });
+    return;
+  }
+  // Larger replies fetch their payload from the endpoint memory (WQE +
+  // data gather) before hitting the wire.
+  sim_->At(t, [this, rq, reply_len] {
+    rq->ep->DmaRead(0x7ef0'0000 + params_.wqe_bytes, reply_len + params_.wqe_bytes,
+                    [this, rq](SimTime data) { SendResponse(rq, rq->reply_len, data); },
+                    rq->req_id);
+  });
+}
+
+void NicEngine::DropReply(void* req) {
+  Remote* const rq = static_cast<Remote*>(req);
+  rq->done.Discard();
+  remotes_.Free(rq);
 }
 
 void NicEngine::FetchWqes(NicEndpoint* src, uint64_t addr, int count, DmaCallback cb,
@@ -180,13 +188,18 @@ void NicEngine::FetchWqes(NicEndpoint* src, uint64_t addr, int count, DmaCallbac
   // host side of path ③ this is what makes small-batch doorbell batching a
   // net loss (paper Fig. 10(b)): the fetch steals PU time that BlueFlame
   // posts (WQE pushed with the doorbell) do not.
-  AcquirePu(src, [this, src, addr, count, req_id, cb = std::move(cb)](
-                     Simulator::Callback release) mutable {
-    src->DmaRead(addr, static_cast<uint64_t>(count) * params_.wqe_bytes,
-                 [this, release = std::move(release), cb = std::move(cb)](SimTime done) mutable {
-                   cb(done);
-                   sim_->At(done + params_.read_pipeline_overhead, std::move(release));
-                 }, req_id);
+  Local* op = locals_.Alloc();
+  op->src = src;
+  op->addr = addr;
+  op->len = static_cast<uint32_t>(static_cast<uint64_t>(count) * params_.wqe_bytes);
+  op->req_id = req_id;
+  op->done = std::move(cb);
+  op->pu = AcquirePu(src, [this, op] {
+    op->src->DmaRead(op->addr, op->len, [this, op](SimTime done) {
+      TokenPool* const held = op->pu;
+      FinishLocal(op, done);
+      ReleaseAt(held, done + params_.read_pipeline_overhead);
+    }, op->req_id);
   });
 }
 
@@ -194,92 +207,101 @@ void NicEngine::ExecuteLocalOp(NicEndpoint* src, NicEndpoint* dst, Verb verb, ui
                                uint32_t len, SmallFunction<void(SimTime)> done,
                                uint64_t req_id) {
   ++requests_served_;
-  // A stalled requester CPU stops polling its CQ: while a stall window
-  // covers src's fault domain, the completion becomes visible only when the
-  // window ends. Wrapped only with an injector attached, so fault-free runs
-  // schedule no extra events.
-  if (sim_->faults() != nullptr) {
-    done = [this, src, req_id, inner = std::move(done)](SimTime posted) mutable {
-      fault::FaultInjector* const inj = sim_->faults();
-      const SimTime stall =
-          inj != nullptr ? inj->StallDelay(src->params().fault_domain, posted) : 0;
-      if (stall == 0) {
-        inner(posted);
-        return;
-      }
-      const SimTime visible = std::max(sim_->now(), posted + stall);
-      if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
-        tr->Span(src->params().name, "stall", posted, visible, req_id);
-      }
-      sim_->At(visible, [visible, inner = std::move(inner)]() mutable { inner(visible); });
-    };
-  }
   const double units =
       static_cast<double>(std::max<uint64_t>(1, CeilDiv(len, params_.max_read_request)));
   const SimTime parsed = frontend_.Process(sim_->now(), dst->fe_id, units);
   if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
     tr->Span(params_.name + ".fe", "parse", sim_->now(), parsed, req_id);
   }
+  Local* op = locals_.Alloc();
+  op->src = src;
+  op->dst = dst;
+  op->verb = verb;
+  op->addr = addr;
+  op->len = len;
   // Completions land in the requester's CQ ring: successive CQEs stride
   // through a 512 KB ring, so they spread over DRAM rows instead of
   // hammering one bank.
-  const uint64_t cqe_addr = 0x7f00'0000 + (cqe_seq_++ % 4096) * 128;
-  sim_->At(parsed, [this, src, dst, verb, addr, len, cqe_addr, req_id,
-                    done = std::move(done)]() mutable {
-    AcquirePu(dst, [this, src, dst, verb, addr, len, cqe_addr, req_id,
-                    done = std::move(done)](Simulator::Callback release) mutable {
-      switch (verb) {
-        case Verb::kRead: {
-          // src reads dst's memory: fetch from dst, then deliver data + CQE
-          // into src's memory. The context is held until the delivery is
-          // posted — a local op spans both DMA phases.
-          dst->DmaRead(addr, std::max<uint32_t>(len, 1),
-                       [this, src, len, cqe_addr, req_id, release = std::move(release),
-                        done = std::move(done)](SimTime) mutable {
-            src->DmaWrite(cqe_addr, static_cast<uint64_t>(len) + params_.cqe_bytes,
-                          [this, release = std::move(release),
-                           done = std::move(done)](SimTime posted) mutable {
-                            sim_->At(posted + params_.read_pipeline_overhead,
-                                     std::move(release));
-                            done(posted);
-                          },
-                          /*single_descriptor=*/true, req_id);
-          }, req_id);
-          return;
-        }
-        case Verb::kWrite:
-        case Verb::kSend: {
-          // Gather payload from src, write it into dst, then post the CQE
-          // back into src. This is the double PCIe1 crossing of path ③.
-          src->DmaRead(addr, std::max<uint32_t>(len, 1),
-                       [this, src, dst, verb, addr, len, cqe_addr, req_id,
-                        release = std::move(release),
-                        done = std::move(done)](SimTime) mutable {
-            const uint64_t dst_bytes =
-                verb == Verb::kSend ? static_cast<uint64_t>(len) + params_.cqe_bytes
-                                    : std::max<uint32_t>(len, 1);
-            dst->DmaWrite(
-                addr, dst_bytes,
-                [this, src, dst, verb, addr, len, cqe_addr, req_id, release = std::move(release),
-                 done = std::move(done)](SimTime posted) mutable {
-              sim_->At(posted + params_.write_pipeline_overhead, std::move(release));
-              if (verb == Verb::kSend) {
-                SendHandler& handler = send_handlers_[static_cast<size_t>(dst->fe_id)];
-                if (handler != nullptr) {
-                  handler(addr, len, [](SimTime, uint32_t) {});
-                }
-              }
-              src->DmaWrite(cqe_addr, params_.cqe_bytes,
-                            [done = std::move(done)](SimTime cqe_done) { done(cqe_done); },
-                            /*single_descriptor=*/false, req_id);
-            },
-                /*single_descriptor=*/true, req_id);
-          }, req_id);
-          return;
-        }
-      }
-    });
+  op->cqe_addr = 0x7f00'0000 + (cqe_seq_++ % 4096) * 128;
+  op->req_id = req_id;
+  op->done = std::move(done);
+  sim_->At(parsed, [this, op] {
+    op->pu = AcquirePu(op->dst, [this, op] { ServeLocal(op); });
   });
+}
+
+void NicEngine::ServeLocal(Local* op) {
+  switch (op->verb) {
+    case Verb::kRead: {
+      // src reads dst's memory: fetch from dst, then deliver data + CQE
+      // into src's memory. The context is held until the delivery is
+      // posted — a local op spans both DMA phases.
+      op->dst->DmaRead(op->addr, std::max<uint32_t>(op->len, 1), [this, op](SimTime) {
+        op->src->DmaWrite(op->cqe_addr, static_cast<uint64_t>(op->len) + params_.cqe_bytes,
+                          [this, op](SimTime posted) {
+                            ReleaseAt(op->pu, posted + params_.read_pipeline_overhead);
+                            CompleteLocal(op, posted);
+                          },
+                          /*single_descriptor=*/true, op->req_id);
+      }, op->req_id);
+      return;
+    }
+    case Verb::kWrite:
+    case Verb::kSend: {
+      // Gather payload from src, write it into dst, then post the CQE
+      // back into src. This is the double PCIe1 crossing of path ③.
+      op->src->DmaRead(op->addr, std::max<uint32_t>(op->len, 1), [this, op](SimTime) {
+        const uint64_t dst_bytes =
+            op->verb == Verb::kSend ? static_cast<uint64_t>(op->len) + params_.cqe_bytes
+                                    : std::max<uint32_t>(op->len, 1);
+        op->dst->DmaWrite(op->addr, dst_bytes, [this, op](SimTime posted) {
+          ReleaseAt(op->pu, posted + params_.write_pipeline_overhead);
+          if (op->verb == Verb::kSend) {
+            SendHandler& handler = send_handlers_[static_cast<size_t>(op->dst->fe_id)];
+            if (handler != nullptr) {
+              handler(op->addr, op->len, ReplyCallback());
+            }
+          }
+          op->src->DmaWrite(op->cqe_addr, params_.cqe_bytes,
+                            [this, op](SimTime cqe_done) { CompleteLocal(op, cqe_done); },
+                            /*single_descriptor=*/false, op->req_id);
+        }, /*single_descriptor=*/true, op->req_id);
+      }, op->req_id);
+      return;
+    }
+  }
+}
+
+void NicEngine::CompleteLocal(Local* op, SimTime posted) {
+  // A stalled requester CPU stops polling its CQ: while a stall window
+  // covers src's fault domain, the completion becomes visible only when the
+  // window ends. Consulted only with an injector attached, so fault-free
+  // runs schedule no extra events.
+  if (fault::FaultInjector* const inj = sim_->faults(); inj != nullptr) {
+    const SimTime stall = inj->StallDelay(op->src->params().fault_domain, posted);
+    if (stall != 0) {
+      op->visible = std::max(sim_->now(), posted + stall);
+      if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
+        tr->Span(op->src->params().name, "stall", posted, op->visible, op->req_id);
+      }
+      sim_->At(op->visible, [this, op] { FinishLocal(op, op->visible); });
+      return;
+    }
+  }
+  FinishLocal(op, posted);
+}
+
+void NicEngine::FinishLocal(Local* op, SimTime t) {
+  op->done.CallOnce(t);
+  locals_.Free(op);
+}
+
+size_t NicEngine::live_records() const {
+  size_t n = remotes_.live() + locals_.live();
+  for (const auto& ep : endpoints_) {
+    n += ep->live_ops();
+  }
+  return n;
 }
 
 void NicEngine::RegisterMetrics(MetricsRegistry* reg) {

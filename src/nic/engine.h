@@ -28,6 +28,7 @@
 #include "src/nic/verb.h"
 #include "src/pcie/path.h"
 #include "src/sim/callback.h"
+#include "src/sim/pool.h"
 #include "src/sim/server.h"
 #include "src/sim/simulator.h"
 
@@ -38,10 +39,43 @@ namespace snicsim {
 // small-buffer fast path (see src/sim/callback.h).
 using ResponseCallback = SmallFunction<void(SimTime delivered)>;
 
-// The per-request reply closure handed to a SendHandler: call
-// `reply(ready_time, reply_len)` to emit the response. Carries the request's
-// response path and completion chain, so it is move-only.
-using ReplyCallback = SmallFunction<void(SimTime ready, uint32_t reply_len)>;
+// The per-request reply handle handed to a SendHandler: call
+// `reply(ready_time, reply_len)` to emit the response, or `reply.Discard()`
+// when the request ends without one (a crashed server). Exactly one of the
+// two, exactly once. The handle is two pointers — the sink that owns the
+// request's record (the NicEngine) and the record — so closures that carry
+// it stay inside SmallFunction's inline buffer. Destroying a handle does
+// nothing; a default-constructed handle ignores both calls.
+class ReplyCallback {
+ public:
+  // Receives the outcome of each request it handed out a handle for.
+  class Sink {
+   public:
+    virtual void Reply(void* req, SimTime ready, uint32_t reply_len) = 0;
+    virtual void DropReply(void* req) = 0;
+
+   protected:
+    ~Sink() = default;
+  };
+
+  ReplyCallback() = default;
+  ReplyCallback(Sink* sink, void* req) : sink_(sink), req_(req) {}
+
+  void operator()(SimTime ready, uint32_t reply_len) const {
+    if (sink_ != nullptr) {
+      sink_->Reply(req_, ready, reply_len);
+    }
+  }
+  void Discard() const {
+    if (sink_ != nullptr) {
+      sink_->DropReply(req_);
+    }
+  }
+
+ private:
+  Sink* sink_ = nullptr;
+  void* req_ = nullptr;
+};
 
 // Two-sided delivery: the endpoint CPU receives `len` bytes and must
 // eventually invoke the reply closure. `hdr` is the request's 64-bit
@@ -52,7 +86,7 @@ using ReplyCallback = SmallFunction<void(SimTime ready, uint32_t reply_len)>;
 // std::function is fine here.
 using SendHandler = std::function<void(uint64_t hdr, uint32_t len, ReplyCallback reply)>;
 
-class NicEngine {
+class NicEngine : private ReplyCallback::Sink {
  public:
   NicEngine(Simulator* sim, NicParams params);
 
@@ -94,8 +128,9 @@ class NicEngine {
 
   // Grants a processing-unit context for work on `ep` — a dedicated
   // per-endpoint context when one is free, else a shared one (queueing if
-  // exhausted). `cb` receives the matching release callback.
-  void AcquirePu(NicEndpoint* ep, SmallFunction<void(Simulator::Callback release)> cb);
+  // exhausted). `granted` runs once the context is held; the return value
+  // is the pool to Release() it back to.
+  TokenPool* AcquirePu(NicEndpoint* ep, Simulator::Callback granted);
   Simulator* sim() const { return sim_; }
   const std::vector<std::unique_ptr<NicEndpoint>>& endpoints() const { return endpoints_; }
 
@@ -104,9 +139,54 @@ class NicEngine {
   // Exposes engine + per-endpoint counters under "<name>" / endpoint names.
   void RegisterMetrics(MetricsRegistry* reg);
 
+  // Per-request records currently in flight: remote requests, path-③ ops,
+  // WQE fetches and every endpoint's DMA ops. Zero once a run has drained,
+  // dropped requests included.
+  size_t live_records() const;
+
  private:
-  void SendResponse(NicEndpoint* ep, uint64_t bytes, SimTime ready, PciePath path,
-                    ResponseCallback done, uint64_t req_id);
+  // One remote request from HandleRequest to its response's delivery. The
+  // stage closures of the Fig. 3 flow capture only (this, record).
+  struct Remote {
+    NicEndpoint* ep = nullptr;
+    Verb verb = Verb::kRead;
+    uint32_t len = 0;
+    uint32_t reply_len = 0;
+    uint64_t addr = 0;
+    uint64_t req_id = 0;
+    TokenPool* pu = nullptr;  // the processing-unit pool to release into
+    PciePath response_path;
+    ResponseCallback done;
+  };
+
+  // One path-③ op (ExecuteLocalOp) or WQE-chain fetch (FetchWqes).
+  struct Local {
+    NicEndpoint* src = nullptr;
+    NicEndpoint* dst = nullptr;
+    Verb verb = Verb::kRead;
+    uint32_t len = 0;
+    uint64_t addr = 0;
+    uint64_t cqe_addr = 0;
+    uint64_t req_id = 0;
+    SimTime visible = 0;  // CQE visibility after a requester stall
+    TokenPool* pu = nullptr;
+    SmallFunction<void(SimTime)> done;
+  };
+
+  void ServeRemote(Remote* rq);
+  void SendResponse(Remote* rq, uint64_t bytes, SimTime ready);
+  void FinishRemote(Remote* rq);
+  // ReplyCallback::Sink, for the SEND handler of a Remote.
+  void Reply(void* req, SimTime ready, uint32_t reply_len) override;
+  void DropReply(void* req) override;
+  void ServeLocal(Local* op);
+  // The CQE is in the requester's memory at `posted`; completes the op once
+  // the requester can see it (after any stall window on its CPU).
+  void CompleteLocal(Local* op, SimTime posted);
+  void FinishLocal(Local* op, SimTime t);
+  void ReleaseAt(TokenPool* pu, SimTime t) {
+    sim_->At(t, [pu] { pu->Release(); });
+  }
 
   Simulator* sim_;
   NicParams params_;
@@ -115,6 +195,8 @@ class NicEngine {
   std::vector<std::unique_ptr<NicEndpoint>> endpoints_;
   std::vector<std::unique_ptr<TokenPool>> dedicated_pus_;  // indexed by fe_id
   std::vector<SendHandler> send_handlers_;
+  SlabPool<Remote> remotes_;
+  SlabPool<Local> locals_;
   uint64_t requests_served_ = 0;
   uint64_t cqe_seq_ = 0;
 };

@@ -327,14 +327,6 @@ void TenantManager::OnKvOutcome(SimTime latency, bool ok) {
   }
 }
 
-uint64_t TenantManager::path3_bytes() const {
-  uint64_t total = 0;
-  for (const Tenant& tn : tenants_) {
-    total += tn.r.path3_bytes;
-  }
-  return total;
-}
-
 uint64_t TenantManager::slo_checked_total() const {
   uint64_t total = 0;
   for (const Tenant& tn : tenants_) {

@@ -154,10 +154,6 @@ class TenantManager {
   void OnKvServed(int path, uint32_t bytes);
   void OnKvOutcome(SimTime latency, bool ok);
 
-  // Aggregate path-③ bytes shipped by tenant crossings; the governor adds
-  // this to the serving plane's own path-③ rate when metering its budget.
-  uint64_t path3_bytes() const;
-
   // Aggregate SLO ledger across tenants — the SloMonitor's per-epoch feed
   // (cheap cumulative sums, no Results() materialization).
   uint64_t slo_checked_total() const;

@@ -10,9 +10,10 @@
 #ifndef SRC_PCIE_PATH_H_
 #define SRC_PCIE_PATH_H_
 
+#include <array>
+#include <span>
 #include <string>
 #include <utility>
-#include <vector>
 
 #include "src/common/log.h"
 #include "src/common/units.h"
@@ -56,22 +57,28 @@ class PciePath {
     PcieSwitch* via = nullptr;
   };
 
+  // Hops live inline, so a path is a plain value that copies without
+  // touching the allocator, and so does every Fabric::Route. Testbed routes
+  // are one or two links (endpoint -> switch -> endpoint); the third slot
+  // admits a route through two switches.
+  static constexpr size_t kMaxHops = 3;
+
   PciePath() = default;
-  explicit PciePath(std::vector<Hop> hops) : hops_(std::move(hops)) {}
 
   PciePath& Add(PcieLink* link, LinkDir dir, PcieSwitch* via = nullptr) {
-    hops_.push_back(Hop{link, dir, via});
+    SNIC_CHECK_LT(size_, kMaxHops);
+    hops_[size_++] = Hop{link, dir, via};
     return *this;
   }
 
-  bool empty() const { return hops_.empty(); }
-  const std::vector<Hop>& hops() const { return hops_; }
+  bool empty() const { return size_ == 0; }
+  std::span<const Hop> hops() const { return {hops_.data(), size_}; }
 
   // Pure latency of the route (propagation + switch forwarding), excluding
   // serialization and queueing.
   SimTime BaseLatency() const {
     SimTime t = 0;
-    for (const Hop& h : hops_) {
+    for (const Hop& h : hops()) {
       if (h.via != nullptr) {
         t += h.via->forward_delay();
       }
@@ -82,10 +89,12 @@ class PciePath {
 
   // Pushes a data burst along the path; `cb` fires when the last TLP reaches
   // the far end. An empty path models CPU/memory on the same die (zero cost).
+  // A burst lost to fault injection never arrives: `cb` is discarded (see
+  // SmallFunction::Discard) instead of scheduled.
   // `req_id` threads the originating request through to trace spans.
   SimTime TransferAt(Simulator* sim, SimTime ready, uint64_t payload_bytes, uint32_t mtu,
                      Simulator::Callback cb = nullptr, uint64_t req_id = 0) const {
-    if (hops_.empty()) {
+    if (empty()) {
       if (cb != nullptr) {
         sim->At(std::max(ready, sim->now()), std::move(cb));
       }
@@ -98,11 +107,10 @@ class PciePath {
     // a fast hop behind a slow one could "finish" before the tail even left
     // the slow link.
     SimTime delivered = head;
-    std::vector<SimTime> tail_exit;    // last TLP leaves hop i (incl. prop)
-    std::vector<SimTime> min_forward;  // min per-hop traversal (first TLP)
-    tail_exit.reserve(hops_.size());
-    min_forward.reserve(hops_.size());
-    for (const Hop& h : hops_) {
+    SimTime tail_exit[kMaxHops] = {};    // last TLP leaves hop i (incl. prop)
+    SimTime min_forward[kMaxHops] = {};  // min per-hop traversal (first TLP)
+    for (size_t i = 0; i < size_; ++i) {
+      const Hop& h = hops_[i];
       SimTime via_delay = 0;
       if (h.via != nullptr) {
         via_delay = h.via->forward_delay();
@@ -126,7 +134,7 @@ class PciePath {
       }
       // Fault injection: the burst serialized into this hop (counters and
       // link busy time are charged), but if any frame is lost the burst
-      // dies here — later hops never see it and `cb` never fires. Only
+      // dies here — later hops never see it and `cb` is discarded. Only
       // lossy (network) links are eligible, and with no injector attached
       // this is a single pointer test.
       if (h.link->lossy()) {
@@ -136,17 +144,18 @@ class PciePath {
           if (tr != nullptr) {
             tr->Instant(h.link->name(), "drop", delivered_full, req_id);
           }
+          cb.Discard();
           return delivered_full;
         }
       }
-      tail_exit.push_back(delivered_full);
-      min_forward.push_back(via_delay + first + h.link->propagation());
+      tail_exit[i] = delivered_full;
+      min_forward[i] = via_delay + first + h.link->propagation();
       delivered = delivered_full;
     }
     // Tail lower bounds: after leaving hop i, the tail still needs at least
     // the head-TLP traversal time of every later hop.
     SimTime suffix = 0;
-    for (size_t i = hops_.size(); i-- > 0;) {
+    for (size_t i = size_; i-- > 0;) {
       delivered = std::max(delivered, tail_exit[i] + suffix);
       suffix += min_forward[i];
     }
@@ -159,7 +168,7 @@ class PciePath {
   // Pushes a single header-only control TLP along the path.
   SimTime TransferControlAt(Simulator* sim, SimTime ready,
                             Simulator::Callback cb = nullptr, uint64_t req_id = 0) const {
-    if (hops_.empty()) {
+    if (empty()) {
       if (cb != nullptr) {
         sim->At(std::max(ready, sim->now()), std::move(cb));
       }
@@ -167,7 +176,7 @@ class PciePath {
     }
     Tracer* const tr = sim->tracer();
     SimTime t = std::max(ready, sim->now());
-    for (const Hop& h : hops_) {
+    for (const Hop& h : hops()) {
       if (h.via != nullptr) {
         if (tr != nullptr) {
           tr->Span(h.via->name(), "forward", t, t + h.via->forward_delay(), req_id);
@@ -187,6 +196,7 @@ class PciePath {
           if (tr != nullptr) {
             tr->Instant(h.link->name(), "drop", t, req_id);
           }
+          cb.Discard();
           return t;
         }
       }
@@ -203,7 +213,7 @@ class PciePath {
   // the reversed hop that enters link i.
   PciePath Reversed() const {
     PciePath r;
-    const size_t n = hops_.size();
+    const size_t n = size_;
     for (size_t j = 0; j < n; ++j) {
       const Hop& fwd = hops_[n - 1 - j];
       PcieSwitch* via = (j == 0) ? nullptr : hops_[n - j].via;
@@ -213,7 +223,8 @@ class PciePath {
   }
 
  private:
-  std::vector<Hop> hops_;
+  std::array<Hop, kMaxHops> hops_{};
+  size_t size_ = 0;
 };
 
 }  // namespace snicsim

@@ -7,10 +7,17 @@
 // list in this codebase. SmallFunction stores closures up to kInlineBytes
 // directly inline — the common case allocates nothing — and falls back to a
 // single heap cell only for oversized captures. SimCallback, the event
-// type, is SmallFunction<void()>; the per-request completion chains
+// type, is SmallFunction<void()>; the per-request completions
 // (DmaCallback, ResponseCallback, ...) reuse the template with their own
-// signatures so one request's closure chain can thread a move-only release
-// token end to end.
+// signatures. Request state rides in pooled records, so a stage closure
+// captures a component and a record pointer and always stays inline.
+//
+// A closure handed to a stage that may end without running it (a burst lost
+// on a lossy link, a request eaten by a crashed server) can say what to
+// release in that case: build it with WithDiscard(run, drop) and the stage
+// calls Discard() instead of invoking it. Destruction alone never releases
+// anything — pending events are destroyed at teardown, after the
+// components that own per-request records (DESIGN.md §8).
 //
 // Thread-safety: a SmallFunction is a plain value — no shared state, no
 // internal synchronization. Cross-domain closures handed to
@@ -21,12 +28,48 @@
 #define SRC_SIM_CALLBACK_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <cstring>
 #include <new>
 #include <type_traits>
 #include <utility>
 
 namespace snicsim {
+
+namespace callback_internal {
+// Heap fallbacks taken on this thread (see SmallFunctionBoxedCount).
+inline thread_local uint64_t boxed = 0;
+
+template <typename Fn, typename = void>
+struct HasDiscard : std::false_type {};
+template <typename Fn>
+struct HasDiscard<Fn, std::void_t<decltype(std::declval<Fn&>().Discard())>>
+    : std::true_type {};
+}  // namespace callback_internal
+
+// SmallFunctions constructed on this thread whose closure did not fit the
+// inline buffer. Only the heap-fallback branch touches the counter, so the
+// inline fast path pays nothing for it.
+inline uint64_t SmallFunctionBoxedCount() { return callback_internal::boxed; }
+
+// A closure with a second entry point: `run` is the normal continuation,
+// `drop` runs instead when the holder ends it with SmallFunction::Discard.
+template <typename Run, typename Drop>
+struct Discardable {
+  Run run;
+  Drop drop;
+
+  template <typename... A>
+  auto operator()(A&&... args) -> decltype(run(std::forward<A>(args)...)) {
+    return run(std::forward<A>(args)...);
+  }
+  void Discard() { drop(); }
+};
+
+template <typename Run, typename Drop>
+Discardable<Run, Drop> WithDiscard(Run run, Drop drop) {
+  return {std::move(run), std::move(drop)};
+}
 
 template <typename Sig>
 class SmallFunction;  // only the R(Args...) specialization exists
@@ -56,6 +99,7 @@ class SmallFunction<R(Args...)> {
     } else {
       ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
       vtable_ = &Boxed<Fn>::kVTable;
+      ++callback_internal::boxed;
     }
   }
 
@@ -94,6 +138,17 @@ class SmallFunction<R(Args...)> {
     return vt->invoke_destroy(storage_, std::forward<Args>(args)...);
   }
 
+  // Ends the target without invoking it and leaves *this empty: a target
+  // built with WithDiscard runs its drop half first, any other target is
+  // just destroyed. No-op when empty.
+  void Discard() {
+    if (vtable_ != nullptr) {
+      const VTable* vt = vtable_;
+      vtable_ = nullptr;
+      vt->discard(storage_);
+    }
+  }
+
  private:
   struct VTable {
     R (*invoke)(void* self, Args&&... args);
@@ -104,6 +159,8 @@ class SmallFunction<R(Args...)> {
     // suffices, no indirect call needed.
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void* self);
+    // Runs the target's Discard() when it has one, then destroys it.
+    void (*discard)(void* self);
   };
 
   template <typename Fn>
@@ -127,9 +184,15 @@ class SmallFunction<R(Args...)> {
       Get(src)->~Fn();
     }
     static void Destroy(void* self) { Get(self)->~Fn(); }
+    static void Discard(void* self) {
+      if constexpr (callback_internal::HasDiscard<Fn>::value) {
+        Get(self)->Discard();
+      }
+      Destroy(self);
+    }
     static constexpr VTable kVTable{
         &Invoke, &InvokeDestroy,
-        std::is_trivially_copyable_v<Fn> ? nullptr : &Relocate, &Destroy};
+        std::is_trivially_copyable_v<Fn> ? nullptr : &Relocate, &Destroy, &Discard};
   };
 
   template <typename Fn>
@@ -148,8 +211,14 @@ class SmallFunction<R(Args...)> {
       return (*guard.fn)(std::forward<Args>(args)...);
     }
     static void Destroy(void* self) { delete Get(self); }
+    static void Discard(void* self) {
+      if constexpr (callback_internal::HasDiscard<Fn>::value) {
+        Get(self)->Discard();
+      }
+      Destroy(self);
+    }
     // Relocating a box is copying one pointer — always trivial.
-    static constexpr VTable kVTable{&Invoke, &InvokeDestroy, nullptr, &Destroy};
+    static constexpr VTable kVTable{&Invoke, &InvokeDestroy, nullptr, &Destroy, &Discard};
   };
 
   void MoveFrom(SmallFunction&& o) noexcept {

@@ -5,7 +5,10 @@
 // workload-side records that ride along with events. Records are
 // default-constructed once per chunk, recycled through a free list, and
 // never relocated, so steady-state traffic allocates nothing and pointers
-// stay valid for the record's whole lifetime.
+// stay valid for the record's whole lifetime. Chunks start small and double
+// up to a cap, so a component that keeps a handful of records in flight
+// (most of a rack's many engines and endpoints) pays for a handful, and
+// nothing is reserved before the first Alloc.
 //
 // Thread-safety: none — a SlabPool must be owned by exactly one domain and
 // touched only from that domain's events (the same affinity rule as every
@@ -15,6 +18,8 @@
 #ifndef SRC_SIM_POOL_H_
 #define SRC_SIM_POOL_H_
 
+#include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -35,13 +40,13 @@ class SlabPool {
   // only when the free list is empty, one chunk at a time.
   T* Alloc() {
     if (free_.empty()) {
-      const size_t base = chunks_.size() * kChunkSize;
-      chunks_.push_back(std::make_unique<T[]>(kChunkSize));
-      free_.reserve(free_.size() + kChunkSize);
-      for (size_t i = kChunkSize; i > 0; --i) {
+      const size_t n = capacity_ == 0 ? kFirstChunk : std::min(capacity_, kMaxChunk);
+      chunks_.push_back(std::make_unique<T[]>(n));
+      free_.reserve(free_.size() + n);
+      for (size_t i = n; i > 0; --i) {
         free_.push_back(&chunks_.back()[i - 1]);
       }
-      capacity_ = base + kChunkSize;
+      capacity_ += n;
     }
     T* out = free_.back();
     free_.pop_back();
@@ -62,7 +67,13 @@ class SlabPool {
   size_t capacity() const { return capacity_; }
 
  private:
-  static constexpr size_t kChunkSize = 256;
+  // Chunk sizes run 16, 16, 32, 64, 64, ...: each new chunk doubles
+  // capacity until chunks reach kMaxChunk. The cap is kept small on
+  // purpose: chunks of a few KiB fit the holes a torn-down testbed leaves
+  // in the heap, where 256-record chunks of the larger records pushed the
+  // process's peak RSS up.
+  static constexpr size_t kFirstChunk = 16;
+  static constexpr size_t kMaxChunk = 64;
 
   std::vector<std::unique_ptr<T[]>> chunks_;
   std::vector<T*> free_;

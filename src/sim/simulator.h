@@ -13,6 +13,16 @@
 // SimCallback::kInlineBytes never touch the allocator, and freed slots are
 // recycled through a free list, so a steady-state experiment runs with no
 // per-event allocation at all.
+//
+// Events scheduled at exactly now() — token grants, zero-delay hand-offs,
+// a large share of all schedules — skip the heap: they append to a FIFO
+// lane, which is already in (time, seq) order because every lane entry
+// carries time == now() and a fresh, larger seq. Dispatch takes whichever
+// of the lane front and the heap root is smaller in (time, seq), so the
+// order is exactly the one a single heap would produce. The heap pop is
+// Floyd's bottom-up variant: the hole left by the root descends along the
+// smaller child to a leaf without comparing against the displaced last
+// element, which then sifts up the (usually very short) way back.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
@@ -58,7 +68,12 @@ class Simulator {
     }
     const uint32_t slot = AllocSlot();
     SlotAt(slot) = std::move(cb);
-    heap_.push_back(EventHandle{t, next_seq_++, slot});
+    const EventHandle ev{t, next_seq_++, slot};
+    if (t == now_) {
+      lane_.push_back(ev);
+      return;
+    }
+    heap_.push_back(ev);
     SiftUp(heap_.size() - 1);
   }
 
@@ -67,14 +82,14 @@ class Simulator {
 
   // Runs until the event queue drains.
   void Run() {
-    while (!heap_.empty()) {
+    while (!empty()) {
       Step();
     }
   }
 
   // Runs all events with time <= t, then advances the clock to exactly t.
   void RunUntil(SimTime t) {
-    while (!heap_.empty() && heap_.front().time <= t) {
+    while (!empty() && next_event_time() <= t) {
       Step();
     }
     SNIC_CHECK_GE(t, now_);
@@ -90,7 +105,7 @@ class Simulator {
   // lookahead contract, src/sim/parallel.h), so an event at exactly t may
   // still be merged in from another domain and must not have been passed.
   void RunBefore(SimTime t) {
-    while (!heap_.empty() && heap_.front().time < t) {
+    while (!empty() && next_event_time() < t) {
       Step();
     }
     SNIC_CHECK_GE(t, now_);
@@ -104,10 +119,14 @@ class Simulator {
   // Earliest pending event time (kNoEvent when idle). The horizon
   // computation reads this for every domain between rounds.
   SimTime next_event_time() const {
+    // A lane entry is always at now(), which no heap entry precedes.
+    if (lane_head_ < lane_.size()) {
+      return lane_[lane_head_].time;
+    }
     return heap_.empty() ? kNoEvent : heap_.front().time;
   }
 
-  bool empty() const { return heap_.empty(); }
+  bool empty() const { return heap_.empty() && lane_head_ == lane_.size(); }
   uint64_t processed() const { return processed_; }
 
   // Nullable observability hook. Components emit trace events iff non-null;
@@ -135,40 +154,49 @@ class Simulator {
   friend class SimulatorTestPeer;  // tests fast-forward next_seq_ to the
                                    // renumber threshold
 
-  // POD handle the heap orders; the closure stays put in its slot. 16 bytes
-  // so a 64-byte cache line holds four of them — one 4-ary heap node.
+  // POD handle the heap and the lane order; the closure stays put in its
+  // slot. 16 bytes so a 64-byte cache line holds four of them — one 4-ary
+  // heap node.
   struct EventHandle {
     SimTime time;
     uint32_t seq;
     uint32_t slot;
   };
+  static_assert(sizeof(EventHandle) == 16);
 
-  // Min-heap order on (time, seq). seq is a 32-bit counter: the subtraction
-  // compares circular distance, which is exact as long as any two live seqs
-  // are within 2^31 of each other. RenumberSeqs() re-bases every pending
-  // event before the counter can reach 2^31, so the window invariant holds
-  // for any schedule count and any event lifetime (a far-future timer stays
-  // ordered against events scheduled billions of At() calls later).
+  // Dispatch order on (time, seq) as one unsigned 128-bit integer. Exact
+  // because time is never negative and seq never reaches 2^31: At()
+  // renumbers pending events before the counter gets there, so every live
+  // seq lies in [0, 2^31) and plain unsigned order is scheduling order,
+  // for any schedule count and any event lifetime (a far-future timer
+  // stays ordered against events scheduled billions of At() calls later).
+  __extension__ using Key = unsigned __int128;
+  static Key KeyOf(const EventHandle& e) {
+    return (static_cast<Key>(static_cast<uint64_t>(e.time)) << 64) | e.seq;
+  }
   static bool Before(const EventHandle& a, const EventHandle& b) {
-    if (a.time != b.time) {
-      return a.time < b.time;
-    }
-    return static_cast<int32_t>(a.seq - b.seq) < 0;
+    return KeyOf(a) < KeyOf(b);
   }
 
-  // Compacts pending seqs to [0, heap_.size()). Invoked from At() whenever
-  // next_seq_ reaches 2^31, so between renumbers seqs span at most
-  // [0, 2^31) — within the circular-comparison window. Amortized cost: one
+  // Compacts pending seqs, heap and lane alike, to [0, pending). Invoked
+  // from At() whenever next_seq_ reaches 2^31. Amortized cost: one
   // O(n log n) sort per ~2^31 schedules, i.e. effectively free.
   void RenumberSeqs() {
-    // Within the window, Before is a strict total order, so sorting yields
-    // the exact dispatch order; a sorted array is also a valid d-ary
-    // min-heap, so the heap invariant is restored for free.
+    // A sorted array is a valid d-ary min-heap, so sorting restores the
+    // heap invariant for free; the lane is already sorted. Merging the two
+    // assigns new seqs in exact dispatch order.
     std::sort(heap_.begin(), heap_.end(), Before);
-    for (size_t i = 0; i < heap_.size(); ++i) {
-      heap_[i].seq = static_cast<uint32_t>(i);
+    uint32_t seq = 0;
+    size_t h = 0;
+    size_t l = lane_head_;
+    while (h < heap_.size() || l < lane_.size()) {
+      if (l == lane_.size() || (h < heap_.size() && Before(heap_[h], lane_[l]))) {
+        heap_[h++].seq = seq++;
+      } else {
+        lane_[l++].seq = seq++;
+      }
     }
-    next_seq_ = static_cast<uint32_t>(heap_.size());
+    next_seq_ = seq;
   }
 
   static constexpr uint32_t kSeqRenumberAt = 1u << 31;
@@ -178,9 +206,10 @@ class Simulator {
   // and all four children of a node share one line.
   void SiftUp(size_t i) {
     const EventHandle v = heap_[i];
+    const Key k = KeyOf(v);
     while (i > 0) {
       const size_t parent = (i - 1) >> 2;
-      if (!Before(v, heap_[parent])) {
+      if (!(k < KeyOf(heap_[parent]))) {
         break;
       }
       heap_[i] = heap_[parent];
@@ -189,7 +218,24 @@ class Simulator {
     heap_[i] = v;
   }
 
-  // Removes heap_[0], restoring the heap over the remaining elements.
+  // Index (0..3) of the smallest of four sibling handles, without branches
+  // on the comparisons.
+  static size_t MinOf4(const EventHandle* c) {
+    const Key k0 = KeyOf(c[0]);
+    const Key k1 = KeyOf(c[1]);
+    const Key k2 = KeyOf(c[2]);
+    const Key k3 = KeyOf(c[3]);
+    const bool b01 = k1 < k0;
+    const bool b23 = k3 < k2;
+    const Key lo = b01 ? k1 : k0;
+    const Key hi = b23 ? k3 : k2;
+    const size_t i01 = b01 ? 1 : 0;
+    const size_t i23 = b23 ? 3 : 2;
+    return hi < lo ? i23 : i01;
+  }
+
+  // Removes heap_[0], restoring the heap over the remaining elements
+  // (Floyd: descend the hole to a leaf, then sift the old last element up).
   void PopRoot() {
     const EventHandle last = heap_.back();
     heap_.pop_back();
@@ -197,26 +243,28 @@ class Simulator {
     if (n == 0) {
       return;
     }
+    EventHandle* const h = heap_.data();
     size_t i = 0;
     for (;;) {
       const size_t first = 4 * i + 1;
-      if (first >= n) {
-        break;
-      }
-      size_t best = first;
-      const size_t limit = std::min(first + 4, n);
-      for (size_t c = first + 1; c < limit; ++c) {
-        if (Before(heap_[c], heap_[best])) {
-          best = c;
+      size_t best;
+      if (first + 4 <= n) {
+        best = first + MinOf4(h + first);
+      } else if (first < n) {
+        best = first;
+        for (size_t c = first + 1; c < n; ++c) {
+          if (Before(h[c], h[best])) {
+            best = c;
+          }
         }
-      }
-      if (!Before(heap_[best], last)) {
+      } else {
         break;
       }
-      heap_[i] = heap_[best];
+      h[i] = h[best];
       i = best;
     }
-    heap_[i] = last;
+    h[i] = last;
+    SiftUp(i);
   }
 
   static constexpr uint32_t kChunkShift = 8;
@@ -242,9 +290,24 @@ class Simulator {
     return slot;
   }
 
-  void Step() {
+  // Takes the next event in (time, seq) order from the lane or the heap.
+  EventHandle PopNext() {
+    if (lane_head_ < lane_.size() &&
+        (heap_.empty() || Before(lane_[lane_head_], heap_.front()))) {
+      const EventHandle ev = lane_[lane_head_++];
+      if (lane_head_ == lane_.size()) {
+        lane_.clear();
+        lane_head_ = 0;
+      }
+      return ev;
+    }
     const EventHandle ev = heap_.front();
     PopRoot();
+    return ev;
+  }
+
+  void Step() {
+    const EventHandle ev = PopNext();
     SNIC_CHECK_GE(ev.time, now_);
     now_ = ev.time;
     ++processed_;
@@ -257,6 +320,9 @@ class Simulator {
   }
 
   std::vector<EventHandle> heap_;
+  // FIFO of events scheduled at exactly now(); lane_[lane_head_..] pending.
+  std::vector<EventHandle> lane_;
+  size_t lane_head_ = 0;
   std::vector<std::unique_ptr<Callback[]>> chunks_;
   std::vector<uint32_t> free_slots_;
   Tracer* tracer_ = nullptr;

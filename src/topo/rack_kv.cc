@@ -238,6 +238,41 @@ struct RackKv {
   std::vector<std::unique_ptr<KvDomain>> doms;
 };
 
+// Cross-domain messages with many fields travel as one packed struct, so
+// the closure that carries one stays inside SmallFunction's inline buffer:
+// domain ids fit 16 bits and size classes 8 (RunRackKv checks both).
+struct ServeMsg {  // Dispatch -> ServeArrival
+  RackKv* rk;
+  HomeOp* op;
+  uint64_t gen;
+  uint64_t token;
+  uint64_t rank;
+  uint64_t mmask;
+  uint32_t bytes;
+  uint32_t mep;
+  uint16_t target;
+  uint16_t src;
+  uint8_t cls;
+  bool write;
+};
+static_assert(sizeof(ServeMsg) <= SimCallback::kInlineBytes);
+
+struct PushMsg {  // PushKey: survivor -> migration destination
+  RackKv* rk;
+  MigOp* m;
+  uint64_t gen;
+  uint64_t rank;
+  uint64_t mmask;
+  SimTime fetch_start;
+  uint32_t bytes;
+  uint32_t mep;
+  uint16_t d;
+  uint16_t dest;
+  uint8_t cls;
+  bool src_bad;
+};
+static_assert(sizeof(PushMsg) <= SimCallback::kInlineBytes);
+
 void IssueNew(RackKv& r, DomainId d, int cls, uint64_t user);
 void Dispatch(RackKv& r, DomainId d, HomeOp* op);
 void OnTimeout(RackKv& r, DomainId d, HomeOp* op, uint64_t gen, uint64_t token);
@@ -260,6 +295,7 @@ void StartRange(RackKv& r, DomainId d, int dest, std::vector<uint64_t> ranks);
 void PushNextKey(RackKv& r, DomainId d, MigOp* m);
 void PushKey(RackKv& r, DomainId d, MigOp* m, uint64_t rank, int cls,
              uint32_t bytes);
+void InstallPushedKey(const PushMsg& msg);
 void OnPushAck(RackKv& r, DomainId d, MigOp* m, uint64_t gen);
 void OnPushNack(RackKv& r, DomainId d, MigOp* m, uint64_t gen);
 void RangeFailed(RackKv& r, DomainId d, MigOp* m);
@@ -424,19 +460,23 @@ void Dispatch(RackKv& r, DomainId d, HomeOp* op) {
   op->timer = dom.stack.wheel.In(r.p->request_timeout, [rk, d, op, gen, token] {
     OnTimeout(*rk, d, op, gen, token);
   });
-  const DomainId src = d;
-  const uint64_t rank = op->rank;
-  const int cls = op->serve_cls;
-  const uint32_t bytes = op->bytes;
-  const bool write = op->write;
-  const uint32_t mep = dom.member_epoch;
-  const uint64_t mmask = dom.live_mask;
-  r.psim->Post(
-      d, static_cast<DomainId>(target), dom.stack.sim->now() + r.p->rack_link_latency,
-      [rk, target, src, op, gen, token, rank, cls, bytes, write, mep, mmask] {
-        ServeArrival(*rk, static_cast<DomainId>(target), src, op, gen, token,
-                     rank, cls, bytes, write, mep, mmask);
-      });
+  const ServeMsg msg{rk,
+                     op,
+                     gen,
+                     token,
+                     op->rank,
+                     dom.live_mask,
+                     op->bytes,
+                     dom.member_epoch,
+                     static_cast<uint16_t>(target),
+                     static_cast<uint16_t>(d),
+                     static_cast<uint8_t>(op->serve_cls),
+                     op->write};
+  r.psim->Post(d, static_cast<DomainId>(target),
+               dom.stack.sim->now() + r.p->rack_link_latency, [msg] {
+                 ServeArrival(*msg.rk, msg.target, msg.src, msg.op, msg.gen, msg.token,
+                              msg.rank, msg.cls, msg.bytes, msg.write, msg.mep, msg.mmask);
+               });
 }
 
 void OnTimeout(RackKv& r, DomainId d, HomeOp* op, uint64_t gen, uint64_t token) {
@@ -1077,56 +1117,66 @@ void PushKey(RackKv& r, DomainId d, MigOp* m, uint64_t rank, int cls,
     return;
   }
   dom.repair_path3_bytes += bytes;
-  const bool src_bad = dom.integ != nullptr && IsCorrupt(dom, rank);
-  const uint64_t gen = m->gen;
-  const int dest = m->dest;
-  const uint32_t mep = dom.member_epoch;
-  const uint64_t mmask = dom.live_mask;
-  const SimTime fetch_start = dom.stack.sim->now();
+  const PushMsg msg{rk,
+                    m,
+                    m->gen,
+                    rank,
+                    dom.live_mask,
+                    dom.stack.sim->now(),
+                    bytes,
+                    dom.member_epoch,
+                    static_cast<uint16_t>(d),
+                    static_cast<uint16_t>(m->dest),
+                    static_cast<uint8_t>(cls),
+                    dom.integ != nullptr && IsCorrupt(dom, rank)};
   dom.stack.bf.nic().ExecuteLocalOp(
       dom.stack.bf.soc_ep(), dom.stack.bf.host_ep(), Verb::kRead,
       r.p->layout.Pack(rank, cls), bytes,
-      [rk, d, m, gen, dest, rank, cls, bytes, src_bad, mep, mmask,
-       fetch_start](SimTime done) {
-        KvDomain& here = *rk->doms[static_cast<size_t>(d)];
-        if (m->gen != gen) {
+      [msg](SimTime done) {
+        KvDomain& here = *msg.rk->doms[msg.d];
+        if (msg.m->gen != msg.gen) {
           return;
         }
         if (here.stack.injector != nullptr &&
-            here.stack.injector->CrashKills(here.soc_domain, fetch_start, done)) {
-          RangeFailed(*rk, d, m);
+            here.stack.injector->CrashKills(here.soc_domain, msg.fetch_start, done)) {
+          RangeFailed(*msg.rk, msg.d, msg.m);
           return;
         }
-        rk->psim->Post(
-            d, static_cast<DomainId>(dest),
-            here.stack.sim->now() + rk->p->rack_link_latency,
-            [rk, d, m, gen, dest, rank, cls, bytes, src_bad, mep, mmask] {
-              KvDomain& f = *rk->doms[static_cast<size_t>(dest)];
-              if (ServerDeadNow(f)) {
-                // Post is reliable, so an explicit nack (not a timer) keeps
-                // the per-key ledger exact: every push resolves.
-                rk->psim->Post(static_cast<DomainId>(dest), d,
-                               f.stack.sim->now() + rk->p->rack_link_latency,
-                               [rk, d, m, gen] {
-                                 OnPushNack(*rk, d, m, gen);
-                               });
-                return;
-              }
-              AdoptMembership(*rk, static_cast<DomainId>(dest), mep, mmask);
-              const SimTime applied = f.stack.bf.soc_memory().Access(
-                  f.stack.sim->now(), rk->p->layout.Pack(rank, cls), bytes,
-                  /*is_write=*/true);
-              f.stack.sim->At(applied, [rk, d, m, gen, dest, rank, src_bad] {
-                KvDomain& ff = *rk->doms[static_cast<size_t>(dest)];
-                ++ff.keys_installed;
-                InstallValue(ff, rank, src_bad);
-                rk->psim->Post(static_cast<DomainId>(dest), d,
-                               ff.stack.sim->now() + rk->p->rack_link_latency,
-                               [rk, d, m, gen] { OnPushAck(*rk, d, m, gen); });
-              });
-            });
+        msg.rk->psim->Post(msg.d, msg.dest,
+                           here.stack.sim->now() + msg.rk->p->rack_link_latency,
+                           [msg] { InstallPushedKey(msg); });
       },
-      /*req_id=*/gen);
+      /*req_id=*/msg.gen);
+}
+
+// Destination side of PushKey: install into SoC memory, then ack.
+void InstallPushedKey(const PushMsg& msg) {
+  RackKv* const rk = msg.rk;
+  const DomainId d = msg.d;
+  MigOp* const m = msg.m;
+  const uint64_t gen = msg.gen;
+  const DomainId dest = msg.dest;
+  const uint64_t rank = msg.rank;
+  const bool src_bad = msg.src_bad;
+  KvDomain& f = *rk->doms[static_cast<size_t>(dest)];
+  if (ServerDeadNow(f)) {
+    // Post is reliable, so an explicit nack (not a timer) keeps the
+    // per-key ledger exact: every push resolves.
+    rk->psim->Post(dest, d, f.stack.sim->now() + rk->p->rack_link_latency,
+                   [rk, d, m, gen] { OnPushNack(*rk, d, m, gen); });
+    return;
+  }
+  AdoptMembership(*rk, dest, msg.mep, msg.mmask);
+  const SimTime applied = f.stack.bf.soc_memory().Access(
+      f.stack.sim->now(), rk->p->layout.Pack(rank, msg.cls), msg.bytes,
+      /*is_write=*/true);
+  f.stack.sim->At(applied, [rk, d, m, gen, dest, rank, src_bad] {
+    KvDomain& ff = *rk->doms[static_cast<size_t>(dest)];
+    ++ff.keys_installed;
+    InstallValue(ff, rank, src_bad);
+    rk->psim->Post(dest, d, ff.stack.sim->now() + rk->p->rack_link_latency,
+                   [rk, d, m, gen] { OnPushAck(*rk, d, m, gen); });
+  });
 }
 
 void OnPushAck(RackKv& r, DomainId d, MigOp* m, uint64_t gen) {
@@ -1353,6 +1403,9 @@ RackKvResult RunRackKv(const RackKvParams& params) {
   SNIC_CHECK_GT(params.promote_after, 0);
   SNIC_CHECK_GT(params.window, 0);
   SNIC_CHECK_EQ(params.mix.size(), params.layout.class_bytes.size());
+  // ServeMsg / PushMsg field widths.
+  SNIC_CHECK_LE(params.servers, 0xffff);
+  SNIC_CHECK_LE(params.layout.class_bytes.size(), 0xffu);
   params.layout.Validate();
   if (params.membership.enabled) {
     // Removal keeps >= 2 ring members (shard.h asserts per removal); 64
@@ -1498,6 +1551,7 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     SNIC_CHECK_EQ(dom.serves.live(), 0u);
     SNIC_CHECK_EQ(dom.reps.live(), 0u);
     SNIC_CHECK_EQ(dom.migs.live(), 0u);
+    SNIC_CHECK_EQ(domp->stack.bf.nic().live_records(), 0u);
     SNIC_CHECK_EQ(dom.repairs.live(), 0u);
     out.generated += dom.generated;
     out.issued += dom.issued;

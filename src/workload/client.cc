@@ -36,7 +36,8 @@ void ClientMachine::Start(const TargetSpec& target, AddressGenerator addr, Meter
   }
   const SimTime machine_offset = static_cast<SimTime>(h % 40) * FromNanos(200);
   for (int t = 0; t < params_.threads; ++t) {
-    auto loop = std::make_shared<Loop>();
+    loops_.push_back(std::make_unique<Loop>());
+    Loop* loop = loops_.back().get();
     loop->target = target;
     // Per-thread copy of the region with an independent random stream.
     loop->addr = addr.WithSeed(0x9e37'79b9'7f4aULL * static_cast<uint64_t>(t + 1) + 13);
@@ -46,7 +47,7 @@ void ClientMachine::Start(const TargetSpec& target, AddressGenerator addr, Meter
   }
 }
 
-void ClientMachine::Pump(const std::shared_ptr<Loop>& loop) {
+void ClientMachine::Pump(Loop* loop) {
   while (loop->in_flight < params_.window) {
     loop->in_flight += 1;
     if (params_.doorbell_batch) {
@@ -64,7 +65,7 @@ bool ClientMachine::Reliable() const {
   return sim_->faults() != nullptr && params_.transport_timeout > 0;
 }
 
-void ClientMachine::IssueOne(const std::shared_ptr<Loop>& loop) {
+void ClientMachine::IssueOne(Loop* loop) {
   const SimTime issue_start = sim_->now();
   if (Reliable()) {
     // Failed ops are not recorded (they produced no completion) but still
@@ -89,7 +90,7 @@ void ClientMachine::IssueOne(const std::shared_ptr<Loop>& loop) {
        });
 }
 
-void ClientMachine::IssueBatch(const std::shared_ptr<Loop>& loop) {
+void ClientMachine::IssueBatch(Loop* loop) {
   const int batch = params_.batch;
   SNIC_CHECK_GT(batch, 0);
   issued_ += static_cast<uint64_t>(batch);
@@ -162,23 +163,16 @@ void ClientMachine::Post(int thread, const TargetSpec& target, uint64_t addr,
   const SimTime issue_start = sim_->now();
   // Build the WQE and ring the doorbell (CPU is blocked for both).
   const SimTime posted = cpu.Enqueue(params_.wr_build + params_.mmio_block);
+  Flight* f = NewFlight(target, addr, rid, std::move(cb));
   if (tr != nullptr) {
     tr->Span(cpu.name(), "post", issue_start, posted, rid);
     tr->Span(cpu.name(), "doorbell", posted, posted + params_.mmio_flight, rid);
-    // Wrap the completion with the whole-request span so the trace shows
+    // The completion closes a whole-request span so the trace shows
     // [post .. completion polled] as one op on the machine's lane.
-    cb = [this, target, issue_start, rid, cb = std::move(cb)](SimTime completed) {
-      if (Tracer* const t = sim_->tracer(); t != nullptr) {
-        t->Span(name_, VerbName(target.verb), issue_start, completed, rid,
-                TraceCat::kOp);
-      }
-      cb(completed);
-    };
+    f->issue_start = issue_start;
+    f->op_span = true;
   }
-  sim_->At(posted + params_.mmio_flight,
-           [this, target, addr, rid, cb = std::move(cb)]() mutable {
-    LaunchFromNic(target, addr, std::move(cb), rid);
-  });
+  sim_->At(posted + params_.mmio_flight, [this, f] { LaunchFlight(f); });
 }
 
 void ClientMachine::Launch(const TargetSpec& target, uint64_t addr,
@@ -290,40 +284,79 @@ void ClientMachine::CompleteReliable(const std::shared_ptr<ReliableOp>& op,
   op->cb(completed, true);
 }
 
+ClientMachine::Flight* ClientMachine::NewFlight(const TargetSpec& target, uint64_t addr,
+                                                uint64_t rid,
+                                                SmallFunction<void(SimTime)> cb) {
+  Flight* f = flights_.Alloc();
+  f->target = target;
+  f->addr = addr;
+  f->rid = rid;
+  f->op_span = false;
+  f->cb = std::move(cb);
+  return f;
+}
+
 void ClientMachine::LaunchFromNic(const TargetSpec& target, uint64_t addr,
                                   SmallFunction<void(SimTime)> cb, uint64_t req_id) {
+  LaunchFlight(NewFlight(target, addr, req_id, std::move(cb)));
+}
+
+void ClientMachine::LaunchFlight(Flight* f) {
+  const TargetSpec& target = f->target;
   // Client NIC pipeline + WQE handling.
   const SimTime fe_done =
       nic_fe_.EnqueueAt(sim_->now(), params_.nic.shared_pipeline.ServiceTime());
   const SimTime tx_ready = fe_done + params_.nic_tx_fixed;
   if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
-    tr->Span(name_ + ".nic", "tx", sim_->now(), tx_ready, req_id);
+    tr->Span(name_ + ".nic", "tx", sim_->now(), tx_ready, f->rid);
   }
-  PciePath to_server = fabric_->Route(port_, target.server_port);
-  auto on_arrival = [this, target, addr, req_id, cb = std::move(cb)]() mutable {
-    PciePath back = fabric_->Route(target.server_port, port_);
-    const double fe_units =
-        (target.verb == Verb::kRead || target.payload == 0)
-            ? 1.0
-            : static_cast<double>(
-                  CeilDiv(target.payload, target.engine->params().network_mtu));
-    target.engine->HandleRequest(
-        target.endpoint, target.verb, addr, target.payload, fe_units, std::move(back),
-        [this, req_id, cb = std::move(cb)](SimTime delivered) mutable {
-          if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
-            tr->Span(name_ + ".nic", "rx", delivered,
-                     delivered + params_.nic_rx_fixed + params_.poll, req_id);
-          }
-          sim_->At(delivered + params_.nic_rx_fixed + params_.poll,
-                   [this, cb = std::move(cb)] { cb(sim_->now()); });
-        }, req_id);
-  };
+  const PciePath to_server = fabric_->Route(port_, target.server_port);
+  auto on_arrival = WithDiscard([this, f] { ArriveAtServer(f); },
+                                [this, f] { DropFlight(f); });
   if (target.verb == Verb::kRead || target.payload == 0) {
-    to_server.TransferControlAt(sim_, tx_ready, std::move(on_arrival), req_id);
+    to_server.TransferControlAt(sim_, tx_ready, std::move(on_arrival), f->rid);
   } else {
     to_server.TransferAt(sim_, tx_ready, target.payload, params_.nic.network_mtu,
-                         std::move(on_arrival), req_id);
+                         std::move(on_arrival), f->rid);
   }
+}
+
+void ClientMachine::ArriveAtServer(Flight* f) {
+  const TargetSpec& target = f->target;
+  const double fe_units =
+      (target.verb == Verb::kRead || target.payload == 0)
+          ? 1.0
+          : static_cast<double>(CeilDiv(target.payload, target.engine->params().network_mtu));
+  target.engine->HandleRequest(
+      target.endpoint, target.verb, f->addr, target.payload, fe_units,
+      fabric_->Route(target.server_port, port_),
+      WithDiscard(
+          [this, f](SimTime delivered) {
+            const SimTime polled = delivered + params_.nic_rx_fixed + params_.poll;
+            if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
+              tr->Span(name_ + ".nic", "rx", delivered, polled, f->rid);
+            }
+            sim_->At(polled, [this, f] { FinishFlight(f); });
+          },
+          [this, f] { DropFlight(f); }),
+      f->rid);
+}
+
+void ClientMachine::FinishFlight(Flight* f) {
+  const SimTime completed = sim_->now();
+  if (f->op_span) {
+    if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
+      tr->Span(name_, VerbName(f->target.verb), f->issue_start, completed, f->rid,
+               TraceCat::kOp);
+    }
+  }
+  f->cb.CallOnce(completed);
+  flights_.Free(f);
+}
+
+void ClientMachine::DropFlight(Flight* f) {
+  f->cb.Discard();
+  flights_.Free(f);
 }
 
 void ClientMachine::RegisterMetrics(MetricsRegistry* reg) {

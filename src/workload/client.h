@@ -17,6 +17,7 @@
 #include "src/nic/engine.h"
 #include "src/nic/verb.h"
 #include "src/sim/meter.h"
+#include "src/sim/pool.h"
 #include "src/sim/server.h"
 #include "src/sim/simulator.h"
 #include "src/topo/fabric.h"
@@ -106,6 +107,10 @@ class ClientMachine {
   // Exposes issue-side counters under "<name>".
   void RegisterMetrics(MetricsRegistry* reg);
 
+  // Posted or launched ops whose completion has not fired yet; zero once a
+  // run has drained, lost ops included.
+  size_t live_flights() const { return flights_.live(); }
+
  private:
   struct Loop {
     TargetSpec target;
@@ -131,9 +136,20 @@ class ClientMachine {
     SmallFunction<void(SimTime, bool)> cb;
   };
 
-  void Pump(const std::shared_ptr<Loop>& loop);
-  void IssueOne(const std::shared_ptr<Loop>& loop);
-  void IssueBatch(const std::shared_ptr<Loop>& loop);
+  // One op from its NIC launch (or its post, for Post) to its completion:
+  // the stage closures capture only (this, flight).
+  struct Flight {
+    TargetSpec target;
+    uint64_t addr = 0;
+    uint64_t rid = 0;
+    SimTime issue_start = 0;
+    bool op_span = false;  // trace [post .. completion] as one op span
+    SmallFunction<void(SimTime)> cb;
+  };
+
+  void Pump(Loop* loop);
+  void IssueOne(Loop* loop);
+  void IssueBatch(Loop* loop);
   // True when closed-loop ops must carry the retransmission layer.
   bool Reliable() const;
   // NIC-level launch with retransmission protection (the batch path, which
@@ -142,9 +158,16 @@ class ClientMachine {
                       SmallFunction<void(SimTime, bool)> cb, uint64_t req_id);
   void ArmRetry(const std::shared_ptr<ReliableOp>& op);
   void CompleteReliable(const std::shared_ptr<ReliableOp>& op, SimTime completed);
+  Flight* NewFlight(const TargetSpec& target, uint64_t addr, uint64_t rid,
+                    SmallFunction<void(SimTime)> cb);
   // The NIC-side half of a post: pipeline, fabric, responder, completion.
   void LaunchFromNic(const TargetSpec& target, uint64_t addr,
                      SmallFunction<void(SimTime)> cb, uint64_t req_id = 0);
+  void LaunchFlight(Flight* f);
+  void ArriveAtServer(Flight* f);
+  void FinishFlight(Flight* f);
+  // The request or its response was lost: the op ends without completing.
+  void DropFlight(Flight* f);
 
   Simulator* sim_;
   Fabric* fabric_;
@@ -153,6 +176,8 @@ class ClientMachine {
   PcieLink* port_;
   BusyServer nic_fe_;
   std::vector<std::unique_ptr<BusyServer>> thread_cpu_;
+  std::vector<std::unique_ptr<Loop>> loops_;
+  SlabPool<Flight> flights_;
   uint64_t issued_ = 0;
   uint64_t doorbells_ = 0;  // MMIO doorbell rings (one per batch when batching)
   uint64_t retransmits_ = 0;  // reliable-layer NIC replays

@@ -79,7 +79,8 @@ void ClientFleet::Start(std::vector<TargetSpec> paths, const ZipfDist* zipf,
   const int lanes = params_.machines * params_.machine.threads;
   logicals_.reserve(static_cast<size_t>(params_.logical_clients));
   for (int id = 0; id < params_.logical_clients; ++id) {
-    auto lc = std::make_shared<Logical>();
+    logicals_.push_back(std::make_unique<Logical>());
+    Logical* lc = logicals_.back().get();
     lc->id = static_cast<uint64_t>(id);
     const int lane = id % lanes;
     lc->machine = lane % params_.machines;
@@ -87,7 +88,6 @@ void ClientFleet::Start(std::vector<TargetSpec> paths, const ZipfDist* zipf,
     // Seed from (fleet seed, client id) only: the stream is a function of
     // identity, never of scheduling.
     lc->rng = Rng(params_.seed ^ (0x9e3779b97f4a7c15ULL * (lc->id + 1)));
-    logicals_.push_back(lc);
     // Stagger starts so thousands of clients don't ring doorbells in one
     // event: a deterministic spread over ~25 us.
     const SimTime offset = FromNanos(25) * static_cast<SimTime>(id % 997);
@@ -99,14 +99,14 @@ void ClientFleet::Start(std::vector<TargetSpec> paths, const ZipfDist* zipf,
   }
 }
 
-void ClientFleet::Pump(const std::shared_ptr<Logical>& lc) {
+void ClientFleet::Pump(Logical* lc) {
   while (!stopped_ && lc->in_flight < params_.window) {
     lc->in_flight += 1;
     IssueOne(lc);
   }
 }
 
-void ClientFleet::ScheduleArrival(const std::shared_ptr<Logical>& lc) {
+void ClientFleet::ScheduleArrival(Logical* lc) {
   SNIC_CHECK_GT(params_.open_mops, 0.0);
   // Aggregate Poisson process thinned per client: exponential gaps with
   // mean logical_clients / open_mops microseconds, drawn from the client's
@@ -149,7 +149,7 @@ void ClientFleet::ScheduleArrival(const std::shared_ptr<Logical>& lc) {
   });
 }
 
-void ClientFleet::IssueOne(const std::shared_ptr<Logical>& lc) {
+void ClientFleet::IssueOne(Logical* lc) {
   KvRequest req;
   req.client = lc->id;
   req.seq = lc->seq++;
@@ -190,32 +190,10 @@ void ClientFleet::IssueOne(const std::shared_ptr<Logical>& lc) {
   ++issued_;
   ++path_issued_[static_cast<size_t>(path)];
 
-  TargetSpec spec = paths_[static_cast<size_t>(path)];
-  spec.payload = params_.request_bytes;
-  const SimTime issued_at = sim_->now();
-  ClientMachine& m = *machines_[static_cast<size_t>(lc->machine)];
-  if (Reliable()) {
-    m.PostReliable(lc->thread, spec, req.hdr,
-                   [this, lc, req, path, issued_at](SimTime completed, bool ok) {
-                     Finish(path, path, req, issued_at, completed, ok);
-                     if (!params_.open_loop) {
-                       lc->in_flight -= 1;
-                       Pump(lc);
-                     }
-                   });
-    return;
-  }
-  m.Post(lc->thread, spec, req.hdr,
-         [this, lc, req, path, issued_at](SimTime completed) {
-           Finish(path, path, req, issued_at, completed, /*ok=*/true);
-           if (!params_.open_loop) {
-             lc->in_flight -= 1;
-             Pump(lc);
-           }
-         });
+  PostCopy(NewCopy(lc, req, /*hs=*/nullptr, path, path, sim_->now()));
 }
 
-void ClientFleet::IssueResilient(const std::shared_ptr<Logical>& lc, KvRequest req) {
+void ClientFleet::IssueResilient(Logical* lc, KvRequest req) {
   const SimTime now = sim_->now();
   req.deadline = resil_->StampDeadline(now);
   const int routed = route_(req);
@@ -245,10 +223,11 @@ void ClientFleet::IssueResilient(const std::shared_ptr<Logical>& lc, KvRequest r
 
   ++issued_;
   ++path_issued_[static_cast<size_t>(routed)];
-  const SimTime issued_at = now;
-  auto hs = std::make_shared<HedgeState>();
+  HedgeState* hs = hedges_.Alloc();
+  hs->settled = false;
   hs->outstanding = 1;
-  PostCopy(lc, req, hs, routed, routed, issued_at);
+  hs->refs = 0;
+  PostCopy(NewCopy(lc, req, hs, routed, routed, now));
 
   if (static_cast<size_t>(resilience::kEndpointCount) <= paths_.size() &&
       resil_->HedgeEligible(routed, req.bytes)) {
@@ -256,74 +235,99 @@ void ClientFleet::IssueResilient(const std::shared_ptr<Logical>& lc, KvRequest r
     // eventually launches, so the draw stream depends only on issue order.
     const SimTime hedge_delay = resil_->HedgeDelay(routed);
     const int hpath = resilience::ResilienceManager::OtherEndpoint(routed);
-    sim_->In(hedge_delay, [this, lc, req, hs, routed, hpath, issued_at] {
-      if (hs->settled || stopped_) {
-        return;  // the original already answered (or the run is draining)
-      }
-      if (req.deadline > 0 && sim_->now() >= req.deadline) {
-        return;  // no budget left for a second copy
-      }
-      if (!resil_->EndpointAvailable(hpath)) {
-        return;  // the other endpoint's breaker is open
-      }
-      hs->outstanding += 1;
-      resil_->OnHedgeLaunched();
-      ++issued_;
-      ++path_issued_[static_cast<size_t>(hpath)];
-      PostCopy(lc, req, hs, routed, hpath, issued_at);
-    });
+    Copy* h = NewCopy(lc, req, hs, routed, hpath, now);
+    sim_->In(hedge_delay, [this, h] { LaunchHedge(h); });
   }
 }
 
-void ClientFleet::PostCopy(const std::shared_ptr<Logical>& lc, const KvRequest& req,
-                           const std::shared_ptr<HedgeState>& hs, int routed,
-                           int copy, SimTime issued_at) {
-  TargetSpec spec = paths_[static_cast<size_t>(copy)];
+void ClientFleet::LaunchHedge(Copy* h) {
+  HedgeState* const hs = h->hs;
+  // No duplicate when the original already answered (or the run is
+  // draining), the deadline budget is gone, or the other endpoint's
+  // breaker is open.
+  if (hs->settled || stopped_ || (h->req.deadline > 0 && sim_->now() >= h->req.deadline) ||
+      !resil_->EndpointAvailable(h->copy)) {
+    FreeCopy(h);
+    return;
+  }
+  hs->outstanding += 1;
+  resil_->OnHedgeLaunched();
+  ++issued_;
+  ++path_issued_[static_cast<size_t>(h->copy)];
+  PostCopy(h);
+}
+
+ClientFleet::Copy* ClientFleet::NewCopy(Logical* lc, const KvRequest& req, HedgeState* hs,
+                                        int routed, int copy, SimTime issued_at) {
+  Copy* c = copies_.Alloc();
+  c->lc = lc;
+  c->req = req;
+  c->hs = hs;
+  c->routed = routed;
+  c->copy = copy;
+  c->issued_at = issued_at;
+  if (hs != nullptr) {
+    ++hs->refs;
+  }
+  return c;
+}
+
+void ClientFleet::FreeCopy(Copy* c) {
+  if (HedgeState* const hs = c->hs; hs != nullptr && --hs->refs == 0) {
+    hedges_.Free(hs);
+  }
+  copies_.Free(c);
+}
+
+void ClientFleet::PostCopy(Copy* c) {
+  TargetSpec spec = paths_[static_cast<size_t>(c->copy)];
   spec.payload = params_.request_bytes;
-  ClientMachine& m = *machines_[static_cast<size_t>(lc->machine)];
+  ClientMachine& m = *machines_[static_cast<size_t>(c->lc->machine)];
   if (Reliable()) {
-    m.PostReliable(lc->thread, spec, req.hdr,
-                   [this, lc, req, hs, routed, copy, issued_at](SimTime completed,
-                                                                bool ok) {
-                     Settle(lc, req, hs, routed, copy, issued_at, completed, ok);
-                   },
-                   req.deadline);
+    m.PostReliable(c->lc->thread, spec, c->req.hdr,
+                   [this, c](SimTime completed, bool ok) { Settle(c, completed, ok); },
+                   c->req.deadline);
     return;
   }
-  m.Post(lc->thread, spec, req.hdr,
-         [this, lc, req, hs, routed, copy, issued_at](SimTime completed) {
-           Settle(lc, req, hs, routed, copy, issued_at, completed, /*ok=*/true);
-         });
+  // Without the reliability layer a lost copy never settles; its record
+  // still goes back to the pool.
+  m.Post(c->lc->thread, spec, c->req.hdr,
+         WithDiscard([this, c](SimTime completed) { Settle(c, completed, /*ok=*/true); },
+                     [this, c] { FreeCopy(c); }));
 }
 
-void ClientFleet::Settle(const std::shared_ptr<Logical>& lc, const KvRequest& req,
-                         const std::shared_ptr<HedgeState>& hs, int routed,
-                         int copy, SimTime issued_at, SimTime completed, bool ok) {
-  hs->outstanding -= 1;
-  if (hs->settled) {
-    // The race was already decided: this copy is the hedge loser.
-    ++cancelled_;
-    ++path_cancelled_[static_cast<size_t>(copy)];
-    resil_->OnHedgeCancel();
-    return;
-  }
-  if (ok || hs->outstanding == 0) {
+void ClientFleet::Settle(Copy* c, SimTime completed, bool ok) {
+  if (HedgeState* const hs = c->hs; hs != nullptr) {
+    hs->outstanding -= 1;
+    // A copy that lost the race, or failed while another copy still races,
+    // is cancelled; the survivor settles the request.
+    if (hs->settled || (!ok && hs->outstanding > 0)) {
+      ++cancelled_;
+      ++path_cancelled_[static_cast<size_t>(c->copy)];
+      resil_->OnHedgeCancel();
+      FreeCopy(c);
+      return;
+    }
     hs->settled = true;
-    if (ok && copy != routed) {
+    if (ok && c->copy != c->routed) {
       resil_->OnHedgeWin();
     }
-    Finish(routed, copy, req, issued_at, completed, ok);
-    if (!params_.open_loop) {
-      lc->in_flight -= 1;
-      Pump(lc);
-    }
-    return;
   }
-  // This copy failed but another is still racing: let the survivor settle
-  // the request and count this one as cancelled.
-  ++cancelled_;
-  ++path_cancelled_[static_cast<size_t>(copy)];
-  resil_->OnHedgeCancel();
+  Finish(c->routed, c->copy, c->req, c->issued_at, completed, ok);
+  Logical* const lc = c->lc;
+  FreeCopy(c);
+  if (!params_.open_loop) {
+    lc->in_flight -= 1;
+    Pump(lc);
+  }
+}
+
+size_t ClientFleet::live_records() const {
+  size_t n = copies_.live() + hedges_.live();
+  for (const auto& m : machines_) {
+    n += m->live_flights();
+  }
+  return n;
 }
 
 void ClientFleet::Finish(int routed, int copy, const KvRequest& req,

@@ -28,6 +28,7 @@
 #include "src/common/units.h"
 #include "src/obs/metrics.h"
 #include "src/resilience/resilience.h"
+#include "src/sim/pool.h"
 #include "src/sim/simulator.h"
 #include "src/topo/fabric.h"
 #include "src/workload/addr_gen.h"
@@ -163,6 +164,10 @@ class ClientFleet {
   int machine_count() const { return static_cast<int>(machines_.size()); }
   ClientMachine& machine(int i) { return *machines_[static_cast<size_t>(i)]; }
 
+  // Per-request records still held (wire copies, hedge states and the
+  // machines' flights); zero once a stopped fleet has drained.
+  size_t live_records() const;
+
   // Exposes fleet totals under "<prefix>" plus each machine's counters.
   void RegisterMetrics(MetricsRegistry* reg);
 
@@ -176,25 +181,39 @@ class ClientFleet {
     int in_flight = 0;
   };
 
-  // Settlement state of one (possibly hedged) request: first terminal copy
-  // wins, the rest cancel.
+  // Settlement state of one resilient (possibly hedged) request: first
+  // terminal copy wins, the rest cancel. Pooled; `refs` counts the Copy
+  // records that point at it.
   struct HedgeState {
     bool settled = false;
     int outstanding = 0;
+    int refs = 0;
   };
 
-  void Pump(const std::shared_ptr<Logical>& lc);
-  void IssueOne(const std::shared_ptr<Logical>& lc);
-  void IssueResilient(const std::shared_ptr<Logical>& lc, KvRequest req);
-  void ScheduleArrival(const std::shared_ptr<Logical>& lc);
-  // Posts one wire copy of `req` onto `copy`'s target and settles it
-  // through `hs` when it terminates.
-  void PostCopy(const std::shared_ptr<Logical>& lc, const KvRequest& req,
-                const std::shared_ptr<HedgeState>& hs, int routed, int copy,
+  // One wire copy of a request, from its post (or its pending hedge timer)
+  // to its settlement. `hs` is null outside the resilience layer.
+  struct Copy {
+    Logical* lc = nullptr;
+    KvRequest req;
+    HedgeState* hs = nullptr;
+    int routed = 0;
+    int copy = 0;
+    SimTime issued_at = 0;
+  };
+
+  void Pump(Logical* lc);
+  void IssueOne(Logical* lc);
+  void IssueResilient(Logical* lc, KvRequest req);
+  void ScheduleArrival(Logical* lc);
+  Copy* NewCopy(Logical* lc, const KvRequest& req, HedgeState* hs, int routed, int copy,
                 SimTime issued_at);
-  void Settle(const std::shared_ptr<Logical>& lc, const KvRequest& req,
-              const std::shared_ptr<HedgeState>& hs, int routed, int copy,
-              SimTime issued_at, SimTime completed, bool ok);
+  void FreeCopy(Copy* c);
+  // Posts the wire copy `c` onto its target and settles it when it
+  // terminates.
+  void PostCopy(Copy* c);
+  // The hedge timer of `h` fired: launch the duplicate or drop it.
+  void LaunchHedge(Copy* h);
+  void Settle(Copy* c, SimTime completed, bool ok);
   // `routed` is the path the Router chose (what the Observer hears);
   // `copy` is the path this wire copy actually took (what the per-path
   // counters record) — they differ only for a winning hedge.
@@ -206,7 +225,9 @@ class ClientFleet {
   FleetParams params_;
   std::string prefix_;
   std::vector<std::unique_ptr<ClientMachine>> machines_;
-  std::vector<std::shared_ptr<Logical>> logicals_;
+  std::vector<std::unique_ptr<Logical>> logicals_;
+  SlabPool<Copy> copies_;
+  SlabPool<HedgeState> hedges_;
 
   std::vector<TargetSpec> paths_;
   const ZipfDist* zipf_ = nullptr;

@@ -28,7 +28,8 @@ LocalRequester::LocalRequester(Simulator* sim, NicEngine* engine, NicEndpoint* s
 void LocalRequester::Start(Verb verb, uint32_t payload, AddressGenerator addr,
                            Meter* meter) {
   for (int t = 0; t < params_.threads; ++t) {
-    auto loop = std::make_shared<Loop>();
+    loops_.push_back(std::make_unique<Loop>());
+    Loop* loop = loops_.back().get();
     loop->verb = verb;
     loop->payload = payload;
     loop->addr = addr.WithSeed(0xabcd'ef01'2345ULL * static_cast<uint64_t>(t + 1) + 7);
@@ -39,28 +40,27 @@ void LocalRequester::Start(Verb verb, uint32_t payload, AddressGenerator addr,
   }
 }
 
-void LocalRequester::Pump(const std::shared_ptr<Loop>& loop) {
+void LocalRequester::Pump(Loop* loop) {
   if (loop->paced) {
     // Open loop: one thread-share of the aggregate rate, issued on a timer.
     // The interval is recomputed every tick, so SetPacedRate takes effect
     // within one period (the governor's control knob). The requester owns
-    // the tick closure; capturing the shared_ptr instead would make the
-    // function own itself and leak the cycle.
+    // the tick closure; each scheduled tick carries only a pointer to it.
     std::function<void()>* tick =
         pacers_.emplace_back(std::make_unique<std::function<void()>>()).get();
     *tick = [this, loop, tick] {
       const double rate = params_.paced_gbps;
       if (rate <= 0.0) {
-        sim_->In(FromMicros(5), *tick);  // paused; poll for reactivation
+        sim_->In(FromMicros(5), [tick] { (*tick)(); });  // paused; poll for reactivation
         return;
       }
       const double per_thread = rate * 1e9 / 8.0 / params_.threads;
       const SimTime interval = static_cast<SimTime>(
           static_cast<double>(std::max<uint32_t>(loop->payload, 1)) / per_thread * 1e12);
       IssueSingle(loop);
-      sim_->In(std::max<SimTime>(interval, FromNanos(20)), *tick);
+      sim_->In(std::max<SimTime>(interval, FromNanos(20)), [tick] { (*tick)(); });
     };
-    sim_->In(FromNanos(100), *tick);
+    sim_->In(FromNanos(100), [tick] { (*tick)(); });
     return;
   }
   while (loop->in_flight < params_.window) {
@@ -73,7 +73,7 @@ void LocalRequester::Pump(const std::shared_ptr<Loop>& loop) {
   }
 }
 
-void LocalRequester::IssueSingle(const std::shared_ptr<Loop>& loop) {
+void LocalRequester::IssueSingle(Loop* loop) {
   ++issued_;
   ++doorbells_;
   const SimTime issue_start = sim_->now();
@@ -111,7 +111,7 @@ void LocalRequester::IssueSingle(const std::shared_ptr<Loop>& loop) {
   });
 }
 
-void LocalRequester::IssueBatch(const std::shared_ptr<Loop>& loop) {
+void LocalRequester::IssueBatch(Loop* loop) {
   const int batch = params_.batch;
   SNIC_CHECK_GT(batch, 0);
   issued_ += static_cast<uint64_t>(batch);

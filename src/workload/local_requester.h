@@ -90,9 +90,9 @@ class LocalRequester {
     bool paced = false;  // fixed at Start: open-loop vs closed-loop
   };
 
-  void Pump(const std::shared_ptr<Loop>& loop);
-  void IssueSingle(const std::shared_ptr<Loop>& loop);
-  void IssueBatch(const std::shared_ptr<Loop>& loop);
+  void Pump(Loop* loop);
+  void IssueSingle(Loop* loop);
+  void IssueBatch(Loop* loop);
 
   Simulator* sim_;
   NicEngine* engine_;
@@ -102,8 +102,9 @@ class LocalRequester {
   std::string name_;
   SimTime mmio_flight_;
   std::vector<std::unique_ptr<BusyServer>> thread_cpu_;
-  // Paced-mode tick closures, one per thread (see Pump); owned here so the
-  // scheduled copies can reference them without a shared_ptr cycle.
+  std::vector<std::unique_ptr<Loop>> loops_;
+  // Paced-mode tick closures, one per thread (see Pump); owned here so
+  // scheduled events only carry a pointer to them.
   std::vector<std::unique_ptr<std::function<void()>>> pacers_;
   uint64_t issued_ = 0;
   uint64_t doorbells_ = 0;  // MMIO doorbell rings (one per batch when batching)

@@ -3,11 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <array>
+#include <functional>
 #include <memory>
+#include <queue>
 #include <stdexcept>
+#include <tuple>
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/sim/callback.h"
 
 namespace snicsim {
@@ -131,6 +135,159 @@ TEST(Simulator, SeqRenumberPreservesOrderAcrossWrapThreshold) {
   EXPECT_EQ(order.back(), 1000);
 }
 
+TEST(Simulator, HeapEventAtSameTimeFiresBeforeLaneEvent) {
+  // An event scheduled for T before the clock reached T (heap, lower seq)
+  // precedes one scheduled at exactly now() == T (lane, higher seq), even
+  // though the lane is consulted first.
+  Simulator sim;
+  std::vector<int> order;
+  sim.At(FromNanos(10), [&] {
+    order.push_back(1);
+    sim.At(sim.now(), [&] { order.push_back(4); });
+  });
+  sim.At(FromNanos(10), [&] { order.push_back(2); });
+  sim.At(FromNanos(10), [&] {
+    order.push_back(3);
+    sim.In(0, [&] { order.push_back(5); });
+  });
+  sim.At(FromNanos(11), [&] { order.push_back(6); });
+  sim.Run();
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4, 5, 6}));
+}
+
+TEST(Simulator, RunBoundsAndNextEventTimeSeeTheLane) {
+  Simulator sim;
+  std::vector<int> order;
+  sim.RunUntil(FromNanos(5));
+  sim.At(FromNanos(5), [&] { order.push_back(1); });  // at now(): the lane
+  sim.At(FromNanos(7), [&] { order.push_back(2); });
+  EXPECT_FALSE(sim.empty());
+  EXPECT_EQ(sim.next_event_time(), FromNanos(5));
+  sim.RunBefore(FromNanos(5));  // exclusive bound: the lane event stays
+  EXPECT_TRUE(order.empty());
+  EXPECT_EQ(sim.now(), FromNanos(5));
+  sim.RunBefore(FromNanos(7));
+  EXPECT_EQ(order, (std::vector<int>{1}));
+  EXPECT_EQ(sim.now(), FromNanos(7));
+  EXPECT_EQ(sim.next_event_time(), FromNanos(7));
+  sim.At(FromNanos(7), [&] { order.push_back(3); });  // lane, behind the heap's 7
+  EXPECT_EQ(sim.next_event_time(), FromNanos(7));
+  sim.RunUntil(FromNanos(7));  // inclusive bound: both events at 7 run
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
+  EXPECT_TRUE(sim.empty());
+  EXPECT_EQ(sim.next_event_time(), Simulator::kNoEvent);
+  sim.At(sim.now(), [&] { order.push_back(4); });
+  EXPECT_EQ(sim.next_event_time(), FromNanos(7));
+  sim.RunFor(0);
+  EXPECT_EQ(order, (std::vector<int>{1, 2, 3, 4}));
+  EXPECT_EQ(sim.processed(), 4u);
+}
+
+TEST(Simulator, SeqRenumberPreservesOrderWithLaneEntriesPending) {
+  // Cross the renumber threshold while both the lane (events at now()) and
+  // the heap hold pending events; renumbering must keep their merged order.
+  Simulator sim;
+  std::vector<int> order;
+  sim.At(FromNanos(1000), [&] { order.push_back(1000); });
+  sim.RunUntil(FromNanos(10));
+  for (int i = 0; i < 50; ++i) {
+    sim.At(FromNanos(10), [&order, i] { order.push_back(i); });  // lane
+  }
+  for (int i = 200; i < 210; ++i) {
+    sim.At(FromNanos(20), [&order, i] { order.push_back(i); });  // heap
+  }
+  SimulatorTestPeer::FastForwardSeqToNearRenumber(sim, 3);
+  for (int i = 50; i < 100; ++i) {
+    sim.At(FromNanos(10), [&order, i] { order.push_back(i); });
+  }
+  for (int i = 210; i < 220; ++i) {
+    sim.At(FromNanos(20), [&order, i] { order.push_back(i); });
+  }
+  sim.Run();
+  std::vector<int> expected;
+  for (int i = 0; i < 100; ++i) {
+    expected.push_back(i);
+  }
+  for (int i = 200; i < 220; ++i) {
+    expected.push_back(i);
+  }
+  expected.push_back(1000);
+  EXPECT_EQ(order, expected);
+}
+
+// A seeded random process: every fired event schedules up to three
+// successors, a third of them at zero delay. `schedule(delay, id)` is the
+// queue under test; ids are handed out in scheduling order, so (time, id)
+// is exactly the (time, seq) dispatch key.
+class RandomProcess {
+ public:
+  RandomProcess(uint64_t seed, uint64_t budget) : rng_(seed), budget_(budget) {}
+
+  template <typename Schedule>
+  void Seed(Schedule&& schedule) {
+    for (int i = 0; i < 64; ++i) {
+      Spawn(schedule);
+    }
+  }
+  template <typename Schedule>
+  void Fire(SimTime now, uint64_t id, Schedule&& schedule) {
+    fired_.emplace_back(now, id);
+    const uint64_t n = rng_.Next() % 4;
+    for (uint64_t k = 0; k < n; ++k) {
+      Spawn(schedule);
+    }
+  }
+  const std::vector<std::pair<SimTime, uint64_t>>& fired() const { return fired_; }
+  uint64_t scheduled() const { return next_id_; }
+
+ private:
+  template <typename Schedule>
+  void Spawn(Schedule& schedule) {
+    if (next_id_ >= budget_) {
+      return;
+    }
+    const SimTime delay = rng_.Next() % 3 == 0 ? 0 : static_cast<SimTime>(1 + rng_.Next() % 50);
+    schedule(delay, next_id_++);
+  }
+
+  Rng rng_;
+  uint64_t budget_;
+  uint64_t next_id_ = 0;
+  std::vector<std::pair<SimTime, uint64_t>> fired_;
+};
+
+TEST(Simulator, MatchesReferenceOrderOnRandomZeroDelayMix) {
+  constexpr uint64_t kEvents = 100000;
+  RandomProcess actual(17, kEvents);
+  {
+    Simulator sim;
+    std::function<void(SimTime, uint64_t)> schedule = [&](SimTime delay, uint64_t id) {
+      sim.In(delay, [&actual, &sim, &schedule, id] { actual.Fire(sim.now(), id, schedule); });
+    };
+    actual.Seed(schedule);
+    sim.Run();
+    EXPECT_EQ(sim.processed(), actual.scheduled());
+  }
+  // Reference: one binary heap on the full (time, id) key.
+  RandomProcess reference(17, kEvents);
+  {
+    using Entry = std::tuple<SimTime, uint64_t>;
+    std::priority_queue<Entry, std::vector<Entry>, std::greater<Entry>> q;
+    SimTime now = 0;
+    auto schedule = [&](SimTime delay, uint64_t id) { q.emplace(now + delay, id); };
+    reference.Seed(schedule);
+    while (!q.empty()) {
+      const auto [t, id] = q.top();
+      q.pop();
+      now = t;
+      reference.Fire(now, id, schedule);
+    }
+  }
+  ASSERT_GT(reference.scheduled(), kEvents / 2);
+  EXPECT_EQ(actual.scheduled(), reference.scheduled());
+  EXPECT_TRUE(actual.fired() == reference.fired());
+}
+
 TEST(SimulatorDeathTest, SchedulingEmptyCallbackAborts) {
   // An empty callback used to surface only at dispatch (as UB through a
   // null vtable); it must abort loudly at schedule time instead.
@@ -200,6 +357,52 @@ TEST(Simulator, SlotReuseAcrossManyWaves) {
   }
   sim.Run();
   EXPECT_EQ(fired, 50u * 97u);
+}
+
+TEST(SmallFunctionTest, BoxedCountTracksOnlyHeapFallbacks) {
+  const uint64_t before = SmallFunctionBoxedCount();
+  int x = 0;
+  SimCallback small = [&x] { ++x; };
+  SimCallback moved = std::move(small);
+  moved();
+  EXPECT_EQ(SmallFunctionBoxedCount(), before);
+  std::array<uint64_t, 32> big{};
+  SimCallback boxed = [big, &x] { x += static_cast<int>(big[0]); };
+  EXPECT_EQ(SmallFunctionBoxedCount(), before + 1);
+  SimCallback boxed_moved = std::move(boxed);  // relocating a box is free
+  EXPECT_EQ(SmallFunctionBoxedCount(), before + 1);
+}
+
+TEST(SmallFunctionTest, DiscardRunsTheDropHalfInsteadOfTheTarget) {
+  int runs = 0;
+  int drops = 0;
+  SmallFunction<void(int)> f =
+      WithDiscard([&runs](int n) { runs += n; }, [&drops] { ++drops; });
+  f.Discard();
+  EXPECT_TRUE(f == nullptr);
+  EXPECT_EQ(runs, 0);
+  EXPECT_EQ(drops, 1);
+  f.Discard();  // empty: no-op
+  EXPECT_EQ(drops, 1);
+
+  SmallFunction<void(int)> g =
+      WithDiscard([&runs](int n) { runs += n; }, [&drops] { ++drops; });
+  g.CallOnce(3);
+  EXPECT_EQ(runs, 3);
+  {
+    SmallFunction<void(int)> h =
+        WithDiscard([&runs](int n) { runs += n; }, [&drops] { ++drops; });
+  }
+  EXPECT_EQ(drops, 1);  // destruction is not a discard
+}
+
+TEST(SmallFunctionTest, DiscardOfAPlainClosureDestroysIt) {
+  auto token = std::make_shared<int>(1);
+  SimCallback cb = [token] { (void)token; };
+  EXPECT_EQ(token.use_count(), 2);
+  cb.Discard();
+  EXPECT_TRUE(cb == nullptr);
+  EXPECT_EQ(token.use_count(), 1);
 }
 
 TEST(SmallFunctionTest, NullStates) {

@@ -69,32 +69,39 @@ TEST(BluefieldServer, DmaReadThroughComposition) {
   EXPECT_LT(soc_t, host_t);  // SoC memory is closer to the NIC cores
 }
 
+// Stands in for the NIC engine on the receiving end of a handler's replies.
+struct ReplyProbe : ReplyCallback::Sink {
+  SimTime last_at = -1;
+  uint32_t last_len = 0;
+  void Reply(void* /*req*/, SimTime ready, uint32_t reply_len) override {
+    last_at = std::max(last_at, ready);
+    last_len = reply_len;
+  }
+  void DropReply(void* /*req*/) override {}
+};
+
 TEST(EchoCpu, ServesAndReplies) {
   Simulator sim;
   EchoCpu cpu(&sim, "cpu", 2, FromNanos(300));
   SendHandler h = cpu.Handler();
-  SimTime replied_at = -1;
-  uint32_t replied_len = 0;
-  h(/*hdr=*/0, 128, [&](SimTime t, uint32_t len) {
-    replied_at = t;
-    replied_len = len;
-  });
+  ReplyProbe probe;
+  h(/*hdr=*/0, 128, ReplyCallback(&probe, nullptr));
   sim.Run();
-  EXPECT_EQ(replied_at, FromNanos(300));
-  EXPECT_EQ(replied_len, 128u);
+  EXPECT_EQ(probe.last_at, FromNanos(300));
+  EXPECT_EQ(probe.last_len, 128u);
 }
 
 TEST(EchoCpu, CoresBoundThroughput) {
   Simulator sim;
   EchoCpu cpu(&sim, "cpu", 2, FromNanos(100));
   SendHandler h = cpu.Handler();
-  SimTime last = 0;
+  ReplyProbe probe;
   for (int i = 0; i < 10; ++i) {
-    h(/*hdr=*/0, 64, [&](SimTime t, uint32_t) { last = std::max(last, t); });
+    h(/*hdr=*/0, 64, ReplyCallback(&probe, nullptr));
   }
   sim.Run();
   // 10 messages on 2 cores at 100 ns each = 500 ns to drain.
-  EXPECT_EQ(last, FromNanos(500));
+  EXPECT_EQ(probe.last_at, FromNanos(500));
 }
 
 }  // namespace
