@@ -11,6 +11,8 @@
 //    seeds x fault plans, including whole-shard crash windows.
 //  - Failover: a whole-server crash promotes the follower within 2
 //    governor epochs of first evidence and re-homes after restart.
+//  - Directed paths: request retry exhaustion, rack-side admission and
+//    stale replication acks each fire, with closed ledgers.
 #include <gtest/gtest.h>
 
 #include <set>
@@ -245,6 +247,52 @@ TEST(RackKv, FaultFreeRunHasNoFailoverActivity) {
   EXPECT_EQ(r.crash_refused, 0u);
   EXPECT_EQ(r.failed, 0u);
   EXPECT_EQ(r.generated, r.completed);
+}
+
+// -- Directed paths: retry exhaustion, rack-side admission, stale acks ------
+
+// Runs `p` serially and at two sim threads: the ledgers close and the
+// fingerprint is thread-invariant on every directed path.
+RackKvResult RunInvariant(const RackKvParams& p) {
+  const RackKvResult r = RunRackKv(p);
+  EXPECT_TRUE(r.Conserved());
+  RackKvParams p2 = p;
+  p2.sim_threads = 2;
+  EXPECT_EQ(RunRackKv(p2).Fingerprint(), r.Fingerprint());
+  return r;
+}
+
+TEST(RackKv, TightRequestTimeoutRetriesAndExhausts) {
+  // A timeout shorter than a loaded round trip: OnTimeout fires, the late
+  // replies lose the race and count as stale, and three attempts run out.
+  RackKvParams p = SmallRack();
+  p.request_timeout = FromMicros(6);
+  p.max_attempts = 3;
+  const RackKvResult r = RunInvariant(p);
+  EXPECT_GT(r.timeouts, 0u);
+  EXPECT_GT(r.stale_replies, 0u);
+  EXPECT_GT(r.failed, 0u);
+}
+
+TEST(RackKv, RackAdmissionShedsThroughTheTokenBucket) {
+  RackKvParams p = SmallRack();
+  p.resil.shedding = true;
+  p.resil.bucket_mops = 2.0;
+  p.resil.bucket_depth = 4.0;
+  const RackKvResult r = RunInvariant(p);
+  EXPECT_GT(r.shed, 0u);
+  EXPECT_GT(r.shed_bucket, 0u);
+  // Rack admission passes no deadline, so every refusal is exactly one
+  // CoDel or token-bucket shed; with no timeouts each lands home as shed.
+  EXPECT_EQ(r.timeouts, 0u);
+  EXPECT_EQ(r.shed, r.shed_codel + r.shed_bucket);
+}
+
+TEST(RackKv, TightReplicationTimeoutCountsStaleAcks) {
+  RackKvParams p = SmallRack();
+  p.repl_timeout = FromMicros(3);
+  const RackKvResult r = RunInvariant(p);
+  EXPECT_GT(r.repl_stale, 0u);
 }
 
 // -- Membership-change & repair plane (DESIGN.md §16) ---------------------
