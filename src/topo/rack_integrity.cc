@@ -1,0 +1,163 @@
+// Integrity (DESIGN.md §16.4). The store, allocated only when the plan has
+// `corrupt=` events or the scrubber is on, shadows every stored value with
+// an FNV checksum, verifies on every serve, and walks shards at a budgeted
+// per-epoch rate, repairing from the surviving replica.
+#include <algorithm>
+#include <cstdint>
+
+#include "src/topo/rack_kv_internal.h"
+
+namespace snicsim {
+namespace rackkv {
+namespace {
+
+// Does this domain store `rank` under its current ring (primary or, with
+// replication, follower)?
+bool StoredHere(const RackKv& r, const KvDomain& dom, uint64_t rank) {
+  const HashRing& ring = RingOf(r, dom);
+  if (ring.PrimaryOf(rank) == static_cast<int>(dom.id)) {
+    return true;
+  }
+  return r.p->replicas > 1 &&
+         ring.FollowerOf(rank) == static_cast<int>(dom.id);
+}
+
+void FinishRepair(RackKv& r, DomainId d, RepairOp* rp, uint64_t gen, bool ok) {
+  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
+  if (rp->gen != gen) {
+    return;
+  }
+  const uint64_t rank = rp->rank;
+  dom.integ->repairing[static_cast<size_t>(rank)] = 0;
+  if (ok && IsCorrupt(dom, rank)) {
+    // Heal in place: restore the expected checksum at the current version
+    // (a concurrent write may have already healed it — then the repair is a
+    // no-op and the write's counter keeps the ledger exact).
+    IntegrityStore& st = *dom.integ;
+    const size_t i = static_cast<size_t>(rank);
+    st.stored[i] = ValueChecksum(rank, st.version[i]);
+    if (rp->from_scrub) {
+      ++dom.ctr.repaired_scrub;
+    } else {
+      ++dom.ctr.repaired_read;
+    }
+  }
+  if (!ok) {
+    ++dom.ctr.repair_unavailable;
+  }
+  ServeCtx* const ctx = rp->ctx;
+  const uint64_t ctx_gen = rp->ctx_gen;
+  rp->gen = 0;
+  dom.repairs.Free(rp);
+  if (ctx != nullptr && ctx->gen == ctx_gen && !ctx->settled) {
+    // The parked serve resumes against a (hopefully) clean value; if the
+    // heal failed it bounces home as an evidence-free retry.
+    if (ok) {
+      LaunchServe(r, d, ctx);
+    } else {
+      SettleServe(r, d, ctx, /*ok=*/false, dom.stack.sim->now());
+    }
+  }
+}
+
+}  // namespace
+
+// A `corrupt=` event: flip each stored value with probability `fraction`,
+// chosen by a keyed hash of (plan seed, domain, event time, rank) — fully
+// deterministic, zero RNG draws.
+void ApplyCorruption(RackKv& r, DomainId d, double fraction, uint64_t salt) {
+  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
+  if (dom.integ == nullptr) {
+    return;
+  }
+  const uint64_t thresh =
+      fraction >= 1.0 ? ~0ULL
+                      : static_cast<uint64_t>(fraction * 18446744073709551616.0);
+  for (uint64_t rank = 0; rank < r.p->layout.keys; ++rank) {
+    if (!StoredHere(r, dom, rank) || SplitMix64(salt ^ rank) >= thresh ||
+        IsCorrupt(dom, rank)) {
+      continue;
+    }
+    dom.integ->stored[static_cast<size_t>(rank)] ^= kCorruptNoise;
+    ++dom.ctr.corrupted_keys;
+  }
+}
+
+// Anti-entropy: verify `scrub_keys_per_epoch` stored ranks per epoch behind
+// a wrapping cursor. The walk itself is pure computation — a detection is
+// the only thing that schedules events (the repair), so a clean store scrubs
+// for free and stays byte-identical to a scrubber-free run.
+void ScrubTick(RackKv& r, DomainId d) {
+  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
+  const uint64_t n =
+      std::min<uint64_t>(r.p->membership.scrub_keys_per_epoch, r.p->layout.keys);
+  for (uint64_t i = 0; i < n; ++i) {
+    const uint64_t rank = dom.scrub_cursor;
+    dom.scrub_cursor = (dom.scrub_cursor + 1) % r.p->layout.keys;
+    if (!StoredHere(r, dom, rank)) {
+      continue;
+    }
+    ++dom.ctr.scrub_checked;
+    ++dom.ctr.integrity_checks;
+    if (!IsCorrupt(dom, rank) ||
+        dom.integ->repairing[static_cast<size_t>(rank)] != 0) {
+      continue;
+    }
+    ++dom.ctr.scrub_detected;
+    StartRepair(r, d, rank, /*from_scrub=*/true, nullptr, 0);
+  }
+}
+
+// Heal one corrupt rank from the replica pair's other member: read its copy
+// (SoC memory access at the peer), and if the peer holds a clean value,
+// overwrite the local checksum. A parked serve (read-path detection)
+// resumes on success and retries elsewhere on failure.
+void StartRepair(RackKv& r, DomainId d, uint64_t rank, bool from_scrub,
+                 ServeCtx* ctx, uint64_t ctx_gen) {
+  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
+  dom.integ->repairing[static_cast<size_t>(rank)] = 1;
+  RepairOp* rp = dom.repairs.Alloc();
+  rp->gen = ++dom.repair_gen;
+  rp->rank = rank;
+  rp->from_scrub = from_scrub;
+  rp->ctx = ctx;
+  rp->ctx_gen = ctx_gen;
+  if (r.p->replicas <= 1) {
+    FinishRepair(r, d, rp, rp->gen, /*ok=*/false);  // nowhere to heal from
+    return;
+  }
+  const int peer = RingOf(r, dom).ReplicaPeerOf(rank, static_cast<int>(d));
+  const int cls = RepairClassOf(r, rank);
+  const uint32_t bytes = r.p->layout.class_bytes[static_cast<size_t>(cls)];
+  const uint64_t gen = rp->gen;
+  RackKv* rk = &r;
+  r.psim->Post(
+      d, static_cast<DomainId>(peer), dom.stack.sim->now() + r.p->rack_link_latency,
+      [rk, d, rp, gen, peer, rank, cls, bytes] {
+        KvDomain& p = *rk->doms[static_cast<size_t>(peer)];
+        const bool have = !ServerDeadNow(p) &&
+                          !(p.integ != nullptr && IsCorrupt(p, rank));
+        if (!have) {
+          rk->psim->Post(static_cast<DomainId>(peer), d,
+                         p.stack.sim->now() + rk->p->rack_link_latency,
+                         [rk, d, rp, gen] {
+                           FinishRepair(*rk, d, rp, gen, /*ok=*/false);
+                         });
+          return;
+        }
+        const SimTime read_done = p.stack.bf.soc_memory().Access(
+            p.stack.sim->now(), rk->p->layout.Pack(rank, cls), bytes,
+            /*is_write=*/false);
+        p.stack.sim->At(read_done, [rk, d, rp, gen, peer] {
+          KvDomain& pp = *rk->doms[static_cast<size_t>(peer)];
+          rk->psim->Post(static_cast<DomainId>(peer), d,
+                         pp.stack.sim->now() + rk->p->rack_link_latency,
+                         [rk, d, rp, gen] {
+                           FinishRepair(*rk, d, rp, gen, /*ok=*/true);
+                         });
+        });
+      });
+}
+
+}  // namespace rackkv
+}  // namespace snicsim

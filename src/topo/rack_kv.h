@@ -12,43 +12,9 @@
 // replication, and probe messages through ParallelSimulator::Post with the
 // rack link latency as the conservative lookahead.
 //
-// Sharding & replication. A key's primary is HashRing::PrimaryOf(rank);
-// its follower replica is the next distinct server clockwise
-// (src/topo/shard.h). Writes served at the primary are replicated: the
-// primary's SoC first pulls the value from host DRAM over path ③
-// (ExecuteLocalOp, the paper's host↔SoC communication) and then pushes it
-// to the follower, which applies it to its SoC memory and acks. Replication
-// is asynchronous with bounded retries; the conservation ledger closes over
-// it (repl_pushed == repl_acked + repl_failed after drain).
-//
-// Failover. Home domains keep a per-server view: `promote_after`
-// consecutive timeouts/nacks against a server mark it down and re-route its
-// shards to the follower — a pure function of the shared ring, so every
-// home promotes the same replacement without coordination. While a server
-// is down, the home's epoch tick (the governor epoch period) probes it;
-// the first probe ack (or any successful data reply) re-homes the shards.
-// The measured promotion gap (first evidence -> promote) is bounded by
-// ≤ 2 governor epochs in the crash-failover scenario (bench/rack_scale
-// --check asserts it).
-//
-// Membership change & repair (opt-in, DESIGN.md §16). With
-// membership.enabled, each domain carries its own copy of the ring plus a
-// (member_epoch, live-mask) pair; a down server that stays unresponsive
-// for `permloss_epochs` consecutive probe epochs is removed from the ring
-// (`permloss=` faults model the loss). Epochs are stamped on every routed
-// request: a server ahead of the request bounces it with its newer mask
-// (bounce-and-retry, no failure evidence) and a server behind adopts the
-// newer mask before serving, so every domain converges to the same ring
-// without coordination — the epoch is always the popcount of removed
-// servers, a pure function of the mask. For each removed server, the
-// surviving replica of each of its key ranges streams those keys to their
-// new ring owner over path ③ (the same host-DRAM fetch replication pays),
-// paced by a byte-metered token bucket provisioned out of
-// SafePath3BudgetGbps and metered as `repair.path3_bytes` against the
-// governor's budget gate. The integrity layer (allocated only when the
-// plan has `corrupt=` events or the scrubber is on) shadows every stored
-// value with an FNV checksum, verifies on every serve, and walks shards at
-// a budgeted per-epoch rate, repairing from the surviving replica.
+// The request planes — routing and failover, serving and replication,
+// membership change and migration, integrity — are described at the top of
+// their own files (src/topo/rack_kv_internal.h lists them).
 //
 // Every field of RackKvResult, including the replay digest, is
 // byte-identical at any --jobs x --sim-threads combination (DESIGN.md §12);
@@ -60,6 +26,7 @@
 
 #include <cstdint>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/common/units.h"
@@ -138,110 +105,130 @@ struct RackKvParams {
   trace::TracePlan trace;
 };
 
+class MetricsRegistry;
+
+// How RunRackKv folds one counter over the server domains.
+enum class RackMerge : uint8_t {
+  kSum,       // add every domain's count
+  kMax,       // keep the largest (-1 == never, for times)
+  kEarliest,  // keep the smallest time that was ever set (-1 == never)
+  kOnce,      // computed once per run from the whole rack, not per domain
+};
+
+// The rack counters, one row each: type, name, unit, merge rule, whether
+// Fingerprint() covers it, help text. The RackKvResult fields, the
+// per-domain merge, Fingerprint() and the rack.<name> rows of the --metrics
+// dump are all generated from these rows, in row order — the fingerprint's
+// byte order, so moving a row changes every fingerprint. `double` counters
+// are simulated microseconds, -1 while the event has never happened.
+#define SNICSIM_RACK_COUNTERS(X)                                                                   \
+  /* Home side. */                                                                                 \
+  X(uint64_t, generated, "count", kSum, true, "requests generated by the aggregate fleets")        \
+  X(uint64_t, issued, "count", kSum, true, "dispatch attempts (>= generated; retries add)")        \
+  X(uint64_t, completed, "count", kSum, true, "requests settled ok")                               \
+  X(uint64_t, failed, "count", kSum, true, "requests that exhausted the retry budget")             \
+  X(uint64_t, shed, "count", kSum, true, "requests refused by serving-side admission")             \
+  X(uint64_t, timeouts, "count", kSum, true, "home request-timeout firings")                       \
+  X(uint64_t, nacks, "count", kSum, true, "crash-refused arrivals bounced home")                   \
+  X(uint64_t, stale_replies, "count", kSum, true, "replies that lost to a timeout decision")       \
+  /* Serving side. */                                                                              \
+  X(uint64_t, crash_refused, "count", kSum, true, "arrivals refused by a dead server")             \
+  X(uint64_t, serve_timeouts, "count", kSum, true, "serves failed by the serving watchdog")        \
+  X(uint64_t, late_serves, "count", kSum, true, "serve completions after the watchdog")            \
+  X(uint64_t, host_gets, "count", kSum, true, "gets served on path 1 (host CPU)")                  \
+  X(uint64_t, soc_gets, "count", kSum, true, "gets served on path 2 (SoC CPU)")                    \
+  X(uint64_t, soc_hits, "count", kSum, true, "SoC gets served from SoC DRAM")                      \
+  X(uint64_t, soc_misses, "count", kSum, true, "SoC gets that fetched over path 3")                \
+  X(uint64_t, path3_bytes, "bytes", kSum, true, "value bytes moved host->SoC by misses")           \
+  X(uint64_t, crash_drops, "count", kSum, true, "gets dropped by an endpoint crash window")        \
+  X(uint64_t, rewarm_misses, "count", kSum, true, "SoC gets forced over path 3 by rewarm")         \
+  /* Replication. */                                                                               \
+  X(uint64_t, writes, "count", kSum, true, "served writes that replicate")                         \
+  X(uint64_t, repl_pushed, "count", kSum, true, "replication pushes by acting primaries")          \
+  X(uint64_t, repl_acked, "count", kSum, true, "replication pushes acked by the follower")         \
+  X(uint64_t, repl_failed, "count", kSum, true, "replication pushes given up")                     \
+  X(uint64_t, repl_applied, "count", kSum, true, "follower-side replica applies")                  \
+  X(uint64_t, repl_stale, "count", kSum, true, "replication acks that lost to a timeout")          \
+  /* Governor and resilience (zero without a manager), from the stacks. */                         \
+  X(uint64_t, routed_host, "count", kSum, true, "requests the governor routed to path 1")          \
+  X(uint64_t, routed_soc, "count", kSum, true, "requests the governor routed to path 2")           \
+  X(uint64_t, hol_gated, "count", kSum, true, "SoC routes vetoed by the HoL gate")                 \
+  X(uint64_t, budget_spills, "count", kSum, true, "SoC routes spilled by the path-3 budget")       \
+  X(uint64_t, explored, "count", kSum, true, "governor epsilon-exploration routes")                \
+  X(uint64_t, gov_draws, "count", kSum, true, "governor RNG draws")                                \
+  X(uint64_t, breaker_denied, "count", kSum, true, "routes denied by an open breaker")             \
+  X(uint64_t, shed_codel, "count", kSum, true, "admissions shed by CoDel")                         \
+  X(uint64_t, shed_bucket, "count", kSum, true, "admissions shed by the token bucket")             \
+  X(uint64_t, resil_draws, "count", kSum, true, "resilience RNG draws")                            \
+  /* Failover. */                                                                                  \
+  X(uint64_t, promotions, "count", kSum, true, "shard failovers (a home marked a server down)")    \
+  X(uint64_t, rehomed, "count", kSum, true, "recoveries (a probe or reply re-homed a server)")     \
+  X(uint64_t, probes, "count", kSum, true, "probes sent to down-marked servers")                   \
+  /* Fleet and memory. peak_inflight sums the per-server fleet peaks, so it */                     \
+  /* bounds the rack-wide concurrent peak from above. resident_client_bytes */                     \
+  /* is derived from struct sizes, not simulation state. */                                        \
+  X(uint64_t, fleet_draws, "count", kSum, true, "aggregate-fleet RNG draws")                       \
+  X(uint64_t, peak_inflight, "count", kSum, true, "sum of per-server in-flight peaks")             \
+  X(uint64_t, resident_client_bytes, "bytes", kSum, false, "fleet state + in-flight slabs")        \
+  /* Parallel core accounting (thread-count invariant). */                                         \
+  X(uint64_t, rounds, "count", kOnce, true, "conservative sync rounds")                            \
+  X(uint64_t, merged, "count", kOnce, true, "cross-domain events merged")                          \
+  X(uint64_t, processed, "count", kOnce, true, "events processed, all domains")                    \
+  X(uint64_t, digest, "hash", kOnce, true, "replay digest of the merge and every domain")          \
+  /* Failover timings. */                                                                           \
+  X(double, max_promote_gap_us, "us", kMax, true, "worst first-evidence -> promote gap")           \
+  X(double, first_promote_at_us, "us", kEarliest, true, "first promotion")                         \
+  X(double, first_rehome_at_us, "us", kEarliest, true, "first re-home")                            \
+  /* Home-measured end-to-end latency. */                                                          \
+  X(int64_t, p50_ps, "ps", kOnce, true, "median request latency")                                  \
+  X(int64_t, p99_ps, "ps", kOnce, true, "99th-percentile request latency")                         \
+  X(int64_t, max_ps, "ps", kOnce, true, "worst request latency")                                   \
+  /* Membership and repair (zero unless membership.enabled). */                                    \
+  X(uint64_t, removals, "count", kSum, true, "ring removals executed, all domains")                \
+  X(uint64_t, member_epoch, "count", kMax, true, "highest membership epoch reached")               \
+  X(uint64_t, stale_epoch_bounces, "count", kSum, true, "requests bounced: stale epoch")           \
+  X(uint64_t, retry_replies, "count", kSum, true, "evidence-free retry replies settled")           \
+  X(uint64_t, ranges_started, "count", kSum, true, "migration ranges started")                     \
+  X(uint64_t, ranges_completed, "count", kSum, true, "migration ranges completed")                 \
+  X(uint64_t, ranges_failed, "count", kSum, true, "migration ranges given up")                     \
+  X(uint64_t, keys_migrated, "count", kSum, true, "pushes acked at the migrating survivor")        \
+  X(uint64_t, keys_installed, "count", kSum, true, "installs applied at the new owner")            \
+  X(uint64_t, keys_lost, "count", kSum, true, "ranks with both replicas gone at removal")          \
+  X(uint64_t, migration_waits, "count", kSum, true, "token-bucket pacer deferrals")                \
+  X(uint64_t, repair_path3_bytes, "bytes", kSum, true, "migration fetch bytes over path 3")        \
+  X(double, membership_change_at_us, "us", kEarliest, true, "first removal executed")              \
+  X(double, repair_done_at_us, "us", kMax, true, "last migration range completed")                 \
+  X(double, last_failed_start_us, "us", kMax, true, "start of the latest failed request")          \
+  /* Integrity (zero without corrupt events or a scrubber). */                                     \
+  X(uint64_t, integrity_checks, "count", kSum, true, "checksum verifies, serve + scrub")           \
+  X(uint64_t, corrupted_keys, "count", kSum, true, "checksum flips injected by corrupt=")          \
+  X(uint64_t, corrupt_propagated, "count", kSum, true, "migrated while the sole copy was bad")     \
+  X(uint64_t, read_repair_detected, "count", kSum, true, "corruption caught on a serve")           \
+  X(uint64_t, scrub_checked, "count", kSum, true, "ranks verified by the scrubber")                \
+  X(uint64_t, scrub_detected, "count", kSum, true, "corruption caught by the scrubber")            \
+  X(uint64_t, repaired_read, "count", kSum, true, "healed from the replica (serve path)")          \
+  X(uint64_t, repaired_scrub, "count", kSum, true, "healed from the replica (scrubber)")           \
+  X(uint64_t, repaired_write, "count", kSum, true, "overwritten by a fresh write/install")         \
+  X(uint64_t, repair_unavailable, "count", kSum, true, "heals with no clean live replica")         \
+  X(uint64_t, corrupt_remaining, "count", kSum, true, "still-bad stored values at drain")          \
+  X(uint64_t, undetected_corrupt_serves, "count", kSum, true, "bad values served (always 0)")      \
+  /* Trace shaping (zero without a trace plan). */                                                 \
+  X(uint64_t, scan_forced, "count", kSum, true, "requests upgraded by a scan burst")
+
 struct RackKvResult {
-  // Home-side request ledger: generated == completed + failed + shed.
-  uint64_t generated = 0;
-  uint64_t issued = 0;  // dispatch attempts (>= generated; retries add)
-  uint64_t completed = 0;
-  uint64_t failed = 0;  // retry budget exhausted
-  uint64_t shed = 0;    // refused by serving-side admission (terminal)
-  uint64_t timeouts = 0;
-  uint64_t nacks = 0;          // crash-refused arrivals bounced home
-  uint64_t stale_replies = 0;  // replies that lost to a timeout decision
-  // Serving side.
-  uint64_t crash_refused = 0;
-  uint64_t serve_timeouts = 0;  // watchdog-failed serves (crash-eaten)
-  uint64_t late_serves = 0;     // serve completions after the watchdog
-  uint64_t host_gets = 0;
-  uint64_t soc_gets = 0;
-  uint64_t soc_hits = 0;
-  uint64_t soc_misses = 0;
-  uint64_t path3_bytes = 0;
-  uint64_t crash_drops = 0;
-  uint64_t rewarm_misses = 0;
-  // Replication ledger: repl_pushed == repl_acked + repl_failed.
-  uint64_t writes = 0;
-  uint64_t repl_pushed = 0;
-  uint64_t repl_acked = 0;
-  uint64_t repl_failed = 0;
-  uint64_t repl_applied = 0;  // follower-side applies (>= acked - in-flight)
-  uint64_t repl_stale = 0;
-  // Governor (summed over domains).
-  uint64_t routed_host = 0;
-  uint64_t routed_soc = 0;
-  uint64_t hol_gated = 0;
-  uint64_t budget_spills = 0;
-  uint64_t explored = 0;
-  uint64_t gov_draws = 0;
-  uint64_t breaker_denied = 0;
-  // Resilience (summed; zero without a manager).
-  uint64_t shed_codel = 0;
-  uint64_t shed_bucket = 0;
-  uint64_t resil_draws = 0;
-  // Failover.
-  uint64_t promotions = 0;
-  uint64_t rehomed = 0;
-  uint64_t probes = 0;
-  double max_promote_gap_us = -1.0;  // worst first-evidence -> promote gap
-  double first_promote_at_us = -1.0;
-  double first_rehome_at_us = -1.0;
-  // Fleet / memory instrumentation.
-  uint64_t fleet_draws = 0;
-  uint64_t peak_inflight = 0;          // rack-wide concurrent in-flight peak
-  uint64_t resident_client_bytes = 0;  // fleet state + home op slabs (NOT in
-                                       // the fingerprint: sizeof-derived)
-  // Parallel core accounting (thread-count invariant).
-  uint64_t rounds = 0;
-  uint64_t merged = 0;
-  uint64_t processed = 0;
-  uint64_t digest = 0;
-  // Home-measured end-to-end latency.
-  int64_t p50_ps = 0;
-  int64_t p99_ps = 0;
-  int64_t max_ps = 0;
-  // Membership & repair plane (all zero unless membership.enabled).
-  uint64_t removals = 0;      // ring removals executed, summed over domains
-  uint64_t member_epoch = 0;  // highest membership epoch reached
-  uint64_t stale_epoch_bounces = 0;  // requests bounced for a stale epoch
-  uint64_t retry_replies = 0;  // evidence-free retry replies settled home
-  // Repair ledgers: ranges_started == ranges_completed + ranges_failed and
-  // keys_migrated == keys_installed after drain.
-  uint64_t ranges_started = 0;
-  uint64_t ranges_completed = 0;
-  uint64_t ranges_failed = 0;
-  uint64_t keys_migrated = 0;   // pushes acked back at the migrating survivor
-  uint64_t keys_installed = 0;  // installs applied at the new owner
-  uint64_t keys_lost = 0;       // both replicas gone before repair could run
-  uint64_t migration_waits = 0;      // token-bucket pacer deferrals
-  uint64_t repair_path3_bytes = 0;   // migration fetches metered vs budget
-  double membership_change_at_us = -1.0;  // first removal executed
-  double repair_done_at_us = -1.0;        // last migration range completed
-  double last_failed_start_us = -1.0;     // start of the latest failed request
-  // Integrity layer (zero without corrupt events or a scrubber). Ledger:
-  // corrupted_keys + corrupt_propagated ==
-  //     repaired_read + repaired_scrub + repaired_write + corrupt_remaining.
-  uint64_t integrity_checks = 0;
-  uint64_t corrupted_keys = 0;      // checksum flips injected by corrupt=
-  uint64_t corrupt_propagated = 0;  // migrated while the sole copy was bad
-  uint64_t read_repair_detected = 0;
-  uint64_t scrub_checked = 0;
-  uint64_t scrub_detected = 0;
-  uint64_t repaired_read = 0;       // healed from the replica (serve path)
-  uint64_t repaired_scrub = 0;      // healed from the replica (scrubber)
-  uint64_t repaired_write = 0;      // overwritten by a fresh write/install
-  uint64_t repair_unavailable = 0;  // replica dead or also corrupt
-  uint64_t corrupt_remaining = 0;   // still-bad stored values at drain (dead
-                                    // servers keep theirs, so the ledger
-                                    // closes even under permloss+corrupt)
-  uint64_t undetected_corrupt_serves = 0;  // must stay 0: every serve verifies
-  // Trace shaping (zero without a trace plan).
-  uint64_t scan_forced = 0;
+#define SNICSIM_RACK_FIELD(type, name, unit, merge, fingerprinted, help)                           \
+  type name = std::is_floating_point_v<type> ? -1 : 0;
+  SNICSIM_RACK_COUNTERS(SNICSIM_RACK_FIELD)
+#undef SNICSIM_RACK_FIELD
   // Per-server completed counts (load-concentration dominance checks).
   std::vector<uint64_t> server_completed;
   // Completions bucketed by governor-epoch index of their settle time —
   // the goodput-during-migration series sec_membership's floor check reads.
   std::vector<uint64_t> completed_by_epoch;
 
+  // The five ledgers, closed after drain. Dead servers keep their corrupt
+  // values and corrupt_remaining counts them, so the last one closes under
+  // permloss+corrupt too.
   bool Conserved() const {
     return generated == completed + failed + shed &&
            repl_pushed == repl_acked + repl_failed &&
@@ -252,11 +239,32 @@ struct RackKvResult {
                    corrupt_remaining;
   }
 
-  // Every deterministic field, fixed formatting — the byte-compare unit for
-  // the (--jobs, --sim-threads) grid. Excludes resident_client_bytes,
-  // which is derived from struct sizes, not simulation state.
+  // Every fingerprinted counter, then both series, fixed formatting — the
+  // byte-compare unit for the (--jobs, --sim-threads) grid.
   std::string Fingerprint() const;
+
+  // One rack.<name> gauge per counter, sampling this result.
+  void RegisterMetrics(MetricsRegistry* reg) const;
 };
+
+struct RackCounterInfo {
+  const char* name;
+  const char* unit;
+  RackMerge merge;
+  bool fingerprinted;
+  const char* help;
+};
+
+// Calls f(info, &RackKvResult::<name>) for every counter, in declaration
+// order.
+template <typename F>
+void ForEachRackCounter(F&& f) {
+#define SNICSIM_RACK_VISIT(type, name, unit, merge, fingerprinted, help)                           \
+  f(RackCounterInfo{#name, unit, RackMerge::merge, fingerprinted, help}, &RackKvResult::name);
+  SNICSIM_RACK_COUNTERS(SNICSIM_RACK_VISIT)
+#undef SNICSIM_RACK_VISIT
+}
+#undef SNICSIM_RACK_COUNTERS
 
 // Fault-domain names of server `d`'s endpoints ("rack.s<d>.host" /
 // "rack.s<d>.soc"); plans may address one endpoint, a whole server

@@ -1,0 +1,308 @@
+// Internals of the rack-scale sharded KV (src/topo/rack_kv.h), shared by its
+// plane files: rack_routing.cc, rack_serving.cc, rack_membership.cc and
+// rack_integrity.cc, with RunRackKv in rack_kv.cc. Each per-request call
+// chain stays inside one plane file; planes meet through the cross-domain
+// messages and the few entry points declared below.
+#ifndef SRC_TOPO_RACK_KV_INTERNAL_H_
+#define SRC_TOPO_RACK_KV_INTERNAL_H_
+
+#include <cstdint>
+#include <memory>
+#include <string>
+#include <vector>
+
+#include "src/common/histogram.h"
+#include "src/common/rng.h"
+#include "src/governor/server_stack.h"
+#include "src/resilience/resilience.h"
+#include "src/sim/parallel.h"
+#include "src/sim/pool.h"
+#include "src/sim/timer_wheel.h"
+#include "src/topo/rack_kv.h"
+#include "src/topo/shard.h"
+#include "src/workload/addr_gen.h"
+#include "src/workload/aggregate_fleet.h"
+#include "src/workload/trace/trace.h"
+
+namespace snicsim {
+namespace rackkv {
+
+// Terminal status a serving domain reports home for one attempt. kRetry is
+// the evidence-free flavor of kNack: the attempt must be re-dispatched (the
+// server bounced a stale membership epoch, or detected corruption it could
+// not heal in place) but the target server is healthy, so it must not feed
+// the failover promoter.
+enum class ReplyStatus : uint8_t { kOk, kShed, kNack, kRetry };
+
+// One in-flight request, resident in its *home* domain's slab. While the
+// request is at the serving domain the pointer travels inside closures as
+// an opaque handle and is only dereferenced back home. `gen` (bumped on
+// every Alloc, zeroed on Free) and `token` (bumped on every dispatch and
+// every timeout decision) guard the handle against slab reuse and stale
+// replies — the reply that loses the race to a timeout is counted, never
+// double-settled.
+struct HomeOp {
+  uint64_t gen = 0;
+  uint64_t token = 0;
+  SimTime start = 0;
+  int cls = 0;        // fleet population bucket (OnComplete must match)
+  int serve_cls = 0;  // value class actually served (scan bursts upgrade it)
+  uint64_t rank = 0;
+  uint32_t bytes = 0;
+  bool write = false;
+  uint64_t user = 0;
+  int attempts = 0;
+  int target = 0;
+  TimerWheel::TimerId timer = TimerWheel::kNoTimer;
+};
+
+// One serve in progress at the serving domain: the watchdog and the NIC
+// completion race through `settled`/`gen` exactly like HomeOp replies.
+struct ServeCtx {
+  uint64_t gen = 0;
+  bool settled = false;
+  bool retry_on_fail = false;  // fail as kRetry (no failover evidence)
+  int path = 0;
+  SimTime arrived = 0;
+  KvRequest req;
+  bool write = false;
+  DomainId src = 0;
+  HomeOp* op = nullptr;  // opaque until it returns home
+  uint64_t op_gen = 0;
+  uint64_t op_token = 0;
+};
+
+// One replication push from the acting primary to the shard peer.
+struct RepOp {
+  uint64_t gen = 0;
+  uint64_t token = 0;
+  int attempts = 0;
+  int peer = 0;
+  uint64_t rank = 0;
+  int cls = 0;
+  uint32_t bytes = 0;
+  TimerWheel::TimerId timer = TimerWheel::kNoTimer;
+};
+
+// Home-side failover view of one remote server.
+struct ServerView {
+  bool down = false;
+  int consec_fail = 0;
+  SimTime first_evidence = -1;
+  int missed_epochs = 0;  // consecutive probe epochs spent down (permloss)
+};
+
+// One key-range migration stream from a surviving replica to the range's
+// new owner. Pushes are ack-clocked (strictly serial per range) so the
+// in-flight state per range is O(1); the per-domain token bucket paces the
+// aggregate byte rate across all of a survivor's ranges.
+struct MigOp {
+  uint64_t gen = 0;
+  int attempts = 0;
+  int dest = 0;
+  size_t next = 0;     // next index in `ranks` to push
+  uint64_t acked = 0;  // installs acked back; == ranks.size() completes
+  std::vector<uint64_t> ranks;
+};
+
+// One replica-read heal of a corrupt value, from serve-path detection
+// (carries the serve to resume) or the scrubber (ctx == nullptr).
+struct RepairOp {
+  uint64_t gen = 0;
+  uint64_t rank = 0;
+  bool from_scrub = false;
+  ServeCtx* ctx = nullptr;
+  uint64_t ctx_gen = 0;
+};
+
+// Per-domain checksum shadow of the values this server stores. `stored` is
+// the checksum on media; the expected value is a pure function of
+// (rank, version), so corruption == any mismatch. `version` counts local
+// overwrites (served writes, replica applies, migration installs), each of
+// which lands a fresh, clean value.
+struct IntegrityStore {
+  std::vector<uint64_t> stored;
+  std::vector<uint32_t> version;
+  std::vector<uint8_t> repairing;  // de-dups concurrent repairs per rank
+};
+
+// Everything one server domain owns — serving machine, home-side fleet,
+// failover, membership and integrity state, and its share of the rack
+// counters. Touched only by the thread currently running the domain.
+struct KvDomain {
+  KvDomain(DomainId d, Simulator* sim, const RackKvParams& p,
+           const kv::ServingConfig& serving)
+      : id(d),
+        stack(sim, p.testbed, serving, p.faults, p.resil,
+              "rack.s" + std::to_string(d)),
+        uplink(stack.fabric.AddPort("rack.s" + std::to_string(d) + ".up",
+                                    p.testbed.client_port_bandwidth)),
+        host_domain(serving.host_domain),
+        soc_domain(serving.soc_domain) {}
+
+  DomainId id = 0;
+  governor::ServerStack stack;  // the serving machine (src/governor/server_stack.h)
+  PcieLink* uplink = nullptr;   // client-proxy port: the reply's wire leg
+  std::unique_ptr<AggregateFleet> fleet;
+  std::string host_domain;
+  std::string soc_domain;
+  // This domain's rack counters, merged by RunRackKv. server_completed is
+  // indexed by domain id; member_epoch is the live membership epoch.
+  RackKvResult ctr;
+
+  // Home side.
+  SlabPool<HomeOp> ops;
+  uint64_t op_gen = 0;
+  std::vector<ServerView> views;
+  Histogram latency;
+
+  // Serving side and replication.
+  SlabPool<ServeCtx> serves;
+  uint64_t serve_gen = 0;
+  SlabPool<RepOp> reps;
+  uint64_t rep_gen = 0;
+
+  // Membership & repair plane (allocated/used only when enabled).
+  std::unique_ptr<HashRing> mring;  // this domain's mutable ring copy
+  uint64_t live_mask = 0;
+  SlabPool<MigOp> migs;
+  uint64_t mig_gen = 0;
+  resilience::TokenBucketState mig_bucket;
+  double mig_rate_bpus = 0.0;  // migration bucket refill, bytes/us
+
+  // Integrity layer (allocated only with corrupt events or a scrubber).
+  std::unique_ptr<IntegrityStore> integ;
+  SlabPool<RepairOp> repairs;
+  uint64_t repair_gen = 0;
+  uint64_t scrub_cursor = 0;
+};
+
+struct RackKv {
+  const RackKvParams* p = nullptr;
+  ParallelSimulator* psim = nullptr;
+  const HashRing* ring = nullptr;
+  const ZipfDist* zipf = nullptr;
+  const trace::TraceDriver* trace = nullptr;
+  std::vector<std::unique_ptr<KvDomain>> doms;
+};
+
+// Cross-domain messages with many fields travel as one packed struct, so
+// the closure that carries one stays inside SmallFunction's inline buffer:
+// domain ids fit 16 bits and size classes 8 (RunRackKv checks both).
+struct ServeMsg {  // Dispatch -> ServeArrival
+  RackKv* rk;
+  HomeOp* op;
+  uint64_t gen;
+  uint64_t token;
+  uint64_t rank;
+  uint64_t mmask;
+  uint32_t bytes;
+  uint32_t mep;
+  uint16_t target;
+  uint16_t src;
+  uint8_t cls;
+  bool write;
+};
+static_assert(sizeof(ServeMsg) <= SimCallback::kInlineBytes);
+
+struct PushMsg {  // PushKey: survivor -> migration destination
+  RackKv* rk;
+  MigOp* m;
+  uint64_t gen;
+  uint64_t rank;
+  uint64_t mmask;
+  SimTime fetch_start;
+  uint32_t bytes;
+  uint32_t mep;
+  uint16_t d;
+  uint16_t dest;
+  uint8_t cls;
+  bool src_bad;
+};
+static_assert(sizeof(PushMsg) <= SimCallback::kInlineBytes);
+
+// Entry points called from outside their plane file. rack_routing.cc:
+void IssueNew(RackKv& r, DomainId d, int cls, uint64_t user);
+void ReplyHome(RackKv& r, DomainId d, HomeOp* op, uint64_t gen, uint64_t token,
+               ReplyStatus status);
+// rack_serving.cc:
+void ServeArrival(RackKv& r, DomainId t, DomainId src, HomeOp* op,
+                  uint64_t op_gen, uint64_t op_token, uint64_t rank, int cls,
+                  uint32_t bytes, bool write, uint32_t mep, uint64_t mmask);
+void LaunchServe(RackKv& r, DomainId t, ServeCtx* ctx);
+void SettleServe(RackKv& r, DomainId t, ServeCtx* ctx, bool ok, SimTime done);
+// rack_membership.cc:
+void EpochTick(RackKv& r, DomainId d);
+void AdoptMembership(RackKv& r, DomainId d, uint32_t epoch, uint64_t mask);
+// rack_integrity.cc:
+void ApplyCorruption(RackKv& r, DomainId d, double fraction, uint64_t salt);
+void ScrubTick(RackKv& r, DomainId d);
+void StartRepair(RackKv& r, DomainId d, uint64_t rank, bool from_scrub,
+                 ServeCtx* ctx, uint64_t ctx_gen);
+
+// Whole-server liveness: the rack treats a server as reachable while either
+// endpoint domain is up; the whole-shard crash scenario kills both.
+inline bool ServerDeadNow(const KvDomain& dom) {
+  return dom.stack.injector != nullptr &&
+         dom.stack.injector->CrashedAt(dom.host_domain, dom.stack.sim->now()) &&
+         dom.stack.injector->CrashedAt(dom.soc_domain, dom.stack.sim->now());
+}
+
+// The ring a domain routes by: its own mutable copy under the membership
+// plane, the shared immutable ring otherwise.
+inline const HashRing& RingOf(const RackKv& r, const KvDomain& dom) {
+  return dom.mring != nullptr ? *dom.mring : *r.ring;
+}
+
+// The per-value FNV checksum over (rank, version) — what a clean store
+// holds. Corruption XORs noise into `stored`, so any verify catches it.
+inline uint64_t ValueChecksum(uint64_t rank, uint32_t version) {
+  uint64_t h = FnvMix(1469598103934665603ULL, rank);
+  for (int i = 0; i < 4; ++i) {
+    h = (h ^ ((static_cast<uint64_t>(version) >> (8 * i)) & 0xffu)) *
+        1099511628211ULL;
+  }
+  return h;
+}
+
+inline constexpr uint64_t kCorruptNoise = 0x5a5a5a5a5a5a5a5aULL;
+
+inline bool IsCorrupt(const KvDomain& dom, uint64_t rank) {
+  const IntegrityStore& st = *dom.integ;
+  const size_t i = static_cast<size_t>(rank);
+  return st.stored[i] != ValueChecksum(rank, st.version[i]);
+}
+
+// A fresh value lands at `rank` (served write, replica apply, or migration
+// install). Bumps the version and stores the matching checksum — unless the
+// writer itself held a corrupt sole copy (`bad`, migration only), in which
+// case the corruption travels and is accounted as propagated.
+inline void InstallValue(KvDomain& dom, uint64_t rank, bool bad) {
+  if (dom.integ == nullptr) {
+    return;
+  }
+  IntegrityStore& st = *dom.integ;
+  const size_t i = static_cast<size_t>(rank);
+  const bool was_bad = IsCorrupt(dom, rank);
+  ++st.version[i];
+  st.stored[i] = ValueChecksum(rank, st.version[i]);
+  if (bad) {
+    st.stored[i] ^= kCorruptNoise;
+    if (!was_bad) {
+      ++dom.ctr.corrupt_propagated;
+    }
+  } else if (was_bad) {
+    ++dom.ctr.repaired_write;
+  }
+}
+
+// Deterministic value size for repair traffic: the class table keyed by
+// rank (serving classes are a per-request draw, but repair must not draw).
+inline int RepairClassOf(const RackKv& r, uint64_t rank) {
+  return static_cast<int>(rank % r.p->layout.class_bytes.size());
+}
+
+}  // namespace rackkv
+}  // namespace snicsim
+
+#endif  // SRC_TOPO_RACK_KV_INTERNAL_H_

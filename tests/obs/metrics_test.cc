@@ -12,6 +12,7 @@
 #include "src/offload/tenancy.h"
 #include "src/offload/tenant_config.h"
 #include "src/resilience/resilience.h"
+#include "src/topo/rack_kv.h"
 #include "src/topo/server.h"
 #include "src/topo/testbed_params.h"
 #include "src/workload/client.h"
@@ -69,7 +70,8 @@ TEST(MetricsRegistry, JsonIsDeterministicAndParsesAsObject) {
 
 // The full metric catalog of a real topology must be documented: every leaf
 // name registered by any component has to appear in DESIGN.md's
-// Observability chapter. Adding a metric without documenting it fails here.
+// Observability chapter, and every rack counter needs its own catalog row.
+// Adding a metric without documenting it fails here.
 TEST(MetricsCatalog, EveryRegisteredLeafIsDocumented) {
   Simulator sim;
   const TestbedParams tp;
@@ -143,6 +145,20 @@ TEST(MetricsCatalog, EveryRegisteredLeafIsDocumented) {
            for (const auto& l : undocumented) s += l + " ";
            return s;
          }();
+
+  // The rack dump (RunRackKv's metrics_path) registers one rack.<name> leaf
+  // per declared counter; each needs its own catalog row, with its unit.
+  MetricsRegistry rack_reg;
+  const RackKvResult rack;
+  rack.RegisterMetrics(&rack_reg);
+  ASSERT_GT(rack_reg.entries().size(), 50u);
+  for (const auto& e : rack_reg.entries()) {
+    EXPECT_EQ(e.instance, "rack");
+    EXPECT_FALSE(e.unit.empty()) << "rack." << e.leaf << " has no unit";
+    const std::string row = "| `" + e.leaf + "` | " + e.unit + " | rack-scale KV";
+    EXPECT_NE(doc.find(row), std::string::npos)
+        << "rack." << e.leaf << " needs a DESIGN.md catalog row starting '" << row << "'";
+  }
 }
 
 }  // namespace

@@ -13,10 +13,20 @@
 //    governor epochs of first evidence and re-homes after restart.
 //  - Directed paths: request retry exhaustion, rack-side admission and
 //    stale replication acks each fire, with closed ledgers.
+//  - Counter declaration: every declared counter moves the fingerprint
+//    (bar resident_client_bytes) and is one rack.<name> row of the dump.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
+#include <cstdlib>
+#include <fstream>
+#include <map>
+#include <regex>
 #include <set>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/topo/rack_kv.h"
@@ -419,6 +429,56 @@ TEST(RackKv, LossAndCorruptionComposeWithClosedLedgers) {
   RackKvParams p2 = p;
   p2.sim_threads = 2;
   EXPECT_EQ(RunRackKv(p2).Fingerprint(), r.Fingerprint());
+}
+
+// -- The counter declaration (rack_kv.h) reaches both outputs --------------
+
+TEST(RackKvCounters, EveryDeclaredCounterMovesTheFingerprint) {
+  const std::string base = RackKvResult{}.Fingerprint();
+  ForEachRackCounter([&](const RackCounterInfo& c, auto field) {
+    RackKvResult r;
+    r.*field += 1;
+    // Only the sizeof-derived memory counter stays out of the fingerprint.
+    EXPECT_EQ(c.fingerprinted, std::string(c.name) != "resident_client_bytes") << c.name;
+    EXPECT_EQ(r.Fingerprint() != base, c.fingerprinted) << c.name;
+  });
+}
+
+TEST(RackKvCounters, MetricsDumpHasOneRowPerDeclaredCounter) {
+  RackKvParams p = MembershipRack();
+  p.membership.scrub_keys_per_epoch = 1024;
+  p.faults.permlosses.push_back({"rack.s1", FromMicros(60)});
+  p.faults.corrupts.push_back({"rack.s2", FromMicros(80), 0.2});
+  p.metrics_path = ::testing::TempDir() + "rack_kv_test_metrics.json";
+  const RackKvResult r = RunRackKv(p);
+
+  std::ifstream in(p.metrics_path);
+  ASSERT_TRUE(in.good()) << p.metrics_path;
+  const std::regex row(R"re(^  "([^"]+)": \{"value": ([^,]+), "unit": "([^"]*)"\},?$)re");
+  std::map<std::string, std::pair<double, std::string>> dump;
+  size_t rows = 0;
+  for (std::string line; std::getline(in, line);) {
+    std::smatch m;
+    if (std::regex_match(line, m, row)) {
+      ++rows;
+      dump[m[1]] = {std::strtod(m[2].str().c_str(), nullptr), m[3]};
+    }
+  }
+  std::remove(p.metrics_path.c_str());
+  EXPECT_EQ(rows, dump.size()) << "duplicate keys in the dump";
+
+  size_t declared = 0;
+  ForEachRackCounter([&](const RackCounterInfo& c, auto field) {
+    ++declared;
+    const auto it = dump.find(std::string("rack.") + c.name);
+    ASSERT_NE(it, dump.end()) << "rack." << c.name << " missing from the dump";
+    EXPECT_EQ(it->second.second, c.unit) << c.name;
+    // Integral values print exactly; the rest (the digest, us times) as %.6g.
+    const double want = static_cast<double>(r.*field);
+    EXPECT_NEAR(it->second.first, want, 1e-5 * std::max(1.0, std::fabs(want))) << c.name;
+  });
+  EXPECT_EQ(dump.size(), declared);
+  EXPECT_GT(r.removals + r.scrub_detected, 0u);  // the dump carries live planes
 }
 
 }  // namespace
