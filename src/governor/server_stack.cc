@@ -10,16 +10,8 @@ ServerStack::ServerStack(Simulator* simulator, const TestbedParams& testbed,
                          const fault::FaultPlan& faults,
                          const resilience::ResilienceConfig& resil_cfg,
                          const std::string& name)
-    : sim(simulator),
-      fabric(sim, testbed.network_link_propagation, testbed.network_switch_forward),
-      bf(sim, &fabric, testbed, name),
-      exec(sim, &bf, serving),
-      wheel(sim) {
-  sim->set_timer_wheel(&wheel);
-  if (!faults.empty()) {
-    injector = std::make_unique<fault::FaultInjector>(faults);
-    sim->set_faults(injector.get());
-  }
+    : Testbed(simulator, testbed, ServerCard::kBluefield, faults, name),
+      exec(sim, bf.get(), serving) {
   if (!resil_cfg.empty()) {
     resil = std::make_unique<resilience::ResilienceManager>(resil_cfg);
     exec.BindResilience(resil.get());

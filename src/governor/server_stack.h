@@ -1,37 +1,37 @@
 // One serving machine, wired once: the per-server stack under both the
 // single-server testbed (RunServing) and every rack domain (RunRackKv).
 //
-// Construction order: Fabric, BluefieldServer, ServingExecutor, TimerWheel,
-// then the FaultInjector and ResilienceManager, each only for a non-empty
-// config so an empty one stays byte-identical to a build without the layer.
+// The machine itself is a Testbed (src/topo/testbed.h) with a BlueField
+// card: Fabric, BluefieldServer, TimerWheel and, for a non-empty plan, the
+// FaultInjector, with the wheel and the injector installed on the
+// simulator. The stack adds the ServingExecutor, then the
+// ResilienceManager only for a non-empty config, so an empty one stays
+// byte-identical to a build without the layer.
 // Bind rules, kept here and nowhere else:
-//  - the wheel and the injector are installed on the simulator;
 //  - resilience is bound to the executor, and to the governor on attach;
 //  - AttachGovernor adds the executor's meters to `live_reg`, then
 //    BindMetrics arms the epoch tick. Callers register their own path-③
 //    meters ("tenant.path3_bytes", "repair.path3_bytes") before it, so the
 //    budget gate sees them from the first epoch.
-// Tracer, tenants, fleets, trace drivers, the autoscaler and extra fabric
-// ports stay with the caller.
+// The observability sinks attach through Testbed::AttachSinks (RunServing
+// does; a rack domain never traces). Tenants, fleets, trace drivers, the
+// autoscaler and extra fabric ports stay with the caller.
 #ifndef SRC_GOVERNOR_SERVER_STACK_H_
 #define SRC_GOVERNOR_SERVER_STACK_H_
 
 #include <memory>
 #include <string>
 
-#include "src/fault/injector.h"
 #include "src/governor/governor.h"
 #include "src/kvstore/serving.h"
 #include "src/obs/metrics.h"
 #include "src/resilience/resilience.h"
-#include "src/sim/timer_wheel.h"
-#include "src/topo/fabric.h"
-#include "src/topo/server.h"
+#include "src/topo/testbed.h"
 
 namespace snicsim {
 namespace governor {
 
-struct ServerStack {
+struct ServerStack : Testbed {
   ServerStack(Simulator* simulator, const TestbedParams& testbed,
               const kv::ServingConfig& serving, const fault::FaultPlan& faults,
               const resilience::ResilienceConfig& resil_cfg,
@@ -45,12 +45,7 @@ struct ServerStack {
                                    const TestbedParams& testbed,
                                    const ClientParams& client);
 
-  Simulator* const sim;
-  Fabric fabric;
-  BluefieldServer bf;
   kv::ServingExecutor exec;
-  TimerWheel wheel;
-  std::unique_ptr<fault::FaultInjector> injector;
   std::unique_ptr<resilience::ResilienceManager> resil;
   MetricsRegistry live_reg;  // sampled by the governor's tick, never dumped
   std::unique_ptr<AdaptiveGovernor> gov;

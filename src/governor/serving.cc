@@ -89,11 +89,7 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   kv::ServingExecutor& exec = stack.exec;
   fault::FaultInjector* const injector = stack.injector.get();
   resilience::ResilienceManager* const resil = stack.resil.get();
-  std::unique_ptr<Tracer> tracer;
-  if (!config.trace_path.empty()) {
-    tracer = std::make_unique<Tracer>(config.trace_capacity);
-    sim.set_tracer(tracer.get());
-  }
+  stack.AttachSinks(config.trace_path, config.metrics_path, config.trace_capacity);
 
   // Tenant control plane: only exists when tenants are declared, so a
   // tenant-free run stays byte-identical to a pre-tenancy build. kv-kind
@@ -101,7 +97,7 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   std::unique_ptr<offload::TenantManager> tenant_mgr;
   if (!config.tenants.empty()) {
     tenant_mgr = std::make_unique<offload::TenantManager>(
-        &sim, &stack.bf, injector, config.tenants, serving.host_domain,
+        &sim, stack.bf.get(), injector, config.tenants, serving.host_domain,
         serving.soc_domain);
     exec.SetServeObserver([tm = tenant_mgr.get()](int ep, uint32_t bytes) {
       tm->OnKvServed(ep, bytes);
@@ -232,9 +228,9 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   std::vector<TargetSpec> paths(static_cast<size_t>(kPathCount));
   for (int p = 0; p < kPathCount; ++p) {
     TargetSpec& t = paths[static_cast<size_t>(p)];
-    t.engine = &stack.bf.nic();
-    t.endpoint = p == kPathHost ? stack.bf.host_ep() : stack.bf.soc_ep();
-    t.server_port = stack.bf.port();
+    t.engine = &stack.bf->nic();
+    t.endpoint = p == kPathHost ? stack.bf->host_ep() : stack.bf->soc_ep();
+    t.server_port = stack.bf->port();
     t.verb = Verb::kSend;
   }
 
@@ -294,7 +290,7 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   sim.Run();
 
   ServingResult r;
-  r.live_records = stack.bf.nic().live_records() + fleet.live_records();
+  r.live_records = stack.bf->nic().live_records() + fleet.live_records();
   r.policy = pol->name();
   r.mreqs = meter.MReqsPerSec();
   r.gbps = meter.Gbps();
@@ -385,49 +381,39 @@ ServingResult RunServing(const ServingRunConfig& raw) {
     }
   }
 
-  if (tracer != nullptr) {
-    SNIC_CHECK(tracer->WriteChromeJsonFile(config.trace_path));
-  }
-  if (!config.metrics_path.empty()) {
-    MetricsRegistry dump;
-    stack.bf.RegisterMetrics(&dump);
-    exec.RegisterMetrics(&dump);
-    fleet.RegisterMetrics(&dump);
+  stack.WriteSinks([&](MetricsRegistry* dump) {
+    exec.RegisterMetrics(dump);
+    fleet.RegisterMetrics(dump);
     if (injector != nullptr) {
-      injector->RegisterMetrics(&dump);
+      injector->RegisterMetrics(dump);
     }
     if (resil != nullptr) {
-      resil->RegisterMetrics(&dump);
+      resil->RegisterMetrics(dump);
     }
     if (tenant_mgr != nullptr) {
-      tenant_mgr->RegisterMetrics(&dump);
+      tenant_mgr->RegisterMetrics(dump);
     }
     // The scale component exists only on trace-driven runs (the monitor
     // attaches with the trace), so trace-free dumps stay byte-identical.
     if (slo_monitor != nullptr) {
       const SloMonitor* sm = slo_monitor.get();
       const EpochAutoscaler* as = autoscaler.get();
-      dump.Register("scale", "violation_epochs", "count",
-                    "governor epochs past the SLO budget (SloMonitor)",
-                    [sm] { return static_cast<double>(sm->violation_epochs()); });
-      dump.Register("scale", "actions_up", "count",
-                    "cores moved tenant pool -> serving by the autoscaler",
-                    [as] {
-                      return as ? static_cast<double>(as->actions_up()) : 0.0;
-                    });
-      dump.Register("scale", "actions_down", "count",
-                    "cores moved serving -> tenant pool by the autoscaler",
-                    [as] {
-                      return as ? static_cast<double>(as->actions_down()) : 0.0;
-                    });
-      dump.Register("scale", "weight_updates", "count",
-                    "tenant WRR weight retunes applied on scaling actions",
-                    [as] {
-                      return as ? static_cast<double>(as->weight_updates()) : 0.0;
-                    });
+      dump->Register("scale", "violation_epochs", "count",
+                     "governor epochs past the SLO budget (SloMonitor)",
+                     [sm] { return static_cast<double>(sm->violation_epochs()); });
+      dump->Register("scale", "actions_up", "count",
+                     "cores moved tenant pool -> serving by the autoscaler",
+                     [as] { return as ? static_cast<double>(as->actions_up()) : 0.0; });
+      dump->Register("scale", "actions_down", "count",
+                     "cores moved serving -> tenant pool by the autoscaler",
+                     [as] { return as ? static_cast<double>(as->actions_down()) : 0.0; });
+      dump->Register("scale", "weight_updates", "count",
+                     "tenant WRR weight retunes applied on scaling actions",
+                     [as] {
+                       return as ? static_cast<double>(as->weight_updates()) : 0.0;
+                     });
     }
-    SNIC_CHECK(dump.WriteJsonFile(config.metrics_path));
-  }
+  });
   return r;
 }
 

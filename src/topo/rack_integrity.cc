@@ -145,7 +145,7 @@ void StartRepair(RackKv& r, DomainId d, uint64_t rank, bool from_scrub,
                          });
           return;
         }
-        const SimTime read_done = p.stack.bf.soc_memory().Access(
+        const SimTime read_done = p.stack.bf->soc_memory().Access(
             p.stack.sim->now(), rk->p->layout.Pack(rank, cls), bytes,
             /*is_write=*/false);
         p.stack.sim->At(read_done, [rk, d, rp, gen, peer] {

@@ -296,7 +296,7 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     SNIC_CHECK_EQ(dom.serves.live(), 0u);
     SNIC_CHECK_EQ(dom.reps.live(), 0u);
     SNIC_CHECK_EQ(dom.migs.live(), 0u);
-    SNIC_CHECK_EQ(dom.stack.bf.nic().live_records(), 0u);
+    SNIC_CHECK_EQ(dom.stack.bf->nic().live_records(), 0u);
     SNIC_CHECK_EQ(dom.repairs.live(), 0u);
     Harvest(rack, dom);
     const RackKvResult& c = dom.ctr;

@@ -94,7 +94,7 @@ void InstallPushedKey(const PushMsg& msg) {
     return;
   }
   AdoptMembership(*rk, dest, msg.mep, msg.mmask);
-  const SimTime applied = f.stack.bf.soc_memory().Access(
+  const SimTime applied = f.stack.bf->soc_memory().Access(
       f.stack.sim->now(), rk->p->layout.Pack(rank, msg.cls), msg.bytes,
       /*is_write=*/true);
   f.stack.sim->At(applied, [rk, d, m, gen, dest, rank, src_bad] {
@@ -131,8 +131,8 @@ void PushKey(RackKv& r, DomainId d, MigOp* m, uint64_t rank, int cls,
                     static_cast<uint16_t>(m->dest),
                     static_cast<uint8_t>(cls),
                     dom.integ != nullptr && IsCorrupt(dom, rank)};
-  dom.stack.bf.nic().ExecuteLocalOp(
-      dom.stack.bf.soc_ep(), dom.stack.bf.host_ep(), Verb::kRead,
+  dom.stack.bf->nic().ExecuteLocalOp(
+      dom.stack.bf->soc_ep(), dom.stack.bf->host_ep(), Verb::kRead,
       r.p->layout.Pack(rank, cls), bytes,
       [msg](SimTime done) {
         KvDomain& here = *msg.rk->doms[msg.d];

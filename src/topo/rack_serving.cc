@@ -38,8 +38,8 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
   // Path ③: the SoC pulls the freshly-written value out of host DRAM
   // through the NIC engine (double PCIe1 crossing) before pushing it to the
   // follower over the wire.
-  dom.stack.bf.nic().ExecuteLocalOp(
-      dom.stack.bf.soc_ep(), dom.stack.bf.host_ep(), Verb::kRead,
+  dom.stack.bf->nic().ExecuteLocalOp(
+      dom.stack.bf->soc_ep(), dom.stack.bf->host_ep(), Verb::kRead,
       r.p->layout.Pack(rep->rank, rep->cls), rep->bytes,
       [rk, t, rep, gen, token, fetch_start](SimTime done) {
         KvDomain& here = *rk->doms[static_cast<size_t>(t)];
@@ -88,7 +88,7 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
                   f.stack.injector->CrashedAt(f.soc_domain, f.stack.sim->now())) {
                 return;  // dead follower: the primary's timer retries
               }
-              const SimTime applied = f.stack.bf.soc_memory().Access(
+              const SimTime applied = f.stack.bf->soc_memory().Access(
                   f.stack.sim->now(), rk->p->layout.Pack(rank, cls), bytes,
                   /*is_write=*/true);
               f.stack.sim->At(applied, [rk, t, peer, rep, gen, token, rank] {
@@ -244,10 +244,10 @@ void LaunchServe(RackKv& r, DomainId t, ServeCtx* ctx) {
   // (ServingExecutor via the registered SendHandler) -> response over the
   // uplink. The request SEND is one header frame; the reply carries the
   // value and pays the wire.
-  NicEndpoint* const ep = ctx->path == governor::kPathHost ? dom.stack.bf.host_ep()
-                                                           : dom.stack.bf.soc_ep();
-  PciePath back = dom.stack.fabric.Route(dom.stack.bf.port(), dom.uplink);
-  dom.stack.bf.nic().HandleRequest(
+  NicEndpoint* const ep = ctx->path == governor::kPathHost ? dom.stack.bf->host_ep()
+                                                           : dom.stack.bf->soc_ep();
+  PciePath back = dom.stack.fabric.Route(dom.stack.bf->port(), dom.uplink);
+  dom.stack.bf->nic().HandleRequest(
       ep, Verb::kSend, ctx->req.hdr, r.p->request_bytes, /*fe_units=*/1.0,
       std::move(back),
       [rk, t, ctx, sgen](SimTime delivered) {

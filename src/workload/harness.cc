@@ -1,50 +1,22 @@
 #include "src/workload/harness.h"
 
+#include <algorithm>
 #include <functional>
 #include <memory>
-#include <optional>
+#include <vector>
 
 #include "src/common/log.h"
-#include "src/fault/injector.h"
 #include "src/sim/meter.h"
-#include "src/sim/timer_wheel.h"
-#include "src/topo/server.h"
+#include "src/topo/testbed.h"
 
 namespace snicsim {
 
 namespace {
 
-struct CounterWatch {
-  LinkCounters pcie0_start;
-  LinkCounters pcie1_start;
-};
-
-Measurement Finish(const Meter& meter, SimTime window, BluefieldServer* bf,
-                   const std::optional<CounterWatch>& watch) {
-  Measurement m;
-  m.mreqs = meter.MReqsPerSec();
-  m.gbps = meter.Gbps();
-  m.ops = meter.ops();
-  m.p50_us = ToMicros(meter.latency().Percentile(50));
-  m.p99_us = ToMicros(meter.latency().Percentile(99));
-  if (bf != nullptr && watch.has_value()) {
-    const double secs = ToSeconds(window);
-    const uint64_t p0 = bf->pcie0().TotalCounters().tlps - watch->pcie0_start.tlps;
-    const uint64_t p1 = bf->pcie1().TotalCounters().tlps - watch->pcie1_start.tlps;
-    m.pcie0_mpps = static_cast<double>(p0) / secs / 1e6;
-    m.pcie1_mpps = static_cast<double>(p1) / secs / 1e6;
-    m.pcie_total_mpps = m.pcie0_mpps + m.pcie1_mpps;
-  }
-  return m;
-}
-
 // Large payloads with deep windows pile megabytes into responder queues and
 // turn short windows into pure ramp measurement. Real RDMA benchmarks keep
 // few large messages outstanding; mirror that and lengthen the window.
 HarnessConfig ScaleForPayload(HarnessConfig config, uint32_t payload) {
-  // Single-domain harness: sim_threads is accepted (uniform bench CLI) but
-  // has nothing to shard, so any value must leave the run untouched.
-  SNIC_CHECK_GE(config.sim_threads, 1);
   if (payload >= 32 * kKiB) {
     config.client.window = std::min(config.client.window, 4);
     // Window long enough for a few hundred completions at ~200 Gbps, so the
@@ -64,171 +36,141 @@ HarnessConfig ScaleForPayload(HarnessConfig config, uint32_t payload) {
   return config;
 }
 
-// Attaches a FaultInjector to `sim` when the config carries a fault plan.
-// With an empty plan no injector exists at all, so every component's fault
-// hook is a null-pointer test and the run is bit-identical to a build
-// without the fault layer. The caller owns the injector for the sim's life.
-std::unique_ptr<fault::FaultInjector> MakeInjector(Simulator* sim,
-                                                   const HarnessConfig& config) {
-  if (config.faults.empty()) {
-    return nullptr;
-  }
-  auto injector = std::make_unique<fault::FaultInjector>(config.faults);
-  sim->set_faults(injector.get());
-  return injector;
+ServerCard CardOf(ServerKind kind) {
+  return kind == ServerKind::kRnicHost ? ServerCard::kRnic : ServerCard::kBluefield;
 }
 
-// Attaches a TimerWheel so the cancellation-heavy clocks (client retry
-// timers, QP retransmit timeouts) arm through it instead of the event heap.
-// Fault-free runs arm none of those timers, so attaching a wheel there is
-// sequence-neutral. The caller owns the wheel for the sim's life.
-std::unique_ptr<TimerWheel> MakeWheel(Simulator* sim) {
-  auto wheel = std::make_unique<TimerWheel>(sim);
-  sim->set_timer_wheel(wheel.get());
-  return wheel;
-}
-
-// Folds fault-side counters (NIC replays, failed ops, dropped frames) into a
-// finished measurement. No-op when faults are off.
-void FoldFaults(Measurement* m, const fault::FaultInjector* injector,
-                const std::vector<std::unique_ptr<ClientMachine>>* clients) {
-  if (injector == nullptr) {
-    return;
+// One Measure* experiment: a fresh simulator and testbed, the load the
+// entry point attaches, and the steady-state window meter. Every entry
+// point finishes through Run, so each one writes its trace and metrics
+// files when the config asks for them.
+struct Experiment {
+  Experiment(const HarnessConfig& c, ServerCard card)
+      : config(c), testbed(&sim, c.testbed, card, c.faults), meter(&sim) {
+    // Single-domain harness: sim_threads is accepted (uniform bench CLI) but
+    // has nothing to shard, so any value must leave the run untouched.
+    SNIC_CHECK_GE(c.sim_threads, 1);
+    testbed.AttachSinks(c.trace_path, c.metrics_path, c.trace_capacity);
+    meter.SetWindow(c.warmup, c.warmup + c.window);
   }
-  m->frames_dropped = injector->frames_dropped();
-  if (clients != nullptr) {
-    for (const auto& c : *clients) {
-      m->retransmits += c->retransmits();
-      m->op_failures += c->op_failures();
+
+  AddressGenerator Addresses(uint64_t seed) const {
+    return AddressGenerator(0, config.address_range, 64, seed);
+  }
+
+  // The responder of path `kind` on this testbed's server.
+  TargetSpec Target(ServerKind kind, Verb verb, uint32_t payload) const {
+    TargetSpec t;
+    if (testbed.rnic != nullptr) {
+      t.engine = &testbed.rnic->nic();
+      t.endpoint = testbed.rnic->host_ep();
+      t.server_port = testbed.rnic->port();
+    } else {
+      t.engine = &testbed.bf->nic();
+      t.endpoint = kind == ServerKind::kBluefieldHost ? testbed.bf->host_ep()
+                                                      : testbed.bf->soc_ep();
+      t.server_port = testbed.bf->port();
+    }
+    t.verb = verb;
+    t.payload = payload;
+    return t;
+  }
+
+  // Builds the requester machines and starts client i against target(i),
+  // each on its own seeded address stream.
+  void StartClients(const std::function<TargetSpec(size_t)>& target) {
+    clients = MakeClients(&sim, &testbed.fabric, config.client, config.client_machines);
+    for (size_t i = 0; i < clients.size(); ++i) {
+      clients[i]->Start(target(i), Addresses(i + 1), &meter);
     }
   }
-}
 
-// Attaches a Tracer to `sim` when the config asks for one. The returned
-// object owns the tracer; keep it alive until the trace is written.
-std::unique_ptr<Tracer> MakeTracer(Simulator* sim, const HarnessConfig& config) {
-  if (config.trace_path.empty()) {
-    return nullptr;
+  // A path-③ requester through the BlueField NIC; the caller starts it.
+  LocalRequester* AddRequester(NicEndpoint* src, NicEndpoint* dst,
+                               const LocalRequesterParams& params, const char* name) {
+    requesters.push_back(std::make_unique<LocalRequester>(&sim, &testbed.bf->nic(), src,
+                                                          dst, params, name));
+    return requesters.back().get();
   }
-  auto tracer = std::make_unique<Tracer>(config.trace_capacity);
-  sim->set_tracer(tracer.get());
-  return tracer;
-}
 
-// Writes the configured trace/metrics files. Must run before the topology is
-// torn down: metric gauges sample live component state.
-void DumpObservability(const HarnessConfig& config, const Tracer* tracer,
-                       const std::function<void(MetricsRegistry*)>& register_all) {
-  if (tracer != nullptr) {
-    SNIC_CHECK(tracer->WriteChromeJsonFile(config.trace_path));
-  }
-  if (!config.metrics_path.empty()) {
-    MetricsRegistry registry;
-    register_all(&registry);
-    SNIC_CHECK(registry.WriteJsonFile(config.metrics_path));
-  }
-}
+  // Runs warmup + window, writes the sinks, and returns the window's
+  // measurement with the fault outcome folded in. `watch_pcie` snapshots a
+  // BlueField's PCIe counters at the warmup edge for the window TLP rates.
+  Measurement Run(bool watch_pcie) {
+    BluefieldServer* const watched = watch_pcie ? testbed.bf.get() : nullptr;
+    uint64_t pcie0_start = 0;
+    uint64_t pcie1_start = 0;
+    if (watched != nullptr) {
+      sim.At(config.warmup, [&] {
+        pcie0_start = watched->pcie0().TotalCounters().tlps;
+        pcie1_start = watched->pcie1().TotalCounters().tlps;
+      });
+    }
+    sim.RunUntil(config.warmup + config.window);
+    fault::FaultInjector* const injector = testbed.injector.get();
+    testbed.WriteSinks([&](MetricsRegistry* reg) {
+      for (auto& c : clients) {
+        c->RegisterMetrics(reg);
+      }
+      for (auto& r : requesters) {
+        r->RegisterMetrics(reg);
+      }
+      if (injector != nullptr) {
+        injector->RegisterMetrics(reg);
+      }
+    });
 
-TargetSpec MakeTarget(NicEngine* engine, NicEndpoint* ep, PcieLink* port, Verb verb,
-                      uint32_t payload) {
-  TargetSpec t;
-  t.engine = engine;
-  t.endpoint = ep;
-  t.server_port = port;
-  t.verb = verb;
-  t.payload = payload;
-  return t;
-}
+    Measurement m;
+    m.mreqs = meter.MReqsPerSec();
+    m.gbps = meter.Gbps();
+    m.ops = meter.ops();
+    m.p50_us = ToMicros(meter.latency().Percentile(50));
+    m.p99_us = ToMicros(meter.latency().Percentile(99));
+    if (watched != nullptr) {
+      const double secs = ToSeconds(config.window);
+      const uint64_t p0 = watched->pcie0().TotalCounters().tlps - pcie0_start;
+      const uint64_t p1 = watched->pcie1().TotalCounters().tlps - pcie1_start;
+      m.pcie0_mpps = static_cast<double>(p0) / secs / 1e6;
+      m.pcie1_mpps = static_cast<double>(p1) / secs / 1e6;
+      m.pcie_total_mpps = m.pcie0_mpps + m.pcie1_mpps;
+    }
+    // Fault-side counters (NIC replays, failed ops, dropped frames).
+    if (injector != nullptr) {
+      m.frames_dropped = injector->frames_dropped();
+      for (const auto& c : clients) {
+        m.retransmits += c->retransmits();
+        m.op_failures += c->op_failures();
+      }
+    }
+    return m;
+  }
+
+  const HarnessConfig& config;
+  Simulator sim;
+  Testbed testbed;
+  Meter meter;
+  std::vector<std::unique_ptr<ClientMachine>> clients;
+  std::vector<std::unique_ptr<LocalRequester>> requesters;
+};
 
 }  // namespace
 
 Measurement MeasureInboundPath(ServerKind kind, Verb verb, uint32_t payload,
                                const HarnessConfig& raw_config) {
   const HarnessConfig config = ScaleForPayload(raw_config, payload);
-  Simulator sim;
-  Fabric fabric(&sim, config.testbed.network_link_propagation,
-                config.testbed.network_switch_forward);
-  std::unique_ptr<RnicServer> rnic;
-  std::unique_ptr<BluefieldServer> bf;
-  NicEngine* engine = nullptr;
-  NicEndpoint* ep = nullptr;
-  PcieLink* port = nullptr;
-  if (kind == ServerKind::kRnicHost) {
-    rnic = std::make_unique<RnicServer>(&sim, &fabric, config.testbed);
-    engine = &rnic->nic();
-    ep = rnic->host_ep();
-    port = rnic->port();
-  } else {
-    bf = std::make_unique<BluefieldServer>(&sim, &fabric, config.testbed);
-    engine = &bf->nic();
-    ep = kind == ServerKind::kBluefieldHost ? bf->host_ep() : bf->soc_ep();
-    port = bf->port();
-  }
-  auto clients = MakeClients(&sim, &fabric, config.client, config.client_machines);
-  const auto injector = MakeInjector(&sim, config);
-  const auto wheel = MakeWheel(&sim);
-  const auto tracer = MakeTracer(&sim, config);
-  Meter meter(&sim);
-  meter.SetWindow(config.warmup, config.warmup + config.window);
-  const TargetSpec target = MakeTarget(engine, ep, port, verb, payload);
-  uint64_t seed = 1;
-  for (auto& c : clients) {
-    c->Start(target, AddressGenerator(0, config.address_range, 64, seed++), &meter);
-  }
-  std::optional<CounterWatch> watch;
-  if (bf != nullptr) {
-    sim.At(config.warmup, [&] {
-      watch = CounterWatch{bf->pcie0().TotalCounters(), bf->pcie1().TotalCounters()};
-    });
-  }
-  sim.RunUntil(config.warmup + config.window);
-  DumpObservability(config, tracer.get(), [&](MetricsRegistry* reg) {
-    if (rnic != nullptr) {
-      rnic->RegisterMetrics(reg);
-    }
-    if (bf != nullptr) {
-      bf->RegisterMetrics(reg);
-    }
-    for (auto& c : clients) {
-      c->RegisterMetrics(reg);
-    }
-    if (injector != nullptr) {
-      injector->RegisterMetrics(reg);
-    }
-  });
-  Measurement m = Finish(meter, config.window, bf.get(), watch);
-  FoldFaults(&m, injector.get(), &clients);
-  return m;
+  Experiment x(config, CardOf(kind));
+  x.StartClients([&](size_t) { return x.Target(kind, verb, payload); });
+  return x.Run(/*watch_pcie=*/true);
 }
 
 Measurement MeasureConcurrentInbound(Verb verb, uint32_t payload,
                                      const HarnessConfig& raw_config) {
   const HarnessConfig config = ScaleForPayload(raw_config, payload);
-  Simulator sim;
-  Fabric fabric(&sim, config.testbed.network_link_propagation,
-                config.testbed.network_switch_forward);
-  BluefieldServer bf(&sim, &fabric, config.testbed);
-  auto clients = MakeClients(&sim, &fabric, config.client, config.client_machines);
-  const auto injector = MakeInjector(&sim, config);
-  const auto wheel = MakeWheel(&sim);
-  Meter meter(&sim);
-  meter.SetWindow(config.warmup, config.warmup + config.window);
-  const TargetSpec host =
-      MakeTarget(&bf.nic(), bf.host_ep(), bf.port(), verb, payload);
-  const TargetSpec soc = MakeTarget(&bf.nic(), bf.soc_ep(), bf.port(), verb, payload);
-  uint64_t seed = 1;
-  for (size_t i = 0; i < clients.size(); ++i) {
-    clients[i]->Start(i % 2 == 0 ? host : soc,
-                      AddressGenerator(0, config.address_range, 64, seed++), &meter);
-  }
-  std::optional<CounterWatch> watch;
-  sim.At(config.warmup, [&] {
-    watch = CounterWatch{bf.pcie0().TotalCounters(), bf.pcie1().TotalCounters()};
-  });
-  sim.RunUntil(config.warmup + config.window);
-  Measurement m = Finish(meter, config.window, &bf, watch);
-  FoldFaults(&m, injector.get(), &clients);
-  return m;
+  Experiment x(config, ServerCard::kBluefield);
+  const TargetSpec host = x.Target(ServerKind::kBluefieldHost, verb, payload);
+  const TargetSpec soc = x.Target(ServerKind::kBluefieldSoc, verb, payload);
+  x.StartClients([&](size_t i) { return i % 2 == 0 ? host : soc; });
+  return x.Run(/*watch_pcie=*/true);
 }
 
 Measurement MeasureLocalPath(bool s2h, Verb verb, uint32_t payload,
@@ -243,135 +185,55 @@ Measurement MeasureLocalPath(bool s2h, Verb verb, uint32_t payload,
     req_params.window = 1;
     req_params.threads = std::min(req_params.threads, 4);
   }
-  Simulator sim;
-  Fabric fabric(&sim, config.testbed.network_link_propagation,
-                config.testbed.network_switch_forward);
-  BluefieldServer bf(&sim, &fabric, config.testbed);
+  Experiment x(config, ServerCard::kBluefield);
+  BluefieldServer& bf = *x.testbed.bf;
   NicEndpoint* src = s2h ? bf.soc_ep() : bf.host_ep();
   NicEndpoint* dst = s2h ? bf.host_ep() : bf.soc_ep();
-  LocalRequester req(&sim, &bf.nic(), src, dst, req_params, s2h ? "s2h" : "h2s");
-  const auto injector = MakeInjector(&sim, config);
-  const auto wheel = MakeWheel(&sim);
-  const auto tracer = MakeTracer(&sim, config);
-  Meter meter(&sim);
-  meter.SetWindow(config.warmup, config.warmup + config.window);
-  req.Start(verb, payload, AddressGenerator(0, config.address_range, 64, 17), &meter);
-  std::optional<CounterWatch> watch;
-  sim.At(config.warmup, [&] {
-    watch = CounterWatch{bf.pcie0().TotalCounters(), bf.pcie1().TotalCounters()};
-  });
-  sim.RunUntil(config.warmup + config.window);
-  DumpObservability(config, tracer.get(), [&](MetricsRegistry* reg) {
-    bf.RegisterMetrics(reg);
-    req.RegisterMetrics(reg);
-    if (injector != nullptr) {
-      injector->RegisterMetrics(reg);
-    }
-  });
-  Measurement m = Finish(meter, config.window, &bf, watch);
-  FoldFaults(&m, injector.get(), nullptr);
-  return m;
+  x.AddRequester(src, dst, req_params, s2h ? "s2h" : "h2s")
+      ->Start(verb, payload, x.Addresses(17), &x.meter);
+  return x.Run(/*watch_pcie=*/true);
 }
 
 Measurement MeasureInterference(Verb verb, uint32_t payload, bool enable_path3,
                                 const HarnessConfig& config) {
-  Simulator sim;
-  Fabric fabric(&sim, config.testbed.network_link_propagation,
-                config.testbed.network_switch_forward);
-  BluefieldServer bf(&sim, &fabric, config.testbed);
-  auto clients = MakeClients(&sim, &fabric, config.client, config.client_machines);
-  const auto injector = MakeInjector(&sim, config);
-  const auto wheel = MakeWheel(&sim);
-  Meter inter_meter(&sim);
-  inter_meter.SetWindow(config.warmup, config.warmup + config.window);
-  const TargetSpec host =
-      MakeTarget(&bf.nic(), bf.host_ep(), bf.port(), verb, payload);
-  uint64_t seed = 1;
-  for (auto& c : clients) {
-    c->Start(host, AddressGenerator(0, config.address_range, 64, seed++), &inter_meter);
-  }
-  std::unique_ptr<LocalRequester> h2s;
-  Meter intra_meter(&sim);
+  Experiment x(config, ServerCard::kBluefield);
+  const TargetSpec host = x.Target(ServerKind::kBluefieldHost, verb, payload);
+  x.StartClients([&](size_t) { return host; });
+  Meter intra_meter(&x.sim);
   intra_meter.SetWindow(config.warmup, config.warmup + config.window);
   if (enable_path3) {
-    h2s = std::make_unique<LocalRequester>(&sim, &bf.nic(), bf.host_ep(), bf.soc_ep(),
-                                           LocalRequesterParams::Host(), "h2s");
-    h2s->Start(verb, payload, AddressGenerator(0, config.address_range, 64, 29),
-               &intra_meter);
+    BluefieldServer& bf = *x.testbed.bf;
+    x.AddRequester(bf.host_ep(), bf.soc_ep(), LocalRequesterParams::Host(), "h2s")
+        ->Start(verb, payload, x.Addresses(29), &intra_meter);
   }
-  sim.RunUntil(config.warmup + config.window);
-  Measurement m = Finish(inter_meter, config.window, &bf, std::nullopt);
-  FoldFaults(&m, injector.get(), &clients);
-  return m;
+  return x.Run(/*watch_pcie=*/false);
 }
 
 double MeasureFlowCombination(ServerKind kind, Verb verb_a, Verb verb_b, uint32_t payload,
                               const HarnessConfig& raw_config) {
   const HarnessConfig config = ScaleForPayload(raw_config, payload);
-  Simulator sim;
-  Fabric fabric(&sim, config.testbed.network_link_propagation,
-                config.testbed.network_switch_forward);
-  std::unique_ptr<RnicServer> rnic;
-  std::unique_ptr<BluefieldServer> bf;
-  NicEngine* engine = nullptr;
-  NicEndpoint* ep = nullptr;
-  PcieLink* port = nullptr;
-  if (kind == ServerKind::kRnicHost) {
-    rnic = std::make_unique<RnicServer>(&sim, &fabric, config.testbed);
-    engine = &rnic->nic();
-    ep = rnic->host_ep();
-    port = rnic->port();
-  } else {
-    bf = std::make_unique<BluefieldServer>(&sim, &fabric, config.testbed);
-    engine = &bf->nic();
-    ep = kind == ServerKind::kBluefieldHost ? bf->host_ep() : bf->soc_ep();
-    port = bf->port();
-  }
-  auto clients = MakeClients(&sim, &fabric, config.client, config.client_machines);
-  const auto injector = MakeInjector(&sim, config);
-  const auto wheel = MakeWheel(&sim);
-  Meter meter(&sim);
-  meter.SetWindow(config.warmup, config.warmup + config.window);
-  uint64_t seed = 1;
-  for (size_t i = 0; i < clients.size(); ++i) {
-    const Verb v = i % 2 == 0 ? verb_a : verb_b;
-    clients[i]->Start(MakeTarget(engine, ep, port, v, payload),
-                      AddressGenerator(0, config.address_range, 64, seed++), &meter);
-  }
-  sim.RunUntil(config.warmup + config.window);
-  return meter.Gbps();
+  Experiment x(config, CardOf(kind));
+  x.StartClients(
+      [&](size_t i) { return x.Target(kind, i % 2 == 0 ? verb_a : verb_b, payload); });
+  return x.Run(/*watch_pcie=*/false).gbps;
 }
 
 double MeasureLocalFlowCombination(bool opposite_directions, uint32_t payload,
                                    const HarnessConfig& config) {
-  Simulator sim;
-  Fabric fabric(&sim, config.testbed.network_link_propagation,
-                config.testbed.network_switch_forward);
-  BluefieldServer bf(&sim, &fabric, config.testbed);
-  const auto injector = MakeInjector(&sim, config);
-  const auto wheel = MakeWheel(&sim);
-  Meter meter(&sim);
-  meter.SetWindow(config.warmup, config.warmup + config.window);
+  Experiment x(config, ServerCard::kBluefield);
+  BluefieldServer& bf = *x.testbed.bf;
   LocalRequesterParams host_p = LocalRequesterParams::Host();
   host_p.threads = 12;
-  LocalRequesterParams soc_p = LocalRequesterParams::Soc();
-  LocalRequester h2s(&sim, &bf.nic(), bf.host_ep(), bf.soc_ep(), host_p, "h2s");
-  h2s.Start(Verb::kWrite, payload, AddressGenerator(0, config.address_range, 64, 3),
-            &meter);
+  x.AddRequester(bf.host_ep(), bf.soc_ep(), host_p, "h2s")
+      ->Start(Verb::kWrite, payload, x.Addresses(3), &x.meter);
   // Opposite: the SoC simultaneously pushes data toward the host; same: the
   // host runs a second same-direction stream.
-  std::unique_ptr<LocalRequester> second;
-  if (opposite_directions) {
-    second = std::make_unique<LocalRequester>(&sim, &bf.nic(), bf.soc_ep(), bf.host_ep(),
-                                              soc_p, "s2h");
-  } else {
-    second = std::make_unique<LocalRequester>(&sim, &bf.nic(), bf.host_ep(), bf.soc_ep(),
-                                              host_p, "h2s2");
-  }
-  second->Start(Verb::kWrite, payload, AddressGenerator(0, config.address_range, 64, 5),
-                &meter);
-  sim.RunUntil(config.warmup + config.window);
-  return meter.Gbps();
+  LocalRequester* const second =
+      opposite_directions
+          ? x.AddRequester(bf.soc_ep(), bf.host_ep(), LocalRequesterParams::Soc(), "s2h")
+          : x.AddRequester(bf.host_ep(), bf.soc_ep(), host_p, "h2s2");
+  second->Start(Verb::kWrite, payload, x.Addresses(5), &x.meter);
+  return x.Run(/*watch_pcie=*/false).gbps;
 }
 
 }  // namespace snicsim

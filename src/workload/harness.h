@@ -13,7 +13,6 @@
 #include "src/common/units.h"
 #include "src/fault/plan.h"
 #include "src/nic/verb.h"
-#include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/topo/testbed_params.h"
 #include "src/workload/client.h"

@@ -92,7 +92,7 @@ TEST(MetricsCatalog, EveryRegisteredLeafIsDocumented) {
       &sim, tp, kv::ServingConfig::FromTestbed(tp, kv::ServingLayout()), plan, rc);
   RnicServer rnic(&sim, &stack.fabric, tp);
   ClientMachine cli(&sim, &stack.fabric, ClientParams(), "cli0");
-  LocalRequester req(&sim, &stack.bf.nic(), stack.bf.host_ep(), stack.bf.soc_ep(),
+  LocalRequester req(&sim, &stack.bf->nic(), stack.bf->host_ep(), stack.bf->soc_ep(),
                      LocalRequesterParams::Host(), "h2s");
   ClientFleet fleet(&sim, &stack.fabric, FleetParams());
   fleet.SetResilience(stack.resil.get());
@@ -109,11 +109,11 @@ TEST(MetricsCatalog, EveryRegisteredLeafIsDocumented) {
   std::string terr;
   ASSERT_TRUE(offload::ParseTenantSet("tenant=t0:sketch:1:1:512:0", &tcfg, &terr))
       << terr;
-  offload::TenantManager tenants(&sim, &stack.bf, stack.injector.get(), tcfg, "host", "soc");
+  offload::TenantManager tenants(&sim, stack.bf.get(), stack.injector.get(), tcfg, "host", "soc");
 
   MetricsRegistry reg;
   rnic.RegisterMetrics(&reg);
-  stack.bf.RegisterMetrics(&reg);
+  stack.bf->RegisterMetrics(&reg);
   cli.RegisterMetrics(&reg);
   req.RegisterMetrics(&reg);
   stack.injector->RegisterMetrics(&reg);

@@ -1,15 +1,19 @@
 // End-to-end observability: a traced SNIC(1) READ must decompose into the
 // exact span ladder of Fig. 3 (NIC -> PCIe1 -> switch -> PCIe0 -> host DRAM
-// and back), the critical-path phases must tile the op exactly, and the
-// harness's exported files must be byte-identical across runs.
+// and back), the critical-path phases must tile the op exactly, the
+// harness's exported files must be byte-identical across runs, and every
+// Measure* entry point and RunServing must honour their sinks.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <fstream>
+#include <functional>
 #include <sstream>
 #include <string>
 #include <vector>
 
+#include "src/governor/serving.h"
 #include "src/obs/trace.h"
 #include "src/topo/fabric.h"
 #include "src/topo/server.h"
@@ -167,6 +171,115 @@ TEST(Observability, HarnessExportsAreByteIdenticalAndSumToP50) {
     EXPECT_NE(metrics.find(std::string("\"") + key + "\""), std::string::npos)
         << "metrics dump missing " << key;
   }
+}
+
+// Every bit of a measurement, doubles in hex, for exact comparison.
+std::string Bits(const Measurement& m) {
+  char buf[512];
+  std::snprintf(buf, sizeof(buf), "%a %a %a %a %llu %a %a %a %llu %llu %llu", m.mreqs, m.gbps,
+                m.p50_us, m.p99_us, static_cast<unsigned long long>(m.ops), m.pcie0_mpps,
+                m.pcie1_mpps, m.pcie_total_mpps,
+                static_cast<unsigned long long>(m.retransmits),
+                static_cast<unsigned long long>(m.op_failures),
+                static_cast<unsigned long long>(m.frames_dropped));
+  return buf;
+}
+
+std::string Bits(double gbps) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", gbps);
+  return buf;
+}
+
+// Each Measure* entry point writes both sink files when asked, the dump
+// holds the server's rows and its load's rows, and attaching the sinks
+// leaves the returned result bit-identical to the sink-free call.
+TEST(Observability, EveryMeasureEntryPointHonoursItsSinks) {
+  struct Entry {
+    const char* name;
+    const char* server_row;
+    const char* load_row;
+    std::function<std::string(const HarnessConfig&)> run;
+  };
+  const Entry entries[] = {
+      {"MeasureInboundPath", "rnic_srv.", "cli0.",
+       [](const HarnessConfig& c) {
+         return Bits(MeasureInboundPath(ServerKind::kRnicHost, Verb::kRead, 64, c));
+       }},
+      {"MeasureConcurrentInbound", "bf_srv.", "cli1.",
+       [](const HarnessConfig& c) {
+         return Bits(MeasureConcurrentInbound(Verb::kWrite, 64, c));
+       }},
+      {"MeasureLocalPath", "bf_srv.", "s2h.",
+       [](const HarnessConfig& c) {
+         return Bits(MeasureLocalPath(true, Verb::kWrite, 64, LocalRequesterParams::Soc(), c));
+       }},
+      {"MeasureInterference", "bf_srv.", "h2s.",
+       [](const HarnessConfig& c) {
+         return Bits(MeasureInterference(Verb::kRead, 64, true, c));
+       }},
+      {"MeasureFlowCombination", "bf_srv.", "cli0.",
+       [](const HarnessConfig& c) {
+         return Bits(MeasureFlowCombination(ServerKind::kBluefieldHost, Verb::kRead,
+                                            Verb::kWrite, 4096, c));
+       }},
+      {"MeasureLocalFlowCombination", "bf_srv.", "h2s2.",
+       [](const HarnessConfig& c) { return Bits(MeasureLocalFlowCombination(false, 4096, c)); }},
+  };
+  HarnessConfig plain = HarnessConfig::Latency();
+  plain.client_machines = 2;
+  plain.warmup = FromMicros(10);
+  plain.window = FromMicros(40);
+  for (const Entry& e : entries) {
+    SCOPED_TRACE(e.name);
+    HarnessConfig sinked = plain;
+    sinked.trace_path = ::testing::TempDir() + "sinks_" + e.name + ".trace.json";
+    sinked.metrics_path = ::testing::TempDir() + "sinks_" + e.name + ".metrics.json";
+    std::remove(sinked.trace_path.c_str());
+    std::remove(sinked.metrics_path.c_str());
+    EXPECT_EQ(e.run(sinked), e.run(plain));
+    EXPECT_TRUE(std::ifstream(sinked.trace_path).good()) << "no trace file";
+    const std::string metrics = ReadFile(sinked.metrics_path);
+    EXPECT_NE(metrics.find(std::string("\"") + e.server_row), std::string::npos)
+        << "metrics dump has no server row";
+    EXPECT_NE(metrics.find(std::string("\"") + e.load_row), std::string::npos)
+        << "metrics dump has no load row";
+  }
+}
+
+// RunServing's sinks ride the same testbed: attaching them changes no
+// result bit, and both files come out byte-identical across runs.
+TEST(Observability, ServingSinksLeaveTheRunUnchanged) {
+  governor::ServingRunConfig plain;
+  plain.client.threads = 4;
+  plain.fleet.machines = 2;
+  plain.fleet.logical_clients = 64;
+  plain.layout.keys = 4096;
+  plain.layout.cached_keys = 1024;
+  plain.layout.class_bytes = {64, 1024};
+  plain.mix.weights = {0.5, 0.5};
+  plain.warmup = FromMicros(20);
+  plain.window = FromMicros(60);
+  plain.faults.drop_rate = 0.01;
+  plain.faults.seed = 7;
+  plain.resil.deadline = FromMicros(40);
+  const std::string reference = governor::RunServing(plain).Fingerprint();
+
+  std::string files[2][2];
+  for (int run = 0; run < 2; ++run) {
+    governor::ServingRunConfig sinked = plain;
+    const std::string stem = ::testing::TempDir() + "serving_sinks" + std::to_string(run);
+    sinked.trace_path = stem + ".trace.json";
+    sinked.metrics_path = stem + ".metrics.json";
+    EXPECT_EQ(governor::RunServing(sinked).Fingerprint(), reference);
+    files[run][0] = ReadFile(sinked.trace_path);
+    files[run][1] = ReadFile(sinked.metrics_path);
+  }
+  EXPECT_NE(files[0][0].find("\"cat\":\"op\""), std::string::npos);
+  EXPECT_NE(files[0][1].find("\"bf_srv."), std::string::npos);
+  EXPECT_NE(files[0][1].find("\"fleet."), std::string::npos);
+  EXPECT_EQ(files[0][0], files[1][0]) << "trace files differ between runs";
+  EXPECT_EQ(files[0][1], files[1][1]) << "metrics files differ between runs";
 }
 
 TEST(Observability, UntracedRunsEmitNothing) {
