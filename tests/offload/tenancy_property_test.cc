@@ -17,16 +17,20 @@
 //       such solo configs into one TenantManager reproduces each tenant's
 //       solo fingerprint byte-identically (TenantResult::Fingerprint()
 //       deliberately omits the pool index to make this law expressible).
+// Directed paths: a host-placed stage and a paused (bg=0) trace segment,
+// each pinned to exact counters.
 #include "src/offload/tenancy.h"
 
 #include <gtest/gtest.h>
 
+#include <memory>
 #include <string>
 #include <vector>
 
 #include "src/fault/injector.h"
 #include "src/offload/tenant_config.h"
 #include "src/topo/server.h"
+#include "src/workload/trace/trace.h"
 
 namespace snicsim {
 namespace offload {
@@ -39,10 +43,11 @@ TenantSetConfig Parse(const std::string& spec) {
   return cfg;
 }
 
-// One standalone experiment: a fresh testbed, one TenantManager, open-loop
-// issue until `horizon_us`, then drain to quiescence.
+// One standalone experiment: a fresh testbed, one TenantManager (under
+// `load_trace` when non-empty), open-loop issue until `horizon_us`, then
+// drain to quiescence.
 TenantSetResult RunTenants(const TenantSetConfig& cfg, const std::string& faults,
-                           double horizon_us = 150.0) {
+                           double horizon_us = 150.0, const std::string& load_trace = "") {
   Simulator sim;
   Fabric fabric(&sim);
   BluefieldServer server(&sim, &fabric, TestbedParams::Default());
@@ -57,6 +62,14 @@ TenantSetResult RunTenants(const TenantSetConfig& cfg, const std::string& faults
   }
   TenantManager mgr(&sim, &server, plan.empty() ? nullptr : &injector, cfg,
                     "host", "soc");
+  std::unique_ptr<trace::TraceDriver> driver;
+  if (!load_trace.empty()) {
+    trace::TracePlan tp;
+    std::string error;
+    EXPECT_TRUE(trace::ParseTracePlan(load_trace, &tp, &error)) << error;
+    driver = std::make_unique<trace::TraceDriver>(tp);
+    mgr.SetTrace(driver.get());
+  }
   mgr.Start();
   sim.At(FromMicros(horizon_us), [&mgr] { mgr.StopIssuing(); });
   sim.Run();
@@ -178,6 +191,52 @@ TEST(TenancyProperty, DisjointPoolMergeReproducesSoloFingerprints) {
   const TenantSetResult fa = RunTenants(solo_a, "stall=soc:40:60");
   const TenantSetResult fm = RunTenants(merged, "stall=soc:40:60");
   EXPECT_EQ(fm.Find("sa")->Fingerprint(), fa.tenants[0].Fingerprint());
+}
+
+// -- Directed paths ----------------------------------------------------------
+
+// A sketch tenant whose one stage runs on the host pool: each item is born on
+// the SoC, crosses path 3 to the host stage, and crosses back to finish.
+TEST(TenancyPaths, HostPlacedStageCrossesBothWays) {
+  TenantSetConfig cfg = Parse("cores=1,host_cores=1,tenant=hs:sketch:1:0.125:1024:0");
+  cfg.tenants[0].stages = {
+      TenantStage{"host_sketch", StageOp::kSketch, ServiceCurve{}, Placement::kHost}};
+  const TenantSetResult r = RunTenants(cfg, "", 100.0);
+  ASSERT_EQ(r.tenants.size(), 1u);
+  const TenantResult& t = r.tenants[0];
+  EXPECT_TRUE(t.LedgerClosed()) << t.Fingerprint();
+  // One arrival every 8 us before the 100 us stop: 8, 16, ..., 96.
+  EXPECT_EQ(t.generated, 12u);
+  EXPECT_EQ(t.admitted, 12u);
+  EXPECT_EQ(t.completed, 12u);
+  EXPECT_EQ(t.failed, 0u);
+  EXPECT_EQ(t.crossings, 24u);
+  EXPECT_EQ(t.path3_bytes, 24u * 1024u);
+  EXPECT_EQ(t.grants, 0u);  // the SoC pool never ran a stage
+}
+
+// bg=0 over [100, 200) pauses the stream: the arrival due at 104 injects
+// nothing and re-arms at the 200 us boundary.
+TEST(TenancyPaths, PausedTraceSegmentRearmsAtTheNextBoundary) {
+  const TenantSetConfig cfg = Parse("cores=1,tenant=bg:sketch:1:0.125:512:0");
+  const std::string plan = "duration=300,seg=0:1:0:0:1,seg=100:1:0:0:0,seg=200:1:0:0:1";
+  auto run = [&](double stop_us) {
+    const TenantSetResult r = RunTenants(cfg, "", stop_us, plan);
+    EXPECT_EQ(r.tenants.size(), 1u);
+    EXPECT_TRUE(r.AllLedgersClosed()) << r.Fingerprint();
+    return r.tenants.at(0);
+  };
+  const TenantResult before = run(100.0);  // 8, 16, ..., 96
+  EXPECT_EQ(before.generated, 12u);
+  EXPECT_EQ(before.completed, 12u);
+  // Stopping anywhere inside the paused segment adds no item.
+  EXPECT_EQ(run(150.0).Fingerprint(), before.Fingerprint());
+  EXPECT_EQ(run(199.0).Fingerprint(), before.Fingerprint());
+  // Re-armed at 200: 200, 208, 216, 224 before a 230 us stop.
+  const TenantResult after = run(230.0);
+  EXPECT_EQ(after.generated, 16u);
+  EXPECT_EQ(after.completed, 16u);
+  EXPECT_EQ(after.crossings, 0u);
 }
 
 }  // namespace
