@@ -145,24 +145,11 @@ std::string JoinFingerprints(const std::vector<ServingResult>& rs) {
   return s;
 }
 
+// The serving ledger without its deadline identities (ServingResult::LedgerBreaks).
 bool Conserved(const ServingResult& r, const char* label) {
   bool ok = true;
-  if (r.generated != r.issued - r.hedges + r.shed) {
-    std::printf("FAIL(%s): serving generated %llu != issued %llu - hedges "
-                "%llu + shed %llu\n",
-                label, static_cast<unsigned long long>(r.generated),
-                static_cast<unsigned long long>(r.issued),
-                static_cast<unsigned long long>(r.hedges),
-                static_cast<unsigned long long>(r.shed));
-    ok = false;
-  }
-  if (r.issued != r.completed + r.failed + r.cancelled) {
-    std::printf("FAIL(%s): serving issued %llu != completed %llu + failed "
-                "%llu + cancelled %llu\n",
-                label, static_cast<unsigned long long>(r.issued),
-                static_cast<unsigned long long>(r.completed),
-                static_cast<unsigned long long>(r.failed),
-                static_cast<unsigned long long>(r.cancelled));
+  for (const std::string& broken : r.LedgerBreaks(/*deadlines=*/false)) {
+    std::printf("FAIL(%s): %s\n", label, broken.c_str());
     ok = false;
   }
   for (const TenantResult& t : r.tenants.tenants) {

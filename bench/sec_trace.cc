@@ -221,41 +221,11 @@ std::string JoinFingerprints(const std::vector<ServingResult>& rs) {
   return s;
 }
 
-// Same whole-ledger identities as sec_overload.cc --check.
+// The serving ledger with its deadline identities (ServingResult::LedgerBreaks).
 bool Conserved(const ServingResult& r, const char* label) {
   bool ok = true;
-  if (r.generated != r.issued - r.hedges + r.shed) {
-    std::printf("FAIL(%s): generated %llu != issued %llu - hedges %llu + "
-                "shed %llu\n",
-                label, static_cast<unsigned long long>(r.generated),
-                static_cast<unsigned long long>(r.issued),
-                static_cast<unsigned long long>(r.hedges),
-                static_cast<unsigned long long>(r.shed));
-    ok = false;
-  }
-  if (r.issued != r.completed + r.failed + r.cancelled) {
-    std::printf("FAIL(%s): issued %llu != completed %llu + failed %llu + "
-                "cancelled %llu\n",
-                label, static_cast<unsigned long long>(r.issued),
-                static_cast<unsigned long long>(r.completed),
-                static_cast<unsigned long long>(r.failed),
-                static_cast<unsigned long long>(r.cancelled));
-    ok = false;
-  }
-  if (r.good + r.late != r.completed) {
-    std::printf("FAIL(%s): good %llu + late %llu != completed %llu\n", label,
-                static_cast<unsigned long long>(r.good),
-                static_cast<unsigned long long>(r.late),
-                static_cast<unsigned long long>(r.completed));
-    ok = false;
-  }
-  if (r.shed != r.shed_codel + r.shed_bucket + r.shed_deadline) {
-    std::printf("FAIL(%s): shed %llu != codel %llu + bucket %llu + "
-                "deadline %llu\n",
-                label, static_cast<unsigned long long>(r.shed),
-                static_cast<unsigned long long>(r.shed_codel),
-                static_cast<unsigned long long>(r.shed_bucket),
-                static_cast<unsigned long long>(r.shed_deadline));
+  for (const std::string& broken : r.LedgerBreaks(/*deadlines=*/true)) {
+    std::printf("FAIL(%s): %s\n", label, broken.c_str());
     ok = false;
   }
   if (!r.tenants.AllLedgersClosed()) {

@@ -25,6 +25,7 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <type_traits>
 #include <variant>
 #include <vector>
 
@@ -53,6 +54,24 @@ inline void AppendU(std::string* s, uint64_t v) {
 inline void AppendD(std::string* s, double v) {
   s->append(FmtDouble(v));
   s->push_back('|');
+}
+
+// One row of a declared counter table: floating point through AppendD, any
+// other arithmetic type through AppendU, a vector element by element.
+template <typename T>
+void AppendCounter(std::string* s, T v) {
+  if constexpr (std::is_floating_point_v<T>) {
+    AppendD(s, v);
+  } else {
+    AppendU(s, static_cast<uint64_t>(v));
+  }
+}
+
+template <typename T>
+void AppendCounter(std::string* s, const std::vector<T>& v) {
+  for (const T& x : v) {
+    AppendCounter(s, x);
+  }
 }
 
 // 64-bit FNV-1a: derives per-name stream salts that never depend on the

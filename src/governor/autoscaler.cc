@@ -4,27 +4,28 @@
 
 #include "src/common/log.h"
 #include "src/common/spec.h"
+#include "src/obs/metrics.h"
 
 namespace snicsim {
 namespace governor {
 
 std::string TraceRunResult::Fingerprint() const {
   std::string s;
-  AppendU(&s, epochs);
-  AppendU(&s, violation_epochs);
-  AppendD(&s, violation_us);
-  AppendU(&s, actions_up);
-  AppendU(&s, actions_down);
-  AppendU(&s, weight_updates);
-  AppendU(&s, static_cast<uint64_t>(final_serving_cores));
+  ForEachTraceCounter(
+      [&](const TraceCounterInfo&, auto field) { AppendCounter(&s, this->*field); });
   for (const PhaseResult& p : phases) {
-    AppendU(&s, p.epochs);
-    AppendU(&s, p.violation_epochs);
-    AppendD(&s, p.violation_us);
-    AppendU(&s, p.generated);
-    AppendU(&s, p.shed);
+    ForEachPhaseCounter([&](const char*, auto field) { AppendCounter(&s, p.*field); });
   }
   return s;
+}
+
+void TraceRunResult::RegisterMetrics(MetricsRegistry* reg) const {
+  ForEachTraceCounter([&](const TraceCounterInfo& c, auto field) {
+    if (c.dumped) {
+      reg->Register("scale", c.name, c.unit, c.help,
+                    [this, field] { return static_cast<double>(this->*field); });
+    }
+  });
 }
 
 SloMonitor::SloMonitor(const trace::TraceDriver* driver, Signals signals,

@@ -42,6 +42,9 @@
 #include "src/workload/trace/trace.h"
 
 namespace snicsim {
+
+class MetricsRegistry;
+
 namespace governor {
 
 struct ScaleConfig {
@@ -74,33 +77,73 @@ struct ScaleConfig {
   bool empty() const { return !enabled; }
 };
 
-// Per-trace-segment slice of the SLO ledger. `generated`/`shed` are the
-// client fleet's per-phase request ledger (overlaid by RunServing, not the
-// monitor): summed over phases they reproduce the run totals exactly, and
-// the trace property tests pin that partition under time-shifted traces.
+// Per-trace-segment slice of the SLO ledger, one row per counter (type, name,
+// initial value, help); the fields and TraceRunResult::Fingerprint() are
+// generated from the rows. `generated`/`shed` are the fleet's per-phase
+// ledger, overlaid by RunServing: summed over phases they are the totals.
+#define SNICSIM_PHASE_COUNTERS(X)                                                                  \
+  X(uint64_t, epochs, 0, "governor epochs that started in this segment")                           \
+  X(uint64_t, violation_epochs, 0, "of those, epochs past the SLO budget")                         \
+  X(double, violation_us, 0, "violation_epochs * epoch length")                                    \
+  X(uint64_t, generated, 0, "fleet requests generated in this segment")                            \
+  X(uint64_t, shed, 0, "fleet requests shed in this segment")
+
 struct PhaseResult {
-  uint64_t epochs = 0;
-  uint64_t violation_epochs = 0;
-  double violation_us = 0.0;
-  uint64_t generated = 0;
-  uint64_t shed = 0;
+#define SNICSIM_PHASE_FIELD(type, name, init, help) type name = init;
+  SNICSIM_PHASE_COUNTERS(SNICSIM_PHASE_FIELD)
+#undef SNICSIM_PHASE_FIELD
 };
 
-// Everything a trace-driven run adds on top of ServingResult. Carried
-// outside ServingResult::Fingerprint() — which committed goldens pin — and
-// digested separately, exactly like the tenant sub-result.
+// Calls f(name, &PhaseResult::<name>) for every counter, in row order.
+template <typename F>
+void ForEachPhaseCounter(F&& f) {
+#define SNICSIM_PHASE_VISIT(type, name, init, help) f(#name, &PhaseResult::name);
+  SNICSIM_PHASE_COUNTERS(SNICSIM_PHASE_VISIT)
+#undef SNICSIM_PHASE_VISIT
+}
+#undef SNICSIM_PHASE_COUNTERS
+
+// Everything a trace-driven run adds on top of ServingResult, one row per
+// counter: type, name, initial value, unit, whether the --metrics dump
+// carries it as scale.<name>, help. The fields, Fingerprint() (then every
+// phase's) and the scale rows are generated from the rows, in row order.
+#define SNICSIM_TRACE_COUNTERS(X)                                                                  \
+  X(uint64_t, epochs, 0, "count", false, "governor epochs sampled")                                \
+  X(uint64_t, violation_epochs, 0, "count", true, "governor epochs past the SLO budget")           \
+  X(double, violation_us, 0, "us", false, "epochs in violation * epoch length")                    \
+  X(uint64_t, actions_up, 0, "count", true, "cores moved tenant pool -> serving")                  \
+  X(uint64_t, actions_down, 0, "count", true, "cores moved serving -> tenant pool")                \
+  X(uint64_t, weight_updates, 0, "count", true, "tenant WRR weight retunes on scaling")            \
+  X(int, final_serving_cores, 0, "cores", false, "serving SoC cores after the drain")
+
 struct TraceRunResult {
-  uint64_t epochs = 0;
-  uint64_t violation_epochs = 0;
-  double violation_us = 0.0;  // epochs in violation * epoch length
-  uint64_t actions_up = 0;    // cores moved tenant pool -> serving
-  uint64_t actions_down = 0;  // cores moved serving -> tenant pool
-  uint64_t weight_updates = 0;
-  int final_serving_cores = 0;
+#define SNICSIM_TRACE_FIELD(type, name, init, unit, dumped, help) type name = init;
+  SNICSIM_TRACE_COUNTERS(SNICSIM_TRACE_FIELD)
+#undef SNICSIM_TRACE_FIELD
   std::vector<PhaseResult> phases;  // indexed by trace segment
 
   std::string Fingerprint() const;
+
+  // One scale.<name> gauge per dumped counter, sampling this result.
+  void RegisterMetrics(MetricsRegistry* reg) const;
 };
+
+struct TraceCounterInfo {
+  const char* name;
+  const char* unit;
+  bool dumped;
+  const char* help;
+};
+
+// Calls f(info, &TraceRunResult::<name>) for every counter, in row order.
+template <typename F>
+void ForEachTraceCounter(F&& f) {
+#define SNICSIM_TRACE_VISIT(type, name, init, unit, dumped, help)                                  \
+  f(TraceCounterInfo{#name, unit, dumped, help}, &TraceRunResult::name);
+  SNICSIM_TRACE_COUNTERS(SNICSIM_TRACE_VISIT)
+#undef SNICSIM_TRACE_VISIT
+}
+#undef SNICSIM_TRACE_COUNTERS
 
 // Epoch SLO accounting over a trace. All counter feeds are cumulative;
 // the monitor differences them itself.
@@ -127,8 +170,6 @@ class SloMonitor {
   // Called once per governor epoch tick at time `now`.
   void OnEpoch(SimTime now);
 
-  uint64_t epochs() const { return r_.epochs; }
-  uint64_t violation_epochs() const { return r_.violation_epochs; }
   // Snapshot of the SLO ledger (scaling-action fields left zero; the
   // harness overlays the autoscaler's counters).
   const TraceRunResult& result() const { return r_; }

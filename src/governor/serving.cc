@@ -14,53 +14,29 @@ namespace governor {
 std::string ServingResult::Fingerprint() const {
   std::string s = policy;
   s.push_back('|');
-  AppendD(&s, mreqs);
-  AppendD(&s, gbps);
-  AppendD(&s, p50_us);
-  AppendD(&s, p99_us);
-  AppendU(&s, ops);
-  AppendU(&s, generated);
-  AppendU(&s, issued);
-  AppendU(&s, completed);
-  AppendU(&s, failed);
-  for (uint64_t v : path_issued) AppendU(&s, v);
-  for (uint64_t v : path_completed) AppendU(&s, v);
-  for (uint64_t v : path_failed) AppendU(&s, v);
-  AppendU(&s, soc_hits);
-  AppendU(&s, soc_misses);
-  AppendU(&s, path3_bytes);
-  AppendU(&s, hol_gated);
-  AppendU(&s, budget_spills);
-  AppendU(&s, explored);
-  AppendU(&s, draws);
-  AppendD(&s, share_soc);
-  for (double v : class_share_soc) AppendD(&s, v);
-  AppendU(&s, retransmits);
-  AppendU(&s, op_failures);
-  AppendU(&s, frames_dropped);
-  AppendU(&s, shed);
-  AppendU(&s, cancelled);
-  AppendU(&s, good);
-  AppendU(&s, late);
-  AppendU(&s, deadline_failed);
-  for (uint64_t v : path_shed) AppendU(&s, v);
-  for (uint64_t v : path_cancelled) AppendU(&s, v);
-  AppendU(&s, shed_codel);
-  AppendU(&s, shed_bucket);
-  AppendU(&s, shed_deadline);
-  AppendU(&s, hedges);
-  AppendU(&s, hedge_wins);
-  AppendU(&s, hedge_cancels);
-  AppendU(&s, breaker_trips);
-  AppendU(&s, breaker_reopens);
-  AppendU(&s, breaker_probes);
-  AppendU(&s, breaker_denied);
-  AppendU(&s, resil_draws);
-  AppendU(&s, crash_drops);
-  AppendU(&s, rewarm_misses);
-  AppendD(&s, soc_trip_us);
-  AppendD(&s, soc_trip_gap_us);
+  ForEachServingCounter([&](const char*, auto field) { AppendCounter(&s, this->*field); });
   return s;
+}
+
+std::vector<std::string> ServingResult::LedgerBreaks(bool deadlines) const {
+  std::vector<std::string> out;
+  const auto n = [](uint64_t v) { return std::to_string(v); };
+  if (generated != issued - hedges + shed) {
+    out.push_back("generated " + n(generated) + " != issued " + n(issued) + " - hedges " +
+                  n(hedges) + " + shed " + n(shed));
+  }
+  if (issued != completed + failed + cancelled) {
+    out.push_back("issued " + n(issued) + " != completed " + n(completed) + " + failed " +
+                  n(failed) + " + cancelled " + n(cancelled));
+  }
+  if (deadlines && good + late != completed) {
+    out.push_back("good " + n(good) + " + late " + n(late) + " != completed " + n(completed));
+  }
+  if (deadlines && shed != shed_codel + shed_bucket + shed_deadline) {
+    out.push_back("shed " + n(shed) + " != codel " + n(shed_codel) + " + bucket " +
+                  n(shed_bucket) + " + deadline " + n(shed_deadline));
+  }
+  return out;
 }
 
 ServingResult RunServing(const ServingRunConfig& raw) {
@@ -396,22 +372,7 @@ ServingResult RunServing(const ServingRunConfig& raw) {
     // The scale component exists only on trace-driven runs (the monitor
     // attaches with the trace), so trace-free dumps stay byte-identical.
     if (slo_monitor != nullptr) {
-      const SloMonitor* sm = slo_monitor.get();
-      const EpochAutoscaler* as = autoscaler.get();
-      dump->Register("scale", "violation_epochs", "count",
-                     "governor epochs past the SLO budget (SloMonitor)",
-                     [sm] { return static_cast<double>(sm->violation_epochs()); });
-      dump->Register("scale", "actions_up", "count",
-                     "cores moved tenant pool -> serving by the autoscaler",
-                     [as] { return as ? static_cast<double>(as->actions_up()) : 0.0; });
-      dump->Register("scale", "actions_down", "count",
-                     "cores moved serving -> tenant pool by the autoscaler",
-                     [as] { return as ? static_cast<double>(as->actions_down()) : 0.0; });
-      dump->Register("scale", "weight_updates", "count",
-                     "tenant WRR weight retunes applied on scaling actions",
-                     [as] {
-                       return as ? static_cast<double>(as->weight_updates()) : 0.0;
-                     });
+      r.trace.RegisterMetrics(dump);
     }
   });
   return r;

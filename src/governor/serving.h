@@ -108,97 +108,99 @@ struct ServingRunConfig {
   size_t trace_capacity = Tracer::kDefaultCapacity;
 };
 
+// The ServingResult counters, one row each: type, name, initial value, help.
+// The fields and Fingerprint() (after "policy|") are generated from them in
+// row order, the byte order the serving goldens pin. Per-path vectors are
+// indexed [kPathHost, kPathSoc].
+#define SNICSIM_SERVING_COUNTERS(X)                                                                \
+  /* Window measurement; with deadlines on, of in-deadline completions. */                         \
+  X(double, mreqs, 0, "window completions, Mreqs/s")                                               \
+  X(double, gbps, 0, "window value goodput, Gbit/s")                                               \
+  X(double, p50_us, 0, "window median latency")                                                    \
+  X(double, p99_us, 0, "window 99th-percentile latency")                                           \
+  X(uint64_t, ops, 0, "window operations measured")                                                \
+  /* Whole-run conservation counters, exact after the drain (LedgerBreaks). */                     \
+  X(uint64_t, generated, 0, "requests generated by the fleet")                                     \
+  X(uint64_t, issued, 0, "wire copies issued (a hedge adds one)")                                  \
+  X(uint64_t, completed, 0, "wire copies completed")                                               \
+  X(uint64_t, failed, 0, "wire copies the reliability layer gave up on")                           \
+  X(std::vector<uint64_t>, path_issued, {}, "issued, per path")                                    \
+  X(std::vector<uint64_t>, path_completed, {}, "completed, per path")                              \
+  X(std::vector<uint64_t>, path_failed, {}, "failed, per path")                                    \
+  /* Serving-side split. */                                                                        \
+  X(uint64_t, soc_hits, 0, "SoC gets served from SoC DRAM")                                        \
+  X(uint64_t, soc_misses, 0, "SoC gets that fetched the value over path 3")                        \
+  X(uint64_t, path3_bytes, 0, "value bytes fetched host->SoC for SoC misses")                      \
+  /* Policy introspection (zero for policies without the signal). */                               \
+  X(uint64_t, hol_gated, 0, "SoC routes vetoed by the HoL gate")                                   \
+  X(uint64_t, budget_spills, 0, "SoC routes spilled by the path-3 budget")                         \
+  X(uint64_t, explored, 0, "governor epsilon-exploration routes")                                  \
+  X(uint64_t, draws, 0, "policy RNG draws")                                                        \
+  X(double, share_soc, 0, "fraction of issued routed to path 2, whole run")                        \
+  X(std::vector<double>, class_share_soc, {}, "path-2 fraction per size class, window")            \
+  /* Fault-layer outcome (zero when faults are off). */                                            \
+  X(uint64_t, retransmits, 0, "client retransmits, all machines")                                  \
+  X(uint64_t, op_failures, 0, "client ops failed after retries")                                   \
+  X(uint64_t, frames_dropped, 0, "frames the injector dropped")                                    \
+  /* Resilience-layer outcome (zero when the resilience config is empty). */                       \
+  X(uint64_t, shed, 0, "requests refused by admission control")                                    \
+  X(uint64_t, cancelled, 0, "hedge copies cancelled after the race settled")                       \
+  X(uint64_t, good, 0, "completions within the deadline budget")                                   \
+  X(uint64_t, late, 0, "completions past the deadline budget")                                     \
+  X(uint64_t, deadline_failed, 0, "failures with the deadline budget exhausted")                   \
+  X(std::vector<uint64_t>, path_shed, {}, "shed, per path")                                        \
+  X(std::vector<uint64_t>, path_cancelled, {}, "cancelled, per path")                              \
+  X(uint64_t, shed_codel, 0, "requests shed by CoDel")                                             \
+  X(uint64_t, shed_bucket, 0, "requests shed by the token bucket")                                 \
+  X(uint64_t, shed_deadline, 0, "requests whose deadline expired before admission")                \
+  X(uint64_t, hedges, 0, "duplicate requests launched onto the second endpoint")                   \
+  X(uint64_t, hedge_wins, 0, "hedged requests won by the duplicate copy")                          \
+  X(uint64_t, hedge_cancels, 0, "hedge copies cancelled (resilience side)")                        \
+  X(uint64_t, breaker_trips, 0, "circuit breakers tripped closed -> open")                         \
+  X(uint64_t, breaker_reopens, 0, "half-open probe rounds that re-tripped")                        \
+  X(uint64_t, breaker_probes, 0, "probe requests admitted while half-open")                        \
+  X(uint64_t, breaker_denied, 0, "routes the governor's breaker view denied")                      \
+  X(uint64_t, resil_draws, 0, "hedge-jitter RNG draws")                                            \
+  X(uint64_t, crash_drops, 0, "gets dropped by an endpoint crash")                                 \
+  X(uint64_t, rewarm_misses, 0, "SoC gets that missed during post-crash rewarm")                   \
+  /* Failover timeline of the SoC endpoint's breaker, in us (-1: never). */                        \
+  X(double, soc_trip_us, -1, "first trip")                                                         \
+  X(double, soc_trip_gap_us, -1, "largest evidence-to-trip gap")
+
 struct ServingResult {
   std::string policy;
+#define SNICSIM_SERVING_FIELD(type, name, init, help) type name = init;
+  SNICSIM_SERVING_COUNTERS(SNICSIM_SERVING_FIELD)
+#undef SNICSIM_SERVING_FIELD
 
-  // Steady-state window measurement (value bytes = goodput).
-  double mreqs = 0.0;
-  double gbps = 0.0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  uint64_t ops = 0;
-
-  // Whole-run conservation counters (exact after the drain):
-  // generated == (issued - hedges) + shed, issued == completed + failed +
-  // cancelled.
-  uint64_t generated = 0;
-  uint64_t issued = 0;
-  uint64_t completed = 0;
-  uint64_t failed = 0;
-  std::vector<uint64_t> path_issued;     // [kPathHost, kPathSoc]
-  std::vector<uint64_t> path_completed;
-  std::vector<uint64_t> path_failed;
-
-  // Serving-side split.
-  uint64_t soc_hits = 0;
-  uint64_t soc_misses = 0;
-  uint64_t path3_bytes = 0;
-
-  // Policy introspection (zero for policies without the signal).
-  uint64_t hol_gated = 0;
-  uint64_t budget_spills = 0;
-  uint64_t explored = 0;
-  uint64_t draws = 0;
-  double share_soc = 0.0;                // routed-② fraction, whole run
-  std::vector<double> class_share_soc;   // per size class, window ops only
-
-  // Fault-layer outcome (zero when faults are off).
-  uint64_t retransmits = 0;
-  uint64_t op_failures = 0;
-  uint64_t frames_dropped = 0;
-
-  // Resilience-layer outcome (zero when the resilience config is empty).
-  // With deadlines on, `mreqs`/`gbps` above count only in-deadline
-  // completions — they are *goodput*, and good + late == completed.
-  uint64_t shed = 0;
-  uint64_t cancelled = 0;
-  uint64_t good = 0;
-  uint64_t late = 0;
-  uint64_t deadline_failed = 0;
-  std::vector<uint64_t> path_shed;
-  std::vector<uint64_t> path_cancelled;
-  uint64_t shed_codel = 0;
-  uint64_t shed_bucket = 0;
-  uint64_t shed_deadline = 0;
-  uint64_t hedges = 0;
-  uint64_t hedge_wins = 0;
-  uint64_t hedge_cancels = 0;
-  uint64_t breaker_trips = 0;
-  uint64_t breaker_reopens = 0;
-  uint64_t breaker_probes = 0;
-  uint64_t breaker_denied = 0;
-  uint64_t resil_draws = 0;
-  uint64_t crash_drops = 0;
-  uint64_t rewarm_misses = 0;
-  // Failover timeline of the SoC endpoint's breaker: when it first tripped
-  // and the largest evidence-to-trip gap (-1 each when it never tripped).
-  double soc_trip_us = -1.0;
-  double soc_trip_gap_us = -1.0;
-
-  // Per-tenant outcome (empty when the tenant config is empty). Carried
-  // outside Fingerprint() — which committed goldens pin — and digested by
-  // its own TenantSetResult::Fingerprint(); replay comparisons of tenant
-  // runs join both digests.
+  // Outside Fingerprint(): the per-tenant outcome (empty without tenants)
+  // and the trace-run outcome (zero without a trace), each digested by its
+  // own Fingerprint(), and the per-request records still held after the
+  // drain (0 unless a drop, crash or timeout path failed to release one).
   offload::TenantSetResult tenants;
-
-  // Trace-run outcome: the epoch SLO ledger with per-phase splits plus the
-  // autoscaler's action counters (zero when no trace is attached). Also
-  // outside Fingerprint() for the same golden-stability reason; trace
-  // replay comparisons join trace.Fingerprint() too.
   TraceRunResult trace;
-
-  // Per-request records (NIC engine, endpoint DMA ops, client flights and
-  // fleet copies) still held after the drain: 0 unless some terminal path
-  // (a drop, a crash, a timeout) failed to release its record. Outside
-  // Fingerprint(), like the two above.
   uint64_t live_records = 0;
 
-  // Canonical digest of every field above except `tenants`, `trace` and
-  // `live_records` ("%.17g" doubles): two runs are replay-equal iff their
-  // fingerprints are string-equal (tenant runs additionally compare
-  // tenants.Fingerprint()).
+  // One line per broken ledger identity after the drain ("generated 9 !=
+  // issued 8 - hedges 0 + shed 0"), empty when closed: generated == issued -
+  // hedges + shed, issued == completed + failed + cancelled, and with
+  // `deadlines` (a resilience manager's counters) good + late == completed
+  // and shed == shed_codel + shed_bucket + shed_deadline.
+  std::vector<std::string> LedgerBreaks(bool deadlines) const;
+
+  // Canonical digest of the counters ("%.17g" doubles): runs are replay-equal
+  // iff their fingerprints are string-equal.
   std::string Fingerprint() const;
 };
+
+// Calls f(name, &ServingResult::<name>) for every counter, in row order.
+template <typename F>
+void ForEachServingCounter(F&& f) {
+#define SNICSIM_SERVING_VISIT(type, name, init, help) f(#name, &ServingResult::name);
+  SNICSIM_SERVING_COUNTERS(SNICSIM_SERVING_VISIT)
+#undef SNICSIM_SERVING_VISIT
+}
+#undef SNICSIM_SERVING_COUNTERS
 
 ServingResult RunServing(const ServingRunConfig& config);
 

@@ -34,6 +34,7 @@
 #ifndef SRC_OFFLOAD_TENANCY_H_
 #define SRC_OFFLOAD_TENANCY_H_
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -53,28 +54,34 @@
 namespace snicsim {
 namespace offload {
 
-// Everything one tenant did, as exact counters; digested by Fingerprint().
-// Pool indices are deliberately absent so a tenant's digest is invariant
-// under re-homing onto a different (still disjoint) pool.
+// Everything one tenant did, one row per counter (type, name, initial value,
+// help); the fields and Fingerprint() (after "id|kind|") are generated from
+// the rows. Pool indices are deliberately absent so a tenant's digest is
+// invariant under re-homing onto a different (still disjoint) pool.
+#define SNICSIM_TENANT_COUNTERS(X)                                                                 \
+  X(uint64_t, generated, 0, "items generated (+ one per served GET for kv)")                       \
+  X(uint64_t, admitted, 0, "items past both per-tenant admission gates")                           \
+  X(uint64_t, shed, 0, "items refused at admission (shed_codel + shed_bucket)")                    \
+  X(uint64_t, shed_codel, 0, "items shed by the tenant's CoDel controller")                        \
+  X(uint64_t, shed_bucket, 0, "items refused by the tenant's admission cap")                       \
+  X(uint64_t, completed, 0, "items whose stage chain finished")                                    \
+  X(uint64_t, failed, 0, "items killed in flight by a crash window")                               \
+  X(uint64_t, filtered, 0, "items dropped by a scan stage (completed, not failed)")                \
+  X(uint64_t, slo_checked, 0, "completions checked against the SLO")                               \
+  X(uint64_t, violations, 0, "checked completions past the SLO")                                   \
+  X(uint64_t, crossings, 0, "placement-boundary hops over path 3")                                 \
+  X(uint64_t, path3_bytes, 0, "bytes those crossings moved")                                       \
+  X(uint64_t, grants, 0, "SoC-pool WRR grants")                                                    \
+  X(double, p50_us, 0, "median item latency")                                                      \
+  X(double, p99_us, 0, "99th-percentile item latency")                                             \
+  X(double, busy_us, 0, "SoC-pool service time granted")
+
 struct TenantResult {
   std::string id;
   TenantKind kind = TenantKind::kSketch;
-  uint64_t generated = 0;
-  uint64_t admitted = 0;
-  uint64_t shed = 0;
-  uint64_t shed_codel = 0;
-  uint64_t shed_bucket = 0;
-  uint64_t completed = 0;
-  uint64_t failed = 0;
-  uint64_t filtered = 0;
-  uint64_t slo_checked = 0;
-  uint64_t violations = 0;
-  uint64_t crossings = 0;
-  uint64_t path3_bytes = 0;
-  uint64_t grants = 0;
-  double p50_us = 0.0;
-  double p99_us = 0.0;
-  double busy_us = 0.0;
+#define SNICSIM_TENANT_FIELD(type, name, init, help) type name = init;
+  SNICSIM_TENANT_COUNTERS(SNICSIM_TENANT_FIELD)
+#undef SNICSIM_TENANT_FIELD
 
   // Closed iff both ledger identities hold (see file header).
   bool LedgerClosed() const {
@@ -89,16 +96,21 @@ struct TenantResult {
   std::string Fingerprint() const;
 };
 
+// Calls f(name, &TenantResult::<name>) for every counter, in row order.
+template <typename F>
+void ForEachTenantCounter(F&& f) {
+#define SNICSIM_TENANT_VISIT(type, name, init, help) f(#name, &TenantResult::name);
+  SNICSIM_TENANT_COUNTERS(SNICSIM_TENANT_VISIT)
+#undef SNICSIM_TENANT_VISIT
+}
+#undef SNICSIM_TENANT_COUNTERS
+
 struct TenantSetResult {
   std::vector<TenantResult> tenants;
 
   bool AllLedgersClosed() const {
-    for (const TenantResult& t : tenants) {
-      if (!t.LedgerClosed()) {
-        return false;
-      }
-    }
-    return true;
+    return std::all_of(tenants.begin(), tenants.end(),
+                       [](const TenantResult& t) { return t.LedgerClosed(); });
   }
   const TenantResult* Find(const std::string& id) const {
     for (const TenantResult& t : tenants) {
@@ -156,8 +168,8 @@ class TenantManager {
 
   // Aggregate SLO ledger across tenants — the SloMonitor's per-epoch feed
   // (cheap cumulative sums, no Results() materialization).
-  uint64_t slo_checked_total() const;
-  uint64_t violations_total() const;
+  uint64_t slo_checked_total() const { return Total(&TenantResult::slo_checked); }
+  uint64_t violations_total() const { return Total(&TenantResult::violations); }
 
   // Exposes aggregate counters under component "tenant" (leaf catalog:
   // DESIGN.md section 6.2).
@@ -179,6 +191,8 @@ class TenantManager {
     Histogram lat{5};
   };
 
+  // One counter summed over every tenant's running result.
+  uint64_t Total(uint64_t TenantResult::*field) const;
   void Arrive(int t);
   bool Admit(Tenant& tn, uint64_t seq);
   void Inject(Tenant& tn, SimTime born, uint32_t bytes);

@@ -97,15 +97,6 @@ void AddSeries(std::vector<uint64_t>* out, const std::vector<uint64_t>& v) {
   }
 }
 
-template <typename T>
-void AppendCounter(std::string* s, T v) {
-  if constexpr (std::is_floating_point_v<T>) {
-    AppendD(s, v);
-  } else {
-    AppendU(s, static_cast<uint64_t>(v));
-  }
-}
-
 }  // namespace
 
 std::string RackKvHostDomain(DomainId d) {
@@ -123,13 +114,9 @@ std::string RackKvResult::Fingerprint() const {
       AppendCounter(&s, this->*field);
     }
   });
-  for (uint64_t v : server_completed) {
-    AppendU(&s, v);
-  }
+  AppendCounter(&s, server_completed);
   AppendU(&s, completed_by_epoch.size());
-  for (uint64_t v : completed_by_epoch) {
-    AppendU(&s, v);
-  }
+  AppendCounter(&s, completed_by_epoch);
   return s;
 }
 

@@ -3,10 +3,14 @@
 // load trace. Every conditional component then registers its rows —
 // `faults.`, `resil.`, the tenant plane and `scale.` — so the dump's row
 // order (server, executor, fleet, injector, resilience, tenants, scale) and
-// each counter's final value are diffed byte-for-byte against the golden.
+// each counter's final value are diffed byte-for-byte against the golden,
+// and every scale.<name> row is checked against the returned result.
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <fstream>
+#include <map>
+#include <regex>
 #include <sstream>
 #include <string>
 
@@ -57,7 +61,7 @@ TEST(GoldenServing, MetricsDump) {
   ASSERT_TRUE(trace::ParseTracePlan("duration=120,seg=0:1,seg=60:2", &c.trace, &error))
       << error;
   c.metrics_path = testing::TempDir() + "/golden_serving_metrics.json";
-  RunServing(c);
+  const ServingResult r = RunServing(c);
 
   std::ifstream in(c.metrics_path, std::ios::binary);
   ASSERT_TRUE(in.good());
@@ -68,6 +72,25 @@ TEST(GoldenServing, MetricsDump) {
     EXPECT_NE(dump.find(row), std::string::npos) << "dump has no " << row << " row";
   }
   CheckGolden("serving_metrics.golden", dump);
+
+  // The scale rows are generated from the TraceRunResult rows marked as
+  // dumped; each must carry the returned field's value.
+  const std::regex row(R"re("scale\.([^"]+)": \{"value": ([^,]+),)re");
+  std::map<std::string, double> scale;
+  for (std::sregex_iterator it(dump.begin(), dump.end(), row), end; it != end; ++it) {
+    scale[(*it)[1]] = std::strtod((*it)[2].str().c_str(), nullptr);
+  }
+  size_t dumped = 0;
+  ForEachTraceCounter([&](const TraceCounterInfo& info, auto field) {
+    if (!info.dumped) {
+      return;
+    }
+    ++dumped;
+    ASSERT_EQ(scale.count(info.name), 1u) << "scale." << info.name << " missing from the dump";
+    EXPECT_EQ(scale[info.name], static_cast<double>(r.trace.*field)) << info.name;
+  });
+  EXPECT_EQ(scale.size(), dumped);
+  EXPECT_GT(r.trace.violation_epochs, 0u);  // the rows carry live values
 }
 
 }  // namespace

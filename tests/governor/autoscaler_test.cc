@@ -273,6 +273,30 @@ TEST(Autoscaler, TenXStepAfterLullConvergesWithinThreeEpochs) {
   EXPECT_GT(r.trace.phases[0].violation_epochs, 0u);
 }
 
+// -- The counter declarations (autoscaler.h) reach the fingerprint ---------
+
+TEST(TraceCounters, EveryDeclaredCounterMovesTheFingerprint) {
+  const std::string base = TraceRunResult{}.Fingerprint();
+  ForEachTraceCounter([&](const TraceCounterInfo& c, auto field) {
+    TraceRunResult r;
+    r.*field += 1;
+    EXPECT_NE(r.Fingerprint(), base) << c.name;
+  });
+}
+
+TEST(PhaseCounters, EveryDeclaredCounterMovesTheFingerprint) {
+  // Two phases, bumping the second: every phase (not just the first) is
+  // digested into the trace fingerprint.
+  TraceRunResult zero;
+  zero.phases.resize(2);
+  const std::string base = zero.Fingerprint();
+  ForEachPhaseCounter([&](const char* name, auto field) {
+    TraceRunResult r = zero;
+    r.phases[1].*field += 1;
+    EXPECT_NE(r.Fingerprint(), base) << name;
+  });
+}
+
 }  // namespace
 }  // namespace governor
 }  // namespace snicsim

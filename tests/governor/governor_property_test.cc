@@ -10,9 +10,13 @@
 //    the share of traffic the governor sends to the SoC;
 //  - the advice gates: HoL-scale payloads are pinned to the host without
 //    consuming exploration draws, and the SoC in-flight cap spills to the
-//    host instead of building ARM queues.
+//    host instead of building ARM queues;
+//  - the counter table: every row declared in serving.h reaches
+//    Fingerprint().
 #include <gtest/gtest.h>
 
+#include <string>
+#include <type_traits>
 #include <vector>
 
 #include "src/governor/serving.h"
@@ -186,6 +190,29 @@ TEST(GovernorExploration, DrawsAreCountedAndBounded) {
   EXPECT_GT(r.explored, 0u);       // 2% of thousands of draws
   EXPECT_LE(r.explored, r.draws);  // every exploration consumed a draw
   EXPECT_EQ(r.hol_gated, 0u);      // nothing in this mixture is HoL-scale
+}
+
+// -- The counter declaration (serving.h) reaches the fingerprint ------------
+
+TEST(ServingCounters, EveryDeclaredCounterMovesTheFingerprint) {
+  // Vector rows start with two elements, so a bump checks that every
+  // element (not just the length) is digested.
+  ServingResult zero;
+  ForEachServingCounter([&](const char*, auto field) {
+    if constexpr (!std::is_arithmetic_v<std::decay_t<decltype(zero.*field)>>) {
+      (zero.*field).assign(2, 0);
+    }
+  });
+  const std::string base = zero.Fingerprint();
+  ForEachServingCounter([&](const char* name, auto field) {
+    ServingResult r = zero;
+    if constexpr (std::is_arithmetic_v<std::decay_t<decltype(r.*field)>>) {
+      r.*field += 1;
+    } else {
+      (r.*field)[1] += 1;
+    }
+    EXPECT_NE(r.Fingerprint(), base) << name;
+  });
 }
 
 }  // namespace

@@ -18,7 +18,8 @@
 //       solo fingerprint byte-identically (TenantResult::Fingerprint()
 //       deliberately omits the pool index to make this law expressible).
 // Directed paths: a host-placed stage and a paused (bg=0) trace segment,
-// each pinned to exact counters.
+// each pinned to exact counters. The counter table: every row declared in
+// tenancy.h reaches TenantResult::Fingerprint().
 #include "src/offload/tenancy.h"
 
 #include <gtest/gtest.h>
@@ -237,6 +238,19 @@ TEST(TenancyPaths, PausedTraceSegmentRearmsAtTheNextBoundary) {
   EXPECT_EQ(after.generated, 16u);
   EXPECT_EQ(after.completed, 16u);
   EXPECT_EQ(after.crossings, 0u);
+}
+
+// -- The counter declaration (tenancy.h) reaches the fingerprint ------------
+
+TEST(TenantCounters, EveryDeclaredCounterMovesTheFingerprint) {
+  TenantResult zero;
+  zero.id = "t";
+  const std::string base = zero.Fingerprint();
+  ForEachTenantCounter([&](const char* name, auto field) {
+    TenantResult r = zero;
+    r.*field += 1;
+    EXPECT_NE(r.Fingerprint(), base) << name;
+  });
 }
 
 }  // namespace
