@@ -173,10 +173,10 @@ struct ServingResult {
   SNICSIM_SERVING_COUNTERS(SNICSIM_SERVING_FIELD)
 #undef SNICSIM_SERVING_FIELD
 
-  // Outside Fingerprint(): the per-tenant outcome (empty without tenants)
-  // and the trace-run outcome (zero without a trace), each digested by its
-  // own Fingerprint(), and the per-request records still held after the
-  // drain (0 unless a drop, crash or timeout path failed to release one).
+  // Outside Fingerprint(), whose bytes the goldens pin: the per-tenant outcome
+  // (empty without tenants) and the trace-run outcome (zero without a trace),
+  // each digested by its own Fingerprint(), and the per-request records still
+  // held after the drain (0 unless a drop, crash or timeout path leaked one).
   offload::TenantSetResult tenants;
   TraceRunResult trace;
   uint64_t live_records = 0;
