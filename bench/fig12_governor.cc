@@ -131,15 +131,6 @@ ServingRunConfig FlipPoint(uint32_t bytes, int host_cores) {
   return c;
 }
 
-std::string JoinFingerprints(const std::vector<ServingResult>& rs) {
-  std::string s;
-  for (const ServingResult& r : rs) {
-    s += r.Fingerprint();
-    s.push_back('\n');
-  }
-  return s;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -249,9 +240,9 @@ int main(int argc, char** argv) {
   // --jobs=N, fault-free and under a nonzero fault plan.
   std::printf("\n== --check: determinism + dominance ==\n");
   bool ok = true;
-  const std::string serial = JoinFingerprints(
+  const std::string serial = runtime::JoinFingerprints(
       RunGrid(thetas, /*jobs=*/1, faults, hc, /*governor_only=*/false));
-  if (serial != JoinFingerprints(grid)) {
+  if (serial != runtime::JoinFingerprints(grid)) {
     std::printf("FAIL: grid fingerprints differ between --jobs=1 and --jobs=%d\n",
                 jobs);
     ok = false;
@@ -261,9 +252,9 @@ int main(int argc, char** argv) {
     fault_plan.drop_rate = 0.02;
     fault_plan.seed = 7;
   }
-  const std::string faulted_serial = JoinFingerprints(
+  const std::string faulted_serial = runtime::JoinFingerprints(
       RunGrid(thetas, /*jobs=*/1, fault_plan, hc, /*governor_only=*/true));
-  const std::string faulted_parallel = JoinFingerprints(
+  const std::string faulted_parallel = runtime::JoinFingerprints(
       RunGrid(thetas, jobs, fault_plan, hc, /*governor_only=*/true));
   if (faulted_serial != faulted_parallel) {
     std::printf("FAIL: faulted grid fingerprints differ across --jobs\n");

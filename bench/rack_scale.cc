@@ -149,15 +149,6 @@ std::vector<RackKvResult> RunCells(const std::vector<RackKvParams>& cells,
   return sweep.Run();
 }
 
-std::string JoinFingerprints(const std::vector<RackKvResult>& rs) {
-  std::string s;
-  for (const RackKvResult& r : rs) {
-    s += r.Fingerprint();
-    s.push_back('\n');
-  }
-  return s;
-}
-
 // Largest per-server completion share relative to a perfectly even split —
 // the skew-concentration observable for the dominance check.
 double Imbalance(const RackKvResult& r) {
@@ -346,9 +337,9 @@ int main(int argc, char** argv) {
 
   // Byte-identical fingerprints against the serial grid corner; the CI rack
   // matrix byte-compares whole outputs across the (jobs, sim-threads) grid.
-  const std::string here = JoinFingerprints(results);
+  const std::string here = runtime::JoinFingerprints(results);
   const std::string serial =
-      JoinFingerprints(RunCells(cells, /*jobs=*/1, /*sim_threads=*/1));
+      runtime::JoinFingerprints(RunCells(cells, /*jobs=*/1, /*sim_threads=*/1));
   if (here != serial) {
     std::printf("FAIL: fingerprints differ from --jobs=1 --sim-threads=1 "
                 "(ran --jobs=%d --sim-threads=%d)\n",

@@ -132,15 +132,6 @@ std::vector<RackKvResult> RunCells(const std::vector<RackKvParams>& cells,
   return sweep.Run();
 }
 
-std::string JoinFingerprints(const std::vector<RackKvResult>& rs) {
-  std::string s;
-  for (const RackKvResult& r : rs) {
-    s += r.Fingerprint();
-    s.push_back('\n');
-  }
-  return s;
-}
-
 double RepairDurationUs(const RackKvResult& r) {
   if (r.membership_change_at_us < 0 || r.repair_done_at_us < 0) {
     return -1.0;
@@ -298,9 +289,9 @@ int main(int argc, char** argv) {
               "bounds ==\n");
   bool ok = true;
 
-  const std::string here = JoinFingerprints(results);
+  const std::string here = runtime::JoinFingerprints(results);
   const std::string serial =
-      JoinFingerprints(RunCells(cells, /*jobs=*/1, /*sim_threads=*/1));
+      runtime::JoinFingerprints(RunCells(cells, /*jobs=*/1, /*sim_threads=*/1));
   if (here != serial) {
     std::printf("FAIL: fingerprints differ from --jobs=1 --sim-threads=1 "
                 "(ran --jobs=%d --sim-threads=%d)\n",

@@ -175,15 +175,6 @@ std::vector<ServingResult> RunCells(const std::vector<ServingRunConfig>& cells,
   return sweep.Run();
 }
 
-std::string JoinFingerprints(const std::vector<ServingResult>& rs) {
-  std::string s;
-  for (const ServingResult& r : rs) {
-    s += r.Fingerprint();
-    s.push_back('\n');
-  }
-  return s;
-}
-
 // Closes the whole request ledger: every generated request is either shed
 // or issued, every hedge adds exactly one extra wire copy, and every issued
 // copy terminates exactly once (ServingResult::LedgerBreaks).
@@ -320,8 +311,8 @@ int main(int argc, char** argv) {
   bool ok = true;
 
   // Determinism: every cell byte-identical between --jobs=1 and --jobs=N.
-  const std::string serial = JoinFingerprints(RunCells(cells, /*jobs=*/1));
-  if (serial != JoinFingerprints(results)) {
+  const std::string serial = runtime::JoinFingerprints(RunCells(cells, /*jobs=*/1));
+  if (serial != runtime::JoinFingerprints(results)) {
     std::printf("FAIL: fingerprints differ between --jobs=1 and --jobs=%d\n",
                 jobs);
     ok = false;

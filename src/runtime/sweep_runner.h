@@ -1,134 +1,111 @@
 // Parallel execution of independent sweep points.
 //
-// Every figure bench runs a grid of fully independent experiments — one
-// fresh Simulator per (payload, path, verb) point — strictly serially. The
-// grid is embarrassingly parallel, so SweepRunner farms the points out to a
-// work-stealing thread pool while the caller consumes the results in
-// submission order. Determinism is preserved by construction: each point
-// owns its Simulator and RNGs, results land in a slot fixed at submission
-// time, and all printing happens after Wait() — so `--jobs=N` output is
-// byte-identical to the serial run for any N.
+// Every figure is a grid of fully independent experiments, each owning its Simulator and
+// RNGs. SweepQueue runs the points on up to --jobs threads and returns the results in Add()
+// order; benches print only after Run(), so `--jobs=N` output is byte-identical to serial.
 #ifndef SRC_RUNTIME_SWEEP_RUNNER_H_
 #define SRC_RUNTIME_SWEEP_RUNNER_H_
 
-#include <condition_variable>
-#include <deque>
+#include <algorithm>
+#include <atomic>
 #include <exception>
 #include <functional>
-#include <memory>
 #include <mutex>
+#include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/log.h"
 
 namespace snicsim::runtime {
 
-// Number of workers used when --jobs is not given: hardware concurrency,
-// with a floor of 1.
+// Number of workers used when --jobs is not given: hardware concurrency, with a floor of 1.
 int DefaultJobs();
 
-// Registers the shared --jobs flag every bench binary accepts. Call before
-// flags.Finish().
+// Registers the shared --jobs flag every bench binary accepts. Call before flags.Finish().
+// A value below 1 exits 2.
 int JobsFlag(Flags& flags);
 
-// Registers the shared --sim-threads flag: event cores *inside* one
-// simulation (multi-domain sims shard per-server domains across them,
-// DESIGN.md §12), as opposed to --jobs which parallelizes across whole
-// experiments. Output is byte-identical for any value; single-domain
-// experiments accept it as a no-op so invocations compose uniformly.
-// Total worker threads ≈ jobs × sim_threads — keep the product near the
-// core count. Values below 1 clamp to 1.
+// Registers the shared --sim-threads flag: event cores *inside* one simulation (multi-domain
+// sims shard per-server domains across them, DESIGN.md §12), as opposed to --jobs which
+// parallelizes across whole experiments. Output is byte-identical for any value; single-domain
+// experiments accept it as a no-op so invocations compose uniformly. Total worker threads ≈
+// jobs × sim_threads — keep the product near the core count. A value below 1 exits 2.
 int SimThreadsFlag(Flags& flags);
 
-// A work-stealing pool for coarse-grained tasks (whole experiments).
-//
-// Submissions are dealt round-robin onto per-worker deques; a worker pops
-// its own deque from the front and, when empty, steals from the back of its
-// peers. Tasks must be independent of one another: a task may block on work
-// done by another task only if jobs() tasks can make progress concurrently.
-class SweepRunner {
- public:
-  using Task = std::function<void()>;
-
-  // jobs <= 0 selects DefaultJobs().
-  explicit SweepRunner(int jobs = 0);
-  SweepRunner(const SweepRunner&) = delete;
-  SweepRunner& operator=(const SweepRunner&) = delete;
-  // Joins the workers; pending tasks are drained first.
-  ~SweepRunner();
-
-  int jobs() const { return static_cast<int>(workers_.size()); }
-
-  // Enqueues a task. Thread-safe; `task` must be non-empty.
-  void Submit(Task task);
-
-  // Blocks until every submitted task has finished. If any task threw, the
-  // first exception observed is rethrown here (the remaining tasks still
-  // run to completion).
-  void Wait();
-
- private:
-  struct WorkerQueue {
-    std::mutex mu;
-    std::deque<Task> tasks;
-  };
-
-  void WorkerLoop(size_t self);
-  void RunOne(size_t self);
-
-  std::vector<std::unique_ptr<WorkerQueue>> queues_;
-  std::vector<std::thread> workers_;
-
-  std::mutex mu_;  // guards the counters below and error_
-  std::condition_variable work_cv_;
-  std::condition_variable done_cv_;
-  size_t next_queue_ = 0;  // round-robin submission cursor
-  size_t unclaimed_ = 0;   // tasks pushed but not yet picked up by a worker
-  size_t pending_ = 0;     // tasks submitted but not yet finished
-  bool stop_ = false;
-  std::exception_ptr error_;
-};
-
-// Runs `points` on a SweepRunner and returns their results in submission
-// order — the parallel drop-in for a serial `for (p : points) out.push_back
-// (p())` loop.
-template <typename R>
-std::vector<R> RunSweep(int jobs, std::vector<std::function<R()>> points) {
-  static_assert(!std::is_same_v<R, bool>,
-                "std::vector<bool> elements alias; use int results instead");
-  std::vector<R> results(points.size());
-  SweepRunner runner(jobs);
-  for (size_t i = 0; i < points.size(); ++i) {
-    runner.Submit([&results, &points, i] { results[i] = points[i](); });
-  }
-  runner.Wait();
-  return results;
-}
-
-// Order-preserving sweep builder for the bench mains: Add() every
-// experiment in the exact order the table-building code will consume it,
-// Run() once, then read the results sequentially (or via the index Add
-// returned). Keeping submission order == consumption order is what makes
-// the parallel table byte-identical to the serial one.
+// Order-preserving sweep for the bench mains: Add() every experiment in the exact order the
+// table-building code will consume it, Run() once, then read the results sequentially (or via
+// the index Add returned). Keeping submission order == consumption order is what makes the
+// parallel table byte-identical to the serial one.
 template <typename R>
 class SweepQueue {
+  static_assert(!std::is_same_v<R, bool>,
+                "std::vector<bool> elements alias; use int results instead");
+
  public:
-  explicit SweepQueue(int jobs) : jobs_(jobs) {}
+  explicit SweepQueue(int jobs) : jobs_(jobs) { SNIC_CHECK_GE(jobs, 1); }
 
   size_t Add(std::function<R()> point) {
     points_.push_back(std::move(point));
     return points_.size() - 1;
   }
 
-  std::vector<R> Run() { return RunSweep<R>(jobs_, std::move(points_)); }
+  // Runs every added point and returns the results in Add() order. The points run on
+  // min(jobs, points) runners — the calling thread plus helper threads — that each claim the
+  // next unrun point from one shared counter, so jobs=1 starts no thread. A point may block on
+  // another only if that many points can make progress at once. If any point threw, the first
+  // exception observed is rethrown once every point has run.
+  std::vector<R> Run() {
+    const std::vector<std::function<R()>> points = std::exchange(points_, {});
+    std::vector<R> results(points.size());
+    std::atomic<size_t> next{0};
+    std::mutex mu;
+    std::exception_ptr error;  // guarded by mu
+    const auto runner = [&] {
+      for (size_t i = next++; i < points.size(); i = next++) {
+        try {
+          results[i] = points[i]();
+        } catch (...) {
+          std::lock_guard<std::mutex> lock(mu);
+          if (error == nullptr) {
+            error = std::current_exception();
+          }
+        }
+      }
+    };
+    // Declared after the state the helpers use, so an exception out of emplace_back still
+    // joins them before that state dies.
+    std::vector<std::jthread> helpers;
+    for (size_t t = 1; t < std::min(static_cast<size_t>(jobs_), points.size()); ++t) {
+      helpers.emplace_back(runner);
+    }
+    runner();
+    helpers.clear();  // joins
+    if (error != nullptr) {
+      std::rethrow_exception(error);
+    }
+    return results;
+  }
 
  private:
   int jobs_;
   std::vector<std::function<R()>> points_;
 };
+
+// One line per result's Fingerprint(), in result order: the digest a bench's --check compares
+// between its --jobs run and a serial one.
+template <typename R>
+std::string JoinFingerprints(const std::vector<R>& results) {
+  std::string s;
+  for (const R& r : results) {
+    s += r.Fingerprint();
+    s.push_back('\n');
+  }
+  return s;
+}
 
 }  // namespace snicsim::runtime
 

@@ -174,7 +174,7 @@ TEST(SweepDeterminism, SimThreadsIsNoOpOnSingleDomainSweep) {
 }
 
 // A mini sweep over the genuinely multi-domain rack workload: several rack
-// configurations fanned across the SweepRunner, each point itself sharded
+// configurations fanned across a SweepQueue, each point itself sharded
 // across sim_threads event cores. Joined fingerprints must be byte-identical
 // at every (jobs, sim_threads) combination.
 std::string RackSweepFingerprints(int jobs, int sim_threads,
