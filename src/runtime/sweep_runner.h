@@ -22,7 +22,8 @@
 
 namespace snicsim::runtime {
 
-// Number of workers used when --jobs is not given: hardware concurrency, with a floor of 1.
+// Number of workers used when --jobs is not given: hardware concurrency,
+// with a floor of 1.
 int DefaultJobs();
 
 // Registers the shared --jobs flag every bench binary accepts. Call before flags.Finish().
@@ -36,10 +37,11 @@ int JobsFlag(Flags& flags);
 // jobs × sim_threads — keep the product near the core count. A value below 1 exits 2.
 int SimThreadsFlag(Flags& flags);
 
-// Order-preserving sweep for the bench mains: Add() every experiment in the exact order the
-// table-building code will consume it, Run() once, then read the results sequentially (or via
-// the index Add returned). Keeping submission order == consumption order is what makes the
-// parallel table byte-identical to the serial one.
+// Order-preserving sweep for the bench mains: Add() every experiment in the
+// exact order the table-building code will consume it, Run() once, then
+// read the results sequentially (or via the index Add returned). Keeping
+// submission order == consumption order is what makes the parallel table
+// byte-identical to the serial one.
 template <typename R>
 class SweepQueue {
   static_assert(!std::is_same_v<R, bool>,
@@ -76,8 +78,7 @@ class SweepQueue {
         }
       }
     };
-    // Declared after the state the helpers use, so an exception out of emplace_back still
-    // joins them before that state dies.
+    // Declared after the state the helpers use, so a throwing emplace_back still joins them.
     std::vector<std::jthread> helpers;
     for (size_t t = 1; t < std::min(static_cast<size_t>(jobs_), points.size()); ++t) {
       helpers.emplace_back(runner);
@@ -95,8 +96,7 @@ class SweepQueue {
   std::vector<std::function<R()>> points_;
 };
 
-// One line per result's Fingerprint(), in result order: the digest a bench's --check compares
-// between its --jobs run and a serial one.
+// One Fingerprint() line per result: the digest a bench's --check compares across --jobs.
 template <typename R>
 std::string JoinFingerprints(const std::vector<R>& results) {
   std::string s;
