@@ -413,6 +413,29 @@ TEST(RackKv, CorruptionIsDetectedHealedAndNeverServed) {
   EXPECT_EQ(RunRackKv(p2).Fingerprint(), r.Fingerprint());
 }
 
+// Read-repair on its own: no scrubber, so every detection is a serve-path
+// verify. Corrupting every value one server stores while reads flow forces
+// served reads onto the replica heal.
+TEST(RackKv, ServedCorruptReadIsRepaired) {
+  RackKvParams p = SmallRack();
+  ASSERT_EQ(p.membership.scrub_keys_per_epoch, 0u);
+  p.faults.seed = 9;
+  p.faults.corrupts.push_back({"rack.s1", FromMicros(30), 1.0});
+  const RackKvResult r = RunRackKv(p);
+  EXPECT_GT(r.corrupted_keys, 0u);
+  EXPECT_EQ(r.scrub_checked, 0u);
+  EXPECT_GT(r.read_repair_detected, 0u);
+  EXPECT_GT(r.repaired_read, 0u);
+  EXPECT_EQ(r.undetected_corrupt_serves, 0u);
+  EXPECT_EQ(r.corrupted_keys + r.corrupt_propagated,
+            r.repaired_read + r.repaired_scrub + r.repaired_write +
+                r.corrupt_remaining);
+  EXPECT_TRUE(r.Conserved());
+  RackKvParams p2 = p;
+  p2.sim_threads = 2;
+  EXPECT_EQ(RunRackKv(p2).Fingerprint(), r.Fingerprint());
+}
+
 TEST(RackKv, LossAndCorruptionComposeWithClosedLedgers) {
   RackKvParams p = MembershipRack();
   p.membership.scrub_keys_per_epoch = 1024;
