@@ -15,6 +15,7 @@
 #include "src/sim/server.h"
 #include "src/sim/simulator.h"
 #include "src/topo/rack_kv.h"
+#include "src/topo/shard.h"
 #include "src/workload/harness.h"
 
 namespace snicsim {
@@ -152,6 +153,64 @@ void BM_DramAccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DramAccess);
+
+// The rack's shard map (src/topo/shard.h): one PrimaryOf per item over
+// consecutive ranks, as the rack planes ask it, at (servers, vnodes).
+void BM_HashRingLookup(benchmark::State& state) {
+  const HashRing ring(static_cast<int>(state.range(0)),
+                      static_cast<int>(state.range(1)));
+  uint64_t key = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ring.PrimaryOf(key++));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HashRingLookup)->Args({5, 64})->Args({64, 64});
+
+// The pre-jump-table ring search, kept as the in-run reference of the
+// "shard_lookup" gate like LegacyEventQueue above: the same points
+// HashRing derives, sorted the same way, searched by lower_bound.
+class ReferenceRing {
+ public:
+  ReferenceRing(int servers, int vnodes, uint64_t seed = 0x5a4dULL) {
+    const uint64_t keyed = SplitMix64(seed);
+    for (int s = 0; s < servers; ++s) {
+      for (int v = 0; v < vnodes; ++v) {
+        points_.push_back(Point{SplitMix64(keyed ^ (static_cast<uint64_t>(s) << 32 |
+                                                    static_cast<uint64_t>(v))),
+                                s});
+      }
+    }
+    std::sort(points_.begin(), points_.end(), [](const Point& a, const Point& b) {
+      return a.hash != b.hash ? a.hash < b.hash : a.server < b.server;
+    });
+  }
+
+  int PrimaryOf(uint64_t key) const {
+    const uint64_t h = SplitMix64(key);
+    auto it = std::lower_bound(points_.begin(), points_.end(), h,
+                               [](const Point& p, uint64_t v) { return p.hash < v; });
+    return (it == points_.end() ? points_.front() : *it).server;
+  }
+
+ private:
+  struct Point {
+    uint64_t hash;
+    int server;
+  };
+  std::vector<Point> points_;
+};
+
+void BM_HashRingLookupReference(benchmark::State& state) {
+  const ReferenceRing ring(static_cast<int>(state.range(0)),
+                           static_cast<int>(state.range(1)));
+  uint64_t key = 0;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ring.PrimaryOf(key++));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_HashRingLookupReference)->Args({5, 64})->Args({64, 64});
 
 // The parallel DES core on the rack-scale sharded KV (src/topo/rack_kv.h):
 // per-server domains, each running the full per-server stack — SmartNIC

@@ -17,6 +17,9 @@ Gates in the baseline today:
     (BM_RackShardedSerial). This gate carries min_cores: a runner without
     enough CPUs cannot show a parallel speedup, so the gate is skipped
     (loudly) there instead of failing on scheduler noise.
+  * shard_lookup — the rack's jump-indexed HashRing search
+    (BM_HashRingLookup) vs the lower_bound search it replaced, compiled
+    into the bench (BM_HashRingLookupReference).
 
 Absolute numbers vs the recorded dev-machine baseline are reported for
 information only — they never fail the build.

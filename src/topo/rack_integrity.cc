@@ -14,12 +14,9 @@ namespace {
 // Does this domain store `rank` under its current ring (primary or, with
 // replication, follower)?
 bool StoredHere(const RackKv& r, const KvDomain& dom, uint64_t rank) {
-  const HashRing& ring = RingOf(r, dom);
-  if (ring.PrimaryOf(rank) == static_cast<int>(dom.id)) {
-    return true;
-  }
-  return r.p->replicas > 1 &&
-         ring.FollowerOf(rank) == static_cast<int>(dom.id);
+  const HashRing::Pair pair = RingOf(r, dom).PairOf(rank);
+  return pair.primary == static_cast<int>(dom.id) ||
+         (r.p->replicas > 1 && pair.follower == static_cast<int>(dom.id));
 }
 
 void FinishRepair(RackKv& r, DomainId d, RepairOp* rp, uint64_t gen, bool ok) {

@@ -213,8 +213,7 @@ void ApplyRemoval(RackKv& r, DomainId d, int s) {
   if (r.p->replicas > 1) {
     const HashRing& old_ring = *dom.mring;
     for (uint64_t rank = 0; rank < r.p->layout.keys; ++rank) {
-      const int p = old_ring.PrimaryOf(rank);
-      const int f = old_ring.FollowerOf(rank);
+      const auto [p, f] = old_ring.PairOf(rank);
       if (p != s && f != s) {
         continue;
       }
@@ -256,8 +255,7 @@ void ApplyRemoval(RackKv& r, DomainId d, int s) {
     }
     // New replica pair under the post-removal ring; the member that isn't
     // the survivor needs a copy.
-    const int np = ring.PrimaryOf(a.rank);
-    const int nf = ring.FollowerOf(a.rank);
+    const auto [np, nf] = ring.PairOf(a.rank);
     const int dest = np == static_cast<int>(d) ? nf : np;
     SNIC_CHECK_NE(dest, static_cast<int>(d));
     by_dest[static_cast<size_t>(dest)].push_back(a.rank);

@@ -18,10 +18,17 @@
 // vnode points are a pure function of (keyed seed, server, vnode index),
 // removal and re-addition are exact inverses and every domain that applies
 // the same membership set converges to the identical ring.
+//
+// Lookup is O(1) expected: a jump table indexed by the top bits of the key
+// hash holds, per bucket, the index of the first ring point in that bucket
+// or later, so a lookup lands at most one bucket's points before its answer
+// (DESIGN.md §13.1). The table is rebuilt with every ring change and copied
+// with the ring.
 #ifndef SRC_TOPO_SHARD_H_
 #define SRC_TOPO_SHARD_H_
 
 #include <algorithm>
+#include <bit>
 #include <cstdint>
 #include <vector>
 
@@ -82,6 +89,7 @@ class HashRing {
                                    return p.server == server;
                                  }),
                   points_.end());
+    BuildJumpTable();
   }
 
   void AddServer(int server) {
@@ -98,24 +106,31 @@ class HashRing {
 
   // The follower replica: the next ring point clockwise from the owner that
   // belongs to a different server. With >= 2 servers one always exists.
-  int FollowerOf(uint64_t key) const {
+  int FollowerOf(uint64_t key) const { return PairOf(key).follower; }
+
+  // Primary and follower from one ring search.
+  struct Pair {
+    int primary;
+    int follower;
+  };
+  Pair PairOf(uint64_t key) const {
     const size_t start = Lookup(key);
     const int primary = points_[start].server;
     for (size_t i = 1; i < points_.size(); ++i) {
       const int s = points_[(start + i) % points_.size()].server;
       if (s != primary) {
-        return s;
+        return Pair{primary, s};
       }
     }
     SNIC_CHECK(false);  // unreachable: >= 2 servers on the ring
-    return primary;
+    return Pair{primary, primary};
   }
 
   // The shard pair member serving `key` that is not `self` — where a write
   // executed on `self` pushes its replica. `self` must be one of the pair.
   int ReplicaPeerOf(uint64_t key, int self) const {
-    const int p = PrimaryOf(key);
-    return self == p ? FollowerOf(key) : p;
+    const Pair pair = PairOf(key);
+    return self == pair.primary ? pair.follower : pair.primary;
   }
 
  private:
@@ -137,18 +152,35 @@ class HashRing {
                 // equal keys in.
                 return a.hash != b.hash ? a.hash < b.hash : a.server < b.server;
               });
+    BuildJumpTable();
   }
 
-  // First ring point at or clockwise after hash(key), wrapping.
+  // 2^bit_width(points) buckets: one to two per point, 4 bytes each. The
+  // ring always holds >= 2 points, so the shift stays below 64.
+  void BuildJumpTable() {
+    const int bits = std::bit_width(points_.size());
+    shift_ = 64 - bits;
+    jump_.resize(size_t{1} << bits);
+    uint32_t i = 0;
+    for (size_t b = 0; b < jump_.size(); ++b) {
+      while (i < points_.size() && (points_[i].hash >> shift_) < b) {
+        ++i;
+      }
+      jump_[b] = i;
+    }
+  }
+
+  // First ring point at or clockwise after hash(key), wrapping. Every point
+  // before the bucket's jump entry hashes below the bucket, so the forward
+  // scan finds exactly what a lower_bound over the sorted points would,
+  // equal-hash ties included.
   size_t Lookup(uint64_t key) const {
     const uint64_t h = SplitMix64(key);
-    auto it = std::lower_bound(
-        points_.begin(), points_.end(), h,
-        [](const Point& p, uint64_t v) { return p.hash < v; });
-    if (it == points_.end()) {
-      it = points_.begin();
+    size_t i = jump_[h >> shift_];
+    while (i < points_.size() && points_[i].hash < h) {
+      ++i;
     }
-    return static_cast<size_t>(it - points_.begin());
+    return i == points_.size() ? 0 : i;
   }
 
   int servers_;
@@ -156,6 +188,8 @@ class HashRing {
   uint64_t keyed_ = 0;
   std::vector<uint8_t> live_;
   std::vector<Point> points_;
+  int shift_ = 64;
+  std::vector<uint32_t> jump_;  // bucket -> first point index at or after it
 };
 
 }  // namespace snicsim

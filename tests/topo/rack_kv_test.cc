@@ -1,7 +1,8 @@
 // Rack-scale sharded KV property suite (src/topo/rack_kv.h):
 //
 //  - HashRing: primary/follower are distinct, the pair relation is
-//    symmetric, and the map is a pure function of (seed, servers).
+//    symmetric, the map is a pure function of (seed, servers), and the
+//    jump-indexed search agrees with a lower_bound reference under churn.
 //  - Replay: the rack fingerprint is byte-identical run-to-run and across
 //    --sim-threads ∈ {1,2,4,8}, clean and under drop/flap/crash plans —
 //    the determinism contract of DESIGN.md §12 lifted to the full rack.
@@ -11,8 +12,9 @@
 //    seeds x fault plans, including whole-shard crash windows.
 //  - Failover: a whole-server crash promotes the follower within 2
 //    governor epochs of first evidence and re-homes after restart.
-//  - Directed paths: request retry exhaustion, rack-side admission and
-//    stale replication acks each fire, with closed ledgers.
+//  - Directed paths: request retry exhaustion, rack-side admission,
+//    stale replication acks and serve-path read-repair each fire, with
+//    closed ledgers.
 //  - Counter declaration: every declared counter moves the fingerprint
 //    (bar resident_client_bytes) and is one rack.<name> row of the dump.
 #include <gtest/gtest.h>
@@ -29,6 +31,7 @@
 #include <utility>
 #include <vector>
 
+#include "src/common/rng.h"
 #include "src/topo/rack_kv.h"
 #include "src/topo/shard.h"
 #include "src/workload/trace/trace.h"
@@ -112,6 +115,123 @@ TEST(HashRing, RemoveThenAddRestoresTheOriginalAssignment) {
   for (uint64_t key = 0; key < 2048; ++key) {
     ASSERT_EQ(churned.PrimaryOf(key), fresh.PrimaryOf(key)) << "key " << key;
     ASSERT_EQ(churned.FollowerOf(key), fresh.FollowerOf(key)) << "key " << key;
+  }
+}
+
+// The ring as it was searched before the jump table: the same keyed point
+// hashes HashRing derives, sorted the same way, searched by lower_bound.
+class ReferenceRing {
+ public:
+  ReferenceRing(int servers, int vnodes, uint64_t seed)
+      : vnodes_(vnodes), keyed_(SplitMix64(seed)) {
+    for (int s = 0; s < servers; ++s) {
+      AddServer(s);
+    }
+  }
+
+  void AddServer(int s) {
+    for (int v = 0; v < vnodes_; ++v) {
+      points_.push_back(Point{SplitMix64(keyed_ ^ (static_cast<uint64_t>(s) << 32 |
+                                                   static_cast<uint64_t>(v))),
+                              s});
+    }
+    std::sort(points_.begin(), points_.end(), [](const Point& a, const Point& b) {
+      return a.hash != b.hash ? a.hash < b.hash : a.server < b.server;
+    });
+  }
+
+  void RemoveServer(int s) {
+    points_.erase(std::remove_if(points_.begin(), points_.end(),
+                                 [s](const Point& p) { return p.server == s; }),
+                  points_.end());
+  }
+
+  // Whether hash(key) lies past the last point, so the search wraps.
+  bool Wraps(uint64_t key) const { return SplitMix64(key) > points_.back().hash; }
+
+  int PrimaryOf(uint64_t key) const { return points_[Lookup(key)].server; }
+
+  int FollowerOf(uint64_t key) const {
+    const size_t start = Lookup(key);
+    for (size_t i = 1; i < points_.size(); ++i) {
+      const int s = points_[(start + i) % points_.size()].server;
+      if (s != points_[start].server) {
+        return s;
+      }
+    }
+    return -1;
+  }
+
+ private:
+  struct Point {
+    uint64_t hash;
+    int server;
+  };
+
+  size_t Lookup(uint64_t key) const {
+    auto it = std::lower_bound(
+        points_.begin(), points_.end(), SplitMix64(key),
+        [](const Point& p, uint64_t v) { return p.hash < v; });
+    return it == points_.end() ? 0 : static_cast<size_t>(it - points_.begin());
+  }
+
+  int vnodes_;
+  uint64_t keyed_;
+  std::vector<Point> points_;
+};
+
+// Every key of a 100k-key space maps identically under both searches;
+// returns how many of them wrapped past the last point.
+int ExpectSameMap(const HashRing& ring, const ReferenceRing& ref,
+                  const std::string& what) {
+  int wraps = 0;
+  for (uint64_t key = 0; key < 100000; ++key) {
+    const HashRing::Pair pair = ring.PairOf(key);
+    const int primary = ref.PrimaryOf(key);
+    const int follower = ref.FollowerOf(key);
+    if (ring.PrimaryOf(key) != primary || ring.FollowerOf(key) != follower ||
+        pair.primary != primary || pair.follower != follower) {
+      ADD_FAILURE() << what << ": key " << key;
+      return wraps;
+    }
+    wraps += ref.Wraps(key) ? 1 : 0;
+  }
+  return wraps;
+}
+
+TEST(HashRing, JumpLookupMatchesBinarySearch) {
+  constexpr uint64_t kSeed = 0x5a4dULL;
+  for (const int servers : {2, 5, 64}) {
+    for (const int vnodes : {1, 64}) {
+      const std::string at =
+          std::to_string(servers) + "x" + std::to_string(vnodes);
+      HashRing ring(servers, vnodes, kSeed);
+      ReferenceRing ref(servers, vnodes, kSeed);
+      EXPECT_GT(ExpectSameMap(ring, ref, at), 0) << at << ": no key wrapped";
+      if (servers < 5) {
+        continue;  // removal needs >= 3 live servers afterwards
+      }
+      // Churn: removals, then a re-add in a different order.
+      ring.RemoveServer(1);
+      ref.RemoveServer(1);
+      ring.RemoveServer(3);
+      ref.RemoveServer(3);
+      ExpectSameMap(ring, ref, at + " -1 -3");
+      ring.AddServer(1);
+      ref.AddServer(1);
+      ExpectSameMap(ring, ref, at + " -1 -3 +1");
+      // A copy carries the table, and mutating it leaves the original's
+      // alone.
+      HashRing copy = ring;
+      ReferenceRing copy_ref = ref;
+      copy.RemoveServer(0);
+      copy_ref.RemoveServer(0);
+      ExpectSameMap(copy, copy_ref, at + " copy -0");
+      ExpectSameMap(ring, ref, at + " original after copy -0");
+      copy.AddServer(3);
+      copy_ref.AddServer(3);
+      ExpectSameMap(copy, copy_ref, at + " copy -0 +3");
+    }
   }
 }
 
