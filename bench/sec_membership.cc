@@ -10,7 +10,7 @@
 //      out of SafePath3BudgetGbps and metered as repair.path3_bytes
 //      against the governor's budget gate.
 //   2. Corruption & scrubbing — a `corrupt=` plan flips a deterministic
-//      fraction of one server's stored checksums; every serve verifies
+//      fraction of one server's stored values; every serve verifies
 //      (read repair) and the anti-entropy scrubber walks the shard at a
 //      budgeted rate, healing from the surviving replica. No corrupt value
 //      is ever served.

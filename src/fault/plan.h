@@ -75,7 +75,7 @@ struct PermLossEvent {
 // domain stores flips bits with probability `fraction` (chosen by a
 // deterministic hash of (plan seed, domain, key) — no RNG draws, so a
 // corrupt event never shifts any other stream). Detection is by the
-// per-value checksums in the rack integrity layer; components without an
+// per-value corrupt flags in the rack integrity layer; components without an
 // integrity store ignore the event.
 struct CorruptEvent {
   std::string domain;

@@ -1,6 +1,6 @@
 // Integrity (DESIGN.md §16.4). The store, allocated only when the plan has
 // `corrupt=` events or the scrubber is on, shadows every stored value with
-// an FNV checksum, verifies on every serve, and walks shards at a budgeted
+// a corrupt flag, verifies on every serve, and walks shards at a budgeted
 // per-epoch rate, repairing from the surviving replica.
 #include <algorithm>
 #include <cstdint>
@@ -27,12 +27,9 @@ void FinishRepair(RackKv& r, DomainId d, RepairOp* rp, uint64_t gen, bool ok) {
   const uint64_t rank = rp->rank;
   dom.integ->repairing[static_cast<size_t>(rank)] = 0;
   if (ok && IsCorrupt(dom, rank)) {
-    // Heal in place: restore the expected checksum at the current version
-    // (a concurrent write may have already healed it — then the repair is a
-    // no-op and the write's counter keeps the ledger exact).
-    IntegrityStore& st = *dom.integ;
-    const size_t i = static_cast<size_t>(rank);
-    st.stored[i] = ValueChecksum(rank, st.version[i]);
+    // Heal in place (a concurrent write may have already healed it — then
+    // the repair is a no-op and the write's counter keeps the ledger exact).
+    SetCorrupt(dom, rank, false);
     if (rp->from_scrub) {
       ++dom.ctr.repaired_scrub;
     } else {
@@ -61,7 +58,8 @@ void FinishRepair(RackKv& r, DomainId d, RepairOp* rp, uint64_t gen, bool ok) {
 
 // A `corrupt=` event: flip each stored value with probability `fraction`,
 // chosen by a keyed hash of (plan seed, domain, event time, rank) — fully
-// deterministic, zero RNG draws.
+// deterministic, zero RNG draws. Every term of the test is pure, so the
+// cheap hash goes first and only the chosen ranks reach the ring.
 void ApplyCorruption(RackKv& r, DomainId d, double fraction, uint64_t salt) {
   KvDomain& dom = *r.doms[static_cast<size_t>(d)];
   if (dom.integ == nullptr) {
@@ -71,11 +69,11 @@ void ApplyCorruption(RackKv& r, DomainId d, double fraction, uint64_t salt) {
       fraction >= 1.0 ? ~0ULL
                       : static_cast<uint64_t>(fraction * 18446744073709551616.0);
   for (uint64_t rank = 0; rank < r.p->layout.keys; ++rank) {
-    if (!StoredHere(r, dom, rank) || SplitMix64(salt ^ rank) >= thresh ||
-        IsCorrupt(dom, rank)) {
+    if (SplitMix64(salt ^ rank) >= thresh || IsCorrupt(dom, rank) ||
+        !StoredHere(r, dom, rank)) {
       continue;
     }
-    dom.integ->stored[static_cast<size_t>(rank)] ^= kCorruptNoise;
+    SetCorrupt(dom, rank, true);
     ++dom.ctr.corrupted_keys;
   }
 }
@@ -107,7 +105,7 @@ void ScrubTick(RackKv& r, DomainId d) {
 
 // Heal one corrupt rank from the replica pair's other member: read its copy
 // (SoC memory access at the peer), and if the peer holds a clean value,
-// overwrite the local checksum. A parked serve (read-path detection)
+// overwrite the local one. A parked serve (read-path detection)
 // resumes on success and retries elsewhere on failure.
 void StartRepair(RackKv& r, DomainId d, uint64_t rank, bool from_scrub,
                  ServeCtx* ctx, uint64_t ctx_gen) {

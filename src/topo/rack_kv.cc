@@ -22,18 +22,16 @@ namespace snicsim {
 using rackkv::ApplyCorruption;
 using rackkv::EpochTick;
 using rackkv::IntegrityStore;
-using rackkv::IsCorrupt;
 using rackkv::IssueNew;
 using rackkv::KvDomain;
 using rackkv::RackKv;
 using rackkv::ServerView;
-using rackkv::ValueChecksum;
 
 namespace {
 
 // Copies what the serving stack and the fleet count on their own into the
 // domain's counters, once, after drain.
-void Harvest(const RackKv& r, KvDomain& dom) {
+void Harvest(KvDomain& dom) {
   RackKvResult& c = dom.ctr;
   const kv::ServingExecutor& exec = dom.stack.exec;
   c.host_gets = exec.host_gets();
@@ -68,9 +66,7 @@ void Harvest(const RackKv& r, KvDomain& dom) {
   // values, and counting them is what closes the corruption ledger under
   // permloss+corrupt.
   if (dom.integ != nullptr) {
-    for (uint64_t rank = 0; rank < r.p->layout.keys; ++rank) {
-      c.corrupt_remaining += IsCorrupt(dom, rank) ? 1 : 0;
-    }
+    c.corrupt_remaining = dom.integ->corrupt_count;
   }
 }
 
@@ -214,12 +210,8 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     }
     if (want_integrity) {
       dom->integ = std::make_unique<IntegrityStore>();
-      dom->integ->stored.resize(static_cast<size_t>(params.layout.keys));
-      dom->integ->version.assign(static_cast<size_t>(params.layout.keys), 0);
+      dom->integ->corrupt.assign(static_cast<size_t>(params.layout.keys), 0);
       dom->integ->repairing.assign(static_cast<size_t>(params.layout.keys), 0);
-      for (uint64_t rank = 0; rank < params.layout.keys; ++rank) {
-        dom->integ->stored[static_cast<size_t>(rank)] = ValueChecksum(rank, 0);
-      }
     }
     governor::GovernorConfig gcfg;
     gcfg.seed = params.seed ^ (0x9e3779b97f4a7c15ull * (d + 1));
@@ -252,7 +244,7 @@ RackKvResult RunRackKv(const RackKvParams& params) {
       EpochTick(*rk, d);
     });
     // corrupt= events addressed to this server (either endpoint or the
-    // whole-server prefix) fire as draw-free checksum flips at `at`.
+    // whole-server prefix) fire as draw-free value flips at `at`.
     for (const fault::CorruptEvent& ev : params.faults.corrupts) {
       if (!fault::DomainMatches(ev.domain, dom.host_domain) &&
           !fault::DomainMatches(ev.domain, dom.soc_domain)) {
@@ -285,7 +277,7 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     SNIC_CHECK_EQ(dom.migs.live(), 0u);
     SNIC_CHECK_EQ(dom.stack.bf->nic().live_records(), 0u);
     SNIC_CHECK_EQ(dom.repairs.live(), 0u);
-    Harvest(rack, dom);
+    Harvest(dom);
     const RackKvResult& c = dom.ctr;
     ForEachRackCounter([&](const RackCounterInfo& info, auto field) {
       MergeCounter(info.merge, &(out.*field), c.*field);

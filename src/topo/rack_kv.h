@@ -89,7 +89,7 @@ struct RackKvParams {
     double migration_burst_bytes = 8192.0;  // bucket depth
     int migrate_batch = 64;      // keys per migration range
     int range_max_attempts = 3;  // per-range push retry budget
-    // Anti-entropy scrubber: ranks checksum-verified per governor epoch per
+    // Anti-entropy scrubber: ranks integrity-verified per governor epoch per
     // server (0 disables the scrubber; allocating the integrity store when
     // > 0). The walk itself is draw-free and event-free — only a detection
     // schedules repair traffic.
@@ -200,8 +200,8 @@ enum class RackMerge : uint8_t {
   X(double, repair_done_at_us, "us", kMax, true, "last migration range completed")                 \
   X(double, last_failed_start_us, "us", kMax, true, "start of the latest failed request")          \
   /* Integrity (zero without corrupt events or a scrubber). */                                     \
-  X(uint64_t, integrity_checks, "count", kSum, true, "checksum verifies, serve + scrub")           \
-  X(uint64_t, corrupted_keys, "count", kSum, true, "checksum flips injected by corrupt=")          \
+  X(uint64_t, integrity_checks, "count", kSum, true, "integrity verifies, serve + scrub")          \
+  X(uint64_t, corrupted_keys, "count", kSum, true, "value flips injected by corrupt=")             \
   X(uint64_t, corrupt_propagated, "count", kSum, true, "migrated while the sole copy was bad")     \
   X(uint64_t, read_repair_detected, "count", kSum, true, "corruption caught on a serve")           \
   X(uint64_t, scrub_checked, "count", kSum, true, "ranks verified by the scrubber")                \

@@ -115,14 +115,14 @@ struct RepairOp {
   uint64_t ctx_gen = 0;
 };
 
-// Per-domain checksum shadow of the values this server stores. `stored` is
-// the checksum on media; the expected value is a pure function of
-// (rank, version), so corruption == any mismatch. `version` counts local
-// overwrites (served writes, replica applies, migration installs), each of
-// which lands a fresh, clean value.
+// Per-domain integrity shadow of the values this server stores: one flag
+// per rank, set while the stored value is corrupt, and how many are set.
+// A corrupt= flip sets it; a heal clears it; every local overwrite (served
+// write, replica apply, migration install) lands a fresh value and clears
+// it, unless a migration carried a corrupt sole copy.
 struct IntegrityStore {
-  std::vector<uint64_t> stored;
-  std::vector<uint32_t> version;
+  std::vector<uint8_t> corrupt;
+  uint64_t corrupt_count = 0;
   std::vector<uint8_t> repairing;  // de-dups concurrent repairs per rank
 };
 
@@ -254,40 +254,31 @@ inline const HashRing& RingOf(const RackKv& r, const KvDomain& dom) {
   return dom.mring != nullptr ? *dom.mring : *r.ring;
 }
 
-// The per-value FNV checksum over (rank, version) — what a clean store
-// holds. Corruption XORs noise into `stored`, so any verify catches it.
-inline uint64_t ValueChecksum(uint64_t rank, uint32_t version) {
-  uint64_t h = FnvMix(1469598103934665603ULL, rank);
-  for (int i = 0; i < 4; ++i) {
-    h = (h ^ ((static_cast<uint64_t>(version) >> (8 * i)) & 0xffu)) *
-        1099511628211ULL;
-  }
-  return h;
+inline bool IsCorrupt(const KvDomain& dom, uint64_t rank) {
+  return dom.integ->corrupt[static_cast<size_t>(rank)] != 0;
 }
 
-inline constexpr uint64_t kCorruptNoise = 0x5a5a5a5a5a5a5a5aULL;
-
-inline bool IsCorrupt(const KvDomain& dom, uint64_t rank) {
-  const IntegrityStore& st = *dom.integ;
-  const size_t i = static_cast<size_t>(rank);
-  return st.stored[i] != ValueChecksum(rank, st.version[i]);
+// Sets or clears the flag at `rank`, keeping corrupt_count in step.
+inline void SetCorrupt(KvDomain& dom, uint64_t rank, bool bad) {
+  IntegrityStore& st = *dom.integ;
+  uint8_t& flag = st.corrupt[static_cast<size_t>(rank)];
+  if ((flag != 0) != bad) {
+    flag = bad ? 1 : 0;
+    st.corrupt_count = bad ? st.corrupt_count + 1 : st.corrupt_count - 1;
+  }
 }
 
 // A fresh value lands at `rank` (served write, replica apply, or migration
-// install). Bumps the version and stores the matching checksum — unless the
-// writer itself held a corrupt sole copy (`bad`, migration only), in which
-// case the corruption travels and is accounted as propagated.
+// install). It is clean — unless the writer itself held a corrupt sole copy
+// (`bad`, migration only), in which case the corruption travels and is
+// accounted as propagated.
 inline void InstallValue(KvDomain& dom, uint64_t rank, bool bad) {
   if (dom.integ == nullptr) {
     return;
   }
-  IntegrityStore& st = *dom.integ;
-  const size_t i = static_cast<size_t>(rank);
   const bool was_bad = IsCorrupt(dom, rank);
-  ++st.version[i];
-  st.stored[i] = ValueChecksum(rank, st.version[i]);
+  SetCorrupt(dom, rank, bad);
   if (bad) {
-    st.stored[i] ^= kCorruptNoise;
     if (!was_bad) {
       ++dom.ctr.corrupt_propagated;
     }

@@ -1,5 +1,5 @@
 // Serving & replication (DESIGN.md §13.3). An arrival is admitted,
-// checksum-verified and served through the full SmartNIC model, and the
+// integrity-verified and served through the full SmartNIC model, and the
 // reply goes home. A key's primary is HashRing::PrimaryOf(rank); its
 // follower replica is the next distinct server clockwise (src/topo/shard.h).
 // Writes served at the primary are replicated: the primary's SoC first pulls
@@ -214,7 +214,7 @@ void ServeArrival(RackKv& r, DomainId t, DomainId src, HomeOp* op,
     ++here.ctr.serve_timeouts;
     SettleServe(*rk, t, ctx, /*ok=*/false, here.stack.sim->now());
   });
-  // Integrity: verify the stored checksum before serving a read. A corrupt
+  // Integrity: verify the stored value before serving a read. A corrupt
   // value never reaches the client — the serve parks on a replica-read
   // repair and resumes (or retries elsewhere) once the heal settles.
   // Writes skip the gate: they overwrite the value regardless.
@@ -266,8 +266,8 @@ void SettleServe(RackKv& r, DomainId t, ServeCtx* ctx, bool ok, SimTime done) {
   ctx->settled = true;
   if (ok && dom.integ != nullptr) {
     if (ctx->write) {
-      // The served write lands a fresh value: version bump + clean checksum
-      // (healing any corruption the old value carried).
+      // The served write lands a fresh, clean value (healing any
+      // corruption the old value carried).
       InstallValue(dom, ctx->req.rank, /*bad=*/false);
     } else if (IsCorrupt(dom, ctx->req.rank)) {
       // Corrupted mid-serve (a corrupt= window fired while the value was in
