@@ -1,6 +1,7 @@
 #include "src/sim/timer_wheel.h"
 
 #include <algorithm>
+#include <limits>
 #include <utility>
 
 #include "src/common/log.h"
@@ -70,21 +71,23 @@ bool TimerWheel::Cancel(TimerId id) {
 }
 
 void TimerWheel::Place(uint32_t idx, SimTime now) {
-  const Timer& t = records_[idx];
-  const SimTime d = t.deadline;
-  // Coarsest level whose slot for `d` has not started yet. SlotStart is
-  // non-increasing in the level, so scanning from the top finds the max.
+  // The deadline in ticks: level l's slot number is q >> (kSlotBits * l),
+  // so every level's slot start and bucket come from shifts of one divide.
+  const SimTime q = records_[idx].deadline / tick_;
+  // Coarsest level whose slot for the deadline has not started yet. The
+  // slot start is non-increasing in the level, so scanning from the top
+  // finds the max.
   int level = -1;
+  SimTime at = 0;
   for (int l = kLevels - 1; l >= 0; --l) {
-    if (SlotStart(l, d) > now) {
+    const SimTime start = ((q >> (kSlotBits * l)) << (kSlotBits * l)) * tick_;
+    if (start > now) {
       level = l;
+      at = start;
       break;
     }
   }
-  SimTime at;
-  if (level >= 0) {
-    at = SlotStart(level, d);
-  } else {
+  if (level < 0) {
     // The innermost slot already began: park in the level-0 bucket and run
     // its sentinel at `now`. Routing even this case through the bucket (not
     // straight to sim->At) is what keeps equal-deadline timers in one
@@ -92,12 +95,23 @@ void TimerWheel::Place(uint32_t idx, SimTime now) {
     level = 0;
     at = now;
   }
-  Bucket& b = levels_[level][(d / Width(level)) % kSlots];
-  b.timers.push_back(idx);
+  const int bucket_index = static_cast<int>((q >> (kSlotBits * level)) & (kSlots - 1));
+  Bucket& b = levels_[level][bucket_index];
+  Append(b, idx);
   records_[idx].state = State::kQueued;
   if (b.next_sentinel == kNoSentinel || at < b.next_sentinel) {
-    ArmSentinel(level, static_cast<int>((d / Width(level)) % kSlots), at);
+    ArmSentinel(level, bucket_index, at);
   }
+}
+
+void TimerWheel::Append(Bucket& b, uint32_t idx) {
+  records_[idx].next = kNil;
+  if (b.tail == kNil) {
+    b.head = idx;
+  } else {
+    records_[b.tail].next = idx;
+  }
+  b.tail = idx;
 }
 
 void TimerWheel::ArmSentinel(int level, int bucket_index, SimTime at) {
@@ -116,27 +130,27 @@ void TimerWheel::ArmSentinel(int level, int bucket_index, SimTime at) {
 void TimerWheel::Process(int level, int bucket_index, SimTime at) {
   Bucket& b = levels_[level][bucket_index];
   b.next_sentinel = kNoSentinel;
-  // Partition in place: timers whose slot has started are due; collisions
-  // from later wheel revolutions stay queued.
-  std::vector<uint32_t> due;
-  std::vector<uint32_t> keep;
-  due.reserve(b.timers.size());
-  for (const uint32_t idx : b.timers) {
-    Timer& t = records_[idx];
+  // Partition in list order: timers whose slot has started are due;
+  // collisions from later wheel revolutions are re-queued in their order.
+  std::vector<uint32_t>& due = due_;
+  due.clear();
+  uint32_t cur = b.head;
+  b.head = b.tail = kNil;
+  SimTime earliest = std::numeric_limits<SimTime>::max();
+  while (cur != kNil) {
+    Timer& t = records_[cur];
+    const uint32_t next = t.next;
     if (t.cancelled) {
-      FreeRecord(idx);  // the lazy half of Cancel
-    } else if (SlotStart(level, t.deadline) <= at) {
-      due.push_back(idx);
+      FreeRecord(cur);  // the lazy half of Cancel
+    } else if (const SimTime start = SlotStart(level, t.deadline); start <= at) {
+      due.push_back(cur);
     } else {
-      keep.push_back(idx);
+      Append(b, cur);
+      earliest = std::min(earliest, start);
     }
+    cur = next;
   }
-  b.timers.swap(keep);
-  if (!b.timers.empty()) {
-    SimTime earliest = SlotStart(level, records_[b.timers[0]].deadline);
-    for (const uint32_t idx : b.timers) {
-      earliest = std::min(earliest, SlotStart(level, records_[idx].deadline));
-    }
+  if (b.head != kNil) {
     ArmSentinel(level, bucket_index, earliest);
   }
   if (level > 0) {

@@ -86,6 +86,7 @@ class TimerWheel {
   static constexpr int kSlots = 1 << kSlotBits;  // 64 slots per level
   static constexpr int kLevels = 6;              // tick << 36 total span
   static constexpr SimTime kNoSentinel = -1;
+  static constexpr uint32_t kNil = ~0u;  // end of a bucket's timer list
 
   enum class State : uint8_t { kFree, kQueued, kReleased };
 
@@ -93,13 +94,18 @@ class TimerWheel {
     SimTime deadline = 0;
     uint64_t order = 0;  // global arm counter: the equal-deadline tie-break
     uint32_t gen = 1;    // recycle guard, part of the public TimerId
+    uint32_t next = kNil;  // the next timer in its bucket, in arrival order
     State state = State::kFree;
     bool cancelled = false;
     SimCallback cb;
   };
 
+  // A bucket is an intrusive FIFO list through Timer::next, so it holds no
+  // storage of its own: a bucket that once held a burst keeps nothing after
+  // it drains, and queueing a timer never allocates.
   struct Bucket {
-    std::vector<uint32_t> timers;
+    uint32_t head = kNil;
+    uint32_t tail = kNil;
     // Earliest pending sentinel for this bucket (kNoSentinel when none).
     // Invariant: whenever the bucket is non-empty, a sentinel is pending at
     // or before the earliest member's slot start, so no timer is ever
@@ -120,6 +126,7 @@ class TimerWheel {
   // start still lies in the future, or the level-0 bucket with an immediate
   // sentinel when the deadline's innermost slot has already begun.
   void Place(uint32_t idx, SimTime now);
+  void Append(Bucket& b, uint32_t idx);
   void ArmSentinel(int level, int bucket_index, SimTime at);
   // Sentinel body: drain everything whose slot has started — cascade from
   // level > 0, release exact-time events from level 0 in (deadline, order).
@@ -131,6 +138,9 @@ class TimerWheel {
   std::vector<Bucket> levels_[kLevels];
   std::vector<Timer> records_;
   std::vector<uint32_t> free_;
+  // Process's scratch for the due timers: no sentinel runs inside another,
+  // so one serves them all and stops allocating once warm.
+  std::vector<uint32_t> due_;
 
   uint64_t next_order_ = 0;
   size_t live_ = 0;
