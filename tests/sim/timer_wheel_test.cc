@@ -3,18 +3,35 @@
 // cancel via a stale-event flag). The property test below drives both
 // implementations through the same randomized arm/cancel schedule — mixed
 // deadline scales, forced equal-deadline ties, heavy cancellation — and
-// requires byte-identical firing sequences.
+// requires byte-identical firing sequences. A warm wheel also arms, cascades
+// and fires without allocating, counted by this binary's operator new.
 #include "src/sim/timer_wheel.h"
 
 #include <gtest/gtest.h>
 
+#include <cstdlib>
 #include <memory>
+#include <new>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/sim/simulator.h"
+
+namespace {
+uint64_t g_allocations = 0;  // global operator new calls in this binary
+}  // namespace
+
+void* operator new(std::size_t n) {
+  ++g_allocations;
+  if (void* p = std::malloc(n == 0 ? 1 : n)) {
+    return p;
+  }
+  throw std::bad_alloc();
+}
+void operator delete(void* p) noexcept { std::free(p); }
+void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 namespace snicsim {
 namespace {
@@ -227,6 +244,37 @@ TEST(TimerWheel, CallbackMayRearmIntoTheWheel) {
   sim.Run();
   EXPECT_EQ(ticks, 5);
   EXPECT_EQ(sim.now(), 5 * FromMicros(10));
+}
+
+TEST(TimerWheel, WarmWheelAllocatesNothing) {
+  Simulator sim;
+  TimerWheel wheel(&sim);
+  int fired = 0;
+  // Deadlines past the 32 us level-0 span cascade from level 1, and from
+  // level 2 when a round straddles a 2.048 ms boundary; every third timer
+  // is cancelled and reclaimed by its bucket scan. A round lasts ~62 us.
+  const auto round = [&] {
+    for (int i = 0; i < 64; ++i) {
+      const TimerWheel::TimerId id =
+          wheel.In(FromNanos(100 + 997 * i), [&fired] { ++fired; });
+      if (i % 3 == 0) {
+        wheel.Cancel(id);
+      }
+    }
+    sim.Run();
+  };
+  for (int r = 0; r < 40; ++r) {
+    round();  // warms the records, the event slab and the due scratch,
+              // level-2 cascades included
+  }
+  const uint64_t before = g_allocations;
+  for (int r = 0; r < 64; ++r) {
+    round();
+  }
+  const uint64_t allocations = g_allocations - before;
+  EXPECT_EQ(allocations, 0u);
+  EXPECT_EQ(fired, 104 * 42);
+  EXPECT_GT(wheel.cascades(), 0u);
 }
 
 TEST(TimerWheel, StaleIdOfRecycledRecordIsRejected) {
