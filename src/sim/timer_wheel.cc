@@ -132,8 +132,7 @@ void TimerWheel::Process(int level, int bucket_index, SimTime at) {
   b.next_sentinel = kNoSentinel;
   // Partition in list order: timers whose slot has started are due;
   // collisions from later wheel revolutions are re-queued in their order.
-  std::vector<uint32_t>& due = due_;
-  due.clear();
+  due_.clear();
   uint32_t cur = b.head;
   b.head = b.tail = kNil;
   SimTime earliest = std::numeric_limits<SimTime>::max();
@@ -143,7 +142,7 @@ void TimerWheel::Process(int level, int bucket_index, SimTime at) {
     if (t.cancelled) {
       FreeRecord(cur);  // the lazy half of Cancel
     } else if (const SimTime start = SlotStart(level, t.deadline); start <= at) {
-      due.push_back(cur);
+      due_.push_back(cur);
     } else {
       Append(b, cur);
       earliest = std::min(earliest, start);
@@ -156,15 +155,15 @@ void TimerWheel::Process(int level, int bucket_index, SimTime at) {
   if (level > 0) {
     // Cascade: re-place as seen from now; strictly descends because this
     // level's slot start is no longer in the future.
-    cascades_ += due.size();
-    for (const uint32_t idx : due) {
+    cascades_ += due_.size();
+    for (const uint32_t idx : due_) {
       Place(idx, at);
     }
     return;
   }
   // Level 0: release in (deadline, arm order) — byte-for-byte the firing
   // order the heap path produces, where arm order == DES seq order.
-  std::sort(due.begin(), due.end(), [this](uint32_t a, uint32_t c) {
+  std::sort(due_.begin(), due_.end(), [this](uint32_t a, uint32_t c) {
     const Timer& ta = records_[a];
     const Timer& tc = records_[c];
     if (ta.deadline != tc.deadline) {
@@ -172,7 +171,7 @@ void TimerWheel::Process(int level, int bucket_index, SimTime at) {
     }
     return ta.order < tc.order;
   });
-  for (const uint32_t idx : due) {
+  for (const uint32_t idx : due_) {
     Release(idx);
   }
 }

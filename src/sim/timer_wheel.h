@@ -92,8 +92,8 @@ class TimerWheel {
 
   struct Timer {
     SimTime deadline = 0;
-    uint64_t order = 0;  // global arm counter: the equal-deadline tie-break
-    uint32_t gen = 1;    // recycle guard, part of the public TimerId
+    uint64_t order = 0;    // global arm counter: the equal-deadline tie-break
+    uint32_t gen = 1;      // recycle guard, part of the public TimerId
     uint32_t next = kNil;  // the next timer in its bucket, in arrival order
     State state = State::kFree;
     bool cancelled = false;
