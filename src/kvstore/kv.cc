@@ -45,7 +45,7 @@ SocOffloadKvServer::SocOffloadKvServer(Simulator* sim, BluefieldServer* server,
       server_(server),
       index_(index),
       config_(config),
-      soc_cpu_(sim, "kv.soccpu", /*servers=*/8),
+      soc_cpu_(sim, /*servers=*/8),
       key_rng_(0x5eedULL) {
   server_->nic().SetSendHandler(
       server_->soc_ep(),

@@ -12,8 +12,8 @@ ServingExecutor::ServingExecutor(Simulator* sim, BluefieldServer* server,
     : sim_(sim),
       server_(server),
       config_(config),
-      host_cpu_(sim, "serve.hostcpu", config.host_cores),
-      soc_cpu_(sim, "serve.soccpu", config.soc_cores) {
+      host_cpu_(sim, config.host_cores),
+      soc_cpu_(sim, config.soc_cores) {
   config_.layout.Validate();
   server_->nic().SetSendHandler(
       server_->host_ep(),

@@ -51,24 +51,22 @@ MemorySubsystem::MemorySubsystem(Simulator* sim, std::string name, const MemoryP
   SNIC_CHECK_GT(params_.channels, 0);
   SNIC_CHECK_GT(params_.banks_per_channel, 0);
   SNIC_CHECK_GT(params_.row_bytes, 0u);
-  for (int c = 0; c < params_.channels; ++c) {
-    cmd_.push_back(std::make_unique<BusyServer>(sim, name_ + ".cmd" + std::to_string(c)));
-    data_bus_.push_back(std::make_unique<BusyServer>(sim, name_ + ".bus" + std::to_string(c)));
-    for (int b = 0; b < params_.banks_per_channel; ++b) {
-      banks_.push_back(std::make_unique<BusyServer>(
-          sim, name_ + ".bank" + std::to_string(c) + "." + std::to_string(b)));
-    }
-  }
+  const size_t channels = static_cast<size_t>(params_.channels);
+  cmd_.assign(channels, BusyServer(sim));
+  data_bus_.assign(channels, BusyServer(sim));
+  banks_.assign(channels * static_cast<size_t>(params_.banks_per_channel), BusyServer(sim));
   if (params_.has_llc) {
-    llc_ = std::make_unique<MultiServer>(sim, name_ + ".llc", params_.llc_slices);
-    llc_tags_.assign(std::max<uint64_t>(1, params_.llc_bytes / params_.row_bytes),
-                     ~uint64_t{0});
+    llc_.emplace(sim, params_.llc_slices);
   }
 }
 
 bool MemorySubsystem::LlcLookup(uint64_t row, bool is_write) {
   if (!params_.has_llc) {
     return false;
+  }
+  if (llc_tags_.empty()) {
+    llc_tags_.assign(std::max<uint64_t>(1, params_.llc_bytes / params_.row_bytes),
+                     ~uint64_t{0});
   }
   const size_t set = static_cast<size_t>(row % llc_tags_.size());
   const bool hit = llc_tags_[set] == row;
@@ -94,8 +92,8 @@ SimTime MemorySubsystem::AccessDram(SimTime ready, uint64_t row, bool is_write) 
   const uint64_t bank_index =
       (row / static_cast<uint64_t>(params_.channels)) %
       static_cast<uint64_t>(params_.banks_per_channel);
-  BusyServer& cmd = *cmd_[static_cast<size_t>(channel)];
-  BusyServer& bank = *banks_[static_cast<size_t>(channel) *
+  BusyServer& cmd = cmd_[static_cast<size_t>(channel)];
+  BusyServer& bank = banks_[static_cast<size_t>(channel) *
                                 static_cast<size_t>(params_.banks_per_channel) +
                             bank_index];
   const SimTime cmd_done = cmd.EnqueueAt(
@@ -134,7 +132,7 @@ SimTime MemorySubsystem::AccessBulk(SimTime ready, uint64_t addr, uint32_t len,
     const SimTime stream =
         params_.channel_bandwidth.TransferTime(row_end - row_start);
     const SimTime t =
-        data_bus_[static_cast<size_t>(channel)]->EnqueueAt(ready, stream) +
+        data_bus_[static_cast<size_t>(channel)].EnqueueAt(ready, stream) +
         params_.dram_latency;
     done = std::max(done, t);
   }

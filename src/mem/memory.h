@@ -17,7 +17,7 @@
 #define SRC_MEM_MEMORY_H_
 
 #include <cstdint>
-#include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -98,13 +98,15 @@ class MemorySubsystem {
   std::string name_;
   MemoryParams params_;
 
-  std::vector<std::unique_ptr<BusyServer>> cmd_;        // one per channel
-  std::vector<std::unique_ptr<BusyServer>> banks_;      // channels * banks
-  std::vector<std::unique_ptr<BusyServer>> data_bus_;   // one per channel
-  std::unique_ptr<MultiServer> llc_;
+  // Sized once at construction; the servers are held by value.
+  std::vector<BusyServer> cmd_;       // one per channel
+  std::vector<BusyServer> banks_;     // channels * banks
+  std::vector<BusyServer> data_bus_;  // one per channel
+  std::optional<MultiServer> llc_;    // has_llc only
 
   // Direct-mapped row-granular LLC presence table (random-ish replacement by
-  // direct conflict). Sized from llc_bytes / row_bytes.
+  // direct conflict). Sized from llc_bytes / row_bytes at the first lookup,
+  // so a testbed that never touches memory never fills it.
   std::vector<uint64_t> llc_tags_;
 
   uint64_t llc_hits_ = 0;

@@ -16,15 +16,11 @@ NicEndpoint::NicEndpoint(Simulator* sim, const NicParams& nic, const EndpointPar
       to_mem_(std::move(nic_to_mem)),
       from_mem_(to_mem_.Reversed()),
       memory_(memory),
-      read_credits_(sim, params_.name + ".rdcred", nic.read_credits),
-      write_credits_(sim, params_.name + ".wrcred", nic.write_credits) {
+      read_credits_(sim, nic.read_credits),
+      write_credits_(sim, nic.write_credits),
+      read_completer_(sim),
+      write_completer_(sim) {
   SNIC_CHECK(memory_ != nullptr);
-  if (!params_.read_completer.is_zero()) {
-    read_completer_ = std::make_unique<BusyServer>(sim, params_.name + ".rdcmpl");
-  }
-  if (!params_.write_completer.is_zero()) {
-    write_completer_ = std::make_unique<BusyServer>(sim, params_.name + ".wrcmpl");
-  }
 }
 
 SimTime NicEndpoint::ControlRtt() const { return 2 * to_mem_.BaseLatency(); }
@@ -76,8 +72,8 @@ void NicEndpoint::IssueOneSubRead(ReadOp* op) {
     const SimTime req_at = to_mem_.TransferControlAt(sim_, sim_->now(), nullptr, op->rid);
     // ... is serviced by the completer and the memory ...
     SimTime served = req_at;
-    if (read_completer_ != nullptr) {
-      served = read_completer_->EnqueueAt(req_at, params_.read_completer.ServiceTime());
+    if (!params_.read_completer.is_zero()) {
+      served = read_completer_.EnqueueAt(req_at, params_.read_completer.ServiceTime());
       if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
         tr->Span(params_.name, "read_completer", req_at, served, op->rid);
       }
@@ -162,8 +158,8 @@ void NicEndpoint::IssueOneSubWrite(WriteOp* op) {
       op->delivered += chunk;
       op->last_posted = sim_->now();
       SimTime served = sim_->now();
-      if (write_completer_ != nullptr) {
-        served = write_completer_->EnqueueAt(served, params_.write_completer.ServiceTime());
+      if (!params_.write_completer.is_zero()) {
+        served = write_completer_.EnqueueAt(served, params_.write_completer.ServiceTime());
         if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
           tr->Span(params_.name, "write_completer", op->last_posted, served, op->rid,
                    TraceCat::kAsync);

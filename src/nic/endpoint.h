@@ -16,7 +16,6 @@
 
 #include <cstdint>
 #include <functional>
-#include <memory>
 #include <string>
 
 #include "src/common/units.h"
@@ -172,8 +171,9 @@ class NicEndpoint {
 
   TokenPool read_credits_;
   TokenPool write_credits_;
-  std::unique_ptr<BusyServer> read_completer_;
-  std::unique_ptr<BusyServer> write_completer_;
+  // Used only when the matching EndpointParams rate is non-zero.
+  BusyServer read_completer_;
+  BusyServer write_completer_;
 
   uint64_t reads_issued_ = 0;
   uint64_t writes_issued_ = 0;

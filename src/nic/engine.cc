@@ -13,21 +13,21 @@ namespace snicsim {
 NicEngine::NicEngine(Simulator* sim, NicParams params)
     : sim_(sim),
       params_(std::move(params)),
-      frontend_(sim, params_.name + ".fe", params_.shared_pipeline,
-                params_.dedicated_pipeline),
-      pus_(sim, params_.name + ".pu", params_.pu_count) {}
+      frontend_(sim, params_.shared_pipeline, params_.dedicated_pipeline),
+      pus_(sim, params_.pu_count) {
+  endpoints_.reserve(FrontEnd::kMaxEndpoints);
+  send_handlers_.reserve(FrontEnd::kMaxEndpoints);
+}
 
 NicEndpoint* NicEngine::AddEndpoint(const EndpointParams& ep, PciePath nic_to_mem,
                                     MemorySubsystem* memory) {
-  auto endpoint =
-      std::make_unique<NicEndpoint>(sim_, params_, ep, std::move(nic_to_mem), memory);
-  endpoint->fe_id = frontend_.AddEndpoint(ep.name);
-  endpoints_.push_back(std::move(endpoint));
-  dedicated_pus_.push_back(
-      params_.pu_dedicated > 0
-          ? std::make_unique<TokenPool>(sim_, params_.name + ".pu." + ep.name,
-                                        params_.pu_dedicated)
-          : nullptr);
+  const int fe_id = frontend_.AddEndpoint();
+  endpoints_.push_back(
+      std::make_unique<NicEndpoint>(sim_, params_, ep, std::move(nic_to_mem), memory));
+  endpoints_.back()->fe_id = fe_id;
+  if (params_.pu_dedicated > 0) {
+    dedicated_pus_[static_cast<size_t>(fe_id)].emplace(sim_, params_.pu_dedicated);
+  }
   send_handlers_.emplace_back();
   return endpoints_.back().get();
 }
@@ -39,10 +39,10 @@ void NicEngine::SetSendHandler(NicEndpoint* ep, SendHandler handler) {
 }
 
 TokenPool* NicEngine::AcquirePu(NicEndpoint* ep, Simulator::Callback granted) {
-  TokenPool* dedicated = dedicated_pus_[static_cast<size_t>(ep->fe_id)].get();
-  if (dedicated != nullptr && dedicated->TryAcquire()) {
+  std::optional<TokenPool>& dedicated = dedicated_pus_[static_cast<size_t>(ep->fe_id)];
+  if (dedicated.has_value() && dedicated->TryAcquire()) {
     sim_->In(0, std::move(granted));
-    return dedicated;
+    return &*dedicated;
   }
   pus_.Acquire(std::move(granted));
   return &pus_;

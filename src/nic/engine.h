@@ -15,8 +15,10 @@
 #ifndef SRC_NIC_ENGINE_H_
 #define SRC_NIC_ENGINE_H_
 
+#include <array>
 #include <functional>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -193,7 +195,8 @@ class NicEngine : private ReplyCallback::Sink {
   FrontEnd frontend_;
   TokenPool pus_;
   std::vector<std::unique_ptr<NicEndpoint>> endpoints_;
-  std::vector<std::unique_ptr<TokenPool>> dedicated_pus_;  // indexed by fe_id
+  // Indexed by fe_id; unset when the NIC reserves no per-endpoint contexts.
+  std::array<std::optional<TokenPool>, FrontEnd::kMaxEndpoints> dedicated_pus_;
   std::vector<SendHandler> send_handlers_;
   SlabPool<Remote> remotes_;
   SlabPool<Local> locals_;

@@ -10,8 +10,6 @@
 #ifndef SRC_NIC_FRONTEND_H_
 #define SRC_NIC_FRONTEND_H_
 
-#include <memory>
-#include <string>
 #include <vector>
 
 #include "src/common/log.h"
@@ -23,17 +21,22 @@ namespace snicsim {
 
 class FrontEnd {
  public:
-  FrontEnd(Simulator* sim, std::string name, Rate shared, Rate dedicated_per_endpoint)
+  // A NIC exposes at most two PCIe endpoints: the host and, on a SmartNIC,
+  // the SoC.
+  static constexpr int kMaxEndpoints = 2;
+
+  FrontEnd(Simulator* sim, Rate shared, Rate dedicated_per_endpoint)
       : sim_(sim),
-        name_(std::move(name)),
         shared_rate_(shared),
         dedicated_rate_(dedicated_per_endpoint),
-        shared_(sim, name_ + ".shared") {}
+        shared_(sim) {
+    dedicated_.reserve(kMaxEndpoints);
+  }
 
   // Registers a PCIe endpoint; returns its id.
-  int AddEndpoint(const std::string& endpoint_name) {
-    dedicated_.push_back(
-        std::make_unique<BusyServer>(sim_, name_ + ".ded." + endpoint_name));
+  int AddEndpoint() {
+    SNIC_CHECK_LT(static_cast<int>(dedicated_.size()), kMaxEndpoints);
+    dedicated_.emplace_back(sim_);
     return static_cast<int>(dedicated_.size()) - 1;
   }
 
@@ -50,7 +53,7 @@ class FrontEnd {
     if (endpoint < 0 || dedicated_rate_.is_zero()) {
       return shared_.EnqueueAt(ready, shared_service);
     }
-    BusyServer& ded = *dedicated_[static_cast<size_t>(endpoint)];
+    BusyServer& ded = dedicated_[static_cast<size_t>(endpoint)];
     const SimTime ded_service =
         static_cast<SimTime>(static_cast<double>(dedicated_rate_.ServiceTime()) * units);
     // Dispatch to whichever pipeline finishes first.
@@ -68,11 +71,10 @@ class FrontEnd {
 
  private:
   Simulator* sim_;
-  std::string name_;
   Rate shared_rate_;
   Rate dedicated_rate_;
   BusyServer shared_;
-  std::vector<std::unique_ptr<BusyServer>> dedicated_;
+  std::vector<BusyServer> dedicated_;  // reserved for kMaxEndpoints, never moves
 };
 
 }  // namespace snicsim

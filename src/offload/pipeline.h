@@ -51,8 +51,7 @@ class OffloadPipeline {
       : sim_(sim), server_(server), stages_(std::move(stages)), item_bytes_(item_bytes) {
     SNIC_CHECK(!stages_.empty());
     for (const StageSpec& st : stages_) {
-      pools_.push_back(std::make_unique<MultiServer>(
-          sim, "stage." + st.name, st.workers));
+      pools_.push_back(std::make_unique<MultiServer>(sim, st.workers));
     }
   }
 

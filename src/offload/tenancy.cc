@@ -52,8 +52,7 @@ TenantManager::TenantManager(Simulator* sim, BluefieldServer* server,
       host_domain_(std::move(host_domain)),
       soc_domain_(std::move(soc_domain)) {
   SNIC_CHECK(!cfg_.empty());
-  host_pool_ =
-      std::make_unique<MultiServer>(sim, "tenant.host", cfg_.host_cores);
+  host_pool_ = std::make_unique<MultiServer>(sim, cfg_.host_cores);
   // Pool membership in config order fixes each tenant's arbiter slot.
   std::vector<std::vector<int>> weights(cfg_.pools.size());
   for (const TenantSpec& spec : cfg_.tenants) {

@@ -54,8 +54,8 @@ class PcieLink {
         name_(std::move(name)),
         bandwidth_(per_direction),
         propagation_(propagation),
-        down_(sim, name_ + ".down"),
-        up_(sim, name_ + ".up") {}
+        down_(sim),
+        up_(sim) {}
 
   PcieLink(const PcieLink&) = delete;
   PcieLink& operator=(const PcieLink&) = delete;

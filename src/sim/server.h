@@ -7,6 +7,10 @@
 // start no earlier than E completes at max(next_free, E, now) + S. This is
 // exact for FIFO servers and keeps event counts proportional to *jobs*, not
 // queue state transitions.
+//
+// The primitives carry no names: a machine builds hundreds of them (every
+// DRAM bank is one), and the only reader of a name is a trace or metrics
+// sink, which formats the lane it wants itself.
 #ifndef SRC_SIM_SERVER_H_
 #define SRC_SIM_SERVER_H_
 
@@ -14,7 +18,6 @@
 #include <cstdint>
 #include <deque>
 #include <queue>
-#include <string>
 #include <vector>
 
 #include "src/common/log.h"
@@ -26,7 +29,7 @@ namespace snicsim {
 // A single FIFO server.
 class BusyServer {
  public:
-  BusyServer(Simulator* sim, std::string name) : sim_(sim), name_(std::move(name)) {}
+  explicit BusyServer(Simulator* sim) : sim_(sim) {}
 
   // Enqueues a job of duration `service` that may not start before
   // `earliest`. Returns the completion time; `cb` (optional) fires then.
@@ -52,7 +55,6 @@ class BusyServer {
 
   SimTime busy_time() const { return busy_time_; }
   uint64_t jobs() const { return jobs_; }
-  const std::string& name() const { return name_; }
 
   double Utilization(SimTime window) const {
     return window <= 0 ? 0.0 : static_cast<double>(busy_time_) / static_cast<double>(window);
@@ -60,7 +62,6 @@ class BusyServer {
 
  private:
   Simulator* sim_;
-  std::string name_;
   SimTime next_free_ = 0;
   SimTime busy_time_ = 0;
   uint64_t jobs_ = 0;
@@ -71,8 +72,8 @@ class BusyServer {
 // Jobs are dispatched to the earliest-free server.
 class MultiServer {
  public:
-  MultiServer(Simulator* sim, std::string name, int servers)
-      : sim_(sim), name_(std::move(name)), next_free_(static_cast<size_t>(servers), 0) {
+  MultiServer(Simulator* sim, int servers)
+      : sim_(sim), next_free_(static_cast<size_t>(servers), 0) {
     SNIC_CHECK_GT(servers, 0);
   }
 
@@ -123,7 +124,6 @@ class MultiServer {
   int size() const { return static_cast<int>(next_free_.size()); }
   SimTime busy_time() const { return busy_time_; }
   uint64_t jobs() const { return jobs_; }
-  const std::string& name() const { return name_; }
 
   // Queueing delay a job arriving now would see before a server frees up
   // (0 when any server is idle).
@@ -137,7 +137,6 @@ class MultiServer {
 
  private:
   Simulator* sim_;
-  std::string name_;
   std::vector<SimTime> next_free_;
   SimTime busy_time_ = 0;
   uint64_t jobs_ = 0;
@@ -148,8 +147,7 @@ class MultiServer {
 // not known at acquire time: the holder calls Release explicitly.
 class TokenPool {
  public:
-  TokenPool(Simulator* sim, std::string name, int tokens)
-      : sim_(sim), name_(std::move(name)), available_(tokens), capacity_(tokens) {
+  TokenPool(Simulator* sim, int tokens) : sim_(sim), available_(tokens), capacity_(tokens) {
     SNIC_CHECK_GT(tokens, 0);
   }
 
@@ -190,11 +188,9 @@ class TokenPool {
   int capacity() const { return capacity_; }
   size_t waiting() const { return waiters_.size(); }
   size_t max_waiters() const { return max_waiters_; }
-  const std::string& name() const { return name_; }
 
  private:
   Simulator* sim_;
-  std::string name_;
   int available_;
   int capacity_;
   std::deque<Simulator::Callback> waiters_;

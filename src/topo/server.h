@@ -37,7 +37,7 @@ class EchoCpu {
   // a stalled pool defers dispatch without consuming core time.
   EchoCpu(Simulator* sim, const std::string& name, int cores, SimTime per_message,
           SimTime notify_delay = 0, std::string fault_domain = "host")
-      : sim_(sim), pool_(sim, name, cores), per_message_(per_message),
+      : sim_(sim), name_(name), pool_(sim, cores), per_message_(per_message),
         notify_delay_(notify_delay), fault_domain_(std::move(fault_domain)) {}
 
   // Returns a SendHandler that serves each message on the earliest-free
@@ -49,7 +49,7 @@ class EchoCpu {
         const SimTime stall = inj->StallDelay(fault_domain_, sim_->now());
         if (stall > 0) {
           if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
-            tr->Span(pool_.name(), "stall", sim_->now(), sim_->now() + stall, 0);
+            tr->Span(name_, "stall", sim_->now(), sim_->now() + stall, 0);
           }
           dispatch += stall;
         }
@@ -58,7 +58,7 @@ class EchoCpu {
       if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
         // SendHandler carries no request id, so CPU echo work traces as
         // req 0 on the pool's lane.
-        tr->Span(pool_.name(), "echo", sim_->now(), done, 0);
+        tr->Span(name_, "echo", sim_->now(), done, 0);
       }
       sim_->At(done, [this, done, len, reply = std::move(reply)] {
         ++replies_;
@@ -71,14 +71,15 @@ class EchoCpu {
   uint64_t replies() const { return replies_; }
 
   void RegisterMetrics(MetricsRegistry* reg) {
-    reg->Register(pool_.name(), "replies", "count", "two-sided messages echoed",
+    reg->Register(name_, "replies", "count", "two-sided messages echoed",
                   [this] { return static_cast<double>(replies_); });
-    reg->Register(pool_.name(), "busy_us", "us", "total core-busy time of the pool",
+    reg->Register(name_, "busy_us", "us", "total core-busy time of the pool",
                   [this] { return ToMicros(pool_.busy_time()); });
   }
 
  private:
   Simulator* sim_;
+  std::string name_;  // the pool's trace lane and metrics prefix
   MultiServer pool_;
   SimTime per_message_;
   SimTime notify_delay_;

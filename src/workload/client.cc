@@ -17,13 +17,22 @@ ClientMachine::ClientMachine(Simulator* sim, Fabric* fabric, const ClientParams&
       params_(params),
       name_(name),
       port_(fabric->AddPort(name + ".port", params.nic.network_bandwidth)),
-      nic_fe_(sim, name + ".fe") {
+      nic_fe_(sim) {
+  threads_.reserve(static_cast<size_t>(params_.threads));
   for (int t = 0; t < params_.threads; ++t) {
-    thread_cpu_.push_back(std::make_unique<BusyServer>(sim, name + ".cpu" + std::to_string(t)));
+    threads_.emplace_back(sim);
   }
 }
 
+std::string ClientMachine::CpuLane(int thread) const {
+  return name_ + ".cpu" + std::to_string(thread);
+}
+
 void ClientMachine::Start(const TargetSpec& target, AddressGenerator addr, Meter* meter) {
+  // Scheduled pumps hold pointers into threads_; a second Start would
+  // re-seed loops that are already running.
+  SNIC_CHECK(!started_);
+  started_ = true;
   SNIC_CHECK(target.engine != nullptr);
   SNIC_CHECK(target.endpoint != nullptr);
   SNIC_CHECK(target.server_port != nullptr);
@@ -36,8 +45,7 @@ void ClientMachine::Start(const TargetSpec& target, AddressGenerator addr, Meter
   }
   const SimTime machine_offset = static_cast<SimTime>(h % 40) * FromNanos(200);
   for (int t = 0; t < params_.threads; ++t) {
-    loops_.push_back(std::make_unique<Loop>());
-    Loop* loop = loops_.back().get();
+    Loop* loop = &threads_[static_cast<size_t>(t)].loop;
     loop->target = target;
     // Per-thread copy of the region with an independent random stream.
     loop->addr = addr.WithSeed(0x9e37'79b9'7f4aULL * static_cast<uint64_t>(t + 1) + 13);
@@ -96,14 +104,15 @@ void ClientMachine::IssueBatch(Loop* loop) {
   issued_ += static_cast<uint64_t>(batch);
   ++doorbells_;
   const SimTime issue_start = sim_->now();
-  BusyServer& cpu = *thread_cpu_[static_cast<size_t>(loop->thread)];
+  BusyServer& cpu = threads_[static_cast<size_t>(loop->thread)].cpu;
   // Build the linked WQE chain, then one doorbell for the whole batch.
   const SimTime posted = cpu.Enqueue(params_.wr_build * batch + params_.mmio_block);
   if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
     // Batch plumbing is shared by all ops in the chain: req 0 marks it as
     // belonging to no single request.
-    tr->Span(cpu.name(), "post_batch", issue_start, posted, 0);
-    tr->Span(cpu.name(), "doorbell", posted, posted + params_.mmio_flight, 0);
+    const std::string lane = CpuLane(loop->thread);
+    tr->Span(lane, "post_batch", issue_start, posted, 0);
+    tr->Span(lane, "doorbell", posted, posted + params_.mmio_flight, 0);
     tr->Span(name_ + ".nic", "wqe_fetch", posted + params_.mmio_flight,
              posted + params_.mmio_flight + params_.wqe_fetch, 0);
   }
@@ -154,10 +163,10 @@ void ClientMachine::IssueBatch(Loop* loop) {
 void ClientMachine::Post(int thread, const TargetSpec& target, uint64_t addr,
                          SmallFunction<void(SimTime)> cb) {
   SNIC_CHECK_GE(thread, 0);
-  SNIC_CHECK_LT(static_cast<size_t>(thread), thread_cpu_.size());
+  SNIC_CHECK_LT(static_cast<size_t>(thread), threads_.size());
   ++issued_;
   ++doorbells_;
-  BusyServer& cpu = *thread_cpu_[static_cast<size_t>(thread)];
+  BusyServer& cpu = threads_[static_cast<size_t>(thread)].cpu;
   Tracer* const tr = sim_->tracer();
   const uint64_t rid = tr != nullptr ? tr->NextRequestId() : 0;
   const SimTime issue_start = sim_->now();
@@ -165,8 +174,9 @@ void ClientMachine::Post(int thread, const TargetSpec& target, uint64_t addr,
   const SimTime posted = cpu.Enqueue(params_.wr_build + params_.mmio_block);
   Flight* f = NewFlight(target, addr, rid, std::move(cb));
   if (tr != nullptr) {
-    tr->Span(cpu.name(), "post", issue_start, posted, rid);
-    tr->Span(cpu.name(), "doorbell", posted, posted + params_.mmio_flight, rid);
+    const std::string lane = CpuLane(thread);
+    tr->Span(lane, "post", issue_start, posted, rid);
+    tr->Span(lane, "doorbell", posted, posted + params_.mmio_flight, rid);
     // The completion closes a whole-request span so the trace shows
     // [post .. completion polled] as one op on the machine's lane.
     f->issue_start = issue_start;

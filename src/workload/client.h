@@ -67,7 +67,8 @@ class ClientMachine {
   ClientMachine& operator=(const ClientMachine&) = delete;
 
   // Starts all threads in a closed loop against `target`; completed ops are
-  // counted on `meter`. Runs for the lifetime of the simulation.
+  // counted on `meter`. Runs for the lifetime of the simulation. Call at
+  // most once per machine.
   void Start(const TargetSpec& target, AddressGenerator addr, Meter* meter);
 
   // Posts a single operation from `thread` (0-based); `cb` fires when the
@@ -120,6 +121,13 @@ class ClientMachine {
     int in_flight = 0;
   };
 
+  // One posting thread: its CPU and its closed loop (used once Started).
+  struct Thread {
+    explicit Thread(Simulator* sim) : cpu(sim) {}
+    BusyServer cpu;
+    Loop loop;
+  };
+
   // One reliable op in flight: `epoch` cancels superseded retry timers,
   // `done` makes completion first-wins (a late duplicate response after a
   // retransmission is dropped here). `timer` is the wheel handle of the
@@ -147,6 +155,8 @@ class ClientMachine {
     SmallFunction<void(SimTime)> cb;
   };
 
+  // The trace lane of `thread`'s CPU: "<name>.cpu<thread>".
+  std::string CpuLane(int thread) const;
   void Pump(Loop* loop);
   void IssueOne(Loop* loop);
   void IssueBatch(Loop* loop);
@@ -175,8 +185,10 @@ class ClientMachine {
   std::string name_;
   PcieLink* port_;
   BusyServer nic_fe_;
-  std::vector<std::unique_ptr<BusyServer>> thread_cpu_;
-  std::vector<std::unique_ptr<Loop>> loops_;
+  // Sized once at construction and never resized: scheduled events hold
+  // pointers to the loops.
+  std::vector<Thread> threads_;
+  bool started_ = false;
   SlabPool<Flight> flights_;
   uint64_t issued_ = 0;
   uint64_t doorbells_ = 0;  // MMIO doorbell rings (one per batch when batching)

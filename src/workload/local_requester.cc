@@ -1,5 +1,7 @@
 #include "src/workload/local_requester.h"
 
+#include <algorithm>
+#include <memory>
 #include <utility>
 
 #include "src/common/log.h"
@@ -19,17 +21,24 @@ LocalRequester::LocalRequester(Simulator* sim, NicEngine* engine, NicEndpoint* s
       // Doorbell flight time: the MMIO store travels the reverse of the
       // NIC->requester-memory route.
       mmio_flight_(src->to_mem().BaseLatency()) {
+  threads_.reserve(static_cast<size_t>(params_.threads));
   for (int t = 0; t < params_.threads; ++t) {
-    thread_cpu_.push_back(
-        std::make_unique<BusyServer>(sim, name + ".cpu" + std::to_string(t)));
+    threads_.emplace_back(sim);
   }
+}
+
+std::string LocalRequester::CpuLane(int thread) const {
+  return name_ + ".cpu" + std::to_string(thread);
 }
 
 void LocalRequester::Start(Verb verb, uint32_t payload, AddressGenerator addr,
                            Meter* meter) {
+  // Scheduled pumps and ticks hold pointers into threads_; a second Start
+  // would re-seed loops that are already running.
+  SNIC_CHECK(!started_);
+  started_ = true;
   for (int t = 0; t < params_.threads; ++t) {
-    loops_.push_back(std::make_unique<Loop>());
-    Loop* loop = loops_.back().get();
+    Loop* loop = &threads_[static_cast<size_t>(t)].loop;
     loop->verb = verb;
     loop->payload = payload;
     loop->addr = addr.WithSeed(0xabcd'ef01'2345ULL * static_cast<uint64_t>(t + 1) + 7);
@@ -42,25 +51,7 @@ void LocalRequester::Start(Verb verb, uint32_t payload, AddressGenerator addr,
 
 void LocalRequester::Pump(Loop* loop) {
   if (loop->paced) {
-    // Open loop: one thread-share of the aggregate rate, issued on a timer.
-    // The interval is recomputed every tick, so SetPacedRate takes effect
-    // within one period (the governor's control knob). The requester owns
-    // the tick closure; each scheduled tick carries only a pointer to it.
-    std::function<void()>* tick =
-        pacers_.emplace_back(std::make_unique<std::function<void()>>()).get();
-    *tick = [this, loop, tick] {
-      const double rate = params_.paced_gbps;
-      if (rate <= 0.0) {
-        sim_->In(FromMicros(5), [tick] { (*tick)(); });  // paused; poll for reactivation
-        return;
-      }
-      const double per_thread = rate * 1e9 / 8.0 / params_.threads;
-      const SimTime interval = static_cast<SimTime>(
-          static_cast<double>(std::max<uint32_t>(loop->payload, 1)) / per_thread * 1e12);
-      IssueSingle(loop);
-      sim_->In(std::max<SimTime>(interval, FromNanos(20)), [tick] { (*tick)(); });
-    };
-    sim_->In(FromNanos(100), [tick] { (*tick)(); });
+    sim_->In(FromNanos(100), [this, loop] { PacedTick(loop); });
     return;
   }
   while (loop->in_flight < params_.window) {
@@ -73,19 +64,36 @@ void LocalRequester::Pump(Loop* loop) {
   }
 }
 
+void LocalRequester::PacedTick(Loop* loop) {
+  // Open loop: one thread-share of the aggregate rate, issued on a timer.
+  // The interval is recomputed every tick, so SetPacedRate takes effect
+  // within one period (the governor's control knob).
+  const double rate = params_.paced_gbps;
+  if (rate <= 0.0) {
+    sim_->In(FromMicros(5), [this, loop] { PacedTick(loop); });  // paused; poll
+    return;
+  }
+  const double per_thread = rate * 1e9 / 8.0 / params_.threads;
+  const SimTime interval = static_cast<SimTime>(
+      static_cast<double>(std::max<uint32_t>(loop->payload, 1)) / per_thread * 1e12);
+  IssueSingle(loop);
+  sim_->In(std::max<SimTime>(interval, FromNanos(20)), [this, loop] { PacedTick(loop); });
+}
+
 void LocalRequester::IssueSingle(Loop* loop) {
   ++issued_;
   ++doorbells_;
   const SimTime issue_start = sim_->now();
-  BusyServer& cpu = *thread_cpu_[static_cast<size_t>(loop->thread)];
+  BusyServer& cpu = threads_[static_cast<size_t>(loop->thread)].cpu;
   Tracer* const tr = sim_->tracer();
   const uint64_t rid = tr != nullptr ? tr->NextRequestId() : 0;
   // BlueFlame-style post: the WQE is pushed inline through the (blocking)
   // MMIO write, so no WQE-fetch DMA is needed.
   const SimTime posted = cpu.Enqueue(params_.wr_build + params_.mmio_block);
   if (tr != nullptr) {
-    tr->Span(cpu.name(), "post", issue_start, posted, rid);
-    tr->Span(cpu.name(), "doorbell", posted, posted + mmio_flight_, rid);
+    const std::string lane = CpuLane(loop->thread);
+    tr->Span(lane, "post", issue_start, posted, rid);
+    tr->Span(lane, "doorbell", posted, posted + mmio_flight_, rid);
   }
   sim_->At(posted + mmio_flight_, [this, loop, issue_start, rid] {
     engine_->ExecuteLocalOp(src_, dst_, loop->verb, loop->addr.Next(), loop->payload,
@@ -117,13 +125,14 @@ void LocalRequester::IssueBatch(Loop* loop) {
   issued_ += static_cast<uint64_t>(batch);
   ++doorbells_;
   const SimTime issue_start = sim_->now();
-  BusyServer& cpu = *thread_cpu_[static_cast<size_t>(loop->thread)];
+  BusyServer& cpu = threads_[static_cast<size_t>(loop->thread)].cpu;
   // Build the whole linked batch, then ring one doorbell.
   const SimTime posted =
       cpu.Enqueue(params_.wr_build * batch + params_.mmio_block);
   if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
-    tr->Span(cpu.name(), "post_batch", issue_start, posted, 0);
-    tr->Span(cpu.name(), "doorbell", posted, posted + mmio_flight_, 0);
+    const std::string lane = CpuLane(loop->thread);
+    tr->Span(lane, "post_batch", issue_start, posted, 0);
+    tr->Span(lane, "doorbell", posted, posted + mmio_flight_, 0);
   }
   sim_->At(posted + mmio_flight_, [this, loop, batch, issue_start] {
     // The NIC fetches the WQE chain from the requester's memory before

@@ -10,8 +10,6 @@
 #ifndef SRC_WORKLOAD_LOCAL_REQUESTER_H_
 #define SRC_WORKLOAD_LOCAL_REQUESTER_H_
 
-#include <functional>
-#include <memory>
 #include <string>
 #include <vector>
 
@@ -66,6 +64,7 @@ class LocalRequester {
   LocalRequester(const LocalRequester&) = delete;
   LocalRequester& operator=(const LocalRequester&) = delete;
 
+  // Starts every thread issuing `verb`s; call at most once per requester.
   void Start(Verb verb, uint32_t payload, AddressGenerator addr, Meter* meter);
 
   // Adjusts the open-loop rate at runtime (only meaningful when the
@@ -90,7 +89,18 @@ class LocalRequester {
     bool paced = false;  // fixed at Start: open-loop vs closed-loop
   };
 
+  // One posting thread: its CPU and its loop (used once Started).
+  struct Thread {
+    explicit Thread(Simulator* sim) : cpu(sim) {}
+    BusyServer cpu;
+    Loop loop;
+  };
+
+  // The trace lane of `thread`'s CPU: "<name>.cpu<thread>".
+  std::string CpuLane(int thread) const;
   void Pump(Loop* loop);
+  // One open-loop issue tick of a paced thread; re-arms itself.
+  void PacedTick(Loop* loop);
   void IssueSingle(Loop* loop);
   void IssueBatch(Loop* loop);
 
@@ -101,11 +111,10 @@ class LocalRequester {
   LocalRequesterParams params_;
   std::string name_;
   SimTime mmio_flight_;
-  std::vector<std::unique_ptr<BusyServer>> thread_cpu_;
-  std::vector<std::unique_ptr<Loop>> loops_;
-  // Paced-mode tick closures, one per thread (see Pump); owned here so
-  // scheduled events only carry a pointer to them.
-  std::vector<std::unique_ptr<std::function<void()>>> pacers_;
+  // Sized once at construction and never resized: scheduled events hold
+  // pointers to the loops.
+  std::vector<Thread> threads_;
+  bool started_ = false;
   uint64_t issued_ = 0;
   uint64_t doorbells_ = 0;  // MMIO doorbell rings (one per batch when batching)
 };

@@ -7,8 +7,8 @@ namespace {
 
 TEST(FrontEnd, SharedOnlyServiceTime) {
   Simulator sim;
-  FrontEnd fe(&sim, "fe", Rate::Mpps(100), Rate::PerSec(0));
-  const int ep = fe.AddEndpoint("host");
+  FrontEnd fe(&sim, Rate::Mpps(100), Rate::PerSec(0));
+  const int ep = fe.AddEndpoint();
   EXPECT_EQ(fe.Process(0, ep, 1.0), FromNanos(10));
   EXPECT_EQ(fe.Process(0, ep, 1.0), FromNanos(20));
   EXPECT_EQ(fe.Process(0, ep, 0.5), FromNanos(25));
@@ -16,15 +16,15 @@ TEST(FrontEnd, SharedOnlyServiceTime) {
 
 TEST(FrontEnd, EndpointlessWorkAllowed) {
   Simulator sim;
-  FrontEnd fe(&sim, "fe", Rate::Mpps(100), Rate::Mpps(10));
+  FrontEnd fe(&sim, Rate::Mpps(100), Rate::Mpps(10));
   EXPECT_EQ(fe.Process(0, -1, 1.0), FromNanos(10));
 }
 
 TEST(FrontEnd, DedicatedSliceAddsCapacity) {
   Simulator sim;
   // Shared 100 Mpps + 25 Mpps dedicated per endpoint.
-  FrontEnd fe(&sim, "fe", Rate::Mpps(100), Rate::Mpps(25));
-  const int ep = fe.AddEndpoint("host");
+  FrontEnd fe(&sim, Rate::Mpps(100), Rate::Mpps(25));
+  const int ep = fe.AddEndpoint();
   // Offer far more work than shared capacity for 1 us.
   uint64_t done_by_1us = 0;
   for (int i = 0; i < 1000; ++i) {
@@ -38,9 +38,9 @@ TEST(FrontEnd, DedicatedSliceAddsCapacity) {
 
 TEST(FrontEnd, TwoEndpointsReachFullCapacity) {
   Simulator sim;
-  FrontEnd fe(&sim, "fe", Rate::Mpps(100), Rate::Mpps(25));
-  const int a = fe.AddEndpoint("host");
-  const int b = fe.AddEndpoint("soc");
+  FrontEnd fe(&sim, Rate::Mpps(100), Rate::Mpps(25));
+  const int a = fe.AddEndpoint();
+  const int b = fe.AddEndpoint();
   uint64_t done_by_1us = 0;
   for (int i = 0; i < 2000; ++i) {
     if (fe.Process(0, i % 2 == 0 ? a : b, 1.0) <= FromMicros(1)) {
@@ -54,15 +54,15 @@ TEST(FrontEnd, TwoEndpointsReachFullCapacity) {
 
 TEST(FrontEnd, ReadyTimeRespected) {
   Simulator sim;
-  FrontEnd fe(&sim, "fe", Rate::Mpps(100), Rate::PerSec(0));
-  const int ep = fe.AddEndpoint("host");
+  FrontEnd fe(&sim, Rate::Mpps(100), Rate::PerSec(0));
+  const int ep = fe.AddEndpoint();
   EXPECT_EQ(fe.Process(FromNanos(100), ep, 1.0), FromNanos(110));
 }
 
 TEST(FrontEnd, FractionalUnits) {
   Simulator sim;
-  FrontEnd fe(&sim, "fe", Rate::Mpps(100), Rate::PerSec(0));
-  const int ep = fe.AddEndpoint("host");
+  FrontEnd fe(&sim, Rate::Mpps(100), Rate::PerSec(0));
+  const int ep = fe.AddEndpoint();
   EXPECT_EQ(fe.Process(0, ep, 2.5), FromNanos(25));
 }
 

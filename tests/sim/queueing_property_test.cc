@@ -15,7 +15,7 @@ class QueueSeedProperty : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(QueueSeedProperty, BusyServerIsWorkConserving) {
   Simulator sim;
-  BusyServer s(&sim, "s");
+  BusyServer s(&sim);
   Rng rng(GetParam());
   SimTime total_service = 0;
   SimTime last_done = 0;
@@ -40,7 +40,7 @@ TEST_P(QueueSeedProperty, BusyServerIsWorkConserving) {
 
 TEST_P(QueueSeedProperty, BusyServerCompletionsMonotone) {
   Simulator sim;
-  BusyServer s(&sim, "s");
+  BusyServer s(&sim);
   Rng rng(GetParam() + 1);
   SimTime prev = 0;
   for (int i = 0; i < 300; ++i) {
@@ -54,7 +54,7 @@ TEST_P(QueueSeedProperty, BusyServerCompletionsMonotone) {
 TEST_P(QueueSeedProperty, MultiServerNeverExceedsAggregateCapacity) {
   Simulator sim;
   const int k = 8;
-  MultiServer m(&sim, "m", k);
+  MultiServer m(&sim, k);
   Rng rng(GetParam() + 2);
   const SimTime service = FromNanos(100);
   std::vector<SimTime> dones;
@@ -73,7 +73,7 @@ TEST_P(QueueSeedProperty, MultiServerNeverExceedsAggregateCapacity) {
 TEST_P(QueueSeedProperty, TokenPoolConservation) {
   Simulator sim;
   const int capacity = 7;
-  TokenPool pool(&sim, "p", capacity);
+  TokenPool pool(&sim, capacity);
   Rng rng(GetParam() + 3);
   int held = 0;
   int max_held = 0;

@@ -9,7 +9,7 @@ namespace {
 
 TEST(BusyServer, SerializesJobs) {
   Simulator sim;
-  BusyServer s(&sim, "s");
+  BusyServer s(&sim);
   EXPECT_EQ(s.Enqueue(FromNanos(10)), FromNanos(10));
   EXPECT_EQ(s.Enqueue(FromNanos(10)), FromNanos(20));
   EXPECT_EQ(s.Enqueue(FromNanos(5)), FromNanos(25));
@@ -19,7 +19,7 @@ TEST(BusyServer, SerializesJobs) {
 
 TEST(BusyServer, HonorsEarliestStart) {
   Simulator sim;
-  BusyServer s(&sim, "s");
+  BusyServer s(&sim);
   EXPECT_EQ(s.EnqueueAt(FromNanos(100), FromNanos(10)), FromNanos(110));
   // Queued behind the first job even though it is "ready" earlier.
   EXPECT_EQ(s.EnqueueAt(FromNanos(0), FromNanos(10)), FromNanos(120));
@@ -27,7 +27,7 @@ TEST(BusyServer, HonorsEarliestStart) {
 
 TEST(BusyServer, CallbackFiresAtCompletion) {
   Simulator sim;
-  BusyServer s(&sim, "s");
+  BusyServer s(&sim);
   SimTime fired_at = -1;
   s.Enqueue(FromNanos(42), [&] { fired_at = sim.now(); });
   sim.Run();
@@ -36,7 +36,7 @@ TEST(BusyServer, CallbackFiresAtCompletion) {
 
 TEST(BusyServer, BacklogReflectsQueue) {
   Simulator sim;
-  BusyServer s(&sim, "s");
+  BusyServer s(&sim);
   EXPECT_EQ(s.Backlog(), 0);
   s.Enqueue(FromNanos(100));
   EXPECT_EQ(s.Backlog(), FromNanos(100));
@@ -48,7 +48,7 @@ TEST(BusyServer, BacklogReflectsQueue) {
 
 TEST(BusyServer, UtilizationOverWindow) {
   Simulator sim;
-  BusyServer s(&sim, "s");
+  BusyServer s(&sim);
   s.Enqueue(FromNanos(30));
   sim.RunUntil(FromNanos(100));
   EXPECT_DOUBLE_EQ(s.Utilization(FromNanos(100)), 0.3);
@@ -56,7 +56,7 @@ TEST(BusyServer, UtilizationOverWindow) {
 
 TEST(MultiServer, ParallelServiceUpToK) {
   Simulator sim;
-  MultiServer m(&sim, "m", 3);
+  MultiServer m(&sim, 3);
   // Three jobs run in parallel; the fourth queues behind the earliest.
   EXPECT_EQ(m.Enqueue(FromNanos(10)), FromNanos(10));
   EXPECT_EQ(m.Enqueue(FromNanos(10)), FromNanos(10));
@@ -67,7 +67,7 @@ TEST(MultiServer, ParallelServiceUpToK) {
 
 TEST(MultiServer, PicksEarliestFreeServer) {
   Simulator sim;
-  MultiServer m(&sim, "m", 2);
+  MultiServer m(&sim, 2);
   m.Enqueue(FromNanos(100));
   m.Enqueue(FromNanos(10));
   // Second server frees at 10, so this lands there.
@@ -76,7 +76,7 @@ TEST(MultiServer, PicksEarliestFreeServer) {
 
 TEST(TokenPool, GrantsUpToCapacityImmediately) {
   Simulator sim;
-  TokenPool pool(&sim, "p", 2);
+  TokenPool pool(&sim, 2);
   int granted = 0;
   pool.Acquire([&] { ++granted; });
   pool.Acquire([&] { ++granted; });
@@ -91,7 +91,7 @@ TEST(TokenPool, GrantsUpToCapacityImmediately) {
 
 TEST(TokenPool, FifoGrantOrder) {
   Simulator sim;
-  TokenPool pool(&sim, "p", 1);
+  TokenPool pool(&sim, 1);
   std::vector<int> order;
   for (int i = 0; i < 4; ++i) {
     pool.Acquire([&order, &pool, i] {
@@ -106,7 +106,7 @@ TEST(TokenPool, FifoGrantOrder) {
 
 TEST(TokenPool, MaxWaitersHighWatermark) {
   Simulator sim;
-  TokenPool pool(&sim, "p", 1);
+  TokenPool pool(&sim, 1);
   pool.Acquire([] {});
   pool.Acquire([] {});
   pool.Acquire([] {});
@@ -116,7 +116,7 @@ TEST(TokenPool, MaxWaitersHighWatermark) {
 
 TEST(TokenPoolDeathTest, OverReleaseAborts) {
   Simulator sim;
-  TokenPool pool(&sim, "p", 1);
+  TokenPool pool(&sim, 1);
   EXPECT_DEATH(pool.Release(), "CHECK failed");
 }
 

@@ -115,5 +115,16 @@ TEST_F(ClientTest, PerThreadStreamsDiffer) {
   EXPECT_LT(same, 3);
 }
 
+// Scheduled pumps hold pointers to the machine's loops, so a machine can be
+// started once only.
+using ClientDeathTest = ClientTest;
+
+TEST_F(ClientDeathTest, SecondStartAborts) {
+  ClientMachine cli(&sim_, &fabric_, ClientParams{}, "c0");
+  cli.Start(Target(Verb::kRead, 64), AddressGenerator::Default10G(), &meter_);
+  EXPECT_DEATH(cli.Start(Target(Verb::kRead, 64), AddressGenerator::Default10G(), &meter_),
+               "CHECK failed.*started_");
+}
+
 }  // namespace
 }  // namespace snicsim

@@ -92,5 +92,17 @@ TEST_F(LocalRequesterTest, MmioFlightMatchesEndpointPath) {
             server_.soc_ep()->to_mem().BaseLatency());
 }
 
+// Scheduled pumps hold pointers to the requester's loops, so a requester
+// can be started once only.
+using LocalRequesterDeathTest = LocalRequesterTest;
+
+TEST_F(LocalRequesterDeathTest, SecondStartAborts) {
+  LocalRequester req(&sim_, &server_.nic(), server_.host_ep(), server_.soc_ep(),
+                     LocalRequesterParams::Host(), "h2s");
+  req.Start(Verb::kRead, 64, AddressGenerator::Default10G(), &meter_);
+  EXPECT_DEATH(req.Start(Verb::kRead, 64, AddressGenerator::Default10G(), &meter_),
+               "CHECK failed.*started_");
+}
+
 }  // namespace
 }  // namespace snicsim
