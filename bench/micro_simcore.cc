@@ -134,7 +134,7 @@ BENCHMARK(BM_EventQueueThroughputLegacy)->Arg(1000)->Arg(100000);
 
 void BM_BusyServerEnqueue(benchmark::State& state) {
   Simulator sim;
-  BusyServer s(&sim, "s");
+  BusyServer s(&sim);
   for (auto _ : state) {
     benchmark::DoNotOptimize(s.Enqueue(10));
   }
@@ -296,6 +296,22 @@ void BM_EndToEndExperiment(benchmark::State& state) {
   }
 }
 BENCHMARK(BM_EndToEndExperiment)->Unit(benchmark::kMillisecond);
+
+// One paths-grid point with a 1 ps window: the BlueField testbed and its
+// eleven 12-thread requester machines are built, started and torn down, so
+// the time is testbed construction (snicbench's setup_s, one point of it).
+void BM_TestbedSetup(benchmark::State& state) {
+  HarnessConfig cfg;
+  cfg.warmup = 1;
+  cfg.window = 1;
+  for (auto _ : state) {
+    const Measurement m =
+        MeasureInboundPath(ServerKind::kBluefieldSoc, Verb::kRead, 64, cfg);
+    benchmark::DoNotOptimize(m.ops);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_TestbedSetup)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace snicsim
