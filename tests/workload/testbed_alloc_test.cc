@@ -40,7 +40,7 @@ TEST(TestbedSetup, PathsPointAllocatesLittle) {
   const uint64_t allocations = g_allocations - before;
   // 89 with libstdc++ 12: a few per requester machine (the machine, its
   // port, its per-thread array), the server's fixed arrays and queues, and
-  // the event heap's growth. Formatting a name per server took 822.
+  // the event heap's growth.
   EXPECT_LE(allocations, 110u);
 }
 
