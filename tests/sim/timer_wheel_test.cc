@@ -9,29 +9,14 @@
 
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <memory>
-#include <new>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
 #include "src/sim/simulator.h"
-
-namespace {
-uint64_t g_allocations = 0;  // global operator new calls in this binary
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++g_allocations;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/common/allocation_counter.h"
 
 namespace snicsim {
 namespace {

@@ -6,24 +6,8 @@
 // per machine, not a few per DRAM bank.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
-#include <new>
-
 #include "src/workload/harness.h"
-
-namespace {
-uint64_t g_allocations = 0;  // global operator new calls in this binary
-}  // namespace
-
-void* operator new(std::size_t n) {
-  ++g_allocations;
-  if (void* p = std::malloc(n == 0 ? 1 : n)) {
-    return p;
-  }
-  throw std::bad_alloc();
-}
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+#include "tests/common/allocation_counter.h"
 
 namespace snicsim {
 namespace {
