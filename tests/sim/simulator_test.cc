@@ -13,18 +13,9 @@
 
 #include "src/common/rng.h"
 #include "src/sim/callback.h"
+#include "tests/sim/simulator_test_peer.h"
 
 namespace snicsim {
-
-// Befriended by Simulator: drives next_seq_ to the renumber threshold so
-// tests can cross it without 2^31 real schedules.
-class SimulatorTestPeer {
- public:
-  static void FastForwardSeqToNearRenumber(Simulator& sim, uint32_t headroom) {
-    sim.next_seq_ = Simulator::kSeqRenumberAt - headroom;
-  }
-};
-
 namespace {
 
 TEST(Simulator, StartsAtZero) {
@@ -110,7 +101,7 @@ TEST(Simulator, ProcessedCounts) {
 }
 
 TEST(Simulator, SeqRenumberPreservesOrderAcrossWrapThreshold) {
-  // The heap's 32-bit seq comparison is exact only while live seqs span
+  // The queue's 32-bit seq comparison is exact only while live seqs span
   // less than 2^31; Simulator renumbers pending events before the counter
   // reaches the threshold. Cross the threshold with a long-lived far-future
   // event plus same-time events scheduled on both sides of the renumber,
@@ -122,7 +113,7 @@ TEST(Simulator, SeqRenumberPreservesOrderAcrossWrapThreshold) {
     sim.At(FromNanos(10), [&order, i] { order.push_back(i); });
   }
   // Next 3 schedules still use pre-renumber seqs near 2^31; the 4th
-  // triggers RenumberSeqs() with the heap fully populated.
+  // triggers RenumberSeqs() with the queue fully populated.
   SimulatorTestPeer::FastForwardSeqToNearRenumber(sim, 3);
   for (int i = 50; i < 100; ++i) {
     sim.At(FromNanos(10), [&order, i] { order.push_back(i); });
@@ -135,8 +126,8 @@ TEST(Simulator, SeqRenumberPreservesOrderAcrossWrapThreshold) {
   EXPECT_EQ(order.back(), 1000);
 }
 
-TEST(Simulator, HeapEventAtSameTimeFiresBeforeLaneEvent) {
-  // An event scheduled for T before the clock reached T (heap, lower seq)
+TEST(Simulator, QueuedEventAtSameTimeFiresBeforeLaneEvent) {
+  // An event scheduled for T before the clock reached T (queue, lower seq)
   // precedes one scheduled at exactly now() == T (lane, higher seq), even
   // though the lane is consulted first.
   Simulator sim;
@@ -170,7 +161,7 @@ TEST(Simulator, RunBoundsAndNextEventTimeSeeTheLane) {
   EXPECT_EQ(order, (std::vector<int>{1}));
   EXPECT_EQ(sim.now(), FromNanos(7));
   EXPECT_EQ(sim.next_event_time(), FromNanos(7));
-  sim.At(FromNanos(7), [&] { order.push_back(3); });  // lane, behind the heap's 7
+  sim.At(FromNanos(7), [&] { order.push_back(3); });  // lane, behind the queue's 7
   EXPECT_EQ(sim.next_event_time(), FromNanos(7));
   sim.RunUntil(FromNanos(7));  // inclusive bound: both events at 7 run
   EXPECT_EQ(order, (std::vector<int>{1, 2, 3}));
@@ -185,7 +176,7 @@ TEST(Simulator, RunBoundsAndNextEventTimeSeeTheLane) {
 
 TEST(Simulator, SeqRenumberPreservesOrderWithLaneEntriesPending) {
   // Cross the renumber threshold while both the lane (events at now()) and
-  // the heap hold pending events; renumbering must keep their merged order.
+  // the queue hold pending events; renumbering must keep their merged order.
   Simulator sim;
   std::vector<int> order;
   sim.At(FromNanos(1000), [&] { order.push_back(1000); });
@@ -194,7 +185,7 @@ TEST(Simulator, SeqRenumberPreservesOrderWithLaneEntriesPending) {
     sim.At(FromNanos(10), [&order, i] { order.push_back(i); });  // lane
   }
   for (int i = 200; i < 210; ++i) {
-    sim.At(FromNanos(20), [&order, i] { order.push_back(i); });  // heap
+    sim.At(FromNanos(20), [&order, i] { order.push_back(i); });  // queue
   }
   SimulatorTestPeer::FastForwardSeqToNearRenumber(sim, 3);
   for (int i = 50; i < 100; ++i) {
