@@ -9,7 +9,7 @@ names target/reference prefix pairs; for every target/arg point the
 same-run speedup must stay above that gate's min_speedup.
 
 Gates in the baseline today:
-  * event_core — the optimized event heap (BM_EventQueueThroughput) vs the
+  * event_core — the optimized event queue (BM_EventQueueThroughput) vs the
     pre-optimization core compiled in as BM_EventQueueThroughputLegacy.
   * rack_sharded_parallel_vs_serial — the rack-scale sharded KV, one full
     per-server stack per domain, on the parallel DES core

@@ -118,8 +118,8 @@ class AdaptiveGovernor : public RoutePolicy {
  private:
   void Tick();
   // Arms the next epoch tick — through the simulator's timer wheel when one
-  // is attached, so the periodic clock shares heap slots with every other
-  // wheel client instead of costing a heap event per epoch.
+  // is attached, so the periodic clock shares wheel slots with every other
+  // wheel client instead of costing a queued event per epoch.
   void ScheduleTick();
   double Penalty(int path) const;
 

@@ -58,7 +58,7 @@ ServingResult RunServing(const ServingRunConfig& raw) {
     serving.soc_cores = config.soc_cores;
   }
   // The governor's epoch clock and the fleet's retry timers arm through the
-  // stack's wheel; firing order is heap-equivalent (src/sim/timer_wheel.h),
+  // stack's wheel; firing order is In()-equivalent (src/sim/timer_wheel.h),
   // and the §12 determinism contract is unaffected because the wheel lives
   // entirely inside this domain.
   ServerStack stack(&sim, config.testbed, serving, config.faults, config.resil);

@@ -303,7 +303,7 @@ class QueuePair {
     bool done = false;
     SimTime deadline = 0;  // absolute; 0 = unbounded
     // Wheel handle of the pending retransmit timer (kNoTimer when armed on
-    // the plain heap). Lets completions reclaim the timer in O(1) instead
+    // the plain queue). Lets completions reclaim the timer in O(1) instead
     // of leaving a stale event to no-op at full timeout depth.
     TimerWheel::TimerId timer = TimerWheel::kNoTimer;
   };
@@ -414,8 +414,8 @@ class QueuePair {
     };
     // Retransmit timers are the wheel's home case: nearly all of them are
     // superseded by a completion, so arming through an attached wheel lets
-    // CancelTimer reclaim them without a heap op. The epoch guard above
-    // stays as belt-and-braces (and carries the heap fallback unchanged).
+    // CancelTimer reclaim them without a queue op. The epoch guard above
+    // stays as belt-and-braces (and carries the plain-queue fallback unchanged).
     if (TimerWheel* const wheel = machine_->sim()->timer_wheel();
         wheel != nullptr) {
       wr->timer = wheel->In(timeout, std::move(fire));

@@ -2,7 +2,7 @@
 //
 // A *domain* is the unit of sequential execution: one server machine's whole
 // component stack (host CPU, SoC, NIC, local PCIe tree) shares a domain and
-// therefore one Simulator, one event heap, and one thread at a time. Fabric
+// therefore one Simulator, one event queue, and one thread at a time. Fabric
 // links are the only edges that cross domains, and every such edge carries at
 // least the configured lookahead of latency — that is the conservative-
 // synchronization contract ParallelSimulator::Post() enforces.

@@ -76,7 +76,7 @@ void ParallelSimulator::Run() {
       m = std::min(m, s->next_event_time());
     }
     if (m == Simulator::kNoEvent) {
-      // Outboxes are drained at every barrier, so an empty heap set means a
+      // Outboxes are drained at every barrier, so empty queues mean a
       // fully quiescent rack.
       return;
     }

@@ -2,31 +2,48 @@
 //
 // Events are (time, sequence) ordered: two events at the same simulated time
 // fire in scheduling order, making every run bit-reproducible regardless of
-// heap internals. Callbacks are type-erased closures; components schedule
+// queue internals. Callbacks are type-erased closures; components schedule
 // follow-up work from inside callbacks.
 //
-// Hot-path layout: a 4-ary min-heap orders 16-byte POD handles
-// (time, seq, slot) while the closures themselves live in a slab of stable
-// slots, constructed once at schedule time and invoked in place at
-// dispatch. Sift operations therefore shuffle PODs instead of type-erased
-// closures (at half the depth of a binary heap), closures up to
+// Hot-path layout: the closures live in a slab of stable slots, constructed
+// once at schedule time and invoked in place at dispatch, and each slot has
+// a 16-byte queue node (time, seq, next) in an array beside the slab. The
+// queue orders nodes, never closures; closures up to
 // SimCallback::kInlineBytes never touch the allocator, and freed slots are
 // recycled through a free list, so a steady-state experiment runs with no
 // per-event allocation at all.
 //
 // Events scheduled at exactly now() — token grants, zero-delay hand-offs,
-// a large share of all schedules — skip the heap: they append to a FIFO
-// lane, which is already in (time, seq) order because every lane entry
-// carries time == now() and a fresh, larger seq. Dispatch takes whichever
-// of the lane front and the heap root is smaller in (time, seq), so the
-// order is exactly the one a single heap would produce. The heap pop is
-// Floyd's bottom-up variant: the hole left by the root descends along the
-// smaller child to a leaf without comparing against the displaced last
-// element, which then sifts up the (usually very short) way back.
+// a large share of all schedules — append to a FIFO lane, which is already
+// in (time, seq) order because every lane entry carries time == now() and a
+// fresh, larger seq. Every later event goes to a monotone radix queue
+// (Ahuja, Mehlhorn, Orlin & Tarjan, JACM 1990), which needs only that the
+// clock never runs backwards. Let last_ be the time of the last event taken
+// from it. Bucket 0 holds the events at exactly last_, sorted by seq;
+// bucket i >= 1 holds the events whose time first differs from last_ at
+// bit i-1, as an unordered intrusive list through the nodes, with its
+// minimum time recorded on push. Every time in bucket i is below every time
+// in bucket i+1, so the lowest non-empty bucket (one ctz of a 64-bit mask)
+// holds the minimum. A pop that finds bucket 0 empty drains that lowest
+// bucket in one pass: last_ moves to its minimum, the events at exactly
+// that time become bucket 0 (one sort by seq), and the rest drop to lower
+// buckets, so each event descends a handful of buckets in its lifetime.
+// Equal times always share a bucket, so the seq sort makes the order exact.
+// last_ moves only on a pop: a peek (next_event_time(), which the parallel
+// core reads before merging events below that minimum) changes nothing.
+//
+// Dispatch takes the lane front unless the queue's minimum is also at
+// now(); such an event was scheduled before the clock reached now(), so
+// its seq is below every lane entry's, and the order is exactly (time,
+// seq). A warm simulator allocates nothing: nodes grow with the slab
+// chunks, bucket lists live in the nodes, and the lane and bucket 0 reuse
+// their vectors' capacity.
 #ifndef SRC_SIM_SIMULATOR_H_
 #define SRC_SIM_SIMULATOR_H_
 
 #include <algorithm>
+#include <array>
+#include <bit>
 #include <cstdint>
 #include <memory>
 #include <vector>
@@ -53,7 +70,10 @@ class Simulator {
  public:
   using Callback = SimCallback;
 
-  Simulator() = default;
+  Simulator() {
+    head_.fill(kNil);
+    min_.fill(kNoEvent);
+  }
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -68,13 +88,13 @@ class Simulator {
     }
     const uint32_t slot = AllocSlot();
     SlotAt(slot) = std::move(cb);
-    const EventHandle ev{t, next_seq_++, slot};
+    nodes_[slot].time = t;
+    nodes_[slot].seq = next_seq_++;
     if (t == now_) {
-      lane_.push_back(ev);
+      lane_.push_back(slot);
       return;
     }
-    heap_.push_back(ev);
-    SiftUp(heap_.size() - 1);
+    Push(slot);
   }
 
   // Schedules `cb` after `delay`.
@@ -119,14 +139,11 @@ class Simulator {
   // Earliest pending event time (kNoEvent when idle). The horizon
   // computation reads this for every domain between rounds.
   SimTime next_event_time() const {
-    // A lane entry is always at now(), which no heap entry precedes.
-    if (lane_head_ < lane_.size()) {
-      return lane_[lane_head_].time;
-    }
-    return heap_.empty() ? kNoEvent : heap_.front().time;
+    // A lane entry is always at now(), which no queued event precedes.
+    return lane_head_ < lane_.size() ? now_ : QueueTop();
   }
 
-  bool empty() const { return heap_.empty() && lane_head_ == lane_.size(); }
+  bool empty() const { return mask_ == 0 && lane_head_ == lane_.size(); }
   uint64_t processed() const { return processed_; }
 
   // Nullable observability hook. Components emit trace events iff non-null;
@@ -144,7 +161,7 @@ class Simulator {
   // Nullable timer-wheel hook, same pattern again: cancellation-heavy
   // clocks (retransmit timeouts, governor epochs) arm through the wheel iff
   // one is attached and fall back to plain In() otherwise. The wheel fires
-  // at exact deadlines with heap-equivalent timer ordering
+  // at exact deadlines with queue-equivalent timer ordering
   // (src/sim/timer_wheel.h), so attaching one may only perturb a run
   // through the DES tie-break seq of same-picosecond cross-kind ties.
   TimerWheel* timer_wheel() const { return timer_wheel_; }
@@ -154,117 +171,108 @@ class Simulator {
   friend class SimulatorTestPeer;  // tests fast-forward next_seq_ to the
                                    // renumber threshold
 
-  // POD handle the heap and the lane order; the closure stays put in its
-  // slot. 16 bytes so a 64-byte cache line holds four of them — one 4-ary
-  // heap node.
-  struct EventHandle {
+  // The queue node of one slot: its dispatch key and its bucket-list link.
+  // The closure stays put in its slot; 16 bytes keep four nodes per line.
+  struct Node {
     SimTime time;
     uint32_t seq;
-    uint32_t slot;
+    uint32_t next;  // next slot in the same bucket list, kNil at its end
   };
-  static_assert(sizeof(EventHandle) == 16);
+  static_assert(sizeof(Node) == 16);
+  static constexpr uint32_t kNil = UINT32_MAX;
 
-  // Dispatch order on (time, seq) as one unsigned 128-bit integer. Exact
-  // because time is never negative and seq never reaches 2^31: At()
-  // renumbers pending events before the counter gets there, so every live
-  // seq lies in [0, 2^31) and plain unsigned order is scheduling order,
-  // for any schedule count and any event lifetime (a far-future timer
-  // stays ordered against events scheduled billions of At() calls later).
-  __extension__ using Key = unsigned __int128;
-  static Key KeyOf(const EventHandle& e) {
-    return (static_cast<Key>(static_cast<uint64_t>(e.time)) << 64) | e.seq;
-  }
-  static bool Before(const EventHandle& a, const EventHandle& b) {
-    return KeyOf(a) < KeyOf(b);
-  }
-
-  // Compacts pending seqs, heap and lane alike, to [0, pending). Invoked
-  // from At() whenever next_seq_ reaches 2^31. Amortized cost: one
-  // O(n log n) sort per ~2^31 schedules, i.e. effectively free.
+  // Seqs break ties between listed events at one time (Refill's sort).
+  // That is exact because a seq never reaches 2^31: At() renumbers before
+  // the counter gets there, so plain unsigned order is scheduling order for
+  // any schedule count and any event lifetime (a far-future timer stays
+  // ordered against events scheduled billions of At() calls later).
+  //
+  // Only the bucket lists need new seqs. Lane entries are ordered by their
+  // place in the lane, and bucket 0 is already sorted and takes no event
+  // until it drains, so neither compares a seq again. Renumbering the lists
+  // by old seq keeps their order. Amortized cost: one O(n log n) sort per
+  // ~2^31 schedules, i.e. effectively free.
   void RenumberSeqs() {
-    // A sorted array is a valid d-ary min-heap, so sorting restores the
-    // heap invariant for free; the lane is already sorted. Merging the two
-    // assigns new seqs in exact dispatch order.
-    std::sort(heap_.begin(), heap_.end(), Before);
-    uint32_t seq = 0;
-    size_t h = 0;
-    size_t l = lane_head_;
-    while (h < heap_.size() || l < lane_.size()) {
-      if (l == lane_.size() || (h < heap_.size() && Before(heap_[h], lane_[l]))) {
-        heap_[h++].seq = seq++;
-      } else {
-        lane_[l++].seq = seq++;
+    std::vector<uint32_t> listed;
+    for (uint64_t m = mask_ & ~uint64_t{1}; m != 0; m &= m - 1) {
+      for (uint32_t s = head_[std::countr_zero(m)]; s != kNil; s = nodes_[s].next) {
+        listed.push_back(s);
       }
     }
-    next_seq_ = seq;
+    std::sort(listed.begin(), listed.end(),
+              [this](uint32_t a, uint32_t b) { return nodes_[a].seq < nodes_[b].seq; });
+    next_seq_ = 0;
+    for (uint32_t s : listed) {
+      nodes_[s].seq = next_seq_++;
+    }
   }
 
   static constexpr uint32_t kSeqRenumberAt = 1u << 31;
 
-  // Hand-rolled 4-ary sift operations: half the levels of a binary heap, so
-  // a pop at figure-bench queue depths touches half as many cache lines,
-  // and all four children of a node share one line.
-  void SiftUp(size_t i) {
-    const EventHandle v = heap_[i];
-    const Key k = KeyOf(v);
-    while (i > 0) {
-      const size_t parent = (i - 1) >> 2;
-      if (!(k < KeyOf(heap_[parent]))) {
-        break;
-      }
-      heap_[i] = heap_[parent];
-      i = parent;
-    }
-    heap_[i] = v;
+  // Earliest queued time: bucket 0's (last_) or the lowest list's minimum.
+  SimTime QueueTop() const { return mask_ == 0 ? kNoEvent : min_[std::countr_zero(mask_)]; }
+
+  // Links `slot` (time > last_) into bucket bit_width(time ^ last_), in
+  // [1, 63]: times are non-negative, so the top bucket takes every time
+  // that first differs from last_ at bit 62.
+  void Push(uint32_t slot) {
+    Node& n = nodes_[slot];
+    const int b = std::bit_width(static_cast<uint64_t>(n.time ^ last_));
+    n.next = head_[b];
+    head_[b] = slot;
+    min_[b] = std::min(min_[b], n.time);
+    mask_ |= uint64_t{1} << b;
   }
 
-  // Index (0..3) of the smallest of four sibling handles, without branches
-  // on the comparisons.
-  static size_t MinOf4(const EventHandle* c) {
-    const Key k0 = KeyOf(c[0]);
-    const Key k1 = KeyOf(c[1]);
-    const Key k2 = KeyOf(c[2]);
-    const Key k3 = KeyOf(c[3]);
-    const bool b01 = k1 < k0;
-    const bool b23 = k3 < k2;
-    const Key lo = b01 ? k1 : k0;
-    const Key hi = b23 ? k3 : k2;
-    const size_t i01 = b01 ? 1 : 0;
-    const size_t i23 = b23 ? 3 : 2;
-    return hi < lo ? i23 : i01;
-  }
-
-  // Removes heap_[0], restoring the heap over the remaining elements
-  // (Floyd: descend the hole to a leaf, then sift the old last element up).
-  void PopRoot() {
-    const EventHandle last = heap_.back();
-    heap_.pop_back();
-    const size_t n = heap_.size();
-    if (n == 0) {
-      return;
-    }
-    EventHandle* const h = heap_.data();
-    size_t i = 0;
-    for (;;) {
-      const size_t first = 4 * i + 1;
-      size_t best;
-      if (first + 4 <= n) {
-        best = first + MinOf4(h + first);
-      } else if (first < n) {
-        best = first;
-        for (size_t c = first + 1; c < n; ++c) {
-          if (Before(h[c], h[best])) {
-            best = c;
-          }
-        }
+  // Empties bucket `b`, the lowest non-empty one with bucket 0 empty, in
+  // one pass: last_ moves to its minimum, the events at exactly that time
+  // become bucket 0 in seq order, and every other event drops to a lower
+  // bucket (it now first differs from last_ below bit b-1).
+  void Refill(int b) {
+    const SimTime m = min_[b];
+    uint32_t slot = head_[b];
+    head_[b] = kNil;
+    min_[b] = kNoEvent;
+    mask_ &= mask_ - 1;
+    last_ = m;
+    while (slot != kNil) {
+      const uint32_t next = nodes_[slot].next;
+      if (nodes_[slot].time == m) {
+        due_.push_back(slot);
       } else {
-        break;
+        Push(slot);
       }
-      h[i] = h[best];
-      i = best;
+      slot = next;
     }
-    h[i] = last;
-    SiftUp(i);
+    if (due_.size() > 1) {
+      std::sort(due_.begin(), due_.end(),
+                [this](uint32_t a, uint32_t c) { return nodes_[a].seq < nodes_[c].seq; });
+    }
+    min_[0] = m;
+    mask_ |= 1;
+  }
+
+  // Takes the queue's next event in (time, seq) order.
+  uint32_t PopQueued() {
+    if ((mask_ & 1) == 0) {
+      const int b = std::countr_zero(mask_);
+      const uint32_t lone = head_[b];
+      if (nodes_[lone].next == kNil) {  // a lone event is the minimum: no pass
+        last_ = nodes_[lone].time;
+        head_[b] = kNil;
+        min_[b] = kNoEvent;
+        mask_ &= mask_ - 1;
+        return lone;
+      }
+      Refill(b);
+    }
+    const uint32_t slot = due_[due_head_++];
+    if (due_head_ == due_.size()) {
+      due_.clear();
+      due_head_ = 0;
+      mask_ &= ~uint64_t{1};
+    }
+    return slot;
   }
 
   static constexpr uint32_t kChunkShift = 8;
@@ -280,6 +288,7 @@ class Simulator {
       // is constructed in place once and never relocated by later growth.
       const uint32_t base = static_cast<uint32_t>(chunks_.size()) << kChunkShift;
       chunks_.push_back(std::make_unique<Callback[]>(kChunkSize));
+      nodes_.resize(nodes_.size() + kChunkSize);
       free_slots_.reserve(free_slots_.size() + kChunkSize);
       for (uint32_t i = kChunkSize; i > 0; --i) {
         free_slots_.push_back(base + i - 1);
@@ -290,39 +299,45 @@ class Simulator {
     return slot;
   }
 
-  // Takes the next event in (time, seq) order from the lane or the heap.
-  EventHandle PopNext() {
-    if (lane_head_ < lane_.size() &&
-        (heap_.empty() || Before(lane_[lane_head_], heap_.front()))) {
-      const EventHandle ev = lane_[lane_head_++];
-      if (lane_head_ == lane_.size()) {
-        lane_.clear();
-        lane_head_ = 0;
-      }
-      return ev;
+  uint32_t PopLane() {
+    const uint32_t slot = lane_[lane_head_++];
+    if (lane_head_ == lane_.size()) {
+      lane_.clear();
+      lane_head_ = 0;
     }
-    const EventHandle ev = heap_.front();
-    PopRoot();
-    return ev;
+    return slot;
   }
 
   void Step() {
-    const EventHandle ev = PopNext();
-    SNIC_CHECK_GE(ev.time, now_);
-    now_ = ev.time;
+    // The lane front, unless a queued event is also at now(): that one was
+    // scheduled before the clock got here, so its seq is the lower.
+    const uint32_t slot =
+        lane_head_ < lane_.size() && now_ < QueueTop() ? PopLane() : PopQueued();
+    const SimTime t = nodes_[slot].time;
+    SNIC_CHECK_GE(t, now_);
+    now_ = t;
     ++processed_;
     // The closure runs in place in its slot; the slot returns to the free
     // list only afterwards, so reentrant scheduling from inside the
     // callback can never overwrite a running closure. Slot storage is
     // chunk-stable, so growth during the callback cannot relocate it.
-    SlotAt(ev.slot).CallOnce();
-    free_slots_.push_back(ev.slot);
+    SlotAt(slot).CallOnce();
+    free_slots_.push_back(slot);
   }
 
-  std::vector<EventHandle> heap_;
-  // FIFO of events scheduled at exactly now(); lane_[lane_head_..] pending.
-  std::vector<EventHandle> lane_;
+  // Radix queue: bit b of mask_ is set iff bucket b is non-empty. Bucket 0
+  // is due_[due_head_..] (min_[0] == last_ while it is); bucket b >= 1 is
+  // the list from head_[b] with minimum time min_[b].
+  uint64_t mask_ = 0;
+  std::array<uint32_t, 64> head_;
+  std::array<SimTime, 64> min_;
+  std::vector<uint32_t> due_;
+  size_t due_head_ = 0;
+  SimTime last_ = 0;
+  // FIFO of slots scheduled at exactly now(); lane_[lane_head_..] pending.
+  std::vector<uint32_t> lane_;
   size_t lane_head_ = 0;
+  std::vector<Node> nodes_;  // one per slot
   std::vector<std::unique_ptr<Callback[]>> chunks_;
   std::vector<uint32_t> free_slots_;
   Tracer* tracer_ = nullptr;

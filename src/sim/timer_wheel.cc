@@ -62,9 +62,9 @@ bool TimerWheel::Cancel(TimerId id) {
     return false;
   }
   // O(1): just flag it. A kQueued record is reclaimed the next time its
-  // bucket is scanned — without ever touching the Simulator heap, which is
-  // the whole point. A kReleased record already has its exact-time event in
-  // the heap; that event no-ops and reclaims.
+  // bucket is scanned — without ever touching the Simulator's queue, which
+  // is the whole point. A kReleased record already has its exact-time event
+  // queued; that event no-ops and reclaims.
   t.cancelled = true;
   ++cancelled_;
   return true;
@@ -162,7 +162,7 @@ void TimerWheel::Process(int level, int bucket_index, SimTime at) {
     return;
   }
   // Level 0: release in (deadline, arm order) — byte-for-byte the firing
-  // order the heap path produces, where arm order == DES seq order.
+  // order the plain In() path produces, where arm order == DES seq order.
   std::sort(due_.begin(), due_.end(), [this](uint32_t a, uint32_t c) {
     const Timer& ta = records_[a];
     const Timer& tc = records_[c];

@@ -3,18 +3,18 @@
 // The retransmit, epoch, and breaker clocks (src/rdma, src/workload,
 // src/governor) arm far more timers than ever fire: a reliable QP arms one
 // timeout per WR and almost every one is superseded by a completion. On the
-// plain event heap each of those timers costs two heap operations plus a
+// plain event queue each of those timers costs a push and a pop plus a
 // guaranteed stale-event dispatch. The wheel makes arming O(1), Cancel O(1),
-// and lets a cancelled timer die without ever reaching the Simulator heap:
-// only a shared per-slot *sentinel* event enters the heap, and all timers
+// and lets a cancelled timer die without ever reaching the Simulator's
+// queue: only a shared per-slot *sentinel* event enters it, and all timers
 // that land in one slot amortize it.
 //
 // Firing-order contract (proved by tests/sim/timer_wheel_test.cc against the
-// heap path it replaces):
+// plain In() path it replaces):
 //   * A timer fires at exactly its deadline (sentinels run earlier, but the
 //     final hop is sim->At(deadline), so no precision is lost to slotting).
 //   * Two timers with the same deadline fire in Schedule() order — the same
-//     tie-break the heap path gets from the DES (time, seq) order. This
+//     tie-break the plain path gets from the DES (time, seq) order. This
 //     holds because equal-deadline timers provably converge into the same
 //     level-0 bucket before release, where the dispatch sorts by
 //     (deadline, arm order).

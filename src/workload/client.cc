@@ -270,7 +270,7 @@ void ClientMachine::ArmRetry(const std::shared_ptr<ReliableOp>& op) {
     ArmRetry(op);
   };
   // Retry timers are overwhelmingly cancelled by a completion, so a wheel —
-  // when one is attached — absorbs them without individual heap events.
+  // when one is attached — absorbs them without individual queued events.
   if (TimerWheel* const wheel = sim_->timer_wheel(); wheel != nullptr) {
     op->timer = wheel->In(dt, std::move(fire));
   } else {

@@ -140,7 +140,7 @@ class ClientMachine {
     uint64_t epoch = 0;
     bool done = false;
     SimTime deadline = 0;  // absolute; 0 = unbounded
-    uint64_t timer = 0;    // TimerWheel::kNoTimer when on the plain heap
+    uint64_t timer = 0;    // TimerWheel::kNoTimer when on the plain queue
     SmallFunction<void(SimTime, bool)> cb;
   };
 
