@@ -16,8 +16,7 @@
 
 #include <algorithm>
 #include <cstdint>
-#include <deque>
-#include <queue>
+#include <memory>
 #include <vector>
 
 #include "src/common/log.h"
@@ -176,9 +175,7 @@ class TokenPool {
   void Release() {
     SNIC_CHECK_LT(available_, capacity_);
     if (!waiters_.empty()) {
-      auto cb = std::move(waiters_.front());
-      waiters_.pop_front();
-      sim_->In(0, std::move(cb));
+      sim_->In(0, waiters_.pop_front());
     } else {
       ++available_;
     }
@@ -190,10 +187,52 @@ class TokenPool {
   size_t max_waiters() const { return max_waiters_; }
 
  private:
+  // The waiter FIFO: a ring over a power-of-two array, doubled when full,
+  // that allocates nothing until the first waiter. A machine builds several
+  // token pools whose waiters stay empty in most experiments, and an empty
+  // std::deque still allocates its map and a 480-byte node.
+  class CallbackFifo {
+   public:
+    bool empty() const { return size_ == 0; }
+    size_t size() const { return size_; }
+
+    void push_back(Simulator::Callback cb) {
+      if (size_ == capacity_) {
+        Grow();
+      }
+      ring_[(head_ + size_) & (capacity_ - 1)] = std::move(cb);
+      ++size_;
+    }
+
+    Simulator::Callback pop_front() {
+      Simulator::Callback cb = std::move(ring_[head_]);
+      head_ = (head_ + 1) & (capacity_ - 1);
+      --size_;
+      return cb;
+    }
+
+   private:
+    void Grow() {
+      const size_t capacity = capacity_ == 0 ? 8 : 2 * capacity_;
+      auto ring = std::make_unique<Simulator::Callback[]>(capacity);
+      for (size_t i = 0; i < size_; ++i) {
+        ring[i] = std::move(ring_[(head_ + i) & (capacity_ - 1)]);
+      }
+      ring_ = std::move(ring);
+      capacity_ = capacity;
+      head_ = 0;
+    }
+
+    std::unique_ptr<Simulator::Callback[]> ring_;
+    size_t capacity_ = 0;  // 0 or a power of two
+    size_t head_ = 0;
+    size_t size_ = 0;
+  };
+
   Simulator* sim_;
   int available_;
   int capacity_;
-  std::deque<Simulator::Callback> waiters_;
+  CallbackFifo waiters_;
   size_t max_waiters_ = 0;
 };
 

@@ -104,6 +104,43 @@ TEST(TokenPool, FifoGrantOrder) {
   EXPECT_EQ(pool.available(), 1);
 }
 
+TEST(TokenPool, FifoOrderSurvivesRingWrapAndGrowth) {
+  // The waiter ring starts at 8 entries: wrap it, then grow it while its
+  // head is mid-array; grants must still come out in arrival order.
+  Simulator sim;
+  TokenPool pool(&sim, 1);
+  ASSERT_TRUE(pool.TryAcquire());
+  std::vector<int> order;
+  int next = 0;
+  const auto wait = [&](int n) {
+    for (int k = 0; k < n; ++k) {
+      const int i = next++;
+      pool.Acquire([&order, i] { order.push_back(i); });
+    }
+  };
+  const auto grant = [&](int n) {
+    for (int k = 0; k < n; ++k) {
+      pool.Release();  // hands the token to the oldest waiter
+      sim.Run();
+    }
+  };
+  wait(5);
+  grant(3);
+  wait(6);  // 8 waiting, wrapped round the ring's end
+  wait(3);  // grows with the head mid-array
+  EXPECT_EQ(pool.waiting(), 11u);
+  grant(11);
+  std::vector<int> expected(14);
+  for (int i = 0; i < 14; ++i) {
+    expected[static_cast<size_t>(i)] = i;
+  }
+  EXPECT_EQ(order, expected);
+  EXPECT_EQ(pool.waiting(), 0u);
+  EXPECT_EQ(pool.max_waiters(), 11u);
+  pool.Release();
+  EXPECT_EQ(pool.available(), 1);
+}
+
 TEST(TokenPool, MaxWaitersHighWatermark) {
   Simulator sim;
   TokenPool pool(&sim, 1);
