@@ -267,6 +267,7 @@ ServingResult RunServing(const ServingRunConfig& raw) {
 
   ServingResult r;
   r.live_records = stack.bf->nic().live_records() + fleet.live_records();
+  r.events = sim.processed();
   r.policy = pol->name();
   r.mreqs = meter.MReqsPerSec();
   r.gbps = meter.Gbps();

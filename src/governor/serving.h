@@ -175,11 +175,13 @@ struct ServingResult {
 
   // Outside Fingerprint(), whose bytes the goldens pin: the per-tenant outcome
   // (empty without tenants) and the trace-run outcome (zero without a trace),
-  // each digested by its own Fingerprint(), and the per-request records still
-  // held after the drain (0 unless a drop, crash or timeout path leaked one).
+  // each digested by its own Fingerprint(), the per-request records still
+  // held after the drain (0 unless a drop, crash or timeout path leaked one),
+  // and the simulated events dispatched by the whole run, drain included.
   offload::TenantSetResult tenants;
   TraceRunResult trace;
   uint64_t live_records = 0;
+  uint64_t events = 0;
 
   // One line per broken ledger identity after the drain ("generated 9 !=
   // issued 8 - hedges 0 + shed 0"), empty when closed: generated == issued -

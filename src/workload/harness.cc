@@ -121,6 +121,7 @@ struct Experiment {
     });
 
     Measurement m;
+    m.events = sim.processed();
     m.mreqs = meter.MReqsPerSec();
     m.gbps = meter.Gbps();
     m.ops = meter.ops();

@@ -95,6 +95,10 @@ struct Measurement {
   uint64_t retransmits = 0;
   uint64_t op_failures = 0;
   uint64_t frames_dropped = 0;
+  // Simulated events dispatched over the whole run (sim.processed()), warmup
+  // included. A host-cost figure, not a result: no fingerprint, golden or
+  // --check line reads it.
+  uint64_t events = 0;
 };
 
 // Inbound client -> responder experiment (paths RNIC①, SNIC①, SNIC②).
