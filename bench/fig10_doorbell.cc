@@ -21,11 +21,9 @@ using namespace snicsim;  // NOLINT: bench brevity
 
 namespace {
 
-// The --faults plan and --sim-threads count, applied to every throughput
-// cell (set once in main before the sweep; the helpers below build their
-// configs locally).
+// The --faults plan, applied to every throughput cell (set once in main
+// before the sweep; the helpers below build their configs locally).
 fault::FaultPlan g_faults;
-int g_sim_threads = 1;
 
 // Posting latency: CPU post start -> doorbell at the NIC (Fig. 10(a)).
 void PrintPostingLatency(bool csv) {
@@ -57,7 +55,6 @@ double ClientDbThroughput(ServerKind kind, bool batch, int batch_size) {
   HarnessConfig cfg;
   cfg.client_machines = 1;
   cfg.faults = g_faults;
-  cfg.sim_threads = g_sim_threads;
   cfg.client.doorbell_batch = batch;
   cfg.client.batch = batch_size;
   if (batch) {
@@ -74,7 +71,6 @@ double LocalDbThroughput(bool s2h, bool batch, int batch_size,
   HarnessConfig cfg;
   cfg.client_machines = 1;
   cfg.faults = g_faults;
-  cfg.sim_threads = g_sim_threads;
   cfg.warmup = FromMicros(80);   // several batch cycles
   cfg.window = FromMicros(600);
   cfg.trace_path = trace;
@@ -91,7 +87,6 @@ int main(int argc, char** argv) {
   const std::string metrics = flags.GetString(
       "metrics", "", "metrics JSON output (S2H doorbell-batch B=32 run)");
   const int jobs = runtime::JobsFlag(flags);
-  g_sim_threads = runtime::SimThreadsFlag(flags);
   g_faults = fault::FaultsFlag(flags);
   flags.Finish();
 

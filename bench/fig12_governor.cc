@@ -64,13 +64,8 @@ const std::vector<PolicyKind>& Policies() {
   return kPolicies;
 }
 
-// The --sim-threads count, applied to every grid point (set once in main
-// before the sweeps; see fig10_doorbell.cc for the pattern).
-int g_sim_threads = 1;
-
 ServingRunConfig Base(int host_cores) {
   ServingRunConfig c;
-  c.sim_threads = g_sim_threads;
   c.client.threads = 4;
   c.fleet.machines = 2;
   c.fleet.logical_clients = 192;
@@ -144,7 +139,6 @@ int main(int argc, char** argv) {
       flags.GetString("trace", "", "Chrome trace of the 8 MiB flip point");
   const int64_t host_cores = flags.GetInt("host-cores", 2, "serving host pool size");
   const int jobs = runtime::JobsFlag(flags);
-  g_sim_threads = runtime::SimThreadsFlag(flags);
   flags.Finish();
 
   const std::vector<double> thetas = {0.6, 0.99};

@@ -53,7 +53,6 @@ int main(int argc, char** argv) {
   const std::string metrics =
       flags.GetString("metrics", "", "metrics JSON output (SNIC(1) READ run)");
   const int jobs = runtime::JobsFlag(flags);
-  const int sim_threads = runtime::SimThreadsFlag(flags);
   const fault::FaultPlan faults = fault::FaultsFlag(flags);
   flags.Finish();
   const uint32_t p = static_cast<uint32_t>(payload);
@@ -65,7 +64,6 @@ int main(int argc, char** argv) {
                                  LatencyTarget::kBluefieldSoc}) {
       HarnessConfig cfg = HarnessConfig::Latency();
       cfg.faults = faults;
-      cfg.sim_threads = sim_threads;
       if (verb == Verb::kRead && target == LatencyTarget::kBluefieldHost) {
         // The SNIC(1) READ run is the one the paper's Fig. 3 narrates, so
         // that's the run the observability sinks attach to.

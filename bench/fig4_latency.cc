@@ -37,14 +37,12 @@ int main(int argc, char** argv) {
   const std::string metrics =
       flags.GetString("metrics", "", "metrics JSON output (SNIC(1) READ 64B run)");
   const int jobs = runtime::JobsFlag(flags);
-  const int sim_threads = runtime::SimThreadsFlag(flags);
   const fault::FaultPlan faults = fault::FaultsFlag(flags);
   flags.Finish();
 
   const std::vector<uint32_t> payloads = {8, 16, 64, 256, 512, 1024, 4096, 16384};
   HarnessConfig lat = HarnessConfig::Latency();
   lat.faults = faults;
-  lat.sim_threads = sim_threads;
 
   // Pass 1: enqueue every cell's experiment in exactly the order the table
   // pass below consumes them, so --jobs=N output is byte-identical.

@@ -32,14 +32,12 @@ int main(int argc, char** argv) {
   const int64_t clients = flags.GetInt("clients", 11, "requester machines");
   const bool small_only = flags.GetBool("small-only", false, "only payloads < 1 KB");
   const int jobs = runtime::JobsFlag(flags);
-  const int sim_threads = runtime::SimThreadsFlag(flags);
   const fault::FaultPlan faults = fault::FaultsFlag(flags);
   flags.Finish();
 
   HarnessConfig cfg;
   cfg.client_machines = static_cast<int>(clients);
   cfg.faults = faults;
-  cfg.sim_threads = sim_threads;
 
   std::vector<uint32_t> payloads = {8, 16, 64, 256, 512, 1024, 4096, 16384, 65536};
   if (small_only) {

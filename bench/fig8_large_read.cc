@@ -25,7 +25,6 @@ int main(int argc, char** argv) {
   const std::string metrics =
       flags.GetString("metrics", "", "metrics JSON output (first READ SNIC(2) point)");
   const int jobs = runtime::JobsFlag(flags);
-  const int sim_threads = runtime::SimThreadsFlag(flags);
   const fault::FaultPlan faults = fault::FaultsFlag(flags);
   flags.Finish();
 
@@ -39,7 +38,6 @@ int main(int argc, char** argv) {
   HarnessConfig cfg;
   cfg.client_machines = 8;
   cfg.faults = faults;
-  cfg.sim_threads = sim_threads;
 
   std::printf("== Figure 8(a): bandwidth (Gbps) ==\n");
   Table a({"payload", "READ SNIC(1)", "READ SNIC(2)", "WRITE SNIC(2)"});

@@ -52,13 +52,8 @@ namespace {
 // sheds one more class from the bottom (64 B first, 1 KiB last), so
 // admission can settle near capacity instead of banging between all-on and
 // all-off.
-// The --sim-threads count, applied to every cell (set once in main before
-// the sweep; see fig10_doorbell.cc for the pattern).
-int g_sim_threads = 1;
-
 ServingRunConfig Base() {
   ServingRunConfig c;
-  c.sim_threads = g_sim_threads;
   c.client.threads = 4;
   c.fleet.machines = 4;
   c.fleet.logical_clients = 256;
@@ -214,7 +209,6 @@ int main(int argc, char** argv) {
   const bool check = flags.GetBool(
       "check", false, "assert no-collapse + failover gap + --jobs determinism");
   const int jobs = runtime::JobsFlag(flags);
-  g_sim_threads = runtime::SimThreadsFlag(flags);
   flags.Finish();
 
   const std::vector<double> rates = {1.0, 2.0, 4.0, 8.0, 16.0};

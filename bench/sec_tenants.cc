@@ -49,15 +49,12 @@ using offload::TenantSpec;
 
 namespace {
 
-int g_sim_threads = 1;
-
 constexpr double kSloUs = 40.0;
 
 // Serving plane below its knee: the KV side must stay healthy so the sweep
 // isolates tenant-on-tenant interference, not serving overload.
 ServingRunConfig Base() {
   ServingRunConfig c;
-  c.sim_threads = g_sim_threads;
   c.client.threads = 4;
   c.fleet.machines = 2;
   c.fleet.logical_clients = 128;
@@ -178,7 +175,6 @@ int main(int argc, char** argv) {
       "check", false,
       "assert SLO isolation under caps, closed ledgers, --jobs determinism");
   const int jobs = runtime::JobsFlag(flags);
-  g_sim_threads = runtime::SimThreadsFlag(flags);
   flags.Finish();
 
   const std::vector<double> loads = {0.2, 0.4, 0.8};

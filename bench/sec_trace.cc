@@ -50,10 +50,6 @@ using governor::ServingRunConfig;
 
 namespace {
 
-// The --sim-threads count, applied to every cell (set once in main before
-// the sweep; see sec_overload.cc for the pattern).
-int g_sim_threads = 1;
-
 constexpr double kDeadlineUs = 40.0;
 // Total SoC cores on the server, split between the serving pool and the
 // tenant arbiter pool. Every arm uses the same budget.
@@ -91,7 +87,6 @@ trace::TracePlan DefaultTrace() {
 
 ServingRunConfig Base() {
   ServingRunConfig c;
-  c.sim_threads = g_sim_threads;
   c.client.threads = 4;
   c.fleet.machines = 4;
   c.fleet.logical_clients = 256;
@@ -275,7 +270,6 @@ int main(int argc, char** argv) {
       "check", false,
       "assert autoscaler dominance + phase win + ledgers + --jobs determinism");
   const int jobs = runtime::JobsFlag(flags);
-  g_sim_threads = runtime::SimThreadsFlag(flags);
   flags.Finish();
   if (tplan.empty()) {
     tplan = DefaultTrace();

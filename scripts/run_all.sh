@@ -5,9 +5,10 @@
 #
 # --jobs=N fans the independent sweep points of each bench across N worker
 # threads (default: all cores). --sim-threads=N sets the event cores inside
-# each simulation (multi-domain sims shard per-server domains; single-domain
-# harnesses accept it as a no-op). Output is byte-identical at any value of
-# either flag: results are merged in submission order before anything is
+# each simulation of the multi-domain benches (rack_scale, sec_membership),
+# which shard per-server domains across them; every other bench simulates
+# one domain and is run without it. Output is byte-identical at any value
+# of either flag: results are merged in submission order before anything is
 # printed, and cross-domain events merge in (time, src, seq) order
 # (DESIGN.md §12). The two compose multiplicatively — keep jobs×sim_threads
 # near the core count.
@@ -45,12 +46,16 @@ for b in build/bench/*; do
       "$b"
       ;;
     fig3_flow|fig4_latency|fig4_throughput|fig8_large_read|fig10_doorbell)
-      # The fault-aware benches additionally take --faults and --sim-threads.
-      "$b" --jobs="$jobs" ${simthreads:+"$simthreads"} ${faults:+"$faults"} \
+      # The fault-aware benches additionally take --faults.
+      "$b" --jobs="$jobs" ${faults:+"$faults"} ${args[@]+"${args[@]}"}
+      ;;
+    fig12_governor|sec_overload|sec_tenants|sec_trace)
+      # Fault-aware and self-checking: forward --faults and --check both.
+      "$b" --jobs="$jobs" ${faults:+"$faults"} ${check:+"$check"} \
         ${args[@]+"${args[@]}"}
       ;;
-    fig12_governor|sec_overload|sec_tenants|sec_trace|rack_scale)
-      # Fault-aware and self-checking: forward --faults and --check both.
+    rack_scale)
+      # Multi-domain, fault-aware and self-checking.
       "$b" --jobs="$jobs" ${simthreads:+"$simthreads"} ${faults:+"$faults"} \
         ${check:+"$check"} ${args[@]+"${args[@]}"}
       ;;

@@ -27,8 +27,8 @@
 //
 // Determinism: neither class draws randomness. Decisions are pure
 // functions of epoch-sampled counters, so trace runs replay byte-
-// identically across --jobs and --sim-threads, and a disabled ScaleConfig
-// (enabled == false) creates no autoscaler at all.
+// identically at any --jobs, and a disabled ScaleConfig (enabled == false)
+// creates no autoscaler at all.
 #ifndef SRC_GOVERNOR_AUTOSCALER_H_
 #define SRC_GOVERNOR_AUTOSCALER_H_
 

@@ -82,13 +82,7 @@ void AdaptiveGovernor::SetEpochHook(std::function<void(SimTime)> hook) {
   }
 }
 
-void AdaptiveGovernor::ScheduleTick() {
-  if (TimerWheel* const wheel = sim_->timer_wheel(); wheel != nullptr) {
-    wheel->In(cfg_.epoch, [this] { Tick(); });
-  } else {
-    sim_->In(cfg_.epoch, [this] { Tick(); });
-  }
-}
+void AdaptiveGovernor::ScheduleTick() { sim_->timers().In(cfg_.epoch, [this] { Tick(); }); }
 
 void AdaptiveGovernor::Tick() {
   if (stopped_) {

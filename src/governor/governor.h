@@ -117,9 +117,9 @@ class AdaptiveGovernor : public RoutePolicy {
 
  private:
   void Tick();
-  // Arms the next epoch tick — through the simulator's timer wheel when one
-  // is attached, so the periodic clock shares wheel slots with every other
-  // wheel client instead of costing a queued event per epoch.
+  // Arms the next epoch tick through the simulator's timer wheel, so the
+  // periodic clock shares wheel slots with every other wheel client instead
+  // of costing a queued event per epoch.
   void ScheduleTick();
   double Penalty(int path) const;
 

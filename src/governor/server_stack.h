@@ -2,9 +2,9 @@
 // single-server testbed (RunServing) and every rack domain (RunRackKv).
 //
 // The machine itself is a Testbed (src/topo/testbed.h) with a BlueField
-// card: Fabric, BluefieldServer, TimerWheel and, for a non-empty plan, the
-// FaultInjector, with the wheel and the injector installed on the
-// simulator. The stack adds the ServingExecutor, then the
+// card: Fabric, BluefieldServer and, for a non-empty plan, the
+// FaultInjector installed on the simulator; every clock arms through the
+// simulator's own TimerWheel. The stack adds the ServingExecutor, then the
 // ResilienceManager only for a non-empty config, so an empty one stays
 // byte-identical to a build without the layer.
 // Bind rules, kept here and nowhere else:

@@ -43,9 +43,6 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   ServingRunConfig config = raw;
   config.layout.Validate();
   SNIC_CHECK_EQ(config.mix.weights.size(), config.layout.class_bytes.size());
-  // Single-domain serving testbed: sim_threads is accepted for CLI
-  // uniformity but must not perturb the run (DESIGN.md §12).
-  SNIC_CHECK_GE(config.sim_threads, 1);
   config.fleet.machine = config.client;
 
   Simulator sim;
@@ -58,9 +55,7 @@ ServingResult RunServing(const ServingRunConfig& raw) {
     serving.soc_cores = config.soc_cores;
   }
   // The governor's epoch clock and the fleet's retry timers arm through the
-  // stack's wheel; firing order is In()-equivalent (src/sim/timer_wheel.h),
-  // and the §12 determinism contract is unaffected because the wheel lives
-  // entirely inside this domain.
+  // simulator's wheel, which lives entirely inside this one domain.
   ServerStack stack(&sim, config.testbed, serving, config.faults, config.resil);
   kv::ServingExecutor& exec = stack.exec;
   fault::FaultInjector* const injector = stack.injector.get();

@@ -96,12 +96,6 @@ struct ServingRunConfig {
   // autoscaler exists and provisioning stays static.
   ScaleConfig scale;
 
-  // Event cores for the simulation (--sim-threads). The serving testbed is
-  // a single domain — one BlueField server, one Simulator — so any value is
-  // accepted with byte-identical output (DESIGN.md §12); the flag exists so
-  // serving benches compose uniformly with the multi-domain ones.
-  int sim_threads = 1;
-
   // Observability sinks (same semantics as HarnessConfig).
   std::string trace_path;
   std::string metrics_path;

@@ -10,7 +10,7 @@
 // tenants stays backlogged, grants interleave proportionally to weight with
 // no bursts, and the decision depends only on (queue occupancy, credits) —
 // both pure functions of sim-time-ordered Submit/completion events — so the
-// schedule is byte-stable across --jobs and --sim-threads.
+// schedule is byte-stable at any --jobs.
 //
 // The arbiter is intentionally NOT a MultiServer: next-free-time servers
 // pick by earliest availability, which is fair but weightless. Tenancy

@@ -24,7 +24,7 @@
 // spacing (1/mops us), per-item filter decisions are hashes of
 // (set seed ^ FNV(tenant id), item seq) — no shared RNG stream — and the
 // WRR arbiter decides from queue occupancy alone. Consequently (a) the same
-// seed replays byte-identically at any --jobs/--sim-threads level, and
+// seed replays byte-identically at any --jobs level, and
 // (b) tenants on disjoint pools with no crossings are invisible to each
 // other: merging them into one TenantManager reproduces their solo
 // fingerprints byte-for-byte (the metamorphic law pinned by

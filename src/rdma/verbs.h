@@ -302,9 +302,9 @@ class QueuePair {
     uint64_t epoch = 0;
     bool done = false;
     SimTime deadline = 0;  // absolute; 0 = unbounded
-    // Wheel handle of the pending retransmit timer (kNoTimer when armed on
-    // the plain queue). Lets completions reclaim the timer in O(1) instead
-    // of leaving a stale event to no-op at full timeout depth.
+    // Wheel handle of the pending retransmit timer (kNoTimer when none).
+    // Lets completions and go-back-N re-arms reclaim the timer in O(1)
+    // instead of leaving a stale one to no-op at full timeout depth.
     TimerWheel::TimerId timer = TimerWheel::kNoTimer;
   };
 
@@ -413,29 +413,21 @@ class QueuePair {
       OnTimeout(wr);
     };
     // Retransmit timers are the wheel's home case: nearly all of them are
-    // superseded by a completion, so arming through an attached wheel lets
-    // CancelTimer reclaim them without a queue op. The epoch guard above
-    // stays as belt-and-braces (and carries the plain-queue fallback unchanged).
-    if (TimerWheel* const wheel = machine_->sim()->timer_wheel();
-        wheel != nullptr) {
-      wr->timer = wheel->In(timeout, std::move(fire));
-    } else {
-      machine_->sim()->In(timeout, std::move(fire));
-    }
+    // superseded by a completion, so CancelTimer reclaims them without a
+    // queue op. The epoch guard above stays as belt-and-braces.
+    wr->timer = machine_->sim()->timers().In(timeout, std::move(fire));
   }
 
   void CancelTimer(const std::shared_ptr<PendingWr>& wr) {
     if (wr->timer == TimerWheel::kNoTimer) {
       return;
     }
-    if (TimerWheel* const wheel = machine_->sim()->timer_wheel();
-        wheel != nullptr) {
-      wheel->Cancel(wr->timer);  // stale-id no-op if it already fired
-    }
+    machine_->sim()->timers().Cancel(wr->timer);  // stale-id no-op if it already fired
     wr->timer = TimerWheel::kNoTimer;
   }
 
   void OnTimeout(const std::shared_ptr<PendingWr>& wr) {
+    wr->timer = TimerWheel::kNoTimer;  // it just fired
     ++timeouts_;
     Simulator* const sim = machine_->sim();
     if (Tracer* const tr = sim->tracer(); tr != nullptr) {
@@ -490,6 +482,7 @@ class QueuePair {
       }
       ++p->epoch;
       ++p->retries;
+      CancelTimer(p);  // a later WR's pending timer is superseded by this round
       Transmit(p, /*first=*/false);
     }
   }

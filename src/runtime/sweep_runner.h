@@ -30,11 +30,11 @@ int DefaultJobs();
 // A value below 1 exits 2.
 int JobsFlag(Flags& flags);
 
-// Registers the shared --sim-threads flag: event cores *inside* one simulation (multi-domain
-// sims shard per-server domains across them, DESIGN.md §12), as opposed to --jobs which
-// parallelizes across whole experiments. Output is byte-identical for any value; single-domain
-// experiments accept it as a no-op so invocations compose uniformly. Total worker threads ≈
-// jobs × sim_threads — keep the product near the core count. A value below 1 exits 2.
+// Registers the --sim-threads flag of the multi-domain benches (rack_scale, sec_membership):
+// event cores *inside* one simulation, which shards per-server domains across them (DESIGN.md
+// §12), as opposed to --jobs which parallelizes across whole experiments. Output is
+// byte-identical for any value. Total worker threads ≈ jobs × sim_threads — keep the product
+// near the core count. A value below 1 exits 2.
 int SimThreadsFlag(Flags& flags);
 
 // Order-preserving sweep for the bench mains: Add() every experiment in the

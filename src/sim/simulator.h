@@ -55,7 +55,7 @@
 namespace snicsim {
 
 class Tracer;  // src/obs/trace.h — attached by the harness when tracing is on
-class TimerWheel;  // src/sim/timer_wheel.h — attached for cancel-heavy clocks
+class TimerWheel;  // src/sim/timer_wheel.h — the simulator's own, see timers()
 namespace fault {
 class FaultInjector;  // src/fault/injector.h — attached when a plan is set
 }
@@ -74,6 +74,7 @@ class Simulator {
     head_.fill(kNil);
     min_.fill(kNoEvent);
   }
+  ~Simulator();  // src/sim/timer_wheel.cc, where TimerWheel is complete
   Simulator(const Simulator&) = delete;
   Simulator& operator=(const Simulator&) = delete;
 
@@ -158,18 +159,23 @@ class Simulator {
   fault::FaultInjector* faults() const { return faults_; }
   void set_faults(fault::FaultInjector* f) { faults_ = f; }
 
-  // Nullable timer-wheel hook, same pattern again: cancellation-heavy
-  // clocks (retransmit timeouts, governor epochs) arm through the wheel iff
-  // one is attached and fall back to plain In() otherwise. The wheel fires
-  // at exact deadlines with queue-equivalent timer ordering
-  // (src/sim/timer_wheel.h), so attaching one may only perturb a run
-  // through the DES tie-break seq of same-picosecond cross-kind ties.
-  TimerWheel* timer_wheel() const { return timer_wheel_; }
-  void set_timer_wheel(TimerWheel* w) { timer_wheel_ = w; }
+  // The timer wheel every cancellation-heavy clock (retransmit timeouts,
+  // retry timers, governor epochs) arms through. It fires at exact
+  // deadlines with queue-equivalent timer ordering (src/sim/timer_wheel.h).
+  // Built on first use, so a simulator that arms no timer pays nothing;
+  // callers include src/sim/timer_wheel.h.
+  TimerWheel& timers() {
+    if (timers_ == nullptr) [[unlikely]] {
+      timers_ = NewTimerWheel();
+    }
+    return *timers_;
+  }
 
  private:
   friend class SimulatorTestPeer;  // tests fast-forward next_seq_ to the
                                    // renumber threshold
+
+  TimerWheel* NewTimerWheel();  // src/sim/timer_wheel.cc
 
   // The queue node of one slot: its dispatch key and its bucket-list link.
   // The closure stays put in its slot; 16 bytes keep four nodes per line.
@@ -342,7 +348,7 @@ class Simulator {
   std::vector<uint32_t> free_slots_;
   Tracer* tracer_ = nullptr;
   fault::FaultInjector* faults_ = nullptr;
-  TimerWheel* timer_wheel_ = nullptr;
+  TimerWheel* timers_ = nullptr;  // owned; built by timers()
   SimTime now_ = 0;
   uint32_t next_seq_ = 0;
   uint64_t processed_ = 0;

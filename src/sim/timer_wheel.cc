@@ -8,6 +8,11 @@
 
 namespace snicsim {
 
+// Simulator's two out-of-line members: its header only declares TimerWheel.
+Simulator::~Simulator() { delete timers_; }
+
+TimerWheel* Simulator::NewTimerWheel() { return new TimerWheel(this); }
+
 TimerWheel::TimerWheel(Simulator* sim, SimTime tick) : sim_(sim), tick_(tick) {
   SNIC_CHECK(sim != nullptr);
   SNIC_CHECK_GT(tick, 0);

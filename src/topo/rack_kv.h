@@ -5,7 +5,8 @@
 // Topology. Every domain owns a complete serving machine — Fabric,
 // BluefieldServer (SmartNIC model), ServingExecutor on both endpoints,
 // AdaptiveGovernor routing host (①) vs SoC (②, misses ride ③),
-// ResilienceManager admission control, FaultInjector, TimerWheel — plus
+// ResilienceManager admission control, FaultInjector, and the domain
+// simulator's TimerWheel for every timeout and epoch clock — plus
 // the *home* side: an AggregateFleet generating this domain's share of the
 // rack's user population in O(in-flight) memory, the shard map, and a
 // failover view of every other server. Domains exchange request/reply,

@@ -50,7 +50,7 @@ void OnPushNack(RackKv& r, DomainId d, MigOp* m, uint64_t gen) {
   ++m->attempts;
   m->next = static_cast<size_t>(m->acked);  // rewind to the unacked tail
   RackKv* rk = &r;
-  dom.stack.wheel.In(r.p->governor_epoch, [rk, d, m, gen] {
+  dom.stack.sim->timers().In(r.p->governor_epoch, [rk, d, m, gen] {
     if (m->gen != gen) {
       return;
     }
@@ -170,7 +170,7 @@ void PushNextKey(RackKv& r, DomainId d, MigOp* m) {
     ++dom.ctr.migration_waits;
     RackKv* rk = &r;
     const uint64_t gen = m->gen;
-    dom.stack.wheel.In(wait, [rk, d, m, gen, rank, cls, bytes] {
+    dom.stack.sim->timers().In(wait, [rk, d, m, gen, rank, cls, bytes] {
       if (m->gen != gen) {
         return;
       }
@@ -332,7 +332,7 @@ void EpochTick(RackKv& r, DomainId d) {
     ScrubTick(r, d);
   }
   if (dom.stack.sim->now() + r.p->governor_epoch < r.p->window) {
-    dom.stack.wheel.In(r.p->governor_epoch, [rk, d] { EpochTick(*rk, d); });
+    dom.stack.sim->timers().In(r.p->governor_epoch, [rk, d] { EpochTick(*rk, d); });
   }
 }
 

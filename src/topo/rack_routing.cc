@@ -83,7 +83,7 @@ void RetryOrFail(RackKv& r, DomainId d, HomeOp* op) {
   RackKv* rk = &r;
   const uint64_t gen = op->gen;
   const uint64_t token = op->token;
-  dom.stack.wheel.In(r.p->retry_backoff, [rk, d, op, gen, token] {
+  dom.stack.sim->timers().In(r.p->retry_backoff, [rk, d, op, gen, token] {
     if (op->gen != gen || op->token != token) {
       return;  // freed or re-dispatched while backing off (cannot happen
                // today — the op is quiescent during backoff — but cheap)
@@ -122,7 +122,7 @@ void Dispatch(RackKv& r, DomainId d, HomeOp* op) {
   const uint64_t gen = op->gen;
   const uint64_t token = ++op->token;
   RackKv* rk = &r;
-  op->timer = dom.stack.wheel.In(r.p->request_timeout, [rk, d, op, gen, token] {
+  op->timer = dom.stack.sim->timers().In(r.p->request_timeout, [rk, d, op, gen, token] {
     OnTimeout(*rk, d, op, gen, token);
   });
   const ServeMsg msg{rk,
@@ -191,7 +191,7 @@ void ReplyHome(RackKv& r, DomainId d, HomeOp* op, uint64_t gen, uint64_t token,
     return;
   }
   if (op->timer != TimerWheel::kNoTimer) {
-    dom.stack.wheel.Cancel(op->timer);
+    dom.stack.sim->timers().Cancel(op->timer);
     op->timer = TimerWheel::kNoTimer;
   }
   ++op->token;  // no later message can settle this attempt again

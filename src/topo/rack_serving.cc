@@ -58,7 +58,7 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
         const uint64_t rank = rep->rank;
         const int cls = rep->cls;
         const uint32_t bytes = rep->bytes;
-        rep->timer = here.stack.wheel.In(rk->p->repl_timeout, [rk, t, rep, gen, token] {
+        rep->timer = here.stack.sim->timers().In(rk->p->repl_timeout, [rk, t, rep, gen, token] {
           KvDomain& h = *rk->doms[static_cast<size_t>(t)];
           if (rep->gen != gen || rep->token != token) {
             return;
@@ -71,7 +71,7 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
             h.reps.Free(rep);
             return;
           }
-          h.stack.wheel.In(rk->p->retry_backoff, [rk, t, rep, gen] {
+          h.stack.sim->timers().In(rk->p->retry_backoff, [rk, t, rep, gen] {
             if (rep->gen != gen) {
               return;
             }
@@ -105,7 +105,7 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
                         return;
                       }
                       if (rep->timer != TimerWheel::kNoTimer) {
-                        h.stack.wheel.Cancel(rep->timer);
+                        h.stack.sim->timers().Cancel(rep->timer);
                         rep->timer = TimerWheel::kNoTimer;
                       }
                       ++h.ctr.repl_acked;
@@ -206,7 +206,7 @@ void ServeArrival(RackKv& r, DomainId t, DomainId src, HomeOp* op,
   // evaporates with the endpoint); the watchdog turns that silence into a
   // deterministic failed-serve + nack so the governor's in-flight
   // accounting and the home ledger both stay closed.
-  dom.stack.wheel.In(r.p->serve_timeout, [rk, t, ctx, sgen] {
+  dom.stack.sim->timers().In(r.p->serve_timeout, [rk, t, ctx, sgen] {
     KvDomain& here = *rk->doms[static_cast<size_t>(t)];
     if (ctx->gen != sgen || ctx->settled) {
       return;

@@ -12,12 +12,7 @@ Testbed::Testbed(Simulator* simulator, const TestbedParams& params, ServerCard c
                                      : nullptr),
       bf(card == ServerCard::kBluefield
              ? std::make_unique<BluefieldServer>(sim, &fabric, params, server_name)
-             : nullptr),
-      wheel(sim) {
-  // The cancellation-heavy clocks (client retry timers, QP retransmit
-  // timeouts, governor epochs) arm through the wheel; fault-free harness
-  // runs arm none of them, so the wheel is sequence-neutral there.
-  sim->set_timer_wheel(&wheel);
+             : nullptr) {
   // With an empty plan every component's fault hook stays a null test and
   // the run is bit-identical to a build without the fault layer.
   if (!faults.empty()) {

@@ -1,17 +1,17 @@
 // One experiment's machine, wired once (paper §2.4: a fresh testbed per
-// experiment): the InfiniBand fabric, exactly one server, the TimerWheel,
-// and — only when asked for — the FaultInjector and the Tracer, each
-// installed on the simulator. Every Measure* entry point of the paper
-// harness (src/workload/harness.cc) builds one, and governor::ServerStack
-// derives from it, so RunServing and every rack domain wire the machine the
-// same way.
+// experiment): the InfiniBand fabric, exactly one server and — only when
+// asked for — the FaultInjector and the Tracer, each installed on the
+// simulator. Every Measure* entry point of the paper harness
+// (src/workload/harness.cc) builds one, and governor::ServerStack derives
+// from it, so RunServing and every rack domain wire the machine the same
+// way. Timers arm through the simulator's own wheel (Simulator::timers()).
 //
-// Construction order: Fabric, the server, TimerWheel, then the
-// FaultInjector for a non-empty plan; AttachSinks adds the Tracer for a
-// non-empty trace path. Nothing here schedules an event, and no component
-// reads a hook at construction, so the caller's load (clients, requesters,
-// fleets) may be built afterwards. An empty plan and empty sink paths
-// construct neither an injector, a tracer nor a metrics registry.
+// Construction order: Fabric, the server, then the FaultInjector for a
+// non-empty plan; AttachSinks adds the Tracer for a non-empty trace path.
+// Nothing here schedules an event, and no component reads a hook at
+// construction, so the caller's load (clients, requesters, fleets) may be
+// built afterwards. An empty plan and empty sink paths construct neither an
+// injector, a tracer nor a metrics registry.
 #ifndef SRC_TOPO_TESTBED_H_
 #define SRC_TOPO_TESTBED_H_
 
@@ -24,7 +24,6 @@
 #include "src/obs/metrics.h"
 #include "src/obs/trace.h"
 #include "src/sim/simulator.h"
-#include "src/sim/timer_wheel.h"
 #include "src/topo/fabric.h"
 #include "src/topo/server.h"
 #include "src/topo/testbed_params.h"
@@ -56,7 +55,6 @@ struct Testbed {
   Fabric fabric;
   std::unique_ptr<RnicServer> rnic;      // exactly one of rnic / bf is set
   std::unique_ptr<BluefieldServer> bf;
-  TimerWheel wheel;
   std::unique_ptr<fault::FaultInjector> injector;  // non-empty plan only
   std::unique_ptr<Tracer> tracer;                  // non-empty trace path only
 

@@ -6,7 +6,6 @@
 #include "src/common/log.h"
 #include "src/fault/injector.h"
 #include "src/obs/trace.h"
-#include "src/sim/timer_wheel.h"
 
 namespace snicsim {
 
@@ -269,13 +268,9 @@ void ClientMachine::ArmRetry(const std::shared_ptr<ReliableOp>& op) {
            [this, op](SimTime completed) { CompleteReliable(op, completed); });
     ArmRetry(op);
   };
-  // Retry timers are overwhelmingly cancelled by a completion, so a wheel —
-  // when one is attached — absorbs them without individual queued events.
-  if (TimerWheel* const wheel = sim_->timer_wheel(); wheel != nullptr) {
-    op->timer = wheel->In(dt, std::move(fire));
-  } else {
-    sim_->In(dt, std::move(fire));
-  }
+  // Retry timers are overwhelmingly cancelled by a completion, so the wheel
+  // absorbs them without individual queued events.
+  op->timer = sim_->timers().In(dt, std::move(fire));
 }
 
 void ClientMachine::CompleteReliable(const std::shared_ptr<ReliableOp>& op,
@@ -286,9 +281,7 @@ void ClientMachine::CompleteReliable(const std::shared_ptr<ReliableOp>& op,
   op->done = true;
   ++op->epoch;  // cancels the pending retry timer
   if (op->timer != TimerWheel::kNoTimer) {
-    if (TimerWheel* const wheel = sim_->timer_wheel(); wheel != nullptr) {
-      wheel->Cancel(op->timer);  // stale-id no-op if the timer already fired
-    }
+    sim_->timers().Cancel(op->timer);  // stale-id no-op if the timer already fired
     op->timer = TimerWheel::kNoTimer;
   }
   op->cb(completed, true);

@@ -20,6 +20,7 @@
 #include "src/sim/pool.h"
 #include "src/sim/server.h"
 #include "src/sim/simulator.h"
+#include "src/sim/timer_wheel.h"
 #include "src/topo/fabric.h"
 #include "src/workload/addr_gen.h"
 
@@ -131,8 +132,8 @@ class ClientMachine {
   // One reliable op in flight: `epoch` cancels superseded retry timers,
   // `done` makes completion first-wins (a late duplicate response after a
   // retransmission is dropped here). `timer` is the wheel handle of the
-  // pending retry timer when a TimerWheel is attached to the simulator, so
-  // completion reclaims the timer record instead of leaving a stale event.
+  // pending retry timer, so completion reclaims the timer record instead of
+  // leaving a stale event.
   struct ReliableOp {
     TargetSpec target;
     uint64_t addr = 0;
@@ -140,7 +141,7 @@ class ClientMachine {
     uint64_t epoch = 0;
     bool done = false;
     SimTime deadline = 0;  // absolute; 0 = unbounded
-    uint64_t timer = 0;    // TimerWheel::kNoTimer when on the plain queue
+    TimerWheel::TimerId timer = TimerWheel::kNoTimer;
     SmallFunction<void(SimTime, bool)> cb;
   };
 

@@ -47,9 +47,6 @@ ServerCard CardOf(ServerKind kind) {
 struct Experiment {
   Experiment(const HarnessConfig& c, ServerCard card)
       : config(c), testbed(&sim, c.testbed, card, c.faults), meter(&sim) {
-    // Single-domain harness: sim_threads is accepted (uniform bench CLI) but
-    // has nothing to shard, so any value must leave the run untouched.
-    SNIC_CHECK_GE(c.sim_threads, 1);
     testbed.AttachSinks(c.trace_path, c.metrics_path, c.trace_capacity);
     meter.SetWindow(c.warmup, c.warmup + c.window);
   }

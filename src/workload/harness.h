@@ -61,15 +61,6 @@ struct HarnessConfig {
   // points never share fault state and parallel sweeps stay deterministic.
   fault::FaultPlan faults;
 
-  // Event cores for the simulation itself (--sim-threads). Every figure
-  // harness builds a single-domain testbed — one Simulator, nothing for a
-  // parallel DES to shard — so any value is accepted and the run is
-  // byte-identical to sim_threads=1; the determinism contract (DESIGN.md
-  // §12) makes the same promise for genuinely multi-domain workloads
-  // (src/topo/rack_kv.h). Composes with --jobs multiplicatively: a sweep runs
-  // up to jobs × sim_threads worker threads.
-  int sim_threads = 1;
-
   static HarnessConfig Latency() {
     // One requester, one thread, one outstanding op: unloaded latency.
     HarnessConfig c;

@@ -14,6 +14,7 @@
 
 #include "src/fault/injector.h"
 #include "src/rdma/verbs.h"
+#include "src/sim/timer_wheel.h"
 #include "src/topo/server.h"
 
 namespace snicsim {
@@ -96,6 +97,9 @@ RunResult RunConservation(double drop, uint64_t seed) {
   r.completion_errors = qp.completion_errors();
   r.final_state = qp.state();
   EXPECT_EQ(qp.outstanding(), 0) << "drop=" << drop << " seed=" << seed;
+  // Every retransmit timer that fires is a timeout: completions and
+  // go-back-N rounds cancel the timers they supersede.
+  EXPECT_EQ(sim.timers().fired(), qp.timeouts()) << "drop=" << drop << " seed=" << seed;
   return r;
 }
 

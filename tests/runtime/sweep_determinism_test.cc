@@ -1,12 +1,12 @@
 // The tentpole guarantee: a sweep run with --jobs=N produces byte-identical
-// CSV, trace, and metrics output to the serial run, for any N — and, since
-// the parallel DES core, for any --sim-threads count too (DESIGN.md §12).
-// The two knobs parallelize at different layers (whole experiments vs
-// domains inside one experiment) and compose multiplicatively, so the tests
-// here compare every byte of every artifact across the (jobs, sim_threads)
-// cross-product — fault-free, under an active fault schedule, and through a
-// crash window (each sweep point owns its injector, so worker interleaving
-// must never leak into the fault draws).
+// CSV, trace, and metrics output to the serial run, for any N — and a
+// multi-domain rack sweep does so for any --sim-threads count too (DESIGN.md
+// §12). The two knobs parallelize at different layers (whole experiments vs
+// domains inside one experiment) and compose multiplicatively, so the rack
+// tests here compare fingerprints across the (jobs, sim_threads)
+// cross-product. Sweeps run fault-free, under an active fault schedule and,
+// for the rack, through a crash window (each sweep point owns its injector,
+// so worker interleaving must never leak into the fault draws).
 #include <gtest/gtest.h>
 
 #include <fstream>
@@ -42,15 +42,13 @@ struct SweepArtifacts {
 // pattern the bench mains use: submit in table order, run, then consume
 // results in the same order.
 SweepArtifacts RunMiniSweep(int jobs, const std::string& tag,
-                            const std::string& faults_spec = "",
-                            int sim_threads = 1) {
+                            const std::string& faults_spec = "") {
   const ServerKind kinds[] = {ServerKind::kRnicHost, ServerKind::kBluefieldSoc};
   const uint32_t payloads[] = {64, 512};
 
   HarnessConfig base;
   base.client_machines = 2;
   base.client.threads = 2;
-  base.sim_threads = sim_threads;
   base.warmup = FromMicros(5);
   base.window = FromMicros(20);
   if (!faults_spec.empty()) {
@@ -160,17 +158,6 @@ TEST(SweepDeterminism, FaultedRunDiffersFromFaultFreeRun) {
   const SweepArtifacts clean = RunMiniSweep(1, "c");
   const SweepArtifacts faulted = RunMiniSweep(1, "f", kFaultSpec);
   EXPECT_NE(clean.csv, faulted.csv);
-}
-
-// --sim-threads on the single-domain harness is a no-op by contract: the
-// whole (jobs, sim_threads) cross-product — with the fault plan arming real
-// retry timers through the timer wheel — must be byte-identical.
-TEST(SweepDeterminism, SimThreadsIsNoOpOnSingleDomainSweep) {
-  const SweepArtifacts base = RunMiniSweep(1, "st11", kFaultSpec, 1);
-  EXPECT_FALSE(base.csv.empty());
-  EXPECT_EQ(base.csv, RunMiniSweep(1, "st14", kFaultSpec, 4).csv);
-  EXPECT_EQ(base.csv, RunMiniSweep(8, "st81", kFaultSpec, 1).csv);
-  EXPECT_EQ(base.csv, RunMiniSweep(8, "st84", kFaultSpec, 4).csv);
 }
 
 // A mini sweep over the genuinely multi-domain rack workload: several rack

@@ -262,6 +262,27 @@ TEST(TimerWheel, WarmWheelAllocatesNothing) {
   EXPECT_GT(wheel.cascades(), 0u);
 }
 
+// A Simulator builds its wheel at the first timers() call, not before, so a
+// simulation that arms no timer pays nothing for it; later calls return
+// the same wheel.
+TEST(TimerWheel, SimulatorBuildsItsWheelOnFirstUse) {
+  Simulator sim;
+  sim.In(FromNanos(1), [] {});
+  sim.Run();  // warms the event storage
+  const uint64_t before = g_allocations;
+  TimerWheel& wheel = sim.timers();
+  const uint64_t built = g_allocations;
+  EXPECT_GT(built, before);
+  EXPECT_EQ(&sim.timers(), &wheel);
+  EXPECT_EQ(g_allocations, built);
+  EXPECT_EQ(wheel.sim(), &sim);
+  int fired = 0;
+  wheel.In(FromMicros(3), [&fired] { ++fired; });
+  sim.Run();
+  EXPECT_EQ(fired, 1);
+  EXPECT_EQ(sim.now(), FromNanos(1) + FromMicros(3));
+}
+
 TEST(TimerWheel, StaleIdOfRecycledRecordIsRejected) {
   Simulator sim;
   TimerWheel wheel(&sim);

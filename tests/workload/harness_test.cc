@@ -99,16 +99,6 @@ TEST(Harness, LargePayloadAutoScalingKeepsRatesSane) {
   EXPECT_LT(m.gbps, 200.0);
 }
 
-// sim_threads is checked once, in the setup every entry point shares, so
-// the two entry points that skip payload scaling reject 0 like the rest.
-TEST(HarnessDeathTest, EveryEntryPointRejectsZeroSimThreads) {
-  HarnessConfig c = Quick();
-  c.sim_threads = 0;
-  EXPECT_DEATH(MeasureInterference(Verb::kRead, 64, true, c), "CHECK failed");
-  EXPECT_DEATH(MeasureLocalFlowCombination(true, 4096, c), "CHECK failed");
-  EXPECT_DEATH(MeasureInboundPath(ServerKind::kRnicHost, Verb::kRead, 64, c), "CHECK failed");
-}
-
 TEST(Harness, ServerKindNames) {
   EXPECT_STREQ(ServerKindName(ServerKind::kRnicHost), "RNIC(1)");
   EXPECT_STREQ(ServerKindName(ServerKind::kBluefieldHost), "SNIC(1)");

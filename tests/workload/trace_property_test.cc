@@ -10,9 +10,9 @@
 //      exactly); at the full-sim level — where Poisson arrivals make exact
 //      per-phase permutation impossible — the per-phase request ledger
 //      must still partition the run totals exactly, shifted or not.
-//   L3 (replay): the same seed replays byte-identically across every
-//      (--jobs, --sim-threads) combination — the trace layer adds no
-//      draw whose count depends on scheduling.
+//   L3 (replay): the same seed replays byte-identically at every --jobs
+//      level — the trace layer adds no draw whose count depends on
+//      scheduling.
 #include "src/workload/trace/trace.h"
 
 #include <gtest/gtest.h>
@@ -201,28 +201,24 @@ TEST(TraceProperty, PhaseLedgerPartitionsTotalsUnderTimeShift) {
   }
 }
 
-// L3: byte-identical replay across the full (--jobs, --sim-threads) grid.
-TEST(TraceProperty, ReplayByteIdenticalAcrossJobsAndSimThreads) {
+// L3: byte-identical replay at every --jobs level.
+TEST(TraceProperty, ReplayByteIdenticalAcrossJobs) {
   const TracePlan base = Plan(kBasePlan);
   std::string reference;
-  for (const int sim_threads : {1, 2, 4}) {
-    for (const int jobs : {1, 2, 4}) {
-      runtime::SweepQueue<ServingResult> sweep(jobs);
-      for (const uint64_t seed : {1u, 42u}) {
-        ServingRunConfig c = Traced(seed, base, 8.0);
-        c.sim_threads = sim_threads;
-        sweep.Add([c] { return RunServing(c); });
-      }
-      std::string digest;
-      for (const ServingResult& r : sweep.Run()) {
-        digest += FullDigest(r) + "\n";
-      }
-      if (reference.empty()) {
-        reference = digest;
-      } else {
-        EXPECT_EQ(digest, reference)
-            << "jobs=" << jobs << " sim_threads=" << sim_threads;
-      }
+  for (const int jobs : {1, 2, 4}) {
+    runtime::SweepQueue<ServingResult> sweep(jobs);
+    for (const uint64_t seed : {1u, 42u}) {
+      const ServingRunConfig c = Traced(seed, base, 8.0);
+      sweep.Add([c] { return RunServing(c); });
+    }
+    std::string digest;
+    for (const ServingResult& r : sweep.Run()) {
+      digest += FullDigest(r) + "\n";
+    }
+    if (reference.empty()) {
+      reference = digest;
+    } else {
+      EXPECT_EQ(digest, reference) << "jobs=" << jobs;
     }
   }
 }
