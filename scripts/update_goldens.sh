@@ -8,7 +8,7 @@ cd "$(dirname "$0")/.."
 cmake -B build -G Ninja
 cmake --build build --target golden_golden_run_test golden_overload_golden_test \
   golden_tenants_golden_test golden_rack_golden_test golden_serving_golden_test \
-  golden_trace_golden_test governor_autoscaler_test
+  golden_trace_golden_test golden_bulk_golden_test governor_autoscaler_test
 mkdir -p tests/golden/data
 UPDATE_GOLDENS=1 ./build/tests/golden_golden_run_test
 UPDATE_GOLDENS=1 ./build/tests/golden_overload_golden_test
@@ -16,5 +16,6 @@ UPDATE_GOLDENS=1 ./build/tests/golden_tenants_golden_test
 UPDATE_GOLDENS=1 ./build/tests/golden_rack_golden_test
 UPDATE_GOLDENS=1 ./build/tests/golden_serving_golden_test
 UPDATE_GOLDENS=1 ./build/tests/golden_trace_golden_test
+UPDATE_GOLDENS=1 ./build/tests/golden_bulk_golden_test
 UPDATE_GOLDENS=1 ./build/tests/governor_autoscaler_test
 echo "goldens regenerated; review with: git diff tests/golden/data"
