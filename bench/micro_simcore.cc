@@ -16,6 +16,7 @@
 #include "src/sim/simulator.h"
 #include "src/topo/rack_kv.h"
 #include "src/topo/shard.h"
+#include "src/topo/testbed.h"
 #include "src/workload/harness.h"
 
 namespace snicsim {
@@ -214,6 +215,39 @@ void BM_DramAccess(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations());
 }
 BENCHMARK(BM_DramAccess);
+
+// The PCIe layer alone: one 4 KiB completion burst back from the SoC over
+// the BlueField route (PCIe1, then the switch) and the control TLP that
+// requested it, as each sub-read of a path-② READ does.
+void BM_PciePathBurst(benchmark::State& state) {
+  Simulator sim;
+  Testbed tb(&sim, TestbedParams::Default(), ServerCard::kBluefield, {});
+  NicEndpoint* const ep = tb.bf->soc_ep();
+  const uint32_t mtu = ep->params().pcie_mtu;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(ep->to_mem().TransferControlAt(&sim, sim.now()));
+    benchmark::DoNotOptimize(ep->from_mem().TransferAt(&sim, sim.now(), 4096, mtu));
+  }
+  state.SetItemsProcessed(state.iterations());
+}
+BENCHMARK(BM_PciePathBurst);
+
+// One 10 MiB READ against the SoC endpoint: 2,560 sub-reads on the
+// head-of-line window (paper Fig. 8), request TLP, memory, completion burst
+// and credit grant each, on a fresh testbed. Items are sub-reads.
+void BM_SubReadStream(benchmark::State& state) {
+  constexpr uint64_t kLen = 10 * kMiB;
+  for (auto _ : state) {
+    Simulator sim;
+    Testbed tb(&sim, TestbedParams::Default(), ServerCard::kBluefield, {});
+    SimTime done = 0;
+    tb.bf->soc_ep()->DmaRead(0, kLen, [&done](SimTime t) { done = t; });
+    sim.Run();
+    benchmark::DoNotOptimize(done);
+  }
+  state.SetItemsProcessed(state.iterations() * static_cast<int64_t>(kLen / 4096));
+}
+BENCHMARK(BM_SubReadStream)->Unit(benchmark::kMillisecond);
 
 // The rack's shard map (src/topo/shard.h): one PrimaryOf per item over
 // consecutive ranks, as the rack planes ask it, at (servers, vnodes).

@@ -6,6 +6,8 @@
 #ifndef SRC_COMMON_RNG_H_
 #define SRC_COMMON_RNG_H_
 
+#include <array>
+#include <cstddef>
 #include <cstdint>
 
 namespace snicsim {
@@ -18,12 +20,29 @@ inline uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-// Folds the 8 bytes of `v`, low byte first, into the FNV-1a state `h`.
-inline uint64_t FnvMix(uint64_t h, uint64_t v) {
-  for (int i = 0; i < 8; ++i) {
-    h = (h ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ULL;
+inline constexpr uint64_t kFnvPrime = 1099511628211ULL;
+
+// kFnvPrimePow[k] == kFnvPrime^k (mod 2^64).
+inline constexpr std::array<uint64_t, 9> kFnvPrimePow = [] {
+  std::array<uint64_t, 9> p{};
+  p[0] = 1;
+  for (size_t k = 1; k < p.size(); ++k) {
+    p[k] = p[k - 1] * kFnvPrime;
   }
-  return h;
+  return p;
+}();
+
+// Folds the 8 bytes of `v`, low byte first, into the FNV-1a state `h`.
+// A zero byte XORs nothing in, so each byte past the last non-zero one is
+// a bare multiply by the prime: the loop stops there and multiplies by the
+// matching power, which is exact mod 2^64. Digested values are mostly
+// small (domain ids, seqs, counters), so most mixes take one or two steps.
+inline uint64_t FnvMix(uint64_t h, uint64_t v) {
+  int folded = 0;
+  for (; v != 0; v >>= 8, ++folded) {
+    h = (h ^ (v & 0xffu)) * kFnvPrime;
+  }
+  return h * kFnvPrimePow[static_cast<size_t>(8 - folded)];
 }
 
 class Rng {

@@ -7,6 +7,7 @@
 #ifndef SRC_COMMON_UNITS_H_
 #define SRC_COMMON_UNITS_H_
 
+#include <bit>
 #include <cmath>
 #include <cstdint>
 #include <string>
@@ -100,6 +101,29 @@ class Rate {
 
 // Integer ceiling division; the workhorse of TLP/frame segmentation.
 constexpr uint64_t CeilDiv(uint64_t n, uint64_t d) { return (n + d - 1) / d; }
+
+// Exact unsigned division by a divisor fixed when the Divisor is built: a
+// shift and a mask when it is a power of two, plain division otherwise.
+// The DMA and memory hot paths divide by a PCIe MTU, a DRAM row size, a
+// channel count or a bank count on every burst or access, and those are
+// powers of two in every shipped configuration.
+class Divisor {
+ public:
+  // The power-of-two test is spelled out: std::has_single_bit becomes a
+  // libgcc popcount call on baseline x86-64, and a Divisor is built per
+  // call wherever an MTU is passed as a plain integer.
+  constexpr Divisor(uint64_t d)  // NOLINT: implicit, stands in for the integer
+      : d_(d), shift_(d != 0 && (d & (d - 1)) == 0 ? std::countr_zero(d) : -1) {}
+
+  constexpr uint64_t value() const { return d_; }
+  constexpr uint64_t Div(uint64_t n) const { return shift_ >= 0 ? n >> shift_ : n / d_; }
+  constexpr uint64_t Mod(uint64_t n) const { return shift_ >= 0 ? n & (d_ - 1) : n % d_; }
+  constexpr uint64_t CeilDiv(uint64_t n) const { return Div(n + d_ - 1); }
+
+ private:
+  uint64_t d_;
+  int shift_;  // log2(d_), or -1 when d_ is not a power of two
+};
 
 // Human-readable formatting used by the bench reporters.
 std::string FormatBytes(uint64_t bytes);

@@ -47,7 +47,12 @@ MemoryParams MemoryParams::Soc() {
 }
 
 MemorySubsystem::MemorySubsystem(Simulator* sim, std::string name, const MemoryParams& params)
-    : sim_(sim), name_(std::move(name)), params_(params) {
+    : sim_(sim),
+      name_(std::move(name)),
+      params_(params),
+      row_bytes_(params.row_bytes),
+      channels_(static_cast<uint64_t>(params.channels)),
+      banks_per_channel_(static_cast<uint64_t>(params.banks_per_channel)) {
   SNIC_CHECK_GT(params_.channels, 0);
   SNIC_CHECK_GT(params_.banks_per_channel, 0);
   SNIC_CHECK_GT(params_.row_bytes, 0u);
@@ -88,14 +93,10 @@ bool MemorySubsystem::LlcLookup(uint64_t row, bool is_write) {
 
 SimTime MemorySubsystem::AccessDram(SimTime ready, uint64_t row, bool is_write) {
   ++dram_accesses_;
-  const int channel = static_cast<int>(row % static_cast<uint64_t>(params_.channels));
-  const uint64_t bank_index =
-      (row / static_cast<uint64_t>(params_.channels)) %
-      static_cast<uint64_t>(params_.banks_per_channel);
-  BusyServer& cmd = cmd_[static_cast<size_t>(channel)];
-  BusyServer& bank = banks_[static_cast<size_t>(channel) *
-                                static_cast<size_t>(params_.banks_per_channel) +
-                            bank_index];
+  const uint64_t channel = channels_.Mod(row);
+  const uint64_t bank_index = banks_per_channel_.Mod(channels_.Div(row));
+  BusyServer& cmd = cmd_[channel];
+  BusyServer& bank = banks_[channel * banks_per_channel_.value() + bank_index];
   const SimTime cmd_done = cmd.EnqueueAt(
       ready, is_write ? params_.cmd_write_service : params_.cmd_read_service);
   const SimTime bank_done = bank.EnqueueAt(
@@ -104,7 +105,7 @@ SimTime MemorySubsystem::AccessDram(SimTime ready, uint64_t row, bool is_write) 
 }
 
 SimTime MemorySubsystem::AccessSmall(SimTime ready, uint64_t addr, bool is_write) {
-  const uint64_t row = addr / params_.row_bytes;
+  const uint64_t row = row_bytes_.Div(addr);
   if (LlcLookup(row, is_write)) {
     return llc_->EnqueueAt(ready, params_.llc_service) + params_.llc_latency;
   }
@@ -115,8 +116,8 @@ SimTime MemorySubsystem::AccessBulk(SimTime ready, uint64_t addr, uint32_t len,
                                     bool is_write) {
   // A long DMA burst streams rows across channels; the channel data buses
   // are the constraint, with one activation charged per row touched.
-  const uint64_t first_row = addr / params_.row_bytes;
-  const uint64_t last_row = (addr + len - 1) / params_.row_bytes;
+  const uint64_t first_row = row_bytes_.Div(addr);
+  const uint64_t last_row = row_bytes_.Div(addr + len - 1);
   SimTime done = ready;
   for (uint64_t row = first_row; row <= last_row; ++row) {
     if (LlcLookup(row, is_write)) {
@@ -126,21 +127,21 @@ SimTime MemorySubsystem::AccessBulk(SimTime ready, uint64_t addr, uint32_t len,
       continue;
     }
     ++dram_accesses_;
-    const int channel = static_cast<int>(row % static_cast<uint64_t>(params_.channels));
+    const uint64_t channel = channels_.Mod(row);
     const uint64_t row_start = std::max(addr, row * params_.row_bytes);
     const uint64_t row_end = std::min<uint64_t>(addr + len, (row + 1) * params_.row_bytes);
     const SimTime stream =
         params_.channel_bandwidth.TransferTime(row_end - row_start);
     const SimTime t =
-        data_bus_[static_cast<size_t>(channel)].EnqueueAt(ready, stream) +
+        data_bus_[channel].EnqueueAt(ready, stream) +
         params_.dram_latency;
     done = std::max(done, t);
   }
   return done;
 }
 
-SimTime MemorySubsystem::Access(SimTime ready, uint64_t addr, uint32_t len, bool is_write,
-                                Simulator::Callback cb, uint64_t req_id) {
+SimTime MemorySubsystem::Serve(SimTime ready, uint64_t addr, uint32_t len, bool is_write,
+                               uint64_t req_id) {
   ready = std::max(ready, sim_->now());
   const SimTime done = (len <= params_.bulk_threshold)
                            ? AccessSmall(ready, addr, is_write)
@@ -148,9 +149,6 @@ SimTime MemorySubsystem::Access(SimTime ready, uint64_t addr, uint32_t len, bool
   if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
     tr->Span(name_, is_write ? "write" : "read", ready, done, req_id,
              is_write ? TraceCat::kAsync : TraceCat::kPhase);
-  }
-  if (cb != nullptr) {
-    sim_->At(done, std::move(cb));
   }
   return done;
 }

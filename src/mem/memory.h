@@ -16,9 +16,11 @@
 #ifndef SRC_MEM_MEMORY_H_
 #define SRC_MEM_MEMORY_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/units.h"
@@ -76,8 +78,13 @@ class MemorySubsystem {
   // `req_id` threads the originating request through to trace spans: reads
   // trace as critical-path phases, writes as async (posted, off the
   // completion path).
+  template <typename F = std::nullptr_t>
   SimTime Access(SimTime ready, uint64_t addr, uint32_t len, bool is_write,
-                 Simulator::Callback cb = nullptr, uint64_t req_id = 0);
+                 F&& cb = nullptr, uint64_t req_id = 0) {
+    const SimTime done = Serve(ready, addr, len, is_write, req_id);
+    sim_->AtIfAny(done, std::forward<F>(cb));
+    return done;
+  }
 
   void RegisterMetrics(MetricsRegistry* reg);
 
@@ -88,6 +95,9 @@ class MemorySubsystem {
   const std::string& name() const { return name_; }
 
  private:
+  // Access without the callback: charges the servers and returns the
+  // completion time.
+  SimTime Serve(SimTime ready, uint64_t addr, uint32_t len, bool is_write, uint64_t req_id);
   SimTime AccessSmall(SimTime ready, uint64_t addr, bool is_write);
   SimTime AccessBulk(SimTime ready, uint64_t addr, uint32_t len, bool is_write);
   SimTime AccessDram(SimTime ready, uint64_t row, bool is_write);
@@ -97,6 +107,10 @@ class MemorySubsystem {
   Simulator* sim_;
   std::string name_;
   MemoryParams params_;
+  // The address map's divisors (row_bytes, channels, banks_per_channel).
+  Divisor row_bytes_;
+  Divisor channels_;
+  Divisor banks_per_channel_;
 
   // Sized once at construction; the servers are held by value.
   std::vector<BusyServer> cmd_;       // one per channel

@@ -15,6 +15,7 @@ NicEndpoint::NicEndpoint(Simulator* sim, const NicParams& nic, const EndpointPar
       params_(params),
       to_mem_(std::move(nic_to_mem)),
       from_mem_(to_mem_.Reversed()),
+      mtu_(params.pcie_mtu),
       memory_(memory),
       read_credits_(sim, nic.read_credits),
       write_credits_(sim, nic.write_credits),
@@ -44,10 +45,20 @@ void NicEndpoint::DmaRead(uint64_t addr, uint64_t len, DmaCallback cb, uint64_t 
     ++hol_events_;
   }
   read_queue_.Push(op);
-  PumpReads();
+  // The caller may still act after this returns, so grants go through the
+  // event queue.
+  PumpReads(/*tail=*/false);
 }
 
-void NicEndpoint::PumpReads() {
+void NicEndpoint::PumpReads(bool tail) {
+  // Tail-issued grants (DESIGN.md §8). A pump that is the last act of a
+  // sub-read's completion event, started when no other event is due at
+  // now(), would see every grant it defers with In(0) dispatched next, in
+  // issue order, ahead of anything those grants schedule. Running the
+  // grant bodies here, in that order, dispatches the same work in the same
+  // relative (time, seq) order without the queue round trip. Decided once,
+  // before the first grant: a grant may schedule at now() itself.
+  const bool inline_grants = tail && sim_->NothingDueNow();
   while (ReadOp* const head = read_queue_.head) {
     if (head->issued >= head->len) {
       // Fully issued: the next op may start streaming behind it.
@@ -57,48 +68,55 @@ void NicEndpoint::PumpReads() {
     if (head->in_flight >= head->window) {
       return;  // the head op stalls the line until completions drain
     }
-    IssueOneSubRead(head);
+    IssueOneSubRead(head, inline_grants);
   }
 }
 
-void NicEndpoint::IssueOneSubRead(ReadOp* op) {
+void NicEndpoint::IssueOneSubRead(ReadOp* op, bool inline_grant) {
   const uint64_t chunk = std::min<uint64_t>(nic_.max_read_request, op->len - op->issued);
   const uint64_t chunk_addr = op->addr + op->issued;
   op->issued += chunk;
   op->in_flight += 1;
   ++reads_issued_;
-  read_credits_.Acquire([this, op, chunk, chunk_addr] {
-    // Non-posted read request travels to the endpoint ...
-    const SimTime req_at = to_mem_.TransferControlAt(sim_, sim_->now(), nullptr, op->rid);
-    // ... is serviced by the completer and the memory ...
-    SimTime served = req_at;
-    if (!params_.read_completer.is_zero()) {
-      served = read_completer_.EnqueueAt(req_at, params_.read_completer.ServiceTime());
-      if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
-        tr->Span(params_.name, "read_completer", req_at, served, op->rid);
-      }
+  // A free credit is exactly the case Acquire would defer with In(0).
+  if (inline_grant && read_credits_.TryAcquire()) {
+    StartSubRead(op, chunk, chunk_addr);
+    return;
+  }
+  read_credits_.Acquire(
+      [this, op, chunk, chunk_addr] { StartSubRead(op, chunk, chunk_addr); });
+}
+
+void NicEndpoint::StartSubRead(ReadOp* op, uint64_t chunk, uint64_t chunk_addr) {
+  // Non-posted read request travels to the endpoint ...
+  const SimTime req_at = to_mem_.TransferControlAt(sim_, sim_->now(), nullptr, op->rid);
+  // ... is serviced by the completer and the memory ...
+  SimTime served = req_at;
+  if (!params_.read_completer.is_zero()) {
+    served = read_completer_.EnqueueAt(req_at, params_.read_completer.ServiceTime());
+    if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
+      tr->Span(params_.name, "read_completer", req_at, served, op->rid);
     }
-    const SimTime data_ready = memory_->Access(served, chunk_addr,
-                                               static_cast<uint32_t>(chunk),
-                                               /*is_write=*/false, nullptr, op->rid);
-    // ... and the completion burst streams back, segmented at the
-    // endpoint's PCIe MTU.
-    from_mem_.TransferAt(sim_, data_ready, chunk, params_.pcie_mtu, [this, op, chunk] {
-      read_credits_.Release();
-      op->in_flight -= 1;
-      op->completed += chunk;
-      op->last_done = sim_->now();
-      // A fully arrived op has long left the issue FIFO (it was popped as
-      // soon as its last sub-read issued), so it can go back to the pool.
-      if (op->completed >= op->len) {
-        if (op->cb) {
-          op->cb.CallOnce(op->last_done);
-        }
-        read_ops_.Free(op);
+  }
+  const SimTime data_ready = memory_->Access(served, chunk_addr, static_cast<uint32_t>(chunk),
+                                             /*is_write=*/false, nullptr, op->rid);
+  // ... and the completion burst streams back, segmented at the
+  // endpoint's PCIe MTU.
+  from_mem_.TransferAt(sim_, data_ready, chunk, mtu_, [this, op, chunk] {
+    read_credits_.Release();
+    op->in_flight -= 1;
+    op->completed += chunk;
+    op->last_done = sim_->now();
+    // A fully arrived op has long left the issue FIFO (it was popped as
+    // soon as its last sub-read issued), so it can go back to the pool.
+    if (op->completed >= op->len) {
+      if (op->cb) {
+        op->cb.CallOnce(op->last_done);
       }
-      PumpReads();
-    }, op->rid);
-  });
+      read_ops_.Free(op);
+    }
+    PumpReads(/*tail=*/true);  // must stay the last act (see PumpReads)
+  }, op->rid);
 }
 
 void NicEndpoint::DmaWrite(uint64_t addr, uint64_t len, DmaCallback posted_cb,
@@ -152,7 +170,7 @@ void NicEndpoint::IssueOneSubWrite(WriteOp* op) {
   // how a slow endpoint (e.g. the single-channel SoC DRAM) backpressures
   // the NIC.
   write_credits_.Acquire([this, op, chunk, chunk_addr] {
-    to_mem_.TransferAt(sim_, sim_->now(), chunk, params_.pcie_mtu,
+    to_mem_.TransferAt(sim_, sim_->now(), chunk, mtu_,
                        [this, op, chunk, chunk_addr] {
       // Burst delivered at the endpoint: the NIC may consider it posted.
       op->delivered += chunk;

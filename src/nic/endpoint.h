@@ -150,8 +150,13 @@ class NicEndpoint {
   // Ops issue sub-requests strictly in FIFO order: the head op must be
   // fully issued before the next op may start. A degraded-window head op
   // therefore blocks the whole line — the paper's head-of-line anomaly.
-  void PumpReads();
-  void IssueOneSubRead(ReadOp* op);
+  // `tail`: the pump is the last act of a sub-read's completion event,
+  // which lets it run free-credit grants inline (DESIGN.md §8).
+  void PumpReads(bool tail);
+  void IssueOneSubRead(ReadOp* op, bool inline_grant);
+  // The grant body of one sub-read: request TLP, completer, memory, and
+  // the completion burst back.
+  void StartSubRead(ReadOp* op, uint64_t chunk, uint64_t chunk_addr);
   void PumpWrites();
   void IssueOneSubWrite(WriteOp* op);
   // Frees a write op once it is fully delivered and fully absorbed.
@@ -167,6 +172,7 @@ class NicEndpoint {
   EndpointParams params_;
   PciePath to_mem_;
   PciePath from_mem_;
+  Divisor mtu_;  // params_.pcie_mtu, segmenting every burst
   MemorySubsystem* memory_;
 
   TokenPool read_credits_;

@@ -38,16 +38,6 @@ void NicEngine::SetSendHandler(NicEndpoint* ep, SendHandler handler) {
   send_handlers_[static_cast<size_t>(ep->fe_id)] = std::move(handler);
 }
 
-TokenPool* NicEngine::AcquirePu(NicEndpoint* ep, Simulator::Callback granted) {
-  std::optional<TokenPool>& dedicated = dedicated_pus_[static_cast<size_t>(ep->fe_id)];
-  if (dedicated.has_value() && dedicated->TryAcquire()) {
-    sim_->In(0, std::move(granted));
-    return &*dedicated;
-  }
-  pus_.Acquire(std::move(granted));
-  return &pus_;
-}
-
 void NicEngine::SendResponse(Remote* rq, uint64_t bytes, SimTime ready) {
   // The first response frame's pipeline slot is accounted in the request's
   // fe_units; only additional frames of a multi-frame response cost extra.

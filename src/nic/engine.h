@@ -20,6 +20,7 @@
 #include <memory>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/units.h"
@@ -132,7 +133,16 @@ class NicEngine : private ReplyCallback::Sink {
   // per-endpoint context when one is free, else a shared one (queueing if
   // exhausted). `granted` runs once the context is held; the return value
   // is the pool to Release() it back to.
-  TokenPool* AcquirePu(NicEndpoint* ep, Simulator::Callback granted);
+  template <typename F>
+  TokenPool* AcquirePu(NicEndpoint* ep, F&& granted) {
+    std::optional<TokenPool>& dedicated = dedicated_pus_[static_cast<size_t>(ep->fe_id)];
+    if (dedicated.has_value() && dedicated->TryAcquire()) {
+      sim_->In(0, std::forward<F>(granted));
+      return &*dedicated;
+    }
+    pus_.Acquire(std::forward<F>(granted));
+    return &pus_;
+  }
   Simulator* sim() const { return sim_; }
   const std::vector<std::unique_ptr<NicEndpoint>>& endpoints() const { return endpoints_; }
 

@@ -10,8 +10,10 @@
 #ifndef SRC_PCIE_LINK_H_
 #define SRC_PCIE_LINK_H_
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
+#include <utility>
 
 #include "src/common/units.h"
 #include "src/fault/injector.h"
@@ -54,6 +56,7 @@ class PcieLink {
         name_(std::move(name)),
         bandwidth_(per_direction),
         propagation_(propagation),
+        control_base_(per_direction.TransferTime(ControlWireBytes())),
         down_(sim),
         up_(sim) {}
 
@@ -62,38 +65,46 @@ class PcieLink {
 
   // Sends a data burst. The burst may not start before `ready`; `cb` fires
   // when the last TLP has been delivered. Returns that delivery time.
-  SimTime TransferAt(SimTime ready, LinkDir dir, uint64_t payload_bytes, uint32_t mtu,
-                     Simulator::Callback cb = nullptr) {
-    const uint64_t tlps = NumTlps(payload_bytes, mtu);
-    const uint64_t wire = WireBytes(payload_bytes, mtu);
-    Account(dir, tlps, payload_bytes, wire);
-    const SimTime done = Server(dir).EnqueueAt(ready, ServiceTime(wire, ready));
-    const SimTime delivered = done + propagation_;
-    if (cb != nullptr) {
-      sim_->At(delivered, std::move(cb));
-    }
-    return delivered;
+  template <typename F = std::nullptr_t>
+  SimTime TransferAt(SimTime ready, LinkDir dir, uint64_t payload_bytes, Divisor mtu,
+                     F&& cb = nullptr) {
+    const Segmentation seg = Segment(payload_bytes, mtu);
+    return TransferServedAt(ready, dir, payload_bytes, seg, BurstServiceTime(seg.wire, ready),
+                            std::forward<F>(cb));
   }
 
-  SimTime Transfer(LinkDir dir, uint64_t payload_bytes, uint32_t mtu,
-                   Simulator::Callback cb = nullptr) {
-    return TransferAt(sim_->now(), dir, payload_bytes, mtu, std::move(cb));
+  template <typename F = std::nullptr_t>
+  SimTime Transfer(LinkDir dir, uint64_t payload_bytes, Divisor mtu, F&& cb = nullptr) {
+    return TransferAt(sim_->now(), dir, payload_bytes, mtu, std::forward<F>(cb));
+  }
+
+  // TransferAt for a burst whose segmentation and full service time
+  // (BurstServiceTime(seg.wire, ready)) the caller has already computed: a
+  // PciePath works both out once per burst and hop, and the link must not
+  // compute it again.
+  template <typename F = std::nullptr_t>
+  SimTime TransferServedAt(SimTime ready, LinkDir dir, uint64_t payload_bytes,
+                           const Segmentation& seg, SimTime service, F&& cb = nullptr) {
+    Account(dir, seg.tlps, payload_bytes, seg.wire);
+    const SimTime delivered = Server(dir).EnqueueAt(ready, service) + propagation_;
+    sim_->AtIfAny(delivered, std::forward<F>(cb));
+    return delivered;
   }
 
   // Sends a single header-only control TLP (read request, doorbell, CQE
   // notification …).
-  SimTime TransferControlAt(SimTime ready, LinkDir dir, Simulator::Callback cb = nullptr) {
+  template <typename F = std::nullptr_t>
+  SimTime TransferControlAt(SimTime ready, LinkDir dir, F&& cb = nullptr) {
     Account(dir, 1, 0, ControlWireBytes());
-    const SimTime done = Server(dir).EnqueueAt(ready, ServiceTime(ControlWireBytes(), ready));
+    const SimTime done = Server(dir).EnqueueAt(ready, Degrade(control_base_, ready));
     const SimTime delivered = done + propagation_;
-    if (cb != nullptr) {
-      sim_->At(delivered, std::move(cb));
-    }
+    sim_->AtIfAny(delivered, std::forward<F>(cb));
     return delivered;
   }
 
-  SimTime TransferControl(LinkDir dir, Simulator::Callback cb = nullptr) {
-    return TransferControlAt(sim_->now(), dir, std::move(cb));
+  template <typename F = std::nullptr_t>
+  SimTime TransferControl(LinkDir dir, F&& cb = nullptr) {
+    return TransferControlAt(sim_->now(), dir, std::forward<F>(cb));
   }
 
   // Earliest time a new burst in `dir` could start serializing.
@@ -112,18 +123,22 @@ class PcieLink {
 
   // Serialization time of `wire_bytes`, stretched by any fault-degrade
   // window active at `at`. Reduces to bandwidth().TransferTime() exactly
-  // when no injector is attached — both this link and PciePath's
-  // cut-through head/tail math go through it, so the two always agree on a
-  // burst's service time.
+  // when no injector is attached. The memoized lookups below, which this
+  // link and PciePath's cut-through head/tail math use, return exactly
+  // this, so the two always agree on a burst's service time.
   SimTime ServiceTime(uint64_t wire_bytes, SimTime at) const {
-    const SimTime base = bandwidth_.TransferTime(wire_bytes);
-    const fault::FaultInjector* const inj = sim_->faults();
-    if (inj == nullptr) {
-      return base;
-    }
-    const double scale = inj->ServiceScale(name_, at);
-    return scale == 1.0 ? base
-                        : static_cast<SimTime>(static_cast<double>(base) * scale);
+    return Degrade(bandwidth_.TransferTime(wire_bytes), at);
+  }
+
+  // ServiceTime of a whole burst and of its head TLP, through one memo
+  // each: the bursts on a link mostly repeat one size (a stream of 4 KiB
+  // sub-reads), so the division runs only when the size changes. The
+  // degrade window is still read per call.
+  SimTime BurstServiceTime(uint64_t wire_bytes, SimTime at) {
+    return Degrade(burst_memo_.Get(bandwidth_, wire_bytes), at);
+  }
+  SimTime HeadTlpServiceTime(uint64_t head_wire, SimTime at) {
+    return Degrade(head_memo_.Get(bandwidth_, head_wire), at);
   }
 
   // Only lossy links (network ports) are eligible for Bernoulli frame drops
@@ -158,6 +173,36 @@ class PcieLink {
   }
 
  private:
+  // The last (wire bytes -> undegraded service time) pair asked for. It
+  // hands back the value the division gave, so it is exact, where a
+  // reciprocal of the bandwidth would round some picoseconds differently.
+  class ServiceMemo {
+   public:
+    SimTime Get(Bandwidth bw, uint64_t wire_bytes) {
+      if (wire_bytes != wire_bytes_) {
+        wire_bytes_ = wire_bytes;
+        service_ = bw.TransferTime(wire_bytes);
+      }
+      return service_;
+    }
+
+   private:
+    uint64_t wire_bytes_ = 0;
+    SimTime service_ = 0;  // TransferTime(0)
+  };
+
+  // Stretches an undegraded service time by the fault-degrade window
+  // active at `at`; the identity when no injector is attached.
+  SimTime Degrade(SimTime base, SimTime at) const {
+    const fault::FaultInjector* const inj = sim_->faults();
+    if (inj == nullptr) {
+      return base;
+    }
+    const double scale = inj->ServiceScale(name_, at);
+    return scale == 1.0 ? base
+                        : static_cast<SimTime>(static_cast<double>(base) * scale);
+  }
+
   BusyServer& Server(LinkDir dir) { return dir == LinkDir::kDown ? down_ : up_; }
   void Account(LinkDir dir, uint64_t tlps, uint64_t payload, uint64_t wire) {
     LinkCounters& c = dir == LinkDir::kDown ? down_counters_ : up_counters_;
@@ -170,6 +215,9 @@ class PcieLink {
   std::string name_;
   Bandwidth bandwidth_;
   SimTime propagation_;
+  SimTime control_base_;  // undegraded service of one control TLP
+  ServiceMemo burst_memo_;
+  ServiceMemo head_memo_;
   BusyServer down_;
   BusyServer up_;
   LinkCounters down_counters_;

@@ -10,7 +10,9 @@
 #ifndef SRC_PCIE_PATH_H_
 #define SRC_PCIE_PATH_H_
 
+#include <algorithm>
 #include <array>
+#include <cstddef>
 #include <span>
 #include <string>
 #include <utility>
@@ -92,16 +94,67 @@ class PciePath {
   // A burst lost to fault injection never arrives: `cb` is discarded (see
   // SmallFunction::Discard) instead of scheduled.
   // `req_id` threads the originating request through to trace spans.
-  SimTime TransferAt(Simulator* sim, SimTime ready, uint64_t payload_bytes, uint32_t mtu,
-                     Simulator::Callback cb = nullptr, uint64_t req_id = 0) const {
+  template <typename F = std::nullptr_t>
+  SimTime TransferAt(Simulator* sim, SimTime ready, uint64_t payload_bytes, Divisor mtu,
+                     F&& cb = nullptr, uint64_t req_id = 0) const {
+    return Finish(sim, CarryBurst(sim, ready, payload_bytes, mtu, req_id),
+                  std::forward<F>(cb));
+  }
+
+  // Pushes a single header-only control TLP along the path.
+  template <typename F = std::nullptr_t>
+  SimTime TransferControlAt(Simulator* sim, SimTime ready, F&& cb = nullptr,
+                            uint64_t req_id = 0) const {
+    return Finish(sim, CarryControl(sim, ready, req_id), std::forward<F>(cb));
+  }
+
+  // The route in the opposite direction (e.g. completion data flowing back).
+  // A switch recorded between forward links i and i+1 (as hop i+1's `via`)
+  // lies between the same two links in reverse, i.e. becomes the `via` of
+  // the reversed hop that enters link i.
+  PciePath Reversed() const {
+    PciePath r;
+    const size_t n = size_;
+    for (size_t j = 0; j < n; ++j) {
+      const Hop& fwd = hops_[n - 1 - j];
+      PcieSwitch* via = (j == 0) ? nullptr : hops_[n - j].via;
+      r.Add(fwd.link, Opposite(fwd.dir), via);
+    }
+    return r;
+  }
+
+ private:
+  // Where a transfer ended: delivered at `at`, or lost on a lossy hop
+  // whose serialization ended at `at`.
+  struct Arrival {
+    SimTime at;
+    bool lost;
+  };
+
+  // The closure-free half of TransferAt / TransferControlAt, so only this
+  // shell is stamped out per callback type: schedule or discard `cb`.
+  template <typename F>
+  static SimTime Finish(Simulator* sim, Arrival a, F&& cb) {
+    if (a.lost) {
+      DiscardTarget(cb);
+    } else {
+      sim->AtIfAny(a.at, std::forward<F>(cb));
+    }
+    return a.at;
+  }
+
+  // The burst is segmented once, and each hop looks its full-burst and
+  // head-TLP service times up once (the link memoizes both) and hands the
+  // full one to the link. No reciprocal is involved anywhere, so every
+  // rounded picosecond matches a per-hop ServiceTime call.
+  Arrival CarryBurst(Simulator* sim, SimTime ready, uint64_t payload_bytes, Divisor mtu,
+                     uint64_t req_id) const {
+    SimTime head = std::max(ready, sim->now());
     if (empty()) {
-      if (cb != nullptr) {
-        sim->At(std::max(ready, sim->now()), std::move(cb));
-      }
-      return std::max(ready, sim->now());
+      return {head, false};
     }
     Tracer* const tr = sim->tracer();
-    SimTime head = std::max(ready, sim->now());
+    const Segmentation seg = Segment(payload_bytes, mtu);
     // The delivery time is bounded below by every hop's tail-exit time plus
     // the minimum (head-TLP) traversal of the remaining hops — without this,
     // a fast hop behind a slow one could "finish" before the tail even left
@@ -118,16 +171,14 @@ class PciePath {
           tr->Span(h.via->name(), "forward", head, head + via_delay, req_id);
         }
         head += via_delay;
-        h.via->CountForward(NumTlps(payload_bytes, mtu));
+        h.via->CountForward(seg.tlps);
       }
-      const uint64_t wire = WireBytes(payload_bytes, mtu);
-      const uint64_t first_tlp_wire =
-          WireBytes(std::min<uint64_t>(payload_bytes, mtu), mtu);
-      const SimTime full = h.link->ServiceTime(wire, head);
-      const SimTime first = h.link->ServiceTime(first_tlp_wire, head);
+      const SimTime full = h.link->BurstServiceTime(seg.wire, head);
+      const SimTime first = h.link->HeadTlpServiceTime(seg.head_wire, head);
       const SimTime entered = head;
       // Charge the link for the full burst; the head TLP exits after `first`.
-      const SimTime delivered_full = h.link->TransferAt(head, h.dir, payload_bytes, mtu);
+      const SimTime delivered_full =
+          h.link->TransferServedAt(head, h.dir, payload_bytes, seg, full);
       head = delivered_full - (full - first);  // first TLP out
       if (tr != nullptr) {
         tr->Span(h.link->name(), LinkDirName(h.dir), entered, delivered_full, req_id);
@@ -139,13 +190,11 @@ class PciePath {
       // this is a single pointer test.
       if (h.link->lossy()) {
         if (fault::FaultInjector* const inj = sim->faults();
-            inj != nullptr &&
-            inj->ShouldDropBurst(h.link->name(), NumTlps(payload_bytes, mtu), entered)) {
+            inj != nullptr && inj->ShouldDropBurst(h.link->name(), seg.tlps, entered)) {
           if (tr != nullptr) {
             tr->Instant(h.link->name(), "drop", delivered_full, req_id);
           }
-          cb.Discard();
-          return delivered_full;
+          return {delivered_full, true};
         }
       }
       tail_exit[i] = delivered_full;
@@ -159,23 +208,12 @@ class PciePath {
       delivered = std::max(delivered, tail_exit[i] + suffix);
       suffix += min_forward[i];
     }
-    if (cb != nullptr) {
-      sim->At(delivered, std::move(cb));
-    }
-    return delivered;
+    return {delivered, false};
   }
 
-  // Pushes a single header-only control TLP along the path.
-  SimTime TransferControlAt(Simulator* sim, SimTime ready,
-                            Simulator::Callback cb = nullptr, uint64_t req_id = 0) const {
-    if (empty()) {
-      if (cb != nullptr) {
-        sim->At(std::max(ready, sim->now()), std::move(cb));
-      }
-      return std::max(ready, sim->now());
-    }
-    Tracer* const tr = sim->tracer();
+  Arrival CarryControl(Simulator* sim, SimTime ready, uint64_t req_id) const {
     SimTime t = std::max(ready, sim->now());
+    Tracer* const tr = sim->tracer();
     for (const Hop& h : hops()) {
       if (h.via != nullptr) {
         if (tr != nullptr) {
@@ -196,33 +234,13 @@ class PciePath {
           if (tr != nullptr) {
             tr->Instant(h.link->name(), "drop", t, req_id);
           }
-          cb.Discard();
-          return t;
+          return {t, true};
         }
       }
     }
-    if (cb != nullptr) {
-      sim->At(t, std::move(cb));
-    }
-    return t;
+    return {t, false};
   }
 
-  // The route in the opposite direction (e.g. completion data flowing back).
-  // A switch recorded between forward links i and i+1 (as hop i+1's `via`)
-  // lies between the same two links in reverse, i.e. becomes the `via` of
-  // the reversed hop that enters link i.
-  PciePath Reversed() const {
-    PciePath r;
-    const size_t n = size_;
-    for (size_t j = 0; j < n; ++j) {
-      const Hop& fwd = hops_[n - 1 - j];
-      PcieSwitch* via = (j == 0) ? nullptr : hops_[n - j].via;
-      r.Add(fwd.link, Opposite(fwd.dir), via);
-    }
-    return r;
-  }
-
- private:
   std::array<Hop, kMaxHops> hops_{};
   size_t size_ = 0;
 };

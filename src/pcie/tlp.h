@@ -9,6 +9,7 @@
 #ifndef SRC_PCIE_TLP_H_
 #define SRC_PCIE_TLP_H_
 
+#include <algorithm>
 #include <cstdint>
 
 #include "src/common/units.h"
@@ -28,16 +29,31 @@ inline constexpr uint32_t kTlpHeaderBytes = 12;
 inline constexpr uint32_t kHostPcieMtu = 512;
 inline constexpr uint32_t kSocPcieMtu = 128;
 
-constexpr uint64_t NumTlps(uint64_t payload_bytes, uint32_t mtu) {
+constexpr uint64_t NumTlps(uint64_t payload_bytes, Divisor mtu) {
   if (payload_bytes == 0) {
     return 1;  // a zero-byte transaction is still one header-only TLP
   }
-  return CeilDiv(payload_bytes, mtu);
+  return mtu.CeilDiv(payload_bytes);
 }
 
 // Total bytes a segmented burst occupies on the wire.
-constexpr uint64_t WireBytes(uint64_t payload_bytes, uint32_t mtu) {
+constexpr uint64_t WireBytes(uint64_t payload_bytes, Divisor mtu) {
   return payload_bytes + NumTlps(payload_bytes, mtu) * kTlpOverheadBytes;
+}
+
+// One burst's segmentation, computed once and read by every hop it crosses.
+struct Segmentation {
+  uint64_t tlps = 0;        // NumTlps
+  uint64_t wire = 0;        // WireBytes
+  uint64_t head_wire = 0;   // wire bytes of the head (first) TLP
+};
+
+constexpr Segmentation Segment(uint64_t payload_bytes, Divisor mtu) {
+  Segmentation s;
+  s.tlps = NumTlps(payload_bytes, mtu);
+  s.wire = payload_bytes + s.tlps * kTlpOverheadBytes;
+  s.head_wire = std::min<uint64_t>(payload_bytes, mtu.value()) + kTlpOverheadBytes;
+  return s;
 }
 
 // Wire bytes of a single header-only (control) TLP.

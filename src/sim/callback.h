@@ -90,17 +90,7 @@ class SmallFunction<R(Args...)> {
                 !std::is_same_v<std::decay_t<F>, std::nullptr_t> &&
                 std::is_invocable_r_v<R, std::decay_t<F>&, Args...>>>
   SmallFunction(F&& f) {  // NOLINT: implicit, drop-in for std::function
-    using Fn = std::decay_t<F>;
-    if constexpr (sizeof(Fn) <= kInlineBytes &&
-                  alignof(Fn) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Fn>) {
-      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
-      vtable_ = &Inline<Fn>::kVTable;
-    } else {
-      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
-      vtable_ = &Boxed<Fn>::kVTable;
-      ++callback_internal::boxed;
-    }
+    Construct(std::forward<F>(f));
   }
 
   SmallFunction(SmallFunction&& o) noexcept { MoveFrom(std::move(o)); }
@@ -118,6 +108,21 @@ class SmallFunction<R(Args...)> {
   SmallFunction(const SmallFunction&) = delete;
   SmallFunction& operator=(const SmallFunction&) = delete;
   ~SmallFunction() { Reset(); }
+
+  // Replaces the target with `f`, built straight into this storage: a
+  // closure is constructed in place and a SmallFunction is moved in once,
+  // so a closure forwarded through any number of layers is moved at most
+  // once on its way here.
+  template <typename F>
+  void Emplace(F&& f) {
+    Reset();
+    if constexpr (std::is_same_v<std::decay_t<F>, SmallFunction>) {
+      static_assert(!std::is_lvalue_reference_v<F>, "SmallFunction is move-only");
+      MoveFrom(std::move(f));
+    } else {
+      Construct(std::forward<F>(f));
+    }
+  }
 
   explicit operator bool() const { return vtable_ != nullptr; }
   friend bool operator==(const SmallFunction& f, std::nullptr_t) {
@@ -221,6 +226,21 @@ class SmallFunction<R(Args...)> {
     static constexpr VTable kVTable{&Invoke, &InvokeDestroy, nullptr, &Destroy, &Discard};
   };
 
+  template <typename F>
+  void Construct(F&& f) {
+    using Fn = std::decay_t<F>;
+    if constexpr (sizeof(Fn) <= kInlineBytes &&
+                  alignof(Fn) <= alignof(std::max_align_t) &&
+                  std::is_nothrow_move_constructible_v<Fn>) {
+      ::new (static_cast<void*>(storage_)) Fn(std::forward<F>(f));
+      vtable_ = &Inline<Fn>::kVTable;
+    } else {
+      ::new (static_cast<void*>(storage_)) Fn*(new Fn(std::forward<F>(f)));
+      vtable_ = &Boxed<Fn>::kVTable;
+      ++callback_internal::boxed;
+    }
+  }
+
   void MoveFrom(SmallFunction&& o) noexcept {
     vtable_ = o.vtable_;
     if (vtable_ != nullptr) {
@@ -255,6 +275,32 @@ class SmallFunction<R(Args...)> {
 
 // The simulator's event closure type.
 using SimCallback = SmallFunction<void()>;
+
+// Whether a forwarded callback argument holds something to run: false for
+// nullptr and for an empty SmallFunction, true for any closure. Layers that
+// take an optional completion by forwarding reference use nullptr as
+// "none".
+template <typename F>
+constexpr bool HasTarget(const F& f) {
+  if constexpr (std::is_same_v<F, std::nullptr_t>) {
+    return false;
+  } else if constexpr (std::is_constructible_v<bool, const F&>) {
+    return static_cast<bool>(f);
+  } else {
+    return true;
+  }
+}
+
+// Ends a forwarded callback that will never run, the way
+// SmallFunction::Discard does: a closure built with WithDiscard (or a
+// SmallFunction holding one) runs its drop half; anything else is left to
+// its owner's destructor.
+template <typename F>
+void DiscardTarget(F& f) {
+  if constexpr (callback_internal::HasDiscard<F>::value) {
+    f.Discard();
+  }
+}
 
 }  // namespace snicsim
 

@@ -47,18 +47,16 @@ ParallelSimulator::~ParallelSimulator() {
   }
 }
 
-void ParallelSimulator::Post(DomainId src, DomainId dst, SimTime t, SimCallback cb) {
+ParallelSimulator::Outbox& ParallelSimulator::OutboxFor(DomainId src, DomainId dst, SimTime t) {
   SNIC_CHECK_GE(src, 0);
   SNIC_CHECK_LT(src, domains());
   SNIC_CHECK_GE(dst, 0);
   SNIC_CHECK_LT(dst, domains());
-  SNIC_CHECK(cb != nullptr);
   // The conservative contract: a cross-domain event must land at least one
   // lookahead past the sender's clock, which places it at or beyond the
   // current horizon — no domain can have run past it yet.
   SNIC_CHECK_GE(t, sims_[static_cast<size_t>(src)]->now() + lookahead_);
-  Outbox& out = outboxes_[static_cast<size_t>(src)];
-  out.events.push_back(RemoteEvent{t, src, dst, out.next_seq++, std::move(cb)});
+  return outboxes_[static_cast<size_t>(src)];
 }
 
 uint64_t ParallelSimulator::processed() const {
@@ -141,37 +139,38 @@ void ParallelSimulator::WorkerLoop() {
 }
 
 void ParallelSimulator::MergeOutboxes() {
-  // Gather every buffered cross-domain event and order them by
-  // (time, src, seq) — a strict total order (seq never repeats within a
-  // source), so delivery order, and with it every destination's DES
-  // tie-break sequence, is independent of thread schedule.
-  std::vector<RemoteEvent> batch;
-  for (Outbox& out : outboxes_) {
-    for (RemoteEvent& ev : out.events) {
-      batch.push_back(std::move(ev));
+  // Order every buffered cross-domain event by (time, src, seq) — a strict
+  // total order (seq never repeats within a source), so delivery order, and
+  // with it every destination's DES tie-break sequence, is independent of
+  // thread schedule. Post appends with next_seq++, so within one outbox
+  // index order is seq order: the 16-byte (time, src, index) keys sort into
+  // the same order, and no closure moves until it goes, once, from its
+  // outbox straight into its destination's event slot.
+  merge_keys_.clear();
+  for (size_t src = 0; src < outboxes_.size(); ++src) {
+    const size_t n = outboxes_[src].events.size();
+    for (size_t i = 0; i < n; ++i) {
+      merge_keys_.push_back(MergeKey{outboxes_[src].events[i].time,
+                                     (uint64_t{src} << 32) | uint64_t{i}});
     }
-    out.events.clear();
   }
-  if (batch.empty()) {
+  if (merge_keys_.empty()) {
     return;
   }
-  std::sort(batch.begin(), batch.end(),
-            [](const RemoteEvent& a, const RemoteEvent& b) {
-              if (a.time != b.time) {
-                return a.time < b.time;
-              }
-              if (a.src != b.src) {
-                return a.src < b.src;
-              }
-              return a.seq < b.seq;
-            });
-  for (RemoteEvent& ev : batch) {
+  std::sort(merge_keys_.begin(), merge_keys_.end(), [](const MergeKey& a, const MergeKey& b) {
+    return a.time != b.time ? a.time < b.time : a.src_index < b.src_index;
+  });
+  for (const MergeKey& k : merge_keys_) {
+    RemoteEvent& ev = outboxes_[k.src_index >> 32].events[k.src_index & 0xffffffffu];
     merge_digest_ = FnvMix(merge_digest_, static_cast<uint64_t>(ev.time));
     merge_digest_ = FnvMix(merge_digest_, static_cast<uint64_t>(ev.src));
     merge_digest_ = FnvMix(merge_digest_, static_cast<uint64_t>(ev.dst));
     merge_digest_ = FnvMix(merge_digest_, ev.seq);
     sims_[static_cast<size_t>(ev.dst)]->At(ev.time, std::move(ev.cb));
     ++merged_;
+  }
+  for (Outbox& out : outboxes_) {
+    out.events.clear();
   }
 }
 

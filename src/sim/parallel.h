@@ -33,10 +33,13 @@
 #include <memory>
 #include <mutex>
 #include <thread>
+#include <utility>
 #include <vector>
 
+#include "src/common/log.h"
 #include "src/common/units.h"
 #include "src/obs/metrics.h"
+#include "src/sim/callback.h"
 #include "src/sim/domain.h"
 #include "src/sim/simulator.h"
 
@@ -69,7 +72,19 @@ class ParallelSimulator {
   // outbox (only src's thread touches it) and delivered at the next
   // barrier; it runs on dst's thread and must not touch src state except
   // as opaque handles.
-  void Post(DomainId src, DomainId dst, SimTime t, SimCallback cb);
+  // The closure is built straight into its outbox entry, and the merge
+  // moves it once more, into its destination's event slot.
+  template <typename F>
+  void Post(DomainId src, DomainId dst, SimTime t, F&& cb) {
+    SNIC_CHECK(HasTarget(cb));
+    Outbox& out = OutboxFor(src, dst, t);
+    RemoteEvent& ev = out.events.emplace_back();
+    ev.time = t;
+    ev.src = src;
+    ev.dst = dst;
+    ev.seq = out.next_seq++;
+    ev.cb.Emplace(std::forward<F>(cb));
+  }
 
   // Runs rounds until every domain drains. All setup (initial At() calls
   // into the domains) must happen before; Run is not reentrant.
@@ -90,6 +105,9 @@ class ParallelSimulator {
   void RegisterMetrics(MetricsRegistry* reg, const std::string& instance = "sim");
 
  private:
+  struct Outbox;
+  // Checks Post's domain range and lookahead contract; returns src's outbox.
+  Outbox& OutboxFor(DomainId src, DomainId dst, SimTime t);
   void RunRound(SimTime horizon);
   void RunDomainRange(SimTime horizon);
   void MergeOutboxes();
@@ -107,6 +125,14 @@ class ParallelSimulator {
     uint64_t next_seq = 0;
   };
   std::vector<Outbox> outboxes_;
+  // MergeOutboxes' sort keys, reused every round: (src << 32 | index into
+  // outboxes_[src].events) breaks time ties in (src, seq) order.
+  struct MergeKey {
+    SimTime time;
+    uint64_t src_index;
+  };
+  static_assert(sizeof(MergeKey) == 16);
+  std::vector<MergeKey> merge_keys_;
 
   // Worker-pool state. Workers claim domains with next_domain_ and report
   // through done_; generation counts make the condvar waits race-free.

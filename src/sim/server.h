@@ -15,8 +15,10 @@
 #define SRC_SIM_SERVER_H_
 
 #include <algorithm>
+#include <cstddef>
 #include <cstdint>
 #include <memory>
+#include <utility>
 #include <vector>
 
 #include "src/common/log.h"
@@ -32,20 +34,20 @@ class BusyServer {
 
   // Enqueues a job of duration `service` that may not start before
   // `earliest`. Returns the completion time; `cb` (optional) fires then.
-  SimTime EnqueueAt(SimTime earliest, SimTime service, Simulator::Callback cb = nullptr) {
+  template <typename F = std::nullptr_t>
+  SimTime EnqueueAt(SimTime earliest, SimTime service, F&& cb = nullptr) {
     SNIC_CHECK_GE(service, 0);
     const SimTime start = std::max({next_free_, earliest, sim_->now()});
     next_free_ = start + service;
     busy_time_ += service;
     ++jobs_;
-    if (cb != nullptr) {
-      sim_->At(next_free_, std::move(cb));
-    }
+    sim_->AtIfAny(next_free_, std::forward<F>(cb));
     return next_free_;
   }
 
-  SimTime Enqueue(SimTime service, Simulator::Callback cb = nullptr) {
-    return EnqueueAt(sim_->now(), service, std::move(cb));
+  template <typename F = std::nullptr_t>
+  SimTime Enqueue(SimTime service, F&& cb = nullptr) {
+    return EnqueueAt(sim_->now(), service, std::forward<F>(cb));
   }
 
   SimTime next_free() const { return std::max(next_free_, sim_->now()); }
@@ -76,7 +78,8 @@ class MultiServer {
     SNIC_CHECK_GT(servers, 0);
   }
 
-  SimTime EnqueueAt(SimTime earliest, SimTime service, Simulator::Callback cb = nullptr) {
+  template <typename F = std::nullptr_t>
+  SimTime EnqueueAt(SimTime earliest, SimTime service, F&& cb = nullptr) {
     SNIC_CHECK_GE(service, 0);
     // Pick the server that frees first.
     size_t best = 0;
@@ -89,14 +92,13 @@ class MultiServer {
     next_free_[best] = start + service;
     busy_time_ += service;
     ++jobs_;
-    if (cb != nullptr) {
-      sim_->At(next_free_[best], std::move(cb));
-    }
+    sim_->AtIfAny(next_free_[best], std::forward<F>(cb));
     return next_free_[best];
   }
 
-  SimTime Enqueue(SimTime service, Simulator::Callback cb = nullptr) {
-    return EnqueueAt(sim_->now(), service, std::move(cb));
+  template <typename F = std::nullptr_t>
+  SimTime Enqueue(SimTime service, F&& cb = nullptr) {
+    return EnqueueAt(sim_->now(), service, std::forward<F>(cb));
   }
 
   // Re-provisions the pool to `n` servers (the epoch autoscaler's host/SoC
@@ -151,14 +153,15 @@ class TokenPool {
   }
 
   // Runs `cb` once a token is held (immediately if one is free).
-  void Acquire(Simulator::Callback cb) {
+  template <typename F>
+  void Acquire(F&& cb) {
     if (available_ > 0) {
       --available_;
       // Defer through the event queue so acquire order == FIFO order even
       // when tokens are free, and callers never reenter synchronously.
-      sim_->In(0, std::move(cb));
+      sim_->In(0, std::forward<F>(cb));
     } else {
-      waiters_.push_back(std::move(cb));
+      waiters_.push_back(std::forward<F>(cb));
       max_waiters_ = std::max(max_waiters_, waiters_.size());
     }
   }
@@ -175,7 +178,9 @@ class TokenPool {
   void Release() {
     SNIC_CHECK_LT(available_, capacity_);
     if (!waiters_.empty()) {
-      sim_->In(0, waiters_.pop_front());
+      // Moved once, from the ring straight into its event slot.
+      sim_->In(0, std::move(waiters_.front()));
+      waiters_.pop_front();
     } else {
       ++available_;
     }
@@ -196,19 +201,21 @@ class TokenPool {
     bool empty() const { return size_ == 0; }
     size_t size() const { return size_; }
 
-    void push_back(Simulator::Callback cb) {
+    template <typename F>
+    void push_back(F&& cb) {
       if (size_ == capacity_) {
         Grow();
       }
-      ring_[(head_ + size_) & (capacity_ - 1)] = std::move(cb);
+      ring_[(head_ + size_) & (capacity_ - 1)].Emplace(std::forward<F>(cb));
       ++size_;
     }
 
-    Simulator::Callback pop_front() {
-      Simulator::Callback cb = std::move(ring_[head_]);
+    Simulator::Callback& front() { return ring_[head_]; }
+
+    // Drops the front entry; the caller has moved its closure out.
+    void pop_front() {
       head_ = (head_ + 1) & (capacity_ - 1);
       --size_;
-      return cb;
     }
 
    private:

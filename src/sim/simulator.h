@@ -46,6 +46,8 @@
 #include <bit>
 #include <cstdint>
 #include <memory>
+#include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/common/log.h"
@@ -81,25 +83,40 @@ class Simulator {
   SimTime now() const { return now_; }
 
   // Schedules `cb` at absolute time `t` (>= now). `cb` must be non-empty.
-  void At(SimTime t, Callback cb) {
-    SNIC_CHECK_GE(t, now_);
-    SNIC_CHECK(cb != nullptr);
-    if (next_seq_ >= kSeqRenumberAt) {
-      RenumberSeqs();
-    }
-    const uint32_t slot = AllocSlot();
-    SlotAt(slot) = std::move(cb);
-    nodes_[slot].time = t;
-    nodes_[slot].seq = next_seq_++;
-    if (t == now_) {
-      lane_.push_back(slot);
-      return;
-    }
-    Push(slot);
+  // A closure is constructed straight into its slot; a Callback is moved
+  // there once.
+  template <typename F>
+  void At(SimTime t, F&& cb) {
+    SNIC_CHECK(HasTarget(cb));
+    const uint32_t slot = NewSlot(t);
+    SlotAt(slot).Emplace(std::forward<F>(cb));
+    Enqueue(slot);
   }
 
   // Schedules `cb` after `delay`.
-  void In(SimTime delay, Callback cb) { At(now_ + delay, std::move(cb)); }
+  template <typename F>
+  void In(SimTime delay, F&& cb) {
+    At(now_ + delay, std::forward<F>(cb));
+  }
+
+  // At(t, cb) for an optional callback: does nothing when `cb` is nullptr
+  // or an empty Callback (see HasTarget). The pass-through layers finish
+  // with this.
+  template <typename F>
+  void AtIfAny(SimTime t, F&& cb) {
+    if constexpr (!std::is_same_v<std::decay_t<F>, std::nullptr_t>) {
+      if (HasTarget(cb)) {
+        At(t, std::forward<F>(cb));
+      }
+    }
+  }
+
+  // True when no event is due at now(): the zero-delay lane is empty and
+  // every queued event is later. An event dispatched now that ends by
+  // scheduling zero-delay work knows, when this holds, that the work would
+  // be dispatched next, in scheduling order, ahead of anything it
+  // schedules itself (see NicEndpoint's tail-issued grants).
+  bool NothingDueNow() const { return lane_head_ == lane_.size() && QueueTop() > now_; }
 
   // Runs until the event queue drains.
   void Run() {
@@ -177,6 +194,28 @@ class Simulator {
 
   TimerWheel* NewTimerWheel();  // src/sim/timer_wheel.cc
 
+  // At()'s closure-free halves, so only the Emplace between them is
+  // stamped out per closure type: take a free slot and stamp its key ...
+  uint32_t NewSlot(SimTime t) {
+    SNIC_CHECK_GE(t, now_);
+    if (next_seq_ >= kSeqRenumberAt) [[unlikely]] {
+      RenumberSeqs();
+    }
+    const uint32_t slot = AllocSlot();
+    nodes_[slot].time = t;
+    nodes_[slot].seq = next_seq_++;
+    return slot;
+  }
+
+  // ... then queue it: the lane at now(), the radix queue later.
+  void Enqueue(uint32_t slot) {
+    if (nodes_[slot].time == now_) {
+      lane_.push_back(slot);
+      return;
+    }
+    Push(slot);
+  }
+
   // The queue node of one slot: its dispatch key and its bucket-list link.
   // The closure stays put in its slot; 16 bytes keep four nodes per line.
   struct Node {
@@ -198,7 +237,7 @@ class Simulator {
   // until it drains, so neither compares a seq again. Renumbering the lists
   // by old seq keeps their order. Amortized cost: one O(n log n) sort per
   // ~2^31 schedules, i.e. effectively free.
-  void RenumberSeqs() {
+  [[gnu::noinline]] void RenumberSeqs() {
     std::vector<uint32_t> listed;
     for (uint64_t m = mask_ & ~uint64_t{1}; m != 0; m &= m - 1) {
       for (uint32_t s = head_[std::countr_zero(m)]; s != kNil; s = nodes_[s].next) {
@@ -289,20 +328,24 @@ class Simulator {
   }
 
   uint32_t AllocSlot() {
-    if (free_slots_.empty()) {
-      // Chunked growth keeps existing slots at stable addresses: a callback
-      // is constructed in place once and never relocated by later growth.
-      const uint32_t base = static_cast<uint32_t>(chunks_.size()) << kChunkShift;
-      chunks_.push_back(std::make_unique<Callback[]>(kChunkSize));
-      nodes_.resize(nodes_.size() + kChunkSize);
-      free_slots_.reserve(free_slots_.size() + kChunkSize);
-      for (uint32_t i = kChunkSize; i > 0; --i) {
-        free_slots_.push_back(base + i - 1);
-      }
+    if (free_slots_.empty()) [[unlikely]] {
+      AddChunk();
     }
     const uint32_t slot = free_slots_.back();
     free_slots_.pop_back();
     return slot;
+  }
+
+  // Chunked growth keeps existing slots at stable addresses: a callback is
+  // constructed in place once and never relocated by later growth.
+  [[gnu::noinline]] void AddChunk() {
+    const uint32_t base = static_cast<uint32_t>(chunks_.size()) << kChunkShift;
+    chunks_.push_back(std::make_unique<Callback[]>(kChunkSize));
+    nodes_.resize(nodes_.size() + kChunkSize);
+    free_slots_.reserve(free_slots_.size() + kChunkSize);
+    for (uint32_t i = kChunkSize; i > 0; --i) {
+      free_slots_.push_back(base + i - 1);
+    }
   }
 
   uint32_t PopLane() {

@@ -42,18 +42,15 @@ void TimerWheel::FreeRecord(uint32_t idx) {
   free_.push_back(idx);
 }
 
-TimerWheel::TimerId TimerWheel::Schedule(SimTime deadline, SimCallback cb) {
+uint32_t TimerWheel::Arm(SimTime deadline) {
   SNIC_CHECK_GE(deadline, sim_->now());
   SNIC_CHECK_GE(deadline, 0);
-  SNIC_CHECK(cb != nullptr);
   const uint32_t idx = AllocRecord();
   Timer& t = records_[idx];
   t.deadline = deadline;
   t.order = next_order_++;
-  t.cb = std::move(cb);
   ++scheduled_;
-  Place(idx, sim_->now());
-  return (static_cast<TimerId>(t.gen) << 32) | idx;
+  return idx;
 }
 
 bool TimerWheel::Cancel(TimerId id) {

@@ -30,8 +30,10 @@
 #define SRC_SIM_TIMER_WHEEL_H_
 
 #include <cstdint>
+#include <utility>
 #include <vector>
 
+#include "src/common/log.h"
 #include "src/common/units.h"
 #include "src/sim/callback.h"
 #include "src/sim/simulator.h"
@@ -53,12 +55,21 @@ class TimerWheel {
   TimerWheel(const TimerWheel&) = delete;
   TimerWheel& operator=(const TimerWheel&) = delete;
 
-  // Arms `cb` to run at absolute time `deadline` (>= sim->now()).
-  TimerId Schedule(SimTime deadline, SimCallback cb);
+  // Arms `cb` to run at absolute time `deadline` (>= sim->now()). Like
+  // Simulator::At, the closure is built straight into its timer record.
+  template <typename F>
+  TimerId Schedule(SimTime deadline, F&& cb) {
+    SNIC_CHECK(HasTarget(cb));
+    const uint32_t idx = Arm(deadline);
+    records_[idx].cb.Emplace(std::forward<F>(cb));
+    Place(idx, sim_->now());
+    return (static_cast<TimerId>(records_[idx].gen) << 32) | idx;
+  }
 
   // After `delay`, like Simulator::In.
-  TimerId In(SimTime delay, SimCallback cb) {
-    return Schedule(sim_->now() + delay, std::move(cb));
+  template <typename F>
+  TimerId In(SimTime delay, F&& cb) {
+    return Schedule(sim_->now() + delay, std::forward<F>(cb));
   }
 
   // O(1): marks the timer dead; its record is reclaimed lazily the next
@@ -126,6 +137,9 @@ class TimerWheel {
   // start still lies in the future, or the level-0 bucket with an immediate
   // sentinel when the deadline's innermost slot has already begun.
   void Place(uint32_t idx, SimTime now);
+  // Schedule's untyped half: checks `deadline`, takes a record and stamps
+  // its deadline and arm order. The caller fills in the closure.
+  uint32_t Arm(SimTime deadline);
   void Append(Bucket& b, uint32_t idx);
   void ArmSentinel(int level, int bucket_index, SimTime at);
   // Sentinel body: drain everything whose slot has started — cascade from

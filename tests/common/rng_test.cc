@@ -72,5 +72,34 @@ TEST(Rng, NoShortCycles) {
   EXPECT_EQ(seen.size(), 10000u);
 }
 
+// The reference: all eight bytes, low byte first, each XORed in and
+// multiplied by the FNV prime.
+uint64_t FnvMixByteLoop(uint64_t h, uint64_t v) {
+  for (int i = 0; i < 8; ++i) {
+    h = (h ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ULL;
+  }
+  return h;
+}
+
+// FnvMix stops at the last non-zero byte and multiplies by a power of the
+// prime for the rest; that must be the byte loop exactly, for values of
+// every byte length and with zero bytes inside them.
+TEST(FnvMix, MatchesTheByteLoop) {
+  Rng r(2024);
+  for (int i = 0; i < 20000; ++i) {
+    const uint64_t h = r.Next();
+    const int bytes = i % 9;  // significant bytes: 0..8
+    uint64_t v = bytes == 0 ? 0 : r.Next() >> (64 - 8 * bytes);
+    if (i % 4 == 1) {
+      v &= 0x00ff00ff00ff00ffULL;  // zero bytes between non-zero ones
+    }
+    ASSERT_EQ(FnvMix(h, v), FnvMixByteLoop(h, v)) << "h=" << h << " v=" << v;
+  }
+  for (const uint64_t v : {0ULL, 1ULL, 0x80ULL, 0x100ULL, 1ULL << 63, ~0ULL}) {
+    EXPECT_EQ(FnvMix(1469598103934665603ULL, v),
+              FnvMixByteLoop(1469598103934665603ULL, v));
+  }
+}
+
 }  // namespace
 }  // namespace snicsim

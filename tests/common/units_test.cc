@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <initializer_list>
+
 namespace snicsim {
 namespace {
 
@@ -60,6 +63,19 @@ TEST(Units, FormatTime) {
   EXPECT_EQ(FormatTime(FromMicros(2.6)), "2.60us");
   EXPECT_EQ(FormatTime(FromMillis(3)), "3.00ms");
   EXPECT_EQ(FormatTime(500), "500ps");
+}
+
+TEST(Units, DivisorMatchesPlainDivision) {
+  for (const uint64_t d : {1ULL, 2ULL, 8ULL, 128ULL, 512ULL, 2048ULL, 3ULL, 12ULL, 18432ULL}) {
+    const Divisor div(d);
+    EXPECT_EQ(div.value(), d);
+    for (const uint64_t n : std::initializer_list<uint64_t>{
+             0, 1, 127, 128, 129, 4095, 4096, 10 * kMiB + 17, (1ULL << 40) + 3}) {
+      EXPECT_EQ(div.Div(n), n / d) << n << " / " << d;
+      EXPECT_EQ(div.Mod(n), n % d) << n << " % " << d;
+      EXPECT_EQ(div.CeilDiv(n), CeilDiv(n, d)) << n << " / " << d;
+    }
+  }
 }
 
 }  // namespace

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <vector>
 
 #include "src/mem/memory.h"
 #include "src/pcie/link.h"
@@ -170,6 +171,80 @@ TEST(NicEndpoint, ZeroLengthReadStillCompletes) {
   h.ep_->DmaRead(0, 0, [&](SimTime t) { done = t; });
   h.sim_.Run();
   EXPECT_GT(done, 0);
+}
+
+// One HoL stream through the endpoint: a 10 MiB read on the degraded
+// window with two reads queued behind it.
+struct HolStreamRun {
+  std::vector<SimTime> done;        // each op's completion time
+  std::vector<SimTime> event_times;  // every distinct dispatch time
+  LinkCounters down, up;
+  SimTime busy_down = 0;
+  SimTime busy_up = 0;
+  uint64_t dram_accesses = 0;
+  uint64_t reads_issued = 0;
+  uint64_t events = 0;
+  uint64_t probes = 0;
+};
+
+// `probe_at`: times at which a no-op event must already be pending when
+// the events scheduled for that time run. The no-op is scheduled 1 ps
+// earlier, so it takes a later seq than every completion due then.
+HolStreamRun RunHolStream(const std::vector<SimTime>& probe_at) {
+  EndpointHarness h(MemoryParams::Soc(), kSocPcieMtu);
+  HolStreamRun r;
+  r.done.assign(3, -1);
+  h.sim_.At(0, [&] {
+    h.ep_->DmaRead(0, 10 * kMiB, [&](SimTime t) { r.done[0] = t; });
+    h.ep_->DmaRead(64 * kMiB, 64 * kKiB, [&](SimTime t) { r.done[1] = t; });
+  });
+  h.sim_.At(FromMicros(1), [&] {
+    h.ep_->DmaRead(96 * kMiB, 8 * kKiB, [&](SimTime t) { r.done[2] = t; });
+  });
+  Simulator* const sim = &h.sim_;
+  for (const SimTime t : probe_at) {
+    if (t > 0) {
+      sim->At(t - 1, [sim, t] { sim->At(t, [] {}); });
+      ++r.probes;
+    }
+  }
+  while (!sim->empty()) {
+    const SimTime t = sim->next_event_time();
+    r.event_times.push_back(t);
+    sim->RunUntil(t);
+  }
+  r.down = h.link_.counters(LinkDir::kDown);
+  r.up = h.link_.counters(LinkDir::kUp);
+  r.busy_down = h.link_.BusyTime(LinkDir::kDown);
+  r.busy_up = h.link_.BusyTime(LinkDir::kUp);
+  r.dram_accesses = h.mem_.dram_accesses();
+  r.reads_issued = h.ep_->reads_issued();
+  r.events = sim->processed();
+  return r;
+}
+
+// Tail-issued grants (DESIGN.md §8) change how many events run, never what
+// they do. A no-op pending at every dispatch time of the plain run forces
+// every completion's pump back onto In(0) grants; completion times and
+// every link and memory counter must not move.
+TEST(NicEndpoint, TailIssuedGrantsMatchQueuedGrants) {
+  const HolStreamRun plain = RunHolStream({});
+  const HolStreamRun probed = RunHolStream(plain.event_times);
+  ASSERT_EQ(plain.reads_issued, 2560u + 16u + 2u);
+  EXPECT_EQ(probed.done, plain.done);
+  EXPECT_EQ(probed.down.tlps, plain.down.tlps);
+  EXPECT_EQ(probed.down.wire_bytes, plain.down.wire_bytes);
+  EXPECT_EQ(probed.up.tlps, plain.up.tlps);
+  EXPECT_EQ(probed.up.payload_bytes, plain.up.payload_bytes);
+  EXPECT_EQ(probed.up.wire_bytes, plain.up.wire_bytes);
+  EXPECT_EQ(probed.busy_down, plain.busy_down);
+  EXPECT_EQ(probed.busy_up, plain.busy_up);
+  EXPECT_EQ(probed.dram_accesses, plain.dram_accesses);
+  EXPECT_EQ(probed.reads_issued, plain.reads_issued);
+  // The probes really forced the queued branch: all but the first few
+  // grants ran inline in the plain run, and every one is an event in the
+  // probed run (two probe events per probed time aside).
+  EXPECT_GE(probed.events - 2 * probed.probes, plain.events + plain.reads_issued - 8);
 }
 
 }  // namespace

@@ -101,5 +101,16 @@ TEST(PcieLink, OppositeDirHelper) {
   EXPECT_EQ(Opposite(LinkDir::kUp), LinkDir::kDown);
 }
 
+// The service-time memos return exactly what ServiceTime computes, across
+// size changes that invalidate them.
+TEST(PcieLink, ServiceMemosMatchServiceTime) {
+  Simulator sim;
+  PcieLink l(&sim, "l", Bandwidth::Gbps(256), kProp);
+  for (const uint64_t wire : {154ULL, 154ULL, 538ULL, 154ULL, 38ULL, 4928ULL, 4928ULL, 1ULL}) {
+    EXPECT_EQ(l.HeadTlpServiceTime(wire, 0), l.ServiceTime(wire, 0)) << wire;
+    EXPECT_EQ(l.BurstServiceTime(wire, 0), l.ServiceTime(wire, 0)) << wire;
+  }
+}
+
 }  // namespace
 }  // namespace snicsim

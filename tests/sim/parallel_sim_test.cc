@@ -8,6 +8,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
 #include <string>
 #include <vector>
@@ -114,6 +115,63 @@ TEST(SlabPool, RecyclesRecordsWithoutGrowth) {
   pool.Free(a);
   pool.Free(b);
   EXPECT_EQ(pool.live(), 0u);
+}
+
+// Many sources posting at equal times, out of time order within each
+// source and across several rounds: delivery must follow (time, src, seq)
+// exactly, and merge_digest() must be FNV-1a over those tuples, byte by
+// byte, in that order.
+TEST(ParallelSimulator, MergeOrdersEqualTimesBySrcThenSeq) {
+  struct Arrival {
+    SimTime time;
+    int src;
+    uint64_t seq;
+    bool operator==(const Arrival&) const = default;
+  };
+  constexpr int kSources = 3;
+  constexpr int kDst = kSources;
+  // Per source: the post times of one round, relative to the round start.
+  const std::vector<SimTime> offsets = {300, 100, 300, 200, 100, 300};
+  const auto run = [&](int threads) {
+    ParallelSimulator psim(kSources + 1, /*lookahead=*/100, threads);
+    ParallelSimulator* pp = &psim;
+    std::vector<Arrival> arrivals;
+    for (int src = 0; src < kSources; ++src) {
+      for (int round = 0; round < 3; ++round) {
+        const SimTime start = 1000 * round;
+        psim.domain(src)->At(start, [pp, &arrivals, &offsets, src, start, round] {
+          for (size_t k = 0; k < offsets.size(); ++k) {
+            const uint64_t seq = static_cast<uint64_t>(round) * offsets.size() + k;
+            const SimTime t = start + offsets[k];
+            pp->Post(src, kDst, t,
+                     [&arrivals, t, src, seq] { arrivals.push_back({t, src, seq}); });
+          }
+        });
+      }
+    }
+    psim.Run();
+    return std::make_pair(arrivals, psim.merge_digest());
+  };
+  const auto [arrivals, digest] = run(1);
+  std::vector<Arrival> expect = arrivals;
+  std::sort(expect.begin(), expect.end(), [](const Arrival& a, const Arrival& b) {
+    return std::tie(a.time, a.src, a.seq) < std::tie(b.time, b.src, b.seq);
+  });
+  ASSERT_EQ(arrivals.size(), kSources * 3 * offsets.size());
+  EXPECT_EQ(arrivals, expect);
+  uint64_t ref = 1469598103934665603ULL;
+  for (const Arrival& a : expect) {
+    for (const uint64_t v : {static_cast<uint64_t>(a.time), static_cast<uint64_t>(a.src),
+                             static_cast<uint64_t>(kDst), a.seq}) {
+      for (int i = 0; i < 8; ++i) {
+        ref = (ref ^ ((v >> (8 * i)) & 0xffu)) * 1099511628211ULL;
+      }
+    }
+  }
+  EXPECT_EQ(digest, ref);
+  const auto threaded = run(3);
+  EXPECT_EQ(threaded.first, arrivals);
+  EXPECT_EQ(threaded.second, digest);
 }
 
 }  // namespace

@@ -157,5 +157,39 @@ TEST(TokenPoolDeathTest, OverReleaseAborts) {
   EXPECT_DEATH(pool.Release(), "CHECK failed");
 }
 
+// A capture that counts how often it is moved.
+struct MoveCounter {
+  explicit MoveCounter(int* n) : moves(n) {}
+  MoveCounter(MoveCounter&& o) noexcept : moves(o.moves) { ++*moves; }
+  MoveCounter(const MoveCounter&) = delete;
+  int* moves;
+};
+
+// A schedule constructs the closure in its event slot: one move from the
+// caller's temporary, however many layers forward it on the way.
+TEST(ClosureMoves, EachScheduleMovesAClosureOnce) {
+  Simulator sim;
+  int moves = 0;
+  sim.At(1, [c = MoveCounter(&moves)] {});
+  EXPECT_EQ(moves, 1);
+
+  moves = 0;
+  BusyServer server(&sim);
+  server.EnqueueAt(0, 5, [c = MoveCounter(&moves)] {});
+  EXPECT_EQ(moves, 1);
+
+  moves = 0;
+  TokenPool pool(&sim, 1);
+  pool.Acquire([c = MoveCounter(&moves)] {});  // free token: straight to a slot
+  EXPECT_EQ(moves, 1);
+
+  moves = 0;
+  pool.Acquire([c = MoveCounter(&moves)] {});  // waits: one move into the ring
+  EXPECT_EQ(moves, 1);
+  pool.Release();  // ... and one from the ring into its slot
+  EXPECT_EQ(moves, 2);
+  sim.Run();
+}
+
 }  // namespace
 }  // namespace snicsim
