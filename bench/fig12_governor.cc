@@ -17,7 +17,7 @@
 //
 // --check replays the whole grid at --jobs=1 and at --jobs=N, and replays a
 // faulted grid (frame drops + retransmits) the same way, asserting every
-// ServingResult fingerprint is byte-identical — the sweep-level determinism
+// ServingResult replay digest is byte-identical — the sweep-level determinism
 // contract — and then asserts the dominance properties above.
 #include <cstdio>
 #include <iostream>
@@ -28,7 +28,7 @@
 #include "src/common/table.h"
 #include "src/fault/plan.h"
 #include "src/governor/serving.h"
-#include "src/runtime/sweep_runner.h"
+#include "src/runtime/check.h"
 
 using namespace snicsim;  // NOLINT: bench brevity
 using governor::PolicyKind;
@@ -94,24 +94,20 @@ ServingRunConfig GridPoint(double theta, const MixSpec& mix, PolicyKind policy,
   return c;
 }
 
-// Runs the full (theta x mix x policy) grid on `jobs` workers, results in
-// submission order: point-major, Policies() order within each point.
-std::vector<ServingResult> RunGrid(const std::vector<double>& thetas, int jobs,
-                                   const fault::FaultPlan& plan, int host_cores,
-                                   bool governor_only) {
-  runtime::SweepQueue<ServingResult> sweep(jobs);
+// Appends the full (theta x mix x policy) grid to `cells`: point-major,
+// Policies() order within each point.
+void AddGrid(const std::vector<double>& thetas, const fault::FaultPlan& plan,
+             int host_cores, bool governor_only,
+             std::vector<ServingRunConfig>* cells) {
   for (double theta : thetas) {
     for (const MixSpec& mix : Mixes()) {
       for (PolicyKind policy : Policies()) {
-        if (governor_only && policy != PolicyKind::kGovernor) {
-          continue;
+        if (!governor_only || policy == PolicyKind::kGovernor) {
+          cells->push_back(GridPoint(theta, mix, policy, plan, host_cores));
         }
-        const ServingRunConfig c = GridPoint(theta, mix, policy, plan, host_cores);
-        sweep.Add([c] { return RunServing(c); });
       }
     }
   }
-  return sweep.Run();
 }
 
 // The HoL-flip section: one value size per run, swept across the 9 MiB
@@ -144,8 +140,19 @@ int main(int argc, char** argv) {
   const std::vector<double> thetas = {0.6, 0.99};
   const int hc = static_cast<int>(host_cores);
 
-  const std::vector<ServingResult> grid =
-      RunGrid(thetas, jobs, faults, hc, /*governor_only=*/false);
+  std::vector<ServingRunConfig> cells;
+  AddGrid(thetas, faults, hc, /*governor_only=*/false, &cells);
+  if (check) {
+    // The --jobs replay also covers a faulted governor grid, so it runs
+    // behind the table's cells.
+    fault::FaultPlan fault_plan = faults;
+    if (fault_plan.empty()) {
+      fault_plan.drop_rate = 0.02;
+      fault_plan.seed = 7;
+    }
+    AddGrid(thetas, fault_plan, hc, /*governor_only=*/true, &cells);
+  }
+  const std::vector<ServingResult> grid = runtime::RunEach(cells, jobs, RunServing);
 
   std::printf("== Figure 12: governor vs static paths vs oracle "
               "(%d-core host pool%s) ==\n",
@@ -191,15 +198,14 @@ int main(int argc, char** argv) {
   std::printf("\n== Governor SoC share vs value size across the HoL threshold ==\n");
   const std::vector<uint32_t> flip_bytes = {1u * kMiB, 4u * kMiB, 8u * kMiB,
                                             16u * kMiB};
-  runtime::SweepQueue<ServingResult> flip_sweep(jobs);
+  std::vector<ServingRunConfig> flip_cells;
   for (uint32_t bytes : flip_bytes) {
-    ServingRunConfig c = FlipPoint(bytes, hc);
+    flip_cells.push_back(FlipPoint(bytes, hc));
     if (!trace.empty() && bytes == 8u * kMiB) {
-      c.trace_path = trace;  // last point with both paths in play
+      flip_cells.back().trace_path = trace;  // last point with both paths in play
     }
-    flip_sweep.Add([c] { return RunServing(c); });
   }
-  const std::vector<ServingResult> flip = flip_sweep.Run();
+  const std::vector<ServingResult> flip = runtime::RunEach(flip_cells, jobs, RunServing);
   Table ft({"value", "issued", "soc%", "hol_gated", "draws"});
   bool flip_ok = true;
   for (size_t i = 0; i < flip_bytes.size(); ++i) {
@@ -232,43 +238,12 @@ int main(int argc, char** argv) {
 
   // Determinism: the whole grid must be byte-identical at --jobs=1 and at
   // --jobs=N, fault-free and under a nonzero fault plan.
-  std::printf("\n== --check: determinism + dominance ==\n");
-  bool ok = true;
-  const std::string serial = runtime::JoinFingerprints(
-      RunGrid(thetas, /*jobs=*/1, faults, hc, /*governor_only=*/false));
-  if (serial != runtime::JoinFingerprints(grid)) {
-    std::printf("FAIL: grid fingerprints differ between --jobs=1 and --jobs=%d\n",
-                jobs);
-    ok = false;
-  }
-  fault::FaultPlan fault_plan = faults;
-  if (fault_plan.empty()) {
-    fault_plan.drop_rate = 0.02;
-    fault_plan.seed = 7;
-  }
-  const std::string faulted_serial = runtime::JoinFingerprints(
-      RunGrid(thetas, /*jobs=*/1, fault_plan, hc, /*governor_only=*/true));
-  const std::string faulted_parallel = runtime::JoinFingerprints(
-      RunGrid(thetas, jobs, fault_plan, hc, /*governor_only=*/true));
-  if (faulted_serial != faulted_parallel) {
-    std::printf("FAIL: faulted grid fingerprints differ across --jobs\n");
-    ok = false;
-  }
-  if (!dominated_everywhere) {
-    std::printf("FAIL: governor fell >5%% below the best static at some point\n");
-    ok = false;
-  }
-  if (!strict_win_somewhere) {
-    std::printf("FAIL: governor never strictly beat both statics\n");
-    ok = false;
-  }
-  if (!flip_ok) {
-    std::printf("FAIL: HoL routing flip not clean at the 9 MiB threshold\n");
-    ok = false;
-  }
-  std::printf("%s\n", ok ? "CHECK PASSED: governor >= best static everywhere, "
-                           "strict win somewhere, byte-identical across --jobs "
-                           "and under faults"
-                         : "CHECK FAILED");
-  return ok ? 0 : 1;
+  runtime::Check c("determinism + dominance", jobs);
+  c.Replay(cells, grid, RunServing, &ServingResult::ReplayDigest);
+  c.FailIf(!dominated_everywhere,
+           "governor fell >5%% below the best static at some point");
+  c.FailIf(!strict_win_somewhere, "governor never strictly beat both statics");
+  c.FailIf(!flip_ok, "HoL routing flip not clean at the 9 MiB threshold");
+  return c.Finish("governor >= best static everywhere, strict win somewhere, "
+                  "byte-identical across --jobs and under faults");
 }

@@ -36,15 +36,13 @@
 #include "src/common/flags.h"
 #include "src/common/table.h"
 #include "src/fault/plan.h"
-#include "src/runtime/sweep_runner.h"
+#include "src/runtime/check.h"
 #include "src/topo/rack_kv.h"
 #include "src/workload/trace/trace.h"
 
 using namespace snicsim;  // NOLINT: bench brevity
 
 namespace {
-
-int g_sim_threads = 1;
 
 RackKvParams Base() {
   RackKvParams p;
@@ -59,7 +57,6 @@ RackKvParams Base() {
   p.write_fraction = 0.1;
   p.window = FromMicros(400);
   p.seed = 42;
-  p.sim_threads = g_sim_threads;
   return p;
 }
 
@@ -113,7 +110,7 @@ RackKvParams MemPoint(uint64_t users) {
 }
 
 std::vector<RackKvParams> AllCells(const fault::FaultPlan& plan,
-                                   const trace::TracePlan& tplan) {
+                                   const trace::TracePlan& tplan, int sim_threads) {
   std::vector<RackKvParams> cells;
   for (int servers : kServers) {
     for (uint64_t users : kUsers) {
@@ -130,23 +127,11 @@ std::vector<RackKvParams> AllCells(const fault::FaultPlan& plan,
   // thinning, churn as a draw-free rank rotation, scan upgrades at issue.
   // An empty plan leaves every cell byte-identical to a trace-free build
   // (tests/topo/rack_kv_test.cc pins the flat-trace case too).
-  if (!tplan.empty()) {
-    for (RackKvParams& c : cells) {
-      c.trace = tplan;
-    }
+  for (RackKvParams& c : cells) {
+    c.trace = tplan;
+    c.sim_threads = sim_threads;
   }
   return cells;
-}
-
-std::vector<RackKvResult> RunCells(const std::vector<RackKvParams>& cells,
-                                   int jobs, int sim_threads) {
-  runtime::SweepQueue<RackKvResult> sweep(jobs);
-  for (const RackKvParams& c : cells) {
-    RackKvParams p = c;
-    p.sim_threads = sim_threads;
-    sweep.Add([p] { return RunRackKv(p); });
-  }
-  return sweep.Run();
 }
 
 // Largest per-server completion share relative to a perfectly even split —
@@ -165,49 +150,6 @@ double Imbalance(const RackKvResult& r) {
          static_cast<double>(total);
 }
 
-bool CheckLedger(const RackKvResult& r, const char* label) {
-  bool ok = true;
-  if (!r.Conserved()) {
-    std::printf("FAIL(%s): ledger open — generated %llu vs completed %llu + "
-                "failed %llu + shed %llu; repl_pushed %llu vs acked %llu + "
-                "failed %llu\n",
-                label, static_cast<unsigned long long>(r.generated),
-                static_cast<unsigned long long>(r.completed),
-                static_cast<unsigned long long>(r.failed),
-                static_cast<unsigned long long>(r.shed),
-                static_cast<unsigned long long>(r.repl_pushed),
-                static_cast<unsigned long long>(r.repl_acked),
-                static_cast<unsigned long long>(r.repl_failed));
-    ok = false;
-  }
-  uint64_t served_ok = 0;
-  for (uint64_t c : r.server_completed) {
-    served_ok += c;
-  }
-  // Every home completion rode exactly one ok serve; ok serves whose reply
-  // lost the race to a home timeout add the (stale) excess.
-  if (served_ok < r.completed) {
-    std::printf("FAIL(%s): servers settled %llu ok serves < %llu home "
-                "completions\n",
-                label, static_cast<unsigned long long>(served_ok),
-                static_cast<unsigned long long>(r.completed));
-    ok = false;
-  }
-  if (r.repl_pushed != r.writes) {
-    std::printf("FAIL(%s): repl_pushed %llu != writes %llu\n", label,
-                static_cast<unsigned long long>(r.repl_pushed),
-                static_cast<unsigned long long>(r.writes));
-    ok = false;
-  }
-  if (r.completed > 0 && r.issued < r.generated) {
-    std::printf("FAIL(%s): issued %llu < generated %llu\n", label,
-                static_cast<unsigned long long>(r.issued),
-                static_cast<unsigned long long>(r.generated));
-    ok = false;
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -218,21 +160,20 @@ int main(int argc, char** argv) {
       "check", false,
       "assert determinism + ledgers + dominance + failover + memory bounds");
   const int jobs = runtime::JobsFlag(flags);
-  g_sim_threads = runtime::SimThreadsFlag(flags);
+  const int sim_threads = runtime::SimThreadsFlag(flags);
   const std::string metrics = flags.GetString(
       "metrics", "",
       "write the rack.* metrics JSON of the 1M-user cell to this file");
   flags.Finish();
 
-  std::vector<RackKvParams> cells = AllCells(plan, tplan);
+  std::vector<RackKvParams> cells = AllCells(plan, tplan, sim_threads);
   if (!metrics.empty()) {
     // The 1M-user point is the story-relevant dump: it carries the
     // O(in-flight) counters (rack.peak_inflight, rack.resident_client_bytes)
     // next to the full ledger.
     cells[cells.size() - 2].metrics_path = metrics;
   }
-  const std::vector<RackKvResult> results =
-      RunCells(cells, jobs, g_sim_threads);
+  const std::vector<RackKvResult> results = runtime::RunEach(cells, jobs, RunRackKv);
   const size_t n_sweep = kServers.size() * kUsers.size() * kThetas.size();
   const RackKvResult& fa = results[n_sweep];       // faulty rack
   const RackKvResult& fo = results[n_sweep + 1];   // whole-shard failover
@@ -331,135 +272,97 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::printf("\n== --check: determinism + ledgers + dominance + failover + "
-              "memory ==\n");
-  bool ok = true;
-
   // Byte-identical fingerprints against the serial grid corner; the CI rack
   // matrix byte-compares whole outputs across the (jobs, sim-threads) grid.
-  const std::string here = runtime::JoinFingerprints(results);
-  const std::string serial =
-      runtime::JoinFingerprints(RunCells(cells, /*jobs=*/1, /*sim_threads=*/1));
-  if (here != serial) {
-    std::printf("FAIL: fingerprints differ from --jobs=1 --sim-threads=1 "
-                "(ran --jobs=%d --sim-threads=%d)\n",
-                jobs, g_sim_threads);
-    ok = false;
-  }
+  runtime::Check c("determinism + ledgers + dominance + failover + memory", jobs);
+  c.Replay(cells, results, RunRackKv, &RackKvResult::Fingerprint);
 
-  for (size_t c = 0; c < results.size(); ++c) {
-    const std::string label = "cell " + std::to_string(c);
-    ok = CheckLedger(results[c], label.c_str()) && ok;
-    if (results[c].completed == 0) {
-      std::printf("FAIL(%s): nothing completed\n", label.c_str());
-      ok = false;
+  for (size_t k = 0; k < results.size(); ++k) {
+    const RackKvResult& r = results[k];
+    const std::string label = "cell " + std::to_string(k);
+    c.Ledger(label, r.LedgerBreaks());
+    uint64_t served_ok = 0;
+    for (uint64_t n : r.server_completed) {
+      served_ok += n;
     }
+    // Every home completion rode exactly one ok serve; ok serves whose reply
+    // lost the race to a home timeout add the (stale) excess.
+    c.FailAt(label, served_ok < r.completed,
+             "servers settled %llu ok serves < %llu home completions",
+             static_cast<unsigned long long>(served_ok),
+             static_cast<unsigned long long>(r.completed));
+    c.FailAt(label, r.repl_pushed != r.writes, "repl_pushed %llu != writes %llu",
+             static_cast<unsigned long long>(r.repl_pushed),
+             static_cast<unsigned long long>(r.writes));
+    c.FailAt(label, r.completed > 0 && r.issued < r.generated,
+             "issued %llu < generated %llu", static_cast<unsigned long long>(r.issued),
+             static_cast<unsigned long long>(r.generated));
+    c.FailAt(label, r.completed == 0, "nothing completed");
   }
 
   // Dominance in users: same think time, 4x the population => more load =>
   // more completions (the rack runs far below its serving capacity).
-  i = 0;
-  for (int servers : kServers) {
-    (void)servers;
-    const size_t base = i;
-    for (size_t u = 0; u < kUsers.size(); ++u) {
+  for (size_t sv = 0; sv < kServers.size(); ++sv) {
+    const size_t base = sv * kUsers.size() * kThetas.size();
+    for (size_t u = 1; u < kUsers.size(); ++u) {
       for (size_t th = 0; th < kThetas.size(); ++th) {
-        if (u == 0) {
-          continue;
-        }
         const RackKvResult& lo = results[base + th];
         const RackKvResult& hi = results[base + u * kThetas.size() + th];
-        if (hi.completed <= lo.completed) {
-          std::printf("FAIL: %llu users completed %llu <= %llu users' %llu "
-                      "(theta %.2f)\n",
-                      static_cast<unsigned long long>(kUsers[u]),
-                      static_cast<unsigned long long>(hi.completed),
-                      static_cast<unsigned long long>(kUsers[0]),
-                      static_cast<unsigned long long>(lo.completed),
-                      kThetas[th]);
-          ok = false;
-        }
+        c.FailIf(hi.completed <= lo.completed,
+                 "%llu users completed %llu <= %llu users' %llu (theta %.2f)",
+                 static_cast<unsigned long long>(kUsers[u]),
+                 static_cast<unsigned long long>(hi.completed),
+                 static_cast<unsigned long long>(kUsers[0]),
+                 static_cast<unsigned long long>(lo.completed), kThetas[th]);
       }
     }
-    i += kUsers.size() * kThetas.size();
   }
 
   // Dominance in skew: theta 0.99 concentrates completions onto the hot
   // key's primary harder than theta 0.6 (4-server cells).
-  {
-    const size_t four = kUsers.size() * kThetas.size();  // first 4-server cell
-    for (size_t u = 0; u < kUsers.size(); ++u) {
-      const RackKvResult& flat = results[four + u * kThetas.size()];
-      const RackKvResult& skew = results[four + u * kThetas.size() + 1];
-      if (Imbalance(skew) <= Imbalance(flat)) {
-        std::printf("FAIL: imbalance at theta %.2f (%.3f) not above theta "
-                    "%.2f (%.3f), users %llu\n",
-                    kThetas[1], Imbalance(skew), kThetas[0], Imbalance(flat),
-                    static_cast<unsigned long long>(kUsers[u]));
-        ok = false;
-      }
-    }
+  const size_t four = kUsers.size() * kThetas.size();  // first 4-server cell
+  for (size_t u = 0; u < kUsers.size(); ++u) {
+    const RackKvResult& flat = results[four + u * kThetas.size()];
+    const RackKvResult& skew = results[four + u * kThetas.size() + 1];
+    c.FailIf(Imbalance(skew) <= Imbalance(flat),
+             "imbalance at theta %.2f (%.3f) not above theta %.2f (%.3f), users %llu",
+             kThetas[1], Imbalance(skew), kThetas[0], Imbalance(flat),
+             static_cast<unsigned long long>(kUsers[u]));
   }
 
   // Replication actually ran in every fault-free sweep cell.
-  for (size_t c = 0; c < n_sweep; ++c) {
-    if (results[c].repl_acked == 0 || results[c].writes == 0) {
-      std::printf("FAIL: cell %zu saw no replicated writes\n", c);
-      ok = false;
-    }
+  for (size_t k = 0; k < n_sweep; ++k) {
+    c.FailIf(results[k].repl_acked == 0 || results[k].writes == 0,
+             "cell %zu saw no replicated writes", k);
   }
 
   // Failover: evidence -> promotion within 2 governor epochs, and the
   // restarted server was re-homed by the probe machinery after 200 us.
   const double epochs2_us = 2.0 * ToMicros(Base().governor_epoch);
-  if (fo.promotions == 0) {
-    std::printf("FAIL: whole-shard crash never promoted a follower\n");
-    ok = false;
-  } else if (fo.max_promote_gap_us > epochs2_us) {
-    std::printf("FAIL: promote gap %.1f us exceeds 2 governor epochs "
-                "(%.1f us)\n",
-                fo.max_promote_gap_us, epochs2_us);
-    ok = false;
+  if (!c.FailIf(fo.promotions == 0, "whole-shard crash never promoted a follower")) {
+    c.FailIf(fo.max_promote_gap_us > epochs2_us,
+             "promote gap %.1f us exceeds 2 governor epochs (%.1f us)",
+             fo.max_promote_gap_us, epochs2_us);
   }
-  if (fo.rehomed == 0) {
-    std::printf("FAIL: restarted server never re-homed\n");
-    ok = false;
-  } else if (fo.first_rehome_at_us <= 200.0) {
-    std::printf("FAIL: re-home at %.1f us, before the 200 us restart\n",
-                fo.first_rehome_at_us);
-    ok = false;
+  if (!c.FailIf(fo.rehomed == 0, "restarted server never re-homed")) {
+    c.FailIf(fo.first_rehome_at_us <= 200.0, "re-home at %.1f us, before the 200 us restart",
+             fo.first_rehome_at_us);
   }
-  if (fo.crash_refused + fo.serve_timeouts == 0) {
-    std::printf("FAIL: crash produced no failure evidence\n");
-    ok = false;
-  }
+  c.FailIf(fo.crash_refused + fo.serve_timeouts == 0, "crash produced no failure evidence");
 
   // O(in-flight) memory at 1M users: the resident counter must track the
   // in-flight peak, not the population.
-  if (big.peak_inflight >= 1000000 / 100) {
-    std::printf("FAIL: peak in-flight %llu is not << 1M users\n",
-                static_cast<unsigned long long>(big.peak_inflight));
-    ok = false;
-  }
-  if (big.resident_client_bytes >= (1u << 20)) {
-    std::printf("FAIL: 1M-user resident state %llu bytes >= 1 MiB\n",
-                static_cast<unsigned long long>(big.resident_client_bytes));
-    ok = false;
-  }
-  if (big.resident_client_bytes >=
-      4 * sml.resident_client_bytes + (1u << 16)) {
-    std::printf("FAIL: resident state grew with the population (1M: %llu B, "
-                "100k: %llu B)\n",
-                static_cast<unsigned long long>(big.resident_client_bytes),
-                static_cast<unsigned long long>(sml.resident_client_bytes));
-    ok = false;
-  }
+  c.FailIf(big.peak_inflight >= 1000000 / 100, "peak in-flight %llu is not << 1M users",
+           static_cast<unsigned long long>(big.peak_inflight));
+  c.FailIf(big.resident_client_bytes >= (1u << 20),
+           "1M-user resident state %llu bytes >= 1 MiB",
+           static_cast<unsigned long long>(big.resident_client_bytes));
+  c.FailIf(big.resident_client_bytes >= 4 * sml.resident_client_bytes + (1u << 16),
+           "resident state grew with the population (1M: %llu B, 100k: %llu B)",
+           static_cast<unsigned long long>(big.resident_client_bytes),
+           static_cast<unsigned long long>(sml.resident_client_bytes));
 
-  std::printf("%s\n",
-              ok ? "CHECK PASSED: byte-identical across the grid corner, "
-                   "both ledgers closed, user/skew dominance held, failover "
-                   "bounded by 2 epochs with post-restart re-home, and 1M "
-                   "users fit in O(in-flight) memory"
-                 : "CHECK FAILED");
-  return ok ? 0 : 1;
+  return c.Finish("byte-identical across the grid corner, both ledgers closed, "
+                  "user/skew dominance held, failover bounded by 2 epochs with "
+                  "post-restart re-home, and 1M users fit in O(in-flight) memory");
 }

@@ -37,14 +37,12 @@
 #include "src/common/table.h"
 #include "src/fault/plan.h"
 #include "src/model/bounds.h"
-#include "src/runtime/sweep_runner.h"
+#include "src/runtime/check.h"
 #include "src/topo/rack_kv.h"
 
 using namespace snicsim;  // NOLINT: bench brevity
 
 namespace {
-
-int g_sim_threads = 1;
 
 constexpr double kEpochUs = 50.0;
 constexpr double kPermLossUs = 120.0;   // first server dies here
@@ -65,7 +63,6 @@ RackKvParams Base() {
   p.governor_epoch = FromMicros(kEpochUs);
   p.window = FromMicros(1000);
   p.seed = 42;
-  p.sim_threads = g_sim_threads;
   p.membership.enabled = true;
   p.membership.permloss_epochs = 3;
   p.membership.migrate_batch = 64;
@@ -107,7 +104,7 @@ RackKvParams CombinedPoint() {
   return p;
 }
 
-std::vector<RackKvParams> AllCells() {
+std::vector<RackKvParams> AllCells(int sim_threads) {
   std::vector<RackKvParams> cells;
   for (int losses : kLosses) {
     for (double frac : kBudgetFracs) {
@@ -118,18 +115,10 @@ std::vector<RackKvParams> AllCells() {
   }
   cells.push_back(CorruptPoint());
   cells.push_back(CombinedPoint());
-  return cells;
-}
-
-std::vector<RackKvResult> RunCells(const std::vector<RackKvParams>& cells,
-                                   int jobs, int sim_threads) {
-  runtime::SweepQueue<RackKvResult> sweep(jobs);
-  for (const RackKvParams& c : cells) {
-    RackKvParams p = c;
-    p.sim_threads = sim_threads;
-    sweep.Add([p] { return RunRackKv(p); });
+  for (RackKvParams& c : cells) {
+    c.sim_threads = sim_threads;
   }
-  return sweep.Run();
+  return cells;
 }
 
 double RepairDurationUs(const RackKvResult& r) {
@@ -152,43 +141,6 @@ double EpochGoodput(const RackKvResult& r, size_t from, size_t to) {
   return static_cast<double>(sum) / static_cast<double>(to - from);
 }
 
-bool CheckCommon(const RackKvResult& r, const char* label) {
-  bool ok = true;
-  if (!r.Conserved()) {
-    std::printf(
-        "FAIL(%s): ledger open — gen %llu = done %llu + failed %llu + shed "
-        "%llu? ranges %llu = %llu + %llu? keys %llu = %llu? corrupt %llu+%llu "
-        "= %llu+%llu+%llu+%llu?\n",
-        label, static_cast<unsigned long long>(r.generated),
-        static_cast<unsigned long long>(r.completed),
-        static_cast<unsigned long long>(r.failed),
-        static_cast<unsigned long long>(r.shed),
-        static_cast<unsigned long long>(r.ranges_started),
-        static_cast<unsigned long long>(r.ranges_completed),
-        static_cast<unsigned long long>(r.ranges_failed),
-        static_cast<unsigned long long>(r.keys_migrated),
-        static_cast<unsigned long long>(r.keys_installed),
-        static_cast<unsigned long long>(r.corrupted_keys),
-        static_cast<unsigned long long>(r.corrupt_propagated),
-        static_cast<unsigned long long>(r.repaired_read),
-        static_cast<unsigned long long>(r.repaired_scrub),
-        static_cast<unsigned long long>(r.repaired_write),
-        static_cast<unsigned long long>(r.corrupt_remaining));
-    ok = false;
-  }
-  if (r.undetected_corrupt_serves != 0) {
-    std::printf("FAIL(%s): %llu corrupt values were served undetected\n",
-                label,
-                static_cast<unsigned long long>(r.undetected_corrupt_serves));
-    ok = false;
-  }
-  if (r.completed == 0) {
-    std::printf("FAIL(%s): nothing completed\n", label);
-    ok = false;
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -197,12 +149,11 @@ int main(int argc, char** argv) {
       "check", false,
       "assert determinism + ledgers + convergence + repair/goodput bounds");
   const int jobs = runtime::JobsFlag(flags);
-  g_sim_threads = runtime::SimThreadsFlag(flags);
+  const int sim_threads = runtime::SimThreadsFlag(flags);
   flags.Finish();
 
-  const std::vector<RackKvParams> cells = AllCells();
-  const std::vector<RackKvResult> results =
-      RunCells(cells, jobs, g_sim_threads);
+  const std::vector<RackKvParams> cells = AllCells(sim_threads);
+  const std::vector<RackKvResult> results = runtime::RunEach(cells, jobs, RunRackKv);
   const size_t n_loss = kLosses.size() * kBudgetFracs.size() * kUsers.size();
   const RackKvResult& cr = results[n_loss];       // corruption + scrub
   const RackKvResult& cb = results[n_loss + 1];   // loss + corruption
@@ -285,81 +236,56 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::printf("\n== --check: determinism + ledgers + convergence + repair "
-              "bounds ==\n");
-  bool ok = true;
+  runtime::Check c("determinism + ledgers + convergence + repair bounds", jobs);
+  c.Replay(cells, results, RunRackKv, &RackKvResult::Fingerprint);
 
-  const std::string here = runtime::JoinFingerprints(results);
-  const std::string serial =
-      runtime::JoinFingerprints(RunCells(cells, /*jobs=*/1, /*sim_threads=*/1));
-  if (here != serial) {
-    std::printf("FAIL: fingerprints differ from --jobs=1 --sim-threads=1 "
-                "(ran --jobs=%d --sim-threads=%d)\n",
-                jobs, g_sim_threads);
-    ok = false;
-  }
-
-  for (size_t c = 0; c < results.size(); ++c) {
-    const std::string label = "cell " + std::to_string(c);
-    ok = CheckCommon(results[c], label.c_str()) && ok;
+  for (size_t k = 0; k < results.size(); ++k) {
+    const RackKvResult& r = results[k];
+    const std::string label = "cell " + std::to_string(k);
+    c.Ledger(label, r.LedgerBreaks());
+    c.FailAt(label, r.undetected_corrupt_serves != 0,
+             "%llu corrupt values were served undetected",
+             static_cast<unsigned long long>(r.undetected_corrupt_serves));
+    c.FailAt(label, r.completed == 0, "nothing completed");
   }
 
   // Loss cells: convergence, detection latency, migration, repair bounds.
   i = 0;
   for (int losses : kLosses) {
     for (double frac : kBudgetFracs) {
-      for (uint64_t users : kUsers) {
-        (void)users;
+      for (size_t u = 0; u < kUsers.size(); ++u, ++i) {
         const RackKvResult& r = results[i];
-        const std::string lb = "loss cell " + std::to_string(i);
-        ++i;
-        const char* label = lb.c_str();
-        if (r.member_epoch != static_cast<uint64_t>(losses)) {
-          std::printf("FAIL(%s): member_epoch %llu != losses %d\n", label,
-                      static_cast<unsigned long long>(r.member_epoch), losses);
-          ok = false;
-        }
+        const std::string label = "loss cell " + std::to_string(i);
+        c.FailAt(label, r.member_epoch != static_cast<uint64_t>(losses),
+                 "member_epoch %llu != losses %d",
+                 static_cast<unsigned long long>(r.member_epoch), losses);
         // Every domain that survives to the end executed every removal
         // (the dead servers' own home sides adopt via bounces too).
         const uint64_t min_removals = static_cast<uint64_t>(
             (Base().servers - losses) * losses);
-        if (r.removals < min_removals) {
-          std::printf("FAIL(%s): %llu removals < %llu (not every live home "
-                      "converged)\n",
-                      label, static_cast<unsigned long long>(r.removals),
-                      static_cast<unsigned long long>(min_removals));
-          ok = false;
-        }
+        c.FailAt(label, r.removals < min_removals,
+                 "%llu removals < %llu (not every live home converged)",
+                 static_cast<unsigned long long>(r.removals),
+                 static_cast<unsigned long long>(min_removals));
         // Detection: first removal within promote + permloss_epochs probe
         // epochs of the loss (generous constant for the evidence phase).
         const double detect_by =
             kPermLossUs + (Base().membership.permloss_epochs + 8) * kEpochUs;
-        if (r.membership_change_at_us < kPermLossUs ||
-            r.membership_change_at_us > detect_by) {
-          std::printf("FAIL(%s): first removal at %.1f us outside "
-                      "(%.1f, %.1f]\n",
-                      label, r.membership_change_at_us, kPermLossUs, detect_by);
-          ok = false;
-        }
-        if (r.keys_migrated == 0 || r.ranges_completed == 0) {
-          std::printf("FAIL(%s): no keys migrated\n", label);
-          ok = false;
-        }
-        if (r.stale_epoch_bounces == 0 || r.retry_replies == 0) {
-          std::printf("FAIL(%s): no stale-epoch bounces — the dead server's "
-                      "home side never reconciled\n", label);
-          ok = false;
-        }
+        c.FailAt(label,
+                 r.membership_change_at_us < kPermLossUs ||
+                     r.membership_change_at_us > detect_by,
+                 "first removal at %.1f us outside (%.1f, %.1f]",
+                 r.membership_change_at_us, kPermLossUs, detect_by);
+        c.FailAt(label, r.keys_migrated == 0 || r.ranges_completed == 0, "no keys migrated");
+        c.FailAt(label, r.stale_epoch_bounces == 0 || r.retry_replies == 0,
+                 "no stale-epoch bounces — the dead server's home side never reconciled");
         if (losses == 1) {
           // A single loss always leaves the pair's other member: nothing
           // is lost and every range completes.
-          if (r.keys_lost != 0 || r.ranges_failed != 0) {
-            std::printf("FAIL(%s): single loss lost %llu keys / %llu "
-                        "ranges\n",
-                        label, static_cast<unsigned long long>(r.keys_lost),
-                        static_cast<unsigned long long>(r.ranges_failed));
-            ok = false;
-          }
+          c.FailAt(label, r.keys_lost != 0 || r.ranges_failed != 0,
+                   "single loss lost %llu keys / %llu ranges",
+                   static_cast<unsigned long long>(r.keys_lost),
+                   static_cast<unsigned long long>(r.ranges_failed));
           // Budget-derived completion bound: the token bucket drains
           // repair_path3_bytes at migration_gbps; ack-clocked per-key
           // round trips add the epoch slack.
@@ -369,11 +295,8 @@ int main(int argc, char** argv) {
               1.25 * static_cast<double>(r.repair_path3_bytes) / rate_bpus +
               10.0 * kEpochUs;
           const double dur = RepairDurationUs(r);
-          if (dur < 0 || dur > bound_us) {
-            std::printf("FAIL(%s): repair took %.1f us, budget bound %.1f "
-                        "us\n", label, dur, bound_us);
-            ok = false;
-          }
+          c.FailAt(label, dur < 0 || dur > bound_us,
+                   "repair took %.1f us, budget bound %.1f us", dur, bound_us);
         }
         // Goodput floor: during migration the rack keeps completing at a
         // sizable fraction of its pre-loss per-epoch rate (the migration
@@ -385,11 +308,9 @@ int main(int argc, char** argv) {
             static_cast<size_t>(ToMicros(Base().window) / kEpochUs);
         const double pre = EpochGoodput(r, 0, pre_end);
         const double during = EpochGoodput(r, mig_from, win_end);
-        if (during < 0.35 * pre) {
-          std::printf("FAIL(%s): goodput during migration %.1f/epoch < 35%% "
-                      "of pre-loss %.1f/epoch\n", label, during, pre);
-          ok = false;
-        }
+        c.FailAt(label, during < 0.35 * pre,
+                 "goodput during migration %.1f/epoch < 35%% of pre-loss %.1f/epoch",
+                 during, pre);
       }
     }
   }
@@ -399,51 +320,33 @@ int main(int argc, char** argv) {
   for (size_t u = 0; u < kUsers.size(); ++u) {
     const RackKvResult& lo = results[u];                       // frac 0.1
     const RackKvResult& hi = results[kUsers.size() + u];       // frac 0.4
-    if (RepairDurationUs(hi) >= RepairDurationUs(lo)) {
-      std::printf("FAIL: repair with %.0f%% budget (%.1f us) not faster than "
-                  "%.0f%% (%.1f us), users %llu\n",
-                  100.0 * kBudgetFracs[1], RepairDurationUs(hi),
-                  100.0 * kBudgetFracs[0], RepairDurationUs(lo),
-                  static_cast<unsigned long long>(kUsers[u]));
-      ok = false;
-    }
+    c.FailIf(RepairDurationUs(hi) >= RepairDurationUs(lo),
+             "repair with %.0f%% budget (%.1f us) not faster than %.0f%% (%.1f us), "
+             "users %llu",
+             100.0 * kBudgetFracs[1], RepairDurationUs(hi), 100.0 * kBudgetFracs[0],
+             RepairDurationUs(lo), static_cast<unsigned long long>(kUsers[u]));
   }
 
   // Corruption cell: everything detected, everything healed.
-  if (cr.corrupted_keys == 0 || cr.scrub_detected == 0 ||
-      cr.read_repair_detected == 0) {
-    std::printf("FAIL: corruption cell detected nothing (flipped %llu, "
-                "scrub %llu, read %llu)\n",
-                static_cast<unsigned long long>(cr.corrupted_keys),
-                static_cast<unsigned long long>(cr.scrub_detected),
-                static_cast<unsigned long long>(cr.read_repair_detected));
-    ok = false;
-  }
-  if (cr.corrupt_remaining != 0) {
-    std::printf("FAIL: %llu corrupt values survived the scrub cell\n",
-                static_cast<unsigned long long>(cr.corrupt_remaining));
-    ok = false;
-  }
-  if (cr.removals != 0 || cr.keys_migrated != 0) {
-    std::printf("FAIL: corruption-only cell ran membership changes\n");
-    ok = false;
-  }
+  c.FailIf(cr.corrupted_keys == 0 || cr.scrub_detected == 0 ||
+               cr.read_repair_detected == 0,
+           "corruption cell detected nothing (flipped %llu, scrub %llu, read %llu)",
+           static_cast<unsigned long long>(cr.corrupted_keys),
+           static_cast<unsigned long long>(cr.scrub_detected),
+           static_cast<unsigned long long>(cr.read_repair_detected));
+  c.FailIf(cr.corrupt_remaining != 0, "%llu corrupt values survived the scrub cell",
+           static_cast<unsigned long long>(cr.corrupt_remaining));
+  c.FailIf(cr.removals != 0 || cr.keys_migrated != 0,
+           "corruption-only cell ran membership changes");
 
   // Combined cell: the loss converged and corruption was never served.
-  if (cb.member_epoch != 1 || cb.keys_migrated == 0) {
-    std::printf("FAIL: combined cell did not converge (epoch %llu, migrated "
-                "%llu)\n",
-                static_cast<unsigned long long>(cb.member_epoch),
-                static_cast<unsigned long long>(cb.keys_migrated));
-    ok = false;
-  }
+  c.FailIf(cb.member_epoch != 1 || cb.keys_migrated == 0,
+           "combined cell did not converge (epoch %llu, migrated %llu)",
+           static_cast<unsigned long long>(cb.member_epoch),
+           static_cast<unsigned long long>(cb.keys_migrated));
 
-  std::printf("%s\n",
-              ok ? "CHECK PASSED: byte-identical across the grid corner, all "
-                   "ledgers closed, every live home converged on the new "
-                   "ring, single-loss repair was complete and within the "
-                   "budget bound, goodput held its floor during migration, "
-                   "and no corrupt value was ever served"
-                 : "CHECK FAILED");
-  return ok ? 0 : 1;
+  return c.Finish("byte-identical across the grid corner, all ledgers closed, every "
+                  "live home converged on the new ring, single-loss repair was "
+                  "complete and within the budget bound, goodput held its floor "
+                  "during migration, and no corrupt value was ever served");
 }

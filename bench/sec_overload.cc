@@ -36,7 +36,7 @@
 #include "src/common/table.h"
 #include "src/fault/plan.h"
 #include "src/governor/serving.h"
-#include "src/runtime/sweep_runner.h"
+#include "src/runtime/check.h"
 
 using namespace snicsim;  // NOLINT: bench brevity
 using governor::PolicyKind;
@@ -161,46 +161,6 @@ std::vector<ServingRunConfig> AllCells(const std::vector<double>& rates,
   return cells;
 }
 
-std::vector<ServingResult> RunCells(const std::vector<ServingRunConfig>& cells,
-                                    int jobs) {
-  runtime::SweepQueue<ServingResult> sweep(jobs);
-  for (const ServingRunConfig& c : cells) {
-    sweep.Add([c] { return RunServing(c); });
-  }
-  return sweep.Run();
-}
-
-// Closes the whole request ledger: every generated request is either shed
-// or issued, every hedge adds exactly one extra wire copy, and every issued
-// copy terminates exactly once (ServingResult::LedgerBreaks).
-bool Conserved(const ServingResult& r, bool has_resil, const char* label) {
-  bool ok = true;
-  // Without a manager the deadline/shed/hedge ledgers are not surfaced;
-  // only the base identities apply.
-  for (const std::string& broken : r.LedgerBreaks(/*deadlines=*/has_resil)) {
-    std::printf("FAIL(%s): %s\n", label, broken.c_str());
-    ok = false;
-  }
-  if (!has_resil) {
-    return ok;
-  }
-  if (r.deadline_failed > r.failed) {
-    std::printf("FAIL(%s): deadline_failed %llu > failed %llu\n", label,
-                static_cast<unsigned long long>(r.deadline_failed),
-                static_cast<unsigned long long>(r.failed));
-    ok = false;
-  }
-  if (r.cancelled != r.hedges) {
-    // Every launched hedge duplicates one request into two wire copies, of
-    // which exactly one is cancelled after the drain.
-    std::printf("FAIL(%s): cancelled %llu != hedges %llu\n", label,
-                static_cast<unsigned long long>(r.cancelled),
-                static_cast<unsigned long long>(r.hedges));
-    ok = false;
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -213,7 +173,7 @@ int main(int argc, char** argv) {
 
   const std::vector<double> rates = {1.0, 2.0, 4.0, 8.0, 16.0};
   const std::vector<ServingRunConfig> cells = AllCells(rates, plan);
-  const std::vector<ServingResult> results = RunCells(cells, jobs);
+  const std::vector<ServingResult> results = runtime::RunEach(cells, jobs, RunServing);
 
   // -- Section 1: the overload sweep -------------------------------------
   std::printf("== Overload sweep: goodput (in-deadline Mreqs/s, %.0f us "
@@ -301,20 +261,29 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::printf("\n== --check: determinism + no-collapse + failover ==\n");
-  bool ok = true;
-
   // Determinism: every cell byte-identical between --jobs=1 and --jobs=N.
-  const std::string serial = runtime::JoinFingerprints(RunCells(cells, /*jobs=*/1));
-  if (serial != runtime::JoinFingerprints(results)) {
-    std::printf("FAIL: fingerprints differ between --jobs=1 and --jobs=%d\n",
-                jobs);
-    ok = false;
-  }
+  runtime::Check c("determinism + no-collapse + failover", jobs);
+  c.Replay(cells, results, RunServing, &ServingResult::ReplayDigest);
 
+  // Closes the whole request ledger: every generated request is either shed
+  // or issued, every hedge adds exactly one extra wire copy, and every issued
+  // copy terminates exactly once. Without a manager the deadline/shed/hedge
+  // ledgers are not surfaced; only the base identities apply.
   for (size_t i = 0; i < results.size(); ++i) {
+    const ServingResult& r = results[i];
     const std::string label = "cell " + std::to_string(i);
-    ok = Conserved(results[i], !cells[i].resil.empty(), label.c_str()) && ok;
+    const bool has_resil = !cells[i].resil.empty();
+    c.Ledger(label, r.LedgerBreaks(/*deadlines=*/has_resil));
+    if (has_resil) {
+      c.FailAt(label, r.deadline_failed > r.failed, "deadline_failed %llu > failed %llu",
+               static_cast<unsigned long long>(r.deadline_failed),
+               static_cast<unsigned long long>(r.failed));
+      // Every launched hedge duplicates one request into two wire copies, of
+      // which exactly one is cancelled after the drain.
+      c.FailAt(label, r.cancelled != r.hedges, "cancelled %llu != hedges %llu",
+               static_cast<unsigned long long>(r.cancelled),
+               static_cast<unsigned long long>(r.hedges));
+    }
   }
 
   // Knee + plateau: the resilient arm's best rate must not be the grid
@@ -322,80 +291,46 @@ int main(int argc, char** argv) {
   const size_t knee = static_cast<size_t>(
       std::max_element(resil_good.begin(), resil_good.end()) -
       resil_good.begin());
-  if (knee + 1 >= rates.size()) {
-    std::printf("FAIL: knee at the top of the rate grid (%.1f Mops) — widen "
-                "the sweep\n",
-                rates[knee]);
-    ok = false;
-  } else {
+  if (!c.FailIf(knee + 1 >= rates.size(),
+                "knee at the top of the rate grid (%.1f Mops) — widen the sweep",
+                rates[knee])) {
     size_t twok = knee;
     while (twok + 1 < rates.size() && rates[twok] < 2.0 * rates[knee]) {
       ++twok;
     }
-    if (resil_good[twok] < 0.9 * resil_good[knee]) {
-      std::printf("FAIL: resilient goodput at %.1f Mops (%.3f) fell below "
-                  "0.9x the knee (%.3f at %.1f Mops)\n",
-                  rates[twok], resil_good[twok], resil_good[knee],
-                  rates[knee]);
-      ok = false;
-    }
+    c.FailIf(resil_good[twok] < 0.9 * resil_good[knee],
+             "resilient goodput at %.1f Mops (%.3f) fell below 0.9x the knee "
+             "(%.3f at %.1f Mops)",
+             rates[twok], resil_good[twok], resil_good[knee], rates[knee]);
     const double base_peak = *std::max_element(base_good.begin(), base_good.end());
-    if (base_good.back() >= 0.7 * base_peak) {
-      std::printf("FAIL: baseline did not collapse (%.3f at %.1f Mops vs "
-                  "peak %.3f)\n",
-                  base_good.back(), rates.back(), base_peak);
-      ok = false;
-    }
-    if (resil_good.back() <= base_good.back()) {
-      std::printf("FAIL: shedding arm not above baseline at the top rate\n");
-      ok = false;
-    }
-    if (results[2 * rates.size() - 1].shed == 0) {
-      std::printf("FAIL: no requests shed at the top rate\n");
-      ok = false;
-    }
+    c.FailIf(base_good.back() >= 0.7 * base_peak,
+             "baseline did not collapse (%.3f at %.1f Mops vs peak %.3f)",
+             base_good.back(), rates.back(), base_peak);
+    c.FailIf(resil_good.back() <= base_good.back(),
+             "shedding arm not above baseline at the top rate");
+    c.FailIf(results[2 * rates.size() - 1].shed == 0,
+             "no requests shed at the top rate");
   }
 
   // Hedging: wins exist, the tail improves, and the draw ledger is exact
   // (one delay draw per eligible issue, win for every cancelled loser).
-  if (hon.hedge_wins == 0) {
-    std::printf("FAIL: hedging never won a race\n");
-    ok = false;
-  }
-  if (hon.p99_us >= hoff.p99_us) {
-    std::printf("FAIL: hedged p99 (%.2f us) not below unhedged (%.2f us)\n",
-                hon.p99_us, hoff.p99_us);
-    ok = false;
-  }
+  c.FailIf(hon.hedge_wins == 0, "hedging never won a race");
+  c.FailIf(hon.p99_us >= hoff.p99_us, "hedged p99 (%.2f us) not below unhedged (%.2f us)",
+           hon.p99_us, hoff.p99_us);
 
   // Failover: the crash produced evidence, the breaker tripped on it
   // within 2 governor epochs, and probes re-admitted the endpoint.
   const double epoch_us = ToMicros(governor::GovernorConfig().epoch);
-  if (cr.crash_drops == 0) {
-    std::printf("FAIL: crash window dropped nothing\n");
-    ok = false;
+  c.FailIf(cr.crash_drops == 0, "crash window dropped nothing");
+  if (!c.FailIf(cr.breaker_trips == 0, "SoC breaker never tripped")) {
+    c.FailIf(cr.soc_trip_gap_us > 2.0 * epoch_us,
+             "failover gap %.1f us exceeds 2 epochs (%.1f us)", cr.soc_trip_gap_us,
+             2.0 * epoch_us);
   }
-  if (cr.breaker_trips == 0) {
-    std::printf("FAIL: SoC breaker never tripped\n");
-    ok = false;
-  } else if (cr.soc_trip_gap_us > 2.0 * epoch_us) {
-    std::printf("FAIL: failover gap %.1f us exceeds 2 epochs (%.1f us)\n",
-                cr.soc_trip_gap_us, 2.0 * epoch_us);
-    ok = false;
-  }
-  if (cr.breaker_probes == 0) {
-    std::printf("FAIL: no half-open probes after the crash\n");
-    ok = false;
-  }
-  if (cr.rewarm_misses == 0) {
-    std::printf("FAIL: restart came up warm (no rewarm misses)\n");
-    ok = false;
-  }
+  c.FailIf(cr.breaker_probes == 0, "no half-open probes after the crash");
+  c.FailIf(cr.rewarm_misses == 0, "restart came up warm (no rewarm misses)");
 
-  std::printf("%s\n",
-              ok ? "CHECK PASSED: byte-identical across --jobs, plateau held "
-                   "at 2x the knee vs baseline collapse, bounded failover "
-                   "gap, breaker re-admission, ledger conserved"
-                 : "CHECK FAILED");
-  return ok ? 0 : 1;
+  return c.Finish("byte-identical across --jobs, plateau held at 2x the knee vs "
+                  "baseline collapse, bounded failover gap, breaker re-admission, "
+                  "ledger conserved");
 }

@@ -19,7 +19,7 @@
 // load — per-tenant token buckets turn weighted sharing into isolation.
 //
 // --check replays every cell at --jobs=1 asserting byte-identical
-// (serving + tenant) fingerprints, closes every per-tenant conservation
+// (serving + tenant) replay digests, closes every per-tenant conservation
 // ledger (generated == admitted + shed, admitted == completed + failed)
 // and the serving ledger, and — on fault-free runs — asserts the isolation
 // contrast above. With --faults (or --tenants overriding the tenant set)
@@ -35,7 +35,7 @@
 #include "src/fault/plan.h"
 #include "src/governor/serving.h"
 #include "src/offload/tenant_config.h"
-#include "src/runtime/sweep_runner.h"
+#include "src/runtime/check.h"
 
 using namespace snicsim;  // NOLINT: bench brevity
 using governor::PolicyKind;
@@ -120,51 +120,6 @@ ServingRunConfig Cell(double agg_mops, bool capped,
   return c;
 }
 
-std::vector<ServingResult> RunCells(const std::vector<ServingRunConfig>& cells,
-                                    int jobs) {
-  runtime::SweepQueue<ServingResult> sweep(jobs);
-  for (const ServingRunConfig& c : cells) {
-    sweep.Add([c] { return RunServing(c); });
-  }
-  return sweep.Run();
-}
-
-// Replay digest of one cell: the serving fingerprint (pinned by goldens)
-// plus the tenant-set fingerprint (new surface).
-std::string JoinFingerprints(const std::vector<ServingResult>& rs) {
-  std::string s;
-  for (const ServingResult& r : rs) {
-    s += r.Fingerprint();
-    s.push_back('+');
-    s += r.tenants.Fingerprint();
-    s.push_back('\n');
-  }
-  return s;
-}
-
-// The serving ledger without its deadline identities (ServingResult::LedgerBreaks).
-bool Conserved(const ServingResult& r, const char* label) {
-  bool ok = true;
-  for (const std::string& broken : r.LedgerBreaks(/*deadlines=*/false)) {
-    std::printf("FAIL(%s): %s\n", label, broken.c_str());
-    ok = false;
-  }
-  for (const TenantResult& t : r.tenants.tenants) {
-    if (!t.LedgerClosed()) {
-      std::printf("FAIL(%s): tenant '%s' ledger open: generated %llu "
-                  "admitted %llu shed %llu completed %llu failed %llu\n",
-                  label, t.id.c_str(),
-                  static_cast<unsigned long long>(t.generated),
-                  static_cast<unsigned long long>(t.admitted),
-                  static_cast<unsigned long long>(t.shed),
-                  static_cast<unsigned long long>(t.completed),
-                  static_cast<unsigned long long>(t.failed));
-      ok = false;
-    }
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -193,7 +148,7 @@ int main(int argc, char** argv) {
     }
     cells.push_back(c);
   }
-  const std::vector<ServingResult> results = RunCells(cells, jobs);
+  const std::vector<ServingResult> results = runtime::RunEach(cells, jobs, RunServing);
 
   const double budget = Tenants(0.0, false).slo_budget;
   std::printf("== Tenant isolation: aggressor load x {uncapped, capped} "
@@ -268,51 +223,45 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::printf("\n== --check: determinism + ledgers + isolation ==\n");
-  bool ok = true;
-
   // Determinism: every cell byte-identical between --jobs=1 and --jobs=N,
   // serving and tenant digests both.
-  const std::string serial = JoinFingerprints(RunCells(cells, /*jobs=*/1));
-  if (serial != JoinFingerprints(results)) {
-    std::printf("FAIL: fingerprints differ between --jobs=1 and --jobs=%d\n",
-                jobs);
-    ok = false;
-  }
+  runtime::Check c("determinism + ledgers + isolation", jobs);
+  c.Replay(cells, results, RunServing, &ServingResult::ReplayDigest);
 
+  // The serving ledger without its deadline identities, and every tenant's.
   for (size_t i = 0; i < results.size(); ++i) {
     const std::string label = "cell " + std::to_string(i);
-    ok = Conserved(results[i], label.c_str()) && ok;
+    c.Ledger(label, results[i].LedgerBreaks(/*deadlines=*/false));
+    for (const TenantResult& tr : results[i].tenants.tenants) {
+      c.FailAt(label, !tr.LedgerClosed(),
+               "tenant '%s' ledger open: generated %llu admitted %llu shed %llu "
+               "completed %llu failed %llu",
+               tr.id.c_str(), static_cast<unsigned long long>(tr.generated),
+               static_cast<unsigned long long>(tr.admitted),
+               static_cast<unsigned long long>(tr.shed),
+               static_cast<unsigned long long>(tr.completed),
+               static_cast<unsigned long long>(tr.failed));
+    }
   }
 
   // Isolation contrast (default fault-free grid only: a fault plan or a
   // custom tenant set changes what "isolated" means).
   if (plan.empty()) {
     for (size_t i = 0; i < loads.size(); ++i) {
-      if (capped_vio[i] > budget) {
-        std::printf("FAIL: capped victim violation fraction %.3f > budget "
-                    "%.3f at %.2f Mops\n",
-                    capped_vio[i], budget, loads[i]);
-        ok = false;
-      }
+      c.FailIf(capped_vio[i] > budget,
+               "capped victim violation fraction %.3f > budget %.3f at %.2f Mops",
+               capped_vio[i], budget, loads[i]);
     }
-    if (uncapped_vio.back() <= budget) {
-      std::printf("FAIL: uncapped aggressor at %.2f Mops did not push the "
-                  "victim past the budget (%.3f <= %.3f)\n",
-                  loads.back(), uncapped_vio.back(), budget);
-      ok = false;
-    }
+    c.FailIf(uncapped_vio.back() <= budget,
+             "uncapped aggressor at %.2f Mops did not push the victim past the "
+             "budget (%.3f <= %.3f)",
+             loads.back(), uncapped_vio.back(), budget);
     const TenantResult* capped_agg =
         results[2 * loads.size() - 1].tenants.Find("agg");
-    if (capped_agg != nullptr && capped_agg->shed_bucket == 0) {
-      std::printf("FAIL: capped aggressor shed nothing at the top load\n");
-      ok = false;
-    }
+    c.FailIf(capped_agg != nullptr && capped_agg->shed_bucket == 0,
+             "capped aggressor shed nothing at the top load");
   }
 
-  std::printf("%s\n", ok ? "CHECK PASSED: byte-identical across --jobs, "
-                           "per-tenant ledgers closed, victim inside its SLO "
-                           "budget under caps vs blown budget uncapped"
-                         : "CHECK FAILED");
-  return ok ? 0 : 1;
+  return c.Finish("byte-identical across --jobs, per-tenant ledgers closed, victim "
+                  "inside its SLO budget under caps vs blown budget uncapped");
 }

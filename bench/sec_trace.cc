@@ -39,7 +39,7 @@
 #include "src/common/table.h"
 #include "src/fault/plan.h"
 #include "src/governor/serving.h"
-#include "src/runtime/sweep_runner.h"
+#include "src/runtime/check.h"
 #include "src/workload/trace/trace.h"
 
 using namespace snicsim;  // NOLINT: bench brevity
@@ -66,7 +66,7 @@ constexpr double kBaseMops = 4.0;
 trace::TracePlan DefaultTrace() {
   trace::TracePlan plan;
   std::string error;
-  const bool ok = trace::ParseTracePlan(
+  const bool parsed = trace::ParseTracePlan(
       "version=1,duration=1200,"
       "seg=0:0.3:0:0:3,"       // night: compaction-heavy
       "seg=100:0.3:0:0:3,"
@@ -81,7 +81,7 @@ trace::TracePlan DefaultTrace() {
       "seg=1000:0.6:0:0:2,"
       "seg=1100:0.3:0:0:3",
       &plan, &error);
-  SNIC_CHECK(ok);
+  SNIC_CHECK(parsed);
   return plan;
 }
 
@@ -192,74 +192,6 @@ ServingRunConfig Cell(const trace::TracePlan& plan,
   return c;
 }
 
-std::vector<ServingResult> RunCells(const std::vector<ServingRunConfig>& cells,
-                                    int jobs) {
-  runtime::SweepQueue<ServingResult> sweep(jobs);
-  for (const ServingRunConfig& c : cells) {
-    sweep.Add([c] { return RunServing(c); });
-  }
-  return sweep.Run();
-}
-
-// Trace replay equality = serving digest + tenant digest + trace digest.
-std::string FullDigest(const ServingResult& r) {
-  return r.Fingerprint() + "|" + r.tenants.Fingerprint() + "|" +
-         r.trace.Fingerprint();
-}
-
-std::string JoinFingerprints(const std::vector<ServingResult>& rs) {
-  std::string s;
-  for (const ServingResult& r : rs) {
-    s += FullDigest(r);
-    s.push_back('\n');
-  }
-  return s;
-}
-
-// The serving ledger with its deadline identities (ServingResult::LedgerBreaks).
-bool Conserved(const ServingResult& r, const char* label) {
-  bool ok = true;
-  for (const std::string& broken : r.LedgerBreaks(/*deadlines=*/true)) {
-    std::printf("FAIL(%s): %s\n", label, broken.c_str());
-    ok = false;
-  }
-  if (!r.tenants.AllLedgersClosed()) {
-    std::printf("FAIL(%s): a tenant ledger did not close\n", label);
-    ok = false;
-  }
-  // The per-phase slices must partition the totals exactly.
-  uint64_t pe = 0, pv = 0, pg = 0, ps = 0;
-  double pu = 0.0;
-  for (const governor::PhaseResult& p : r.trace.phases) {
-    pe += p.epochs;
-    pv += p.violation_epochs;
-    pu += p.violation_us;
-    pg += p.generated;
-    ps += p.shed;
-  }
-  if (pg != r.generated || ps != r.shed) {
-    std::printf("FAIL(%s): phase request ledger (%llu gen, %llu shed) != "
-                "totals (%llu gen, %llu shed)\n",
-                label, static_cast<unsigned long long>(pg),
-                static_cast<unsigned long long>(ps),
-                static_cast<unsigned long long>(r.generated),
-                static_cast<unsigned long long>(r.shed));
-    ok = false;
-  }
-  if (pe != r.trace.epochs || pv != r.trace.violation_epochs ||
-      pu != r.trace.violation_us) {
-    std::printf("FAIL(%s): phase sums (%llu ep, %llu vio, %.1f us) != totals "
-                "(%llu ep, %llu vio, %.1f us)\n",
-                label, static_cast<unsigned long long>(pe),
-                static_cast<unsigned long long>(pv), pu,
-                static_cast<unsigned long long>(r.trace.epochs),
-                static_cast<unsigned long long>(r.trace.violation_epochs),
-                r.trace.violation_us);
-    ok = false;
-  }
-  return ok;
-}
-
 }  // namespace
 
 int main(int argc, char** argv) {
@@ -281,7 +213,7 @@ int main(int argc, char** argv) {
   for (const Arm& a : arms) {
     cells.push_back(Cell(tplan, plan, a));
   }
-  const std::vector<ServingResult> results = RunCells(cells, jobs);
+  const std::vector<ServingResult> results = runtime::RunEach(cells, jobs, RunServing);
 
   std::printf("== Diurnal trace (%0.f us, %d segments): static SoC splits vs "
               "epoch autoscaler ==\n",
@@ -334,38 +266,52 @@ int main(int argc, char** argv) {
     return 0;
   }
 
-  std::printf("\n== --check: determinism + ledgers + autoscaler dominance "
-              "==\n");
-  bool ok = true;
-
   // Determinism: every cell byte-identical between --jobs=1 and --jobs=N
   // (serving + tenant + trace digests).
-  const std::string serial = JoinFingerprints(RunCells(cells, /*jobs=*/1));
-  if (serial != JoinFingerprints(results)) {
-    std::printf("FAIL: fingerprints differ between --jobs=1 and --jobs=%d\n",
-                jobs);
-    ok = false;
-  }
+  runtime::Check c("determinism + ledgers + autoscaler dominance", jobs);
+  c.Replay(cells, results, RunServing, &ServingResult::ReplayDigest);
 
+  // The serving ledger with its deadline identities, every tenant ledger, and
+  // the per-phase slices, which must partition the totals exactly.
   for (size_t i = 0; i < results.size(); ++i) {
-    ok = Conserved(results[i], arms[i].name.c_str()) && ok;
+    const ServingResult& r = results[i];
+    const std::string& label = arms[i].name;
+    c.Ledger(label, r.LedgerBreaks(/*deadlines=*/true));
+    c.FailAt(label, !r.tenants.AllLedgersClosed(), "a tenant ledger did not close");
+    uint64_t pe = 0, pv = 0, pg = 0, ps = 0;
+    double pu = 0.0;
+    for (const governor::PhaseResult& p : r.trace.phases) {
+      pe += p.epochs;
+      pv += p.violation_epochs;
+      pu += p.violation_us;
+      pg += p.generated;
+      ps += p.shed;
+    }
+    c.FailAt(label, pg != r.generated || ps != r.shed,
+             "phase request ledger (%llu gen, %llu shed) != totals (%llu gen, %llu shed)",
+             static_cast<unsigned long long>(pg), static_cast<unsigned long long>(ps),
+             static_cast<unsigned long long>(r.generated),
+             static_cast<unsigned long long>(r.shed));
+    c.FailAt(label,
+             pe != r.trace.epochs || pv != r.trace.violation_epochs ||
+                 pu != r.trace.violation_us,
+             "phase sums (%llu ep, %llu vio, %.1f us) != totals (%llu ep, %llu vio, "
+             "%.1f us)",
+             static_cast<unsigned long long>(pe), static_cast<unsigned long long>(pv), pu,
+             static_cast<unsigned long long>(r.trace.epochs),
+             static_cast<unsigned long long>(r.trace.violation_epochs),
+             r.trace.violation_us);
   }
 
   // Every arm saw the same epoch clock over the same trace.
   for (size_t i = 1; i < results.size(); ++i) {
-    if (results[i].trace.epochs != results[0].trace.epochs) {
-      std::printf("FAIL: arm '%s' counted %llu epochs vs %llu\n",
-                  arms[i].name.c_str(),
-                  static_cast<unsigned long long>(results[i].trace.epochs),
-                  static_cast<unsigned long long>(results[0].trace.epochs));
-      ok = false;
-    }
+    c.FailIf(results[i].trace.epochs != results[0].trace.epochs,
+             "arm '%s' counted %llu epochs vs %llu", arms[i].name.c_str(),
+             static_cast<unsigned long long>(results[i].trace.epochs),
+             static_cast<unsigned long long>(results[0].trace.epochs));
   }
-  if (results[0].trace.epochs == 0) {
-    std::printf("FAIL: no epochs elapsed — trace too short for the governor "
-                "epoch\n");
-    ok = false;
-  }
+  c.FailIf(results[0].trace.epochs == 0,
+           "no epochs elapsed — trace too short for the governor epoch");
 
   const ServingResult& autod = results.back();
   SNIC_CHECK(arms.back().scaled);
@@ -375,12 +321,8 @@ int main(int argc, char** argv) {
   // dominance assertions are meaningless noise; --check then covers
   // determinism and ledger closure only (what the CI trace-matrix greps).
   if (!plan.empty()) {
-    std::printf("%s\n",
-                ok ? "CHECK PASSED: byte-identical across --jobs under the "
-                     "fault plan, ledgers and phase sums closed (dominance "
-                     "skipped: faulted run)"
-                   : "CHECK FAILED");
-    return ok ? 0 : 1;
+    return c.Finish("byte-identical across --jobs under the fault plan, ledgers and "
+                    "phase sums closed (dominance skipped: faulted run)");
   }
 
   // The scenario must be non-trivial: some static split actually violates.
@@ -395,21 +337,14 @@ int main(int argc, char** argv) {
     }
     worst_static = std::max(worst_static, v);
   }
-  if (worst_static <= 0.0) {
-    std::printf("FAIL: no static split violated — the trace exerts no "
-                "pressure\n");
-    ok = false;
-  }
+  c.FailIf(worst_static <= 0.0, "no static split violated — the trace exerts no pressure");
 
   // Dominance: the autoscaler's total violation time is <= every static
   // split's.
   for (size_t i = 0; i + 1 < results.size(); ++i) {
-    if (autod.trace.violation_us > results[i].trace.violation_us) {
-      std::printf("FAIL: autoscaler violation %.1f us > %s's %.1f us\n",
-                  autod.trace.violation_us, arms[i].name.c_str(),
-                  results[i].trace.violation_us);
-      ok = false;
-    }
+    c.FailIf(autod.trace.violation_us > results[i].trace.violation_us,
+             "autoscaler violation %.1f us > %s's %.1f us", autod.trace.violation_us,
+             arms[i].name.c_str(), results[i].trace.violation_us);
   }
 
   // Strict win: at least one phase where the autoscaler beats the best
@@ -424,31 +359,19 @@ int main(int argc, char** argv) {
       break;
     }
   }
-  if (!strict) {
-    std::printf("FAIL: no phase where the autoscaler strictly beats the best "
-                "static split (%s, %.1f us total)\n",
-                arms[best_idx].name.c_str(), best_static);
-    ok = false;
-  }
+  c.FailIf(!strict,
+           "no phase where the autoscaler strictly beats the best static split "
+           "(%s, %.1f us total)",
+           arms[best_idx].name.c_str(), best_static);
 
   // The autoscaler actually followed the phases: cores moved both ways and
   // the WRR weights were retuned.
-  if (autod.trace.actions_up == 0 || autod.trace.actions_down == 0) {
-    std::printf("FAIL: autoscaler did not move cores both ways (up %llu, "
-                "down %llu)\n",
-                static_cast<unsigned long long>(autod.trace.actions_up),
-                static_cast<unsigned long long>(autod.trace.actions_down));
-    ok = false;
-  }
-  if (autod.trace.weight_updates == 0) {
-    std::printf("FAIL: autoscaler never retuned tenant weights\n");
-    ok = false;
-  }
+  c.FailIf(autod.trace.actions_up == 0 || autod.trace.actions_down == 0,
+           "autoscaler did not move cores both ways (up %llu, down %llu)",
+           static_cast<unsigned long long>(autod.trace.actions_up),
+           static_cast<unsigned long long>(autod.trace.actions_down));
+  c.FailIf(autod.trace.weight_updates == 0, "autoscaler never retuned tenant weights");
 
-  std::printf("%s\n",
-              ok ? "CHECK PASSED: byte-identical across --jobs, ledgers and "
-                   "phase sums closed, autoscaler <= every static split with "
-                   "a strict phase win"
-                 : "CHECK FAILED");
-  return ok ? 0 : 1;
+  return c.Finish("byte-identical across --jobs, ledgers and phase sums closed, "
+                  "autoscaler <= every static split with a strict phase win");
 }

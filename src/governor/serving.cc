@@ -18,6 +18,10 @@ std::string ServingResult::Fingerprint() const {
   return s;
 }
 
+std::string ServingResult::ReplayDigest() const {
+  return Fingerprint() + "|" + tenants.Fingerprint() + "|" + trace.Fingerprint();
+}
+
 std::vector<std::string> ServingResult::LedgerBreaks(bool deadlines) const {
   std::vector<std::string> out;
   const auto n = [](uint64_t v) { return std::to_string(v); };

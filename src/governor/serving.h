@@ -187,6 +187,11 @@ struct ServingResult {
   // Canonical digest of the counters ("%.17g" doubles): runs are replay-equal
   // iff their fingerprints are string-equal.
   std::string Fingerprint() const;
+
+  // The digest a --check replay compares: Fingerprint(), tenants.Fingerprint()
+  // and trace.Fingerprint() joined by '|'. The last two are constant for a
+  // tenant-free, trace-free run.
+  std::string ReplayDigest() const;
 };
 
 // Calls f(name, &ServingResult::<name>) for every counter, in row order.

@@ -11,7 +11,6 @@
 #include <exception>
 #include <functional>
 #include <mutex>
-#include <string>
 #include <thread>
 #include <type_traits>
 #include <utility>
@@ -95,17 +94,6 @@ class SweepQueue {
   int jobs_;
   std::vector<std::function<R()>> points_;
 };
-
-// One Fingerprint() line per result: the digest a bench's --check compares across --jobs.
-template <typename R>
-std::string JoinFingerprints(const std::vector<R>& results) {
-  std::string s;
-  for (const R& r : results) {
-    s += r.Fingerprint();
-    s.push_back('\n');
-  }
-  return s;
-}
 
 }  // namespace snicsim::runtime
 

@@ -16,7 +16,7 @@ constexpr uint64_t kFnvOffset = 1469598103934665603ull;
 
 ParallelSimulator::ParallelSimulator(int domains, SimTime lookahead, int threads)
     : lookahead_(lookahead),
-      threads_(std::max(1, threads)),
+      threads_(std::max(1, std::min(threads, domains))),
       outboxes_(static_cast<size_t>(domains)),
       merge_digest_(kFnvOffset) {
   SNIC_CHECK_GT(domains, 0);

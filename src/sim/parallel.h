@@ -51,7 +51,8 @@ class ParallelSimulator {
   // cross-domain edge: every Post must land at least `lookahead` after the
   // sending domain's clock. `threads <= 1` runs rounds inline on the
   // calling thread (the serial reference the determinism tests compare
-  // against); larger counts run domains on a persistent worker pool.
+  // against); larger counts run domains on a persistent pool of
+  // min(threads, domains) workers, so no worker is left without a domain.
   ParallelSimulator(int domains, SimTime lookahead, int threads = 1);
   ParallelSimulator(const ParallelSimulator&) = delete;
   ParallelSimulator& operator=(const ParallelSimulator&) = delete;

@@ -116,6 +116,35 @@ std::string RackKvResult::Fingerprint() const {
   return s;
 }
 
+std::vector<std::string> RackKvResult::LedgerBreaks() const {
+  std::vector<std::string> out;
+  const auto n = [](uint64_t v) { return std::to_string(v); };
+  if (generated != completed + failed + shed) {
+    out.push_back("generated " + n(generated) + " != completed " + n(completed) + " + failed " +
+                  n(failed) + " + shed " + n(shed));
+  }
+  if (repl_pushed != repl_acked + repl_failed) {
+    out.push_back("repl_pushed " + n(repl_pushed) + " != repl_acked " + n(repl_acked) +
+                  " + repl_failed " + n(repl_failed));
+  }
+  if (ranges_started != ranges_completed + ranges_failed) {
+    out.push_back("ranges_started " + n(ranges_started) + " != ranges_completed " +
+                  n(ranges_completed) + " + ranges_failed " + n(ranges_failed));
+  }
+  if (keys_migrated != keys_installed) {
+    out.push_back("keys_migrated " + n(keys_migrated) + " != keys_installed " +
+                  n(keys_installed));
+  }
+  if (corrupted_keys + corrupt_propagated !=
+      repaired_read + repaired_scrub + repaired_write + corrupt_remaining) {
+    out.push_back("corrupted_keys " + n(corrupted_keys) + " + corrupt_propagated " +
+                  n(corrupt_propagated) + " != repaired_read " + n(repaired_read) +
+                  " + repaired_scrub " + n(repaired_scrub) + " + repaired_write " +
+                  n(repaired_write) + " + corrupt_remaining " + n(corrupt_remaining));
+  }
+  return out;
+}
+
 void RackKvResult::RegisterMetrics(MetricsRegistry* reg) const {
   ForEachRackCounter([&](const RackCounterInfo& c, auto field) {
     reg->Register("rack", c.name, c.unit, c.help,

@@ -227,18 +227,16 @@ struct RackKvResult {
   // the goodput-during-migration series sec_membership's floor check reads.
   std::vector<uint64_t> completed_by_epoch;
 
-  // The five ledgers, closed after drain. Dead servers keep their corrupt
-  // values and corrupt_remaining counts them, so the last one closes under
-  // permloss+corrupt too.
-  bool Conserved() const {
-    return generated == completed + failed + shed &&
-           repl_pushed == repl_acked + repl_failed &&
-           ranges_started == ranges_completed + ranges_failed &&
-           keys_migrated == keys_installed &&
-           corrupted_keys + corrupt_propagated ==
-               repaired_read + repaired_scrub + repaired_write +
-                   corrupt_remaining;
-  }
+  // One line per broken ledger identity after the drain ("repl_pushed 9 !=
+  // repl_acked 7 + repl_failed 1"), empty when all five close:
+  // generated == completed + failed + shed, repl_pushed == repl_acked +
+  // repl_failed, ranges_started == ranges_completed + ranges_failed,
+  // keys_migrated == keys_installed, and corrupted_keys + corrupt_propagated
+  // == repaired_read + repaired_scrub + repaired_write + corrupt_remaining.
+  // Dead servers keep their corrupt values and corrupt_remaining counts them,
+  // so the last one closes under permloss+corrupt too.
+  std::vector<std::string> LedgerBreaks() const;
+  bool Conserved() const { return LedgerBreaks().empty(); }
 
   // Every fingerprinted counter, then both series, fixed formatting — the
   // byte-compare unit for the (--jobs, --sim-threads) grid.

@@ -88,6 +88,14 @@ TEST(ParallelSimulator, RoundAccountingIsThreadInvariant) {
   EXPECT_EQ(std::get<1>(serial), 6u);
 }
 
+// A worker beyond the domain count would only wake and report at every
+// barrier, so the pool stops at one worker per domain.
+TEST(ParallelSimulator, WorkersNeverOutnumberDomains) {
+  EXPECT_EQ(ParallelSimulator(2, /*lookahead=*/50, 8).threads(), 2);
+  EXPECT_EQ(ParallelSimulator(4, /*lookahead=*/50, 3).threads(), 3);
+  EXPECT_EQ(ParallelSimulator(3, /*lookahead=*/50, 1).threads(), 1);
+}
+
 TEST(ParallelSimulator, RegistersSimMetrics) {
   ParallelSimulator psim(4, FromNanos(1500), 1);
   MetricsRegistry reg;

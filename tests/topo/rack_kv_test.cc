@@ -355,6 +355,50 @@ TEST(RackKv, LedgersCloseAcrossSeedsAndPlans) {
   }
 }
 
+// Each of the five identities, broken alone on a closed ledger, yields exactly
+// one break, and that break names the identity's left-hand side.
+TEST(RackKv, LedgerBreaksNameEachIdentityAlone) {
+  RackKvResult closed;
+  closed.generated = 10;
+  closed.completed = 6;
+  closed.failed = 3;
+  closed.shed = 1;
+  closed.repl_pushed = 5;
+  closed.repl_acked = 4;
+  closed.repl_failed = 1;
+  closed.ranges_started = 3;
+  closed.ranges_completed = 2;
+  closed.ranges_failed = 1;
+  closed.keys_migrated = 7;
+  closed.keys_installed = 7;
+  closed.corrupted_keys = 4;
+  closed.corrupt_propagated = 1;
+  closed.repaired_read = 1;
+  closed.repaired_scrub = 2;
+  closed.repaired_write = 1;
+  closed.corrupt_remaining = 1;
+  ASSERT_TRUE(closed.LedgerBreaks().empty());
+  ASSERT_TRUE(closed.Conserved());
+  const std::vector<std::pair<uint64_t RackKvResult::*, std::string>> lhs = {
+      {&RackKvResult::generated, "generated 11 != completed 6 + failed 3 + shed 1"},
+      {&RackKvResult::repl_pushed, "repl_pushed 6 != repl_acked 4 + repl_failed 1"},
+      {&RackKvResult::ranges_started,
+       "ranges_started 4 != ranges_completed 2 + ranges_failed 1"},
+      {&RackKvResult::keys_migrated, "keys_migrated 8 != keys_installed 7"},
+      {&RackKvResult::corrupted_keys,
+       "corrupted_keys 5 + corrupt_propagated 1 != repaired_read 1 + repaired_scrub 2 + "
+       "repaired_write 1 + corrupt_remaining 1"},
+  };
+  for (const auto& [field, expect] : lhs) {
+    RackKvResult r = closed;
+    ++(r.*field);
+    const std::vector<std::string> breaks = r.LedgerBreaks();
+    ASSERT_EQ(breaks.size(), 1u) << expect;
+    EXPECT_EQ(breaks[0], expect);
+    EXPECT_FALSE(r.Conserved());
+  }
+}
+
 TEST(RackKv, WholeShardCrashFailsOverWithinTwoEpochs) {
   RackKvParams p = SmallRack();
   p.window = FromMicros(250);  // room for crash, recovery, and re-home

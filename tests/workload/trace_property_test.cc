@@ -99,11 +99,6 @@ uint64_t BadOutcomes(const ServingResult& r) {
   return r.shed + r.late + r.deadline_failed;
 }
 
-std::string FullDigest(const ServingResult& r) {
-  return r.Fingerprint() + "|" + r.tenants.Fingerprint() + "|" +
-         r.trace.Fingerprint();
-}
-
 // L1: amplitude k scales the bad-outcome ledger monotonically, per seed.
 TEST(TraceProperty, AmplitudeScalesBadOutcomesMonotonically) {
   const TracePlan base = Plan(kBasePlan);
@@ -213,7 +208,7 @@ TEST(TraceProperty, ReplayByteIdenticalAcrossJobs) {
     }
     std::string digest;
     for (const ServingResult& r : sweep.Run()) {
-      digest += FullDigest(r) + "\n";
+      digest += r.ReplayDigest() + "\n";
     }
     if (reference.empty()) {
       reference = digest;
