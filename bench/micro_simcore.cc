@@ -309,7 +309,7 @@ BENCHMARK(BM_HashRingLookupReference)->Args({5, 64})->Args({64, 64});
 
 // The parallel DES core on the rack-scale sharded KV (src/topo/rack_kv.h):
 // per-server domains, each running the full per-server stack — SmartNIC
-// model, governor, resilience, replication — sharded across worker threads
+// model, governor, resilience, replication — sharded across runner threads
 // vs the same workload on one event core. The CI perf gate
 // (BENCH_simcore.json "rack_sharded_parallel_vs_serial",
 // scripts/check_bench.py) requires the same-run parallel/serial speedup to
@@ -344,10 +344,10 @@ void BM_RackShardedSerial(benchmark::State& state) {
   }
   state.SetItemsProcessed(static_cast<int64_t>(ops));
 }
-// UseRealTime on both rack benchmarks: the parallel run does its work on
-// pool threads while the timed thread sleeps at the round barrier, so
-// CPU-time-based items/s would be meaningless there. Wall clock is the
-// quantity the speedup gate is about.
+// UseRealTime on both rack benchmarks: the parallel run spreads its work
+// over the timed thread and helper threads, whose CPU time the timed
+// thread's clock does not see, so CPU-time-based items/s would be
+// meaningless there. Wall clock is the quantity the speedup gate is about.
 BENCHMARK(BM_RackShardedSerial)
     ->Arg(8)
     ->UseRealTime()

@@ -4,9 +4,9 @@
 Every gated quantity is a *same-run ratio*: bench/micro_simcore measures a
 target and its reference implementation in the same binary on the same
 machine, so the ratio transfers across runners while absolute throughput
-does not. The baseline's `gates` list (or the legacy single `gate` object)
-names target/reference prefix pairs; for every target/arg point the
-same-run speedup must stay above that gate's min_speedup.
+does not. The baseline's `gates` list names target/reference prefix pairs;
+for every target/arg point the same-run speedup must stay above that gate's
+min_speedup.
 
 Gates in the baseline today:
   * event_core — the optimized event queue (BM_EventQueueThroughput) vs the
@@ -143,10 +143,7 @@ def main():
 
     with open(args.baseline) as f:
         baseline = json.load(f)
-    # `gates` list with a legacy single-`gate` fallback.
-    gates = baseline.get("gates")
-    if gates is None:
-        gates = [baseline["gate"]]
+    gates = baseline["gates"]
 
     fresh, num_cpus = load_fresh(args.fresh)
 

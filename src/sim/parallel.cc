@@ -1,7 +1,9 @@
 #include "src/sim/parallel.h"
 
 #include <algorithm>
-#include <limits>
+#include <atomic>
+#include <barrier>
+#include <thread>
 #include <utility>
 
 #include "src/common/log.h"
@@ -25,26 +27,6 @@ ParallelSimulator::ParallelSimulator(int domains, SimTime lookahead, int threads
   for (int d = 0; d < domains; ++d) {
     sims_.push_back(std::make_unique<Simulator>());
   }
-  if (threads_ > 1) {
-    workers_.reserve(static_cast<size_t>(threads_));
-    for (int t = 0; t < threads_; ++t) {
-      workers_.emplace_back([this] { WorkerLoop(); });
-    }
-  }
-}
-
-ParallelSimulator::~ParallelSimulator() {
-  if (!workers_.empty()) {
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      stop_ = true;
-      ++round_gen_;
-    }
-    round_cv_.notify_all();
-    for (std::thread& w : workers_) {
-      w.join();
-    }
-  }
 }
 
 ParallelSimulator::Outbox& ParallelSimulator::OutboxFor(DomainId src, DomainId dst, SimTime t) {
@@ -67,75 +49,43 @@ uint64_t ParallelSimulator::processed() const {
   return total;
 }
 
-void ParallelSimulator::Run() {
-  for (;;) {
-    SimTime m = Simulator::kNoEvent;
-    for (const auto& s : sims_) {
-      m = std::min(m, s->next_event_time());
-    }
-    if (m == Simulator::kNoEvent) {
-      // Outboxes are drained at every barrier, so empty queues mean a
-      // fully quiescent rack.
-      return;
-    }
-    RunRound(m + lookahead_);
+SimTime ParallelSimulator::NextHorizon() const {
+  SimTime m = Simulator::kNoEvent;
+  for (const auto& s : sims_) {
+    m = std::min(m, s->next_event_time());
+  }
+  // Outboxes are drained at every barrier, so empty queues mean a fully
+  // quiescent rack.
+  return m == Simulator::kNoEvent ? m : m + lookahead_;
+}
+
+void ParallelSimulator::Run() noexcept {
+  SimTime horizon = NextHorizon();
+  std::atomic<int> next_domain{0};
+  // The completion step runs once per round on the last runner to arrive,
+  // after every runner's appends and before any runner leaves the barrier,
+  // so it reads the outboxes and writes the round state race-free.
+  std::barrier sync(threads_, [&]() noexcept {
     ++rounds_;
     MergeOutboxes();
-  }
-}
-
-void ParallelSimulator::RunRound(SimTime horizon) {
-  if (workers_.empty()) {
-    for (const auto& s : sims_) {
-      s->RunBefore(horizon);
-    }
-    return;
-  }
-  {
-    std::lock_guard<std::mutex> lk(mu_);
-    round_horizon_ = horizon;
-    done_ = 0;
-    next_domain_.store(0, std::memory_order_relaxed);
-    ++round_gen_;
-  }
-  round_cv_.notify_all();
-  std::unique_lock<std::mutex> lk(mu_);
-  done_cv_.wait(lk, [this] { return done_ == threads_; });
-  // The wait above is the barrier: every outbox append happened-before this
-  // point, so MergeOutboxes on this thread reads them race-free.
-}
-
-void ParallelSimulator::RunDomainRange(SimTime horizon) {
-  const int n = domains();
-  for (;;) {
-    const int d = next_domain_.fetch_add(1, std::memory_order_relaxed);
-    if (d >= n) {
-      return;
-    }
-    sims_[static_cast<size_t>(d)]->RunBefore(horizon);
-  }
-}
-
-void ParallelSimulator::WorkerLoop() {
-  uint64_t seen = 0;
-  for (;;) {
-    SimTime horizon;
-    {
-      std::unique_lock<std::mutex> lk(mu_);
-      round_cv_.wait(lk, [this, seen] { return stop_ || round_gen_ != seen; });
-      if (stop_) {
-        return;
+    horizon = NextHorizon();
+    next_domain.store(0, std::memory_order_relaxed);
+  });
+  const auto runner = [&] {
+    const int n = domains();
+    while (horizon != Simulator::kNoEvent) {
+      for (int d = next_domain++; d < n; d = next_domain++) {
+        sims_[static_cast<size_t>(d)]->RunBefore(horizon);
       }
-      seen = round_gen_;
-      horizon = round_horizon_;
+      sync.arrive_and_wait();
     }
-    RunDomainRange(horizon);
-    {
-      std::lock_guard<std::mutex> lk(mu_);
-      ++done_;
-    }
-    done_cv_.notify_one();
+  };
+  // Declared after the barrier, so the helpers are joined before it goes.
+  std::vector<std::jthread> helpers;
+  for (int t = 1; t < threads_; ++t) {
+    helpers.emplace_back(runner);
   }
+  runner();
 }
 
 void ParallelSimulator::MergeOutboxes() {

@@ -15,9 +15,9 @@
 //   3. every domain runs RunBefore(H) in parallel — safe because an event
 //      executing at u >= m can only produce cross-domain work at
 //      u + lookahead >= H, i.e. beyond the horizon
-//   4. barrier; cross-domain events buffered in per-source outboxes are
-//      merged in (time, source domain, per-source seq) order and scheduled
-//      into their destination domains
+//   4. barrier; its completion step merges the cross-domain events buffered
+//      in per-source outboxes in (time, source domain, per-source seq) order
+//      into their destination domains, then computes the next horizon
 //
 // Determinism contract (DESIGN.md §12): within a round each domain touches
 // only its own state, and the merge order is a strict total order that does
@@ -27,12 +27,8 @@
 #ifndef SRC_SIM_PARALLEL_H_
 #define SRC_SIM_PARALLEL_H_
 
-#include <atomic>
-#include <condition_variable>
 #include <cstdint>
 #include <memory>
-#include <mutex>
-#include <thread>
 #include <utility>
 #include <vector>
 
@@ -49,14 +45,12 @@ class ParallelSimulator {
  public:
   // `lookahead` must be positive and no larger than the cheapest
   // cross-domain edge: every Post must land at least `lookahead` after the
-  // sending domain's clock. `threads <= 1` runs rounds inline on the
-  // calling thread (the serial reference the determinism tests compare
-  // against); larger counts run domains on a persistent pool of
-  // min(threads, domains) workers, so no worker is left without a domain.
+  // sending domain's clock. Run() spreads the domains over
+  // min(threads, domains) runners, so no runner is left without a domain;
+  // `threads <= 1` runs every round on the calling thread alone.
   ParallelSimulator(int domains, SimTime lookahead, int threads = 1);
   ParallelSimulator(const ParallelSimulator&) = delete;
   ParallelSimulator& operator=(const ParallelSimulator&) = delete;
-  ~ParallelSimulator();
 
   int domains() const { return static_cast<int>(sims_.size()); }
   int threads() const { return threads_; }
@@ -88,8 +82,11 @@ class ParallelSimulator {
   }
 
   // Runs rounds until every domain drains. All setup (initial At() calls
-  // into the domains) must happen before; Run is not reentrant.
-  void Run();
+  // into the domains) must happen before; Run is not reentrant. The calling
+  // thread is one runner; the other threads() - 1 start here and are joined
+  // before Run returns. An exception escaping a callback would strand the
+  // other runners at the barrier, so it ends the process instead.
+  void Run() noexcept;
 
   // Round accounting — all thread-count invariant.
   uint64_t rounds() const { return rounds_; }
@@ -109,18 +106,18 @@ class ParallelSimulator {
   struct Outbox;
   // Checks Post's domain range and lookahead contract; returns src's outbox.
   Outbox& OutboxFor(DomainId src, DomainId dst, SimTime t);
-  void RunRound(SimTime horizon);
-  void RunDomainRange(SimTime horizon);
+  // m + lookahead over the domains' earliest pending events, or kNoEvent
+  // once every domain has drained.
+  SimTime NextHorizon() const;
   void MergeOutboxes();
-  void WorkerLoop();
 
   SimTime lookahead_;
   int threads_;
   std::vector<std::unique_ptr<Simulator>> sims_;
 
   // Per-source outbox. Within a round only the thread running domain d
-  // appends to outboxes_[d]; the merge (main thread, after the barrier)
-  // drains them. The barrier's mutex hand-off is the publication point.
+  // appends to outboxes_[d]; the merge (the barrier's completion step)
+  // drains them. The barrier is the publication point both ways.
   struct Outbox {
     std::vector<RemoteEvent> events;
     uint64_t next_seq = 0;
@@ -134,18 +131,6 @@ class ParallelSimulator {
   };
   static_assert(sizeof(MergeKey) == 16);
   std::vector<MergeKey> merge_keys_;
-
-  // Worker-pool state. Workers claim domains with next_domain_ and report
-  // through done_; generation counts make the condvar waits race-free.
-  std::vector<std::thread> workers_;
-  std::mutex mu_;
-  std::condition_variable round_cv_;
-  std::condition_variable done_cv_;
-  uint64_t round_gen_ = 0;
-  SimTime round_horizon_ = 0;
-  int done_ = 0;
-  bool stop_ = false;
-  std::atomic<int> next_domain_{0};
 
   uint64_t rounds_ = 0;
   uint64_t merged_ = 0;

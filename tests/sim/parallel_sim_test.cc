@@ -11,6 +11,7 @@
 #include <algorithm>
 #include <functional>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "src/common/units.h"
@@ -63,8 +64,13 @@ TEST(ParallelSimulator, MergeOrderIsTimeSrcSeq) {
   EXPECT_EQ(CrossTieOrder(8), expect);
 }
 
+// Runners start and stop inside each Run(), so the accounting must also hold
+// for a Run() with nothing to do and for a second Run() on the same rack.
 TEST(ParallelSimulator, RoundAccountingIsThreadInvariant) {
-  auto run = [](int threads) {
+  using Accounting = std::tuple<uint64_t, uint64_t, uint64_t>;
+  // `runs` Run() calls, each after seeding one ping-pong of `pings` hops
+  // (none when pings is 0).
+  auto run = [](int threads, int pings, int runs) {
     ParallelSimulator psim(2, /*lookahead=*/50, threads);
     ParallelSimulator* pp = &psim;
     // Ping-pong a few times to force several horizons.
@@ -76,20 +82,33 @@ TEST(ParallelSimulator, RoundAccountingIsThreadInvariant) {
       pp->Post(from, to, pp->domain(from)->now() + 50,
                [&ping, to, from, hops] { ping(to, from, hops - 1); });
     };
-    psim.domain(0)->At(0, [&ping] { ping(0, 1, 6); });
-    psim.Run();
-    return std::tuple<uint64_t, uint64_t, uint64_t>(
-        psim.rounds(), psim.merged(), psim.merge_digest());
+    for (int r = 0; r < runs; ++r) {
+      if (pings > 0) {
+        psim.domain(0)->At(psim.domain(0)->now(), [&ping, pings] { ping(0, 1, pings); });
+      }
+      psim.Run();
+    }
+    return Accounting(psim.rounds(), psim.merged(), psim.merge_digest());
   };
-  const auto serial = run(1);
-  EXPECT_EQ(serial, run(2));
-  EXPECT_EQ(serial, run(4));
+  const Accounting serial = run(1, 6, 1);
+  const Accounting idle = run(1, 0, 1);
+  const Accounting rerun = run(1, 6, 2);
+  for (const int threads : {2, 4}) {
+    EXPECT_EQ(serial, run(threads, 6, 1)) << threads;
+    EXPECT_EQ(idle, run(threads, 0, 1)) << threads;
+    EXPECT_EQ(rerun, run(threads, 6, 2)) << threads;
+  }
   EXPECT_GT(std::get<0>(serial), 0u);
   EXPECT_EQ(std::get<1>(serial), 6u);
+  EXPECT_EQ(std::get<0>(idle), 0u);
+  EXPECT_EQ(std::get<1>(idle), 0u);
+  EXPECT_EQ(std::get<0>(rerun), 2 * std::get<0>(serial));
+  EXPECT_EQ(std::get<1>(rerun), 12u);
+  EXPECT_NE(std::get<2>(rerun), std::get<2>(serial));
 }
 
-// A worker beyond the domain count would only wake and report at every
-// barrier, so the pool stops at one worker per domain.
+// A runner beyond the domain count would only meet the others at every
+// barrier, so Run() stops at one runner per domain.
 TEST(ParallelSimulator, WorkersNeverOutnumberDomains) {
   EXPECT_EQ(ParallelSimulator(2, /*lookahead=*/50, 8).threads(), 2);
   EXPECT_EQ(ParallelSimulator(4, /*lookahead=*/50, 3).threads(), 3);
