@@ -4,7 +4,8 @@
 // Two experiments, both driven by the deterministic fault layer (src/fault):
 //   1. Uniform frame loss on the network cables — READ throughput/latency on
 //      RNIC(1), SNIC(1), SNIC(2) as the per-frame drop probability rises,
-//      with the RC transport retransmitting (go-back-N, bounded backoff).
+//      with the client retransmitting lost ops (per-op timeout, bounded
+//      backoff).
 //      The off-path advice survives loss: all three paths degrade by the
 //      same transport mechanics, so their ordering is preserved.
 //   2. SoC core stalls — recurring windows where the BlueField's Arm cores

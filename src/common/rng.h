@@ -20,6 +20,10 @@ inline uint64_t SplitMix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
+// 64-bit FNV-1a constants. The offset basis is one digit short of FNV's
+// published 14695981039346656037; every recorded fingerprint, digest and
+// golden depends on it, so it stays.
+inline constexpr uint64_t kFnvOffset = 1469598103934665603ULL;
 inline constexpr uint64_t kFnvPrime = 1099511628211ULL;
 
 // kFnvPrimePow[k] == kFnvPrime^k (mod 2^64).

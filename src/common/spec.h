@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/rng.h"
 #include "src/common/units.h"
 
 namespace snicsim {
@@ -74,14 +75,12 @@ void AppendCounter(std::string* s, const std::vector<T>& v) {
   }
 }
 
-// 64-bit FNV-1a: derives per-name stream salts that never depend on the
-// order names were seen in. The offset basis is one digit short of FNV's
-// published 14695981039346656037; every recorded fingerprint and golden
-// depends on it, so it stays.
+// 64-bit FNV-1a over a name: derives per-name stream salts and offsets that
+// never depend on the order names were seen in.
 inline uint64_t Fnv1a(const std::string& s) {
-  uint64_t h = 1469598103934665603ULL;
+  uint64_t h = kFnvOffset;
   for (char c : s) {
-    h = (h ^ static_cast<uint64_t>(static_cast<unsigned char>(c))) * 1099511628211ULL;
+    h = (h ^ static_cast<uint64_t>(static_cast<unsigned char>(c))) * kFnvPrime;
   }
   return h;
 }

@@ -50,9 +50,10 @@ struct StallWindow {
 
 // Endpoint crash on one fault domain ("host", "soc"): the endpoint is dead
 // in [start, end) — arriving work is dropped without a reply and in-flight
-// work dies with it (the transport sees it as loss and flushes as
-// kFlushed). After restart at `end`, a cold cache is modeled for `rewarm`
-// more time: SoC-resident lookups miss until end + rewarm.
+// work dies with it (the transport sees it as loss and retransmits until
+// the op's deadline or retry budget runs out). After restart at `end`, a
+// cold cache is modeled for `rewarm` more time: SoC-resident lookups miss
+// until end + rewarm.
 struct CrashWindow {
   std::string domain;
   SimTime start = 0;

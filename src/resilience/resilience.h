@@ -6,8 +6,9 @@
 //  (a) Deadline budgets — every request is stamped with an absolute
 //      deadline at issue (StampDeadline). The budget is checked at
 //      admission (Admit), before a hedge launches, and at retransmit time
-//      in the client reliability layer and the RC QP (src/rdma/verbs.h):
-//      expired work completes as kDeadlineExceeded instead of queueing.
+//      in the client's retransmission engine (ClientMachine::PostReliable,
+//      which verbs QPs post through too): expired work fails instead of
+//      retransmitting again.
 //  (b) Admission control — per-endpoint CoDel-style controllers fed by the
 //      ServingExecutor's exact pool backlog (BindQueueSignal), plus a
 //      token-bucket rate limiter. When the windowed minimum queue delay

@@ -10,11 +10,6 @@
 #include "src/common/rng.h"
 
 namespace snicsim {
-namespace {
-
-constexpr uint64_t kFnvOffset = 1469598103934665603ull;
-
-}  // namespace
 
 ParallelSimulator::ParallelSimulator(int domains, SimTime lookahead, int threads)
     : lookahead_(lookahead),

@@ -1,13 +1,13 @@
 // Hierarchical timer wheel for cancellation-heavy clocks.
 //
-// The retransmit, epoch, and breaker clocks (src/rdma, src/workload,
-// src/governor) arm far more timers than ever fire: a reliable QP arms one
-// timeout per WR and almost every one is superseded by a completion. On the
-// plain event queue each of those timers costs a push and a pop plus a
-// guaranteed stale-event dispatch. The wheel makes arming O(1), Cancel O(1),
-// and lets a cancelled timer die without ever reaching the Simulator's
-// queue: only a shared per-slot *sentinel* event enters it, and all timers
-// that land in one slot amortize it.
+// The retransmit, epoch, and breaker clocks (src/workload, src/governor)
+// arm far more timers than ever fire: the retransmission engine arms one
+// timeout per reliable op and almost every one is superseded by a
+// completion. On the plain event queue each of those timers costs a push
+// and a pop plus a guaranteed stale-event dispatch. The wheel makes arming
+// O(1), Cancel O(1), and lets a cancelled timer die without ever reaching
+// the Simulator's queue: only a shared per-slot *sentinel* event enters it,
+// and all timers that land in one slot amortize it.
 //
 // Firing-order contract (proved by tests/sim/timer_wheel_test.cc against the
 // plain In() path it replaces):

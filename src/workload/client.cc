@@ -4,10 +4,17 @@
 #include <utility>
 
 #include "src/common/log.h"
+#include "src/common/spec.h"
 #include "src/fault/injector.h"
 #include "src/obs/trace.h"
 
 namespace snicsim {
+namespace {
+
+// A reliable op's retry timeout doubles per retransmission up to this shift.
+constexpr int kBackoffShiftCap = 6;
+
+}  // namespace
 
 ClientMachine::ClientMachine(Simulator* sim, Fabric* fabric, const ClientParams& params,
                              const std::string& name)
@@ -38,11 +45,7 @@ void ClientMachine::Start(const TargetSpec& target, AddressGenerator addr, Meter
   // Stagger thread start times (FNV hash of the machine name spreads
   // machines too): a synchronized thundering herd at t=0 floods responder
   // queues with a transient that pollutes short measurement windows.
-  uint64_t h = 1469598103934665603ULL;
-  for (char c : name_) {
-    h = (h ^ static_cast<uint64_t>(c)) * 1099511628211ULL;
-  }
-  const SimTime machine_offset = static_cast<SimTime>(h % 40) * FromNanos(200);
+  const SimTime machine_offset = static_cast<SimTime>(Fnv1a(name_) % 40) * FromNanos(200);
   for (int t = 0; t < params_.threads; ++t) {
     Loop* loop = &threads_[static_cast<size_t>(t)].loop;
     loop->target = target;
@@ -63,13 +66,6 @@ void ClientMachine::Pump(Loop* loop) {
       IssueOne(loop);
     }
   }
-}
-
-bool ClientMachine::Reliable() const {
-  // Only fault-carrying simulations arm the retransmission layer: with it
-  // unset, every issue path below is byte-identical to the pre-fault code
-  // (no extra events, no extra state).
-  return sim_->faults() != nullptr && params_.transport_timeout > 0;
 }
 
 void ClientMachine::IssueOne(Loop* loop) {
@@ -184,16 +180,6 @@ void ClientMachine::Post(int thread, const TargetSpec& target, uint64_t addr,
   sim_->At(posted + params_.mmio_flight, [this, f] { LaunchFlight(f); });
 }
 
-void ClientMachine::Launch(const TargetSpec& target, uint64_t addr,
-                           SmallFunction<void(SimTime)> cb) {
-  Tracer* const tr = sim_->tracer();
-  const uint64_t rid = tr != nullptr ? tr->NextRequestId() : 0;
-  if (tr != nullptr) {
-    tr->Instant(name_ + ".nic", "retransmit", sim_->now(), rid);
-  }
-  LaunchFromNic(target, addr, std::move(cb), rid);
-}
-
 void ClientMachine::PostReliable(int thread, const TargetSpec& target, uint64_t addr,
                                  SmallFunction<void(SimTime, bool)> cb,
                                  SimTime deadline) {
@@ -224,7 +210,7 @@ void ClientMachine::LaunchReliable(const TargetSpec& target, uint64_t addr,
 
 void ClientMachine::ArmRetry(const std::shared_ptr<ReliableOp>& op) {
   const uint64_t epoch = op->epoch;
-  const int shift = std::min(op->attempts, params_.backoff_shift_cap);
+  const int shift = std::min(op->attempts, kBackoffShiftCap);
   SimTime dt = params_.transport_timeout << shift;
   // A deadline-carrying op clamps its timer to the budget edge: without the
   // clamp an exponential backoff step could overshoot the deadline by a
@@ -264,8 +250,15 @@ void ClientMachine::ArmRetry(const std::shared_ptr<ReliableOp>& op) {
     }
     ++op->attempts;
     ++retransmits_;
-    Launch(op->target, op->addr,
-           [this, op](SimTime completed) { CompleteReliable(op, completed); });
+    // The WQE is still in the send queue: the NIC replays it without a CPU
+    // WQE build or a doorbell.
+    Tracer* const tr = sim_->tracer();
+    const uint64_t rid = tr != nullptr ? tr->NextRequestId() : 0;
+    if (tr != nullptr) {
+      tr->Instant(name_ + ".nic", "retransmit", sim_->now(), rid);
+    }
+    LaunchFromNic(op->target, op->addr,
+                  [this, op](SimTime completed) { CompleteReliable(op, completed); }, rid);
     ArmRetry(op);
   };
   // Retry timers are overwhelmingly cancelled by a completion, so the wheel

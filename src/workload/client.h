@@ -42,12 +42,12 @@ struct ClientParams {
   SimTime wqe_fetch = FromNanos(450);  // NIC DMA round trip for the chain
   NicParams nic = NicParams::ConnectX4();
 
-  // --- closed-loop reliability, active ONLY when the simulation carries a
-  // fault injector (sim->faults() != nullptr). Without it a dropped frame
-  // would leak a window slot forever and the closed loop would starve. ---
+  // --- the retransmission engine (PostReliable), active ONLY when the
+  // simulation carries a fault injector (sim->faults() != nullptr). Without
+  // it a dropped frame would leak a window slot forever and the closed loop
+  // would starve. The timeout doubles per retry, up to 64x. ---
   SimTime transport_timeout = FromMicros(120);  // 0 disables even under faults
-  int retry_cnt = 7;          // retransmissions before the op fails
-  int backoff_shift_cap = 6;  // timeout doubles per retry up to this shift
+  int retry_cnt = 7;  // retransmissions before the op fails
 };
 
 // What a client hammers: a verb against one endpoint of one server.
@@ -73,25 +73,28 @@ class ClientMachine {
   void Start(const TargetSpec& target, AddressGenerator addr, Meter* meter);
 
   // Posts a single operation from `thread` (0-based); `cb` fires when the
-  // completion is visible to the polling thread. This is the primitive the
-  // verbs layer (src/rdma) builds on. Unreliable: if the request or its
-  // response is lost to fault injection, `cb` never fires.
+  // completion is visible to the polling thread. Unreliable: if the request
+  // or its response is lost to fault injection, `cb` never fires.
   void Post(int thread, const TargetSpec& target, uint64_t addr,
             SmallFunction<void(SimTime completed)> cb);
 
-  // NIC-side retransmission of an already-posted WR: the WQE is still in
-  // the send queue, so the NIC replays it without a CPU WQE build or a
-  // doorbell. This is what the QP reliability layer (src/rdma/verbs.h)
-  // uses for go-back-N rounds.
-  void Launch(const TargetSpec& target, uint64_t addr,
-              SmallFunction<void(SimTime completed)> cb);
+  // True when ops must carry the retransmission engine: only
+  // fault-carrying simulations arm it, so with no injector every posting
+  // path is byte-identical to the pre-fault code (no extra events, no
+  // extra state). The closed loops, ClientFleet and the verbs QPs
+  // (src/rdma) all branch on this one check.
+  bool Reliable() const {
+    return sim_->faults() != nullptr && params_.transport_timeout > 0;
+  }
 
-  // Reliable post: like Post, but armed with a transport timeout and
-  // bounded-backoff retransmission. `cb(completed, ok)` fires exactly once:
-  // ok=true on a (possibly retransmitted) response, ok=false when
-  // `retry_cnt` retransmissions all vanished — or, with a nonzero absolute
-  // `deadline`, as soon as a retry timer fires past it (the op is abandoned
-  // without burning the remaining retry budget).
+  // Reliable post, the simulator's one retransmission engine: like Post,
+  // but armed with a transport timeout and bounded-backoff retransmission
+  // (NIC-side replays of the posted WQE, with no CPU WQE build or
+  // doorbell). `cb(completed, ok)` fires exactly once: ok=true on a
+  // (possibly retransmitted) response, ok=false when `retry_cnt`
+  // retransmissions all vanished — or, with a nonzero absolute `deadline`,
+  // as soon as a retry timer fires past it (the op is abandoned without
+  // burning the remaining retry budget).
   void PostReliable(int thread, const TargetSpec& target, uint64_t addr,
                     SmallFunction<void(SimTime completed, bool ok)> cb,
                     SimTime deadline = 0);
@@ -161,8 +164,6 @@ class ClientMachine {
   void Pump(Loop* loop);
   void IssueOne(Loop* loop);
   void IssueBatch(Loop* loop);
-  // True when closed-loop ops must carry the retransmission layer.
-  bool Reliable() const;
   // NIC-level launch with retransmission protection (the batch path, which
   // never rings per-op doorbells).
   void LaunchReliable(const TargetSpec& target, uint64_t addr,

@@ -38,10 +38,6 @@ ClientFleet::ClientFleet(Simulator* sim, Fabric* fabric, const FleetParams& para
   }
 }
 
-bool ClientFleet::Reliable() const {
-  return sim_->faults() != nullptr && params_.machine.transport_timeout > 0;
-}
-
 void ClientFleet::SetTrace(const trace::TraceDriver* trace) {
   trace_ = trace;
   if (trace_ != nullptr) {
@@ -283,7 +279,7 @@ void ClientFleet::PostCopy(Copy* c) {
   TargetSpec spec = paths_[static_cast<size_t>(c->copy)];
   spec.payload = params_.request_bytes;
   ClientMachine& m = *machines_[static_cast<size_t>(c->lc->machine)];
-  if (Reliable()) {
+  if (m.Reliable()) {
     m.PostReliable(c->lc->thread, spec, c->req.hdr,
                    [this, c](SimTime completed, bool ok) { Settle(c, completed, ok); },
                    c->req.deadline);

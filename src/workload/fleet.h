@@ -219,7 +219,6 @@ class ClientFleet {
   // counters record) — they differ only for a winning hedge.
   void Finish(int routed, int copy, const KvRequest& req, SimTime issued_at,
               SimTime completed, bool ok);
-  bool Reliable() const;
 
   Simulator* sim_;
   FleetParams params_;

@@ -1,10 +1,11 @@
 // The fault layer's core property: work requests are conserved. Whatever the
-// fabric does — drops, flaps, retransmission rounds, QP error flushes —
-// every posted WR completes exactly once, as either a success or an error
-// CQE. No duplicates (a late response after a retransmission must lose the
+// fabric does — drops, flaps, retransmissions — every WR a verbs QP posts
+// through its machine's retransmission engine (ClientMachine::PostReliable)
+// completes exactly once, as either a success or an error CQE. No
+// duplicates (a late response after a retransmission must lose the
 // first-wins race), no losses (a WR whose every transmission vanished must
-// surface as retry_exceeded/flushed), and at drop 0 the reliability layer
-// must be pure bookkeeping: zero timeouts, zero retransmits.
+// surface as retry_exceeded), and at drop 0 the engine must be pure
+// bookkeeping: zero fired timers, zero retransmits.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -26,33 +27,37 @@ constexpr int kOps = 40;
 struct RunResult {
   std::vector<std::pair<uint64_t, WcStatus>> cqes;  // delivery order
   uint64_t posted = 0;
-  uint64_t timeouts = 0;
   uint64_t retransmits = 0;
+  uint64_t op_failures = 0;
+  uint64_t timers_armed = 0;
   uint64_t completions = 0;
   uint64_t completion_errors = 0;
   QpState final_state = QpState::kRts;
 
   bool operator==(const RunResult& o) const {
-    return cqes == o.cqes && posted == o.posted && timeouts == o.timeouts &&
-           retransmits == o.retransmits && completions == o.completions &&
+    return cqes == o.cqes && posted == o.posted && retransmits == o.retransmits &&
+           op_failures == o.op_failures && timers_armed == o.timers_armed &&
+           completions == o.completions &&
            completion_errors == o.completion_errors && final_state == o.final_state;
   }
 };
 
-// One full experiment: a fresh testbed, a reliable QP, kOps mixed-verb WRs,
-// run to quiescence under the given drop schedule.
+// One full experiment: a fresh testbed whose client carries the engine, a
+// QP, kOps mixed-verb WRs, run to quiescence under the given drop schedule.
+// The injector is attached at drop 0 too, so every run goes through the
+// engine.
 RunResult RunConservation(double drop, uint64_t seed) {
   Simulator sim;
   Fabric fabric(&sim);
   BluefieldServer server(&sim, &fabric, TestbedParams::Default());
-  ClientMachine client(&sim, &fabric, ClientParams{}, "cli");
+  ClientParams params;
+  params.transport_timeout = FromMicros(50);
+  ClientMachine client(&sim, &fabric, params, "cli");
   fault::FaultPlan plan;
   plan.drop_rate = drop;
   plan.seed = seed;
   fault::FaultInjector injector(plan);
-  if (!plan.empty()) {
-    sim.set_faults(&injector);
-  }
+  sim.set_faults(&injector);
 
   RemoteMemoryRegion mr;
   mr.engine = &server.nic();
@@ -62,7 +67,6 @@ RunResult RunConservation(double drop, uint64_t seed) {
   mr.length = 1ull * kGiB;
   QpConfig cfg;
   cfg.max_send_wr = kOps;
-  cfg.transport_timeout = FromMicros(50);
   CompletionQueue cq;
   QueuePair qp(&client, 0, mr, &cq, cfg);
 
@@ -91,15 +95,19 @@ RunResult RunConservation(double drop, uint64_t seed) {
     r.cqes.emplace_back(wc.wr_id, wc.status);
   }
   r.posted = qp.posted();
-  r.timeouts = qp.timeouts();
-  r.retransmits = qp.retransmits();
+  r.retransmits = client.retransmits();
+  r.op_failures = client.op_failures();
+  r.timers_armed = sim.timers().scheduled();
   r.completions = qp.completions();
   r.completion_errors = qp.completion_errors();
   r.final_state = qp.state();
   EXPECT_EQ(qp.outstanding(), 0) << "drop=" << drop << " seed=" << seed;
-  // Every retransmit timer that fires is a timeout: completions and
-  // go-back-N rounds cancel the timers they supersede.
-  EXPECT_EQ(sim.timers().fired(), qp.timeouts()) << "drop=" << drop << " seed=" << seed;
+  EXPECT_EQ(client.live_flights(), 0u) << "drop=" << drop << " seed=" << seed;
+  // Every retry timer that fires either retransmits or fails its op: a
+  // completion cancels the timer it supersedes.
+  EXPECT_EQ(sim.timers().fired(),
+            client.retransmits() + client.op_failures() + client.deadline_failures())
+      << "drop=" << drop << " seed=" << seed;
   return r;
 }
 
@@ -128,10 +136,11 @@ TEST(ConservationUnderFaults, EveryWrCompletesExactlyOnceAcrossDropRates) {
   }
 }
 
-TEST(ConservationUnderFaults, DropZeroMeansReliabilityLayerIsPureBookkeeping) {
+TEST(ConservationUnderFaults, DropZeroMeansTheEngineIsPureBookkeeping) {
   const RunResult r = RunConservation(0.0, 1);
-  EXPECT_EQ(r.timeouts, 0u);
+  EXPECT_EQ(r.timers_armed, static_cast<uint64_t>(kOps));  // one per WR, all cancelled
   EXPECT_EQ(r.retransmits, 0u);
+  EXPECT_EQ(r.op_failures, 0u);
   EXPECT_EQ(r.completion_errors, 0u);
   EXPECT_EQ(r.final_state, QpState::kRts);
   for (const auto& [wr_id, status] : r.cqes) {
@@ -142,7 +151,6 @@ TEST(ConservationUnderFaults, DropZeroMeansReliabilityLayerIsPureBookkeeping) {
 TEST(ConservationUnderFaults, HeavyLossActuallyExercisesRetransmission) {
   const RunResult r = RunConservation(0.05, 7);
   EXPECT_GT(r.retransmits, 0u);
-  EXPECT_GT(r.timeouts, 0u);
 }
 
 TEST(ConservationUnderFaults, SameSeedReplaysByteForByte) {
@@ -155,14 +163,17 @@ TEST(ConservationUnderFaults, SameSeedReplaysByteForByte) {
   EXPECT_FALSE(a == c);
 }
 
-// A link that flaps for the whole retry budget: the QP must surface a
-// retry-exhaustion error for the WR whose timer exhausted, flush the rest,
-// and come back to life through Recover() once the link heals.
-TEST(ConservationUnderFaults, FlapToErrorStateThenRecover) {
+// A link that flaps for the whole retry budget: every WR surfaces one
+// retry-exhaustion error, the QP stays in kRts, and a WR posted once the
+// link heals succeeds without a reconnect.
+TEST(ConservationUnderFaults, FlapFailsEachWrOnceThenTheQpServes) {
   Simulator sim;
   Fabric fabric(&sim);
   BluefieldServer server(&sim, &fabric, TestbedParams::Default());
-  ClientMachine client(&sim, &fabric, ClientParams{}, "cli");
+  ClientParams params;
+  params.transport_timeout = FromMicros(5);
+  params.retry_cnt = 2;
+  ClientMachine client(&sim, &fabric, params, "cli");
   fault::FaultPlan plan;
   plan.flaps.push_back({"bf_srv.port", 0, FromMicros(150)});
   fault::FaultInjector injector(plan);
@@ -174,49 +185,34 @@ TEST(ConservationUnderFaults, FlapToErrorStateThenRecover) {
   mr.server_port = server.port();
   mr.addr = 0;
   mr.length = 1ull * kGiB;
-  QpConfig cfg;
-  cfg.transport_timeout = FromMicros(5);
-  cfg.retry_cnt = 2;
   CompletionQueue cq;
-  QueuePair qp(&client, 0, mr, &cq, cfg);
+  QueuePair qp(&client, 0, mr, &cq);
 
   constexpr int kN = 5;
   for (int i = 0; i < kN; ++i) {
     ASSERT_TRUE(qp.PostRead(static_cast<uint64_t>(i) * 64, 64, i + 1));
   }
-  // Exhaustion happens at ~35 us (5 + 10 + 20 with the exponential backoff);
+  // Exhaustion happens at 35 us (5 + 10 + 20 with the exponential backoff);
   // run well past it but stay inside the flap.
   sim.RunFor(FromMicros(100));
-  EXPECT_EQ(qp.state(), QpState::kError);
+  EXPECT_EQ(qp.state(), QpState::kRts);
   EXPECT_EQ(qp.outstanding(), 0);
+  EXPECT_EQ(client.op_failures(), static_cast<uint64_t>(kN));
   ASSERT_EQ(cq.pending(), static_cast<size_t>(kN));
-  int retry_exceeded = 0;
-  int flushed = 0;
   WorkCompletion wc;
   while (cq.Poll(&wc, 1) == 1) {
-    if (wc.status == WcStatus::kRetryExceeded) {
-      ++retry_exceeded;
-    } else if (wc.status == WcStatus::kFlushed) {
-      ++flushed;
-    } else {
-      ADD_FAILURE() << "unexpected status " << WcStatusName(wc.status);
-    }
+    EXPECT_EQ(wc.status, WcStatus::kRetryExceeded) << WcStatusName(wc.status);
   }
-  EXPECT_EQ(retry_exceeded, 1);  // exactly one culprit
-  EXPECT_EQ(flushed, kN - 1);
-  // Posting on an errored QP is rejected.
-  EXPECT_FALSE(qp.PostRead(0, 64, 99));
 
-  // Heal the link, reconnect, and the QP serves traffic again.
+  // Heal the link and the same QP serves traffic again.
   sim.RunFor(FromMicros(100));  // now past the flap window
-  ASSERT_TRUE(qp.Recover());
-  EXPECT_EQ(qp.state(), QpState::kRts);
   ASSERT_TRUE(qp.PostRead(0, 64, 99));
   sim.Run();
   ASSERT_EQ(cq.pending(), 1u);
   cq.Poll(&wc, 1);
   EXPECT_EQ(wc.wr_id, 99u);
   EXPECT_EQ(wc.status, WcStatus::kSuccess);
+  EXPECT_EQ(sim.timers().fired(), client.retransmits() + client.op_failures());
 }
 
 }  // namespace

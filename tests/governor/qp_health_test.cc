@@ -1,6 +1,6 @@
 // QpHealth: the verbs layer's task-level fault signal and its governor
-// integration. The snapshot must mirror the QP's own accessors, the derived
-// rates must be sane, and an AdaptiveGovernor fed an unhealthy sampler for
+// integration. The snapshot must mirror the QP's own accessors, the error
+// rate must be sane, and an AdaptiveGovernor fed an unhealthy sampler for
 // one path must steer score-chosen traffic off that path.
 #include <gtest/gtest.h>
 
@@ -16,7 +16,9 @@ TEST(QpHealth, SnapshotMirrorsAccessorsAfterFaultedRun) {
   Simulator sim;
   Fabric fabric(&sim);
   BluefieldServer server(&sim, &fabric, TestbedParams::Default());
-  ClientMachine client(&sim, &fabric, ClientParams{}, "cli");
+  ClientParams params;
+  params.transport_timeout = FromMicros(50);
+  ClientMachine client(&sim, &fabric, params, "cli");
   fault::FaultPlan plan;
   plan.drop_rate = 0.05;
   plan.seed = 7;
@@ -31,7 +33,6 @@ TEST(QpHealth, SnapshotMirrorsAccessorsAfterFaultedRun) {
   mr.length = 1ull * kGiB;
   rdma::QpConfig cfg;
   cfg.max_send_wr = 32;
-  cfg.transport_timeout = FromMicros(50);
   rdma::CompletionQueue cq;
   rdma::QueuePair qp(&client, 0, mr, &cq, cfg);
   for (int i = 0; i < 32; ++i) {
@@ -44,26 +45,21 @@ TEST(QpHealth, SnapshotMirrorsAccessorsAfterFaultedRun) {
   EXPECT_EQ(h.outstanding, qp.outstanding());
   EXPECT_EQ(h.posted, qp.posted());
   EXPECT_EQ(h.completions, qp.completions());
-  EXPECT_EQ(h.timeouts, qp.timeouts());
-  EXPECT_EQ(h.retransmits, qp.retransmits());
   EXPECT_EQ(h.completion_errors, qp.completion_errors());
   EXPECT_EQ(h.usable(), qp.state() == rdma::QpState::kRts);
   EXPECT_GE(h.ErrorRate(), 0.0);
   EXPECT_LE(h.ErrorRate(), 1.0);
-  EXPECT_GT(h.retransmits, 0u);  // 5% drop actually exercised the layer
+  EXPECT_EQ(h.completions + h.completion_errors, 32u);
+  EXPECT_GT(client.retransmits(), 0u);  // 5% drop actually exercised the engine
 }
 
 TEST(QpHealth, DerivedRates) {
   rdma::QpHealth h;
   EXPECT_TRUE(h.usable());
-  EXPECT_EQ(h.ErrorRate(), 0.0);       // no completions yet: not an error
-  EXPECT_EQ(h.RetransmitRate(), 0.0);  // nothing posted yet
+  EXPECT_EQ(h.ErrorRate(), 0.0);  // no completions yet: not an error
   h.completions = 9;
   h.completion_errors = 1;
   EXPECT_DOUBLE_EQ(h.ErrorRate(), 0.1);
-  h.posted = 10;
-  h.retransmits = 5;
-  EXPECT_DOUBLE_EQ(h.RetransmitRate(), 0.5);
   h.state = rdma::QpState::kError;
   EXPECT_FALSE(h.usable());
 }

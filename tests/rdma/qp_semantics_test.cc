@@ -1,7 +1,10 @@
 // Verbs semantics beyond the data path: QP state ladder, transport-type
 // restrictions, send-queue depth, signaled/unsignaled WRs, RNR backoff and
-// budget exhaustion, and the RC transport's timeout/retransmission layer.
+// budget exhaustion, and how a QP's WRs complete when the machine's
+// retransmission engine gives up on them.
 #include <gtest/gtest.h>
+
+#include <memory>
 
 #include "src/fault/injector.h"
 #include "src/rdma/recv_queue.h"
@@ -202,160 +205,137 @@ TEST_F(QpSemanticsTest, RnrBudgetExhaustionEntersErrorAndRecovers) {
   EXPECT_EQ(callbacks, 2);
 }
 
-TEST_F(QpSemanticsTest, ReliableLayerQuiescentWithoutLoss) {
+TEST_F(QpSemanticsTest, SuccessesCountTowardTheErrorRate) {
+  // Ten SENDs complete, then the dry ring exhausts a zero RNR budget at
+  // once: one error in eleven completions, not an error rate of 1.
+  ReceiveQueue ring(10, /*auto_replenish=*/false);
+  RemoteMemoryRegion mr = Mr();
+  mr.recv = &ring;
   QpConfig cfg;
-  cfg.transport_timeout = FromMicros(200);  // far above the ~3 us RTT
-  CompletionQueue cq;
-  QueuePair qp(&client_, 0, Mr(), &cq, cfg);
-  for (int i = 0; i < 8; ++i) {
-    ASSERT_TRUE(qp.PostRead(static_cast<uint64_t>(i) * 64, 64, i + 1));
+  cfg.rnr_retry_cnt = 0;
+  QueuePair qp(&client_, 0, mr, nullptr, cfg);
+  for (int i = 0; i < 10; ++i) {
+    ASSERT_TRUE(qp.PostSend(64));
   }
   sim_.Run();
-  EXPECT_EQ(qp.completions(), 8u);
-  EXPECT_EQ(qp.timeouts(), 0u);
-  EXPECT_EQ(qp.retransmits(), 0u);
-  EXPECT_EQ(cq.pending(), 8u);
-  WorkCompletion wc;
-  while (cq.Poll(&wc, 1) == 1) {
-    EXPECT_EQ(wc.status, WcStatus::kSuccess);
-  }
+  ASSERT_TRUE(qp.PostSend(64));
+  sim_.Run();
+  EXPECT_EQ(qp.state(), QpState::kError);
+  const QpHealth h = qp.health();
+  EXPECT_EQ(h.completions, 10u);
+  EXPECT_EQ(h.completion_errors, 1u);
+  EXPECT_DOUBLE_EQ(h.ErrorRate(), 1.0 / 11.0);
 }
 
-TEST_F(QpSemanticsTest, GoBackNRetransmitsEverythingAfterTheTimedOutWr) {
-  // The server's cable flaps for the first 10 us: the three initial
-  // transmissions all vanish, the first WR's 20 us timer fires once, and
-  // go-back-N replays all three after the link heals.
-  fault::FaultPlan plan;
-  plan.flaps.push_back({"bf_srv.port", 0, FromMicros(10)});
-  fault::FaultInjector injector(plan);
-  sim_.set_faults(&injector);
-  QpConfig cfg;
-  cfg.transport_timeout = FromMicros(20);
+// With a fault injector attached, a QP posts through its machine's
+// retransmission engine (ClientMachine::PostReliable). The server's cable
+// flapping for `flap_us` drops every transmission inside the window.
+class QpEngineTest : public QpSemanticsTest {
+ protected:
+  void Flap(int flap_us) {
+    plan_.flaps.push_back({"bf_srv.port", 0, FromMicros(flap_us)});
+    injector_ = std::make_unique<fault::FaultInjector>(plan_);
+    sim_.set_faults(injector_.get());
+  }
+
+  static ClientParams Engine(int timeout_us, int retry_cnt) {
+    ClientParams p;
+    p.transport_timeout = FromMicros(timeout_us);
+    p.retry_cnt = retry_cnt;
+    return p;
+  }
+
+  fault::FaultPlan plan_;
+  std::unique_ptr<fault::FaultInjector> injector_;
+};
+
+TEST_F(QpEngineTest, RetryExhaustionGivesRetryExceeded) {
+  // Timers at 5, 15 and 35 us: two retransmissions vanish in the flap, the
+  // third timer gives up. Every WR fails exactly once, unsignaled ones too,
+  // and the QP stays in kRts.
+  Flap(1000);
+  ClientMachine cli(&sim_, &fabric_, Engine(5, 2), "rcli");
   CompletionQueue cq;
-  QueuePair qp(&client_, 0, Mr(), &cq, cfg);
+  QueuePair qp(&cli, 0, Mr(), &cq);
+  int callbacks = 0;
   for (int i = 0; i < 3; ++i) {
-    ASSERT_TRUE(qp.PostRead(static_cast<uint64_t>(i) * 64, 64, i + 1));
+    ASSERT_TRUE(qp.PostRead(static_cast<uint64_t>(i) * 64, 64, i + 1,
+                            [&](SimTime) { ++callbacks; }, /*signaled=*/i != 1));
   }
   sim_.Run();
-  EXPECT_EQ(qp.timeouts(), 1u);      // one timer fired (the other two were
-                                     // superseded by the epoch bump)
-  EXPECT_EQ(qp.retransmits(), 3u);   // ...but all three WRs replayed
-  EXPECT_EQ(qp.completions(), 3u);
-  EXPECT_EQ(qp.completion_errors(), 0u);
   EXPECT_EQ(qp.state(), QpState::kRts);
+  EXPECT_EQ(qp.outstanding(), 0);
+  EXPECT_EQ(qp.completions(), 0u);
+  EXPECT_EQ(qp.completion_errors(), 3u);
+  EXPECT_EQ(callbacks, 3);
+  EXPECT_EQ(cli.retransmits(), 6u);
+  EXPECT_EQ(cli.op_failures(), 3u);
   ASSERT_EQ(cq.pending(), 3u);
   WorkCompletion wc;
-  while (cq.Poll(&wc, 1) == 1) {
-    EXPECT_EQ(wc.status, WcStatus::kSuccess);
-    EXPECT_GT(wc.completed_at, FromMicros(20));  // post-retransmission
+  for (uint64_t id = 1; id <= 3; ++id) {
+    ASSERT_EQ(cq.Poll(&wc, 1), 1);
+    EXPECT_EQ(wc.wr_id, id);
+    EXPECT_EQ(wc.status, WcStatus::kRetryExceeded);
+    EXPECT_EQ(wc.completed_at, FromMicros(35));
   }
 }
 
-TEST_F(QpSemanticsTest, RetransmitTimerFreezesWhenQpLeavesRts) {
-  // Regression: an armed retransmit timer used to keep firing after the QP
-  // left kRts through an *external* Modify (which, unlike Reset/Recover,
-  // does not flush the send queue), retransmitting into a dead QP and
-  // re-arming itself forever. The timer must find state != kRts and die.
-  fault::FaultPlan plan;
-  plan.flaps.push_back({"bf_srv.port", 0, FromMicros(10)});
-  fault::FaultInjector injector(plan);
-  sim_.set_faults(&injector);
-  QpConfig cfg;
-  cfg.transport_timeout = FromMicros(20);
+TEST_F(QpEngineTest, DeadlineExpiryGivesDeadlineExceeded) {
+  // Every transmission dies until t=100 us, so the deadline (t=30 us) is
+  // noticed at the retry timer clamped to it. The bounded WR completes once
+  // as kDeadlineExceeded; the unbounded one keeps retransmitting and
+  // completes after the link heals.
+  Flap(100);
+  ClientMachine cli(&sim_, &fabric_, Engine(20, 7), "rcli");
   CompletionQueue cq;
-  QueuePair qp(&client_, 0, Mr(), &cq, cfg);
-  int callbacks = 0;
-  ASSERT_TRUE(qp.PostRead(0, 64, 7, [&](SimTime) { ++callbacks; }));
-  // The first transmission dies in the flap; at t=5 us (before the 20 us
-  // timer) something external errors the QP out.
-  sim_.In(FromMicros(5), [&] { qp.Modify(QpState::kError); });
-  sim_.Run();  // would never drain if the timer re-armed forever
-  EXPECT_EQ(qp.state(), QpState::kError);
-  EXPECT_EQ(qp.timeouts(), 0u);      // the gate fires before the timeout path
-  EXPECT_EQ(qp.retransmits(), 0u);
-  EXPECT_EQ(qp.outstanding(), 1);    // external Modify does not flush
-  EXPECT_EQ(callbacks, 0);
-  // Recover flushes the orphaned WR exactly once and the QP serves again.
-  ASSERT_TRUE(qp.Recover());
-  EXPECT_EQ(qp.outstanding(), 0);
-  EXPECT_EQ(qp.completion_errors(), 1u);
-  EXPECT_EQ(callbacks, 1);
-  ASSERT_EQ(cq.pending(), 1u);
-  WorkCompletion wc;
-  cq.Poll(&wc, 1);
-  EXPECT_EQ(wc.status, WcStatus::kFlushed);
-  ASSERT_TRUE(qp.PostRead(0, 64, 8, [&](SimTime) { ++callbacks; }));
-  sim_.Run();
-  EXPECT_EQ(callbacks, 2);
-  EXPECT_EQ(qp.completions(), 1u);
-}
-
-TEST_F(QpSemanticsTest, DeadlineExpiresOneWrAndLeavesTheQpServing) {
-  // Every transmission dies until t=100 us, so the deadline (t=30 us) can
-  // only be noticed at retransmit time. The bounded WR completes exactly
-  // once as kDeadlineExceeded; the unbounded WR keeps its own timers and
-  // completes normally after the link heals — the QP never leaves kRts.
-  fault::FaultPlan plan;
-  plan.flaps.push_back({"bf_srv.port", 0, FromMicros(100)});
-  fault::FaultInjector injector(plan);
-  sim_.set_faults(&injector);
-  QpConfig cfg;
-  cfg.transport_timeout = FromMicros(20);
-  CompletionQueue cq;
-  QueuePair qp(&client_, 0, Mr(), &cq, cfg);
+  QueuePair qp(&cli, 0, Mr(), &cq);
   int deadline_cbs = 0;
   ASSERT_TRUE(qp.PostRead(0, 64, 1, [&](SimTime) { ++deadline_cbs; },
                           /*signaled=*/true, /*deadline=*/FromMicros(30)));
   ASSERT_TRUE(qp.PostRead(64, 64, 2));
   sim_.Run();
   EXPECT_EQ(qp.state(), QpState::kRts);
-  EXPECT_EQ(qp.deadline_exceeded(), 1u);
-  EXPECT_EQ(qp.completion_errors(), 1u);
   EXPECT_EQ(qp.completions(), 1u);
+  EXPECT_EQ(qp.completion_errors(), 1u);
   EXPECT_EQ(deadline_cbs, 1);
+  EXPECT_EQ(cli.deadline_failures(), 1u);
+  EXPECT_EQ(cli.op_failures(), 0u);
   ASSERT_EQ(cq.pending(), 2u);
   WorkCompletion wc;
   cq.Poll(&wc, 1);
   EXPECT_EQ(wc.wr_id, 1u);
   EXPECT_EQ(wc.status, WcStatus::kDeadlineExceeded);
-  EXPECT_GE(wc.completed_at, FromMicros(30));  // at a timer, never before
+  EXPECT_EQ(wc.completed_at, FromMicros(30));
   cq.Poll(&wc, 1);
   EXPECT_EQ(wc.wr_id, 2u);
   EXPECT_EQ(wc.status, WcStatus::kSuccess);
+  EXPECT_GT(wc.completed_at, FromMicros(100));
 }
 
-TEST_F(QpSemanticsTest, CrashDomainTimeoutFlushesAndRecoversAfterRestart) {
-  // A timeout inside the bound domain's crash window means the endpoint
-  // died, not the frame: the QP drops to kError and flushes instead of
-  // retransmitting into the void. After the restart Recover() reconnects.
-  fault::FaultPlan plan;
-  plan.flaps.push_back({"bf_srv.port", 0, FromMicros(40)});
-  plan.crashes.push_back({"srv", 0, FromMicros(40), 0});
-  fault::FaultInjector injector(plan);
-  sim_.set_faults(&injector);
-  QpConfig cfg;
-  cfg.transport_timeout = FromMicros(20);
-  cfg.crash_domain = "srv";
+TEST_F(QpEngineTest, QpServesAgainOnceTheFlapEnds) {
+  // A WR posted into the flap fails; the QP never leaves kRts, so a WR
+  // posted after the flap needs no Recover() and completes first time.
+  Flap(50);
+  ClientMachine cli(&sim_, &fabric_, Engine(5, 2), "rcli");
   CompletionQueue cq;
-  QueuePair qp(&client_, 0, Mr(), &cq, cfg);
+  QueuePair qp(&cli, 0, Mr(), &cq);
   ASSERT_TRUE(qp.PostRead(0, 64, 1));
   sim_.Run();
-  EXPECT_EQ(qp.state(), QpState::kError);
-  EXPECT_EQ(qp.timeouts(), 1u);
-  EXPECT_EQ(qp.retransmits(), 0u);  // pointless retransmissions skipped
-  EXPECT_EQ(qp.completion_errors(), 1u);
-  ASSERT_EQ(cq.pending(), 1u);
-  WorkCompletion wc;
-  cq.Poll(&wc, 1);
-  EXPECT_EQ(wc.status, WcStatus::kFlushed);
-  // The run drained at t=20 us, still inside the window; step past it.
-  sim_.RunFor(FromMicros(30));
-  ASSERT_TRUE(qp.Recover());
   EXPECT_EQ(qp.state(), QpState::kRts);
+  EXPECT_EQ(qp.completion_errors(), 1u);
+  sim_.RunFor(FromMicros(30));  // past the flap
   ASSERT_TRUE(qp.PostRead(0, 64, 2));
   sim_.Run();
   EXPECT_EQ(qp.completions(), 1u);
-  EXPECT_EQ(qp.state(), QpState::kRts);
+  EXPECT_EQ(cli.retransmits(), 2u);  // the failed WR's two, none after
+  EXPECT_DOUBLE_EQ(qp.health().ErrorRate(), 0.5);
+  ASSERT_EQ(cq.pending(), 2u);
+  WorkCompletion wc;
+  cq.Poll(&wc, 1);
+  EXPECT_EQ(wc.status, WcStatus::kRetryExceeded);
+  cq.Poll(&wc, 1);
+  EXPECT_EQ(wc.wr_id, 2u);
+  EXPECT_EQ(wc.status, WcStatus::kSuccess);
 }
 
 TEST(ReceiveQueue, PostRecvCapsAtCapacity) {
