@@ -107,14 +107,7 @@ EpochAutoscaler::EpochAutoscaler(const ScaleConfig& cfg, Actuators act,
   SNIC_CHECK_GT(cfg_.util_high, cfg_.util_low);
 }
 
-void EpochAutoscaler::ApplyBudgets(int serving_cores, bool scarce) {
-  if (act_.set_bucket_mops && cfg_.bucket_mops_per_core > 0.0) {
-    act_.set_bucket_mops(cfg_.bucket_mops_per_core * serving_cores);
-  }
-  if (act_.set_hedge_max_bytes && cfg_.hedge_bytes_per_core > 0) {
-    act_.set_hedge_max_bytes(cfg_.hedge_bytes_per_core *
-                             static_cast<uint32_t>(serving_cores));
-  }
+void EpochAutoscaler::ApplyWeights(bool scarce) {
   const std::vector<int>& weights =
       scarce ? cfg_.weights_scarce : cfg_.weights_ample;
   if (act_.set_tenant_weight) {
@@ -149,7 +142,7 @@ void EpochAutoscaler::OnEpoch(SimTime /*now*/) {
     // toward serving and make background pipelines yield their share.
     act_.set_pool_cores(pc - 1);
     act_.set_serving_cores(sc + 1);
-    ApplyBudgets(sc + 1, /*scarce=*/true);
+    ApplyWeights(/*scarce=*/true);
     ++actions_up_;
     hold_ = cfg_.hold_epochs;
     return;
@@ -158,7 +151,7 @@ void EpochAutoscaler::OnEpoch(SimTime /*now*/) {
       sc > cfg_.min_serving_cores) {
     act_.set_serving_cores(sc - 1);
     act_.set_pool_cores(pc + 1);
-    ApplyBudgets(sc - 1, /*scarce=*/false);
+    ApplyWeights(/*scarce=*/false);
     ++actions_down_;
     hold_ = cfg_.hold_epochs;
     return;

@@ -10,10 +10,9 @@
 // each governor epoch it samples both pools' busy-time deltas (the same
 // per-epoch signal discipline the governor's own utilization sampler
 // uses), and when one side runs hot while the other idles it moves one
-// core across the split, retunes the admission-bucket rate and hedging
-// byte budget to track the serving pool, and swaps the tenant WRR weight
-// set. A hold-down counter enforces hysteresis so a constant-load trace
-// produces no flapping (pinned by tests/governor/autoscaler_test.cc).
+// core across the split and swaps the tenant WRR weight set. A hold-down
+// counter enforces hysteresis so a constant-load trace produces no
+// flapping (pinned by tests/governor/autoscaler_test.cc).
 //
 // The SloMonitor rides the same epoch clock and is deliberately separate:
 // *every* arm of a static-vs-autoscaled comparison needs identical
@@ -62,12 +61,6 @@ struct ScaleConfig {
   double util_low = 0.55;
   // Hysteresis: epochs to hold after an action before acting again.
   int hold_epochs = 3;
-  // Admission-bucket rate per serving core (Mops); 0 leaves the bucket
-  // alone. On every move the bucket is set to serving_cores * this, so
-  // shed capacity tracks the cores it protects.
-  double bucket_mops_per_core = 0.0;
-  // Hedge byte budget per serving core; 0 leaves hedging alone.
-  uint32_t hedge_bytes_per_core = 0;
   // Tenant WRR weight sets (tenant index in config order) applied when the
   // split tilts toward serving (scarce: background tenants yield) and when
   // it tilts back (ample). Empty = no weight retuning.
@@ -200,9 +193,7 @@ class EpochAutoscaler {
     std::function<int()> pool_cores;
     std::function<void(int)> set_pool_cores;
     std::function<SimTime()> pool_busy;  // cumulative granted service
-    // Optional budget actuators; null = not retuned.
-    std::function<void(double)> set_bucket_mops;
-    std::function<void(uint32_t)> set_hedge_max_bytes;
+    // Optional tenant-weight actuator; null = weights not retuned.
     std::function<void(int, int)> set_tenant_weight;
   };
 
@@ -219,7 +210,7 @@ class EpochAutoscaler {
   uint64_t weight_updates() const { return weight_updates_; }
 
  private:
-  void ApplyBudgets(int serving_cores, bool scarce);
+  void ApplyWeights(bool scarce);
 
   ScaleConfig cfg_;
   Actuators act_;

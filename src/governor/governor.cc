@@ -13,6 +13,11 @@ namespace {
 // Weight of the analytic unloaded prior kept in every score comparison
 // (see the shared-bottleneck note in Route).
 constexpr double kPriorBias = 1.0;
+// Smoothing of the latency and failure EWMAs.
+constexpr double kEwmaAlpha = 0.2;
+// Score penalties (us) per unit failure EWMA and per unit sampled error rate.
+constexpr double kFailurePenaltyUs = 100.0;
+constexpr double kErrorRatePenaltyUs = 100.0;
 }  // namespace
 
 AdaptiveGovernor::AdaptiveGovernor(Simulator* sim, const GovernorConfig& cfg,
@@ -33,10 +38,10 @@ AdaptiveGovernor::AdaptiveGovernor(Simulator* sim, const GovernorConfig& cfg,
       soc_cores_(serving.soc_cores) {
   SNIC_CHECK(sim != nullptr);
   SNIC_CHECK(layout != nullptr);
-  host_lat_us_.assign(class_bytes.size(), Ewma(cfg.ewma_alpha));
-  soc_lat_us_.assign(class_bytes.size(), Ewma(cfg.ewma_alpha));
-  fail_rate_[kPathHost] = Ewma(cfg.ewma_alpha);
-  fail_rate_[kPathSoc] = Ewma(cfg.ewma_alpha);
+  host_lat_us_.assign(class_bytes.size(), Ewma(kEwmaAlpha));
+  soc_lat_us_.assign(class_bytes.size(), Ewma(kEwmaAlpha));
+  fail_rate_[kPathHost] = Ewma(kEwmaAlpha);
+  fail_rate_[kPathSoc] = Ewma(kEwmaAlpha);
   if (cfg_.soc_inflight_cap > 0) {
     soc_cap_ = cfg_.soc_inflight_cap;
   } else {
@@ -64,10 +69,10 @@ void AdaptiveGovernor::BindMetrics(const MetricsRegistry& reg) {
   }
 }
 
-void AdaptiveGovernor::BindQpHealth(int path, std::function<rdma::QpHealth()> sampler) {
+void AdaptiveGovernor::BindErrorRate(int path, std::function<double()> sampler) {
   SNIC_CHECK_GE(path, 0);
   SNIC_CHECK_LT(path, kPathCount);
-  qp_health_[path] = std::move(sampler);
+  error_rate_[path] = std::move(sampler);
   if (!ticking_) {
     ticking_ = true;
     ScheduleTick();
@@ -105,15 +110,8 @@ void AdaptiveGovernor::Tick() {
                        8.0 / (epoch_us * 1e3);
   }
   for (int p = 0; p < kPathCount; ++p) {
-    if (qp_health_[p]) {
-      const rdma::QpHealth h = qp_health_[p]();
-      qp_penalty_us_[p] = h.ErrorRate() * cfg_.qp_error_penalty_us;
-      if (!h.usable()) {
-        // A path whose QP left kRts carries nothing until Recover(): make
-        // it lose every score comparison while still reachable by the
-        // exploration floor (which is how recovery is noticed).
-        qp_penalty_us_[p] += 10.0 * cfg_.qp_error_penalty_us;
-      }
+    if (error_rate_[p]) {
+      error_penalty_us_[p] = error_rate_[p]() * kErrorRatePenaltyUs;
     }
   }
   if (resil_ != nullptr) {
@@ -128,8 +126,7 @@ void AdaptiveGovernor::Tick() {
 }
 
 double AdaptiveGovernor::Penalty(int path) const {
-  double us = fail_rate_[path].ValueOr(0.0) * cfg_.failure_penalty_us +
-              qp_penalty_us_[path];
+  double us = fail_rate_[path].ValueOr(0.0) * kFailurePenaltyUs + error_penalty_us_[path];
   if (path == kPathHost) {
     // Marginal queueing estimate: my own outstanding requests, served at
     // the pool's aggregate rate, plus the epoch utilization signal.

@@ -19,8 +19,8 @@
 //     the doorbell-batch MMIO amortization of Advice #4), plus an
 //     occupancy penalty from the governor's own in-flight accounting and
 //     the epoch-sampled CPU busy-time of both serving pools, plus a
-//     fault penalty from per-path failure EWMAs and bound QpHealth
-//     samplers.
+//     fault penalty from per-path failure EWMAs and bound per-path
+//     error-rate samplers.
 //  5. ε-exploration across the *admissible* paths only, drawn from the
 //     governor's private seeded Rng. Every draw is counted (draws()), so
 //     a run's routing is replayable from (seed, draw count) exactly like
@@ -35,8 +35,8 @@
 #include "src/governor/policy.h"
 #include "src/governor/stats.h"
 #include "src/model/bounds.h"
-#include "src/rdma/verbs.h"
 #include "src/resilience/resilience.h"
+#include "src/workload/client.h"
 
 namespace snicsim {
 namespace governor {
@@ -44,14 +44,10 @@ namespace governor {
 struct GovernorConfig {
   uint64_t seed = 0xf00dULL;
   double explore_eps = 0.02;  // exploration rate over admissible requests
-  double ewma_alpha = 0.2;
   SimTime epoch = FromMicros(10);  // registry sampling period
   // In-flight cap for path ②; 0 derives it from the SoC pool's service
   // parameters (cores * per-core pipeline depth, doubled for headroom).
   int soc_inflight_cap = 0;
-  // Penalty weights (us) for fault signals.
-  double failure_penalty_us = 100.0;   // per unit per-path failure EWMA
-  double qp_error_penalty_us = 100.0;  // per unit QpHealth error rate
 };
 
 class AdaptiveGovernor : public RoutePolicy {
@@ -74,9 +70,11 @@ class AdaptiveGovernor : public RoutePolicy {
   // fails silently and behavior is unchanged.
   void BindMetrics(const MetricsRegistry& reg);
 
-  // Per-path QP health feed (task-level fault awareness). Sampled each
-  // epoch; a path whose QPs are erroring or out of kRts is penalized.
-  void BindQpHealth(int path, std::function<rdma::QpHealth()> sampler);
+  // Per-path error-rate feed (task-level fault awareness): the sampler
+  // returns the fraction of the path's delivered completions that were
+  // errors, in [0, 1]. Sampled each epoch; the rate is charged to the
+  // path's score as a latency penalty.
+  void BindErrorRate(int path, std::function<double()> sampler);
 
   // Hooks the resilience layer in: the governor's epoch tick drives the
   // circuit breakers (OnEpoch), an open breaker makes its endpoint
@@ -162,8 +160,8 @@ class AdaptiveGovernor : public RoutePolicy {
   bool ticking_ = false;
   bool stopped_ = false;
   std::function<void(SimTime)> epoch_hook_;
-  std::function<rdma::QpHealth()> qp_health_[kPathCount];
-  double qp_penalty_us_[kPathCount] = {0.0, 0.0};
+  std::function<double()> error_rate_[kPathCount];
+  double error_penalty_us_[kPathCount] = {0.0, 0.0};
 };
 
 }  // namespace governor

@@ -64,7 +64,7 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   kv::ServingExecutor& exec = stack.exec;
   fault::FaultInjector* const injector = stack.injector.get();
   resilience::ResilienceManager* const resil = stack.resil.get();
-  stack.AttachSinks(config.trace_path, config.metrics_path, config.trace_capacity);
+  stack.AttachSinks(config.trace_path, config.metrics_path);
 
   // Tenant control plane: only exists when tenants are declared, so a
   // tenant-free run stays byte-identical to a pre-tenancy build. kv-kind
@@ -95,8 +95,8 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   }
 
   // The policy under test. The governor additionally gets the live metric
-  // feed (its epoch sampler) and a per-path QP-health view synthesized from
-  // the fleet's conservation counters — the task-level fault signal.
+  // feed (its epoch sampler) and a per-path error rate drawn from the
+  // fleet's conservation counters — the task-level fault signal.
   std::unique_ptr<RoutePolicy> policy;
   AdaptiveGovernor* gov = nullptr;
   switch (config.policy) {
@@ -119,16 +119,14 @@ ServingResult RunServing(const ServingRunConfig& raw) {
       }
       gov = stack.AttachGovernor(config.governor, config.testbed, config.client);
       for (int p = 0; p < kPathCount; ++p) {
-        gov->BindQpHealth(p, [&fleet, p] {
-          rdma::QpHealth h;
-          if (static_cast<size_t>(p) < fleet.path_issued().size()) {
-            h.posted = fleet.path_issued()[static_cast<size_t>(p)];
-            h.completions = fleet.path_completed()[static_cast<size_t>(p)];
-            h.completion_errors = fleet.path_failed()[static_cast<size_t>(p)];
-            h.outstanding = static_cast<int>(h.posted - h.completions -
-                                             h.completion_errors);
+        gov->BindErrorRate(p, [&fleet, p] {
+          const size_t i = static_cast<size_t>(p);
+          if (i >= fleet.path_completed().size()) {
+            return 0.0;
           }
-          return h;
+          const uint64_t failed = fleet.path_failed()[i];
+          const uint64_t total = fleet.path_completed()[i] + failed;
+          return total == 0 ? 0.0 : static_cast<double>(failed) / static_cast<double>(total);
         });
       }
       break;
@@ -171,14 +169,6 @@ ServingResult RunServing(const ServingRunConfig& raw) {
         tm->SetPoolCores(0, n);
       };
       act.pool_busy = [tm = tenant_mgr.get()] { return tm->PoolBusy(0); };
-      if (resil != nullptr) {
-        act.set_bucket_mops = [rp = resil](double mops) {
-          rp->SetBucketMops(mops);
-        };
-        act.set_hedge_max_bytes = [rp = resil](uint32_t bytes) {
-          rp->SetHedgeMaxBytes(bytes);
-        };
-      }
       act.set_tenant_weight = [tm = tenant_mgr.get()](int t, int w) {
         tm->SetTenantWeight(t, w);
       };

@@ -21,7 +21,6 @@
 #include "src/governor/autoscaler.h"
 #include "src/governor/governor.h"
 #include "src/governor/policy.h"
-#include "src/obs/trace.h"
 #include "src/offload/tenancy.h"
 #include "src/resilience/resilience.h"
 #include "src/topo/testbed_params.h"
@@ -99,7 +98,6 @@ struct ServingRunConfig {
   // Observability sinks (same semantics as HarnessConfig).
   std::string trace_path;
   std::string metrics_path;
-  size_t trace_capacity = Tracer::kDefaultCapacity;
 };
 
 // The ServingResult counters, one row each: type, name, initial value, help.

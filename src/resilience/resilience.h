@@ -64,9 +64,6 @@ struct ResilienceConfig {
   SimTime codel_interval = FromMicros(30);  // windowed-minimum horizon
   double bucket_mops = 0.0;                 // per-endpoint admit rate; 0 = off
   double bucket_depth = 64.0;               // burst tokens
-  // Closed-loop clients re-pump after this delay when their request was
-  // shed (an immediate re-pump would loop at the same sim time).
-  SimTime shed_backoff = FromMicros(5);
 
   // --- hedged requests ---
   bool hedging = false;
@@ -212,18 +209,6 @@ class ResilienceManager {
   ResilienceManager& operator=(const ResilienceManager&) = delete;
 
   const ResilienceConfig& config() const { return cfg_; }
-
-  // Epoch-autoscaler actuators: shed/hedge budgets are re-provisionable at
-  // run time so admission capacity can track the serving cores it protects.
-  // Both change *future* admissions only — no draw is consumed and nothing
-  // in-flight is touched, so runs that never call them are byte-identical
-  // to builds without these hooks.
-  void SetBucketMops(double mops) {
-    cfg_.bucket_mops = mops;
-  }
-  void SetHedgeMaxBytes(uint32_t bytes) {
-    cfg_.hedge_max_bytes = bytes;
-  }
 
   // Exact queue-delay signal for one endpoint's serving pool (the
   // ServingExecutor binds its MultiServer::Backlog here).

@@ -158,9 +158,7 @@ RackKvResult RunRackKv(const RackKvParams& params) {
   SNIC_CHECK_GT(params.think_mean_us, 0.0);
   SNIC_CHECK_GT(params.rack_link_latency, 0);
   SNIC_CHECK_GT(params.request_timeout, 0);
-  SNIC_CHECK_GT(params.serve_timeout, 0);
   SNIC_CHECK_GT(params.max_attempts, 0);
-  SNIC_CHECK_GT(params.promote_after, 0);
   SNIC_CHECK_GT(params.window, 0);
   SNIC_CHECK_EQ(params.mix.size(), params.layout.class_bytes.size());
   // ServeMsg / PushMsg field widths.
@@ -175,8 +173,6 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     SNIC_CHECK_GE(params.replicas, 2);
     SNIC_CHECK_GE(params.membership.permloss_epochs, 1);
     SNIC_CHECK_GE(params.membership.migrate_batch, 1);
-    SNIC_CHECK_GE(params.membership.range_max_attempts, 1);
-    SNIC_CHECK_GT(params.membership.migration_burst_bytes, 0.0);
   }
   if (!params.trace.empty()) {
     std::string why;

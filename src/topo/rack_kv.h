@@ -51,18 +51,13 @@ struct RackKvParams {
   std::vector<double> mix = {0.70, 0.25, 0.05};  // value-class weights
   double write_fraction = 0.1;    // writes replicate to the follower
   int replicas = 2;               // 1 disables replication
-  uint32_t request_bytes = 64;    // GET/PUT header SEND payload
 
   SimTime rack_link_latency = FromMicros(2);  // one-way; == the lookahead
   SimTime request_timeout = FromMicros(25);   // home retry clock
-  SimTime retry_backoff = FromMicros(5);
   int max_attempts = 8;
-  SimTime serve_timeout = FromMicros(20);  // serving-side watchdog
   SimTime repl_timeout = FromMicros(30);
-  int repl_max_attempts = 4;
 
   SimTime governor_epoch = FromMicros(50);  // also the failover probe period
-  int promote_after = 2;  // consecutive fails that mark a server down
 
   SimTime window = FromMicros(400);  // issue horizon; then drain to empty
   uint64_t seed = 1;
@@ -87,9 +82,7 @@ struct RackKvParams {
     // SafePath3BudgetGbps(testbed): the repair plane's reserved share of
     // the same intra-machine budget the governor polices for serving.
     double migration_gbps = 0.0;
-    double migration_burst_bytes = 8192.0;  // bucket depth
-    int migrate_batch = 64;      // keys per migration range
-    int range_max_attempts = 3;  // per-range push retry budget
+    int migrate_batch = 64;  // keys per migration range
     // Anti-entropy scrubber: ranks integrity-verified per governor epoch per
     // server (0 disables the scrubber; allocating the integrity store when
     // > 0). The walk itself is draw-free and event-free — only a detection

@@ -27,6 +27,14 @@
 namespace snicsim {
 namespace rackkv {
 
+// Fixed timing and retry budgets of the rack protocol (DESIGN.md §13, §16).
+constexpr SimTime kRetryBackoff = FromMicros(5);   // before a re-dispatch or re-push
+constexpr SimTime kServeTimeout = FromMicros(20);  // serving-side watchdog
+constexpr int kReplMaxAttempts = 4;                // replication pushes per write
+constexpr int kPromoteAfter = 2;  // consecutive fails that mark a server down
+constexpr double kMigrationBurstBytes = 8192.0;  // migration token-bucket depth
+constexpr int kRangeMaxAttempts = 3;             // per-range migration push budget
+
 // Terminal status a serving domain reports home for one attempt. kRetry is
 // the evidence-free flavor of kNack: the attempt must be re-dispatched (the
 // server bounced a stale membership epoch, or detected corruption it could

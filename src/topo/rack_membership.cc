@@ -43,7 +43,7 @@ void OnPushNack(RackKv& r, DomainId d, MigOp* m, uint64_t gen) {
   if (m->gen != gen) {
     return;
   }
-  if (m->attempts >= r.p->membership.range_max_attempts) {
+  if (m->attempts >= kRangeMaxAttempts) {
     RangeFailed(r, d, m);
     return;
   }
@@ -164,7 +164,7 @@ void PushNextKey(RackKv& r, DomainId d, MigOp* m) {
   const uint32_t bytes = r.p->layout.class_bytes[static_cast<size_t>(cls)];
   ++m->next;
   const SimTime wait = dom.mig_bucket.TakeAmount(
-      dom.mig_rate_bpus, r.p->membership.migration_burst_bytes,
+      dom.mig_rate_bpus, kMigrationBurstBytes,
       static_cast<double>(bytes), dom.stack.sim->now());
   if (wait > 0) {
     ++dom.ctr.migration_waits;

@@ -1,6 +1,6 @@
 // Routing & failover (DESIGN.md §13.4). A fleet arrival becomes a request,
 // routed by the home's failover view. Home domains keep a per-server view:
-// `promote_after` consecutive timeouts/nacks against a server mark it down
+// kPromoteAfter consecutive timeouts/nacks against a server mark it down
 // and re-route its shards to the follower — a pure function of the shared
 // ring, so every home promotes the same replacement without coordination.
 // While a server is down, the home's epoch tick (the governor epoch period)
@@ -28,7 +28,7 @@ void Evidence(RackKv& r, DomainId d, int target) {
     v.first_evidence = dom.stack.sim->now();
   }
   ++v.consec_fail;
-  if (v.consec_fail >= r.p->promote_after) {
+  if (v.consec_fail >= kPromoteAfter) {
     v.down = true;
     v.consec_fail = 0;
     ++dom.ctr.promotions;
@@ -83,7 +83,7 @@ void RetryOrFail(RackKv& r, DomainId d, HomeOp* op) {
   RackKv* rk = &r;
   const uint64_t gen = op->gen;
   const uint64_t token = op->token;
-  dom.stack.sim->timers().In(r.p->retry_backoff, [rk, d, op, gen, token] {
+  dom.stack.sim->timers().In(kRetryBackoff, [rk, d, op, gen, token] {
     if (op->gen != gen || op->token != token) {
       return;  // freed or re-dispatched while backing off (cannot happen
                // today — the op is quiescent during backoff — but cheap)

@@ -65,13 +65,13 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
           }
           ++rep->token;  // the in-flight push is dead
           rep->timer = TimerWheel::kNoTimer;
-          if (rep->attempts >= rk->p->repl_max_attempts) {
+          if (rep->attempts >= kReplMaxAttempts) {
             ++h.ctr.repl_failed;
             rep->gen = 0;
             h.reps.Free(rep);
             return;
           }
-          h.stack.sim->timers().In(rk->p->retry_backoff, [rk, t, rep, gen] {
+          h.stack.sim->timers().In(kRetryBackoff, [rk, t, rep, gen] {
             if (rep->gen != gen) {
               return;
             }
@@ -206,7 +206,7 @@ void ServeArrival(RackKv& r, DomainId t, DomainId src, HomeOp* op,
   // evaporates with the endpoint); the watchdog turns that silence into a
   // deterministic failed-serve + nack so the governor's in-flight
   // accounting and the home ledger both stay closed.
-  dom.stack.sim->timers().In(r.p->serve_timeout, [rk, t, ctx, sgen] {
+  dom.stack.sim->timers().In(kServeTimeout, [rk, t, ctx, sgen] {
     KvDomain& here = *rk->doms[static_cast<size_t>(t)];
     if (ctx->gen != sgen || ctx->settled) {
       return;
@@ -248,7 +248,7 @@ void LaunchServe(RackKv& r, DomainId t, ServeCtx* ctx) {
                                                            : dom.stack.bf->soc_ep();
   PciePath back = dom.stack.fabric.Route(dom.stack.bf->port(), dom.uplink);
   dom.stack.bf->nic().HandleRequest(
-      ep, Verb::kSend, ctx->req.hdr, r.p->request_bytes, /*fe_units=*/1.0,
+      ep, Verb::kSend, ctx->req.hdr, kRequestBytes, /*fe_units=*/1.0,
       std::move(back),
       [rk, t, ctx, sgen](SimTime delivered) {
         KvDomain& here = *rk->doms[static_cast<size_t>(t)];

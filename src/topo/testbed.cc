@@ -21,12 +21,11 @@ Testbed::Testbed(Simulator* simulator, const TestbedParams& params, ServerCard c
   }
 }
 
-void Testbed::AttachSinks(const std::string& trace_path, const std::string& metrics_path,
-                          size_t trace_capacity) {
+void Testbed::AttachSinks(const std::string& trace_path, const std::string& metrics_path) {
   trace_path_ = trace_path;
   metrics_path_ = metrics_path;
   if (!trace_path.empty()) {
-    tracer = std::make_unique<Tracer>(trace_capacity);
+    tracer = std::make_unique<Tracer>(Tracer::kDefaultCapacity);
     sim->set_tracer(tracer.get());
   }
 }

@@ -41,10 +41,10 @@ struct Testbed {
   Testbed(const Testbed&) = delete;
   Testbed& operator=(const Testbed&) = delete;
 
-  // Installs a Tracer for a non-empty `trace_path` and remembers both
-  // paths for WriteSinks. Call before the run.
-  void AttachSinks(const std::string& trace_path, const std::string& metrics_path,
-                   size_t trace_capacity);
+  // Installs a Tracer of Tracer::kDefaultCapacity for a non-empty
+  // `trace_path` and remembers both paths for WriteSinks. Call before the
+  // run.
+  void AttachSinks(const std::string& trace_path, const std::string& metrics_path);
 
   // Writes the trace (when one is attached) and, for a non-empty metrics
   // path, the server's rows followed by whatever `more` registers. Call

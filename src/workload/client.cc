@@ -209,7 +209,6 @@ void ClientMachine::LaunchReliable(const TargetSpec& target, uint64_t addr,
 }
 
 void ClientMachine::ArmRetry(const std::shared_ptr<ReliableOp>& op) {
-  const uint64_t epoch = op->epoch;
   const int shift = std::min(op->attempts, kBackoffShiftCap);
   SimTime dt = params_.transport_timeout << shift;
   // A deadline-carrying op clamps its timer to the budget edge: without the
@@ -222,11 +221,8 @@ void ClientMachine::ArmRetry(const std::shared_ptr<ReliableOp>& op) {
       dt = kNanos;
     }
   }
-  auto fire = [this, op, epoch] {
-    if (op->done || op->epoch != epoch) {
-      return;  // completed, or a newer round owns the timer
-    }
-    ++op->epoch;
+  auto fire = [this, op] {
+    SNIC_CHECK(!op->done);  // a completion cancels the op's pending timer
     // Deadline budget: once the budget is gone there is no point posting
     // another round whose response could only arrive even later — the op
     // fails now and the caller's deadline accounting takes over.
@@ -272,7 +268,6 @@ void ClientMachine::CompleteReliable(const std::shared_ptr<ReliableOp>& op,
     return;  // late duplicate after a retransmission already completed it
   }
   op->done = true;
-  ++op->epoch;  // cancels the pending retry timer
   if (op->timer != TimerWheel::kNoTimer) {
     sim_->timers().Cancel(op->timer);  // stale-id no-op if the timer already fired
     op->timer = TimerWheel::kNoTimer;

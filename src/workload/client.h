@@ -132,16 +132,15 @@ class ClientMachine {
     Loop loop;
   };
 
-  // One reliable op in flight: `epoch` cancels superseded retry timers,
-  // `done` makes completion first-wins (a late duplicate response after a
-  // retransmission is dropped here). `timer` is the wheel handle of the
-  // pending retry timer, so completion reclaims the timer record instead of
-  // leaving a stale event.
+  // One reliable op in flight: `done` makes completion first-wins (a late
+  // duplicate response after a retransmission is dropped here). `timer` is
+  // the wheel handle of the op's one pending retry timer, so completion
+  // cancels it and reclaims the timer record instead of leaving a stale
+  // event.
   struct ReliableOp {
     TargetSpec target;
     uint64_t addr = 0;
     int attempts = 0;
-    uint64_t epoch = 0;
     bool done = false;
     SimTime deadline = 0;  // absolute; 0 = unbounded
     TimerWheel::TimerId timer = TimerWheel::kNoTimer;

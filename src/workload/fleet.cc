@@ -7,6 +7,11 @@
 
 namespace snicsim {
 
+namespace {
+// A closed-loop client re-pumps this long after its request was shed.
+constexpr SimTime kShedBackoff = FromMicros(5);
+}  // namespace
+
 int SizeMixture::ClassOf(double u) const {
   SNIC_CHECK(!weights.empty());
   double total = 0.0;
@@ -209,7 +214,7 @@ void ClientFleet::IssueResilient(Logical* lc, KvRequest req) {
       // A delayed re-pump, never an immediate one: shedding at the same sim
       // time would spin the closed loop against a controller whose signal
       // cannot have moved yet.
-      sim_->In(resil_->config().shed_backoff, [this, lc] {
+      sim_->In(kShedBackoff, [this, lc] {
         lc->in_flight -= 1;
         Pump(lc);
       });
@@ -277,7 +282,7 @@ void ClientFleet::FreeCopy(Copy* c) {
 
 void ClientFleet::PostCopy(Copy* c) {
   TargetSpec spec = paths_[static_cast<size_t>(c->copy)];
-  spec.payload = params_.request_bytes;
+  spec.payload = kRequestBytes;
   ClientMachine& m = *machines_[static_cast<size_t>(c->lc->machine)];
   if (m.Reliable()) {
     m.PostReliable(c->lc->thread, spec, c->req.hdr,

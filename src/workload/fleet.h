@@ -59,6 +59,11 @@ struct KvRequest {
   SimTime deadline = 0;  // absolute latency budget; 0 = none
 };
 
+// Request SEND payload (the GET/PUT header), for the fleet and the rack
+// alike. The *reply* carries the drawn value size; the request itself stays
+// small like a real KV get.
+inline constexpr uint32_t kRequestBytes = 64;
+
 struct FleetParams {
   int machines = 4;        // physical requester machines (QP pools)
   ClientParams machine;    // per-machine NIC/CPU parameters
@@ -66,9 +71,6 @@ struct FleetParams {
   int window = 1;          // closed-loop outstanding ops per logical client
   bool open_loop = false;  // Poisson arrivals instead of a closed loop
   double open_mops = 1.0;  // aggregate arrival rate (Mops) when open-loop
-  // Request SEND payload (the GET header). The *reply* carries the drawn
-  // value size; the request itself stays small like a real KV get.
-  uint32_t request_bytes = 64;
   uint64_t seed = 42;
 };
 
@@ -93,7 +95,7 @@ class ClientFleet {
 
   // Starts every logical client; runs until StopIssuing().
   // `paths[i].payload` is ignored — every request SEND carries
-  // params.request_bytes; the reply carries the drawn value size.
+  // kRequestBytes; the reply carries the drawn value size.
   // `class_bytes` is the size-class table (parallel to `mix.weights`).
   void Start(std::vector<TargetSpec> paths, const ZipfDist* zipf,
              const SizeMixture& mix, std::vector<uint32_t> class_bytes,

@@ -47,7 +47,7 @@ ServerCard CardOf(ServerKind kind) {
 struct Experiment {
   Experiment(const HarnessConfig& c, ServerCard card)
       : config(c), testbed(&sim, c.testbed, card, c.faults), meter(&sim) {
-    testbed.AttachSinks(c.trace_path, c.metrics_path, c.trace_capacity);
+    testbed.AttachSinks(c.trace_path, c.metrics_path);
     meter.SetWindow(c.warmup, c.warmup + c.window);
   }
 

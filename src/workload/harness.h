@@ -13,7 +13,6 @@
 #include "src/common/units.h"
 #include "src/fault/plan.h"
 #include "src/nic/verb.h"
-#include "src/obs/trace.h"
 #include "src/topo/testbed_params.h"
 #include "src/workload/client.h"
 #include "src/workload/local_requester.h"
@@ -53,7 +52,6 @@ struct HarnessConfig {
   // is dumped there as JSON. Both files are byte-identical across runs.
   std::string trace_path;
   std::string metrics_path;
-  size_t trace_capacity = Tracer::kDefaultCapacity;
 
   // Fault schedule for this experiment (src/fault/plan.h). Empty (the
   // default) means no injector is even created: the run is bit-identical

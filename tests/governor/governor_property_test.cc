@@ -11,12 +11,15 @@
 //  - the advice gates: HoL-scale payloads are pinned to the host without
 //    consuming exploration draws, and the SoC in-flight cap spills to the
 //    host instead of building ARM queues;
+//  - the fault signal: a bound per-path error rate steers score-chosen
+//    traffic off the erroring path;
 //  - the counter table: every row declared in serving.h reaches
-//    Fingerprint().
+//    Fingerprint(), and LedgerBreaks names each broken identity alone.
 #include <gtest/gtest.h>
 
 #include <string>
 #include <type_traits>
+#include <utility>
 #include <vector>
 
 #include "src/governor/serving.h"
@@ -192,6 +195,37 @@ TEST(GovernorExploration, DrawsAreCountedAndBounded) {
   EXPECT_EQ(r.hol_gated, 0u);      // nothing in this mixture is HoL-scale
 }
 
+// After one sampling epoch, a path whose bound error rate is high loses the
+// score comparison, so a small resident request that would otherwise go to
+// the faster host pool is steered to the SoC.
+TEST(GovernorFaultSignal, ErrorRateSteersOffErroringPath) {
+  const TestbedParams tp = TestbedParams::Default();
+  kv::ServingLayout layout;
+  const kv::ServingConfig serving = kv::ServingConfig::FromTestbed(tp, layout);
+  GovernorConfig cfg;
+  cfg.explore_eps = 0.0;  // pure score comparison
+
+  KvRequest req;
+  req.rank = 5;  // SoC-resident
+  req.size_class = 0;
+  req.bytes = layout.class_bytes[0];
+  ASSERT_EQ(req.bytes, 64u);
+
+  const auto route_with_host_rate = [&](double host_rate) {
+    Simulator sim;
+    AdaptiveGovernor gov(&sim, cfg, &layout, serving, tp, ClientParams(),
+                         layout.class_bytes);
+    gov.BindErrorRate(kPathHost, [host_rate] { return host_rate; });
+    gov.BindErrorRate(kPathSoc, [] { return 0.0; });
+    sim.RunFor(cfg.epoch * 2 + FromNanos(1));
+    gov.StopTicking();
+    sim.Run();
+    return gov.Route(req);
+  };
+  EXPECT_EQ(route_with_host_rate(0.0), kPathHost);  // both healthy: host wins at 64 B
+  EXPECT_EQ(route_with_host_rate(0.9), kPathSoc);
+}
+
 // -- The counter declaration (serving.h) reaches the fingerprint ------------
 
 TEST(ServingCounters, EveryDeclaredCounterMovesTheFingerprint) {
@@ -213,6 +247,41 @@ TEST(ServingCounters, EveryDeclaredCounterMovesTheFingerprint) {
     }
     EXPECT_NE(r.Fingerprint(), base) << name;
   });
+}
+
+// Each of the four identities, broken alone on a closed ledger, yields
+// exactly one break, and that break names the identity.
+TEST(ServingCounters, LedgerBreaksNameEachIdentityAlone) {
+  ServingResult closed;
+  closed.generated = 12;
+  closed.issued = 11;
+  closed.hedges = 2;
+  closed.shed = 3;
+  closed.completed = 7;
+  closed.failed = 2;
+  closed.cancelled = 2;
+  closed.good = 5;
+  closed.late = 2;
+  closed.shed_codel = 1;
+  closed.shed_bucket = 1;
+  closed.shed_deadline = 1;
+  ASSERT_TRUE(closed.LedgerBreaks(/*deadlines=*/true).empty());
+  const std::vector<std::pair<uint64_t ServingResult::*, std::string>> breaks = {
+      {&ServingResult::generated, "generated 13 != issued 11 - hedges 2 + shed 3"},
+      {&ServingResult::cancelled, "issued 11 != completed 7 + failed 2 + cancelled 3"},
+      {&ServingResult::good, "good 6 + late 2 != completed 7"},
+      {&ServingResult::shed_codel, "shed 3 != codel 2 + bucket 1 + deadline 1"},
+  };
+  for (size_t i = 0; i < breaks.size(); ++i) {
+    const auto& [field, expect] = breaks[i];
+    ServingResult r = closed;
+    ++(r.*field);
+    const std::vector<std::string> got = r.LedgerBreaks(/*deadlines=*/true);
+    ASSERT_EQ(got.size(), 1u) << expect;
+    EXPECT_EQ(got[0], expect);
+    // The last two identities hold only when deadlines are on.
+    EXPECT_EQ(r.LedgerBreaks(/*deadlines=*/false).size(), i < 2 ? 1u : 0u) << expect;
+  }
 }
 
 }  // namespace

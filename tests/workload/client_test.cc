@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include "src/fault/injector.h"
+#include "src/sim/timer_wheel.h"
 #include "src/topo/server.h"
 
 namespace snicsim {
@@ -113,6 +115,49 @@ TEST_F(ClientTest, PerThreadStreamsDiffer) {
     }
   }
   EXPECT_LT(same, 3);
+}
+
+// Doorbell batching (Advice #4): one thread keeps one chain of four WQEs in
+// flight, so every doorbell launches exactly four ops.
+ClientParams BatchedOneThread() {
+  ClientParams p;
+  p.threads = 1;
+  p.window = 1;
+  p.doorbell_batch = true;
+  p.batch = 4;
+  return p;
+}
+
+TEST_F(ClientTest, BatchedLoopRingsOneDoorbellPerChain) {
+  ClientMachine cli(&sim_, &fabric_, BatchedOneThread(), "c0");
+  meter_.SetWindow(0, FromMicros(100));
+  cli.Start(Target(Verb::kRead, 64), AddressGenerator::Default10G(), &meter_);
+  sim_.RunUntil(FromMicros(100));
+  EXPECT_GT(meter_.ops(), 0u);
+  EXPECT_GT(cli.doorbells(), 0u);
+  EXPECT_EQ(cli.issued(), 4 * cli.doorbells());
+}
+
+// Under loss the batched loop protects each chain op at its NIC launch
+// (the engine's second entry point): every retry timer that fires either
+// retransmits its op or fails it.
+TEST_F(ClientTest, BatchedLoopRetransmitsUnderLoss) {
+  fault::FaultPlan plan;
+  plan.drop_rate = 0.05;
+  plan.seed = 3;
+  fault::FaultInjector injector(plan);
+  sim_.set_faults(&injector);
+  ClientParams p = BatchedOneThread();
+  p.transport_timeout = FromMicros(20);
+  ClientMachine cli(&sim_, &fabric_, p, "c0");
+  ASSERT_TRUE(cli.Reliable());
+  meter_.SetWindow(0, FromMicros(2000));
+  cli.Start(Target(Verb::kRead, 64), AddressGenerator::Default10G(), &meter_);
+  sim_.RunUntil(FromMicros(2000));
+  EXPECT_GT(meter_.ops(), 0u);
+  EXPECT_GT(cli.retransmits(), 0u);
+  EXPECT_EQ(sim_.timers().fired(),
+            cli.retransmits() + cli.op_failures() + cli.deadline_failures());
 }
 
 // Scheduled pumps hold pointers to the machine's loops, so a machine can be
