@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "src/sim/meter.h"
 #include "src/topo/server.h"
 #include "src/workload/client.h"
@@ -60,7 +63,22 @@ TEST_F(GovernorTest, ThrottlesUnderNetworkLoad) {
   h2s.Start(Verb::kWrite, 4096, AddressGenerator::Default10G(), &m);
   Path3Governor gov(&sim_, bf_.port(), &h2s);
   gov.Start();
+  // Each epoch's budget at full precision, read mid-epoch: the ablation's
+  // table prints one decimal, too coarse to show a refactor byte-identical.
+  std::string budgets;
+  for (int k = 1; k < 15; ++k) {
+    sim_.At(FromMicros(10 + 20 * k), [&] {
+      char buf[32];
+      std::snprintf(buf, sizeof(buf), "%.17g ", gov.last_budget_gbps());
+      budgets += buf;
+    });
+  }
   sim_.RunUntil(FromMicros(300));
+  EXPECT_EQ(budgets,
+            "86.352000000000004 37.200000000000017 22.454399999999993 20.816000000000003 2 "
+            "22.454399999999993 35.561600000000027 19.177600000000012 6.0704000000000349 "
+            "10.985600000000005 33.923200000000008 81.436800000000005 55.222400000000022 "
+            "30.6464 ");
   // Network near 190 Gbps: the budget collapses toward P - N.
   EXPECT_GT(gov.last_network_gbps(), 150.0);
   EXPECT_LT(gov.last_budget_gbps(), 100.0);
