@@ -2,8 +2,9 @@
 //
 // Clients saturate path ① with 4 KB mixed READ/WRITE traffic while a
 // host->SoC stream demands more than the P − N headroom. Greedy grabs all
-// the PCIe it can and throttles the network; the governor samples the port
-// counters each epoch and keeps the stream at the measured headroom.
+// the PCIe it can and throttles the network; the pacer (src/governor/pacer.h)
+// samples the port counters each epoch and keeps the stream at the measured
+// headroom.
 #include <cstdio>
 #include <iostream>
 #include <memory>
@@ -11,11 +12,11 @@
 
 #include "src/common/flags.h"
 #include "src/common/table.h"
+#include "src/governor/pacer.h"
 #include "src/runtime/sweep_runner.h"
 #include "src/sim/meter.h"
 #include "src/topo/server.h"
 #include "src/workload/client.h"
-#include "src/workload/governor.h"
 
 using namespace snicsim;  // NOLINT: bench brevity
 
@@ -64,11 +65,10 @@ PhaseResult Run(bool governed, double greedy_demand_gbps) {
   p3_all.SetWindow(FromMicros(100), 0);
   h2s.Start(Verb::kWrite, 4096, AddressGenerator(0, 10ull * 1024 * kMiB, 64, 77), &p3_all);
 
-  std::unique_ptr<Path3Governor> governor;
+  std::unique_ptr<governor::Path3Pacer> pacer;
   if (governed) {
-    GovernorParams gp;
-    governor = std::make_unique<Path3Governor>(&sim, bf.port(), &h2s, gp);
-    governor->Start();
+    pacer = std::make_unique<governor::Path3Pacer>(&sim, bf.port(), &h2s);
+    pacer->Start();
   }
 
   sim.RunUntil(busy_end);

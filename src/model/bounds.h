@@ -67,13 +67,19 @@ inline bool PayloadWithinCalibration(uint64_t payload) {
   return payload >= kMinCalibratedPayload && payload <= kMaxCalibratedPayload;
 }
 
-// §4 budget rule: when inter-machine traffic saturates the NIC, host<->SoC
-// traffic should be capped at P − N (PCIe minus network limit) to avoid
-// throttling the inter-machine path. Returns Gbps (>= 0).
+// §4 budget rule: host<->SoC (path ③) traffic should be capped at the PCIe
+// headroom the network leaves, P − N, to avoid throttling the inter-machine
+// path. Returns Gbps (>= 0). The only P − N in the tree: the static budget
+// below and the measured-N pacer (src/governor/pacer.h) both call it.
+inline double Path3HeadroomGbps(double pcie_gbps, double network_gbps) {
+  return std::max(0.0, pcie_gbps - network_gbps);
+}
+
+// The static budget: P minus the network link's N, as if the network were
+// always saturated.
 inline double SafePath3BudgetGbps(const TestbedParams& tp) {
-  const double p = tp.pcie_bandwidth.gbps();
-  const double n = tp.bluefield_nic.network_bandwidth.gbps();
-  return std::max(0.0, p - n);
+  return Path3HeadroomGbps(tp.pcie_bandwidth.gbps(),
+                           tp.bluefield_nic.network_bandwidth.gbps());
 }
 
 }  // namespace snicsim

@@ -92,6 +92,33 @@ TEST_F(LocalRequesterTest, MmioFlightMatchesEndpointPath) {
             server_.soc_ep()->to_mem().BaseLatency());
 }
 
+TEST_F(LocalRequesterTest, PacedRequesterDeliversNearTargetWhenUncontended) {
+  LocalRequesterParams lp = LocalRequesterParams::Host();
+  lp.paced_gbps = 40.0;
+  LocalRequester h2s(&sim_, &server_.nic(), server_.host_ep(), server_.soc_ep(), lp, "h2s");
+  meter_.SetWindow(FromMicros(50), FromMicros(450));
+  h2s.Start(Verb::kWrite, 4096, AddressGenerator::Default10G(), &meter_);
+  sim_.RunUntil(FromMicros(450));
+  EXPECT_NEAR(meter_.Gbps(), 40.0, 6.0);
+}
+
+TEST_F(LocalRequesterTest, DynamicRateChangeTakesEffect) {
+  LocalRequesterParams lp = LocalRequesterParams::Host();
+  lp.paced_gbps = 10.0;
+  LocalRequester h2s(&sim_, &server_.nic(), server_.host_ep(), server_.soc_ep(), lp, "h2s");
+  h2s.Start(Verb::kWrite, 4096, AddressGenerator::Default10G(), &meter_);
+  uint64_t at250 = 0;
+  sim_.At(FromMicros(250), [&] {
+    at250 = meter_.ops();
+    h2s.SetPacedRate(80.0);
+  });
+  sim_.RunUntil(FromMicros(500));
+  const double first = static_cast<double>(at250) * 4096 * 8 / 1e9 / 250e-6;
+  const double second =
+      static_cast<double>(meter_.ops() - at250) * 4096 * 8 / 1e9 / 250e-6;
+  EXPECT_GT(second, 3.0 * first);  // the rate change really applied
+}
+
 // Scheduled pumps hold pointers to the requester's loops, so a requester
 // can be started once only.
 using LocalRequesterDeathTest = LocalRequesterTest;
