@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/spec.h"
 #include "src/common/table.h"
 #include "src/fault/plan.h"
 #include "src/runtime/sweep_runner.h"
@@ -82,10 +83,10 @@ double LocalDbThroughput(bool s2h, bool batch, int batch_size,
 
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
-  const std::string trace = flags.GetString(
-      "trace", "", "trace JSON output (S2H doorbell-batch B=32 run)");
-  const std::string metrics = flags.GetString(
-      "metrics", "", "metrics JSON output (S2H doorbell-batch B=32 run)");
+  const std::string trace = spec::OutputPathFlag(
+      flags, "trace", "trace JSON output (S2H doorbell-batch B=32 run)");
+  const std::string metrics = spec::OutputPathFlag(
+      flags, "metrics", "metrics JSON output (S2H doorbell-batch B=32 run)");
   const int jobs = runtime::JobsFlag(flags);
   g_faults = fault::FaultsFlag(flags);
   flags.Finish();

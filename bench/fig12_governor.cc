@@ -25,6 +25,7 @@
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/spec.h"
 #include "src/common/table.h"
 #include "src/fault/plan.h"
 #include "src/governor/serving.h"
@@ -132,7 +133,7 @@ int main(int argc, char** argv) {
   const bool check = flags.GetBool("check", false,
                                    "assert dominance + --jobs/fault determinism");
   const std::string trace =
-      flags.GetString("trace", "", "Chrome trace of the 8 MiB flip point");
+      spec::OutputPathFlag(flags, "trace", "Chrome trace of the 8 MiB flip point");
   const int64_t host_cores = flags.GetInt("host-cores", 2, "serving host pool size");
   const int jobs = runtime::JobsFlag(flags);
   flags.Finish();

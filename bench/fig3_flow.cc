@@ -9,6 +9,7 @@
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/spec.h"
 #include "src/common/table.h"
 #include "src/fault/plan.h"
 #include "src/model/latency_model.h"
@@ -48,10 +49,10 @@ const char* Name(LatencyTarget t) {
 int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const int64_t payload = flags.GetInt("payload", 64, "payload bytes");
-  const std::string trace =
-      flags.GetString("trace", "", "Chrome trace_event JSON output (SNIC(1) READ run)");
+  const std::string trace = spec::OutputPathFlag(
+      flags, "trace", "Chrome trace_event JSON output (SNIC(1) READ run)");
   const std::string metrics =
-      flags.GetString("metrics", "", "metrics JSON output (SNIC(1) READ run)");
+      spec::OutputPathFlag(flags, "metrics", "metrics JSON output (SNIC(1) READ run)");
   const int jobs = runtime::JobsFlag(flags);
   const fault::FaultPlan faults = fault::FaultsFlag(flags);
   flags.Finish();

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/spec.h"
 #include "src/common/table.h"
 #include "src/fault/plan.h"
 #include "src/runtime/sweep_runner.h"
@@ -33,9 +34,9 @@ int main(int argc, char** argv) {
   const int64_t max_payload =
       flags.GetInt("max-payload", 16384, "largest payload in the sweep");
   const std::string trace =
-      flags.GetString("trace", "", "trace JSON output (SNIC(1) READ 64B run)");
+      spec::OutputPathFlag(flags, "trace", "trace JSON output (SNIC(1) READ 64B run)");
   const std::string metrics =
-      flags.GetString("metrics", "", "metrics JSON output (SNIC(1) READ 64B run)");
+      spec::OutputPathFlag(flags, "metrics", "metrics JSON output (SNIC(1) READ 64B run)");
   const int jobs = runtime::JobsFlag(flags);
   const fault::FaultPlan faults = fault::FaultsFlag(flags);
   flags.Finish();

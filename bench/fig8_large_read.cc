@@ -10,6 +10,7 @@
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/spec.h"
 #include "src/common/table.h"
 #include "src/fault/plan.h"
 #include "src/runtime/sweep_runner.h"
@@ -21,9 +22,9 @@ int main(int argc, char** argv) {
   Flags flags(argc, argv);
   const bool quick = flags.GetBool("quick", false, "skip the >16MB points");
   const std::string trace =
-      flags.GetString("trace", "", "trace JSON output (first READ SNIC(2) point)");
-  const std::string metrics =
-      flags.GetString("metrics", "", "metrics JSON output (first READ SNIC(2) point)");
+      spec::OutputPathFlag(flags, "trace", "trace JSON output (first READ SNIC(2) point)");
+  const std::string metrics = spec::OutputPathFlag(
+      flags, "metrics", "metrics JSON output (first READ SNIC(2) point)");
   const int jobs = runtime::JobsFlag(flags);
   const fault::FaultPlan faults = fault::FaultsFlag(flags);
   flags.Finish();

@@ -34,6 +34,7 @@
 #include <vector>
 
 #include "src/common/flags.h"
+#include "src/common/spec.h"
 #include "src/common/table.h"
 #include "src/fault/plan.h"
 #include "src/runtime/check.h"
@@ -161,9 +162,8 @@ int main(int argc, char** argv) {
       "assert determinism + ledgers + dominance + failover + memory bounds");
   const int jobs = runtime::JobsFlag(flags);
   const int sim_threads = runtime::SimThreadsFlag(flags);
-  const std::string metrics = flags.GetString(
-      "metrics", "",
-      "write the rack.* metrics JSON of the 1M-user cell to this file");
+  const std::string metrics = spec::OutputPathFlag(
+      flags, "metrics", "write the rack.* metrics JSON of the 1M-user cell to this file");
   flags.Finish();
 
   std::vector<RackKvParams> cells = AllCells(plan, tplan, sim_threads);

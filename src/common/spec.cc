@@ -3,6 +3,7 @@
 #include <cctype>
 #include <cmath>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
 #include <limits>
 #include <sstream>
@@ -397,6 +398,25 @@ bool Parse(const std::string& text, const Grammar& grammar, std::string* error) 
 void ExitBadFlag(const std::string& name, const std::string& error) {
   std::fprintf(stderr, "--%s: %s\n", name.c_str(), error.c_str());
   std::exit(2);
+}
+
+std::string OutputPathFlag(Flags& flags, const std::string& name, const std::string& help) {
+  const std::string path = flags.GetString(name, "", help);
+  if (path.empty()) {
+    return path;
+  }
+  // Probe with an append open, then remove the file if the probe made it.
+  std::error_code ec;
+  const bool existed = std::filesystem::exists(path, ec);
+  std::FILE* f = std::fopen(path.c_str(), "a");
+  if (f == nullptr) {
+    ExitBadFlag(name, "cannot write '" + path + "'");
+  }
+  std::fclose(f);
+  if (!existed) {
+    std::remove(path.c_str());
+  }
+  return path;
 }
 
 }  // namespace spec

@@ -172,6 +172,11 @@ Plan ParseFlag(Flags& flags, const std::string& name, const std::string& help,
   return plan;
 }
 
+// Registers --name as an output file path and returns it ("" when unset).
+// A set path is probed for writing at parse time, so an unwritable one exits
+// 2 with "--name: cannot write '<path>'" before a sweep runs, not after it.
+std::string OutputPathFlag(Flags& flags, const std::string& name, const std::string& help);
+
 }  // namespace spec
 }  // namespace snicsim
 

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <string>
 #include <vector>
+
+#include "src/common/spec.h"
 
 namespace snicsim {
 namespace {
@@ -92,6 +96,28 @@ TEST(FlagsDeathTest, RejectsUnknownBoolSpellings) {
   EXPECT_EXIT(Make({"--check=maybe"}).GetBool("check", false),
               testing::ExitedWithCode(2), "--check: 'maybe' is not a bool");
   EXPECT_EXIT(Make({"--csv=maybe"}), testing::ExitedWithCode(2), "--csv: ");
+}
+
+// An output path is probed when the flag is read: an unwritable one exits 2
+// before any run, instead of aborting after a whole sweep.
+TEST(FlagsDeathTest, RejectsUnwritableOutputPaths) {
+  Flags missing_dir = Make({"--metrics=/nonexistent/x.json"});
+  EXPECT_EXIT(spec::OutputPathFlag(missing_dir, "metrics", ""), testing::ExitedWithCode(2),
+              "--metrics: cannot write '/nonexistent/x.json'");
+  const std::string dir = testing::TempDir();
+  Flags directory = Make({"--trace", dir.c_str()});
+  EXPECT_EXIT(spec::OutputPathFlag(directory, "trace", ""), testing::ExitedWithCode(2),
+              "--trace: cannot write '");
+}
+
+TEST(Flags, WritableOutputPathIsReturnedAndLeftUncreated) {
+  Flags unset = Make({});
+  EXPECT_EQ(spec::OutputPathFlag(unset, "trace", ""), "");
+  const std::string path = testing::TempDir() + "/flags_test_out.json";
+  std::filesystem::remove(path);
+  Flags set = Make({("--trace=" + path).c_str()});
+  EXPECT_EQ(spec::OutputPathFlag(set, "trace", ""), path);
+  EXPECT_FALSE(std::filesystem::exists(path));
 }
 
 }  // namespace
