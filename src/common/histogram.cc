@@ -32,16 +32,6 @@ int Histogram::BucketFor(int64_t value) const {
                           (sub - (sub_bucket_count_ >> 1)));
 }
 
-int64_t Histogram::BucketLow(int index) const {
-  if (index < sub_bucket_count_) {
-    return index;
-  }
-  const int64_t half = sub_bucket_count_ >> 1;
-  const int range = static_cast<int>((index - sub_bucket_count_) / half) + 1;
-  const int64_t sub = (index - sub_bucket_count_) % half + half;
-  return sub << range;
-}
-
 int64_t Histogram::BucketHigh(int index) const {
   if (index < sub_bucket_count_) {
     return index;

@@ -37,7 +37,6 @@ class Histogram {
 
  private:
   int BucketFor(int64_t value) const;
-  int64_t BucketLow(int index) const;
   int64_t BucketHigh(int index) const;
 
   int sub_bucket_bits_;

@@ -40,7 +40,6 @@ class Bandwidth {
  public:
   constexpr Bandwidth() : bytes_per_sec_(0.0) {}
 
-  static constexpr Bandwidth BytesPerSec(double bps) { return Bandwidth(bps); }
   static constexpr Bandwidth Gbps(double gbps) { return Bandwidth(gbps * 1e9 / 8.0); }
   static constexpr Bandwidth GBps(double gBps) { return Bandwidth(gBps * 1e9); }
 

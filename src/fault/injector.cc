@@ -99,16 +99,6 @@ bool FaultInjector::CrashKills(const std::string& domain, SimTime from,
   return false;
 }
 
-bool FaultInjector::PermanentlyLostAt(const std::string& domain,
-                                      SimTime at) const {
-  for (const PermLossEvent& ev : plan_.permlosses) {
-    if (at >= ev.at && DomainMatches(ev.domain, domain)) {
-      return true;
-    }
-  }
-  return false;
-}
-
 bool FaultInjector::InRewarm(const std::string& domain, SimTime at) const {
   for (const CrashWindow& w : plan_.crashes) {
     if (at >= w.end && at < w.end + w.rewarm && DomainMatches(w.domain, domain)) {

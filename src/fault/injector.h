@@ -69,10 +69,6 @@ class FaultInjector {
   // not kill (the reply left before the lights went out), and one ending
   // exactly at `from` doesn't either.
   bool CrashKills(const std::string& domain, SimTime from, SimTime to) const;
-  // Is `domain` permanently gone at `at` (a `permloss=` event fired)? Unlike
-  // CrashedAt this never becomes false again; the rack membership plane uses
-  // it to tell "wait out the restart" from "remove from the ring".
-  bool PermanentlyLostAt(const std::string& domain, SimTime at) const;
   // Is `domain` inside the cold-cache rewarm tail of a crash — i.e. is
   // `at` in [end, end + rewarm) of some window?
   bool InRewarm(const std::string& domain, SimTime at) const;
@@ -81,7 +77,6 @@ class FaultInjector {
 
   uint64_t frames_offered() const { return frames_offered_; }
   uint64_t frames_dropped() const { return frames_dropped_; }
-  uint64_t bursts_dropped() const { return bursts_dropped_; }
   uint64_t flap_drops() const { return flap_drops_; }
   uint64_t stall_hits() const { return stall_hits_; }
   SimTime stalled_time() const { return stalled_; }

@@ -100,17 +100,12 @@ class AdaptiveGovernor : public RoutePolicy {
   const char* name() const override { return "governor"; }
 
   // Introspection (property tests pin these).
-  int soc_inflight() const { return inflight_[kPathSoc]; }
   int soc_inflight_cap() const { return soc_cap_; }
   uint64_t routed(int path) const { return routed_[static_cast<size_t>(path)]; }
   uint64_t hol_gated() const { return hol_gated_; }
   uint64_t budget_spills() const { return budget_spills_; }
   uint64_t explored() const { return explored_; }
   uint64_t breaker_denied() const { return breaker_denied_; }
-  double path3_rate_gbps() const { return path3_rate_gbps_; }
-  double path3_budget_gbps() const { return path3_budget_gbps_; }
-  double host_util() const { return host_util_; }
-  double soc_util() const { return soc_util_; }
   const PathPriors& priors() const { return priors_; }
 
  private:

@@ -87,7 +87,6 @@ class NicEndpoint {
   int fe_id = -1;
 
   uint64_t reads_issued() const { return reads_issued_; }
-  uint64_t writes_issued() const { return writes_issued_; }
   uint64_t hol_events() const { return hol_events_; }
 
   // Exposes DMA/credit counters under "<name>"; paths and memory register

@@ -65,7 +65,6 @@ class WeightedArbiter {
   SimTime busy_total() const { return busy_total_; }
   uint64_t grants(int t) const { return grants_[t]; }
   SimTime busy(int t) const { return busy_[t]; }
-  uint64_t queued_now(int t) const { return queues_[t].size(); }
 
  private:
   struct Job {

@@ -64,7 +64,6 @@ class OffloadPipeline {
   }
 
   const PipelineStats& stats() const { return stats_; }
-  size_t stage_count() const { return stages_.size(); }
 
  private:
   void RunStage(size_t index, SimTime ready, std::function<void(SimTime)> done) {

@@ -30,18 +30,6 @@ enum class StageOp {
   kSketch,    // counting sketch / telemetry update; item unchanged
 };
 
-constexpr const char* StageOpName(StageOp op) {
-  switch (op) {
-    case StageOp::kScan:
-      return "scan";
-    case StageOp::kCompress:
-      return "compress";
-    case StageOp::kSketch:
-      return "sketch";
-  }
-  return "?";
-}
-
 // Affine per-item service cost in the item's current size.
 struct ServiceCurve {
   SimTime base = FromNanos(300);

@@ -29,7 +29,6 @@ struct RemoteMemoryRegion {
   PcieLink* server_port = nullptr;
   uint64_t addr = 0;
   uint64_t length = 0;
-  uint32_t rkey = 0;
 
   bool Contains(uint64_t a, uint64_t len) const {
     return a >= addr && a + len <= addr + length;

@@ -189,18 +189,6 @@ struct TokenBucketState {
 
 enum class BreakerState : uint8_t { kClosed, kOpen, kHalfOpen };
 
-constexpr const char* BreakerStateName(BreakerState s) {
-  switch (s) {
-    case BreakerState::kClosed:
-      return "closed";
-    case BreakerState::kOpen:
-      return "open";
-    case BreakerState::kHalfOpen:
-      return "half-open";
-  }
-  return "?";
-}
-
 class ResilienceManager {
  public:
   explicit ResilienceManager(const ResilienceConfig& cfg);

@@ -124,7 +124,6 @@ class TraceDriver {
 
   SimTime duration() const { return duration_; }
   int segment_count() const { return static_cast<int>(segs_.size()); }
-  SimTime segment_start(int i) const { return starts_[static_cast<size_t>(i)]; }
   const TraceSegment& segment(int i) const { return segs_[static_cast<size_t>(i)]; }
 
   // Max rate over all segments: the candidate-generation rate the thinning

@@ -22,7 +22,6 @@ class VerbsTest : public ::testing::Test {
     mr.server_port = server_.port();
     mr.addr = 0x1000;
     mr.length = len;
-    mr.rkey = 0x77;
     return mr;
   }
 
