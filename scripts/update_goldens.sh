@@ -5,7 +5,7 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-cmake -B build -G Ninja
+cmake -B build -S .
 cmake --build build --target golden_golden_run_test golden_overload_golden_test \
   golden_tenants_golden_test golden_rack_golden_test golden_serving_golden_test \
   golden_trace_golden_test golden_bulk_golden_test governor_autoscaler_test \
