@@ -10,6 +10,7 @@
 
 #include "src/common/flags.h"
 #include "src/common/table.h"
+#include "src/model/bounds.h"
 #include "src/runtime/sweep_runner.h"
 #include "src/topo/future.h"
 #include "src/workload/harness.h"
@@ -110,10 +111,8 @@ int main(int argc, char** argv) {
         bad3 < 0.8 * ok3 ? "yes" : "no");
   }
   {
-    const double budget2 = bf2.testbed.pcie_bandwidth.gbps() -
-                           bf2.testbed.bluefield_nic.network_bandwidth.gbps();
-    const double budget3 = bf3.testbed.pcie_bandwidth.gbps() -
-                           bf3.testbed.bluefield_nic.network_bandwidth.gbps();
+    const double budget2 = SafePath3BudgetGbps(bf2.testbed);
+    const double budget3 = SafePath3BudgetGbps(bf3.testbed);
     char b2[64];
     char b3[64];
     std::snprintf(b2, sizeof(b2), "P-N = %.0f Gbps", budget2);
