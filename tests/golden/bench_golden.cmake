@@ -2,15 +2,19 @@
 # snicsim_bench_golden (bench/CMakeLists.txt):
 #
 #   cmake -DBENCH=<binary> -DGOLDEN=<tests/golden/data/bench_<name>.golden>
-#         -P bench_golden.cmake
+#         [-DARGS="<arg> ..."] -P bench_golden.cmake
 #
-# Runs `<binary> --jobs=2 --csv` and compares its stdout with GOLDEN; with
-# UPDATE_GOLDENS set in the environment it rewrites GOLDEN instead
-# (scripts/update_goldens.sh).
-execute_process(COMMAND ${BENCH} --jobs=2 --csv
+# Runs `<binary> ARGS` (default `--jobs=2 --csv`) and compares its stdout
+# with GOLDEN; with UPDATE_GOLDENS set in the environment it rewrites GOLDEN
+# instead (scripts/update_goldens.sh).
+if(NOT DEFINED ARGS)
+  set(ARGS "--jobs=2 --csv")
+endif()
+separate_arguments(args UNIX_COMMAND "${ARGS}")
+execute_process(COMMAND ${BENCH} ${args}
                 OUTPUT_VARIABLE actual RESULT_VARIABLE rc)
 if(NOT rc EQUAL 0)
-  message(FATAL_ERROR "${BENCH} --jobs=2 --csv exited ${rc}")
+  message(FATAL_ERROR "${BENCH} ${ARGS} exited ${rc}")
 endif()
 if(DEFINED ENV{UPDATE_GOLDENS})
   file(WRITE ${GOLDEN} "${actual}")
