@@ -6,6 +6,7 @@
 #include <filesystem>
 #include <fstream>
 #include <limits>
+#include <set>
 #include <sstream>
 #include <type_traits>
 #include <utility>
@@ -282,6 +283,7 @@ const Key* FindKey(const Grammar& g, const std::string& name, bool json) {
 
 bool ParseJson(const std::string& text, const Grammar& g, std::string* error) {
   JsonScanner s(text, error);
+  std::set<const Key*> seen;  // keys that take one value, once given
   const bool ok = s.ReadSequence('{', '}', [&] {
     std::string name;
     if (!s.ReadString(&name) || !s.Expect(':')) {
@@ -290,6 +292,9 @@ bool ParseJson(const std::string& text, const Grammar& g, std::string* error) {
     const Key* key = FindKey(g, name, /*json=*/true);
     if (key == nullptr) {
       return s.Fail("unknown " + g.file_noun + " key '" + name + "'");
+    }
+    if (!key->repeated && !seen.insert(key).second) {
+      return s.Fail("repeated " + g.file_noun + " key '" + name + "'");
     }
     JsonValue v(&s, *key);
     if (key->repeated) {
@@ -375,6 +380,7 @@ bool Parse(const std::string& text, const Grammar& grammar, std::string* error) 
     buf << in.rdbuf();
     return ParseJson(buf.str(), grammar, error);
   }
+  std::set<const Key*> seen;
   for (const std::string& entry : SplitEntries(text)) {
     const size_t eq = entry.find('=');
     if (eq == std::string::npos) {
@@ -385,6 +391,10 @@ bool Parse(const std::string& text, const Grammar& grammar, std::string* error) 
     const Key* key = FindKey(grammar, name, /*json=*/false);
     if (key == nullptr) {
       *error = "unknown " + grammar.noun + " key '" + name + "'";
+      return false;
+    }
+    if (!key->repeated && !seen.insert(key).second) {
+      *error = "repeated " + grammar.noun + " key '" + name + "'";
       return false;
     }
     InlineValue v(*key, entry.substr(eq + 1), error);

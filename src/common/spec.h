@@ -10,11 +10,12 @@
 //            to the record's fields by position;
 //   file:    "@path.json" — one JSON object whose keys are the scalars and
 //            arrays of flat objects keyed by the same field names.
-// Both forms are strict: an unknown key or field, a trailing character, a
-// malformed or non-finite number, and a number that does not fit the field
-// it lands in (seed into uint64_t, bytes into uint32_t, ...) all fail the
-// parse with a message — a typo'd spec must never silently run with
-// defaults. Fractional values in integer fields truncate toward zero.
+// Both forms are strict: an unknown key or field, a second value for a key
+// that is not a record, a trailing character, a malformed or non-finite
+// number, and a number that does not fit the field it lands in (seed into
+// uint64_t, bytes into uint32_t, ...) all fail the parse with a message — a
+// typo'd spec must never silently run with defaults. Fractional values in
+// integer fields truncate toward zero.
 //
 // Include this header from .cc files only: its short helper names stay out
 // of the public headers' namespaces.
@@ -131,14 +132,15 @@ struct Key {
   std::string name;       // inline key
   std::string json_name;  // JSON key
   std::string label;      // what one value is called in messages
-  bool repeated = false;  // JSON value is an array, read once per element
+  // A records key: given any number of times, and in JSON an array read once
+  // per element. Any other key takes one value; a second one fails the parse.
+  bool repeated = false;
   std::function<bool(Value&)> read;
 };
 
 // A scalar key; `json_name` defaults to `name`.
 Key Scalar(const std::string& name, Slot slot, const std::string& json_name = "");
-// A list of integers (":"-separated inline, an array in JSON). Replaces
-// `*out` on every occurrence.
+// A list of integers (":"-separated inline, an array in JSON).
 Key List(const std::string& name, std::vector<int>* out);
 // A repeatable record key: one inline "name=A:B:C" entry per record, one
 // JSON "json_name":[{...},...] array for all of them. `label` (default

@@ -1,6 +1,7 @@
 // The spec core under the --faults / --tenants / --load-trace grammars:
 // splitting, the strict number reader, the checked integer and time casts,
-// one toy grammar read in both forms, and the canonical text form.
+// one toy grammar read in both forms, one-value keys in all three real
+// grammars, and the canonical text form.
 #include "src/common/spec.h"
 
 #include <gtest/gtest.h>
@@ -8,6 +9,10 @@
 #include <fstream>
 #include <string>
 #include <vector>
+
+#include "src/fault/plan.h"
+#include "src/offload/tenant_config.h"
+#include "src/workload/trace/trace.h"
 
 namespace snicsim {
 namespace spec {
@@ -140,6 +145,36 @@ TEST(Spec, MessagesNameWhatWentWrong) {
   EXPECT_NE(json_error(R"({"rate":1} x)").find("trailing characters after toy-file object"),
             std::string::npos);
   EXPECT_NE(json_error(R"({"rate":1e400})").find("finite"), std::string::npos);
+}
+
+// A key that is not a record takes one value: a second one used to win
+// silently, so `drop=0.1,drop=0` ran fault-free.
+TEST(Spec, RepeatedValueKeysFailInEveryGrammar) {
+  std::string error;
+  fault::FaultPlan faults;
+  EXPECT_FALSE(fault::ParseFaultPlan("drop=0.1,drop=0", &faults, &error));
+  EXPECT_NE(error.find("repeated fault key 'drop'"), std::string::npos) << error;
+  offload::TenantSetConfig tenants;
+  EXPECT_FALSE(offload::ParseTenantSet("cores=2,cores=4", &tenants, &error));
+  EXPECT_NE(error.find("repeated tenant key 'cores'"), std::string::npos) << error;
+  trace::TracePlan plan;
+  EXPECT_FALSE(
+      trace::ParseTracePlan("version=1,duration=100,duration=200,seg=0:1", &plan, &error));
+  EXPECT_NE(error.find("repeated trace key 'duration'"), std::string::npos) << error;
+
+  const std::string path = ::testing::TempDir() + "/spec_repeated.json";
+  std::ofstream(path, std::ios::binary) << R"({"drop":0.1,"drop":0.0})";
+  EXPECT_FALSE(fault::ParseFaultPlan("@" + path, &faults, &error));
+  EXPECT_NE(error.find("repeated schedule key 'drop'"), std::string::npos) << error;
+
+  // Records still repeat, in both forms.
+  Toy toy;
+  EXPECT_TRUE(ParseToy("item=a:1,item=b:2", &toy, &error)) << error;
+  std::ofstream(path, std::ios::binary) << R"({"items":[{"name":"a","bytes":1}],
+                                              "items":[{"name":"b","bytes":2}]})";
+  EXPECT_TRUE(ParseToy("@" + path, &toy, &error)) << error;
+  EXPECT_EQ(toy.names, (std::vector<std::string>{"a", "b"}));
+  EXPECT_NE(ToyError("cores=1,cores=2").find("repeated toy key 'cores'"), std::string::npos);
 }
 
 TEST(Spec, CanonicalTextForm) {
