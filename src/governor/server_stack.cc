@@ -9,29 +9,54 @@ ServerStack::ServerStack(Simulator* simulator, const TestbedParams& testbed,
                          const kv::ServingConfig& serving,
                          const fault::FaultPlan& faults,
                          const resilience::ResilienceConfig& resil_cfg,
-                         const std::string& name)
+                         const offload::TenantSetConfig& tenant_cfg,
+                         const trace::TracePlan& plan, const std::string& name)
     : Testbed(simulator, testbed, ServerCard::kBluefield, faults, name),
+      params(testbed),
       exec(sim, bf.get(), serving) {
   if (!resil_cfg.empty()) {
     resil = std::make_unique<resilience::ResilienceManager>(resil_cfg);
     exec.BindResilience(resil.get());
   }
+  if (!tenant_cfg.empty()) {
+    tenants = std::make_unique<offload::TenantManager>(sim, bf.get(), injector.get(),
+                                                       tenant_cfg, serving.host_domain,
+                                                       serving.soc_domain);
+    exec.SetServeObserver(
+        [tm = tenants.get()](int ep, uint32_t bytes) { tm->OnKvServed(ep, bytes); });
+  }
+  if (!plan.empty()) {
+    trace = std::make_unique<trace::TraceDriver>(plan);
+    if (tenants != nullptr) {
+      tenants->SetTrace(trace.get());
+    }
+  }
 }
 
 AdaptiveGovernor* ServerStack::AttachGovernor(const GovernorConfig& cfg,
-                                              const TestbedParams& testbed,
                                               const ClientParams& client) {
   SNIC_CHECK(gov == nullptr);
   const kv::ServingConfig& serving = exec.config();
-  gov = std::make_unique<AdaptiveGovernor>(sim, cfg, &serving.layout, serving,
-                                           testbed, client,
-                                           serving.layout.class_bytes);
+  gov = std::make_unique<AdaptiveGovernor>(sim, cfg, &serving.layout, serving, params,
+                                           client, serving.layout.class_bytes);
   if (resil != nullptr) {
     gov->BindResilience(resil.get());
+  }
+  if (tenants != nullptr) {
+    tenants->RegisterMetrics(&live_reg);
   }
   exec.RegisterMetrics(&live_reg);
   gov->BindMetrics(live_reg);
   return gov.get();
+}
+
+void ServerStack::StopIssuing() {
+  if (gov != nullptr) {
+    gov->StopTicking();
+  }
+  if (tenants != nullptr) {
+    tenants->StopIssuing();
+  }
 }
 
 }  // namespace governor

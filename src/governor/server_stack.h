@@ -4,18 +4,23 @@
 // The machine itself is a Testbed (src/topo/testbed.h) with a BlueField
 // card: Fabric, BluefieldServer and, for a non-empty plan, the
 // FaultInjector installed on the simulator; every clock arms through the
-// simulator's own TimerWheel. The stack adds the ServingExecutor, then the
-// ResilienceManager only for a non-empty config, so an empty one stays
-// byte-identical to a build without the layer.
+// simulator's own TimerWheel. The stack adds the ServingExecutor, then
+// each optional layer only for a non-empty config, so an empty one stays
+// byte-identical to a build without the layer: the ResilienceManager, the
+// TenantManager and the load-trace TraceDriver.
 // Bind rules, kept here and nowhere else:
 //  - resilience is bound to the executor, and to the governor on attach;
-//  - AttachGovernor adds the executor's meters to `live_reg`, then
-//    BindMetrics arms the epoch tick. Callers register their own path-③
-//    meters ("tenant.path3_bytes", "repair.path3_bytes") before it, so the
-//    budget gate sees them from the first epoch.
+//  - kv-kind tenants ride the executor's served stream (SetServeObserver),
+//    and the tenants' background streams follow the trace;
+//  - AttachGovernor adds the tenant meters to `live_reg`, then the
+//    executor's, then BindMetrics arms the epoch tick, so the budget gate
+//    sees tenant path-③ crossings from the first epoch. The rack's repair
+//    plane is the one caller that registers a path-③ meter of its own
+//    ("repair.path3_bytes"), before AttachGovernor;
+//  - StopIssuing ends the governor tick, then the tenant streams.
 // The observability sinks attach through Testbed::AttachSinks (RunServing
-// does; a rack domain never traces). Tenants, fleets, trace drivers, the
-// autoscaler and extra fabric ports stay with the caller.
+// does; a rack domain never traces). The fleets, the autoscaler and extra
+// fabric ports stay with the caller; the caller binds its fleet to `trace`.
 #ifndef SRC_GOVERNOR_SERVER_STACK_H_
 #define SRC_GOVERNOR_SERVER_STACK_H_
 
@@ -25,8 +30,10 @@
 #include "src/governor/governor.h"
 #include "src/kvstore/serving.h"
 #include "src/obs/metrics.h"
+#include "src/offload/tenancy.h"
 #include "src/resilience/resilience.h"
 #include "src/topo/testbed.h"
+#include "src/workload/trace/trace.h"
 
 namespace snicsim {
 namespace governor {
@@ -35,18 +42,23 @@ struct ServerStack : Testbed {
   ServerStack(Simulator* simulator, const TestbedParams& testbed,
               const kv::ServingConfig& serving, const fault::FaultPlan& faults,
               const resilience::ResilienceConfig& resil_cfg,
+              const offload::TenantSetConfig& tenant_cfg, const trace::TracePlan& plan,
               const std::string& name = "bf_srv");
   ServerStack(const ServerStack&) = delete;
   ServerStack& operator=(const ServerStack&) = delete;
 
   // Builds the governor over the executor's config and binds it. Call
   // once, after the caller's own live_reg entries.
-  AdaptiveGovernor* AttachGovernor(const GovernorConfig& cfg,
-                                   const TestbedParams& testbed,
-                                   const ClientParams& client);
+  AdaptiveGovernor* AttachGovernor(const GovernorConfig& cfg, const ClientParams& client);
 
+  // The quiesce edge of the stack's own clocks; work in flight drains.
+  void StopIssuing();
+
+  const TestbedParams params;  // what the machine was built from
   kv::ServingExecutor exec;
   std::unique_ptr<resilience::ResilienceManager> resil;
+  std::unique_ptr<offload::TenantManager> tenants;  // non-empty tenant set only
+  std::unique_ptr<trace::TraceDriver> trace;        // non-empty plan only
   MetricsRegistry live_reg;  // sampled by the governor's tick, never dumped
   std::unique_ptr<AdaptiveGovernor> gov;
 };

@@ -60,39 +60,20 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   }
   // The governor's epoch clock and the fleet's retry timers arm through the
   // simulator's wheel, which lives entirely inside this one domain.
-  ServerStack stack(&sim, config.testbed, serving, config.faults, config.resil);
+  // The tenant control plane and the trace driver exist only for a
+  // declared tenant set and plan (src/governor/server_stack.h).
+  ServerStack stack(&sim, config.testbed, serving, config.faults, config.resil,
+                    config.tenants, config.trace);
   kv::ServingExecutor& exec = stack.exec;
   fault::FaultInjector* const injector = stack.injector.get();
   resilience::ResilienceManager* const resil = stack.resil.get();
+  offload::TenantManager* const tenant_mgr = stack.tenants.get();
+  const trace::TraceDriver* const trace_driver = stack.trace.get();
   stack.AttachSinks(config.trace_path, config.metrics_path);
 
-  // Tenant control plane: only exists when tenants are declared, so a
-  // tenant-free run stays byte-identical to a pre-tenancy build. kv-kind
-  // tenants ride the executor's served stream through the observer tap.
-  std::unique_ptr<offload::TenantManager> tenant_mgr;
-  if (!config.tenants.empty()) {
-    tenant_mgr = std::make_unique<offload::TenantManager>(
-        &sim, stack.bf.get(), injector, config.tenants, serving.host_domain,
-        serving.soc_domain);
-    exec.SetServeObserver([tm = tenant_mgr.get()](int ep, uint32_t bytes) {
-      tm->OnKvServed(ep, bytes);
-    });
-  }
-
   ClientFleet fleet(&sim, &stack.fabric, config.fleet);
+  fleet.SetTrace(trace_driver);
   const ZipfDist zipf(config.layout.keys, config.zipf_theta);
-
-  // Trace layer: the driver only exists when a plan is declared, so a
-  // trace-free run stays byte-identical to a pre-trace build (and a flat
-  // plan consumes zero extra draws — see src/workload/trace/trace.h).
-  std::unique_ptr<trace::TraceDriver> trace_driver;
-  if (!config.trace.empty()) {
-    trace_driver = std::make_unique<trace::TraceDriver>(config.trace);
-    fleet.SetTrace(trace_driver.get());
-    if (tenant_mgr != nullptr) {
-      tenant_mgr->SetTrace(trace_driver.get());
-    }
-  }
 
   // The policy under test. The governor additionally gets the live metric
   // feed (its epoch sampler) and a per-path error rate drawn from the
@@ -113,11 +94,7 @@ ServingResult RunServing(const ServingRunConfig& raw) {
                               config.client, serving));
       break;
     case PolicyKind::kGovernor:
-      if (tenant_mgr != nullptr) {
-        // The governor's path-③ budget must see tenant crossings too.
-        tenant_mgr->RegisterMetrics(&stack.live_reg);
-      }
-      gov = stack.AttachGovernor(config.governor, config.testbed, config.client);
+      gov = stack.AttachGovernor(config.governor, config.client);
       for (int p = 0; p < kPathCount; ++p) {
         gov->BindErrorRate(p, [&fleet, p] {
           const size_t i = static_cast<size_t>(p);
@@ -146,16 +123,11 @@ ServingResult RunServing(const ServingRunConfig& raw) {
     sig.deadline_failed = [&fleet] { return fleet.deadline_failed(); };
     sig.shed = [&fleet] { return fleet.shed(); };
     if (tenant_mgr != nullptr) {
-      sig.tenant_checked = [tm = tenant_mgr.get()] {
-        return tm->slo_checked_total();
-      };
-      sig.tenant_violations = [tm = tenant_mgr.get()] {
-        return tm->violations_total();
-      };
+      sig.tenant_checked = [tenant_mgr] { return tenant_mgr->slo_checked_total(); };
+      sig.tenant_violations = [tenant_mgr] { return tenant_mgr->violations_total(); };
     }
-    slo_monitor = std::make_unique<SloMonitor>(
-        trace_driver.get(), std::move(sig), config.scale.slo_budget,
-        config.governor.epoch);
+    slo_monitor = std::make_unique<SloMonitor>(trace_driver, std::move(sig),
+                                               config.scale.slo_budget, config.governor.epoch);
     if (config.scale.enabled) {
       // The scarce budget is the serving SoC pool plus tenant pool 0; both
       // sides must exist for a split to move.
@@ -164,14 +136,10 @@ ServingResult RunServing(const ServingRunConfig& raw) {
       act.serving_cores = [&exec] { return exec.soc_cpu().size(); };
       act.set_serving_cores = [&exec](int n) { exec.soc_cpu().SetServers(n); };
       act.serving_busy = [&exec] { return exec.soc_cpu().busy_time(); };
-      act.pool_cores = [tm = tenant_mgr.get()] { return tm->PoolCores(0); };
-      act.set_pool_cores = [tm = tenant_mgr.get()](int n) {
-        tm->SetPoolCores(0, n);
-      };
-      act.pool_busy = [tm = tenant_mgr.get()] { return tm->PoolBusy(0); };
-      act.set_tenant_weight = [tm = tenant_mgr.get()](int t, int w) {
-        tm->SetTenantWeight(t, w);
-      };
+      act.pool_cores = [tenant_mgr] { return tenant_mgr->PoolCores(0); };
+      act.set_pool_cores = [tenant_mgr](int n) { tenant_mgr->SetPoolCores(0, n); };
+      act.pool_busy = [tenant_mgr] { return tenant_mgr->PoolBusy(0); };
+      act.set_tenant_weight = [tenant_mgr](int t, int w) { tenant_mgr->SetTenantWeight(t, w); };
       autoscaler = std::make_unique<EpochAutoscaler>(
           config.scale, std::move(act), config.governor.epoch);
     }
@@ -245,12 +213,7 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   // terminates, so conservation is exact (not cut off mid-flight).
   sim.At(config.warmup + config.window, [&] {
     fleet.StopIssuing();
-    if (gov != nullptr) {
-      gov->StopTicking();
-    }
-    if (tenant_mgr != nullptr) {
-      tenant_mgr->StopIssuing();
-    }
+    stack.StopIssuing();
   });
   sim.Run();
 

@@ -174,11 +174,6 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     SNIC_CHECK_GE(params.membership.permloss_epochs, 1);
     SNIC_CHECK_GE(params.membership.migrate_batch, 1);
   }
-  if (!params.trace.empty()) {
-    std::string why;
-    const bool trace_ok = params.trace.Validate(&why);
-    SNIC_CHECK(trace_ok);
-  }
 
   ParallelSimulator psim(params.servers, params.rack_link_latency,
                          params.sim_threads);
@@ -205,11 +200,6 @@ RackKvResult RunRackKv(const RackKvParams& params) {
   rack.psim = &psim;
   rack.ring = &ring;
   rack.zipf = &zipf;
-  std::unique_ptr<trace::TraceDriver> trace_driver;
-  if (!params.trace.empty()) {
-    trace_driver = std::make_unique<trace::TraceDriver>(params.trace);
-    rack.trace = trace_driver.get();
-  }
   rack.doms.reserve(static_cast<size_t>(params.servers));
   const ClientParams client_params;  // governor latency priors only
   for (int d = 0; d < params.servers; ++d) {
@@ -241,7 +231,7 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     governor::GovernorConfig gcfg;
     gcfg.seed = params.seed ^ (0x9e3779b97f4a7c15ull * (d + 1));
     gcfg.epoch = params.governor_epoch;
-    dom->stack.AttachGovernor(gcfg, params.testbed, client_params);
+    dom->stack.AttachGovernor(gcfg, client_params);
     AggregateFleetParams fp;
     fp.users_per_class =
         AggregateFleet::Partition(per_server[static_cast<size_t>(d)], params.mix);
@@ -249,9 +239,7 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     fp.seed = params.seed ^ (0xd1b54a32d192ed03ull * (d + 1));
     fp.materialize = params.materialize_fleet;
     dom->fleet = std::make_unique<AggregateFleet>(dom->stack.sim, std::move(fp));
-    if (rack.trace != nullptr) {
-      dom->fleet->SetTrace(rack.trace);
-    }
+    dom->fleet->SetTrace(dom->stack.trace.get());
     dom->views.assign(static_cast<size_t>(params.servers), ServerView{});
     dom->ctr.server_completed.assign(static_cast<size_t>(params.servers), 0);
     rack.doms.push_back(std::move(dom));
@@ -284,7 +272,7 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     }
     dom.stack.sim->At(params.window, [fleet, dp] {
       fleet->Stop();
-      dp->stack.gov->StopTicking();
+      dp->stack.StopIssuing();
     });
   }
   psim.Run();

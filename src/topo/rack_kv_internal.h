@@ -22,7 +22,6 @@
 #include "src/topo/shard.h"
 #include "src/workload/addr_gen.h"
 #include "src/workload/aggregate_fleet.h"
-#include "src/workload/trace/trace.h"
 
 namespace snicsim {
 namespace rackkv {
@@ -141,8 +140,8 @@ struct KvDomain {
   KvDomain(DomainId d, Simulator* sim, const RackKvParams& p,
            const kv::ServingConfig& serving)
       : id(d),
-        stack(sim, p.testbed, serving, p.faults, p.resil,
-              "rack.s" + std::to_string(d)),
+        stack(sim, p.testbed, serving, p.faults, p.resil, offload::TenantSetConfig{},
+              p.trace, "rack.s" + std::to_string(d)),
         uplink(stack.fabric.AddPort("rack.s" + std::to_string(d) + ".up",
                                     p.testbed.client_port_bandwidth)),
         host_domain(serving.host_domain),
@@ -190,7 +189,6 @@ struct RackKv {
   ParallelSimulator* psim = nullptr;
   const HashRing* ring = nullptr;
   const ZipfDist* zipf = nullptr;
-  const trace::TraceDriver* trace = nullptr;
   std::vector<std::unique_ptr<KvDomain>> doms;
 };
 

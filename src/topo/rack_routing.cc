@@ -153,13 +153,12 @@ void IssueNew(RackKv& r, DomainId d, int cls, uint64_t user) {
   uint64_t rank = r.zipf->RankOf(dom.fleet->Draw(cls));
   const bool write = dom.fleet->Draw(cls) < r.p->write_fraction;
   int serve_cls = cls;
-  if (r.trace != nullptr) {
+  if (const trace::TraceDriver* tr = dom.stack.trace.get(); tr != nullptr) {
     // Working-set churn: a draw-free rank rotation — the trace shifts which
     // physical keys are hot without touching the draw stream (a zero-churn
     // trace is byte-identical to no trace at all).
-    rank = (rank + r.trace->ChurnAt(dom.stack.sim->now())) % r.p->layout.keys;
-    if (r.trace->has_scan() &&
-        dom.fleet->Draw(cls) < r.trace->ScanAt(dom.stack.sim->now())) {
+    rank = (rank + tr->ChurnAt(dom.stack.sim->now())) % r.p->layout.keys;
+    if (tr->has_scan() && dom.fleet->Draw(cls) < tr->ScanAt(dom.stack.sim->now())) {
       // Scan burst: the request is upgraded to the largest value class.
       // `cls` (the fleet population bucket) is untouched — OnComplete must
       // return the user to the bucket it was drawn from.

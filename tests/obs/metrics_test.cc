@@ -9,7 +9,6 @@
 
 #include "src/governor/server_stack.h"
 #include "src/kvstore/serving.h"
-#include "src/offload/tenancy.h"
 #include "src/offload/tenant_config.h"
 #include "src/resilience/resilience.h"
 #include "src/topo/rack_kv.h"
@@ -88,28 +87,26 @@ TEST(MetricsCatalog, EveryRegisteredLeafIsDocumented) {
   rc.shedding = true;
   rc.hedging = true;
   rc.breakers = true;
-  governor::ServerStack stack(
-      &sim, tp, kv::ServingConfig::FromTestbed(tp, kv::ServingLayout()), plan, rc);
+  // A trace plan pulls the conditional "trace" component (thinning /
+  // forced-scan counters) into the audited catalog, and the tenant control
+  // plane's "tenant" component rides the same audit; the stack builds both.
+  trace::TracePlan tplan;
+  std::string tperr;
+  ASSERT_TRUE(trace::ParseTracePlan("duration=100,seg=0:1", &tplan, &tperr)) << tperr;
+  offload::TenantSetConfig tcfg;
+  std::string terr;
+  ASSERT_TRUE(offload::ParseTenantSet("tenant=t0:sketch:1:1:512:0", &tcfg, &terr)) << terr;
+  governor::ServerStack stack(&sim, tp, kv::ServingConfig::FromTestbed(tp, kv::ServingLayout()),
+                              plan, rc, tcfg, tplan);
+  ASSERT_NE(stack.tenants, nullptr);
+  ASSERT_NE(stack.trace, nullptr);
   RnicServer rnic(&sim, &stack.fabric, tp);
   ClientMachine cli(&sim, &stack.fabric, ClientParams(), "cli0");
   LocalRequester req(&sim, &stack.bf->nic(), stack.bf->host_ep(), stack.bf->soc_ep(),
                      LocalRequesterParams::Host(), "h2s");
   ClientFleet fleet(&sim, &stack.fabric, FleetParams());
   fleet.SetResilience(stack.resil.get());
-  // Attaching a trace driver pulls the conditional "trace" component
-  // (thinning / forced-scan counters) into the audited catalog.
-  trace::TracePlan tplan;
-  std::string tperr;
-  ASSERT_TRUE(trace::ParseTracePlan("duration=100,seg=0:1", &tplan, &tperr))
-      << tperr;
-  trace::TraceDriver tdrv(tplan);
-  fleet.SetTrace(&tdrv);
-  // The tenant control plane's "tenant" component rides the same audit.
-  offload::TenantSetConfig tcfg;
-  std::string terr;
-  ASSERT_TRUE(offload::ParseTenantSet("tenant=t0:sketch:1:1:512:0", &tcfg, &terr))
-      << terr;
-  offload::TenantManager tenants(&sim, stack.bf.get(), stack.injector.get(), tcfg, "host", "soc");
+  fleet.SetTrace(stack.trace.get());
 
   MetricsRegistry reg;
   rnic.RegisterMetrics(&reg);
@@ -120,7 +117,7 @@ TEST(MetricsCatalog, EveryRegisteredLeafIsDocumented) {
   stack.exec.RegisterMetrics(&reg);
   fleet.RegisterMetrics(&reg);
   stack.resil->RegisterMetrics(&reg);
-  tenants.RegisterMetrics(&reg);
+  stack.tenants->RegisterMetrics(&reg);
   ASSERT_GT(reg.entries().size(), 30u);  // the graph is fully instrumented
 
   std::ifstream design(std::string(SNICSIM_SOURCE_DIR) + "/DESIGN.md");
