@@ -2,23 +2,15 @@
 # Regenerates the committed golden files under tests/golden/data/ from the
 # current simulator. Run this ONLY when a numeric change is intentional;
 # review the resulting diff like any other code change.
+#
+# Every pin is a ctest that rewrites its golden when UPDATE_GOLDENS is set:
+# the golden_* suites and bench pins, and the autoscaler test's flat-trace
+# pin. A new pin registered under those names needs no edit here.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 cmake -B build -S .
-cmake --build build --target golden_golden_run_test golden_overload_golden_test \
-  golden_tenants_golden_test golden_rack_golden_test golden_serving_golden_test \
-  golden_trace_golden_test golden_bulk_golden_test governor_autoscaler_test \
-  ablation_governor fig1_kvstore fig5_flows fig7_skew tab3_pcie_model \
-  sec21_cpu_vs_nic sec_faults ablation_zipf fig4_throughput ablation_bf3 ablation_vendor
+cmake --build build -j
 mkdir -p tests/golden/data
-UPDATE_GOLDENS=1 ./build/tests/golden_golden_run_test
-UPDATE_GOLDENS=1 ./build/tests/golden_overload_golden_test
-UPDATE_GOLDENS=1 ./build/tests/golden_tenants_golden_test
-UPDATE_GOLDENS=1 ./build/tests/golden_rack_golden_test
-UPDATE_GOLDENS=1 ./build/tests/golden_serving_golden_test
-UPDATE_GOLDENS=1 ./build/tests/golden_trace_golden_test
-UPDATE_GOLDENS=1 ./build/tests/golden_bulk_golden_test
-UPDATE_GOLDENS=1 ./build/tests/governor_autoscaler_test
-(cd build && UPDATE_GOLDENS=1 ctest -R '^golden_bench_')
+(cd build && UPDATE_GOLDENS=1 ctest -R '^golden_|^governor_autoscaler_test$')
 echo "goldens regenerated; review with: git diff tests/golden/data"
