@@ -57,8 +57,8 @@ struct ServerStack : Testbed {
   const TestbedParams params;  // what the machine was built from
   kv::ServingExecutor exec;
   std::unique_ptr<resilience::ResilienceManager> resil;
-  std::unique_ptr<offload::TenantManager> tenants;  // non-empty tenant set only
   std::unique_ptr<trace::TraceDriver> trace;        // non-empty plan only
+  std::unique_ptr<offload::TenantManager> tenants;  // non-empty tenant set only
   MetricsRegistry live_reg;  // sampled by the governor's tick, never dumped
   std::unique_ptr<AdaptiveGovernor> gov;
 };
