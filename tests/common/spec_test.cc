@@ -147,8 +147,8 @@ TEST(Spec, MessagesNameWhatWentWrong) {
   EXPECT_NE(json_error(R"({"rate":1e400})").find("finite"), std::string::npos);
 }
 
-// A key that is not a record takes one value: a second one used to win
-// silently, so `drop=0.1,drop=0` ran fault-free.
+// A key that is not a record takes one value: letting the last one win
+// would run `drop=0.1,drop=0` fault-free without a word.
 TEST(Spec, RepeatedValueKeysFailInEveryGrammar) {
   std::string error;
   fault::FaultPlan faults;
