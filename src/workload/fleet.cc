@@ -59,6 +59,7 @@ void ClientFleet::Start(std::vector<TargetSpec> paths, const ZipfDist* zipf,
   SNIC_CHECK_EQ(mix.weights.size(), class_bytes.size());
   SNIC_CHECK(header != nullptr);
   SNIC_CHECK(route != nullptr);
+  SNIC_CHECK(logicals_.empty());  // once: the clients' records never move
   paths_ = std::move(paths);
   for (const TargetSpec& p : paths_) {
     SNIC_CHECK(p.engine != nullptr);
@@ -80,8 +81,7 @@ void ClientFleet::Start(std::vector<TargetSpec> paths, const ZipfDist* zipf,
   const int lanes = params_.machines * params_.machine.threads;
   logicals_.reserve(static_cast<size_t>(params_.logical_clients));
   for (int id = 0; id < params_.logical_clients; ++id) {
-    logicals_.push_back(std::make_unique<Logical>());
-    Logical* lc = logicals_.back().get();
+    Logical* lc = &logicals_.emplace_back();
     lc->id = static_cast<uint64_t>(id);
     const int lane = id % lanes;
     lc->machine = lane % params_.machines;

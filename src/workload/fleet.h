@@ -226,7 +226,9 @@ class ClientFleet {
   FleetParams params_;
   std::string prefix_;
   std::vector<std::unique_ptr<ClientMachine>> machines_;
-  std::vector<std::unique_ptr<Logical>> logicals_;
+  // Reserved to logical_clients in Start and never grown after, so the
+  // Logical* its event closures capture stay valid.
+  std::vector<Logical> logicals_;
   SlabPool<Copy> copies_;
   SlabPool<HedgeState> hedges_;
 
