@@ -9,7 +9,9 @@
 #include <string>
 #include <vector>
 
+#include "bench/serve_tenants_shape.h"
 #include "src/common/rng.h"
+#include "src/governor/serving.h"
 #include "src/mem/memory.h"
 #include "src/runtime/sweep_runner.h"
 #include "src/sim/server.h"
@@ -407,6 +409,21 @@ void BM_TestbedSetup(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 BENCHMARK(BM_TestbedSetup)->Unit(benchmark::kMicrosecond);
+
+// One serve_tenants point (RunServing with tenants, the diurnal trace and
+// the autoscaler) built, started and torn down with a 1 ps window: the
+// per-point setup cost snicbench reports as setup_s, in points per second.
+void BM_ServingSetup(benchmark::State& state) {
+  governor::ServingRunConfig c = ServeTenantsShape();
+  c.warmup = 1;
+  c.window = 1;
+  for (auto _ : state) {
+    const governor::ServingResult r = governor::RunServing(c);
+    benchmark::DoNotOptimize(r.generated);
+  }
+  state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
+}
+BENCHMARK(BM_ServingSetup)->Unit(benchmark::kMicrosecond);
 
 }  // namespace
 }  // namespace snicsim

@@ -18,7 +18,9 @@ void* operator new(std::size_t n) {
   }
   throw std::bad_alloc();
 }
-void operator delete(void* p) noexcept { std::free(p); }
-void operator delete(void* p, std::size_t) noexcept { std::free(p); }
+// Not inlined: GCC would otherwise pair the inlined free() with the
+// replaced operator new at a call site and warn -Wmismatched-new-delete.
+[[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
+[[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 
 #endif  // TESTS_COMMON_ALLOCATION_COUNTER_H_
