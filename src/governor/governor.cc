@@ -57,30 +57,28 @@ AdaptiveGovernor::AdaptiveGovernor(Simulator* sim, const GovernorConfig& cfg,
   }
 }
 
-void AdaptiveGovernor::BindMetrics(const MetricsRegistry& reg) {
-  host_busy_us_.Bind(reg, "serve", "host_busy_us");
-  soc_busy_us_.Bind(reg, "serve", "soc_busy_us");
-  path3_bytes_.Bind(reg, "serve", "path3_bytes");
-  tenant_path3_bytes_.Bind(reg, "tenant", "path3_bytes");
-  repair_path3_bytes_.Bind(reg, "repair", "path3_bytes");
-  if (!ticking_) {
-    ticking_ = true;
-    ScheduleTick();
-  }
+void AdaptiveGovernor::BindMeters(Meters meters) {
+  host_busy_us_.Bind(std::move(meters.host_busy_us));
+  soc_busy_us_.Bind(std::move(meters.soc_busy_us));
+  serve_path3_bytes_.Bind(std::move(meters.serve_path3_bytes));
+  tenant_path3_bytes_.Bind(std::move(meters.tenant_path3_bytes));
+  repair_path3_bytes_.Bind(std::move(meters.repair_path3_bytes));
+  StartTicking();
 }
 
 void AdaptiveGovernor::BindErrorRate(int path, std::function<double()> sampler) {
   SNIC_CHECK_GE(path, 0);
   SNIC_CHECK_LT(path, kPathCount);
   error_rate_[path] = std::move(sampler);
-  if (!ticking_) {
-    ticking_ = true;
-    ScheduleTick();
-  }
+  StartTicking();
 }
 
 void AdaptiveGovernor::SetEpochHook(std::function<void(SimTime)> hook) {
   epoch_hook_ = std::move(hook);
+  StartTicking();
+}
+
+void AdaptiveGovernor::StartTicking() {
   if (!ticking_) {
     ticking_ = true;
     ScheduleTick();
@@ -94,21 +92,14 @@ void AdaptiveGovernor::Tick() {
     return;
   }
   const double epoch_us = ToMicros(cfg_.epoch);
-  if (host_busy_us_.bound()) {
-    host_util_ = std::min(1.0, host_busy_us_.Sample() / (epoch_us * host_cores_));
-  }
-  if (soc_busy_us_.bound()) {
-    soc_util_ = std::min(1.0, soc_busy_us_.Sample() / (epoch_us * soc_cores_));
-  }
-  if (path3_bytes_.bound() || tenant_path3_bytes_.bound() ||
-      repair_path3_bytes_.bound()) {
-    // bytes per epoch -> Gbps; tenant crossings and repair-plane migration
-    // streams spend the same budget (unbound deltas sample as 0, so runs
-    // without those producers are unchanged).
-    path3_rate_gbps_ = (path3_bytes_.Sample() + tenant_path3_bytes_.Sample() +
-                        repair_path3_bytes_.Sample()) *
-                       8.0 / (epoch_us * 1e3);
-  }
+  // Unbound meters sample as 0.
+  host_util_ = std::min(1.0, host_busy_us_.Sample() / (epoch_us * host_cores_));
+  soc_util_ = std::min(1.0, soc_busy_us_.Sample() / (epoch_us * soc_cores_));
+  // bytes per epoch -> Gbps; tenant crossings and repair-plane migration
+  // streams spend the same budget.
+  path3_rate_gbps_ = (serve_path3_bytes_.Sample() + tenant_path3_bytes_.Sample() +
+                      repair_path3_bytes_.Sample()) *
+                     8.0 / (epoch_us * 1e3);
   for (int p = 0; p < kPathCount; ++p) {
     if (error_rate_[p]) {
       error_penalty_us_[p] = error_rate_[p]() * kErrorRatePenaltyUs;

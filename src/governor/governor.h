@@ -44,7 +44,7 @@ namespace governor {
 struct GovernorConfig {
   uint64_t seed = 0xf00dULL;
   double explore_eps = 0.02;  // exploration rate over admissible requests
-  SimTime epoch = FromMicros(10);  // registry sampling period
+  SimTime epoch = FromMicros(10);  // meter sampling period
   // In-flight cap for path ②; 0 derives it from the SoC pool's service
   // parameters (cores * per-core pipeline depth, doubled for headroom).
   int soc_inflight_cap = 0;
@@ -57,18 +57,19 @@ class AdaptiveGovernor : public RoutePolicy {
                    const TestbedParams& tp, const ClientParams& client,
                    const std::vector<uint32_t>& class_bytes);
 
-  // Binds the epoch sampler to the serving executor's registry entries
-  // ("serve.host_busy_us", "serve.soc_busy_us", "serve.path3_bytes") and
+  // Binds the epoch sampler to cumulative meters (null: unmetered) and
   // starts the periodic tick. Optional: without it the governor runs on
-  // completion feedback alone. When a tenant control plane registered
-  // "tenant.path3_bytes" in the same registry, its crossings are added to
-  // the path-③ rate the budget gate meters — tenant traffic spends the
-  // same intra-machine budget serving misses do. Likewise a rack repair
-  // plane registering "repair.path3_bytes" (migration fetches,
-  // src/topo/rack_kv.h) spends the budget, which is what throttles serving
-  // onto path ① while a shard is being rebuilt. Absent entry => bind
-  // fails silently and behavior is unchanged.
-  void BindMetrics(const MetricsRegistry& reg);
+  // completion feedback alone. The budget gate's path-③ rate sums serving
+  // misses, tenant crossings and the rack repair plane's migration fetches,
+  // which is what throttles serving onto path ① while a shard is rebuilt.
+  struct Meters {
+    MetricDelta::Sampler host_busy_us;  // serving pools' busy time
+    MetricDelta::Sampler soc_busy_us;
+    MetricDelta::Sampler serve_path3_bytes;
+    MetricDelta::Sampler tenant_path3_bytes;
+    MetricDelta::Sampler repair_path3_bytes;
+  };
+  void BindMeters(Meters meters);
 
   // Per-path error-rate feed (task-level fault awareness): the sampler
   // returns the fraction of the path's delivered completions that were
@@ -107,9 +108,13 @@ class AdaptiveGovernor : public RoutePolicy {
   uint64_t explored() const { return explored_; }
   uint64_t breaker_denied() const { return breaker_denied_; }
   const PathPriors& priors() const { return priors_; }
+  // The path-③ rate (Gbps) the budget gate saw at the last epoch.
+  double path3_rate_gbps() const { return path3_rate_gbps_; }
 
  private:
   void Tick();
+  // Arms the first epoch tick; later binds leave the clock as it is.
+  void StartTicking();
   // Arms the next epoch tick through the simulator's timer wheel, so the
   // periodic clock shares wheel slots with every other wheel client instead
   // of costing a queued event per epoch.
@@ -146,7 +151,7 @@ class AdaptiveGovernor : public RoutePolicy {
   // Epoch-sampled signals.
   MetricDelta host_busy_us_;
   MetricDelta soc_busy_us_;
-  MetricDelta path3_bytes_;
+  MetricDelta serve_path3_bytes_;
   MetricDelta tenant_path3_bytes_;
   MetricDelta repair_path3_bytes_;
   double host_util_ = 0.0;

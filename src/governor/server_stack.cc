@@ -1,5 +1,7 @@
 #include "src/governor/server_stack.h"
 
+#include <utility>
+
 #include "src/common/log.h"
 
 namespace snicsim {
@@ -34,7 +36,8 @@ ServerStack::ServerStack(Simulator* simulator, const TestbedParams& testbed,
 }
 
 AdaptiveGovernor* ServerStack::AttachGovernor(const GovernorConfig& cfg,
-                                              const ClientParams& client) {
+                                              const ClientParams& client,
+                                              MetricDelta::Sampler repair_path3_bytes) {
   SNIC_CHECK(gov == nullptr);
   const kv::ServingConfig& serving = exec.config();
   gov = std::make_unique<AdaptiveGovernor>(sim, cfg, &serving.layout, serving, params,
@@ -42,11 +45,16 @@ AdaptiveGovernor* ServerStack::AttachGovernor(const GovernorConfig& cfg,
   if (resil != nullptr) {
     gov->BindResilience(resil.get());
   }
-  if (tenants != nullptr) {
-    tenants->RegisterMetrics(&live_reg);
+  kv::ServingExecutor* const e = &exec;
+  AdaptiveGovernor::Meters meters;
+  meters.host_busy_us = [e] { return ToMicros(e->host_cpu().busy_time()); };
+  meters.soc_busy_us = [e] { return ToMicros(e->soc_cpu().busy_time()); };
+  meters.serve_path3_bytes = [e] { return static_cast<double>(e->path3_bytes()); };
+  if (const offload::TenantManager* const tm = tenants.get(); tm != nullptr) {
+    meters.tenant_path3_bytes = [tm] { return static_cast<double>(tm->path3_bytes_total()); };
   }
-  exec.RegisterMetrics(&live_reg);
-  gov->BindMetrics(live_reg);
+  meters.repair_path3_bytes = std::move(repair_path3_bytes);
+  gov->BindMeters(std::move(meters));
   return gov.get();
 }
 

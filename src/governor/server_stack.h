@@ -12,11 +12,10 @@
 //  - resilience is bound to the executor, and to the governor on attach;
 //  - kv-kind tenants ride the executor's served stream (SetServeObserver),
 //    and the tenants' background streams follow the trace;
-//  - AttachGovernor adds the tenant meters to `live_reg`, then the
-//    executor's, then BindMetrics arms the epoch tick, so the budget gate
-//    sees tenant path-③ crossings from the first epoch. The rack's repair
-//    plane is the one caller that registers a path-③ meter of its own
-//    ("repair.path3_bytes"), before AttachGovernor;
+//  - AttachGovernor binds the governor's meters — the executor's pool
+//    busy times and path-③ bytes, the tenants' path-③ bytes and the
+//    caller's repair-bytes sampler — and arms the epoch tick, so the
+//    budget gate sees every path-③ source from the first epoch;
 //  - StopIssuing ends the governor tick, then the tenant streams.
 // The observability sinks attach through Testbed::AttachSinks (RunServing
 // does; a rack domain never traces). The fleets, the autoscaler and extra
@@ -29,7 +28,6 @@
 
 #include "src/governor/governor.h"
 #include "src/kvstore/serving.h"
-#include "src/obs/metrics.h"
 #include "src/offload/tenancy.h"
 #include "src/resilience/resilience.h"
 #include "src/topo/testbed.h"
@@ -48,8 +46,10 @@ struct ServerStack : Testbed {
   ServerStack& operator=(const ServerStack&) = delete;
 
   // Builds the governor over the executor's config and binds it. Call
-  // once, after the caller's own live_reg entries.
-  AdaptiveGovernor* AttachGovernor(const GovernorConfig& cfg, const ClientParams& client);
+  // once. `repair_path3_bytes` meters the rack repair plane's migration
+  // fetches; null for a machine without one.
+  AdaptiveGovernor* AttachGovernor(const GovernorConfig& cfg, const ClientParams& client,
+                                   MetricDelta::Sampler repair_path3_bytes = nullptr);
 
   // The quiesce edge of the stack's own clocks; work in flight drains.
   void StopIssuing();
@@ -59,7 +59,6 @@ struct ServerStack : Testbed {
   std::unique_ptr<resilience::ResilienceManager> resil;
   std::unique_ptr<trace::TraceDriver> trace;        // non-empty plan only
   std::unique_ptr<offload::TenantManager> tenants;  // non-empty tenant set only
-  MetricsRegistry live_reg;  // sampled by the governor's tick, never dumped
   std::unique_ptr<AdaptiveGovernor> gov;
 };
 

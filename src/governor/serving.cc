@@ -75,8 +75,8 @@ ServingResult RunServing(const ServingRunConfig& raw) {
   fleet.SetTrace(trace_driver);
   const ZipfDist zipf(config.layout.keys, config.zipf_theta);
 
-  // The policy under test. The governor additionally gets the live metric
-  // feed (its epoch sampler) and a per-path error rate drawn from the
+  // The policy under test. The governor additionally gets its epoch meters
+  // (bound by AttachGovernor) and a per-path error rate drawn from the
   // fleet's conservation counters — the task-level fault signal.
   std::unique_ptr<RoutePolicy> policy;
   AdaptiveGovernor* gov = nullptr;

@@ -3,19 +3,14 @@
 // Two kinds of signal, both deterministic:
 //  - per-(path, size-class) completion latency EWMAs, updated from the
 //    fleet's Observer callback in completion order (which the DES fixes);
-//  - epoch deltas of named MetricsRegistry entries (CPU busy time, reply
-//    counts), sampled on the governor's own periodic event. The registry's
-//    sampling callbacks were built for end-of-run dumps; binding them here
-//    turns the same counters into a live occupancy feed.
+//  - epoch deltas of cumulative meters (CPU busy time, path-③ bytes),
+//    sampled on the governor's own periodic event straight from the
+//    components that own them (ServerStack::AttachGovernor binds them).
 #ifndef SRC_GOVERNOR_STATS_H_
 #define SRC_GOVERNOR_STATS_H_
 
-#include <string>
-#include <string_view>
-#include <vector>
-
-#include "src/common/log.h"
-#include "src/obs/metrics.h"
+#include <functional>
+#include <utility>
 
 namespace snicsim {
 namespace governor {
@@ -44,25 +39,19 @@ class Ewma {
   bool seen_ = false;
 };
 
-// Resolves a "<instance>.<leaf>" registry entry once and reports the change
-// in its value since the previous Sample() call.
+// Reports the change in a cumulative meter since the previous Sample()
+// call; the baseline is the meter's level at Bind.
 class MetricDelta {
  public:
-  // Returns false when the entry does not exist (callers treat the signal
-  // as absent, not as an error: topologies differ).
-  bool Bind(const MetricsRegistry& reg, std::string_view instance,
-            std::string_view leaf) {
-    for (const auto& e : reg.entries()) {
-      if (e.instance == instance && e.leaf == leaf) {
-        sample_ = e.sample;
-        last_ = sample_();
-        return true;
-      }
-    }
-    return false;
-  }
+  using Sampler = std::function<double()>;
 
-  bool bound() const { return sample_ != nullptr; }
+  // A null sampler leaves the delta unbound: Sample() reads 0.
+  void Bind(Sampler sample) {
+    sample_ = std::move(sample);
+    if (sample_ != nullptr) {
+      last_ = sample_();
+    }
+  }
 
   double Sample() {
     if (sample_ == nullptr) {
@@ -74,10 +63,8 @@ class MetricDelta {
     return delta;
   }
 
-  double Level() const { return sample_ == nullptr ? 0.0 : sample_(); }
-
  private:
-  MetricsRegistry::Sample sample_;
+  Sampler sample_;
   double last_ = 0.0;
 };
 

@@ -320,7 +320,7 @@ uint64_t TenantManager::Total(uint64_t TenantResult::*field) const {
 }
 
 void TenantManager::RegisterMetrics(MetricsRegistry* reg) {
-  // Hand-ordered: serving_metrics.golden pins this order; the governor polls path3_bytes live.
+  // Hand-ordered: serving_metrics.golden pins this order.
   auto sum = [this](uint64_t TenantResult::*field) { return static_cast<double>(Total(field)); };
   reg->Register("tenant", "generated", "count",
                 "tenant items generated (all tenants)",

@@ -166,10 +166,11 @@ class TenantManager {
   void OnKvServed(int path, uint32_t bytes);
   void OnKvOutcome(SimTime latency, bool ok);
 
-  // Aggregate SLO ledger across tenants — the SloMonitor's per-epoch feed
-  // (cheap cumulative sums, no Results() materialization).
+  // Aggregate ledgers across tenants — the SloMonitor's and the governor's
+  // per-epoch feeds (cheap cumulative sums, no Results() materialization).
   uint64_t slo_checked_total() const { return Total(&TenantResult::slo_checked); }
   uint64_t violations_total() const { return Total(&TenantResult::violations); }
+  uint64_t path3_bytes_total() const { return Total(&TenantResult::path3_bytes); }
 
   // Exposes aggregate counters under component "tenant" (leaf catalog:
   // DESIGN.md section 6.2).

@@ -208,15 +208,13 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     serving.host_domain = RackKvHostDomain(d);
     serving.soc_domain = RackKvSocDomain(d);
     auto dom = std::make_unique<KvDomain>(d, psim.domain(d), params, serving);
+    governor::MetricDelta::Sampler repair_path3_bytes;
     if (params.membership.enabled) {
-      // Registered before the governor binds the registry so its path-③
-      // budget gate samples migration traffic: repair bytes spend the same
-      // SafePath3BudgetGbps serving misses do (DESIGN.md §16).
+      // The governor's path-③ budget gate samples migration traffic: repair
+      // bytes spend the same SafePath3BudgetGbps serving misses do
+      // (DESIGN.md §16).
       KvDomain* dp = dom.get();
-      dom->stack.live_reg.Register(
-          "repair", "path3_bytes", "bytes",
-          "migration-fetch bytes pulled over path 3 by the repair plane",
-          [dp] { return static_cast<double>(dp->ctr.repair_path3_bytes); });
+      repair_path3_bytes = [dp] { return static_cast<double>(dp->ctr.repair_path3_bytes); };
       dom->mring = std::make_unique<HashRing>(ring);
       dom->live_mask = (params.servers >= 64)
                            ? ~0ull
@@ -231,7 +229,7 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     governor::GovernorConfig gcfg;
     gcfg.seed = params.seed ^ (0x9e3779b97f4a7c15ull * (d + 1));
     gcfg.epoch = params.governor_epoch;
-    dom->stack.AttachGovernor(gcfg, client_params);
+    dom->stack.AttachGovernor(gcfg, client_params, std::move(repair_path3_bytes));
     AggregateFleetParams fp;
     fp.users_per_class =
         AggregateFleet::Partition(per_server[static_cast<size_t>(d)], params.mix);

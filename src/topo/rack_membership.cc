@@ -11,7 +11,7 @@
 // surviving replica of each of its key ranges streams those keys to their
 // new ring owner over path ③ (the same host-DRAM fetch replication pays),
 // paced by a byte-metered token bucket provisioned out of
-// SafePath3BudgetGbps and metered as `repair.path3_bytes` against the
+// SafePath3BudgetGbps and metered as `repair_path3_bytes` against the
 // governor's budget gate.
 #include <algorithm>
 #include <cstdint>
@@ -107,7 +107,7 @@ void InstallPushedKey(const PushMsg& msg) {
 }
 
 // One key: fetch the value out of host DRAM over path ③ (the same
-// ExecuteLocalOp leg replication pays, metered as repair.path3_bytes), then
+// ExecuteLocalOp leg replication pays, metered as repair_path3_bytes), then
 // push it to the destination, which installs into SoC memory and acks.
 void PushKey(RackKv& r, DomainId d, MigOp* m, uint64_t rank, int cls,
              uint32_t bytes) {

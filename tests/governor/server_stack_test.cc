@@ -1,6 +1,6 @@
 // The per-server stack's bind rules (src/governor/server_stack.h): which
-// optional layers a config builds, the order the governor's live registry
-// lists the path-③ meters in, and the stop edge of the stack's own clocks.
+// optional layers a config builds, the path-③ sources the governor's budget
+// gate meters, and the stop edge of the stack's own clocks.
 #include "src/governor/server_stack.h"
 
 #include <gtest/gtest.h>
@@ -51,25 +51,41 @@ TEST(ServerStack, EmptyConfigsBuildNoOptionalLayer) {
   EXPECT_EQ(rig.stack.injector, nullptr);
 }
 
-TEST(ServerStack, GovernorRegistryListsTenantCrossingsBeforeTheExecutor) {
-  Rig rig(Tenants(kOneTenant), Plan(kFlatPlan));
-  ASSERT_NE(rig.stack.tenants, nullptr);
-  ASSERT_NE(rig.stack.trace, nullptr);
-  rig.stack.AttachGovernor(GovernorConfig(), ClientParams());
-  const auto& rows = rig.stack.live_reg.entries();
-  size_t tenant_path3 = rows.size();
-  size_t first_serve = rows.size();
-  for (size_t i = 0; i < rows.size(); ++i) {
-    if (rows[i].instance == "tenant" && rows[i].leaf == "path3_bytes") {
-      tenant_path3 = i;
+TEST(ServerStack, BudgetGateSumsEveryPath3SourceFromTheFirstEpoch) {
+  double repair_bytes = 0.0;  // the repair plane's meter, bumped below
+  // A compression tenant's items start on the host and cross to the SoC.
+  Rig rig(Tenants("tenant=zip:compress:1:2:512:0"), trace::TracePlan{});
+  AdaptiveGovernor* gov = rig.stack.AttachGovernor(GovernorConfig(), ClientParams(),
+                                                   [&] { return repair_bytes; });
+  const kv::ServingExecutor& exec = rig.stack.exec;
+  const offload::TenantManager& tenants = *rig.stack.tenants;
+  int epochs = 0;
+  double sources = 0.0;
+  double rate = 0.0;
+  gov->SetEpochHook([&](SimTime) {
+    if (++epochs > 1) {
+      return;
     }
-    if (rows[i].instance == "serve" && first_serve == rows.size()) {
-      first_serve = i;
-    }
-  }
-  ASSERT_LT(tenant_path3, rows.size()) << "tenant.path3_bytes is not registered";
-  ASSERT_LT(first_serve, rows.size()) << "the executor registered no rows";
-  EXPECT_LT(tenant_path3, first_serve);
+    EXPECT_GT(exec.path3_bytes(), 0u);
+    EXPECT_GT(tenants.path3_bytes_total(), 0u);
+    EXPECT_GT(repair_bytes, 0.0);
+    sources = static_cast<double>(exec.path3_bytes()) +
+              static_cast<double>(tenants.path3_bytes_total()) + repair_bytes;
+    rate = gov->path3_rate_gbps();
+  });
+  rig.stack.tenants->Start();
+  // One SoC miss (rank past the SoC-resident set) served over path ③.
+  const kv::ServingLayout& layout = exec.config().layout;
+  PcieLink* client = rig.stack.fabric.AddPort("client", rig.tp.bluefield_nic.network_bandwidth);
+  rig.stack.bf->nic().HandleRequest(rig.stack.bf->soc_ep(), Verb::kSend,
+                                    layout.Pack(layout.cached_keys, 0), 64, 1.0,
+                                    rig.stack.fabric.Route(rig.stack.bf->port(), client),
+                                    [](SimTime) {});
+  rig.sim.At(FromMicros(2), [&] { repair_bytes = 4096.0; });
+  rig.sim.RunUntil(GovernorConfig().epoch + 1);
+  ASSERT_EQ(epochs, 1);
+  // bytes per epoch -> Gbps.
+  EXPECT_DOUBLE_EQ(rate, sources * 8.0 / (ToMicros(GovernorConfig().epoch) * 1e3));
 }
 
 TEST(ServerStack, StopIssuingEndsTheTickAndTheTenantStream) {
