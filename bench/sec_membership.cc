@@ -7,7 +7,7 @@
 //      the loss on its own probe clock, removes the server from its ring
 //      copy, and the surviving replicas stream the lost key ranges to
 //      their new owners over path ③, paced by a token bucket provisioned
-//      out of SafePath3BudgetGbps and metered as repair.path3_bytes
+//      out of SafePath3BudgetGbps and metered as repair_path3_bytes
 //      against the governor's budget gate.
 //   2. Corruption & scrubbing — a `corrupt=` plan flips a deterministic
 //      fraction of one server's stored values; every serve verifies
