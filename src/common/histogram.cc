@@ -4,41 +4,33 @@
 #include <bit>
 #include <cmath>
 
-#include "src/common/log.h"
 #include "src/common/units.h"
 
 namespace snicsim {
 
-Histogram::Histogram(int sub_bucket_bits)
-    : sub_bucket_bits_(sub_bucket_bits), sub_bucket_count_(int64_t{1} << sub_bucket_bits) {
-  SNIC_CHECK(sub_bucket_bits >= 1 && sub_bucket_bits <= 16);
-  // 64 power-of-two ranges cover the whole int64 positive domain.
-  buckets_.assign(static_cast<size_t>(64 * sub_bucket_count_), 0);
-}
-
-int Histogram::BucketFor(int64_t value) const {
+int Histogram::BucketFor(int64_t value) {
   if (value < 0) {
     value = 0;
   }
   const uint64_t v = static_cast<uint64_t>(value);
-  if (v < static_cast<uint64_t>(sub_bucket_count_)) {
+  if (v < static_cast<uint64_t>(kSubBucketCount)) {
     return static_cast<int>(v);
   }
   const int msb = 63 - std::countl_zero(v);
-  const int shift = msb - sub_bucket_bits_ + 1;
-  const int64_t sub = static_cast<int64_t>(v >> shift) - (sub_bucket_count_ >> 1);
-  const int range = msb - sub_bucket_bits_ + 1;
-  return static_cast<int>(range * (sub_bucket_count_ >> 1) + sub_bucket_count_ +
-                          (sub - (sub_bucket_count_ >> 1)));
+  const int shift = msb - kSubBucketBits + 1;
+  const int64_t sub = static_cast<int64_t>(v >> shift) - (kSubBucketCount >> 1);
+  const int range = msb - kSubBucketBits + 1;
+  return static_cast<int>(range * (kSubBucketCount >> 1) + kSubBucketCount +
+                          (sub - (kSubBucketCount >> 1)));
 }
 
-int64_t Histogram::BucketHigh(int index) const {
-  if (index < sub_bucket_count_) {
+int64_t Histogram::BucketHigh(int index) {
+  if (index < kSubBucketCount) {
     return index;
   }
-  const int64_t half = sub_bucket_count_ >> 1;
-  const int range = static_cast<int>((index - sub_bucket_count_) / half) + 1;
-  const int64_t sub = (index - sub_bucket_count_) % half + half;
+  const int64_t half = kSubBucketCount >> 1;
+  const int range = static_cast<int>((index - kSubBucketCount) / half) + 1;
+  const int64_t sub = (index - kSubBucketCount) % half + half;
   return ((sub + 1) << range) - 1;
 }
 
@@ -55,15 +47,16 @@ void Histogram::Record(int64_t value, uint64_t n) {
     min_ = std::min(min_, value);
     max_ = std::max(max_, value);
   }
-  const int b = BucketFor(value);
-  SNIC_CHECK_LT(static_cast<size_t>(b), buckets_.size());
-  buckets_[static_cast<size_t>(b)] += n;
+  const auto b = static_cast<size_t>(BucketFor(value));
+  if (b >= buckets_.size()) [[unlikely]] {
+    buckets_.resize(b + 1, 0);
+  }
+  buckets_[b] += n;
   count_ += n;
   sum_ += static_cast<double>(value) * static_cast<double>(n);
 }
 
 void Histogram::Merge(const Histogram& other) {
-  SNIC_CHECK_EQ(sub_bucket_bits_, other.sub_bucket_bits_);
   if (other.count_ == 0) {
     return;
   }
@@ -74,7 +67,10 @@ void Histogram::Merge(const Histogram& other) {
     min_ = std::min(min_, other.min_);
     max_ = std::max(max_, other.max_);
   }
-  for (size_t i = 0; i < buckets_.size(); ++i) {
+  if (other.buckets_.size() > buckets_.size()) {
+    buckets_.resize(other.buckets_.size(), 0);
+  }
+  for (size_t i = 0; i < other.buckets_.size(); ++i) {
     buckets_[i] += other.buckets_[i];
   }
   count_ += other.count_;
@@ -82,7 +78,7 @@ void Histogram::Merge(const Histogram& other) {
 }
 
 void Histogram::Reset() {
-  std::fill(buckets_.begin(), buckets_.end(), 0);
+  buckets_.clear();
   count_ = 0;
   sum_ = 0.0;
   min_ = 0;

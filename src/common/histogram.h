@@ -14,9 +14,9 @@ namespace snicsim {
 
 class Histogram {
  public:
-  // `sub_bucket_bits` linear sub-buckets per power-of-two range; 5 bits gives
-  // <= ~3% relative error on percentile queries.
-  explicit Histogram(int sub_bucket_bits = 5);
+  // An empty histogram holds no buckets: the bucket array grows to the
+  // highest bucket recorded, so building one allocates nothing.
+  Histogram() = default;
 
   void Record(int64_t value);
   void Record(int64_t value, uint64_t count);
@@ -36,12 +36,15 @@ class Histogram {
   std::string Summary(bool as_time = true) const;
 
  private:
-  int BucketFor(int64_t value) const;
-  int64_t BucketHigh(int index) const;
+  // 2^5 linear sub-buckets per power-of-two range give <= ~3% relative
+  // error on percentile queries.
+  static constexpr int kSubBucketBits = 5;
+  static constexpr int64_t kSubBucketCount = int64_t{1} << kSubBucketBits;
 
-  int sub_bucket_bits_;
-  int64_t sub_bucket_count_;
-  std::vector<uint64_t> buckets_;
+  static int BucketFor(int64_t value);
+  static int64_t BucketHigh(int index);
+
+  std::vector<uint64_t> buckets_;  // up to the highest nonzero bucket
   uint64_t count_ = 0;
   double sum_ = 0.0;
   int64_t min_ = 0;

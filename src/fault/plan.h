@@ -3,8 +3,9 @@
 // A FaultPlan is a pure description of the faults one experiment should see:
 // a Bernoulli frame-drop probability on lossy (network) links, scheduled
 // link flaps (total loss windows) and degradation windows (service-time
-// multipliers), and compute stall windows keyed by fault-domain name
-// ("host", "soc"). Plans are parsed from the `--faults` flag — either an
+// multipliers), and compute stall windows keyed by fault-domain name. A
+// fault domain is an endpoint's name ("bf_srv.soc", "rack.s1.host"; see
+// DomainMatches for the bare "host"/"soc" spellings). Plans are parsed from the `--faults` flag — either an
 // inline `key=value` spec or `@file.json` — and interpreted by the
 // FaultInjector (src/fault/injector.h). Because the plan carries its own
 // seed, a (plan, topology) pair fully determines every fault a run takes:
@@ -40,15 +41,16 @@ struct DegradeWindow {
   double factor = 1.0;
 };
 
-// Compute stall on one fault domain ("host", "soc"): work arriving in
-// [start, end) is deferred to the window's end before it can start.
+// Compute stall on one fault domain (e.g. "soc", "rack.s1.soc"): work
+// arriving in [start, end) is deferred to the window's end before it can
+// start.
 struct StallWindow {
   std::string domain;
   SimTime start = 0;
   SimTime end = 0;
 };
 
-// Endpoint crash on one fault domain ("host", "soc"): the endpoint is dead
+// Endpoint crash on one fault domain (e.g. "soc", "rack.s1"): the endpoint is dead
 // in [start, end) — arriving work is dropped without a reply and in-flight
 // work dies with it (the transport sees it as loss and retransmits until
 // the op's deadline or retry budget runs out). After restart at `end`, a
@@ -108,19 +110,22 @@ struct FaultPlan {
 };
 
 // Does a plan's domain spec apply to a component asking about `query`?
-// Matching is hierarchical over dot-separated names so rack-scale
-// topologies can address one endpoint without breaking old plans:
+// Every component queries with the name of the endpoint it runs behind
+// ("<server>.host" / "<server>.soc": "bf_srv.soc" on a single-server
+// testbed, "rack.s3.soc" in a rack). Matching is hierarchical over
+// dot-separated names:
 //   * exact:       plan "rack.s3.soc" matches query "rack.s3.soc"
-//   * leaf alias:  plan "soc" matches query "rack.s3.soc" (the legacy
-//     spelling addresses every SoC endpoint in the rack)
+//   * leaf alias:  plan "soc" matches query "rack.s3.soc" and "bf_srv.soc"
+//     (the bare spelling addresses every SoC endpoint)
 //   * subtree:     plan "rack.s3" matches query "rack.s3.host" and
 //     "rack.s3.soc" (a whole-server crash)
-// The reverse is never true: plan "rack.s3.soc" does NOT match a component
-// whose domain is plain "soc" — a scoped plan never leaks onto the
-// single-server topologies.
+// The reverse is never true: plan "rack.s3.soc" does NOT match a query of
+// plain "soc", and a plan scoped to one server never reaches another.
 bool DomainMatches(const std::string& plan_domain, const std::string& query);
 
-// Parses `spec` into `*out`. Two forms:
+// Parses `spec` into `*out`. DOMAIN is a fault domain (an endpoint name
+// or a prefix or leaf of one, per DomainMatches); LINK is a link name
+// ("bf_srv.port"). Two forms:
 //   inline:  "drop=0.01,seed=7,flap=LINK:START:END,degrade=LINK:START:END:F,
 //             stall=DOMAIN:START:END,crash=DOMAIN:START:END[:REWARM],
 //             permloss=DOMAIN:AT,corrupt=DOMAIN:AT[:FRACTION]"

@@ -22,8 +22,7 @@ ServerStack::ServerStack(Simulator* simulator, const TestbedParams& testbed,
   }
   if (!tenant_cfg.empty()) {
     tenants = std::make_unique<offload::TenantManager>(sim, bf.get(), injector.get(),
-                                                       tenant_cfg, serving.host_domain,
-                                                       serving.soc_domain);
+                                                       tenant_cfg);
     exec.SetServeObserver(
         [tm = tenants.get()](int ep, uint32_t bytes) { tm->OnKvServed(ep, bytes); });
   }

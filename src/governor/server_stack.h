@@ -4,7 +4,10 @@
 // The machine itself is a Testbed (src/topo/testbed.h) with a BlueField
 // card: Fabric, BluefieldServer and, for a non-empty plan, the
 // FaultInjector installed on the simulator; every clock arms through the
-// simulator's own TimerWheel. The stack adds the ServingExecutor, then
+// simulator's own TimerWheel. The stack's `name` names the server, whose
+// endpoints "<name>.host" and "<name>.soc" are the fault domains every
+// layer of the stack queries ("bf_srv.soc" alone, "rack.s<d>.soc" in a
+// rack). The stack adds the ServingExecutor, then
 // each optional layer only for a non-empty config, so an empty one stays
 // byte-identical to a build without the layer: the ResilienceManager, the
 // TenantManager and the load-trace TraceDriver.

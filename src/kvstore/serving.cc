@@ -37,7 +37,7 @@ SimTime ServingExecutor::Stall(const std::string& domain) {
 void ServingExecutor::ServeHost(uint64_t hdr, ReplyCallback reply) {
   fault::FaultInjector* const inj = sim_->faults();
   const SimTime arrived = sim_->now();
-  if (inj != nullptr && inj->CrashedAt(config_.host_domain, arrived)) {
+  if (inj != nullptr && inj->CrashedAt(HostDomain(), arrived)) {
     ++crash_drops_;  // dead endpoint: no reply, the client transport times out
     reply.Discard();
     return;
@@ -47,7 +47,7 @@ void ServingExecutor::ServeHost(uint64_t hdr, ReplyCallback reply) {
   if (observer_) {
     observer_(resilience::kEndpointHost, bytes);
   }
-  const SimTime dispatch = arrived + config_.host_notify + Stall(config_.host_domain);
+  const SimTime dispatch = arrived + config_.host_notify + Stall(HostDomain());
   const SimTime cpu_done = host_cpu_.EnqueueAt(dispatch, config_.host_lookup);
   sim_->At(cpu_done, [this, hdr, bytes, arrived, inj,
                       reply = std::move(reply)]() mutable {
@@ -56,7 +56,7 @@ void ServingExecutor::ServeHost(uint64_t hdr, ReplyCallback reply) {
     sim_->At(v, [this, v, bytes, arrived, inj, reply = std::move(reply)] {
       // A crash anywhere during [arrival, reply) kills the in-flight get:
       // the reply evaporates with the endpoint's state.
-      if (inj != nullptr && inj->CrashKills(config_.host_domain, arrived, v)) {
+      if (inj != nullptr && inj->CrashKills(HostDomain(), arrived, v)) {
         ++crash_drops_;
         reply.Discard();
         return;
@@ -69,7 +69,7 @@ void ServingExecutor::ServeHost(uint64_t hdr, ReplyCallback reply) {
 void ServingExecutor::ServeSoc(uint64_t hdr, ReplyCallback reply) {
   fault::FaultInjector* const inj = sim_->faults();
   const SimTime arrived = sim_->now();
-  if (inj != nullptr && inj->CrashedAt(config_.soc_domain, arrived)) {
+  if (inj != nullptr && inj->CrashedAt(SocDomain(), arrived)) {
     ++crash_drops_;
     reply.Discard();
     return;
@@ -80,12 +80,12 @@ void ServingExecutor::ServeSoc(uint64_t hdr, ReplyCallback reply) {
   if (observer_) {
     observer_(resilience::kEndpointSoc, bytes);
   }
-  const SimTime dispatch = arrived + config_.soc_notify + Stall(config_.soc_domain);
+  const SimTime dispatch = arrived + config_.soc_notify + Stall(SocDomain());
   const SimTime cpu_done = soc_cpu_.EnqueueAt(dispatch, config_.soc_lookup);
   // Restart comes up with a cold SoC cache: resident ranks miss (and pay
   // path ③) until the rewarm window closes.
   bool resident = config_.layout.SocResident(rank);
-  if (resident && inj != nullptr && inj->InRewarm(config_.soc_domain, arrived)) {
+  if (resident && inj != nullptr && inj->InRewarm(SocDomain(), arrived)) {
     resident = false;
     ++rewarm_misses_;
   }
@@ -96,7 +96,7 @@ void ServingExecutor::ServeSoc(uint64_t hdr, ReplyCallback reply) {
       const SimTime v =
           server_->soc_memory().Access(sim_->now(), hdr, bytes, /*is_write=*/false);
       sim_->At(v, [this, v, bytes, arrived, inj, reply = std::move(reply)] {
-        if (inj != nullptr && inj->CrashKills(config_.soc_domain, arrived, v)) {
+        if (inj != nullptr && inj->CrashKills(SocDomain(), arrived, v)) {
           ++crash_drops_;
           reply.Discard();
           return;
@@ -116,7 +116,7 @@ void ServingExecutor::ServeSoc(uint64_t hdr, ReplyCallback reply) {
     server_->nic().ExecuteLocalOp(
         server_->soc_ep(), server_->host_ep(), Verb::kRead, hdr, bytes,
         [this, bytes, arrived, inj, reply = std::move(reply)](SimTime done) {
-          if (inj != nullptr && inj->CrashKills(config_.soc_domain, arrived, done)) {
+          if (inj != nullptr && inj->CrashKills(SocDomain(), arrived, done)) {
             ++crash_drops_;
             reply.Discard();
             return;

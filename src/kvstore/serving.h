@@ -12,8 +12,9 @@
 //
 // The request's (rank, size class) arrives in the 64-bit SEND header
 // (kv::ServingLayout packing); the reply carries the value bytes. Both CPU
-// pools honor compute-stall fault windows ("host"/"soc" domains), which is
-// what makes governor monotonicity under SoC stalls observable.
+// pools honor compute-stall and crash windows on their endpoint's name
+// (its fault domain, e.g. "bf_srv.soc"), which is what makes governor
+// monotonicity under SoC stalls observable.
 #ifndef SRC_KVSTORE_SERVING_H_
 #define SRC_KVSTORE_SERVING_H_
 
@@ -37,13 +38,6 @@ struct ServingConfig {
   SimTime soc_notify = FromNanos(900);   // slow ARM dispatch
   int host_cores = 24;
   int soc_cores = 8;
-  // Fault-domain names this executor's endpoints answer crash/stall queries
-  // with. The defaults keep single-server topologies on the legacy
-  // spellings; a rack gives each server addressable names
-  // ("rack.s<i>.host" / "rack.s<i>.soc") that the injector's hierarchical
-  // DomainMatches still covers with a bare "host"/"soc" plan.
-  std::string host_domain = "host";
-  std::string soc_domain = "soc";
 
   static ServingConfig FromTestbed(const TestbedParams& tp, ServingLayout l) {
     ServingConfig c;
@@ -104,6 +98,9 @@ class ServingExecutor {
  private:
   void ServeHost(uint64_t hdr, ReplyCallback reply);
   void ServeSoc(uint64_t hdr, ReplyCallback reply);
+  // Fault domains: the names of the server's two endpoints.
+  const std::string& HostDomain() const { return server_->host_ep()->params().name; }
+  const std::string& SocDomain() const { return server_->soc_ep()->params().name; }
   SimTime Stall(const std::string& domain);
 
   Simulator* sim_;

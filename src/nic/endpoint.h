@@ -30,15 +30,13 @@
 namespace snicsim {
 
 struct EndpointParams {
+  // Trace lane, metrics prefix and fault domain: a stall window on this
+  // name defers local-op CQE visibility (src/fault/plan.h).
   std::string name = "ep";
   uint32_t pcie_mtu = kHostPcieMtu;
   // Completer-side TLP service rates; zero means "not a bottleneck".
   Rate read_completer = Rate::PerSec(0);
   Rate write_completer = Rate::PerSec(0);
-  // Which compute fault domain polls this endpoint's completions ("host" or
-  // "soc"); stall windows on that domain defer local-op CQE visibility
-  // (src/fault/plan.h).
-  std::string fault_domain = "host";
 };
 
 // Completion handed to the NIC when a DMA finishes. `done` is the simulated

@@ -264,11 +264,11 @@ void NicEngine::ServeLocal(Local* op) {
 
 void NicEngine::CompleteLocal(Local* op, SimTime posted) {
   // A stalled requester CPU stops polling its CQ: while a stall window
-  // covers src's fault domain, the completion becomes visible only when the
-  // window ends. Consulted only with an injector attached, so fault-free
+  // covers src (an endpoint's fault domain is its name), the completion
+  // becomes visible only when the window ends. Consulted only with an injector attached, so fault-free
   // runs schedule no extra events.
   if (fault::FaultInjector* const inj = sim_->faults(); inj != nullptr) {
-    const SimTime stall = inj->StallDelay(op->src->params().fault_domain, posted);
+    const SimTime stall = inj->StallDelay(op->src->params().name, posted);
     if (stall != 0) {
       op->visible = std::max(sim_->now(), posted + stall);
       if (Tracer* const tr = sim_->tracer(); tr != nullptr) {

@@ -43,14 +43,8 @@ std::string TenantSetResult::Fingerprint() const {
 
 TenantManager::TenantManager(Simulator* sim, BluefieldServer* server,
                              fault::FaultInjector* inj,
-                             const TenantSetConfig& cfg,
-                             std::string host_domain, std::string soc_domain)
-    : sim_(sim),
-      server_(server),
-      inj_(inj),
-      cfg_(cfg),
-      host_domain_(std::move(host_domain)),
-      soc_domain_(std::move(soc_domain)) {
+                             const TenantSetConfig& cfg)
+    : sim_(sim), server_(server), inj_(inj), cfg_(cfg) {
   SNIC_CHECK(!cfg_.empty());
   host_pool_ = std::make_unique<MultiServer>(sim, cfg_.host_cores);
   // Pool membership in config order fixes each tenant's arbiter slot.
@@ -261,7 +255,7 @@ void TenantManager::Cross(int t, Placement from, uint32_t bytes,
   Tenant& tn = tenants_[static_cast<size_t>(t)];
   const SimTime now = sim_->now();
   // A crossing touches both sides; either side being down kills the item.
-  if (Dead(host_domain_, now, now) || Dead(soc_domain_, now, now)) {
+  if (Dead(DomainOf(Placement::kHost), now, now) || Dead(DomainOf(Placement::kSoc), now, now)) {
     ++tn.r.failed;
     return;
   }

@@ -6,7 +6,10 @@
 // weighted-round-robin arbiter (src/offload/arbiter.h), host-side stages
 // share one host core pool, and placement-boundary crossings ship items
 // over path ③ through the same NicEngine the serving plane uses, so tenant
-// traffic and KV traffic contend for the real intra-machine budget.
+// traffic and KV traffic contend for the real intra-machine budget. A stage
+// answers stall and crash windows on the name of the server endpoint on its
+// side ("bf_srv.soc", "rack.s1.host"), the same fault domain the serving
+// executor and the NIC engine query.
 //
 // Isolation is enforced by making the §11 resilience primitives
 // *per-tenant*: every tenant owns a TokenBucketState (its admission cap, in
@@ -126,11 +129,10 @@ struct TenantSetResult {
 
 class TenantManager {
  public:
-  // `inj` may be null (fault-free run). `host_domain`/`soc_domain` are the
-  // fault-plan domain names of this server's two sides.
+  // `inj` may be null (fault-free run). Each side's fault domain is the
+  // name of the server's endpoint on that side.
   TenantManager(Simulator* sim, BluefieldServer* server,
-                fault::FaultInjector* inj, const TenantSetConfig& cfg,
-                std::string host_domain, std::string soc_domain);
+                fault::FaultInjector* inj, const TenantSetConfig& cfg);
 
   TenantManager(const TenantManager&) = delete;
   TenantManager& operator=(const TenantManager&) = delete;
@@ -189,7 +191,7 @@ class TenantManager {
     resilience::CodelState codel;
     resilience::TokenBucketState bucket;
     TenantResult r;
-    Histogram lat{5};
+    Histogram lat;
   };
 
   // One counter summed over every tenant's running result.
@@ -207,15 +209,13 @@ class TenantManager {
              std::function<void(SimTime)> then);
   bool Dead(const std::string& domain, SimTime from, SimTime to) const;
   const std::string& DomainOf(Placement p) const {
-    return p == Placement::kHost ? host_domain_ : soc_domain_;
+    return (p == Placement::kHost ? server_->host_ep() : server_->soc_ep())->params().name;
   }
 
   Simulator* sim_;
   BluefieldServer* server_;
   fault::FaultInjector* inj_;
   TenantSetConfig cfg_;
-  std::string host_domain_;
-  std::string soc_domain_;
   const trace::TraceDriver* trace_ = nullptr;
   bool issuing_ = false;
 

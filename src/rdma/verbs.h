@@ -92,10 +92,10 @@ enum class QpType {
   kUd,  // unreliable datagram: SEND only, cheaper state
 };
 
-// Transport reliability is not configured here: a QP on a machine whose
-// simulation carries a fault injector posts through the machine's
-// retransmission engine (ClientMachine::PostReliable), whose timeout and
-// retry budget are set in ClientParams.
+// Transport reliability is not configured here: a QP posts through
+// ClientMachine::Post, which arms the machine's retransmission engine when
+// its simulation carries a fault injector; the timeout and retry budget
+// are set in ClientParams.
 struct QpConfig {
   QpType type = QpType::kRc;
   // Send-queue depth: posts beyond this many outstanding WRs are rejected
@@ -160,28 +160,19 @@ class QueuePair {
     SNIC_CHECK(mr_.Contains(remote_addr, len == 0 ? 1 : len));
     ++posted_;
     ++outstanding_;
-    if (machine_->Reliable()) {
-      machine_->PostReliable(
-          thread_, Target(verb, len), remote_addr,
-          [this, verb, len, wr_id, signaled, deadline,
-           cb = std::move(cb)](SimTime completed, bool ok) {
-            --outstanding_;
-            WcStatus status = WcStatus::kSuccess;
-            if (!ok) {
-              status = deadline > 0 && completed >= deadline ? WcStatus::kDeadlineExceeded
-                                                             : WcStatus::kRetryExceeded;
-            }
-            Deliver(verb, len, wr_id, signaled, completed, status, cb);
-          },
-          deadline);
-      return true;
-    }
-    machine_->Post(thread_, Target(verb, len), remote_addr,
-                   [this, verb, len, wr_id, signaled,
-                    cb = std::move(cb)](SimTime completed) {
-                     --outstanding_;
-                     Deliver(verb, len, wr_id, signaled, completed, WcStatus::kSuccess, cb);
-                   });
+    machine_->Post(
+        thread_, Target(verb, len), remote_addr,
+        [this, verb, len, wr_id, signaled, deadline,
+         cb = std::move(cb)](SimTime completed, bool ok) {
+          --outstanding_;
+          WcStatus status = WcStatus::kSuccess;
+          if (!ok) {
+            status = deadline > 0 && completed >= deadline ? WcStatus::kDeadlineExceeded
+                                                           : WcStatus::kRetryExceeded;
+          }
+          Deliver(verb, len, wr_id, signaled, completed, status, cb);
+        },
+        deadline);
     return true;
   }
 

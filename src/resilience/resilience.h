@@ -6,7 +6,7 @@
 //  (a) Deadline budgets — every request is stamped with an absolute
 //      deadline at issue (StampDeadline). The budget is checked at
 //      admission (Admit), before a hedge launches, and at retransmit time
-//      in the client's retransmission engine (ClientMachine::PostReliable,
+//      in the client's retransmission engine (ClientMachine::Post,
 //      which verbs QPs post through too): expired work fails instead of
 //      retransmitting again.
 //  (b) Admission control — per-endpoint CoDel-style controllers fed by the

@@ -95,14 +95,6 @@ void AddSeries(std::vector<uint64_t>* out, const std::vector<uint64_t>& v) {
 
 }  // namespace
 
-std::string RackKvHostDomain(DomainId d) {
-  return "rack.s" + std::to_string(d) + ".host";
-}
-
-std::string RackKvSocDomain(DomainId d) {
-  return "rack.s" + std::to_string(d) + ".soc";
-}
-
 std::string RackKvResult::Fingerprint() const {
   std::string s = "rackkv|";
   ForEachRackCounter([&](const RackCounterInfo& c, auto field) {
@@ -203,10 +195,8 @@ RackKvResult RunRackKv(const RackKvParams& params) {
   rack.doms.reserve(static_cast<size_t>(params.servers));
   const ClientParams client_params;  // governor latency priors only
   for (int d = 0; d < params.servers; ++d) {
-    kv::ServingConfig serving =
+    const kv::ServingConfig serving =
         kv::ServingConfig::FromTestbed(params.testbed, params.layout);
-    serving.host_domain = RackKvHostDomain(d);
-    serving.soc_domain = RackKvSocDomain(d);
     auto dom = std::make_unique<KvDomain>(d, psim.domain(d), params, serving);
     governor::MetricDelta::Sampler repair_path3_bytes;
     if (params.membership.enabled) {
@@ -256,13 +246,15 @@ RackKvResult RunRackKv(const RackKvParams& params) {
     });
     // corrupt= events addressed to this server (either endpoint or the
     // whole-server prefix) fire as draw-free value flips at `at`.
+    const std::string& host_domain = dom.stack.bf->host_ep()->params().name;
+    const std::string& soc_domain = dom.stack.bf->soc_ep()->params().name;
     for (const fault::CorruptEvent& ev : params.faults.corrupts) {
-      if (!fault::DomainMatches(ev.domain, dom.host_domain) &&
-          !fault::DomainMatches(ev.domain, dom.soc_domain)) {
+      if (!fault::DomainMatches(ev.domain, host_domain) &&
+          !fault::DomainMatches(ev.domain, soc_domain)) {
         continue;
       }
       const double frac = ev.fraction;
-      const uint64_t salt = params.faults.seed ^ Fnv1a(dom.soc_domain) ^
+      const uint64_t salt = params.faults.seed ^ Fnv1a(soc_domain) ^
                             SplitMix64(static_cast<uint64_t>(ev.at));
       dom.stack.sim->At(ev.at, [rk, d, frac, salt] {
         ApplyCorruption(*rk, d, frac, salt);

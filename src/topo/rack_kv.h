@@ -258,12 +258,6 @@ void ForEachRackCounter(F&& f) {
 }
 #undef SNICSIM_RACK_COUNTERS
 
-// Fault-domain names of server `d`'s endpoints ("rack.s<d>.host" /
-// "rack.s<d>.soc"); plans may address one endpoint, a whole server
-// ("rack.s<d>"), or every host/SoC via the legacy leaf alias.
-std::string RackKvHostDomain(DomainId d);
-std::string RackKvSocDomain(DomainId d);
-
 RackKvResult RunRackKv(const RackKvParams& params);
 
 }  // namespace snicsim

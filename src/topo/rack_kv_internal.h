@@ -143,16 +143,12 @@ struct KvDomain {
         stack(sim, p.testbed, serving, p.faults, p.resil, offload::TenantSetConfig{},
               p.trace, "rack.s" + std::to_string(d)),
         uplink(stack.fabric.AddPort("rack.s" + std::to_string(d) + ".up",
-                                    p.testbed.client_port_bandwidth)),
-        host_domain(serving.host_domain),
-        soc_domain(serving.soc_domain) {}
+                                    p.testbed.client_port_bandwidth)) {}
 
   DomainId id = 0;
   governor::ServerStack stack;  // the serving machine (src/governor/server_stack.h)
   PcieLink* uplink = nullptr;   // client-proxy port: the reply's wire leg
   std::unique_ptr<AggregateFleet> fleet;
-  std::string host_domain;
-  std::string soc_domain;
   // This domain's rack counters, merged by RunRackKv. server_completed is
   // indexed by domain id; member_epoch is the live membership epoch.
   RackKvResult ctr;
@@ -246,12 +242,27 @@ void ScrubTick(RackKv& r, DomainId d);
 void StartRepair(RackKv& r, DomainId d, uint64_t rank, bool from_scrub,
                  ServeCtx* ctx, uint64_t ctx_gen);
 
-// Whole-server liveness: the rack treats a server as reachable while either
-// endpoint domain is up; the whole-shard crash scenario kills both.
-inline bool ServerDeadNow(const KvDomain& dom) {
+// Crash queries on a server's endpoints, whose fault domains are their
+// names ("rack.s<d>.host" / "rack.s<d>.soc"). The SoC runs the server's
+// replication and repair engines.
+inline bool SocCrashedNow(const KvDomain& dom) {
   return dom.stack.injector != nullptr &&
-         dom.stack.injector->CrashedAt(dom.host_domain, dom.stack.sim->now()) &&
-         dom.stack.injector->CrashedAt(dom.soc_domain, dom.stack.sim->now());
+         dom.stack.injector->CrashedAt(dom.stack.bf->soc_ep()->params().name,
+                                       dom.stack.sim->now());
+}
+
+// Whole-server liveness: the rack treats a server as reachable while either
+// endpoint is up; the whole-shard crash scenario kills both.
+inline bool ServerDeadNow(const KvDomain& dom) {
+  return SocCrashedNow(dom) &&
+         dom.stack.injector->CrashedAt(dom.stack.bf->host_ep()->params().name,
+                                       dom.stack.sim->now());
+}
+
+// Did an SoC crash window or permanent loss cover [from, to)?
+inline bool SocCrashKills(const KvDomain& dom, SimTime from, SimTime to) {
+  return dom.stack.injector != nullptr &&
+         dom.stack.injector->CrashKills(dom.stack.bf->soc_ep()->params().name, from, to);
 }
 
 // The ring a domain routes by: its own mutable copy under the membership

@@ -113,8 +113,7 @@ void PushKey(RackKv& r, DomainId d, MigOp* m, uint64_t rank, int cls,
              uint32_t bytes) {
   KvDomain& dom = *r.doms[static_cast<size_t>(d)];
   RackKv* rk = &r;
-  if (dom.stack.injector != nullptr &&
-      dom.stack.injector->CrashedAt(dom.soc_domain, dom.stack.sim->now())) {
+  if (SocCrashedNow(dom)) {
     RangeFailed(r, d, m);  // the streaming engine runs on the survivor's SoC
     return;
   }
@@ -139,8 +138,7 @@ void PushKey(RackKv& r, DomainId d, MigOp* m, uint64_t rank, int cls,
         if (msg.m->gen != msg.gen) {
           return;
         }
-        if (here.stack.injector != nullptr &&
-            here.stack.injector->CrashKills(here.soc_domain, msg.fetch_start, done)) {
+        if (SocCrashKills(here, msg.fetch_start, done)) {
           RangeFailed(*msg.rk, msg.d, msg.m);
           return;
         }

@@ -27,8 +27,7 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
   // The replication engine runs on the primary's SoC; a crashed SoC fails
   // the push outright (the restart path re-replicates by application-level
   // means outside this model).
-  if (dom.stack.injector != nullptr &&
-      dom.stack.injector->CrashedAt(dom.soc_domain, dom.stack.sim->now())) {
+  if (SocCrashedNow(dom)) {
     ++dom.ctr.repl_failed;
     rep->gen = 0;
     dom.reps.Free(rep);
@@ -47,8 +46,7 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
           ++here.ctr.repl_stale;
           return;
         }
-        if (here.stack.injector != nullptr &&
-            here.stack.injector->CrashKills(here.soc_domain, fetch_start, done)) {
+        if (SocCrashKills(here, fetch_start, done)) {
           ++here.ctr.repl_failed;
           rep->gen = 0;
           here.reps.Free(rep);
@@ -84,8 +82,7 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
             [rk, t, peer, rep, gen, token, rank, cls, bytes] {
               // Follower side: apply into SoC memory, then ack.
               KvDomain& f = *rk->doms[static_cast<size_t>(peer)];
-              if (f.stack.injector != nullptr &&
-                  f.stack.injector->CrashedAt(f.soc_domain, f.stack.sim->now())) {
+              if (SocCrashedNow(f)) {
                 return;  // dead follower: the primary's timer retries
               }
               const SimTime applied = f.stack.bf->soc_memory().Access(

@@ -7,11 +7,10 @@ RnicServer::RnicServer(Simulator* sim, Fabric* fabric, const TestbedParams& tp,
     : host_mem_(sim, name + ".hostmem", tp.host_memory),
       pcie0_(sim, name + ".pcie0", tp.pcie_bandwidth, tp.pcie0_propagation),
       nic_(sim, tp.rnic),
-      host_cpu_(sim, name + ".hostcpu", tp.host_cores, tp.host_msg_service_rnic,
-                tp.host_notify_delay, "host") {
+      host_cpu_(sim, name + ".hostcpu", name + ".host", tp.host_cores,
+                tp.host_msg_service_rnic, tp.host_notify_delay) {
   EndpointParams ep;
   ep.name = name + ".host";
-  ep.fault_domain = "host";
   ep.pcie_mtu = tp.host_pcie_mtu;
   ep.read_completer = tp.host_read_completer;
   ep.write_completer = tp.host_write_completer;
@@ -31,15 +30,14 @@ BluefieldServer::BluefieldServer(Simulator* sim, Fabric* fabric, const TestbedPa
       pcie1_(sim, name + ".pcie1", tp.pcie_bandwidth, tp.pcie1_propagation),
       soc_port_(sim, name + ".socport", tp.pcie_bandwidth, tp.soc_port_propagation),
       nic_(sim, tp.bluefield_nic),
-      host_cpu_(sim, name + ".hostcpu", tp.host_cores, tp.host_msg_service_snic,
-                tp.host_notify_delay, "host"),
-      soc_cpu_(sim, name + ".soccpu", tp.soc_cores, tp.soc_msg_service,
-               tp.soc_notify_delay, "soc") {
+      host_cpu_(sim, name + ".hostcpu", name + ".host", tp.host_cores,
+                tp.host_msg_service_snic, tp.host_notify_delay),
+      soc_cpu_(sim, name + ".soccpu", name + ".soc", tp.soc_cores, tp.soc_msg_service,
+               tp.soc_notify_delay) {
   // Host endpoint: NIC cores -> PCIe1 -> switch -> PCIe0 -> host memory.
   {
     EndpointParams ep;
     ep.name = name + ".host";
-    ep.fault_domain = "host";
     ep.pcie_mtu = tp.host_pcie_mtu;
     ep.read_completer = tp.host_read_completer;
     ep.write_completer = tp.host_write_completer;
@@ -55,7 +53,6 @@ BluefieldServer::BluefieldServer(Simulator* sim, Fabric* fabric, const TestbedPa
   {
     EndpointParams ep;
     ep.name = name + ".soc";
-    ep.fault_domain = "soc";
     ep.pcie_mtu = tp.soc_pcie_mtu;
     PciePath to_mem;
     to_mem.Add(&pcie1_, LinkDir::kUp);

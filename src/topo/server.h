@@ -33,12 +33,13 @@ class EchoCpu {
   // the wimpy ARM SoC (paper §3.2: SoC SEND/RECV latency is 21-30% higher).
   // It delays every message but does not consume core service time, so peak
   // throughput stays cores / per_message.
-  // `fault_domain` names this pool for compute stall windows ("host"/"soc");
-  // a stalled pool defers dispatch without consuming core time.
-  EchoCpu(Simulator* sim, const std::string& name, int cores, SimTime per_message,
-          SimTime notify_delay = 0, std::string fault_domain = "host")
+  // `endpoint` is the name of the endpoint the pool answers, which is its
+  // fault domain: a stall window on it defers dispatch without consuming
+  // core time.
+  EchoCpu(Simulator* sim, const std::string& name, std::string endpoint, int cores,
+          SimTime per_message, SimTime notify_delay = 0)
       : sim_(sim), name_(name), pool_(sim, cores), per_message_(per_message),
-        notify_delay_(notify_delay), fault_domain_(std::move(fault_domain)) {}
+        notify_delay_(notify_delay), endpoint_(std::move(endpoint)) {}
 
   // Returns a SendHandler that serves each message on the earliest-free
   // core and echoes a same-size reply.
@@ -46,7 +47,7 @@ class EchoCpu {
     return [this](uint64_t /*hdr*/, uint32_t len, ReplyCallback reply) {
       SimTime dispatch = sim_->now() + notify_delay_;
       if (fault::FaultInjector* const inj = sim_->faults(); inj != nullptr) {
-        const SimTime stall = inj->StallDelay(fault_domain_, sim_->now());
+        const SimTime stall = inj->StallDelay(endpoint_, sim_->now());
         if (stall > 0) {
           if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
             tr->Span(name_, "stall", sim_->now(), sim_->now() + stall, 0);
@@ -83,7 +84,7 @@ class EchoCpu {
   MultiServer pool_;
   SimTime per_message_;
   SimTime notify_delay_;
-  std::string fault_domain_;
+  std::string endpoint_;
   uint64_t replies_ = 0;
 };
 

@@ -70,24 +70,14 @@ void ClientMachine::Pump(Loop* loop) {
 
 void ClientMachine::IssueOne(Loop* loop) {
   const SimTime issue_start = sim_->now();
-  if (Reliable()) {
-    // Failed ops are not recorded (they produced no completion) but still
-    // free their window slot, so the closed loop degrades instead of
-    // starving when the link is lossy.
-    PostReliable(loop->thread, loop->target, loop->addr.Next(),
-                 [this, loop, issue_start](SimTime completed, bool ok) {
-                   if (ok) {
-                     loop->meter->RecordOp(loop->target.payload,
-                                           completed - issue_start);
-                   }
-                   loop->in_flight -= 1;
-                   Pump(loop);
-                 });
-    return;
-  }
+  // A failed op is not recorded (it produced no completion) but still frees
+  // its window slot, so the closed loop degrades instead of starving when
+  // the link is lossy.
   Post(loop->thread, loop->target, loop->addr.Next(),
-       [this, loop, issue_start](SimTime completed) {
-         loop->meter->RecordOp(loop->target.payload, completed - issue_start);
+       [this, loop, issue_start](SimTime completed, bool ok) {
+         if (ok) {
+           loop->meter->RecordOp(loop->target.payload, completed - issue_start);
+         }
          loop->in_flight -= 1;
          Pump(loop);
        });
@@ -117,46 +107,51 @@ void ClientMachine::IssueBatch(Loop* loop) {
     Tracer* const tr = sim_->tracer();
     for (int i = 0; i < batch; ++i) {
       const uint64_t rid = tr != nullptr ? tr->NextRequestId() : 0;
-      if (Reliable()) {
-        // Chain ops never ring per-op doorbells, so retransmission
-        // protection attaches at the NIC launch.
-        LaunchReliable(loop->target, loop->addr.Next(),
-                       [this, loop, remaining, issue_start, rid](SimTime completed,
-                                                                 bool ok) {
-                         if (ok) {
-                           if (Tracer* const t = sim_->tracer(); t != nullptr) {
-                             t->Span(name_, VerbName(loop->target.verb), issue_start,
-                                     completed, rid, TraceCat::kOp);
-                           }
-                           loop->meter->RecordOp(loop->target.payload,
-                                                 completed - issue_start);
-                         }
-                         if (--*remaining == 0) {
-                           loop->in_flight -= 1;
-                           Pump(loop);
-                         }
-                       }, rid);
-        continue;
-      }
-      LaunchFromNic(loop->target, loop->addr.Next(),
-                    [this, loop, remaining, issue_start, rid](SimTime completed) {
-                      if (Tracer* const t = sim_->tracer(); t != nullptr) {
-                        t->Span(name_, VerbName(loop->target.verb), issue_start,
-                                completed, rid, TraceCat::kOp);
-                      }
-                      loop->meter->RecordOp(loop->target.payload,
-                                            completed - issue_start);
-                      if (--*remaining == 0) {
-                        loop->in_flight -= 1;
-                        Pump(loop);
-                      }
-                    }, rid);
+      Launch(loop->target, loop->addr.Next(),
+             [this, loop, remaining, issue_start, rid](SimTime completed, bool ok) {
+               if (ok) {
+                 if (Tracer* const t = sim_->tracer(); t != nullptr) {
+                   t->Span(name_, VerbName(loop->target.verb), issue_start, completed, rid,
+                           TraceCat::kOp);
+                 }
+                 loop->meter->RecordOp(loop->target.payload, completed - issue_start);
+               }
+               if (--*remaining == 0) {
+                 loop->in_flight -= 1;
+                 Pump(loop);
+               }
+             },
+             rid);
     }
   });
 }
 
-void ClientMachine::Post(int thread, const TargetSpec& target, uint64_t addr,
-                         SmallFunction<void(SimTime)> cb) {
+void ClientMachine::Post(int thread, const TargetSpec& target, uint64_t addr, OpCallback cb,
+                         SimTime deadline) {
+  if (!Reliable()) {
+    PostFlight(thread, target, addr, std::move(cb));
+    return;
+  }
+  const std::shared_ptr<ReliableOp> op = NewReliableOp(target, addr, std::move(cb), deadline);
+  // The first attempt pays the full post path (WQE build + doorbell);
+  // retransmissions replay from the NIC.
+  PostFlight(thread, target, addr, Attempt(op));
+  ArmRetry(op);
+}
+
+void ClientMachine::Launch(const TargetSpec& target, uint64_t addr, OpCallback cb,
+                           uint64_t req_id) {
+  if (!Reliable()) {
+    LaunchFromNic(target, addr, std::move(cb), req_id);
+    return;
+  }
+  const std::shared_ptr<ReliableOp> op = NewReliableOp(target, addr, std::move(cb), 0);
+  LaunchFromNic(target, addr, Attempt(op), req_id);
+  ArmRetry(op);
+}
+
+void ClientMachine::PostFlight(int thread, const TargetSpec& target, uint64_t addr,
+                               OpCallback&& cb) {
   SNIC_CHECK_GE(thread, 0);
   SNIC_CHECK_LT(static_cast<size_t>(thread), threads_.size());
   ++issued_;
@@ -180,32 +175,18 @@ void ClientMachine::Post(int thread, const TargetSpec& target, uint64_t addr,
   sim_->At(posted + params_.mmio_flight, [this, f] { LaunchFlight(f); });
 }
 
-void ClientMachine::PostReliable(int thread, const TargetSpec& target, uint64_t addr,
-                                 SmallFunction<void(SimTime, bool)> cb,
-                                 SimTime deadline) {
+std::shared_ptr<ClientMachine::ReliableOp> ClientMachine::NewReliableOp(
+    const TargetSpec& target, uint64_t addr, OpCallback cb, SimTime deadline) {
   auto op = std::make_shared<ReliableOp>();
   op->target = target;
   op->addr = addr;
   op->deadline = deadline;
   op->cb = std::move(cb);
-  // The first attempt pays the full post path (WQE build + doorbell);
-  // retransmissions replay from the NIC.
-  Post(thread, target, addr,
-       [this, op](SimTime completed) { CompleteReliable(op, completed); });
-  ArmRetry(op);
+  return op;
 }
 
-void ClientMachine::LaunchReliable(const TargetSpec& target, uint64_t addr,
-                                   SmallFunction<void(SimTime, bool)> cb,
-                                   uint64_t req_id) {
-  auto op = std::make_shared<ReliableOp>();
-  op->target = target;
-  op->addr = addr;
-  op->cb = std::move(cb);
-  LaunchFromNic(target, addr,
-                [this, op](SimTime completed) { CompleteReliable(op, completed); },
-                req_id);
-  ArmRetry(op);
+ClientMachine::OpCallback ClientMachine::Attempt(const std::shared_ptr<ReliableOp>& op) {
+  return [this, op](SimTime completed, bool /*ok*/) { CompleteReliable(op, completed); };
 }
 
 void ClientMachine::ArmRetry(const std::shared_ptr<ReliableOp>& op) {
@@ -253,8 +234,7 @@ void ClientMachine::ArmRetry(const std::shared_ptr<ReliableOp>& op) {
     if (tr != nullptr) {
       tr->Instant(name_ + ".nic", "retransmit", sim_->now(), rid);
     }
-    LaunchFromNic(op->target, op->addr,
-                  [this, op](SimTime completed) { CompleteReliable(op, completed); }, rid);
+    LaunchFromNic(op->target, op->addr, Attempt(op), rid);
     ArmRetry(op);
   };
   // Retry timers are overwhelmingly cancelled by a completion, so the wheel
@@ -276,8 +256,7 @@ void ClientMachine::CompleteReliable(const std::shared_ptr<ReliableOp>& op,
 }
 
 ClientMachine::Flight* ClientMachine::NewFlight(const TargetSpec& target, uint64_t addr,
-                                                uint64_t rid,
-                                                SmallFunction<void(SimTime)> cb) {
+                                                uint64_t rid, OpCallback&& cb) {
   Flight* f = flights_.Alloc();
   f->target = target;
   f->addr = addr;
@@ -287,8 +266,8 @@ ClientMachine::Flight* ClientMachine::NewFlight(const TargetSpec& target, uint64
   return f;
 }
 
-void ClientMachine::LaunchFromNic(const TargetSpec& target, uint64_t addr,
-                                  SmallFunction<void(SimTime)> cb, uint64_t req_id) {
+void ClientMachine::LaunchFromNic(const TargetSpec& target, uint64_t addr, OpCallback&& cb,
+                                  uint64_t req_id) {
   LaunchFlight(NewFlight(target, addr, req_id, std::move(cb)));
 }
 
@@ -341,7 +320,7 @@ void ClientMachine::FinishFlight(Flight* f) {
                TraceCat::kOp);
     }
   }
-  f->cb.CallOnce(completed);
+  f->cb.CallOnce(completed, true);
   flights_.Free(f);
 }
 

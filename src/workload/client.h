@@ -6,6 +6,11 @@
 // tx/rx overheads plus its own pipeline, and the wire is the shared fabric.
 // Peak-throughput experiments instantiate several machines, exactly like
 // the paper uses up to eleven requesters to saturate one responder.
+//
+// Every op enters through Post (the doorbell-batch loop launches its chain
+// ops at the NIC instead), and only there does the machine decide whether
+// the op carries the retransmission engine (Reliable()); callers see one
+// completion shape, cb(completed, ok), either way.
 #ifndef SRC_WORKLOAD_CLIENT_H_
 #define SRC_WORKLOAD_CLIENT_H_
 
@@ -42,10 +47,10 @@ struct ClientParams {
   SimTime wqe_fetch = FromNanos(450);  // NIC DMA round trip for the chain
   NicParams nic = NicParams::ConnectX4();
 
-  // --- the retransmission engine (PostReliable), active ONLY when the
-  // simulation carries a fault injector (sim->faults() != nullptr). Without
-  // it a dropped frame would leak a window slot forever and the closed loop
-  // would starve. The timeout doubles per retry, up to 64x. ---
+  // --- the retransmission engine (see ClientMachine::Post), active ONLY
+  // when the simulation carries a fault injector (sim->faults() != nullptr).
+  // Without it a dropped frame would leak a window slot forever and the
+  // closed loop would starve. The timeout doubles per retry, up to 64x. ---
   SimTime transport_timeout = FromMicros(120);  // 0 disables even under faults
   int retry_cnt = 7;  // retransmissions before the op fails
 };
@@ -72,32 +77,31 @@ class ClientMachine {
   // most once per machine.
   void Start(const TargetSpec& target, AddressGenerator addr, Meter* meter);
 
-  // Posts a single operation from `thread` (0-based); `cb` fires when the
-  // completion is visible to the polling thread. Unreliable: if the request
-  // or its response is lost to fault injection, `cb` never fires.
-  void Post(int thread, const TargetSpec& target, uint64_t addr,
-            SmallFunction<void(SimTime completed)> cb);
+  // Per-op completion: `completed` is when the polling thread sees it.
+  using OpCallback = SmallFunction<void(SimTime completed, bool ok)>;
 
-  // True when ops must carry the retransmission engine: only
-  // fault-carrying simulations arm it, so with no injector every posting
-  // path is byte-identical to the pre-fault code (no extra events, no
-  // extra state). The closed loops, ClientFleet and the verbs QPs
-  // (src/rdma) all branch on this one check.
+  // Posts a single operation from `thread` (0-based). When Reliable(), the
+  // op carries the simulator's one retransmission engine: a transport
+  // timeout and bounded-backoff retransmission (NIC-side replays of the
+  // posted WQE, with no CPU WQE build or doorbell), and `cb` fires exactly
+  // once — ok=true on a (possibly retransmitted) response, ok=false when
+  // `retry_cnt` retransmissions all vanished or, with a nonzero absolute
+  // `deadline`, as soon as a retry timer fires past it (the op is abandoned
+  // without burning the remaining retry budget). Otherwise the op is plain:
+  // `deadline` is ignored, ok is always true, and an op whose request or
+  // response is lost to fault injection never calls `cb` (a WithDiscard
+  // closure runs its drop half instead).
+  void Post(int thread, const TargetSpec& target, uint64_t addr, OpCallback cb,
+            SimTime deadline = 0);
+
+  // True when ops carry the retransmission engine: only fault-carrying
+  // simulations arm it, so with no injector every posting path is
+  // byte-identical to the pre-fault code (no extra events, no extra
+  // state). Post and the batch path's NIC launch are the only places that
+  // branch on it.
   bool Reliable() const {
     return sim_->faults() != nullptr && params_.transport_timeout > 0;
   }
-
-  // Reliable post, the simulator's one retransmission engine: like Post,
-  // but armed with a transport timeout and bounded-backoff retransmission
-  // (NIC-side replays of the posted WQE, with no CPU WQE build or
-  // doorbell). `cb(completed, ok)` fires exactly once: ok=true on a
-  // (possibly retransmitted) response, ok=false when `retry_cnt`
-  // retransmissions all vanished — or, with a nonzero absolute `deadline`,
-  // as soon as a retry timer fires past it (the op is abandoned without
-  // burning the remaining retry budget).
-  void PostReliable(int thread, const TargetSpec& target, uint64_t addr,
-                    SmallFunction<void(SimTime completed, bool ok)> cb,
-                    SimTime deadline = 0);
 
   PcieLink* port() { return port_; }
   Simulator* sim() const { return sim_; }
@@ -144,18 +148,19 @@ class ClientMachine {
     bool done = false;
     SimTime deadline = 0;  // absolute; 0 = unbounded
     TimerWheel::TimerId timer = TimerWheel::kNoTimer;
-    SmallFunction<void(SimTime, bool)> cb;
+    OpCallback cb;
   };
 
-  // One op from its NIC launch (or its post, for Post) to its completion:
-  // the stage closures capture only (this, flight).
+  // One attempt from its NIC launch (or its post) to its completion: the
+  // stage closures capture only (this, flight). A plain op's callback is
+  // the caller's; a reliable attempt's completes its ReliableOp.
   struct Flight {
     TargetSpec target;
     uint64_t addr = 0;
     uint64_t rid = 0;
     SimTime issue_start = 0;
     bool op_span = false;  // trace [post .. completion] as one op span
-    SmallFunction<void(SimTime)> cb;
+    OpCallback cb;
   };
 
   // The trace lane of `thread`'s CPU: "<name>.cpu<thread>".
@@ -163,17 +168,23 @@ class ClientMachine {
   void Pump(Loop* loop);
   void IssueOne(Loop* loop);
   void IssueBatch(Loop* loop);
-  // NIC-level launch with retransmission protection (the batch path, which
-  // never rings per-op doorbells).
-  void LaunchReliable(const TargetSpec& target, uint64_t addr,
-                      SmallFunction<void(SimTime, bool)> cb, uint64_t req_id);
+  // The batch path's per-op entry, which never rings a per-op doorbell: a
+  // NIC launch under the same engine rule as Post.
+  void Launch(const TargetSpec& target, uint64_t addr, OpCallback cb, uint64_t req_id);
+  std::shared_ptr<ReliableOp> NewReliableOp(const TargetSpec& target, uint64_t addr,
+                                            OpCallback cb, SimTime deadline);
+  // One attempt's callback: completes `op` (first wins).
+  OpCallback Attempt(const std::shared_ptr<ReliableOp>& op);
   void ArmRetry(const std::shared_ptr<ReliableOp>& op);
   void CompleteReliable(const std::shared_ptr<ReliableOp>& op, SimTime completed);
-  Flight* NewFlight(const TargetSpec& target, uint64_t addr, uint64_t rid,
-                    SmallFunction<void(SimTime)> cb);
+  // The internal hops take the callback by reference, so it is moved once,
+  // into its Flight.
+  Flight* NewFlight(const TargetSpec& target, uint64_t addr, uint64_t rid, OpCallback&& cb);
+  // The CPU half of a post: WQE build and doorbell, then the NIC launch.
+  void PostFlight(int thread, const TargetSpec& target, uint64_t addr, OpCallback&& cb);
   // The NIC-side half of a post: pipeline, fabric, responder, completion.
-  void LaunchFromNic(const TargetSpec& target, uint64_t addr,
-                     SmallFunction<void(SimTime)> cb, uint64_t req_id = 0);
+  void LaunchFromNic(const TargetSpec& target, uint64_t addr, OpCallback&& cb,
+                     uint64_t req_id);
   void LaunchFlight(Flight* f);
   void ArriveAtServer(Flight* f);
   void FinishFlight(Flight* f);

@@ -283,18 +283,13 @@ void ClientFleet::FreeCopy(Copy* c) {
 void ClientFleet::PostCopy(Copy* c) {
   TargetSpec spec = paths_[static_cast<size_t>(c->copy)];
   spec.payload = kRequestBytes;
-  ClientMachine& m = *machines_[static_cast<size_t>(c->lc->machine)];
-  if (m.Reliable()) {
-    m.PostReliable(c->lc->thread, spec, c->req.hdr,
-                   [this, c](SimTime completed, bool ok) { Settle(c, completed, ok); },
-                   c->req.deadline);
-    return;
-  }
-  // Without the reliability layer a lost copy never settles; its record
-  // still goes back to the pool.
-  m.Post(c->lc->thread, spec, c->req.hdr,
-         WithDiscard([this, c](SimTime completed) { Settle(c, completed, /*ok=*/true); },
-                     [this, c] { FreeCopy(c); }));
+  // Without the retransmission engine a lost copy never settles; its
+  // record still goes back to the pool.
+  machines_[static_cast<size_t>(c->lc->machine)]->Post(
+      c->lc->thread, spec, c->req.hdr,
+      WithDiscard([this, c](SimTime completed, bool ok) { Settle(c, completed, ok); },
+                  [this, c] { FreeCopy(c); }),
+      c->req.deadline);
 }
 
 void ClientFleet::Settle(Copy* c, SimTime completed, bool ok) {

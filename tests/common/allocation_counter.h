@@ -11,15 +11,16 @@
 
 inline uint64_t g_allocations = 0;  // global operator new calls in this binary
 
-void* operator new(std::size_t n) {
+// None of the replacements is inlined: GCC would otherwise pair an inlined
+// malloc() or free() with the other side's operator at a call site and
+// warn -Wmismatched-new-delete.
+[[gnu::noinline]] void* operator new(std::size_t n) {
   ++g_allocations;
   if (void* p = std::malloc(n == 0 ? 1 : n)) {
     return p;
   }
   throw std::bad_alloc();
 }
-// Not inlined: GCC would otherwise pair the inlined free() with the
-// replaced operator new at a call site and warn -Wmismatched-new-delete.
 [[gnu::noinline]] void operator delete(void* p) noexcept { std::free(p); }
 [[gnu::noinline]] void operator delete(void* p, std::size_t) noexcept { std::free(p); }
 

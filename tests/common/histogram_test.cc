@@ -4,6 +4,7 @@
 
 #include "src/common/rng.h"
 #include "src/common/units.h"
+#include "tests/common/allocation_counter.h"
 
 namespace snicsim {
 namespace {
@@ -71,12 +72,55 @@ TEST(Histogram, MergeCombines) {
   EXPECT_EQ(a.max(), 1000);
 }
 
+// The bucket array grows to the highest recorded bucket, so an unused
+// histogram costs no heap memory.
+TEST(Histogram, ConstructionAllocatesNothing) {
+  const uint64_t before = g_allocations;
+  Histogram h;
+  EXPECT_EQ(g_allocations, before);
+  h.Record(7);
+  EXPECT_EQ(h.Percentile(50), 7);
+}
+
+// Merging histograms of different spans, in either order, reads exactly
+// like recording every sample into one histogram.
+TEST(Histogram, MergeEitherWayMatchesOneHistogram) {
+  Histogram narrow;
+  Histogram wide;
+  Histogram all;
+  Rng rng(11);
+  for (int i = 0; i < 1000; ++i) {
+    const auto small = static_cast<int64_t>(rng.NextBelow(100));
+    const auto large = static_cast<int64_t>(rng.NextBelow(1u << 30));
+    narrow.Record(small);
+    wide.Record(large);
+    all.Record(small);
+    all.Record(large);
+  }
+  Histogram narrow_first = narrow;
+  narrow_first.Merge(wide);
+  Histogram wide_first = wide;
+  wide_first.Merge(narrow);
+  for (const Histogram* h : {&narrow_first, &wide_first}) {
+    EXPECT_EQ(h->count(), all.count());
+    EXPECT_EQ(h->min(), all.min());
+    EXPECT_EQ(h->max(), all.max());
+    EXPECT_EQ(h->Summary(), all.Summary());
+    for (double p : {0.0, 1.0, 25.0, 50.0, 50.1, 75.0, 99.0, 99.9, 100.0}) {
+      EXPECT_EQ(h->Percentile(p), all.Percentile(p)) << "p" << p;
+    }
+  }
+}
+
 TEST(Histogram, ResetClears) {
   Histogram h;
   h.Record(5);
   h.Reset();
   EXPECT_EQ(h.count(), 0u);
   EXPECT_EQ(h.max(), 0);
+  EXPECT_EQ(h.Percentile(50), 0);
+  h.Record(3);
+  EXPECT_EQ(h.Percentile(100), 3);
 }
 
 TEST(Histogram, NegativeClampedToZero) {

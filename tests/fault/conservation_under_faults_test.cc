@@ -1,6 +1,6 @@
 // The fault layer's core property: work requests are conserved. Whatever the
 // fabric does — drops, flaps, retransmissions — every WR a verbs QP posts
-// through its machine's retransmission engine (ClientMachine::PostReliable)
+// through its machine's retransmission engine (ClientMachine::Post)
 // completes exactly once, as either a success or an error CQE. No
 // duplicates (a late response after a retransmission must lose the
 // first-wins race), no losses (a WR whose every transmission vanished must

@@ -1,12 +1,14 @@
 // The per-server stack's bind rules (src/governor/server_stack.h): which
 // optional layers a config builds, the path-③ sources the governor's budget
-// gate meters, and the stop edge of the stack's own clocks.
+// gate meters, the stop edge of the stack's own clocks, and the endpoint
+// names every fault query of the stack uses.
 #include "src/governor/server_stack.h"
 
 #include <gtest/gtest.h>
 
 #include <string>
 
+#include "src/fault/plan.h"
 #include "src/offload/tenant_config.h"
 
 namespace snicsim {
@@ -114,6 +116,73 @@ TEST(ServerStack, TheTraceDrivesTheTenantStream) {
   }
   EXPECT_EQ(paused.Generated(), 0u);
   EXPECT_GT(flat.Generated(), 0u);
+}
+
+// When one SoC serve and one path-③ READ, both issued on a stack named
+// `name` under the fault plan `faults`, complete.
+struct SocTimes {
+  SimTime serve = -1;
+  SimTime local = -1;
+};
+
+SocTimes ProbeSoc(const std::string& name, const std::string& faults) {
+  fault::FaultPlan plan;
+  std::string error;
+  EXPECT_TRUE(fault::ParseFaultPlan(faults, &plan, &error)) << error;
+  Simulator sim;
+  const TestbedParams tp;
+  ServerStack stack(&sim, tp, kv::ServingConfig::FromTestbed(tp, kv::ServingLayout()), plan,
+                    resilience::ResilienceConfig(), offload::TenantSetConfig(),
+                    trace::TracePlan(), name);
+  BluefieldServer& bf = *stack.bf;
+  // Each endpoint's name is its fault domain.
+  EXPECT_EQ(bf.host_ep()->params().name, name + ".host");
+  EXPECT_EQ(bf.soc_ep()->params().name, name + ".soc");
+  SocTimes t;
+  // A get of rank 0, which is SoC-resident, arrives on the SoC endpoint.
+  PcieLink* client = stack.fabric.AddPort("client", tp.bluefield_nic.network_bandwidth);
+  bf.nic().HandleRequest(bf.soc_ep(), Verb::kSend, stack.exec.config().layout.Pack(0, 0), 64,
+                         1.0, stack.fabric.Route(bf.port(), client),
+                         [&t](SimTime delivered) { t.serve = delivered; });
+  // The SoC reads 64 B of host memory through the NIC (an S2H READ).
+  sim.At(FromMicros(1), [&] {
+    bf.nic().ExecuteLocalOp(bf.soc_ep(), bf.host_ep(), Verb::kRead, 0, 64,
+                            [&t](SimTime done) { t.local = done; });
+  });
+  sim.Run();
+  return t;
+}
+
+// A plan scoped to one rack server's SoC stalls that server's serving
+// executor and its path-③ completions alike, and no other server's; the
+// bare leaf and the single-server name reach the SoC as well.
+TEST(ServerStack, ScopedStallReachesServeAndPath3Completions) {
+  const SimTime end = FromMicros(50);
+  const SocTimes s1 = ProbeSoc("rack.s1", "");
+  const SocTimes s2 = ProbeSoc("rack.s2", "");
+  const SocTimes single = ProbeSoc("bf_srv", "");
+  ASSERT_GT(s1.serve, 0);
+  ASSERT_LT(s1.serve, end);
+  ASSERT_GT(s1.local, 0);
+  ASSERT_LT(s1.local, end);
+
+  for (const std::string plan : {"stall=rack.s1.soc:0:50", "stall=rack.s1:0:50"}) {
+    const SocTimes hit = ProbeSoc("rack.s1", plan);
+    EXPECT_GT(hit.serve, end) << plan;
+    EXPECT_EQ(hit.local, end) << plan;
+    const SocTimes miss = ProbeSoc("rack.s2", plan);
+    EXPECT_EQ(miss.serve, s2.serve) << plan;
+    EXPECT_EQ(miss.local, s2.local) << plan;
+  }
+  for (const std::string name : {"rack.s1", "rack.s2"}) {
+    const SocTimes leaf = ProbeSoc(name, "stall=soc:0:50");
+    EXPECT_GT(leaf.serve, end) << name;
+    EXPECT_EQ(leaf.local, end) << name;
+  }
+  const SocTimes named = ProbeSoc("bf_srv", "stall=bf_srv.soc:0:50");
+  EXPECT_GT(named.serve, end);
+  EXPECT_EQ(named.local, end);
+  EXPECT_EQ(ProbeSoc("bf_srv", "stall=rack.s1.soc:0:50").local, single.local);
 }
 
 }  // namespace

@@ -51,7 +51,10 @@ std::vector<Tracer::Event> TraceOneRead(SimTime* completed) {
   target.server_port = bf.port();
   target.verb = Verb::kRead;
   target.payload = 64;
-  cli.Post(0, target, /*addr=*/4096, [completed](SimTime c) { *completed = c; });
+  cli.Post(0, target, /*addr=*/4096, [completed](SimTime c, bool ok) {
+    EXPECT_TRUE(ok);
+    *completed = c;
+  });
   sim.Run();
   return tr.Events();
 }

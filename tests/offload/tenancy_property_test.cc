@@ -61,8 +61,7 @@ TenantSetResult RunTenants(const TenantSetConfig& cfg, const std::string& faults
   if (!plan.empty()) {
     sim.set_faults(&injector);
   }
-  TenantManager mgr(&sim, &server, plan.empty() ? nullptr : &injector, cfg,
-                    "host", "soc");
+  TenantManager mgr(&sim, &server, plan.empty() ? nullptr : &injector, cfg);
   std::unique_ptr<trace::TraceDriver> driver;
   if (!load_trace.empty()) {
     trace::TracePlan tp;

@@ -77,7 +77,7 @@ TEST_F(QpSemanticsTest, UnsignaledWrsProduceNoCqe) {
 }
 
 // With a fault injector attached, a QP posts through its machine's
-// retransmission engine (ClientMachine::PostReliable). The server's cable
+// retransmission engine (ClientMachine::Post). The server's cable
 // flapping until `flap_us` drops every transmission inside the window.
 class QpEngineTest : public QpSemanticsTest {
  protected:

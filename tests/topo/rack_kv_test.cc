@@ -235,11 +235,6 @@ TEST(HashRing, JumpLookupMatchesBinarySearch) {
   }
 }
 
-TEST(RackKvDomainNames, FollowTheRackGrammar) {
-  EXPECT_EQ(RackKvHostDomain(0), "rack.s0.host");
-  EXPECT_EQ(RackKvSocDomain(3), "rack.s3.soc");
-}
-
 // Small-but-complete rack: every subsystem instantiated, a run in well
 // under a second.
 RackKvParams SmallRack() {

@@ -82,7 +82,7 @@ struct ReplyProbe : ReplyCallback::Sink {
 
 TEST(EchoCpu, ServesAndReplies) {
   Simulator sim;
-  EchoCpu cpu(&sim, "cpu", 2, FromNanos(300));
+  EchoCpu cpu(&sim, "cpu", "srv.host", 2, FromNanos(300));
   SendHandler h = cpu.Handler();
   ReplyProbe probe;
   h(/*hdr=*/0, 128, ReplyCallback(&probe, nullptr));
@@ -93,7 +93,7 @@ TEST(EchoCpu, ServesAndReplies) {
 
 TEST(EchoCpu, CoresBoundThroughput) {
   Simulator sim;
-  EchoCpu cpu(&sim, "cpu", 2, FromNanos(100));
+  EchoCpu cpu(&sim, "cpu", "srv.host", 2, FromNanos(100));
   SendHandler h = cpu.Handler();
   ReplyProbe probe;
   for (int i = 0; i < 10; ++i) {

@@ -35,7 +35,10 @@ class ClientTest : public ::testing::Test {
 TEST_F(ClientTest, SingleReadCompletes) {
   ClientMachine cli(&sim_, &fabric_, ClientParams{}, "c0");
   SimTime done = -1;
-  cli.Post(0, Target(Verb::kRead, 64), 0, [&](SimTime t) { done = t; });
+  cli.Post(0, Target(Verb::kRead, 64), 0, [&](SimTime t, bool ok) {
+    EXPECT_TRUE(ok);
+    done = t;
+  });
   sim_.Run();
   EXPECT_GT(done, 0);
   // One-sided READ latency in the low-microsecond range (paper Fig. 4).
@@ -59,7 +62,10 @@ TEST_F(ClientTest, ClosedLoopKeepsWindowBounded) {
 TEST_F(ClientTest, WriteCarriesPayloadFrames) {
   ClientMachine cli(&sim_, &fabric_, ClientParams{}, "c0");
   SimTime done = -1;
-  cli.Post(0, Target(Verb::kWrite, 4096), 0, [&](SimTime t) { done = t; });
+  cli.Post(0, Target(Verb::kWrite, 4096), 0, [&](SimTime t, bool ok) {
+    EXPECT_TRUE(ok);
+    done = t;
+  });
   sim_.Run();
   EXPECT_GT(done, 0);
   // 4 KB at 1 KB MTU = 4 frames on the client's uplink.
@@ -69,7 +75,10 @@ TEST_F(ClientTest, WriteCarriesPayloadFrames) {
 TEST_F(ClientTest, SendGetsEchoReply) {
   ClientMachine cli(&sim_, &fabric_, ClientParams{}, "c0");
   SimTime done = -1;
-  cli.Post(0, Target(Verb::kSend, 128, /*soc=*/true), 0x100, [&](SimTime t) { done = t; });
+  cli.Post(0, Target(Verb::kSend, 128, /*soc=*/true), 0x100, [&](SimTime t, bool ok) {
+    EXPECT_TRUE(ok);
+    done = t;
+  });
   sim_.Run();
   EXPECT_GT(done, 0);
 }

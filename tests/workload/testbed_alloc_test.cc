@@ -22,7 +22,7 @@ TEST(TestbedSetup, PathsPointAllocatesLittle) {
   const uint64_t before = g_allocations;
   MeasureInboundPath(ServerKind::kBluefieldSoc, Verb::kRead, 64, cfg);
   const uint64_t allocations = g_allocations - before;
-  // 61 with libstdc++ 12: a few per requester machine (the machine, its
+  // 60 with libstdc++ 12: a few per requester machine (the machine, its
   // port, its per-thread array), the server's fixed arrays, and the event
   // queue's growth. Token pools allocate nothing until a first waiter, and
   // the simulator builds no timer wheel because no paths point arms a timer.
