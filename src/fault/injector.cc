@@ -109,24 +109,16 @@ bool FaultInjector::InRewarm(const std::string& domain, SimTime at) const {
 }
 
 void FaultInjector::RegisterMetrics(MetricsRegistry* reg) {
-  reg->Register("faults", "frames_offered", "count",
-                "MTU frames offered to lossy links",
-                [this] { return static_cast<double>(frames_offered_); });
-  reg->Register("faults", "frames_dropped", "count",
-                "frames lost to Bernoulli drops or flap windows",
-                [this] { return static_cast<double>(frames_dropped_); });
-  reg->Register("faults", "bursts_dropped", "count",
-                "bursts killed (any frame lost kills the burst)",
-                [this] { return static_cast<double>(bursts_dropped_); });
-  reg->Register("faults", "flap_drops", "count",
-                "bursts dropped by link-flap windows",
-                [this] { return static_cast<double>(flap_drops_); });
-  reg->Register("faults", "stall_hits", "count",
-                "work items deferred by a compute stall window",
-                [this] { return static_cast<double>(stall_hits_); });
-  reg->Register("faults", "stalled_us", "us",
-                "total deferral injected by stall windows",
-                [this] { return ToMicros(stalled_); });
+  using F = FaultInjector;
+  static constexpr MetricsRegistry::Row<F> kRows[] = {
+      {"frames_offered", "count", [](const F& f) -> double { return f.frames_offered_; }},
+      {"frames_dropped", "count", [](const F& f) -> double { return f.frames_dropped_; }},
+      {"bursts_dropped", "count", [](const F& f) -> double { return f.bursts_dropped_; }},
+      {"flap_drops", "count", [](const F& f) -> double { return f.flap_drops_; }},
+      {"stall_hits", "count", [](const F& f) -> double { return f.stall_hits_; }},
+      {"stalled_us", "us", [](const F& f) { return ToMicros(f.stalled_); }},
+  };
+  reg->Register("faults", *this, kRows);
 }
 
 }  // namespace fault

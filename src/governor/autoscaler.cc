@@ -20,12 +20,7 @@ std::string TraceRunResult::Fingerprint() const {
 }
 
 void TraceRunResult::RegisterMetrics(MetricsRegistry* reg) const {
-  ForEachTraceCounter([&](const TraceCounterInfo& c, auto field) {
-    if (c.dumped) {
-      reg->Register("scale", c.name, c.unit, c.help,
-                    [this, field] { return static_cast<double>(this->*field); });
-    }
-  });
+  reg->Register("scale", *this, kTraceMetricRows);
 }
 
 SloMonitor::SloMonitor(const trace::TraceDriver* driver, Signals signals,

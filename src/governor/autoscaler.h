@@ -38,12 +38,10 @@
 #include <vector>
 
 #include "src/common/units.h"
+#include "src/obs/metrics.h"
 #include "src/workload/trace/trace.h"
 
 namespace snicsim {
-
-class MetricsRegistry;
-
 namespace governor {
 
 struct ScaleConfig {
@@ -125,17 +123,29 @@ struct TraceCounterInfo {
   const char* name;
   const char* unit;
   bool dumped;
-  const char* help;
 };
 
 // Calls f(info, &TraceRunResult::<name>) for every counter, in row order.
 template <typename F>
 void ForEachTraceCounter(F&& f) {
 #define SNICSIM_TRACE_VISIT(type, name, init, unit, dumped, help)                                  \
-  f(TraceCounterInfo{#name, unit, dumped, help}, &TraceRunResult::name);
+  f(TraceCounterInfo{#name, unit, dumped}, &TraceRunResult::name);
   SNICSIM_TRACE_COUNTERS(SNICSIM_TRACE_VISIT)
 #undef SNICSIM_TRACE_VISIT
 }
+
+// The scale.<name> rows of the --metrics dump: the counters marked dumped,
+// in row order.
+#define SNICSIM_TRACE_METRIC_true(name, unit)                                                      \
+  {#name, unit, [](const TraceRunResult& r) { return static_cast<double>(r.name); }},
+#define SNICSIM_TRACE_METRIC_false(name, unit)
+#define SNICSIM_TRACE_METRIC(type, name, init, unit, dumped, help)                                 \
+  SNICSIM_TRACE_METRIC_##dumped(name, unit)
+inline constexpr MetricsRegistry::Row<TraceRunResult> kTraceMetricRows[] = {
+    SNICSIM_TRACE_COUNTERS(SNICSIM_TRACE_METRIC)};
+#undef SNICSIM_TRACE_METRIC
+#undef SNICSIM_TRACE_METRIC_false
+#undef SNICSIM_TRACE_METRIC_true
 #undef SNICSIM_TRACE_COUNTERS
 
 // Epoch SLO accounting over a trace. All counter feeds are cumulative;

@@ -127,31 +127,25 @@ void ServingExecutor::ServeSoc(uint64_t hdr, ReplyCallback reply) {
 }
 
 void ServingExecutor::RegisterMetrics(MetricsRegistry* reg) {
-  reg->Register("serve", "host_gets", "count", "gets served on path 1 (host CPU)",
-                [this] { return static_cast<double>(host_gets_); });
-  reg->Register("serve", "soc_gets", "count", "gets served on path 2 (SoC CPU)",
-                [this] { return static_cast<double>(soc_gets_); });
-  reg->Register("serve", "soc_hits", "count", "SoC gets served from SoC DRAM",
-                [this] { return static_cast<double>(soc_hits_); });
-  reg->Register("serve", "soc_misses", "count",
-                "SoC gets that fetched the value over path 3",
-                [this] { return static_cast<double>(soc_misses_); });
-  reg->Register("serve", "path3_bytes", "bytes",
-                "value bytes fetched host->SoC for SoC misses",
-                [this] { return static_cast<double>(path3_bytes_); });
-  reg->Register("serve", "host_busy_us", "us", "host serving-core busy time",
-                [this] { return ToMicros(host_cpu_.busy_time()); });
-  reg->Register("serve", "soc_busy_us", "us", "SoC serving-core busy time",
-                [this] { return ToMicros(soc_cpu_.busy_time()); });
+  using S = ServingExecutor;
+  static constexpr MetricsRegistry::Row<S> kRows[] = {
+      {"host_gets", "count", [](const S& s) -> double { return s.host_gets_; }},
+      {"soc_gets", "count", [](const S& s) -> double { return s.soc_gets_; }},
+      {"soc_hits", "count", [](const S& s) -> double { return s.soc_hits_; }},
+      {"soc_misses", "count", [](const S& s) -> double { return s.soc_misses_; }},
+      {"path3_bytes", "bytes", [](const S& s) -> double { return s.path3_bytes_; }},
+      {"host_busy_us", "us", [](const S& s) { return ToMicros(s.host_cpu_.busy_time()); }},
+      {"soc_busy_us", "us", [](const S& s) { return ToMicros(s.soc_cpu_.busy_time()); }},
+  };
   // Crash accounting exists only in fault-carrying runs, so fault-free
   // metric dumps stay byte-identical to the recorded goldens.
+  static constexpr MetricsRegistry::Row<S> kFaultRows[] = {
+      {"crash_drops", "count", [](const S& s) -> double { return s.crash_drops_; }},
+      {"rewarm_misses", "count", [](const S& s) -> double { return s.rewarm_misses_; }},
+  };
+  reg->Register("serve", *this, kRows);
   if (sim_->faults() != nullptr) {
-    reg->Register("serve", "crash_drops", "count",
-                  "gets dropped by an endpoint crash (arrival or in-flight)",
-                  [this] { return static_cast<double>(crash_drops_); });
-    reg->Register("serve", "rewarm_misses", "count",
-                  "SoC-resident gets that missed during the post-crash rewarm",
-                  [this] { return static_cast<double>(rewarm_misses_); });
+    reg->Register("serve", *this, kFaultRows);
   }
 }
 

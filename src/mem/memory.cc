@@ -154,19 +154,17 @@ SimTime MemorySubsystem::Serve(SimTime ready, uint64_t addr, uint32_t len, bool 
 }
 
 void MemorySubsystem::RegisterMetrics(MetricsRegistry* reg) {
-  reg->Register(name_, "llc_hits", "count", "accesses absorbed by the LLC",
-                [this] { return static_cast<double>(llc_hits_); });
-  reg->Register(name_, "llc_misses", "count", "accesses that missed the LLC",
-                [this] { return static_cast<double>(llc_misses_); });
-  reg->Register(name_, "llc_hit_ratio", "fraction",
-                "llc_hits / (llc_hits + llc_misses); 0 when the LLC is absent", [this] {
-                  const uint64_t total = llc_hits_ + llc_misses_;
-                  return total > 0 ? static_cast<double>(llc_hits_) /
-                                         static_cast<double>(total)
-                                   : 0.0;
-                });
-  reg->Register(name_, "dram_accesses", "count", "accesses served by DRAM",
-                [this] { return static_cast<double>(dram_accesses_); });
+  using M = MemorySubsystem;
+  static constexpr MetricsRegistry::Row<M> kRows[] = {
+      {"llc_hits", "count", [](const M& m) -> double { return m.llc_hits_; }},
+      {"llc_misses", "count", [](const M& m) -> double { return m.llc_misses_; }},
+      {"llc_hit_ratio", "fraction", [](const M& m) {
+         const uint64_t total = m.llc_hits_ + m.llc_misses_;
+         return total > 0 ? static_cast<double>(m.llc_hits_) / static_cast<double>(total) : 0.0;
+       }},
+      {"dram_accesses", "count", [](const M& m) -> double { return m.dram_accesses_; }},
+  };
+  reg->Register(name_, *this, kRows);
 }
 
 }  // namespace snicsim

@@ -212,19 +212,17 @@ void NicEndpoint::MaybeFreeWrite(WriteOp* op) {
 }
 
 void NicEndpoint::RegisterMetrics(MetricsRegistry* reg) {
-  reg->Register(params_.name, "dma_reads", "count", "sub-read requests issued",
-                [this] { return static_cast<double>(reads_issued_); });
-  reg->Register(params_.name, "dma_writes", "count", "DMA write ops issued",
-                [this] { return static_cast<double>(writes_issued_); });
-  reg->Register(params_.name, "hol_stalls", "count",
-                "ops that hit head-of-line window degradation",
-                [this] { return static_cast<double>(hol_events_); });
-  reg->Register(params_.name, "read_credit_peak_waiters", "count",
-                "max sub-reads ever queued for a DMA read credit",
-                [this] { return static_cast<double>(read_credits_.max_waiters()); });
-  reg->Register(params_.name, "write_credit_peak_waiters", "count",
-                "max bursts ever queued for a DMA write credit",
-                [this] { return static_cast<double>(write_credits_.max_waiters()); });
+  using E = NicEndpoint;
+  static constexpr MetricsRegistry::Row<E> kRows[] = {
+      {"dma_reads", "count", [](const E& e) -> double { return e.reads_issued_; }},
+      {"dma_writes", "count", [](const E& e) -> double { return e.writes_issued_; }},
+      {"hol_stalls", "count", [](const E& e) -> double { return e.hol_events_; }},
+      {"read_credit_peak_waiters", "count",
+       [](const E& e) -> double { return e.read_credits_.max_waiters(); }},
+      {"write_credit_peak_waiters", "count",
+       [](const E& e) -> double { return e.write_credits_.max_waiters(); }},
+  };
+  reg->Register(params_.name, *this, kRows);
 }
 
 }  // namespace snicsim

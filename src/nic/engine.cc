@@ -295,18 +295,20 @@ size_t NicEngine::live_records() const {
 }
 
 void NicEngine::RegisterMetrics(MetricsRegistry* reg) {
-  reg->Register(params_.name, "requests_served", "count",
-                "requests entering the engine (remote + local)",
-                [this] { return static_cast<double>(requests_served_); });
-  reg->Register(params_.name + ".fe", "shared_jobs", "count",
-                "work items through the shared front-end pipeline",
-                [this] { return static_cast<double>(frontend_.shared_jobs()); });
-  reg->Register(params_.name + ".fe", "shared_busy_us", "us",
-                "busy time of the shared front-end pipeline",
-                [this] { return ToMicros(frontend_.shared_busy()); });
-  reg->Register(params_.name + ".pu", "peak_waiters", "count",
-                "max jobs ever queued for a shared processing-unit context",
-                [this] { return static_cast<double>(pus_.max_waiters()); });
+  using E = NicEngine;
+  static constexpr MetricsRegistry::Row<E> kRows[] = {
+      {"requests_served", "count", [](const E& e) -> double { return e.requests_served_; }},
+  };
+  static constexpr MetricsRegistry::Row<E> kFrontEndRows[] = {
+      {"shared_jobs", "count", [](const E& e) -> double { return e.frontend_.shared_jobs(); }},
+      {"shared_busy_us", "us", [](const E& e) { return ToMicros(e.frontend_.shared_busy()); }},
+  };
+  static constexpr MetricsRegistry::Row<E> kProcessingUnitRows[] = {
+      {"peak_waiters", "count", [](const E& e) -> double { return e.pus_.max_waiters(); }},
+  };
+  reg->Register(params_.name, *this, kRows);
+  reg->Register(params_.name + ".fe", *this, kFrontEndRows);
+  reg->Register(params_.name + ".pu", *this, kProcessingUnitRows);
   for (const auto& ep : endpoints_) {
     ep->RegisterMetrics(reg);
   }

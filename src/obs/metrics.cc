@@ -3,7 +3,9 @@
 #include <cmath>
 #include <cstdio>
 #include <fstream>
+#include <ostream>
 
+#include "src/common/log.h"
 #include "src/obs/trace.h"
 
 namespace snicsim {
@@ -26,37 +28,35 @@ std::string FormatValue(double v) {
 
 }  // namespace
 
-bool MetricsRegistry::Register(std::string_view instance, std::string_view leaf,
-                               std::string_view unit, std::string_view help,
-                               Sample sample) {
-  std::string full;
-  full.reserve(instance.size() + leaf.size() + 1);
-  full.append(instance);
-  full.push_back('.');
-  full.append(leaf);
-  if (!taken_.insert(full).second) {
-    return false;
+void MetricsRegistry::Add(Entry e) {
+  for (size_t i = 0; i < e.size; ++i) {
+    const std::string_view leaf = e.leaf(e.rows, i);
+    SNIC_CHECK(leaf.find('.') == std::string_view::npos);
+    for (size_t j = 0; j < i; ++j) {
+      SNIC_CHECK(leaf != e.leaf(e.rows, j));
+    }
+    for (const Entry& o : entries_) {
+      if (o.instance == e.instance) {
+        for (size_t j = 0; j < o.size; ++j) {
+          SNIC_CHECK(leaf != o.leaf(o.rows, j));
+        }
+      }
+    }
   }
-  Entry e;
-  e.instance = std::string(instance);
-  e.leaf = std::string(leaf);
-  e.unit = std::string(unit);
-  e.help = std::string(help);
-  e.sample = std::move(sample);
   entries_.push_back(std::move(e));
-  return true;
 }
 
 void MetricsRegistry::WriteJson(std::ostream& os) const {
   os << "{";
   bool first = true;
-  for (const Entry& e : entries_) {
+  ForEachRow([&](std::string_view instance, std::string_view leaf, std::string_view unit,
+                 double value) {
     os << (first ? "\n" : ",\n");
     first = false;
-    os << "  \"" << Tracer::JsonEscape(e.instance) << '.' << Tracer::JsonEscape(e.leaf)
-       << "\": {\"value\": " << FormatValue(e.sample ? e.sample() : 0.0)
-       << ", \"unit\": \"" << Tracer::JsonEscape(e.unit) << "\"}";
-  }
+    os << "  \"" << Tracer::JsonEscape(instance) << '.' << Tracer::JsonEscape(leaf)
+       << "\": {\"value\": " << FormatValue(value) << ", \"unit\": \""
+       << Tracer::JsonEscape(unit) << "\"}";
+  });
   os << "\n}\n";
 }
 

@@ -315,48 +315,31 @@ uint64_t TenantManager::Total(uint64_t TenantResult::*field) const {
 
 void TenantManager::RegisterMetrics(MetricsRegistry* reg) {
   // Hand-ordered: serving_metrics.golden pins this order.
-  auto sum = [this](uint64_t TenantResult::*field) { return static_cast<double>(Total(field)); };
-  reg->Register("tenant", "generated", "count",
-                "tenant items generated (all tenants)",
-                [sum] { return sum(&TenantResult::generated); });
-  reg->Register("tenant", "admitted", "count",
-                "tenant items past per-tenant admission",
-                [sum] { return sum(&TenantResult::admitted); });
-  reg->Register("tenant", "completed", "count",
-                "tenant items that finished their pipeline",
-                [sum] { return sum(&TenantResult::completed); });
-  reg->Register("tenant", "failed", "count",
-                "tenant items killed by crash windows",
-                [sum] { return sum(&TenantResult::failed); });
-  reg->Register("tenant", "shed_codel", "count",
-                "tenant items shed by per-tenant CoDel controllers",
-                [sum] { return sum(&TenantResult::shed_codel); });
-  reg->Register("tenant", "shed_bucket", "count",
-                "tenant items shed by per-tenant admission caps",
-                [sum] { return sum(&TenantResult::shed_bucket); });
-  reg->Register("tenant", "filtered", "count",
-                "items terminated at a scan stage (pushdown win)",
-                [sum] { return sum(&TenantResult::filtered); });
-  reg->Register("tenant", "violations", "count",
-                "tenant completions that missed their SLO",
-                [sum] { return sum(&TenantResult::violations); });
-  reg->Register("tenant", "crossings", "count",
-                "tenant placement-boundary crossings over path 3",
-                [sum] { return sum(&TenantResult::crossings); });
-  reg->Register("tenant", "path3_bytes", "bytes",
-                "bytes tenant pipelines shipped across path 3",
-                [sum] { return sum(&TenantResult::path3_bytes); });
-  reg->Register("tenant", "grants", "count",
-                "SoC-pool WRR grants across all tenants", [this] {
-                  double total = 0.0;
-                  for (const Tenant& tn : tenants_) {
-                    const auto& pool = pools_[static_cast<size_t>(tn.spec.pool)];
-                    if (pool) {
-                      total += static_cast<double>(pool->grants(tn.pool_local));
-                    }
-                  }
-                  return total;
-                });
+  using M = TenantManager;
+  using R = TenantResult;
+  static constexpr MetricsRegistry::Row<M> kRows[] = {
+      {"generated", "count", [](const M& m) -> double { return m.Total(&R::generated); }},
+      {"admitted", "count", [](const M& m) -> double { return m.Total(&R::admitted); }},
+      {"completed", "count", [](const M& m) -> double { return m.Total(&R::completed); }},
+      {"failed", "count", [](const M& m) -> double { return m.Total(&R::failed); }},
+      {"shed_codel", "count", [](const M& m) -> double { return m.Total(&R::shed_codel); }},
+      {"shed_bucket", "count", [](const M& m) -> double { return m.Total(&R::shed_bucket); }},
+      {"filtered", "count", [](const M& m) -> double { return m.Total(&R::filtered); }},
+      {"violations", "count", [](const M& m) -> double { return m.Total(&R::violations); }},
+      {"crossings", "count", [](const M& m) -> double { return m.Total(&R::crossings); }},
+      {"path3_bytes", "bytes", [](const M& m) -> double { return m.Total(&R::path3_bytes); }},
+      {"grants", "count", [](const M& m) {
+         double total = 0.0;
+         for (const Tenant& tn : m.tenants_) {
+           const auto& pool = m.pools_[static_cast<size_t>(tn.spec.pool)];
+           if (pool) {
+             total += static_cast<double>(pool->grants(tn.pool_local));
+           }
+         }
+         return total;
+       }},
+  };
+  reg->Register("tenant", *this, kRows);
 }
 
 TenantSetResult TenantManager::Results() const {

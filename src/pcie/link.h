@@ -12,6 +12,7 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <utility>
 
@@ -119,7 +120,7 @@ class PcieLink {
             down_counters_.wire_bytes + up_counters_.wire_bytes};
   }
 
-  SimTime BusyTime(LinkDir dir) { return Server(dir).busy_time(); }
+  SimTime BusyTime(LinkDir dir) const { return (dir == LinkDir::kDown ? down_ : up_).busy_time(); }
 
   // Serialization time of `wire_bytes`, stretched by any fault-degrade
   // window active at `at`. Reduces to bandwidth().TransferTime() exactly
@@ -152,27 +153,28 @@ class PcieLink {
 
   // Exposes both directions' counters under "<name>.down" / "<name>.up".
   void RegisterMetrics(MetricsRegistry* reg) {
-    for (const LinkDir dir : {LinkDir::kDown, LinkDir::kUp}) {
-      const std::string inst = name_ + "." + LinkDirName(dir);
-      reg->Register(inst, "tlps", "count", "TLPs serialized in this direction",
-                    [this, dir] { return static_cast<double>(counters(dir).tlps); });
-      reg->Register(inst, "payload_bytes", "bytes", "payload bytes carried",
-                    [this, dir] { return static_cast<double>(counters(dir).payload_bytes); });
-      reg->Register(inst, "wire_bytes", "bytes", "payload + per-TLP header bytes",
-                    [this, dir] { return static_cast<double>(counters(dir).wire_bytes); });
-      reg->Register(inst, "busy_us", "us", "time this direction was serializing",
-                    [this, dir] { return ToMicros(BusyTime(dir)); });
-      reg->Register(inst, "utilization", "fraction",
-                    "busy time / total simulated time at dump", [this, dir] {
-                      const SimTime t = sim_->now();
-                      return t > 0 ? static_cast<double>(BusyTime(dir)) /
-                                         static_cast<double>(t)
-                                   : 0.0;
-                    });
-    }
+    reg->Register(name_ + ".down", *this, DirRows<LinkDir::kDown>());
+    reg->Register(name_ + ".up", *this, DirRows<LinkDir::kUp>());
   }
 
  private:
+  template <LinkDir D>
+  static std::span<const MetricsRegistry::Row<PcieLink>> DirRows() {
+    using L = PcieLink;
+    static constexpr MetricsRegistry::Row<L> kRows[] = {
+        {"tlps", "count", [](const L& l) -> double { return l.counters(D).tlps; }},
+        {"payload_bytes", "bytes",
+         [](const L& l) -> double { return l.counters(D).payload_bytes; }},
+        {"wire_bytes", "bytes", [](const L& l) -> double { return l.counters(D).wire_bytes; }},
+        {"busy_us", "us", [](const L& l) { return ToMicros(l.BusyTime(D)); }},
+        {"utilization", "fraction", [](const L& l) {
+           const SimTime t = l.sim_->now();
+           return t > 0 ? static_cast<double>(l.BusyTime(D)) / static_cast<double>(t) : 0.0;
+         }},
+    };
+    return kRows;
+  }
+
   // The last (wire bytes -> undegraded service time) pair asked for. It
   // hands back the value the division gave, so it is exact, where a
   // reciprocal of the bandwidth would round some picoseconds differently.

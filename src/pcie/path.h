@@ -39,8 +39,10 @@ class PcieSwitch {
   void CountForward(uint64_t n = 1) { forwards_ += n; }
 
   void RegisterMetrics(MetricsRegistry* reg) {
-    reg->Register(name_, "forwards", "count", "TLPs forwarded through this switch",
-                  [this] { return static_cast<double>(forwards_); });
+    static constexpr MetricsRegistry::Row<PcieSwitch> kRows[] = {
+        {"forwards", "count", [](const PcieSwitch& s) -> double { return s.forwards_; }},
+    };
+    reg->Register(name_, *this, kRows);
   }
 
  private:

@@ -180,39 +180,21 @@ SimTime ResilienceManager::HedgeDelay(int routed_ep) {
 }
 
 void ResilienceManager::RegisterMetrics(MetricsRegistry* reg) {
-  reg->Register("resil", "shed_total", "count",
-                "requests refused at admission (all causes)",
-                [this] { return static_cast<double>(shed_total()); });
-  reg->Register("resil", "shed_codel", "count",
-                "requests shed by the CoDel queue-delay controller",
-                [this] { return static_cast<double>(shed_codel_); });
-  reg->Register("resil", "shed_bucket", "count",
-                "requests shed by the token-bucket rate limiter",
-                [this] { return static_cast<double>(shed_bucket_); });
-  reg->Register("resil", "shed_deadline", "count",
-                "requests whose deadline expired before admission",
-                [this] { return static_cast<double>(shed_deadline_); });
-  reg->Register("resil", "hedges", "count",
-                "duplicate requests launched onto the second endpoint",
-                [this] { return static_cast<double>(hedges_); });
-  reg->Register("resil", "hedge_wins", "count",
-                "hedged requests won by the duplicate copy",
-                [this] { return static_cast<double>(hedge_wins_); });
-  reg->Register("resil", "hedge_cancels", "count",
-                "hedge copies cancelled after the race settled",
-                [this] { return static_cast<double>(hedge_cancels_); });
-  reg->Register("resil", "breaker_trips", "count",
-                "circuit breakers tripped closed -> open",
-                [this] { return static_cast<double>(breaker_trips_); });
-  reg->Register("resil", "breaker_reopens", "count",
-                "half-open probe rounds that re-tripped the breaker",
-                [this] { return static_cast<double>(breaker_reopens_); });
-  reg->Register("resil", "breaker_probes", "count",
-                "probe requests admitted while half-open",
-                [this] { return static_cast<double>(breaker_probes_used_); });
-  reg->Register("resil", "draws", "count",
-                "hedge-jitter RNG draws (replay accounting)",
-                [this] { return static_cast<double>(draws_); });
+  using R = ResilienceManager;
+  static constexpr MetricsRegistry::Row<R> kRows[] = {
+      {"shed_total", "count", [](const R& r) -> double { return r.shed_total(); }},
+      {"shed_codel", "count", [](const R& r) -> double { return r.shed_codel_; }},
+      {"shed_bucket", "count", [](const R& r) -> double { return r.shed_bucket_; }},
+      {"shed_deadline", "count", [](const R& r) -> double { return r.shed_deadline_; }},
+      {"hedges", "count", [](const R& r) -> double { return r.hedges_; }},
+      {"hedge_wins", "count", [](const R& r) -> double { return r.hedge_wins_; }},
+      {"hedge_cancels", "count", [](const R& r) -> double { return r.hedge_cancels_; }},
+      {"breaker_trips", "count", [](const R& r) -> double { return r.breaker_trips_; }},
+      {"breaker_reopens", "count", [](const R& r) -> double { return r.breaker_reopens_; }},
+      {"breaker_probes", "count", [](const R& r) -> double { return r.breaker_probes_used_; }},
+      {"draws", "count", [](const R& r) -> double { return r.draws_; }},
+  };
+  reg->Register("resil", *this, kRows);
 }
 
 }  // namespace resilience

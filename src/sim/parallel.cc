@@ -119,18 +119,4 @@ void ParallelSimulator::MergeOutboxes() {
   }
 }
 
-void ParallelSimulator::RegisterMetrics(MetricsRegistry* reg,
-                                        const std::string& instance) {
-  reg->Register(instance, "domains", "count", "event domains in this rack",
-                [this] { return static_cast<double>(domains()); });
-  reg->Register(instance, "rounds", "count",
-                "conservative sync rounds (horizon advances)",
-                [this] { return static_cast<double>(rounds_); });
-  reg->Register(instance, "merged_events", "count",
-                "cross-domain events delivered through the barrier merge",
-                [this] { return static_cast<double>(merged_); });
-  reg->Register(instance, "lookahead_us", "us", "conservative lookahead bound",
-                [this] { return ToMicros(lookahead_); });
-}
-
 }  // namespace snicsim

@@ -34,7 +34,6 @@
 
 #include "src/common/log.h"
 #include "src/common/units.h"
-#include "src/obs/metrics.h"
 #include "src/sim/callback.h"
 #include "src/sim/domain.h"
 #include "src/sim/simulator.h"
@@ -97,10 +96,6 @@ class ParallelSimulator {
   uint64_t merge_digest() const { return merge_digest_; }
   // Sum of per-domain event counts, in domain order.
   uint64_t processed() const;
-
-  // Exposes sim.domains / sim.rounds / sim.merged_events /
-  // sim.lookahead_us under the given instance (DESIGN.md §6).
-  void RegisterMetrics(MetricsRegistry* reg, const std::string& instance = "sim");
 
  private:
   struct Outbox;

@@ -138,10 +138,7 @@ std::vector<std::string> RackKvResult::LedgerBreaks() const {
 }
 
 void RackKvResult::RegisterMetrics(MetricsRegistry* reg) const {
-  ForEachRackCounter([&](const RackCounterInfo& c, auto field) {
-    reg->Register("rack", c.name, c.unit, c.help,
-                  [this, field] { return static_cast<double>(this->*field); });
-  });
+  reg->Register("rack", *this, kRackMetricRows);
 }
 
 RackKvResult RunRackKv(const RackKvParams& params) {

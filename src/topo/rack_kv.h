@@ -33,6 +33,7 @@
 #include "src/common/units.h"
 #include "src/fault/plan.h"
 #include "src/kvstore/layout.h"
+#include "src/obs/metrics.h"
 #include "src/resilience/resilience.h"
 #include "src/sim/domain.h"
 #include "src/topo/testbed_params.h"
@@ -98,8 +99,6 @@ struct RackKvParams {
   // to no trace at all.
   trace::TracePlan trace;
 };
-
-class MetricsRegistry;
 
 // How RunRackKv folds one counter over the server domains.
 enum class RackMerge : uint8_t {
@@ -244,7 +243,6 @@ struct RackCounterInfo {
   const char* unit;
   RackMerge merge;
   bool fingerprinted;
-  const char* help;
 };
 
 // Calls f(info, &RackKvResult::<name>) for every counter, in declaration
@@ -252,10 +250,18 @@ struct RackCounterInfo {
 template <typename F>
 void ForEachRackCounter(F&& f) {
 #define SNICSIM_RACK_VISIT(type, name, unit, merge, fingerprinted, help)                           \
-  f(RackCounterInfo{#name, unit, RackMerge::merge, fingerprinted, help}, &RackKvResult::name);
+  f(RackCounterInfo{#name, unit, RackMerge::merge, fingerprinted}, &RackKvResult::name);
   SNICSIM_RACK_COUNTERS(SNICSIM_RACK_VISIT)
 #undef SNICSIM_RACK_VISIT
 }
+
+// The rack.<name> rows of the --metrics dump: every counter, in row order.
+inline constexpr MetricsRegistry::Row<RackKvResult> kRackMetricRows[] = {
+#define SNICSIM_RACK_METRIC(type, name, unit, merge, fingerprinted, help)                          \
+  {#name, unit, [](const RackKvResult& r) { return static_cast<double>(r.name); }},
+    SNICSIM_RACK_COUNTERS(SNICSIM_RACK_METRIC)
+#undef SNICSIM_RACK_METRIC
+};
 #undef SNICSIM_RACK_COUNTERS
 
 RackKvResult RunRackKv(const RackKvParams& params);

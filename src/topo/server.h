@@ -72,10 +72,11 @@ class EchoCpu {
   uint64_t replies() const { return replies_; }
 
   void RegisterMetrics(MetricsRegistry* reg) {
-    reg->Register(name_, "replies", "count", "two-sided messages echoed",
-                  [this] { return static_cast<double>(replies_); });
-    reg->Register(name_, "busy_us", "us", "total core-busy time of the pool",
-                  [this] { return ToMicros(pool_.busy_time()); });
+    static constexpr MetricsRegistry::Row<EchoCpu> kRows[] = {
+        {"replies", "count", [](const EchoCpu& c) -> double { return c.replies_; }},
+        {"busy_us", "us", [](const EchoCpu& c) { return ToMicros(c.pool_.busy_time()); }},
+    };
+    reg->Register(name_, *this, kRows);
   }
 
  private:

@@ -330,23 +330,21 @@ void ClientMachine::DropFlight(Flight* f) {
 }
 
 void ClientMachine::RegisterMetrics(MetricsRegistry* reg) {
-  reg->Register(name_, "issued", "count", "operations posted by this machine",
-                [this] { return static_cast<double>(issued_); });
-  reg->Register(name_, "doorbells", "count",
-                "MMIO doorbell rings (one per batch when batching)",
-                [this] { return static_cast<double>(doorbells_); });
+  using C = ClientMachine;
+  static constexpr MetricsRegistry::Row<C> kRows[] = {
+      {"issued", "count", [](const C& c) -> double { return c.issued_; }},
+      {"doorbells", "count", [](const C& c) -> double { return c.doorbells_; }},
+  };
   // Reliability counters exist only in fault-carrying runs, so the metrics
   // dump of a fault-free run stays byte-identical to the pre-fault layer.
+  static constexpr MetricsRegistry::Row<C> kFaultRows[] = {
+      {"retransmits", "count", [](const C& c) -> double { return c.retransmits_; }},
+      {"op_failures", "count", [](const C& c) -> double { return c.op_failures_; }},
+      {"deadline_failures", "count", [](const C& c) -> double { return c.deadline_failures_; }},
+  };
+  reg->Register(name_, *this, kRows);
   if (sim_->faults() != nullptr) {
-    reg->Register(name_, "retransmits", "count",
-                  "NIC-level replays by the client reliability layer",
-                  [this] { return static_cast<double>(retransmits_); });
-    reg->Register(name_, "op_failures", "count",
-                  "closed-loop ops abandoned after retry_cnt retransmissions",
-                  [this] { return static_cast<double>(op_failures_); });
-    reg->Register(name_, "deadline_failures", "count",
-                  "reliable ops abandoned at a retry timer past their deadline",
-                  [this] { return static_cast<double>(deadline_failures_); });
+    reg->Register(name_, *this, kFaultRows);
   }
 }
 

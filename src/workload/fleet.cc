@@ -351,40 +351,33 @@ void ClientFleet::Finish(int routed, int copy, const KvRequest& req,
 }
 
 void ClientFleet::RegisterMetrics(MetricsRegistry* reg) {
-  reg->Register(prefix_, "issued", "count", "requests routed by the fleet",
-                [this] { return static_cast<double>(issued_); });
-  reg->Register(prefix_, "completed", "count", "requests that completed",
-                [this] { return static_cast<double>(completed_); });
-  reg->Register(prefix_, "failed", "count", "requests the reliability layer gave up on",
-                [this] { return static_cast<double>(failed_); });
+  using F = ClientFleet;
+  static constexpr MetricsRegistry::Row<F> kRows[] = {
+      {"issued", "count", [](const F& f) -> double { return f.issued_; }},
+      {"completed", "count", [](const F& f) -> double { return f.completed_; }},
+      {"failed", "count", [](const F& f) -> double { return f.failed_; }},
+  };
   // Resilience counters exist only when a manager is attached (attach it
   // before registering), so resilience-free metric dumps stay byte-identical.
-  if (resil_ != nullptr) {
-    reg->Register(prefix_, "shed", "count",
-                  "requests refused by admission control (never posted)",
-                  [this] { return static_cast<double>(shed_); });
-    reg->Register(prefix_, "cancelled", "count",
-                  "hedge copies cancelled after the race settled",
-                  [this] { return static_cast<double>(cancelled_); });
-    reg->Register(prefix_, "good", "count",
-                  "requests completed within their deadline budget",
-                  [this] { return static_cast<double>(good_); });
-    reg->Register(prefix_, "late", "count",
-                  "requests completed past their deadline budget",
-                  [this] { return static_cast<double>(late_); });
-    reg->Register(prefix_, "deadline_failed", "count",
-                  "requests failed with the deadline budget exhausted",
-                  [this] { return static_cast<double>(deadline_failed_); });
-  }
+  static constexpr MetricsRegistry::Row<F> kResilienceRows[] = {
+      {"shed", "count", [](const F& f) -> double { return f.shed_; }},
+      {"cancelled", "count", [](const F& f) -> double { return f.cancelled_; }},
+      {"good", "count", [](const F& f) -> double { return f.good_; }},
+      {"late", "count", [](const F& f) -> double { return f.late_; }},
+      {"deadline_failed", "count", [](const F& f) -> double { return f.deadline_failed_; }},
+  };
   // Trace counters exist only when a trace is attached (attach before
   // registering), so trace-free metric dumps stay byte-identical.
+  static constexpr MetricsRegistry::Row<F> kTraceRows[] = {
+      {"thinned", "count", [](const F& f) -> double { return f.thinned_; }},
+      {"scan_forced", "count", [](const F& f) -> double { return f.scan_forced_; }},
+  };
+  reg->Register(prefix_, *this, kRows);
+  if (resil_ != nullptr) {
+    reg->Register(prefix_, *this, kResilienceRows);
+  }
   if (trace_ != nullptr) {
-    reg->Register("trace", "thinned", "count",
-                  "arrival candidates rejected by trace rate thinning",
-                  [this] { return static_cast<double>(thinned_); });
-    reg->Register("trace", "scan_forced", "count",
-                  "issues whose size class a scan phase forced to the top",
-                  [this] { return static_cast<double>(scan_forced_); });
+    reg->Register("trace", *this, kTraceRows);
   }
   for (auto& m : machines_) {
     m->RegisterMetrics(reg);

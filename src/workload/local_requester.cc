@@ -165,11 +165,11 @@ void LocalRequester::IssueBatch(Loop* loop) {
 }
 
 void LocalRequester::RegisterMetrics(MetricsRegistry* reg) {
-  reg->Register(name_, "issued", "count", "operations posted by this requester",
-                [this] { return static_cast<double>(issued_); });
-  reg->Register(name_, "doorbells", "count",
-                "MMIO doorbell rings (one per batch when batching)",
-                [this] { return static_cast<double>(doorbells_); });
+  static constexpr MetricsRegistry::Row<LocalRequester> kRows[] = {
+      {"issued", "count", [](const LocalRequester& r) -> double { return r.issued_; }},
+      {"doorbells", "count", [](const LocalRequester& r) -> double { return r.doorbells_; }},
+  };
+  reg->Register(name_, *this, kRows);
 }
 
 }  // namespace snicsim

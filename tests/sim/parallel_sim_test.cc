@@ -15,7 +15,6 @@
 #include <vector>
 
 #include "src/common/units.h"
-#include "src/obs/metrics.h"
 #include "src/sim/pool.h"
 #include "src/sim/simulator.h"
 
@@ -113,20 +112,6 @@ TEST(ParallelSimulator, WorkersNeverOutnumberDomains) {
   EXPECT_EQ(ParallelSimulator(2, /*lookahead=*/50, 8).threads(), 2);
   EXPECT_EQ(ParallelSimulator(4, /*lookahead=*/50, 3).threads(), 3);
   EXPECT_EQ(ParallelSimulator(3, /*lookahead=*/50, 1).threads(), 1);
-}
-
-TEST(ParallelSimulator, RegistersSimMetrics) {
-  ParallelSimulator psim(4, FromNanos(1500), 1);
-  MetricsRegistry reg;
-  psim.RegisterMetrics(&reg);
-  std::vector<std::string> leaves;
-  for (const auto& e : reg.entries()) {
-    EXPECT_EQ(e.instance, "sim");
-    leaves.push_back(e.leaf);
-  }
-  const std::vector<std::string> expect = {"domains", "rounds",
-                                           "merged_events", "lookahead_us"};
-  EXPECT_EQ(leaves, expect);
 }
 
 TEST(SlabPool, RecyclesRecordsWithoutGrowth) {
