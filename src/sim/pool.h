@@ -81,6 +81,31 @@ class SlabPool {
   size_t capacity_ = 0;
 };
 
+// A SlabPool whose records carry a reuse guard, `uint64_t gen`: Alloc stamps
+// it with the pool's next generation (1, 2, ...) and Free zeroes it. A
+// handle that kept (record, gen) can then tell whether the slot it points at
+// is still the same record, however often the slot has been reused since.
+template <typename T>
+class GuardedPool {
+ public:
+  T* Alloc() {
+    T* rec = pool_.Alloc();
+    rec->gen = ++gen_;
+    return rec;
+  }
+  void Free(T* rec) {
+    rec->gen = 0;
+    pool_.Free(rec);
+  }
+
+  size_t live() const { return pool_.live(); }
+  size_t capacity() const { return pool_.capacity(); }
+
+ private:
+  SlabPool<T> pool_;
+  uint64_t gen_ = 0;
+};
+
 }  // namespace snicsim
 
 #endif  // SRC_SIM_POOL_H_

@@ -7,7 +7,9 @@
 #ifndef SRC_TOPO_FABRIC_H_
 #define SRC_TOPO_FABRIC_H_
 
+#include <cstddef>
 #include <memory>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -32,12 +34,17 @@ class Fabric {
   // Attaches a machine port of the given bandwidth; kUp is toward the
   // switch, kDown toward the machine.
   PcieLink* AddPort(const std::string& name, Bandwidth bandwidth) {
-    ports_.push_back(
-        std::make_unique<PcieLink>(sim_, name, bandwidth, link_propagation_));
+    if (used_ == chunk_size_) {
+      chunk_size_ = chunks_.empty() ? kFirstChunk : 2 * chunk_size_;
+      chunks_.push_back(std::make_unique<std::optional<PcieLink>[]>(chunk_size_));
+      used_ = 0;
+    }
+    PcieLink& port =
+        chunks_.back()[used_++].emplace(sim_, name, bandwidth, link_propagation_);
     // Network cables are the loss domain of the fault model; PCIe channels
     // stay loss-free (src/fault/plan.h).
-    ports_.back()->set_lossy(true);
-    return ports_.back().get();
+    port.set_lossy(true);
+    return &port;
   }
 
   // Route from machine A to machine B through the switch.
@@ -55,7 +62,13 @@ class Fabric {
   Simulator* sim_;
   SimTime link_propagation_;
   PcieSwitch ib_switch_;
-  std::vector<std::unique_ptr<PcieLink>> ports_;
+  // Ports live in chunks that never move, so every PcieLink* handed out
+  // stays valid. Each chunk doubles the last, so a fabric of up to
+  // kFirstChunk ports makes two allocations and a larger one O(log n).
+  static constexpr size_t kFirstChunk = 16;
+  std::vector<std::unique_ptr<std::optional<PcieLink>[]>> chunks_;
+  size_t chunk_size_ = 0;
+  size_t used_ = 0;
 };
 
 }  // namespace snicsim

@@ -13,14 +13,12 @@ namespace {
 
 // Does this domain store `rank` under its current ring (primary or, with
 // replication, follower)?
-bool StoredHere(const RackKv& r, const KvDomain& dom, uint64_t rank) {
-  const HashRing::Pair pair = RingOf(r, dom).PairOf(rank);
-  return pair.primary == static_cast<int>(dom.id) ||
-         (r.p->replicas > 1 && pair.follower == static_cast<int>(dom.id));
+bool StoredHere(const KvDomain& dom, uint64_t rank) {
+  const HashRing::Pair pair = RingOf(dom).PairOf(rank);
+  return pair.primary == dom.id || (dom.p.replicas > 1 && pair.follower == dom.id);
 }
 
-void FinishRepair(RackKv& r, DomainId d, RepairOp* rp, uint64_t gen, bool ok) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
+void FinishRepair(KvDomain& dom, RepairOp* rp, uint64_t gen, bool ok) {
   if (rp->gen != gen) {
     return;
   }
@@ -41,15 +39,14 @@ void FinishRepair(RackKv& r, DomainId d, RepairOp* rp, uint64_t gen, bool ok) {
   }
   ServeCtx* const ctx = rp->ctx;
   const uint64_t ctx_gen = rp->ctx_gen;
-  rp->gen = 0;
   dom.repairs.Free(rp);
   if (ctx != nullptr && ctx->gen == ctx_gen && !ctx->settled) {
     // The parked serve resumes against a (hopefully) clean value; if the
     // heal failed it bounces home as an evidence-free retry.
     if (ok) {
-      LaunchServe(r, d, ctx);
+      LaunchServe(dom, ctx);
     } else {
-      SettleServe(r, d, ctx, /*ok=*/false, dom.stack.sim->now());
+      SettleServe(dom, ctx, /*ok=*/false, dom.stack.sim->now());
     }
   }
 }
@@ -60,17 +57,15 @@ void FinishRepair(RackKv& r, DomainId d, RepairOp* rp, uint64_t gen, bool ok) {
 // chosen by a keyed hash of (plan seed, domain, event time, rank) — fully
 // deterministic, zero RNG draws. Every term of the test is pure, so the
 // cheap hash goes first and only the chosen ranks reach the ring.
-void ApplyCorruption(RackKv& r, DomainId d, double fraction, uint64_t salt) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
+void ApplyCorruption(KvDomain& dom, double fraction, uint64_t salt) {
   if (dom.integ == nullptr) {
     return;
   }
   const uint64_t thresh =
       fraction >= 1.0 ? ~0ULL
                       : static_cast<uint64_t>(fraction * 18446744073709551616.0);
-  for (uint64_t rank = 0; rank < r.p->layout.keys; ++rank) {
-    if (SplitMix64(salt ^ rank) >= thresh || IsCorrupt(dom, rank) ||
-        !StoredHere(r, dom, rank)) {
+  for (uint64_t rank = 0; rank < dom.p.layout.keys; ++rank) {
+    if (SplitMix64(salt ^ rank) >= thresh || IsCorrupt(dom, rank) || !StoredHere(dom, rank)) {
       continue;
     }
     SetCorrupt(dom, rank, true);
@@ -82,14 +77,13 @@ void ApplyCorruption(RackKv& r, DomainId d, double fraction, uint64_t salt) {
 // a wrapping cursor. The walk itself is pure computation — a detection is
 // the only thing that schedules events (the repair), so a clean store scrubs
 // for free and stays byte-identical to a scrubber-free run.
-void ScrubTick(RackKv& r, DomainId d) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
-  const uint64_t n =
-      std::min<uint64_t>(r.p->membership.scrub_keys_per_epoch, r.p->layout.keys);
+void ScrubTick(KvDomain& dom) {
+  const uint64_t keys = dom.p.layout.keys;
+  const uint64_t n = std::min<uint64_t>(dom.p.membership.scrub_keys_per_epoch, keys);
   for (uint64_t i = 0; i < n; ++i) {
     const uint64_t rank = dom.scrub_cursor;
-    dom.scrub_cursor = (dom.scrub_cursor + 1) % r.p->layout.keys;
-    if (!StoredHere(r, dom, rank)) {
+    dom.scrub_cursor = (dom.scrub_cursor + 1) % keys;
+    if (!StoredHere(dom, rank)) {
       continue;
     }
     ++dom.ctr.scrub_checked;
@@ -99,7 +93,7 @@ void ScrubTick(RackKv& r, DomainId d) {
       continue;
     }
     ++dom.ctr.scrub_detected;
-    StartRepair(r, d, rank, /*from_scrub=*/true, nullptr, 0);
+    StartRepair(dom, rank, /*from_scrub=*/true, nullptr, 0);
   }
 }
 
@@ -107,51 +101,38 @@ void ScrubTick(RackKv& r, DomainId d) {
 // (SoC memory access at the peer), and if the peer holds a clean value,
 // overwrite the local one. A parked serve (read-path detection)
 // resumes on success and retries elsewhere on failure.
-void StartRepair(RackKv& r, DomainId d, uint64_t rank, bool from_scrub,
-                 ServeCtx* ctx, uint64_t ctx_gen) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
+void StartRepair(KvDomain& dom, uint64_t rank, bool from_scrub, ServeCtx* ctx,
+                 uint64_t ctx_gen) {
   dom.integ->repairing[static_cast<size_t>(rank)] = 1;
   RepairOp* rp = dom.repairs.Alloc();
-  rp->gen = ++dom.repair_gen;
   rp->rank = rank;
   rp->from_scrub = from_scrub;
   rp->ctx = ctx;
   rp->ctx_gen = ctx_gen;
-  if (r.p->replicas <= 1) {
-    FinishRepair(r, d, rp, rp->gen, /*ok=*/false);  // nowhere to heal from
+  if (dom.p.replicas <= 1) {
+    FinishRepair(dom, rp, rp->gen, /*ok=*/false);  // nowhere to heal from
     return;
   }
-  const int peer = RingOf(r, dom).ReplicaPeerOf(rank, static_cast<int>(d));
-  const int cls = RepairClassOf(r, rank);
-  const uint32_t bytes = r.p->layout.class_bytes[static_cast<size_t>(cls)];
+  const int peer = RingOf(dom).ReplicaPeerOf(rank, dom.id);
+  const int cls = RepairClassOf(dom, rank);
+  const uint32_t bytes = dom.p.layout.class_bytes[static_cast<size_t>(cls)];
   const uint64_t gen = rp->gen;
-  RackKv* rk = &r;
-  r.psim->Post(
-      d, static_cast<DomainId>(peer), dom.stack.sim->now() + r.p->rack_link_latency,
-      [rk, d, rp, gen, peer, rank, cls, bytes] {
-        KvDomain& p = *rk->doms[static_cast<size_t>(peer)];
-        const bool have = !ServerDeadNow(p) &&
-                          !(p.integ != nullptr && IsCorrupt(p, rank));
-        if (!have) {
-          rk->psim->Post(static_cast<DomainId>(peer), d,
-                         p.stack.sim->now() + rk->p->rack_link_latency,
-                         [rk, d, rp, gen] {
-                           FinishRepair(*rk, d, rp, gen, /*ok=*/false);
-                         });
-          return;
-        }
-        const SimTime read_done = p.stack.bf->soc_memory().Access(
-            p.stack.sim->now(), rk->p->layout.Pack(rank, cls), bytes,
-            /*is_write=*/false);
-        p.stack.sim->At(read_done, [rk, d, rp, gen, peer] {
-          KvDomain& pp = *rk->doms[static_cast<size_t>(peer)];
-          rk->psim->Post(static_cast<DomainId>(peer), d,
-                         pp.stack.sim->now() + rk->p->rack_link_latency,
-                         [rk, d, rp, gen] {
-                           FinishRepair(*rk, d, rp, gen, /*ok=*/true);
-                         });
-        });
+  Send(dom, peer, [pp = dom.rack.Dom(peer), d = dom.id, rp, gen, rank, cls, bytes] {
+    const bool have = !ServerDeadNow(*pp) && !(pp->integ != nullptr && IsCorrupt(*pp, rank));
+    if (!have) {
+      Send(*pp, d, [home = pp->rack.Dom(d), rp, gen] {
+        FinishRepair(*home, rp, gen, /*ok=*/false);
       });
+      return;
+    }
+    const SimTime read_done = pp->stack.bf->soc_memory().Access(
+        pp->stack.sim->now(), pp->p.layout.Pack(rank, cls), bytes, /*is_write=*/false);
+    pp->stack.sim->At(read_done, [pp, d, rp, gen] {
+      Send(*pp, d, [home = pp->rack.Dom(d), rp, gen] {
+        FinishRepair(*home, rp, gen, /*ok=*/true);
+      });
+    });
+  });
 }
 
 }  // namespace rackkv

@@ -185,7 +185,6 @@ RackKvResult RunRackKv(const RackKvParams& params) {
       (params.membership.enabled && params.membership.scrub_keys_per_epoch > 0);
 
   RackKv rack;
-  rack.p = &params;
   rack.psim = &psim;
   rack.ring = &ring;
   rack.zipf = &zipf;
@@ -194,7 +193,7 @@ RackKvResult RunRackKv(const RackKvParams& params) {
   for (int d = 0; d < params.servers; ++d) {
     const kv::ServingConfig serving =
         kv::ServingConfig::FromTestbed(params.testbed, params.layout);
-    auto dom = std::make_unique<KvDomain>(d, psim.domain(d), params, serving);
+    auto dom = std::make_unique<KvDomain>(rack, d, params, serving);
     governor::MetricDelta::Sampler repair_path3_bytes;
     if (params.membership.enabled) {
       // The governor's path-③ budget gate samples migration traffic: repair
@@ -232,19 +231,17 @@ RackKvResult RunRackKv(const RackKvParams& params) {
 
   // Opening lineup, in domain order: the fleet's candidate chains, the
   // failover epoch tick, and the quiesce edge that stops both.
-  RackKv* rk = &rack;
-  for (int d = 0; d < params.servers; ++d) {
-    KvDomain& dom = *rack.doms[static_cast<size_t>(d)];
-    AggregateFleet* fleet = dom.fleet.get();
-    KvDomain* dp = &dom;
-    dom.stack.sim->At(0, [rk, d, fleet] {
-      fleet->Start([rk, d](int cls, uint64_t user) { IssueNew(*rk, d, cls, user); });
-      EpochTick(*rk, d);
+  for (const auto& domp : rack.doms) {
+    KvDomain* dp = domp.get();
+    AggregateFleet* fleet = dp->fleet.get();
+    dp->stack.sim->At(0, [dp, fleet] {
+      fleet->Start([dp](int cls, uint64_t user) { IssueNew(*dp, cls, user); });
+      EpochTick(*dp);
     });
     // corrupt= events addressed to this server (either endpoint or the
     // whole-server prefix) fire as draw-free value flips at `at`.
-    const std::string& host_domain = dom.stack.bf->host_ep()->params().name;
-    const std::string& soc_domain = dom.stack.bf->soc_ep()->params().name;
+    const std::string& host_domain = dp->stack.bf->host_ep()->params().name;
+    const std::string& soc_domain = dp->stack.bf->soc_ep()->params().name;
     for (const fault::CorruptEvent& ev : params.faults.corrupts) {
       if (!fault::DomainMatches(ev.domain, host_domain) &&
           !fault::DomainMatches(ev.domain, soc_domain)) {
@@ -253,11 +250,9 @@ RackKvResult RunRackKv(const RackKvParams& params) {
       const double frac = ev.fraction;
       const uint64_t salt = params.faults.seed ^ Fnv1a(soc_domain) ^
                             SplitMix64(static_cast<uint64_t>(ev.at));
-      dom.stack.sim->At(ev.at, [rk, d, frac, salt] {
-        ApplyCorruption(*rk, d, frac, salt);
-      });
+      dp->stack.sim->At(ev.at, [dp, frac, salt] { ApplyCorruption(*dp, frac, salt); });
     }
-    dom.stack.sim->At(params.window, [fleet, dp] {
+    dp->stack.sim->At(params.window, [fleet, dp] {
       fleet->Stop();
       dp->stack.StopIssuing();
     });

@@ -9,6 +9,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "src/common/histogram.h"
@@ -42,12 +43,11 @@ constexpr int kRangeMaxAttempts = 3;             // per-range migration push bud
 enum class ReplyStatus : uint8_t { kOk, kShed, kNack, kRetry };
 
 // One in-flight request, resident in its *home* domain's slab. While the
-// request is at the serving domain the pointer travels inside closures as
-// an opaque handle and is only dereferenced back home. `gen` (bumped on
-// every Alloc, zeroed on Free) and `token` (bumped on every dispatch and
-// every timeout decision) guard the handle against slab reuse and stale
-// replies — the reply that loses the race to a timeout is counted, never
-// double-settled.
+// request is at the serving domain the pointer travels inside a HomeRef as
+// an opaque handle and is only dereferenced back home. `gen` (stamped by
+// the GuardedPool) and `token` (bumped on every dispatch and every timeout
+// decision) guard the handle against slab reuse and stale replies — the
+// reply that loses the race to a timeout is counted, never double-settled.
 struct HomeOp {
   uint64_t gen = 0;
   uint64_t token = 0;
@@ -63,6 +63,17 @@ struct HomeOp {
   TimerWheel::TimerId timer = TimerWheel::kNoTimer;
 };
 
+// One attempt of a home request as it travels: the record and the (gen,
+// token) it had when the attempt left home. Live() dereferences the record,
+// so only the home domain may call it.
+struct HomeRef {
+  HomeOp* op = nullptr;
+  uint64_t gen = 0;
+  uint64_t token = 0;
+
+  bool Live() const { return op->gen == gen && op->token == token; }
+};
+
 // One serve in progress at the serving domain: the watchdog and the NIC
 // completion race through `settled`/`gen` exactly like HomeOp replies.
 struct ServeCtx {
@@ -74,9 +85,7 @@ struct ServeCtx {
   KvRequest req;
   bool write = false;
   DomainId src = 0;
-  HomeOp* op = nullptr;  // opaque until it returns home
-  uint64_t op_gen = 0;
-  uint64_t op_token = 0;
+  HomeRef home;  // opaque until it returns home
 };
 
 // One replication push from the acting primary to the shard peer.
@@ -133,19 +142,37 @@ struct IntegrityStore {
   std::vector<uint8_t> repairing;  // de-dups concurrent repairs per rank
 };
 
+struct KvDomain;
+
+// What every domain shares, read-only while the rack runs.
+struct RackKv {
+  ParallelSimulator* psim = nullptr;
+  const HashRing* ring = nullptr;
+  const ZipfDist* zipf = nullptr;
+  std::vector<std::unique_ptr<KvDomain>> doms;
+
+  // Another domain's handle: opaque here, dereferenced only on its domain.
+  KvDomain* Dom(DomainId d) const { return doms[static_cast<size_t>(d)].get(); }
+};
+
 // Everything one server domain owns — serving machine, home-side fleet,
 // failover, membership and integrity state, and its share of the rack
-// counters. Touched only by the thread currently running the domain.
+// counters. Touched only by the thread currently running the domain. Every
+// plane function takes the domain it runs on.
 struct KvDomain {
-  KvDomain(DomainId d, Simulator* sim, const RackKvParams& p,
+  KvDomain(RackKv& r, DomainId d, const RackKvParams& params,
            const kv::ServingConfig& serving)
-      : id(d),
-        stack(sim, p.testbed, serving, p.faults, p.resil, offload::TenantSetConfig{},
-              p.trace, "rack.s" + std::to_string(d)),
+      : rack(r),
+        p(params),
+        id(d),
+        stack(r.psim->domain(d), params.testbed, serving, params.faults, params.resil,
+              offload::TenantSetConfig{}, params.trace, "rack.s" + std::to_string(d)),
         uplink(stack.fabric.AddPort("rack.s" + std::to_string(d) + ".up",
-                                    p.testbed.client_port_bandwidth)) {}
+                                    params.testbed.client_port_bandwidth)) {}
 
-  DomainId id = 0;
+  RackKv& rack;
+  const RackKvParams& p;
+  const DomainId id;
   governor::ServerStack stack;  // the serving machine (src/governor/server_stack.h)
   PcieLink* uplink = nullptr;   // client-proxy port: the reply's wire leg
   std::unique_ptr<AggregateFleet> fleet;
@@ -154,53 +181,46 @@ struct KvDomain {
   RackKvResult ctr;
 
   // Home side.
-  SlabPool<HomeOp> ops;
-  uint64_t op_gen = 0;
+  GuardedPool<HomeOp> ops;
   std::vector<ServerView> views;
   Histogram latency;
 
   // Serving side and replication.
-  SlabPool<ServeCtx> serves;
-  uint64_t serve_gen = 0;
-  SlabPool<RepOp> reps;
-  uint64_t rep_gen = 0;
+  GuardedPool<ServeCtx> serves;
+  GuardedPool<RepOp> reps;
 
   // Membership & repair plane (allocated/used only when enabled).
   std::unique_ptr<HashRing> mring;  // this domain's mutable ring copy
   uint64_t live_mask = 0;
-  SlabPool<MigOp> migs;
-  uint64_t mig_gen = 0;
+  GuardedPool<MigOp> migs;
   resilience::TokenBucketState mig_bucket;
   double mig_rate_bpus = 0.0;  // migration bucket refill, bytes/us
 
   // Integrity layer (allocated only with corrupt events or a scrubber).
   std::unique_ptr<IntegrityStore> integ;
-  SlabPool<RepairOp> repairs;
-  uint64_t repair_gen = 0;
+  GuardedPool<RepairOp> repairs;
   uint64_t scrub_cursor = 0;
 };
 
-struct RackKv {
-  const RackKvParams* p = nullptr;
-  ParallelSimulator* psim = nullptr;
-  const HashRing* ring = nullptr;
-  const ZipfDist* zipf = nullptr;
-  std::vector<std::unique_ptr<KvDomain>> doms;
-};
+// The rack wire, written once: `cb` runs on domain `to` one rack link
+// latency after `from`'s now. Records of `from` may ride along as opaque
+// handles; a handle of `to` (RackKv::Dom) is what the closure works on.
+template <typename F>
+void Send(const KvDomain& from, DomainId to, F&& cb) {
+  from.rack.psim->Post(from.id, to, from.stack.sim->now() + from.p.rack_link_latency,
+                       std::forward<F>(cb));
+}
 
 // Cross-domain messages with many fields travel as one packed struct, so
 // the closure that carries one stays inside SmallFunction's inline buffer:
 // domain ids fit 16 bits and size classes 8 (RunRackKv checks both).
 struct ServeMsg {  // Dispatch -> ServeArrival
-  RackKv* rk;
-  HomeOp* op;
-  uint64_t gen;
-  uint64_t token;
+  KvDomain* to;    // the serving domain
+  HomeRef home;
   uint64_t rank;
   uint64_t mmask;
   uint32_t bytes;
   uint32_t mep;
-  uint16_t target;
   uint16_t src;
   uint8_t cls;
   bool write;
@@ -208,39 +228,35 @@ struct ServeMsg {  // Dispatch -> ServeArrival
 static_assert(sizeof(ServeMsg) <= SimCallback::kInlineBytes);
 
 struct PushMsg {  // PushKey: survivor -> migration destination
-  RackKv* rk;
+  KvDomain* from;  // the survivor; opaque at the destination
+  KvDomain* to;
   MigOp* m;
   uint64_t gen;
   uint64_t rank;
   uint64_t mmask;
   SimTime fetch_start;
-  uint32_t bytes;
   uint32_t mep;
-  uint16_t d;
-  uint16_t dest;
+  uint16_t d;  // from's id, where the ack goes
   uint8_t cls;
   bool src_bad;
 };
 static_assert(sizeof(PushMsg) <= SimCallback::kInlineBytes);
 
 // Entry points called from outside their plane file. rack_routing.cc:
-void IssueNew(RackKv& r, DomainId d, int cls, uint64_t user);
-void ReplyHome(RackKv& r, DomainId d, HomeOp* op, uint64_t gen, uint64_t token,
-               ReplyStatus status);
+void IssueNew(KvDomain& dom, int cls, uint64_t user);
+void ReplyHome(KvDomain& dom, HomeRef home, ReplyStatus status);
 // rack_serving.cc:
-void ServeArrival(RackKv& r, DomainId t, DomainId src, HomeOp* op,
-                  uint64_t op_gen, uint64_t op_token, uint64_t rank, int cls,
-                  uint32_t bytes, bool write, uint32_t mep, uint64_t mmask);
-void LaunchServe(RackKv& r, DomainId t, ServeCtx* ctx);
-void SettleServe(RackKv& r, DomainId t, ServeCtx* ctx, bool ok, SimTime done);
+void ServeArrival(const ServeMsg& msg);
+void LaunchServe(KvDomain& dom, ServeCtx* ctx);
+void SettleServe(KvDomain& dom, ServeCtx* ctx, bool ok, SimTime done);
 // rack_membership.cc:
-void EpochTick(RackKv& r, DomainId d);
-void AdoptMembership(RackKv& r, DomainId d, uint32_t epoch, uint64_t mask);
+void EpochTick(KvDomain& dom);
+void AdoptMembership(KvDomain& dom, uint32_t epoch, uint64_t mask);
 // rack_integrity.cc:
-void ApplyCorruption(RackKv& r, DomainId d, double fraction, uint64_t salt);
-void ScrubTick(RackKv& r, DomainId d);
-void StartRepair(RackKv& r, DomainId d, uint64_t rank, bool from_scrub,
-                 ServeCtx* ctx, uint64_t ctx_gen);
+void ApplyCorruption(KvDomain& dom, double fraction, uint64_t salt);
+void ScrubTick(KvDomain& dom);
+void StartRepair(KvDomain& dom, uint64_t rank, bool from_scrub, ServeCtx* ctx,
+                 uint64_t ctx_gen);
 
 // Crash queries on a server's endpoints, whose fault domains are their
 // names ("rack.s<d>.host" / "rack.s<d>.soc"). The SoC runs the server's
@@ -267,8 +283,8 @@ inline bool SocCrashKills(const KvDomain& dom, SimTime from, SimTime to) {
 
 // The ring a domain routes by: its own mutable copy under the membership
 // plane, the shared immutable ring otherwise.
-inline const HashRing& RingOf(const RackKv& r, const KvDomain& dom) {
-  return dom.mring != nullptr ? *dom.mring : *r.ring;
+inline const HashRing& RingOf(const KvDomain& dom) {
+  return dom.mring != nullptr ? *dom.mring : *dom.rack.ring;
 }
 
 inline bool IsCorrupt(const KvDomain& dom, uint64_t rank) {
@@ -306,8 +322,8 @@ inline void InstallValue(KvDomain& dom, uint64_t rank, bool bad) {
 
 // Deterministic value size for repair traffic: the class table keyed by
 // rank (serving classes are a per-request draw, but repair must not draw).
-inline int RepairClassOf(const RackKv& r, uint64_t rank) {
-  return static_cast<int>(rank % r.p->layout.class_bytes.size());
+inline int RepairClassOf(const KvDomain& dom, uint64_t rank) {
+  return static_cast<int>(rank % dom.p.layout.class_bytes.size());
 }
 
 }  // namespace rackkv

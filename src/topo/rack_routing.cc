@@ -18,8 +18,7 @@ namespace snicsim {
 namespace rackkv {
 namespace {
 
-void Evidence(RackKv& r, DomainId d, int target) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
+void Evidence(KvDomain& dom, int target) {
   ServerView& v = dom.views[static_cast<size_t>(target)];
   if (v.down) {
     return;
@@ -40,15 +39,13 @@ void Evidence(RackKv& r, DomainId d, int target) {
   }
 }
 
-void FinishHome(RackKv& r, DomainId d, HomeOp* op, ReplyStatus status) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
+void FinishHome(KvDomain& dom, HomeOp* op, ReplyStatus status) {
   switch (status) {
     case ReplyStatus::kOk: {
       ++dom.ctr.completed;
       dom.latency.Record(dom.stack.sim->now() - op->start);
       // Settle-time epoch bucket: the goodput-during-migration series.
-      const size_t idx =
-          static_cast<size_t>(dom.stack.sim->now() / r.p->governor_epoch);
+      const size_t idx = static_cast<size_t>(dom.stack.sim->now() / dom.p.governor_epoch);
       if (dom.ctr.completed_by_epoch.size() <= idx) {
         dom.ctr.completed_by_epoch.resize(idx + 1, 0);
       }
@@ -68,44 +65,39 @@ void FinishHome(RackKv& r, DomainId d, HomeOp* op, ReplyStatus status) {
       break;
   }
   dom.fleet->OnComplete(op->cls, op->user);
-  op->gen = 0;
   dom.ops.Free(op);
 }
 
-void Dispatch(RackKv& r, DomainId d, HomeOp* op);
+void Dispatch(KvDomain& dom, HomeOp* op);
 
-void RetryOrFail(RackKv& r, DomainId d, HomeOp* op) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
-  if (op->attempts >= r.p->max_attempts) {
-    FinishHome(r, d, op, ReplyStatus::kNack);  // terminal failure
+void RetryOrFail(KvDomain& dom, HomeOp* op) {
+  if (op->attempts >= dom.p.max_attempts) {
+    FinishHome(dom, op, ReplyStatus::kNack);  // terminal failure
     return;
   }
-  RackKv* rk = &r;
-  const uint64_t gen = op->gen;
-  const uint64_t token = op->token;
-  dom.stack.sim->timers().In(kRetryBackoff, [rk, d, op, gen, token] {
-    if (op->gen != gen || op->token != token) {
+  const HomeRef home{op, op->gen, op->token};
+  dom.stack.sim->timers().In(kRetryBackoff, [dp = &dom, home] {
+    if (!home.Live()) {
       return;  // freed or re-dispatched while backing off (cannot happen
                // today — the op is quiescent during backoff — but cheap)
     }
-    Dispatch(*rk, d, op);
+    Dispatch(*dp, home.op);
   });
 }
 
-void OnTimeout(RackKv& r, DomainId d, HomeOp* op, uint64_t gen, uint64_t token) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
-  if (op->gen != gen || op->token != token) {
+void OnTimeout(KvDomain& dom, HomeRef home) {
+  if (!home.Live()) {
     return;  // a reply settled this attempt first
   }
+  HomeOp* const op = home.op;
   ++dom.ctr.timeouts;
   ++op->token;  // the in-flight attempt is dead; its late reply is stale
   op->timer = TimerWheel::kNoTimer;
-  Evidence(r, d, op->target);
-  RetryOrFail(r, d, op);
+  Evidence(dom, op->target);
+  RetryOrFail(dom, op);
 }
 
-void Dispatch(RackKv& r, DomainId d, HomeOp* op) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
+void Dispatch(KvDomain& dom, HomeOp* op) {
   ++op->attempts;
   ++dom.ctr.issued;
   // Shard routing through the home's failover view: primary unless this
@@ -113,82 +105,69 @@ void Dispatch(RackKv& r, DomainId d, HomeOp* op) {
   // every home computes — no coordination). Under the membership plane the
   // home routes by its own ring copy and stamps its (epoch, mask) on the
   // request so the serving side can detect divergence.
-  const HashRing& ring = RingOf(r, dom);
+  const HashRing& ring = RingOf(dom);
   const int primary = ring.PrimaryOf(op->rank);
   const int target = dom.views[static_cast<size_t>(primary)].down
                          ? ring.FollowerOf(op->rank)
                          : primary;
   op->target = target;
-  const uint64_t gen = op->gen;
-  const uint64_t token = ++op->token;
-  RackKv* rk = &r;
-  op->timer = dom.stack.sim->timers().In(r.p->request_timeout, [rk, d, op, gen, token] {
-    OnTimeout(*rk, d, op, gen, token);
-  });
-  const ServeMsg msg{rk,
-                     op,
-                     gen,
-                     token,
+  const HomeRef home{op, op->gen, ++op->token};
+  op->timer = dom.stack.sim->timers().In(dom.p.request_timeout,
+                                         [dp = &dom, home] { OnTimeout(*dp, home); });
+  const ServeMsg msg{dom.rack.Dom(target),
+                     home,
                      op->rank,
                      dom.live_mask,
                      op->bytes,
                      static_cast<uint32_t>(dom.ctr.member_epoch),
-                     static_cast<uint16_t>(target),
-                     static_cast<uint16_t>(d),
+                     static_cast<uint16_t>(dom.id),
                      static_cast<uint8_t>(op->serve_cls),
                      op->write};
-  r.psim->Post(d, static_cast<DomainId>(target),
-               dom.stack.sim->now() + r.p->rack_link_latency, [msg] {
-                 ServeArrival(*msg.rk, msg.target, msg.src, msg.op, msg.gen, msg.token,
-                              msg.rank, msg.cls, msg.bytes, msg.write, msg.mep, msg.mmask);
-               });
+  Send(dom, target, [msg] { ServeArrival(msg); });
 }
 
 }  // namespace
 
-void IssueNew(RackKv& r, DomainId d, int cls, uint64_t user) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
+void IssueNew(KvDomain& dom, int cls, uint64_t user) {
   // Payload draws come from the fleet's class stream, in class event order,
   // so aggregate and materialized runs consume identical streams.
-  uint64_t rank = r.zipf->RankOf(dom.fleet->Draw(cls));
-  const bool write = dom.fleet->Draw(cls) < r.p->write_fraction;
+  uint64_t rank = dom.rack.zipf->RankOf(dom.fleet->Draw(cls));
+  const bool write = dom.fleet->Draw(cls) < dom.p.write_fraction;
   int serve_cls = cls;
   if (const trace::TraceDriver* tr = dom.stack.trace.get(); tr != nullptr) {
     // Working-set churn: a draw-free rank rotation — the trace shifts which
     // physical keys are hot without touching the draw stream (a zero-churn
     // trace is byte-identical to no trace at all).
-    rank = (rank + tr->ChurnAt(dom.stack.sim->now())) % r.p->layout.keys;
+    rank = (rank + tr->ChurnAt(dom.stack.sim->now())) % dom.p.layout.keys;
     if (tr->has_scan() && dom.fleet->Draw(cls) < tr->ScanAt(dom.stack.sim->now())) {
       // Scan burst: the request is upgraded to the largest value class.
       // `cls` (the fleet population bucket) is untouched — OnComplete must
       // return the user to the bucket it was drawn from.
-      serve_cls = static_cast<int>(r.p->layout.class_bytes.size()) - 1;
+      serve_cls = static_cast<int>(dom.p.layout.class_bytes.size()) - 1;
       ++dom.ctr.scan_forced;
     }
   }
   ++dom.ctr.generated;
   HomeOp* op = dom.ops.Alloc();
-  op->gen = ++dom.op_gen;
   op->token = 0;
   op->start = dom.stack.sim->now();
   op->cls = cls;
   op->serve_cls = serve_cls;
   op->rank = rank;
-  op->bytes = r.p->layout.class_bytes[static_cast<size_t>(serve_cls)];
+  op->bytes = dom.p.layout.class_bytes[static_cast<size_t>(serve_cls)];
   op->write = write;
   op->user = user;
   op->attempts = 0;
   op->timer = TimerWheel::kNoTimer;
-  Dispatch(r, d, op);
+  Dispatch(dom, op);
 }
 
-void ReplyHome(RackKv& r, DomainId d, HomeOp* op, uint64_t gen, uint64_t token,
-               ReplyStatus status) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(d)];
-  if (op->gen != gen || op->token != token) {
+void ReplyHome(KvDomain& dom, HomeRef home, ReplyStatus status) {
+  if (!home.Live()) {
     ++dom.ctr.stale_replies;
     return;
   }
+  HomeOp* const op = home.op;
   if (op->timer != TimerWheel::kNoTimer) {
     dom.stack.sim->timers().Cancel(op->timer);
     op->timer = TimerWheel::kNoTimer;
@@ -207,23 +186,23 @@ void ReplyHome(RackKv& r, DomainId d, HomeOp* op, uint64_t gen, uint64_t token,
           dom.ctr.first_rehome_at_us = ToMicros(dom.stack.sim->now());
         }
       }
-      FinishHome(r, d, op, ReplyStatus::kOk);
+      FinishHome(dom, op, ReplyStatus::kOk);
       return;
     }
     case ReplyStatus::kShed:
-      FinishHome(r, d, op, ReplyStatus::kShed);
+      FinishHome(dom, op, ReplyStatus::kShed);
       return;
     case ReplyStatus::kNack:
       ++dom.ctr.nacks;
-      Evidence(r, d, op->target);
-      RetryOrFail(r, d, op);
+      Evidence(dom, op->target);
+      RetryOrFail(dom, op);
       return;
     case ReplyStatus::kRetry:
       // Evidence-free re-dispatch: the server is healthy but bounced the
       // attempt (stale membership epoch — the bounce carried the newer mask
       // and this home already adopted it — or unhealable corruption).
       ++dom.ctr.retry_replies;
-      RetryOrFail(r, d, op);
+      RetryOrFail(dom, op);
       return;
   }
 }

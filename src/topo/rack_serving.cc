@@ -18,18 +18,15 @@ namespace snicsim {
 namespace rackkv {
 namespace {
 
-void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(t)];
+void PushReplica(KvDomain& dom, RepOp* rep) {
   ++rep->attempts;
   const uint64_t gen = rep->gen;
   const uint64_t token = ++rep->token;
-  RackKv* rk = &r;
   // The replication engine runs on the primary's SoC; a crashed SoC fails
   // the push outright (the restart path re-replicates by application-level
   // means outside this model).
   if (SocCrashedNow(dom)) {
     ++dom.ctr.repl_failed;
-    rep->gen = 0;
     dom.reps.Free(rep);
     return;
   }
@@ -39,16 +36,15 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
   // follower over the wire.
   dom.stack.bf->nic().ExecuteLocalOp(
       dom.stack.bf->soc_ep(), dom.stack.bf->host_ep(), Verb::kRead,
-      r.p->layout.Pack(rep->rank, rep->cls), rep->bytes,
-      [rk, t, rep, gen, token, fetch_start](SimTime done) {
-        KvDomain& here = *rk->doms[static_cast<size_t>(t)];
+      dom.p.layout.Pack(rep->rank, rep->cls), rep->bytes,
+      [dp = &dom, rep, gen, token, fetch_start](SimTime done) {
+        KvDomain& here = *dp;
         if (rep->gen != gen || rep->token != token) {
           ++here.ctr.repl_stale;
           return;
         }
         if (SocCrashKills(here, fetch_start, done)) {
           ++here.ctr.repl_failed;
-          rep->gen = 0;
           here.reps.Free(rep);
           return;
         }
@@ -56,186 +52,162 @@ void PushReplica(RackKv& r, DomainId t, RepOp* rep) {
         const uint64_t rank = rep->rank;
         const int cls = rep->cls;
         const uint32_t bytes = rep->bytes;
-        rep->timer = here.stack.sim->timers().In(rk->p->repl_timeout, [rk, t, rep, gen, token] {
-          KvDomain& h = *rk->doms[static_cast<size_t>(t)];
+        rep->timer = here.stack.sim->timers().In(here.p.repl_timeout, [dp, rep, gen, token] {
           if (rep->gen != gen || rep->token != token) {
             return;
           }
           ++rep->token;  // the in-flight push is dead
           rep->timer = TimerWheel::kNoTimer;
           if (rep->attempts >= kReplMaxAttempts) {
-            ++h.ctr.repl_failed;
-            rep->gen = 0;
-            h.reps.Free(rep);
+            ++dp->ctr.repl_failed;
+            dp->reps.Free(rep);
             return;
           }
-          h.stack.sim->timers().In(kRetryBackoff, [rk, t, rep, gen] {
+          dp->stack.sim->timers().In(kRetryBackoff, [dp, rep, gen] {
             if (rep->gen != gen) {
               return;
             }
-            PushReplica(*rk, t, rep);
+            PushReplica(*dp, rep);
           });
         });
-        rk->psim->Post(
-            t, static_cast<DomainId>(peer),
-            here.stack.sim->now() + rk->p->rack_link_latency,
-            [rk, t, peer, rep, gen, token, rank, cls, bytes] {
-              // Follower side: apply into SoC memory, then ack.
-              KvDomain& f = *rk->doms[static_cast<size_t>(peer)];
-              if (SocCrashedNow(f)) {
-                return;  // dead follower: the primary's timer retries
-              }
-              const SimTime applied = f.stack.bf->soc_memory().Access(
-                  f.stack.sim->now(), rk->p->layout.Pack(rank, cls), bytes,
-                  /*is_write=*/true);
-              f.stack.sim->At(applied, [rk, t, peer, rep, gen, token, rank] {
-                KvDomain& ff = *rk->doms[static_cast<size_t>(peer)];
-                ++ff.ctr.repl_applied;
-                InstallValue(ff, rank, /*bad=*/false);
-                rk->psim->Post(
-                    static_cast<DomainId>(peer), t,
-                    ff.stack.sim->now() + rk->p->rack_link_latency,
-                    [rk, t, rep, gen, token] {
-                      KvDomain& h = *rk->doms[static_cast<size_t>(t)];
-                      if (rep->gen != gen || rep->token != token) {
-                        ++h.ctr.repl_stale;
-                        return;
-                      }
-                      if (rep->timer != TimerWheel::kNoTimer) {
-                        h.stack.sim->timers().Cancel(rep->timer);
-                        rep->timer = TimerWheel::kNoTimer;
-                      }
-                      ++h.ctr.repl_acked;
-                      rep->gen = 0;
-                      h.reps.Free(rep);
-                    });
-              });
-            });
+        Send(here, peer,
+             [f = here.rack.Dom(peer), h = here.id, rep, gen, token, rank, cls, bytes] {
+               // Follower side: apply into SoC memory, then ack.
+               if (SocCrashedNow(*f)) {
+                 return;  // dead follower: the primary's timer retries
+               }
+               const SimTime applied = f->stack.bf->soc_memory().Access(
+                   f->stack.sim->now(), f->p.layout.Pack(rank, cls), bytes,
+                   /*is_write=*/true);
+               f->stack.sim->At(applied, [f, h, rep, gen, token, rank] {
+                 ++f->ctr.repl_applied;
+                 InstallValue(*f, rank, /*bad=*/false);
+                 Send(*f, h, [hp = f->rack.Dom(h), rep, gen, token] {
+                   if (rep->gen != gen || rep->token != token) {
+                     ++hp->ctr.repl_stale;
+                     return;
+                   }
+                   if (rep->timer != TimerWheel::kNoTimer) {
+                     hp->stack.sim->timers().Cancel(rep->timer);
+                     rep->timer = TimerWheel::kNoTimer;
+                   }
+                   ++hp->ctr.repl_acked;
+                   hp->reps.Free(rep);
+                 });
+               });
+             });
       },
       /*req_id=*/token);
 }
 
-void Replicate(RackKv& r, DomainId t, uint64_t rank, int cls, uint32_t bytes) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(t)];
+void Replicate(KvDomain& dom, uint64_t rank, int cls, uint32_t bytes) {
   ++dom.ctr.repl_pushed;
   RepOp* rep = dom.reps.Alloc();
-  rep->gen = ++dom.rep_gen;
   rep->token = 0;
   rep->attempts = 0;
-  rep->peer = RingOf(r, dom).ReplicaPeerOf(rank, static_cast<int>(t));
+  rep->peer = RingOf(dom).ReplicaPeerOf(rank, static_cast<int>(dom.id));
   rep->rank = rank;
   rep->cls = cls;
   rep->bytes = bytes;
   rep->timer = TimerWheel::kNoTimer;
-  PushReplica(r, t, rep);
+  PushReplica(dom, rep);
+}
+
+// The serving domain's answer to one attempt, home over the wire.
+void Reply(KvDomain& dom, DomainId src, HomeRef home, ReplyStatus status) {
+  Send(dom, src, [hp = dom.rack.Dom(src), home, status] { ReplyHome(*hp, home, status); });
 }
 
 }  // namespace
 
-void ServeArrival(RackKv& r, DomainId t, DomainId src, HomeOp* op,
-                  uint64_t op_gen, uint64_t op_token, uint64_t rank, int cls,
-                  uint32_t bytes, bool write, uint32_t mep, uint64_t mmask) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(t)];
-  RackKv* rk = &r;
+void ServeArrival(const ServeMsg& msg) {
+  KvDomain& dom = *msg.to;
+  const DomainId src = msg.src;
   if (ServerDeadNow(dom)) {
     ++dom.ctr.crash_refused;
     // Nack home: faster failure evidence than waiting out the timeout.
-    r.psim->Post(t, src, dom.stack.sim->now() + r.p->rack_link_latency,
-                 [rk, src, op, op_gen, op_token] {
-                   ReplyHome(*rk, src, op, op_gen, op_token, ReplyStatus::kNack);
-                 });
+    Reply(dom, src, msg.home, ReplyStatus::kNack);
     return;
   }
-  if (r.p->membership.enabled) {
-    if (mep < dom.ctr.member_epoch) {
+  if (dom.p.membership.enabled) {
+    if (msg.mep < dom.ctr.member_epoch) {
       // The sender routed by an older ring: bounce with this server's
       // (epoch, mask). The home adopts before the retry re-dispatches, so
       // one bounce converges the pair — no failure evidence either way.
       ++dom.ctr.stale_epoch_bounces;
-      const auto e = static_cast<uint32_t>(dom.ctr.member_epoch);
-      const uint64_t m = dom.live_mask;
-      r.psim->Post(t, src, dom.stack.sim->now() + r.p->rack_link_latency,
-                   [rk, src, op, op_gen, op_token, e, m] {
-                     AdoptMembership(*rk, src, e, m);
-                     ReplyHome(*rk, src, op, op_gen, op_token,
-                               ReplyStatus::kRetry);
-                   });
+      Send(dom, src,
+           [hp = dom.rack.Dom(src), home = msg.home,
+            e = static_cast<uint32_t>(dom.ctr.member_epoch), m = dom.live_mask] {
+             AdoptMembership(*hp, e, m);
+             ReplyHome(*hp, home, ReplyStatus::kRetry);
+           });
       return;
     }
-    if (mep > dom.ctr.member_epoch) {
+    if (msg.mep > dom.ctr.member_epoch) {
       // The sender is ahead: adopt its mask, then serve normally — under
       // the new ring this server is still the key's owner (the sender just
       // routed here).
-      AdoptMembership(r, t, mep, mmask);
+      AdoptMembership(dom, msg.mep, msg.mmask);
     }
   }
   KvRequest req;
   req.client = static_cast<uint64_t>(src);
-  req.seq = op_token;
-  req.rank = rank;
-  req.size_class = cls;
-  req.bytes = bytes;
-  req.hdr = r.p->layout.Pack(rank, cls);
+  req.seq = msg.home.token;
+  req.rank = msg.rank;
+  req.size_class = msg.cls;
+  req.bytes = msg.bytes;
+  req.hdr = dom.p.layout.Pack(msg.rank, msg.cls);
   const int path = dom.stack.gov->Route(req);
   if (dom.stack.resil != nullptr &&
-      !dom.stack.resil->Admit(path, cls, /*deadline=*/0, dom.stack.sim->now())) {
+      !dom.stack.resil->Admit(path, msg.cls, /*deadline=*/0, dom.stack.sim->now())) {
     dom.stack.gov->OnShed(path, req);
-    r.psim->Post(t, src, dom.stack.sim->now() + r.p->rack_link_latency,
-                 [rk, src, op, op_gen, op_token] {
-                   ReplyHome(*rk, src, op, op_gen, op_token, ReplyStatus::kShed);
-                 });
+    Reply(dom, src, msg.home, ReplyStatus::kShed);
     return;
   }
   ServeCtx* ctx = dom.serves.Alloc();
-  ctx->gen = ++dom.serve_gen;
   ctx->settled = false;
   ctx->retry_on_fail = false;
   ctx->path = path;
   ctx->arrived = dom.stack.sim->now();
   ctx->req = req;
-  ctx->write = write;
+  ctx->write = msg.write;
   ctx->src = src;
-  ctx->op = op;
-  ctx->op_gen = op_gen;
-  ctx->op_token = op_token;
+  ctx->home = msg.home;
   const uint64_t sgen = ctx->gen;
   // Crash windows eat in-flight serves inside the executor (the reply
   // evaporates with the endpoint); the watchdog turns that silence into a
   // deterministic failed-serve + nack so the governor's in-flight
   // accounting and the home ledger both stay closed.
-  dom.stack.sim->timers().In(kServeTimeout, [rk, t, ctx, sgen] {
-    KvDomain& here = *rk->doms[static_cast<size_t>(t)];
+  dom.stack.sim->timers().In(kServeTimeout, [dp = &dom, ctx, sgen] {
     if (ctx->gen != sgen || ctx->settled) {
       return;
     }
-    ++here.ctr.serve_timeouts;
-    SettleServe(*rk, t, ctx, /*ok=*/false, here.stack.sim->now());
+    ++dp->ctr.serve_timeouts;
+    SettleServe(*dp, ctx, /*ok=*/false, dp->stack.sim->now());
   });
   // Integrity: verify the stored value before serving a read. A corrupt
   // value never reaches the client — the serve parks on a replica-read
   // repair and resumes (or retries elsewhere) once the heal settles.
   // Writes skip the gate: they overwrite the value regardless.
-  if (dom.integ != nullptr && !write) {
+  if (dom.integ != nullptr && !msg.write) {
     ++dom.ctr.integrity_checks;
-    if (IsCorrupt(dom, rank)) {
+    if (IsCorrupt(dom, msg.rank)) {
       ++dom.ctr.read_repair_detected;
       ctx->retry_on_fail = true;
-      if (dom.integ->repairing[static_cast<size_t>(rank)] != 0) {
+      if (dom.integ->repairing[static_cast<size_t>(msg.rank)] != 0) {
         // A repair for this rank is already in flight; bounce rather than
         // queue (the retry lands after the heal).
-        SettleServe(r, t, ctx, /*ok=*/false, dom.stack.sim->now());
+        SettleServe(dom, ctx, /*ok=*/false, dom.stack.sim->now());
       } else {
-        StartRepair(r, t, rank, /*from_scrub=*/false, ctx, sgen);
+        StartRepair(dom, msg.rank, /*from_scrub=*/false, ctx, sgen);
       }
       return;
     }
   }
-  LaunchServe(r, t, ctx);
+  LaunchServe(dom, ctx);
 }
 
-void LaunchServe(RackKv& r, DomainId t, ServeCtx* ctx) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(t)];
-  RackKv* rk = &r;
+void LaunchServe(KvDomain& dom, ServeCtx* ctx) {
   const uint64_t sgen = ctx->gen;
   // Into the full SmartNIC model: FE -> PU -> DMA -> endpoint CPU
   // (ServingExecutor via the registered SendHandler) -> response over the
@@ -247,19 +219,17 @@ void LaunchServe(RackKv& r, DomainId t, ServeCtx* ctx) {
   dom.stack.bf->nic().HandleRequest(
       ep, Verb::kSend, ctx->req.hdr, kRequestBytes, /*fe_units=*/1.0,
       std::move(back),
-      [rk, t, ctx, sgen](SimTime delivered) {
-        KvDomain& here = *rk->doms[static_cast<size_t>(t)];
+      [dp = &dom, ctx, sgen](SimTime delivered) {
         if (ctx->gen != sgen || ctx->settled) {
-          ++here.ctr.late_serves;  // the watchdog already failed this serve
+          ++dp->ctr.late_serves;  // the watchdog already failed this serve
           return;
         }
-        SettleServe(*rk, t, ctx, /*ok=*/true, delivered);
+        SettleServe(*dp, ctx, /*ok=*/true, delivered);
       },
-      /*req_id=*/ctx->op_token);
+      /*req_id=*/ctx->home.token);
 }
 
-void SettleServe(RackKv& r, DomainId t, ServeCtx* ctx, bool ok, SimTime done) {
-  KvDomain& dom = *r.doms[static_cast<size_t>(t)];
+void SettleServe(KvDomain& dom, ServeCtx* ctx, bool ok, SimTime done) {
   ctx->settled = true;
   if (ok && dom.integ != nullptr) {
     if (ctx->write) {
@@ -274,7 +244,7 @@ void SettleServe(RackKv& r, DomainId t, ServeCtx* ctx, bool ok, SimTime done) {
       ctx->retry_on_fail = true;
       ok = false;
       if (dom.integ->repairing[static_cast<size_t>(ctx->req.rank)] == 0) {
-        StartRepair(r, t, ctx->req.rank, /*from_scrub=*/false, nullptr, 0);
+        StartRepair(dom, ctx->req.rank, /*from_scrub=*/false, nullptr, 0);
       }
     }
     if (ok && IsCorrupt(dom, ctx->req.rank)) {
@@ -285,28 +255,18 @@ void SettleServe(RackKv& r, DomainId t, ServeCtx* ctx, bool ok, SimTime done) {
   dom.stack.gov->OnComplete(ctx->path, ctx->req, latency, ok);
   if (dom.stack.resil != nullptr) {
     dom.stack.resil->OnOutcome(ctx->path, latency, ok, /*deadline_met=*/ok,
-                         dom.stack.sim->now());
+                               dom.stack.sim->now());
   }
   if (ok) {
-    ++dom.ctr.server_completed[t];
-    if (ctx->write && r.p->replicas > 1) {
+    ++dom.ctr.server_completed[static_cast<size_t>(dom.id)];
+    if (ctx->write && dom.p.replicas > 1) {
       ++dom.ctr.writes;
-      Replicate(r, t, ctx->req.rank, ctx->req.size_class, ctx->req.bytes);
+      Replicate(dom, ctx->req.rank, ctx->req.size_class, ctx->req.bytes);
     }
   }
-  RackKv* rk = &r;
-  const DomainId src = ctx->src;
-  HomeOp* const op = ctx->op;
-  const uint64_t op_gen = ctx->op_gen;
-  const uint64_t op_token = ctx->op_token;
-  const ReplyStatus status =
-      ok ? ReplyStatus::kOk
-         : (ctx->retry_on_fail ? ReplyStatus::kRetry : ReplyStatus::kNack);
-  r.psim->Post(t, src, dom.stack.sim->now() + r.p->rack_link_latency,
-               [rk, src, op, op_gen, op_token, status] {
-                 ReplyHome(*rk, src, op, op_gen, op_token, status);
-               });
-  ctx->gen = 0;
+  Reply(dom, ctx->src, ctx->home,
+        ok ? ReplyStatus::kOk
+           : (ctx->retry_on_fail ? ReplyStatus::kRetry : ReplyStatus::kNack));
   dom.serves.Free(ctx);
 }
 

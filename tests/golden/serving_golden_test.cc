@@ -7,10 +7,8 @@
 // and every scale.<name> row is checked against the returned result.
 #include <gtest/gtest.h>
 
-#include <cstdlib>
 #include <fstream>
 #include <map>
-#include <regex>
 #include <sstream>
 #include <string>
 
@@ -18,6 +16,7 @@
 #include "src/offload/tenant_config.h"
 #include "src/workload/trace/trace.h"
 #include "tests/golden/golden_check.h"
+#include "tests/common/metrics_dump.h"
 
 namespace snicsim {
 namespace governor {
@@ -75,10 +74,11 @@ TEST(GoldenServing, MetricsDump) {
 
   // The scale rows are generated from the TraceRunResult rows marked as
   // dumped; each must carry the returned field's value.
-  const std::regex row(R"re("scale\.([^"]+)": \{"value": ([^,]+),)re");
   std::map<std::string, double> scale;
-  for (std::sregex_iterator it(dump.begin(), dump.end(), row), end; it != end; ++it) {
-    scale[(*it)[1]] = std::strtod((*it)[2].str().c_str(), nullptr);
+  for (const MetricsDumpRow& row : ReadMetricsDump(dump)) {
+    if (row.name.starts_with("scale.")) {
+      scale[row.name.substr(6)] = row.value;
+    }
   }
   size_t dumped = 0;
   ForEachTraceCounter([&](const TraceCounterInfo& info, auto field) {

@@ -33,7 +33,8 @@ TEST(Fabric, ManyPortsShareOneSwitch) {
   Fabric fabric(&sim);
   std::vector<PcieLink*> ports;
   for (int i = 0; i < 23; ++i) {  // the paper's rack: 3 SRV + 20 CLI
-    ports.push_back(fabric.AddPort("p" + std::to_string(i), Bandwidth::Gbps(100)));
+    const std::string name = std::string("p").append(std::to_string(i));
+    ports.push_back(fabric.AddPort(name, Bandwidth::Gbps(100)));
   }
   const uint64_t before = fabric.ib_switch().forwards();
   fabric.Route(ports[0], ports[22]).TransferControlAt(&sim, 0);

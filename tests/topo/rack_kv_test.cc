@@ -22,19 +22,21 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <map>
-#include <regex>
 #include <set>
+#include <sstream>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "src/common/rng.h"
+#include "src/sim/pool.h"
 #include "src/topo/rack_kv.h"
+#include "src/topo/rack_kv_internal.h"
 #include "src/topo/shard.h"
 #include "src/workload/trace/trace.h"
+#include "tests/common/metrics_dump.h"
 
 namespace snicsim {
 namespace {
@@ -636,18 +638,15 @@ TEST(RackKvCounters, MetricsDumpHasOneRowPerDeclaredCounter) {
 
   std::ifstream in(p.metrics_path);
   ASSERT_TRUE(in.good()) << p.metrics_path;
-  const std::regex row(R"re(^  "([^"]+)": \{"value": ([^,]+), "unit": "([^"]*)"\},?$)re");
+  std::ostringstream text;
+  text << in.rdbuf();
   std::map<std::string, std::pair<double, std::string>> dump;
-  size_t rows = 0;
-  for (std::string line; std::getline(in, line);) {
-    std::smatch m;
-    if (std::regex_match(line, m, row)) {
-      ++rows;
-      dump[m[1]] = {std::strtod(m[2].str().c_str(), nullptr), m[3]};
-    }
+  const std::vector<MetricsDumpRow> rows = ReadMetricsDump(text.str());
+  for (const MetricsDumpRow& row : rows) {
+    dump[row.name] = {row.value, row.unit};
   }
   std::remove(p.metrics_path.c_str());
-  EXPECT_EQ(rows, dump.size()) << "duplicate keys in the dump";
+  EXPECT_EQ(rows.size(), dump.size()) << "duplicate keys in the dump";
 
   size_t declared = 0;
   ForEachRackCounter([&](const RackCounterInfo& c, auto field) {
@@ -661,6 +660,32 @@ TEST(RackKvCounters, MetricsDumpHasOneRowPerDeclaredCounter) {
   });
   EXPECT_EQ(dump.size(), declared);
   EXPECT_GT(r.removals + r.scrub_detected, 0u);  // the dump carries live planes
+}
+
+// The slab-reuse guard under every rack record: a slot freed and handed out
+// again carries the next generation of its pool, so a handle taken before
+// the Free no longer matches it.
+TEST(GuardedPool, ReusedSlotInvalidatesOlderHandles) {
+  GuardedPool<rackkv::HomeOp> ops;
+  GuardedPool<rackkv::HomeOp> other;
+  rackkv::HomeOp* op = ops.Alloc();
+  op->token = 3;
+  const rackkv::HomeRef before{op, op->gen, op->token};
+  ASSERT_TRUE(before.Live());
+  EXPECT_EQ(other.Alloc()->gen, 1u);
+  EXPECT_EQ(other.Alloc()->gen, 2u);
+
+  ops.Free(op);
+  EXPECT_EQ(op->gen, 0u);
+  rackkv::HomeOp* again = ops.Alloc();
+  ASSERT_EQ(again, op);  // the same slot, reused
+  again->token = before.token;
+  EXPECT_FALSE(before.Live());
+  EXPECT_EQ(again->gen, before.gen + 1);
+  // Each pool counts its own generations.
+  EXPECT_EQ(other.Alloc()->gen, 3u);
+  EXPECT_EQ(ops.live(), 1u);
+  EXPECT_EQ(other.live(), 3u);
 }
 
 }  // namespace

@@ -26,8 +26,9 @@ TEST(ServingSetup, ServeTenantsPointAllocatesLittle) {
   // clients on its own; 216 with them packed into one array; 150 once the
   // governor read its meters directly instead of through a per-server
   // metric registry; 147 since a histogram allocates no buckets until it
-  // records. The rest is the server, four client machines, the
-  // tenant pipelines and the event queue's growth.
+  // records; 140 since a fabric holds its ports in chunks. The rest is the
+  // server, four client machines, the tenant pipelines and the event
+  // queue's growth.
   EXPECT_LE(allocations, 170u);
 }
 
@@ -50,9 +51,10 @@ TEST(RackKvSetup, RackReadPointAllocatesLittle) {
   const uint64_t before = g_allocations;
   RunRackKv(p);
   const uint64_t allocations = g_allocations - before;
-  // 484 with libstdc++ 12 (709 while each server stack built a metric
+  // 468 with libstdc++ 12 (709 while each server stack built a metric
   // registry for its governor, 493 while every histogram allocated its
-  // buckets up front): eight server stacks. The aggregate fleets
+  // buckets up front, 484 while each fabric port was its own heap cell):
+  // eight server stacks. The aggregate fleets
   // hold no per-user records.
   EXPECT_LE(allocations, 560u);
 }
