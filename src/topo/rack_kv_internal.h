@@ -74,19 +74,24 @@ struct HomeRef {
   bool Live() const { return op->gen == gen && op->token == token; }
 };
 
-// One serve in progress at the serving domain: the watchdog and the NIC
-// completion race through `settled`/`gen` exactly like HomeOp replies.
+// One serve in progress at the serving domain. A NIC completion that
+// arrives after the watchdog failed the serve finds `settled`/`gen` moved,
+// exactly like a late HomeOp reply; settling cancels the watchdog, so the
+// watchdog never finds its serve settled.
 struct ServeCtx {
   uint64_t gen = 0;
+  TimerWheel::TimerId watchdog = TimerWheel::kNoTimer;
   bool settled = false;
   bool retry_on_fail = false;  // fail as kRetry (no failover evidence)
+  bool write = false;
   int path = 0;
   SimTime arrived = 0;
-  KvRequest req;
-  bool write = false;
-  DomainId src = 0;
-  HomeRef home;  // opaque until it returns home
+  KvRequest req;  // req.client is the sending domain
+  HomeRef home;   // opaque until it returns home
 };
+// resident_client_bytes counts every pooled ServeCtx, and rack_scale prints
+// it: a larger record moves that bench's output.
+static_assert(sizeof(ServeCtx) == 104);
 
 // One replication push from the acting primary to the shard peer.
 struct RepOp {

@@ -171,17 +171,16 @@ void ServeArrival(const ServeMsg& msg) {
   ctx->arrived = dom.stack.sim->now();
   ctx->req = req;
   ctx->write = msg.write;
-  ctx->src = src;
   ctx->home = msg.home;
   const uint64_t sgen = ctx->gen;
   // Crash windows eat in-flight serves inside the executor (the reply
   // evaporates with the endpoint); the watchdog turns that silence into a
   // deterministic failed-serve + nack so the governor's in-flight
-  // accounting and the home ledger both stay closed.
-  dom.stack.sim->timers().In(kServeTimeout, [dp = &dom, ctx, sgen] {
-    if (ctx->gen != sgen || ctx->settled) {
-      return;
-    }
+  // accounting and the home ledger both stay closed. SettleServe cancels
+  // it, so every fire fails an open serve.
+  ctx->watchdog = dom.stack.sim->timers().In(kServeTimeout, [dp = &dom, ctx, sgen] {
+    SNIC_CHECK(ctx->gen == sgen && !ctx->settled);
+    ctx->watchdog = TimerWheel::kNoTimer;
     ++dp->ctr.serve_timeouts;
     SettleServe(*dp, ctx, /*ok=*/false, dp->stack.sim->now());
   });
@@ -231,6 +230,9 @@ void LaunchServe(KvDomain& dom, ServeCtx* ctx) {
 
 void SettleServe(KvDomain& dom, ServeCtx* ctx, bool ok, SimTime done) {
   ctx->settled = true;
+  if (ctx->watchdog != TimerWheel::kNoTimer) {
+    dom.stack.sim->timers().Cancel(ctx->watchdog);
+  }
   if (ok && dom.integ != nullptr) {
     if (ctx->write) {
       // The served write lands a fresh, clean value (healing any
@@ -264,7 +266,7 @@ void SettleServe(KvDomain& dom, ServeCtx* ctx, bool ok, SimTime done) {
       Replicate(dom, ctx->req.rank, ctx->req.size_class, ctx->req.bytes);
     }
   }
-  Reply(dom, ctx->src, ctx->home,
+  Reply(dom, static_cast<DomainId>(ctx->req.client), ctx->home,
         ok ? ReplyStatus::kOk
            : (ctx->retry_on_fail ? ReplyStatus::kRetry : ReplyStatus::kNack));
   dom.serves.Free(ctx);

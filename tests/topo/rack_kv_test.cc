@@ -420,6 +420,31 @@ TEST(RackKv, FaultFreeRunHasNoFailoverActivity) {
   EXPECT_EQ(r.generated, r.completed);
 }
 
+// Settling a serve cancels its watchdog (DESIGN.md §13), and a watchdog
+// that found its serve settled would fail a SNIC_CHECK, so every fire is
+// exactly one serve_timeouts. A fault-free cell fires none. Frame drops with
+// an uplink flap, and a SoC crash, lose serves in flight and fire some; a
+// whole-server crash refuses arrivals instead. Every ledger closes.
+TEST(RackKv, ServeWatchdogFiresOnlyForLostServes) {
+  const RackKvResult clean = RunRackKv(SmallRack());
+  EXPECT_EQ(clean.serve_timeouts, 0u);
+  EXPECT_EQ(clean.late_serves, 0u);
+  struct Cell {
+    const char* plan;
+    bool loses_serves;
+  };
+  for (const Cell& c : {Cell{"drop=0.05,seed=7,flap=rack.s0.up:20:60", true},
+                        Cell{"crash=soc:40:90:10", true},
+                        Cell{"crash=rack.s1:40:110:10,seed=9", false}}) {
+    RackKvParams p = SmallRack();
+    std::string error;
+    ASSERT_TRUE(fault::ParseFaultPlan(c.plan, &p.faults, &error)) << error;
+    const RackKvResult r = RunRackKv(p);
+    EXPECT_GT(c.loses_serves ? r.serve_timeouts : r.crash_refused, 0u) << c.plan;
+    EXPECT_TRUE(r.LedgerBreaks().empty()) << c.plan;
+  }
+}
+
 // -- Directed paths: retry exhaustion, rack-side admission, stale acks ------
 
 // Runs `p` serially and at two sim threads: the ledgers close and the
