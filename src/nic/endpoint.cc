@@ -26,7 +26,8 @@ NicEndpoint::NicEndpoint(Simulator* sim, const NicParams& nic, const EndpointPar
 
 SimTime NicEndpoint::ControlRtt() const { return 2 * to_mem_.BaseLatency(); }
 
-void NicEndpoint::DmaRead(uint64_t addr, uint64_t len, DmaCallback cb, uint64_t req_id) {
+void NicEndpoint::DmaRead(uint64_t addr, uint64_t len, DmaCallback cb, uint64_t req_id,
+                          bool tail) {
   ReadOp* op = read_ops_.Alloc();
   op->addr = addr;
   op->len = std::max<uint64_t>(len, 1);
@@ -45,19 +46,19 @@ void NicEndpoint::DmaRead(uint64_t addr, uint64_t len, DmaCallback cb, uint64_t 
     ++hol_events_;
   }
   read_queue_.Push(op);
-  // The caller may still act after this returns, so grants go through the
-  // event queue.
-  PumpReads(/*tail=*/false);
+  // Unless the caller declared this call its event's last act, it may still
+  // act after this returns, so grants go through the event queue.
+  PumpReads(tail);
 }
 
 void NicEndpoint::PumpReads(bool tail) {
-  // Tail-issued grants (DESIGN.md §8). A pump that is the last act of a
-  // sub-read's completion event, started when no other event is due at
-  // now(), would see every grant it defers with In(0) dispatched next, in
-  // issue order, ahead of anything those grants schedule. Running the
-  // grant bodies here, in that order, dispatches the same work in the same
-  // relative (time, seq) order without the queue round trip. Decided once,
-  // before the first grant: a grant may schedule at now() itself.
+  // Tail-issued grants (DESIGN.md §8). A pump that is the last act of its
+  // event, started when no other event is due at now(), would see every
+  // grant it defers with In(0) dispatched next, in issue order, ahead of
+  // anything those grants schedule. Running the grant bodies here, in that
+  // order, dispatches the same work in the same relative (time, seq) order
+  // without the queue round trip. Decided once, before the first grant: a
+  // grant may schedule at now() itself.
   const bool inline_grants = tail && sim_->NothingDueNow();
   while (ReadOp* const head = read_queue_.head) {
     if (head->issued >= head->len) {
@@ -120,7 +121,7 @@ void NicEndpoint::StartSubRead(ReadOp* op, uint64_t chunk, uint64_t chunk_addr) 
 }
 
 void NicEndpoint::DmaWrite(uint64_t addr, uint64_t len, DmaCallback posted_cb,
-                           bool single_descriptor, uint64_t req_id) {
+                           bool single_descriptor, uint64_t req_id, bool tail) {
   WriteOp* op = write_ops_.Alloc();
   op->addr = addr;
   op->len = std::max<uint64_t>(len, 1);
@@ -144,10 +145,12 @@ void NicEndpoint::DmaWrite(uint64_t addr, uint64_t len, DmaCallback posted_cb,
   }
   ++writes_issued_;
   write_queue_.Push(op);
-  PumpWrites();
+  PumpWrites(tail);
 }
 
-void NicEndpoint::PumpWrites() {
+void NicEndpoint::PumpWrites(bool tail) {
+  // Tail-issued grants, as in PumpReads.
+  const bool inline_grants = tail && sim_->NothingDueNow();
   while (WriteOp* const head = write_queue_.head) {
     if (head->issued >= head->len) {
       write_queue_.Pop();
@@ -156,11 +159,11 @@ void NicEndpoint::PumpWrites() {
     if (head->in_flight >= head->window) {
       return;
     }
-    IssueOneSubWrite(head);
+    IssueOneSubWrite(head, inline_grants);
   }
 }
 
-void NicEndpoint::IssueOneSubWrite(WriteOp* op) {
+void NicEndpoint::IssueOneSubWrite(WriteOp* op, bool inline_grant) {
   const uint64_t chunk = std::min<uint64_t>(nic_.max_read_request, op->len - op->issued);
   const uint64_t chunk_addr = op->addr + op->issued;
   op->issued += chunk;
@@ -169,40 +172,47 @@ void NicEndpoint::IssueOneSubWrite(WriteOp* op) {
   // credit released only when the memory system absorbs the data; that is
   // how a slow endpoint (e.g. the single-channel SoC DRAM) backpressures
   // the NIC.
-  write_credits_.Acquire([this, op, chunk, chunk_addr] {
-    to_mem_.TransferAt(sim_, sim_->now(), chunk, mtu_,
-                       [this, op, chunk, chunk_addr] {
-      // Burst delivered at the endpoint: the NIC may consider it posted.
-      op->delivered += chunk;
-      op->last_posted = sim_->now();
-      SimTime served = sim_->now();
-      if (!params_.write_completer.is_zero()) {
-        served = write_completer_.EnqueueAt(served, params_.write_completer.ServiceTime());
-        if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
-          tr->Span(params_.name, "write_completer", op->last_posted, served, op->rid,
-                   TraceCat::kAsync);
-        }
+  if (inline_grant && write_credits_.TryAcquire()) {
+    StartSubWrite(op, chunk, chunk_addr);
+    return;
+  }
+  write_credits_.Acquire(
+      [this, op, chunk, chunk_addr] { StartSubWrite(op, chunk, chunk_addr); });
+}
+
+void NicEndpoint::StartSubWrite(WriteOp* op, uint64_t chunk, uint64_t chunk_addr) {
+  to_mem_.TransferAt(sim_, sim_->now(), chunk, mtu_, [this, op, chunk, chunk_addr] {
+    // Burst delivered at the endpoint: the NIC may consider it posted.
+    op->delivered += chunk;
+    op->last_posted = sim_->now();
+    SimTime served = sim_->now();
+    if (!params_.write_completer.is_zero()) {
+      served = write_completer_.EnqueueAt(served, params_.write_completer.ServiceTime());
+      if (Tracer* const tr = sim_->tracer(); tr != nullptr) {
+        tr->Span(params_.name, "write_completer", op->last_posted, served, op->rid,
+                 TraceCat::kAsync);
       }
-      op->commits_pending += 1;
-      memory_->Access(served, chunk_addr, static_cast<uint32_t>(chunk),
-                      /*is_write=*/true, [this, op] {
-        write_credits_.Release();
-        op->commits_pending -= 1;
-        if (op->gate_on_commit) {
-          op->in_flight -= 1;
-          PumpWrites();
-        }
-        MaybeFreeWrite(op);
-      }, op->rid);
-      if (!op->gate_on_commit) {
+    }
+    op->commits_pending += 1;
+    memory_->Access(served, chunk_addr, static_cast<uint32_t>(chunk),
+                    /*is_write=*/true, [this, op] {
+      write_credits_.Release();
+      op->commits_pending -= 1;
+      if (op->gate_on_commit) {
         op->in_flight -= 1;
-        PumpWrites();
+        PumpWrites(/*tail=*/false);
       }
-      if (op->delivered >= op->len && op->cb) {
-        op->cb.CallOnce(op->last_posted);
-      }
+      MaybeFreeWrite(op);
     }, op->rid);
-  });
+    // Not a tail pump: the posted callback below still runs after it.
+    if (!op->gate_on_commit) {
+      op->in_flight -= 1;
+      PumpWrites(/*tail=*/false);
+    }
+    if (op->delivered >= op->len && op->cb) {
+      op->cb.CallOnce(op->last_posted);
+    }
+  }, op->rid);
 }
 
 void NicEndpoint::MaybeFreeWrite(WriteOp* op) {

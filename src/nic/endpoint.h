@@ -59,7 +59,10 @@ class NicEndpoint {
   // the head-of-line threshold against a small-MTU endpoint degrades to
   // hol_degraded_credits outstanding (paper Fig. 8).
   // `req_id` threads the originating request through to trace spans.
-  void DmaRead(uint64_t addr, uint64_t len, DmaCallback cb, uint64_t req_id = 0);
+  // `tail`: the call is the last act of the running event, so the sub-reads
+  // it issues may take free credits in place (DESIGN.md §8).
+  void DmaRead(uint64_t addr, uint64_t len, DmaCallback cb, uint64_t req_id = 0,
+               bool tail = false);
 
   // Posted DMA write. `posted_cb` fires when the burst has been delivered
   // into the endpoint (the NIC may then ack); the write additionally holds a
@@ -69,9 +72,9 @@ class NicEndpoint {
   // `single_descriptor` marks a transfer issued as one giant DMA descriptor
   // (path-③ staging). Only those hit the head-of-line rule on small-MTU
   // endpoints: remote WRITEs arrive pre-segmented at the network MTU and are
-  // unaffected (paper §3.2 vs. §3.3).
+  // unaffected (paper §3.2 vs. §3.3). `tail` as for DmaRead.
   void DmaWrite(uint64_t addr, uint64_t len, DmaCallback posted_cb,
-                bool single_descriptor = false, uint64_t req_id = 0);
+                bool single_descriptor = false, uint64_t req_id = 0, bool tail = false);
 
   // One header-only TLP to the endpoint and back (for model probes).
   SimTime ControlRtt() const;
@@ -147,15 +150,19 @@ class NicEndpoint {
   // Ops issue sub-requests strictly in FIFO order: the head op must be
   // fully issued before the next op may start. A degraded-window head op
   // therefore blocks the whole line — the paper's head-of-line anomaly.
-  // `tail`: the pump is the last act of a sub-read's completion event,
-  // which lets it run free-credit grants inline (DESIGN.md §8).
+  // `tail`: the pump is the last act of its event (a sub-read's completion,
+  // or a tail DmaRead), which lets it run free-credit grants inline
+  // (DESIGN.md §8).
   void PumpReads(bool tail);
   void IssueOneSubRead(ReadOp* op, bool inline_grant);
   // The grant body of one sub-read: request TLP, completer, memory, and
   // the completion burst back.
   void StartSubRead(ReadOp* op, uint64_t chunk, uint64_t chunk_addr);
-  void PumpWrites();
-  void IssueOneSubWrite(WriteOp* op);
+  void PumpWrites(bool tail);
+  void IssueOneSubWrite(WriteOp* op, bool inline_grant);
+  // The grant body of one sub-write: the burst to the endpoint, then the
+  // memory absorbs it.
+  void StartSubWrite(WriteOp* op, uint64_t chunk, uint64_t chunk_addr);
   // Frees a write op once it is fully delivered and fully absorbed.
   void MaybeFreeWrite(WriteOp* op);
 

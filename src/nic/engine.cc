@@ -85,9 +85,7 @@ void NicEngine::HandleRequest(NicEndpoint* ep, Verb verb, uint64_t addr, uint32_
   rq->req_id = req_id;
   rq->response_path = response_path;
   rq->done = std::move(done);
-  sim_->At(parsed, [this, rq] {
-    rq->pu = AcquirePu(rq->ep, [this, rq] { ServeRemote(rq); });
-  });
+  sim_->At(parsed, [this, rq] { ServeWithPu(rq->ep, rq, [this, rq] { ServeRemote(rq); }); });
 }
 
 // Runs with a processing-unit context held. Anything that may end the
@@ -108,7 +106,7 @@ void NicEngine::ServeRemote(Remote* rq) {
         TokenPool* const held = rq->pu;
         SendResponse(rq, rq->len, data_at_nic);
         ReleaseAt(held, data_at_nic + params_.read_pipeline_overhead);
-      }, rq->req_id);
+      }, rq->req_id, /*tail=*/true);
       return;
     }
     case Verb::kWrite: {
@@ -123,7 +121,7 @@ void NicEngine::ServeRemote(Remote* rq) {
         TokenPool* const held = rq->pu;
         SendResponse(rq, 0, posted);
         ReleaseAt(held, posted + params_.write_pipeline_overhead);
-      }, /*single_descriptor=*/false, rq->req_id);
+      }, /*single_descriptor=*/false, rq->req_id, /*tail=*/true);
       return;
     }
     case Verb::kSend: {
@@ -135,7 +133,7 @@ void NicEngine::ServeRemote(Remote* rq) {
         SendHandler& handler = send_handlers_[static_cast<size_t>(rq->ep->fe_id)];
         SNIC_CHECK(handler != nullptr);
         handler(rq->addr, rq->len, ReplyCallback(this, rq));
-      }, /*single_descriptor=*/false, rq->req_id);
+      }, /*single_descriptor=*/false, rq->req_id, /*tail=*/true);
       return;
     }
   }
@@ -215,9 +213,7 @@ void NicEngine::ExecuteLocalOp(NicEndpoint* src, NicEndpoint* dst, Verb verb, ui
   op->cqe_addr = 0x7f00'0000 + (cqe_seq_++ % 4096) * 128;
   op->req_id = req_id;
   op->done = std::move(done);
-  sim_->At(parsed, [this, op] {
-    op->pu = AcquirePu(op->dst, [this, op] { ServeLocal(op); });
-  });
+  sim_->At(parsed, [this, op] { ServeWithPu(op->dst, op, [this, op] { ServeLocal(op); }); });
 }
 
 void NicEngine::ServeLocal(Local* op) {
@@ -233,7 +229,7 @@ void NicEngine::ServeLocal(Local* op) {
                             CompleteLocal(op, posted);
                           },
                           /*single_descriptor=*/true, op->req_id);
-      }, op->req_id);
+      }, op->req_id, /*tail=*/true);
       return;
     }
     case Verb::kWrite:
@@ -256,7 +252,7 @@ void NicEngine::ServeLocal(Local* op) {
                             [this, op](SimTime cqe_done) { CompleteLocal(op, cqe_done); },
                             /*single_descriptor=*/false, op->req_id);
         }, /*single_descriptor=*/true, op->req_id);
-      }, op->req_id);
+      }, op->req_id, /*tail=*/true);
       return;
     }
   }

@@ -135,12 +135,11 @@ class NicEngine : private ReplyCallback::Sink {
   // is the pool to Release() it back to.
   template <typename F>
   TokenPool* AcquirePu(NicEndpoint* ep, F&& granted) {
-    std::optional<TokenPool>& dedicated = dedicated_pus_[static_cast<size_t>(ep->fe_id)];
-    if (dedicated.has_value() && dedicated->TryAcquire()) {
+    if (TokenPool* const pu = TryAcquirePu(ep); pu != nullptr) {
       sim_->In(0, std::forward<F>(granted));
-      return &*dedicated;
+      return pu;
     }
-    pus_.Acquire(std::forward<F>(granted));
+    pus_.Acquire(std::forward<F>(granted));  // no context is free: waits
     return &pus_;
   }
   Simulator* sim() const { return sim_; }
@@ -185,6 +184,33 @@ class NicEngine : private ReplyCallback::Sink {
     SmallFunction<void(SimTime)> done;
   };
 
+  // Takes a free processing-unit context for `ep` (dedicated first), or
+  // returns nullptr.
+  TokenPool* TryAcquirePu(NicEndpoint* ep) {
+    std::optional<TokenPool>& dedicated = dedicated_pus_[static_cast<size_t>(ep->fe_id)];
+    if (dedicated.has_value() && dedicated->TryAcquire()) {
+      return &*dedicated;
+    }
+    return pus_.TryAcquire() ? &pus_ : nullptr;
+  }
+  // The last act of a parse event: grants `rec` a context and runs `serve`
+  // with it held. With nothing else due now, a free context's grant runs in
+  // place instead of through In(0) (DESIGN.md §8). `rec->pu` is stored
+  // before `serve` runs, since `serve` releases into it.
+  template <typename Rec, typename F>
+  void ServeWithPu(NicEndpoint* ep, Rec* rec, F&& serve) {
+    if (sim_->NothingDueNow()) {
+      if (TokenPool* const pu = TryAcquirePu(ep); pu != nullptr) {
+        rec->pu = pu;
+        serve();
+        return;
+      }
+    }
+    rec->pu = AcquirePu(ep, std::forward<F>(serve));
+  }
+
+  // ServeRemote and ServeLocal always run as the whole body of a PU grant,
+  // so the DMA each one issues last is the tail of its event.
   void ServeRemote(Remote* rq);
   void SendResponse(Remote* rq, uint64_t bytes, SimTime ready);
   void FinishRemote(Remote* rq);
