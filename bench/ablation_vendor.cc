@@ -7,7 +7,9 @@
 //    switch, skipping the RNIC — should lift path ③'s double-PCIe1
 //    bottleneck and its large-transfer collapse.
 #include <cstdio>
+#include <functional>
 #include <iostream>
+#include <memory>
 #include <vector>
 
 #include "src/common/flags.h"
@@ -36,8 +38,10 @@ double CxlStream(uint32_t chunk, uint64_t total) {
   CxlWindow cxl(&sim, &server);
   auto moved = std::make_shared<uint64_t>(0);
   // Four concurrent streams, back-to-back chunks.
+  std::vector<std::shared_ptr<std::function<void()>>> loops;
   for (int s = 0; s < 4; ++s) {
     auto loop = std::make_shared<std::function<void()>>();
+    loops.push_back(loop);
     auto offset = std::make_shared<uint64_t>(static_cast<uint64_t>(s) * total);
     *loop = [&sim, &cxl, loop, moved, offset, chunk, total] {
       if (*moved >= total) {
@@ -52,6 +56,9 @@ double CxlStream(uint32_t chunk, uint64_t total) {
     sim.In(0, *loop);
   }
   sim.Run();
+  for (const auto& loop : loops) {
+    *loop = nullptr;  // it owns itself through its closure
+  }
   return static_cast<double>(total) * 8.0 / 1e9 / ToSeconds(sim.now());
 }
 

@@ -4,6 +4,7 @@
 // and single DRAM channel make it progressively slower as the head of the
 // distribution heats up; the DDIO host barely notices.
 #include <cstdio>
+#include <functional>
 #include <iostream>
 #include <memory>
 #include <vector>
@@ -44,6 +45,7 @@ double Run(bool soc, double theta, bool uniform = false) {
   std::vector<std::unique_ptr<rdma::QueuePair>> qps;
   std::vector<std::shared_ptr<ZipfGenerator>> zipfs;
   std::vector<std::shared_ptr<Rng>> rngs;
+  std::vector<std::shared_ptr<std::function<void()>>> loops;
   for (auto& machine : clients) {
     for (int t = 0; t < cp.threads; ++t) {
       qps.push_back(std::make_unique<rdma::QueuePair>(machine.get(), t, mr));
@@ -55,6 +57,7 @@ double Run(bool soc, double theta, bool uniform = false) {
       auto rng = rngs.back();
       for (int w = 0; w < 8; ++w) {
         auto loop = std::make_shared<std::function<void()>>();
+        loops.push_back(loop);
         *loop = [&meter, qp, zipf, rng, uniform, records, loop] {
           const uint64_t rank = uniform ? rng->NextBelow(records) : zipf->Next();
           qp->PostWrite(rank * 64, 64, 0, [&meter, loop](SimTime) {
@@ -68,6 +71,9 @@ double Run(bool soc, double theta, bool uniform = false) {
     }
   }
   sim.RunUntil(warm + win);
+  for (const auto& loop : loops) {
+    *loop = nullptr;  // it owns itself through its closure
+  }
   return meter.MReqsPerSec();
 }
 

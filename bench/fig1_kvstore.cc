@@ -5,7 +5,10 @@
 // (b) SmartNIC offload: one SEND to the SoC, which resolves the get locally
 //     (values in SoC memory) or over path ③ (values in host memory).
 #include <cstdio>
+#include <functional>
 #include <iostream>
+#include <memory>
+#include <vector>
 
 #include "src/common/flags.h"
 #include "src/common/table.h"
@@ -56,10 +59,12 @@ KvResult RunDirect(int concurrent_gets) {
   double total_rts = 0;
   auto gets = std::make_shared<uint64_t>(0);
   const SimTime deadline = FromMillis(2);
+  std::vector<std::shared_ptr<std::function<void()>>> loops;
   for (int t = 0; t < concurrent_gets; ++t) {
     auto qp = std::make_shared<rdma::QueuePair>(&client, t % 12, mr);
     auto kv = std::make_shared<DirectKvClient>(&index, qp.get());
     auto loop = std::make_shared<std::function<void()>>();
+    loops.push_back(loop);
     *loop = [&sim, &rng, kv, qp, loop, gets, &total_lat, &total_rts, deadline] {
       if (sim.now() >= deadline) {
         return;
@@ -76,6 +81,9 @@ KvResult RunDirect(int concurrent_gets) {
     sim.In(0, *loop);
   }
   sim.RunUntil(deadline);
+  for (const auto& loop : loops) {
+    *loop = nullptr;  // it owns itself through its closure
+  }
   KvResult out;
   if (*gets > 0) {
     out.avg_latency_us = total_lat / static_cast<double>(*gets);
@@ -109,9 +117,11 @@ KvResult RunOffload(int concurrent_gets, bool values_on_host) {
   double total_lat = 0;
   auto gets = std::make_shared<uint64_t>(0);
   const SimTime deadline = FromMillis(2);
+  std::vector<std::shared_ptr<std::function<void()>>> loops;
   for (int t = 0; t < concurrent_gets; ++t) {
     auto qp = std::make_shared<rdma::QueuePair>(&client, t % 12, mr);
     auto loop = std::make_shared<std::function<void()>>();
+    loops.push_back(loop);
     *loop = [&sim, qp, loop, gets, &total_lat, deadline] {
       if (sim.now() >= deadline) {
         return;
@@ -126,6 +136,9 @@ KvResult RunOffload(int concurrent_gets, bool values_on_host) {
     sim.In(0, *loop);
   }
   sim.RunUntil(deadline);
+  for (const auto& loop : loops) {
+    *loop = nullptr;  // it owns itself through its closure
+  }
   KvResult out;
   if (*gets > 0) {
     out.avg_latency_us = total_lat / static_cast<double>(*gets);

@@ -7,7 +7,10 @@
 // wimpy SoC cores saturate first, so the one-sided design overtakes it in
 // throughput — use both paths, not either.
 #include <cstdio>
+#include <functional>
 #include <iostream>
+#include <memory>
+#include <vector>
 
 #include "src/common/flags.h"
 #include "src/common/table.h"
@@ -55,10 +58,12 @@ Result RunDirect(int concurrency) {
   auto gets = std::make_shared<uint64_t>(0);
   auto lat = std::make_shared<double>(0.0);
   const SimTime deadline = FromMillis(3);
+  std::vector<std::shared_ptr<std::function<void()>>> loops;
   for (int t = 0; t < concurrency; ++t) {
     auto qp = std::make_shared<rdma::QueuePair>(&client, t % 12, mr);
     auto kv = std::make_shared<DirectKvClient>(&index, qp.get());
     auto loop = std::make_shared<std::function<void()>>();
+    loops.push_back(loop);
     *loop = [&sim, &rng, kv, qp, loop, gets, lat, deadline] {
       if (sim.now() >= deadline) {
         return;
@@ -73,6 +78,9 @@ Result RunDirect(int concurrency) {
     sim.In(FromNanos(300) * t, *loop);
   }
   sim.RunUntil(deadline);
+  for (const auto& loop : loops) {
+    *loop = nullptr;  // it owns itself through its closure
+  }
   Result r;
   if (*gets > 0) {
     r.kgets = static_cast<double>(*gets) / ToSeconds(deadline) / 1e3;
@@ -105,9 +113,11 @@ Result RunOffload(int concurrency, bool values_on_host) {
   auto gets = std::make_shared<uint64_t>(0);
   auto lat = std::make_shared<double>(0.0);
   const SimTime deadline = FromMillis(3);
+  std::vector<std::shared_ptr<std::function<void()>>> loops;
   for (int t = 0; t < concurrency; ++t) {
     auto qp = std::make_shared<rdma::QueuePair>(&client, t % 12, mr);
     auto loop = std::make_shared<std::function<void()>>();
+    loops.push_back(loop);
     *loop = [&sim, qp, loop, gets, lat, deadline] {
       if (sim.now() >= deadline) {
         return;
@@ -122,6 +132,9 @@ Result RunOffload(int concurrency, bool values_on_host) {
     sim.In(FromNanos(300) * t, *loop);
   }
   sim.RunUntil(deadline);
+  for (const auto& loop : loops) {
+    *loop = nullptr;  // it owns itself through its closure
+  }
   Result r;
   if (*gets > 0) {
     r.kgets = static_cast<double>(*gets) / ToSeconds(deadline) / 1e3;

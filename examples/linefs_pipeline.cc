@@ -7,7 +7,9 @@
 // AND skimming network throughput through the shared PCIe1/NIC resources
 // (the §4 interference). The budget rule arbitrates exactly this trade.
 #include <cstdio>
+#include <functional>
 #include <iostream>
+#include <memory>
 
 #include "src/common/flags.h"
 #include "src/common/table.h"
@@ -78,6 +80,7 @@ RunResult Run(Placement digest_placement, double item_rate_per_sec) {
   };
   sim.In(0, *arrival);
   sim.RunUntil(end);
+  *arrival = nullptr;  // it owns itself through its closure
 
   RunResult r;
   const double secs = ToSeconds(end - warm);

@@ -6,8 +6,10 @@
 // and longer lock hold times also raise the conflict window, a second-order
 // effect the paper's guidance about path choice is meant to avoid.
 #include <cstdio>
+#include <functional>
 #include <iostream>
 #include <memory>
+#include <vector>
 
 #include "src/common/flags.h"
 #include "src/common/rng.h"
@@ -66,9 +68,11 @@ RunResult Run(bool use_rnic, uint64_t hot_records, int coordinators) {
   uint64_t commits = 0;
   uint64_t total = 0;
   const SimTime deadline = FromMillis(4);
+  std::vector<std::shared_ptr<std::function<void()>>> loops;
   for (int i = 0; i < coordinators; ++i) {
     auto rng = std::make_shared<Rng>(42 + static_cast<uint64_t>(i));
     auto loop = std::make_shared<std::function<void()>>();
+    loops.push_back(loop);
     OccCoordinator* coord = coords[static_cast<size_t>(i)].get();
     *loop = [&, coord, rng, loop, hot_records] {
       if (sim.now() >= deadline) {
@@ -87,6 +91,9 @@ RunResult Run(bool use_rnic, uint64_t hot_records, int coordinators) {
     sim.In(FromNanos(500) * i, *loop);
   }
   sim.RunUntil(deadline);
+  for (const auto& loop : loops) {
+    *loop = nullptr;  // it owns itself through its closure
+  }
   RunResult out;
   if (total > 0) {
     out.ktps = static_cast<double>(commits) / ToSeconds(deadline) / 1e3;
