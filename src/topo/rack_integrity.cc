@@ -40,7 +40,7 @@ void FinishRepair(KvDomain& dom, RepairOp* rp, uint64_t gen, bool ok) {
   ServeCtx* const ctx = rp->ctx;
   const uint64_t ctx_gen = rp->ctx_gen;
   dom.repairs.Free(rp);
-  if (ctx != nullptr && ctx->gen == ctx_gen && !ctx->settled) {
+  if (ctx != nullptr && ctx->gen == ctx_gen) {
     // The parked serve resumes against a (hopefully) clean value; if the
     // heal failed it bounces home as an evidence-free retry.
     if (ok) {

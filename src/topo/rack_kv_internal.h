@@ -74,14 +74,13 @@ struct HomeRef {
   bool Live() const { return op->gen == gen && op->token == token; }
 };
 
-// One serve in progress at the serving domain. A NIC completion that
-// arrives after the watchdog failed the serve finds `settled`/`gen` moved,
-// exactly like a late HomeOp reply; settling cancels the watchdog, so the
-// watchdog never finds its serve settled.
+// One serve in progress at the serving domain. SettleServe frees it, so a
+// NIC completion that arrives after the watchdog failed the serve finds
+// `gen` moved, like a late HomeOp reply; settling also cancels the
+// watchdog, so the watchdog always finds its serve open.
 struct ServeCtx {
   uint64_t gen = 0;
   TimerWheel::TimerId watchdog = TimerWheel::kNoTimer;
-  bool settled = false;
   bool retry_on_fail = false;  // fail as kRetry (no failover evidence)
   bool write = false;
   int path = 0;

@@ -165,7 +165,6 @@ void ServeArrival(const ServeMsg& msg) {
     return;
   }
   ServeCtx* ctx = dom.serves.Alloc();
-  ctx->settled = false;
   ctx->retry_on_fail = false;
   ctx->path = path;
   ctx->arrived = dom.stack.sim->now();
@@ -179,7 +178,7 @@ void ServeArrival(const ServeMsg& msg) {
   // accounting and the home ledger both stay closed. SettleServe cancels
   // it, so every fire fails an open serve.
   ctx->watchdog = dom.stack.sim->timers().In(kServeTimeout, [dp = &dom, ctx, sgen] {
-    SNIC_CHECK(ctx->gen == sgen && !ctx->settled);
+    SNIC_CHECK_EQ(ctx->gen, sgen);
     ctx->watchdog = TimerWheel::kNoTimer;
     ++dp->ctr.serve_timeouts;
     SettleServe(*dp, ctx, /*ok=*/false, dp->stack.sim->now());
@@ -219,7 +218,7 @@ void LaunchServe(KvDomain& dom, ServeCtx* ctx) {
       ep, Verb::kSend, ctx->req.hdr, kRequestBytes, /*fe_units=*/1.0,
       std::move(back),
       [dp = &dom, ctx, sgen](SimTime delivered) {
-        if (ctx->gen != sgen || ctx->settled) {
+        if (ctx->gen != sgen) {
           ++dp->ctr.late_serves;  // the watchdog already failed this serve
           return;
         }
@@ -229,7 +228,6 @@ void LaunchServe(KvDomain& dom, ServeCtx* ctx) {
 }
 
 void SettleServe(KvDomain& dom, ServeCtx* ctx, bool ok, SimTime done) {
-  ctx->settled = true;
   if (ctx->watchdog != TimerWheel::kNoTimer) {
     dom.stack.sim->timers().Cancel(ctx->watchdog);
   }
